@@ -8,8 +8,7 @@ respected) buys on the fully relaxed Q3 plan.
 import pytest
 
 from benchmarks.harness import context_for, query, warm
-from repro.plans import SSO_MODE, build_encoded_plan
-from repro.plans.ordering import selectivity_ordered
+from repro.plans import SSO_MODE, StaticCostModel, build_encoded_plan, lower_plan
 from repro.rank import STRUCTURE_FIRST
 
 SIZE = "10MB"
@@ -23,7 +22,7 @@ def setup():
     warm(context, QUERY)
     schedule = context.schedule(query(QUERY))
     plan = build_encoded_plan(schedule, len(schedule))
-    reordered = selectivity_ordered(plan, context.statistics)
+    reordered = lower_plan(plan, StaticCostModel(context.statistics)).logical
     return context, {"preorder": plan, "selectivity": reordered}
 
 

@@ -13,7 +13,7 @@ import pytest
 from benchmarks.harness import SIZES, document_for
 from repro.ir import IREngine, InvertedIndex, parse_ftexpr
 from repro.plans import structural_join
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmark import generate_document
 from repro.xmltree import dump_document, load_document, parse, to_xml
 

@@ -6,9 +6,9 @@ SIGMOD 2004.
 
 Quick start::
 
-    from repro import FleXPath
+    from repro import Engine
 
-    engine = FleXPath.from_xml(open("corpus.xml").read())
+    engine = Engine.from_xml(open("corpus.xml").read())
     result = engine.query(
         '//article[./section[./paragraph and .contains("XML" and "streaming")]]',
         k=10, scheme="structure-first", algorithm="hybrid",
@@ -44,7 +44,7 @@ from repro.errors import (
     QueryTimeoutError,
     XMLParseError,
 )
-from repro.session import QueryControl, Session, SessionPool
+from repro.session import QueryControl, Session
 from repro.ir import IREngine, parse_ftexpr
 from repro.obs import (
     NULL_TRACER,
@@ -124,7 +124,6 @@ __all__ = [
     "STRUCTURE_FIRST",
     "ScoredAnswer",
     "Session",
-    "SessionPool",
     "ShardRouter",
     "ShardedBackend",
     "SlowQueryLog",

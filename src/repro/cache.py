@@ -1,33 +1,31 @@
-"""Tier-2 result cache: whole top-K answers, keyed by the canonical query.
+"""The one bounded LRU behind both keyed cache tiers.
 
-The :class:`~repro.engine.FleXPath` facade fronts every query with a small
-LRU over finished :class:`~repro.topk.base.TopKResult` objects.  The key is
-the canonical evaluation request — ``(TPQ, k, scheme name, algorithm,
-max_relaxations, corpus version)`` — so two textual spellings of the same
-tree pattern share one entry (:class:`~repro.query.tpq.TPQ` hashes by its
-canonical structural key).
+Two tiers memoize by request key (DESIGN §9): the tier-2
+:class:`ResultCache` holds finished :class:`~repro.topk.base.TopKResult`
+objects in front of every query, and the
+:class:`~repro.compiled.PlanCache` holds compiled
+:class:`~repro.compiled.CompiledQuery` artifacts in front of
+:func:`~repro.compiled.compile_query`.  Both are :class:`BoundedLRU` under
+a name; the name picks the registry prefix (``result_cache.*`` /
+``plan_cache.*``) and the ``cache_hit``/``cache_miss`` event payload.
 
 Correctness relies on two facts:
 
-- results are immutable in practice (frozen scores, tuples of answers), so
-  handing the same object back twice is safe;
-- a document only changes through
-  :meth:`~repro.collection.Corpus.add_document`, which both bumps the
-  corpus ``version`` (part of the key) and clears the cache through the
-  facade's subscription — belt and suspenders, so a stale read is
-  impossible even if a caller keeps an old key alive.
+- cached values are immutable in practice (frozen scores, tuples of
+  answers, eagerly built plans), so handing the same object back twice —
+  to any thread — is safe;
+- a backend only changes through ingest, which bumps its ``version``.
+  Every entry remembers the version it was stored at and a probe at any
+  other version misses, so a stale read is impossible even before the
+  owner's ingest subscription calls :meth:`BoundedLRU.invalidate` (which
+  is what frees the memory the stale entries pin).
 
-Probes are rare (one per facade query), so counters go straight to the
-process :class:`~repro.obs.metrics.MetricsRegistry` (``result_cache.*``)
-and the ``cache_hit``/``cache_miss`` event seam — no delta folding needed.
-Instance-level tallies (hits/misses/evictions/invalidations) ride along so
-:meth:`ResultCache.info` can report per-engine numbers even when several
-engines share one process registry.
-
-Thread-safety: a single mutex serializes every probe — unlike the tier-1
-:class:`~repro.plans.eval_cache.EvaluationCache`, even ``get`` mutates
-(LRU ``move_to_end``), and probes are one-per-query rather than
-one-per-node, so the lock costs nothing measurable.
+Thread-safety: a single mutex serializes every probe — even ``get``
+mutates (LRU ``move_to_end``).  Probes are one per query or compile, not
+one per node, so the lock costs nothing measurable; counters go straight
+to the process :class:`~repro.obs.metrics.MetricsRegistry` and ride along
+as instance fields so :meth:`BoundedLRU.info` reports per-engine numbers
+when several engines share one process registry.
 """
 
 from __future__ import annotations
@@ -38,73 +36,73 @@ from collections import OrderedDict
 from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 
-DEFAULT_MAX_ENTRIES = 128
 
+class BoundedLRU:
+    """Thread-safe, version-fenced LRU with registry/event instrumentation."""
 
-class ResultCache:
-    """LRU of finished top-K results with registry/event instrumentation."""
+    #: Short tier name: registry prefix ``<name>_cache``, event payload.
+    name = None
+    #: Bound used when the constructor is given none.
+    default_max_entries = None
 
-    def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
+    def __init__(self, max_entries=None):
+        if max_entries is None:
+            max_entries = self.default_max_entries
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._entries = OrderedDict()
+        self._entries = OrderedDict()  # key -> (version, value)
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidations = 0
+        self._prefix = self.name + "_cache."
+        self._event = {"engine": self.name, "cache": self.name}
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.invalidations = 0
 
-    def get(self, key):
-        """The cached result for ``key``, or None; refreshes LRU order."""
+    def get(self, key, version):
+        """The value stored for ``key`` at ``version``, or None; refreshes LRU order."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
+            hit = entry is not None and entry[0] == version
+            if hit:
                 self._entries.move_to_end(key)
-                self._hits += 1
+                self.hits += 1
             else:
-                self._misses += 1
-        if entry is None:
-            if REGISTRY.enabled:
-                REGISTRY.inc("result_cache.misses")
-            if HUB.active:
-                HUB.emit("cache_miss", {"engine": "result", "cache": "result"})
-            return None
+                self.misses += 1
         if REGISTRY.enabled:
-            REGISTRY.inc("result_cache.hits")
+            REGISTRY.inc(self._prefix + ("hits" if hit else "misses"))
         if HUB.active:
-            HUB.emit("cache_hit", {"engine": "result", "cache": "result"})
-        return entry
+            HUB.emit("cache_hit" if hit else "cache_miss", dict(self._event))
+        return entry[1] if hit else None
 
-    def put(self, key, result):
-        """Store ``result``, evicting the least-recently-used entry if full."""
-        evicted = False
+    def put(self, key, version, value):
+        """Store ``value``, evicting the least-recently-used entry past the bound."""
         with self._lock:
             entries = self._entries
-            if key in entries:
-                entries.move_to_end(key)
-            entries[key] = result
-            if len(entries) > self.max_entries:
+            entries[key] = (version, value)
+            entries.move_to_end(key)
+            evicted = len(entries) > self.max_entries
+            if evicted:
                 entries.popitem(last=False)
-                self._evictions += 1
-                evicted = True
+                self.evictions += 1
             size = len(entries)
-        if evicted and REGISTRY.enabled:
-            REGISTRY.inc("result_cache.evictions")
         if REGISTRY.enabled:
-            REGISTRY.set_gauge("result_cache.size", size)
+            if evicted:
+                REGISTRY.inc(self._prefix + "evictions")
+            REGISTRY.set_gauge(self._prefix + "size", size)
 
     def invalidate(self):
-        """Drop every entry (corpus growth)."""
+        """Drop every entry (the backend grew)."""
         with self._lock:
             dropped = bool(self._entries)
             if dropped:
                 self._entries.clear()
-                self._invalidations += 1
-        if dropped and REGISTRY.enabled:
-            REGISTRY.inc("result_cache.invalidations")
+                self.invalidations += 1
         if REGISTRY.enabled:
-            REGISTRY.set_gauge("result_cache.size", 0)
+            if dropped:
+                REGISTRY.inc(self._prefix + "invalidations")
+            REGISTRY.set_gauge(self._prefix + "size", 0)
 
     def info(self):
         """Instance-level counters (independent of the process registry)."""
@@ -112,10 +110,10 @@ class ResultCache:
             return {
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "invalidations": self._invalidations,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "invalidations": self.invalidations,
             }
 
     def __len__(self):
@@ -125,9 +123,24 @@ class ResultCache:
             return len(self._entries)
 
     def __repr__(self):
-        with self._lock:
-            entries = len(self._entries)
-        return "ResultCache(entries=%d, max_entries=%d)" % (
-            entries,
+        return "%s(entries=%d, max_entries=%d)" % (
+            type(self).__name__,
+            len(self),
             self.max_entries,
         )
+
+
+class ResultCache(BoundedLRU):
+    """Tier 2: finished top-K results, keyed by the canonical request.
+
+    The key is ``(TPQ, k, scheme name, algorithm, max_relaxations)`` — two
+    textual spellings of one tree pattern share an entry because
+    :class:`~repro.query.tpq.TPQ` hashes by its canonical structural key.
+    """
+
+    name = "result"
+    default_max_entries = 128
+    # Bound on this class so that a tracer can wrap the result tier's
+    # probes alone (benchmarks/e2e/spans.py patches these two names).
+    get = BoundedLRU.get
+    put = BoundedLRU.put

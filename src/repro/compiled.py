@@ -14,10 +14,9 @@ scheme, and the live caches.  This module owns the first half:
   instance may be shared freely between threads and across queries;
 - :func:`compile_query` is the pure producer — same inputs, same artifact,
   no side effects on the context;
-- :class:`PlanCache` is the bounded, corpus-version-fenced LRU the
-  :class:`~repro.topk.base.QueryContext` fronts ``compile_query`` with.
-  It absorbs the old unbounded ``QueryContext._schedules`` dict and
-  reports ``plan_cache.*`` metrics to the process registry.
+- :class:`PlanCache` is the bounded, backend-version-fenced LRU (a named
+  :class:`~repro.cache.BoundedLRU`) and :func:`cached_compile` the one
+  probe-compile-store path every context's ``compile`` goes through.
 
 The execute half lives in :mod:`repro.topk`: strategies are stateless
 policies that walk a :class:`CompiledQuery` with a per-query
@@ -26,102 +25,49 @@ policies that walk a :class:`CompiledQuery` with a per-query
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from dataclasses import dataclass
 
-from repro.obs.events import HUB
-from repro.obs.metrics import REGISTRY
-from repro.plans.cost import StaticCostModel
+from repro.cache import BoundedLRU
 from repro.plans.physical import lower_plan
 from repro.plans.plan import build_encoded_plan, build_strict_plan
 from repro.query.closure import closure
 from repro.query.minimize import minimize
 from repro.relax.steps import RelaxationSchedule
 
-#: Default bound on the plan cache (distinct compiled artifacts retained).
-DEFAULT_PLAN_CACHE_SIZE = 256
 
-
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CompiledQuery:
     """Everything knowable about a query before execution begins.
 
-    Immutable by construction: the schedule, closure, core, and both plan
-    families (per-level strict plans for DPO-style walks, per-level encoded
-    plans for SSO/Hybrid single-pass evaluation) are built eagerly and
-    stored in tuples.  A warm :class:`PlanCache` hit therefore skips
-    closure computation, schedule construction, and *all* plan building —
-    the acceptance target ``benchmarks/bench_plan_cache.py`` measures.
+    Immutable by construction: the schedule, closure, core, and both
+    lowered plan families (per-level strict plans for DPO-style walks,
+    per-level encoded plans for SSO/Hybrid single-pass evaluation; each
+    physical plan carries its logical plan as ``.logical``) are built
+    eagerly and stored in tuples.  A warm :class:`PlanCache` hit therefore
+    skips closure computation, schedule construction, and *all* plan
+    building — the acceptance target ``benchmarks/bench_plan_cache.py``
+    measures.
 
-    Instances hash and compare by identity; the cache key lives in the
-    :class:`PlanCache`, not on the artifact.
+    Instances hash and compare by identity; the cache key lives in
+    :func:`cached_compile`, not on the artifact.  Picklable: it is the
+    unit the sharded scatter path ships to worker processes (the schedule
+    drops its penalty model in transit, see
+    ``RelaxationSchedule.__getstate__`` — workers only execute prebuilt
+    plans and read per-level scores, both materialized here).
     """
 
-    __slots__ = (
-        "tpq",
-        "closure",
-        "core",
-        "schedule",
-        "max_relaxations",
-        "skip_useless_gamma",
-        "weights",
-        "corpus_version",
-        "strict_plans",
-        "encoded_plans",
-        "strict_physical_plans",
-        "encoded_physical_plans",
-        "cost_model_name",
-        "cost_fingerprint",
-    )
-
-    def __init__(self, tpq, closure_set, core_set, schedule, max_relaxations,
-                 skip_useless_gamma, weights, corpus_version, strict_plans,
-                 encoded_plans, strict_physical_plans, encoded_physical_plans,
-                 cost_model_name, cost_fingerprint):
-        object.__setattr__(self, "tpq", tpq)
-        object.__setattr__(self, "closure", closure_set)
-        object.__setattr__(self, "core", core_set)
-        object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "max_relaxations", max_relaxations)
-        object.__setattr__(self, "skip_useless_gamma", skip_useless_gamma)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "corpus_version", corpus_version)
-        object.__setattr__(self, "strict_plans", strict_plans)
-        object.__setattr__(self, "encoded_plans", encoded_plans)
-        object.__setattr__(
-            self, "strict_physical_plans", strict_physical_plans
-        )
-        object.__setattr__(
-            self, "encoded_physical_plans", encoded_physical_plans
-        )
-        object.__setattr__(self, "cost_model_name", cost_model_name)
-        object.__setattr__(self, "cost_fingerprint", cost_fingerprint)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            "CompiledQuery is immutable; cannot set %r" % name
-        )
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            "CompiledQuery is immutable; cannot delete %r" % name
-        )
-
-    # -- pickling -------------------------------------------------------------
-    #
-    # A CompiledQuery is the unit the sharded scatter path ships to worker
-    # processes.  The default slots protocol restores attributes through
-    # ``setattr`` (which this class forbids), so spell the state transfer
-    # out with ``object.__setattr__``.  The schedule drops its penalty
-    # model in transit (see RelaxationSchedule.__getstate__) — workers
-    # only execute prebuilt plans and read per-level scores, both of which
-    # are materialized in the artifact.
-
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
+    tpq: object
+    closure: frozenset
+    core: frozenset
+    schedule: RelaxationSchedule
+    max_relaxations: object
+    skip_useless_gamma: bool
+    weights: object
+    corpus_version: int
+    strict_physical_plans: tuple
+    encoded_physical_plans: tuple
+    cost_model_name: str
+    cost_fingerprint: tuple
 
     # -- level accessors -----------------------------------------------------
 
@@ -133,20 +79,12 @@ class CompiledQuery:
         """Total levels including level 0 (the original query)."""
         return len(self.schedule) + 1
 
-    def strict_plan(self, level):
-        """The prebuilt strict plan evaluating exactly schedule level ``level``."""
-        return self.strict_plans[level]
-
-    def encoded_plan(self, level):
-        """The prebuilt single-pass plan encoding schedule levels 0..``level``."""
-        return self.encoded_plans[level]
-
     def strict_physical(self, level):
-        """The lowered physical plan for the strict plan at ``level``."""
+        """The lowered plan evaluating exactly schedule level ``level``."""
         return self.strict_physical_plans[level]
 
     def encoded_physical(self, level):
-        """The lowered physical plan for the encoded plan at ``level``."""
+        """The lowered single-pass plan encoding schedule levels 0..``level``."""
         return self.encoded_physical_plans[level]
 
     def structural_score(self, level):
@@ -169,7 +107,7 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
                   skip_useless_gamma=True):
     """Produce the immutable :class:`CompiledQuery` for one request shape.
 
-    Pure with respect to the context: reads the penalty model and corpus
+    Pure with respect to the context: reads the penalty model and backend
     version, writes nothing.  The artifact captures, in order:
 
     1. the **closure** of the query's logical expression and its **core**
@@ -177,21 +115,16 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
        relaxation is defined against;
     2. the **relaxation schedule** with per-level cumulative penalties
        (cheapest valid drop first, §4);
-    3. one prebuilt **strict plan per level** (what DPO and the naive
-       baseline execute) and one prebuilt **encoded plan per level** (what
-       SSO/Hybrid execute, Figure 8), so the execute phase never builds a
-       plan;
-    4. one lowered **physical plan per logical plan**: the context's cost
-       model orders the joins and picks the physical operator (holistic
-       twig join vs. binary pipeline) at compile time, and the model's
-       fingerprint is recorded so the :class:`PlanCache` key can fence
-       artifacts against cost-model drift (the measured model's answers
-       change as feedback accumulates).
+    3. one **strict plan per level** (what DPO and the naive baseline
+       execute) and one **encoded plan per level** (what SSO/Hybrid
+       execute, Figure 8), each lowered to a physical plan: the context's
+       cost model — with whatever feedback it has observed so far — orders
+       the joins and picks the physical operator (holistic twig join vs.
+       binary pipeline) at compile time, so the execute phase never builds
+       a plan.
     """
     weights = weights if weights is not None else context.weights
-    cost_model = getattr(context, "cost_model", None)
-    if cost_model is None:
-        cost_model = StaticCostModel(context.statistics)
+    cost_model = context.cost_model
     closure_set = closure(tpq)
     core_set = minimize(closure_set)
     schedule = RelaxationSchedule(
@@ -200,31 +133,23 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
         max_steps=max_relaxations,
         skip_useless_gamma=skip_useless_gamma,
     )
-    strict_plans = tuple(
-        build_strict_plan(entry.query, weights) for entry in schedule.entries
-    )
-    encoded_plans = tuple(
-        build_encoded_plan(schedule, level)
-        for level in range(len(schedule) + 1)
-    )
     strict_physical_plans = tuple(
-        lower_plan(plan, cost_model) for plan in strict_plans
+        lower_plan(build_strict_plan(entry.query, weights), cost_model)
+        for entry in schedule.entries
     )
     encoded_physical_plans = tuple(
-        lower_plan(plan, cost_model) for plan in encoded_plans
+        lower_plan(build_encoded_plan(schedule, level), cost_model)
+        for level in range(len(schedule) + 1)
     )
-    corpus = context.corpus
     return CompiledQuery(
         tpq=tpq,
-        closure_set=closure_set,
-        core_set=core_set,
+        closure=closure_set,
+        core=core_set,
         schedule=schedule,
         max_relaxations=max_relaxations,
         skip_useless_gamma=skip_useless_gamma,
         weights=weights,
-        corpus_version=corpus.version if corpus is not None else 0,
-        strict_plans=strict_plans,
-        encoded_plans=encoded_plans,
+        corpus_version=context.backend.version,
         strict_physical_plans=strict_physical_plans,
         encoded_physical_plans=encoded_physical_plans,
         cost_model_name=cost_model.name,
@@ -232,104 +157,46 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
     )
 
 
-class PlanCache:
-    """Bounded, thread-safe, corpus-version-fenced LRU of compiled queries.
+class PlanCache(BoundedLRU):
+    """The bounded LRU of compiled queries a context fronts compiles with.
 
-    The key is the full compile request — ``(TPQ, max_relaxations,
-    skip_useless_gamma, corpus version)`` — so a grown corpus can never be
-    answered with plans whose penalties were derived from stale statistics
-    (the version is in the key *and* :meth:`invalidate` clears eagerly on
-    growth, the same belt-and-suspenders the result cache uses).
-
-    All operations take the cache's own mutex; probes are one per compile
-    request, not per tuple, so the lock is far off the hot path.  Counters
-    go to the process registry (``plan_cache.hits`` / ``.misses`` /
-    ``.evictions`` / ``.invalidations``, gauge ``plan_cache.size``) and to
-    instance fields surfaced by :meth:`info`.
+    Filled and probed only through :func:`cached_compile`, which owns the
+    key; reports ``plan_cache.*`` to the process registry.
     """
 
-    def __init__(self, max_entries=DEFAULT_PLAN_CACHE_SIZE):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+    name = "plan"
+    default_max_entries = 256
 
-    def get(self, key):
-        """The cached artifact for ``key``, or None; refreshes LRU order."""
-        with self._lock:
-            compiled = self._entries.get(key)
-            if compiled is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-        if compiled is None:
-            if REGISTRY.enabled:
-                REGISTRY.inc("plan_cache.misses")
-            if HUB.active:
-                HUB.emit("cache_miss", {"engine": "plan", "cache": "plan"})
-            return None
-        if REGISTRY.enabled:
-            REGISTRY.inc("plan_cache.hits")
-        if HUB.active:
-            HUB.emit("cache_hit", {"engine": "plan", "cache": "plan"})
-        return compiled
 
-    def put(self, key, compiled):
-        """Store an artifact, evicting the least-recently-used past the bound."""
-        evicted = False
-        with self._lock:
-            entries = self._entries
-            if key in entries:
-                entries.move_to_end(key)
-            entries[key] = compiled
-            if len(entries) > self.max_entries:
-                entries.popitem(last=False)
-                self.evictions += 1
-                evicted = True
-            size = len(entries)
-        if REGISTRY.enabled:
-            if evicted:
-                REGISTRY.inc("plan_cache.evictions")
-            REGISTRY.set_gauge("plan_cache.size", size)
+def cached_compile(context, producer, query, max_relaxations,
+                   skip_useless_gamma):
+    """Probe ``context.plan_cache``; on a miss run ``producer`` and store.
 
-    def invalidate(self):
-        """Drop every artifact (corpus growth)."""
-        with self._lock:
-            had_entries = bool(self._entries)
-            self._entries.clear()
-            if had_entries:
-                self.invalidations += 1
-        if REGISTRY.enabled:
-            if had_entries:
-                REGISTRY.inc("plan_cache.invalidations")
-            REGISTRY.set_gauge("plan_cache.size", 0)
+    The one probe-compile-store path behind ``QueryContext.compile`` and
+    ``ShardedQueryContext.compile``.  The key is the compile request plus
+    the cost model's fingerprint, fenced by the backend version: a grown
+    corpus can never be answered with plans whose penalties were derived
+    from stale statistics, and a different (or ``refresh()``-ed) cost
+    model never serves another's physical plans.
 
-    def info(self):
-        """JSON-safe snapshot of the cache's counters and occupancy."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-            }
-
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
-    def __repr__(self):
-        return "PlanCache(entries=%d, max_entries=%d, hits=%d, misses=%d)" % (
-            len(self),
-            self.max_entries,
-            self.hits,
-            self.misses,
+    ``producer`` is the calling module's own ``compile_query`` binding, so
+    a tracer that wraps that module-level name (benchmarks/e2e/spans.py)
+    still sees the compile.
+    """
+    key = (
+        query,
+        max_relaxations,
+        skip_useless_gamma,
+        context.cost_model.fingerprint(),
+    )
+    version = context.backend.version
+    compiled = context.plan_cache.get(key, version)
+    if compiled is None:
+        compiled = producer(
+            context,
+            query,
+            max_relaxations=max_relaxations,
+            skip_useless_gamma=skip_useless_gamma,
         )
+        context.plan_cache.put(key, version, compiled)
+    return compiled

@@ -10,15 +10,15 @@ four read-only routes:
 ``/metrics.json``   the registry's JSON mirror (``MetricsRegistry.as_dict``)
 ``/healthz``        liveness: ``200 {"status": "ok"}`` while serving
 ``/statusz``        operational snapshot — backend kind / corpus version /
-                    segment generation, all three cache tiers, session-pool
-                    gauges, tracing config, recent slow queries
+                    segment generation, all three cache tiers, tracing
+                    config, recent slow queries
 ==================  ==========================================================
 
 Start it with ``Engine.serve_metrics(port)`` (or the CLI's
 ``serve-metrics`` subcommand); ``port=0`` binds an ephemeral port and the
 bound value is readable as :attr:`ObservabilityServer.port`.  Every
 handler thread only *reads* engine state (the registry snapshots under
-its own lock; ``describe``/``cache_info``/``pool.info`` are already
+its own lock; ``describe``/``cache_info`` are already
 thread-safe), so scrapes never contend with the query path beyond those
 snapshot locks.  The server is deliberately loopback-by-default — expose
 it beyond ``127.0.0.1`` only behind whatever fronting your deployment
@@ -160,7 +160,6 @@ class ObservabilityServer:
             "backend": engine.backend.describe(),
             "version": engine.backend.version,
             "caches": engine.cache_info(),
-            "session_pool": engine.pool.info(),
             "tracing": {
                 "configured": engine.trace_sink is not None,
                 "sink": (

@@ -32,7 +32,6 @@ from repro.plans.plan import (
     build_encoded_plan,
     build_strict_plan,
 )
-from repro.plans.ordering import selectivity_ordered
 from repro.plans.structural_join import (
     semi_join_ancestor_ids,
     semi_join_ancestors,
@@ -65,7 +64,6 @@ __all__ = [
     "build_strict_plan",
     "lower_plan",
     "order_joins",
-    "selectivity_ordered",
     "twig_eligible",
     "semi_join_ancestor_ids",
     "semi_join_ancestors",

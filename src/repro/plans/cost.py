@@ -18,9 +18,10 @@ decision surface explicit so both live behind one seam:
   cardinalities and fan-outs from :class:`FeedbackStatistics` (recorded by
   the executor during real runs) override the static estimates wherever a
   measurement exists;
-- :class:`FeedbackStatistics` — the thread-safe store of observations,
-  with a ``generation`` counter that advances on a doubling schedule so
-  the plan-cache fingerprint stays stable between refinements.
+- :class:`FeedbackStatistics` — the thread-safe store of observations.
+  Every plan compiled after an observation is lowered through it; plans
+  already in the plan cache stay as compiled until ``refresh()`` or
+  ``clear()`` advances the store's ``epoch`` (part of the fingerprint).
 
 Layering: this module sees only the statistics *protocol* (``tag_count``
 etc. served by the backend seam) — never a storage class — and the
@@ -106,8 +107,8 @@ class CostModel(ABC):
 
     Concrete models answer two numeric questions — how many candidates a
     tag pool holds, and how many matches one base node fans out to across
-    an edge — and stamp a :meth:`fingerprint` into the plan-cache key so a
-    model whose answers changed can never serve stale physical plans.
+    an edge — and stamp a :meth:`fingerprint` into the plan-cache key so
+    one model's physical plans are never served for another.
 
     ``operator_policy`` pins the twig-vs-binary choice for ablations and
     equivalence tests: ``"auto"`` (cost-based), ``"binary"`` or ``"twig"``
@@ -133,7 +134,7 @@ class CostModel(ABC):
 
     @abstractmethod
     def fingerprint(self):
-        """Hashable token identifying the model's current answers."""
+        """Hashable token; cached plans are reused while it is unchanged."""
 
     # -- the decisions built on the numbers ----------------------------------
 
@@ -224,50 +225,31 @@ class StaticCostModel(CostModel):
         return (self.name, self.operator_policy)
 
 
-#: Samples a key needs before it can advance ``generation`` (and with it
-#: the plan-cache fingerprint).  Below the threshold observations
-#: accumulate silently, so short repeated workloads keep their warm
-#: plan-cache hits (the PR 5 acceptance target) and the first re-lowering
-#: happens on settled means rather than a single noisy run.  A hot key
-#: (every DPO walk samples its tags once per level) crosses this after a
-#: few dozen queries; :meth:`FeedbackStatistics.refresh` forces the
-#: re-lowering immediately for benchmarks and interactive tuning.
-REFINE_MIN_SAMPLES = 64
-
-
 class FeedbackStatistics:
     """Thread-safe store of observed pool sizes and join fan-outs.
 
     The executor records here during real runs (only for measurements
     whose semantics are clean: unrestricted pools without attribute
-    predicates, required single-alternative joins).  ``generation``
-    advances when a key's sample count reaches
-    :data:`REFINE_MIN_SAMPLES` and again at each power of two after — a
-    doubling schedule, so the plan-cache fingerprint changes O(log n)
-    times per key instead of on every query.
+    predicates, required single-alternative joins).  Recording never
+    touches ``epoch``: observations shape the plans compiled after them,
+    and only :meth:`refresh` / :meth:`clear` make the plan cache re-lower
+    what it already holds.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._pools = {}  # tag -> [samples, total]
         self._fanouts = {}  # (base_tag, axis, tag) -> [bases, produced]
-        self._fanout_samples = {}
-        self.generation = 0
-
-    def _note_samples(self, count):
-        if count >= REFINE_MIN_SAMPLES and count & (count - 1) == 0:
-            self.generation += 1
+        self.epoch = 0
 
     def record_pool(self, tag, size):
         with self._lock:
             entry = self._pools.get(tag)
             if entry is None:
                 self._pools[tag] = [1, size]
-                self._note_samples(1)
             else:
                 entry[0] += 1
                 entry[1] += size
-                self._note_samples(entry[0])
 
     def record_join(self, base_tag, axis, tag, bases, produced):
         if bases <= 0:
@@ -277,14 +259,9 @@ class FeedbackStatistics:
             entry = self._fanouts.get(key)
             if entry is None:
                 self._fanouts[key] = [bases, produced]
-                self._fanout_samples[key] = 1
-                self._note_samples(1)
             else:
                 entry[0] += bases
                 entry[1] += produced
-                samples = self._fanout_samples[key] + 1
-                self._fanout_samples[key] = samples
-                self._note_samples(samples)
 
     def pool_size(self, tag):
         """Mean observed pool size for ``tag``, or None."""
@@ -303,15 +280,15 @@ class FeedbackStatistics:
             return entry[1] / entry[0]
 
     def refresh(self):
-        """Advance the generation now, if any observation exists.
+        """Advance the epoch, if any observation exists.
 
-        Forces the next compile to re-lower through the measured numbers
-        without waiting for the doubling schedule — what the ablation
-        benchmark (and an operator who just warmed a workload) calls.
+        Makes the next compile of every cached query re-lower through the
+        measured numbers — what the ablation benchmark (and an operator
+        who just warmed a workload) calls.
         """
         with self._lock:
             if self._pools or self._fanouts:
-                self.generation += 1
+                self.epoch += 1
 
     def clear(self):
         """Forget every observation (corpus growth made them stale)."""
@@ -319,22 +296,21 @@ class FeedbackStatistics:
             had = bool(self._pools or self._fanouts)
             self._pools.clear()
             self._fanouts.clear()
-            self._fanout_samples.clear()
             if had:
-                self.generation += 1
+                self.epoch += 1
 
     def info(self):
         with self._lock:
             return {
                 "pools": len(self._pools),
                 "fanouts": len(self._fanouts),
-                "generation": self.generation,
+                "epoch": self.epoch,
             }
 
     def __repr__(self):
         info = self.info()
-        return "FeedbackStatistics(pools=%d, fanouts=%d, generation=%d)" % (
-            info["pools"], info["fanouts"], info["generation"]
+        return "FeedbackStatistics(pools=%d, fanouts=%d, epoch=%d)" % (
+            info["pools"], info["fanouts"], info["epoch"]
         )
 
 
@@ -343,9 +319,8 @@ class MeasuredCostModel(StaticCostModel):
 
     Falls back to the static estimate wherever nothing has been measured
     yet, so a cold context behaves exactly like :class:`StaticCostModel`;
-    the fingerprint carries the feedback generation, so refined
-    measurements re-lower plans through the version-fenced plan cache
-    instead of mutating anything compiled.
+    the fingerprint carries the feedback epoch, so ``refresh()`` re-lowers
+    plans through the plan cache instead of mutating anything compiled.
     """
 
     name = "measured"
@@ -367,4 +342,4 @@ class MeasuredCostModel(StaticCostModel):
         return super().join_fanout(base_tag, axis, tag)
 
     def fingerprint(self):
-        return (self.name, self.operator_policy, self.feedback.generation)
+        return (self.name, self.operator_policy, self.feedback.epoch)

@@ -9,8 +9,8 @@ quantify that claim against a ground-truth relevance set:
 - average precision (AP) and mean average precision over query sets,
 - normalized discounted cumulative gain (nDCG) for graded relevance.
 
-`tests/test_quality.py` and `benchmarks/bench_quality_recall.py` use these
-to show the strict-vs-flexible recall gap on the archetype corpus, where
+`tests/test_quality.py` and `examples/collection_search.py` use these to
+show the strict-vs-flexible recall gap on the archetype corpus, where
 ground truth is known by construction.
 """
 

@@ -20,6 +20,12 @@ AD = "ad"
 _AXES = (PC, AD)
 
 
+def _quoted(value):
+    """An attribute value as a string literal the query parser reads back."""
+    quote = "'" if '"' in value else '"'
+    return quote + value + quote
+
+
 class TPQ:
     """An immutable tree pattern query.
 
@@ -44,6 +50,8 @@ class TPQ:
         "contains",
         "attr_predicates",
         "_variables",
+        "_identity",
+        "_hash",
     )
 
     def __init__(self, root, edges, tags, distinguished, contains=(), attr_predicates=()):
@@ -69,6 +77,8 @@ class TPQ:
         self.contains = tuple(contains)
         self.attr_predicates = tuple(attr_predicates)
         self._variables = self._validate()
+        self._identity = None
+        self._hash = None
 
     # -- validation ----------------------------------------------------------
 
@@ -280,23 +290,30 @@ class TPQ:
     # -- identity ----------------------------------------------------------------
 
     def _key(self):
-        return (
-            self.root,
-            self.distinguished,
-            tuple(sorted(self._parent.items())),
-            tuple(sorted(self._axis.items())),
-            tuple(sorted(self._tags.items())),
-            tuple(sorted(self.contains, key=str)),
-            tuple(sorted(self.attr_predicates, key=str)),
-        )
+        # Instances are immutable, so the canonical key (and its hash) is
+        # built on first use and kept: every cache tier probes a dict with
+        # this object, while most relaxed TPQs are never hashed at all.
+        key = self._identity
+        if key is None:
+            key = self._identity = (
+                self.root,
+                self.distinguished,
+                tuple(sorted(self._parent.items())),
+                tuple(sorted(self._axis.items())),
+                tuple(sorted(self._tags.items())),
+                tuple(sorted(self.contains, key=str)),
+                tuple(sorted(self.attr_predicates, key=str)),
+            )
+            self._hash = hash(key)
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, TPQ):
             return NotImplemented
-        return self._key() == other._key()
+        return self is other or self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash if self._hash is not None else hash(self._key())
 
     def __repr__(self):
         return "TPQ(%s)" % self.to_xpath()
@@ -304,32 +321,43 @@ class TPQ:
     # -- display -------------------------------------------------------------------
 
     def to_xpath(self):
-        """Render the query back to the XPath-fragment concrete syntax."""
+        """Render the query in the concrete syntax ``parse_query`` reads.
 
-        def render(var, via_axis):
-            step = "/" if via_axis == PC else "//"
-            label = self._tags.get(var, "*")
-            qualifiers = []
-            for child in self.children_of(var):
-                qualifiers.append(render(child, self._axis[child]))
-            for predicate in self.contains_on(var):
-                qualifiers.append(".contains(%s)" % predicate.ftexpr)
-            for predicate in self.attr_predicates:
-                if predicate.var == var:
-                    qualifiers.append(
-                        "@%s %s %s" % (predicate.attr, predicate.rel_op, predicate.value)
-                    )
-            text = step + label
-            if var == self.distinguished:
-                text += "{*}"
-            if qualifiers:
-                text += "[%s]" % " and ".join(
-                    q if q.startswith(".") or q.startswith("@") else "." + q
-                    for q in qualifiers
+        The path from the root to the distinguished node becomes the trunk
+        steps (the parser makes the last trunk step distinguished);
+        off-trunk subtrees, ``contains`` and attribute comparisons become
+        qualifiers on the step they hang from.  For a TPQ numbered the way
+        the parser numbers variables, ``parse_query(t.to_xpath()) == t``;
+        any other numbering renders to an equivalent query.
+        """
+        trunk = [self.distinguished, *self.ancestors_of(self.distinguished)]
+        trunk.reverse()
+        on_trunk = set(trunk)
+
+        def render(var):
+            axis = AD if var == self.root else self._axis[var]
+            qualifiers = [
+                "." + render(child)
+                for child in self.children_of(var)
+                if child not in on_trunk
+            ]
+            qualifiers.extend(
+                ".contains(%s)" % predicate.ftexpr
+                for predicate in self.contains_on(var)
+            )
+            qualifiers.extend(
+                "@%s %s %s" % (
+                    predicate.attr, predicate.rel_op, _quoted(predicate.value)
                 )
+                for predicate in self.attr_predicates
+                if predicate.var == var
+            )
+            text = ("/" if axis == PC else "//") + self._tags.get(var, "*")
+            if qualifiers:
+                text += "[%s]" % " and ".join(qualifiers)
             return text
 
-        return render(self.root, AD)
+        return "".join(render(var) for var in trunk)
 
     def pretty(self):
         """Return an indented multi-line rendering of the pattern tree."""

@@ -1,18 +1,12 @@
-"""The pooled Session layer: per-query serving state over a shared Engine.
+"""The Session layer: per-query serving state over a shared Engine.
 
 The SQLAlchemy-inspired middle of the Engine/Session/Backend split (DESIGN
 §11): the :class:`~repro.engine.Engine` owns process-wide state — backend,
 cache tiers, strategies, the RWLock — while a :class:`Session` carries the
 state of one serving conversation: the in-flight :class:`QueryControl`
-(deadline + cancellation), per-session counters, and the checkout handle
-back to the :class:`SessionPool` it came from.
-
-Sessions are cheap, but not free to construct on a hot serving path, so
-the engine keeps a bounded pool of idle ones: ``Engine.connect()`` checks
-one out, ``Session.close()`` (or the ``with`` block) returns it.  The pool
-never blocks — checkouts beyond the bound create overflow sessions that
-are discarded on checkin, QueuePool style — and publishes
-``session_pool.*`` gauges and counters to the process metrics registry.
+(deadline + cancellation) and a per-session query counter.  A session holds
+no exclusive resource, so ``Engine.connect()`` simply builds one and
+``close()`` only marks it unusable.
 
 Deadline/cancellation flow: ``Session.query(deadline_ms=...)`` builds a
 :class:`QueryControl` whose :meth:`~QueryControl.check` raises
@@ -27,7 +21,6 @@ mechanism from another thread.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from time import monotonic, perf_counter
 
@@ -43,10 +36,6 @@ from repro.obs.tracer import Tracer
 from repro.query.parser import parse_query
 from repro.query.tpq import TPQ
 from repro.rank.schemes import STRUCTURE_FIRST, scheme_by_name
-
-#: Idle sessions the pool keeps warm; overflow checkouts are discarded on
-#: checkin rather than ever blocking a query.
-DEFAULT_POOL_SIZE = 8
 
 #: Process-wide memo for query-text parsing. ``parse_query`` is pure and
 #: :class:`TPQ` is immutable (hashes by canonical structural key), so
@@ -64,6 +53,35 @@ def coerce_query(query):
     raise FleXPathError("query must be a TPQ or an XPath string")
 
 
+def query_end_payload(query_text, k, algorithm, scheme_name, seconds, version,
+                      result=None, trace=None, cached=False, deadline_ms=None,
+                      outcome="ok"):
+    """The ``query_end`` event payload — one schema for every emitter.
+
+    ``result`` is a :class:`~repro.topk.base.TopKResult` (levels and
+    answer count are read off it), a plain answer list (``exact``), or
+    None for a query that was aborted before producing one.
+    """
+    return {
+        "query": query_text,
+        "k": k,
+        "algorithm": algorithm,
+        "scheme": scheme_name,
+        "seconds": seconds,
+        "levels_evaluated": getattr(result, "levels_evaluated", None),
+        "relaxations_used": getattr(result, "relaxations_used", None),
+        "answers": (
+            None if result is None else len(getattr(result, "answers", result))
+        ),
+        "result": result,
+        "trace": trace,
+        "cached": cached,
+        "version": version,
+        "deadline_ms": deadline_ms,
+        "outcome": outcome,
+    }
+
+
 class QueryControl:
     """Deadline and cancellation state for one query evaluation.
 
@@ -72,7 +90,7 @@ class QueryControl:
     ``cancel()`` may be called from any thread (it only sets a flag).
     """
 
-    __slots__ = ("deadline", "checks", "_cancelled")
+    __slots__ = ("deadline", "checks", "cancelled")
 
     def __init__(self, deadline_ms=None):
         if deadline_ms is not None and deadline_ms <= 0:
@@ -83,15 +101,11 @@ class QueryControl:
             else None
         )
         self.checks = 0
-        self._cancelled = False
-
-    @property
-    def cancelled(self):
-        return self._cancelled
+        self.cancelled = False
 
     def cancel(self):
         """Flag the query for abort at its next checkpoint."""
-        self._cancelled = True
+        self.cancelled = True
 
     def remaining_ms(self):
         """Milliseconds until the deadline, or None without one."""
@@ -102,7 +116,7 @@ class QueryControl:
     def check(self):
         """Raise if the query was cancelled or ran past its deadline."""
         self.checks += 1
-        if self._cancelled:
+        if self.cancelled:
             raise QueryCancelledError("query cancelled")
         if self.deadline is not None and monotonic() > self.deadline:
             raise QueryTimeoutError("query exceeded its deadline")
@@ -111,38 +125,25 @@ class QueryControl:
 class Session:
     """One serving conversation: per-query control over shared engine state.
 
-    Not thread-safe — a session serves one query at a time (that is what
-    the pool is for); the single exception is :meth:`cancel`, which may be
-    called from any thread to abort the in-flight query.
+    Not thread-safe — a session serves one query at a time; the single
+    exception is :meth:`cancel`, which may be called from any thread to
+    abort the in-flight query.
     """
 
-    __slots__ = ("_engine", "_pool", "_closed", "_control", "queries")
+    __slots__ = ("engine", "closed", "_control", "queries")
 
-    def __init__(self, engine, pool=None):
-        self._engine = engine
-        self._pool = pool
-        self._closed = False
+    def __init__(self, engine):
+        self.engine = engine
+        self.closed = False
         self._control = None
         self.queries = 0
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def engine(self):
-        return self._engine
-
-    @property
-    def closed(self):
-        return self._closed
-
     def close(self):
-        """Return the session to its pool (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Mark the session unusable (idempotent)."""
+        self.closed = True
         self._control = None
-        if self._pool is not None:
-            self._pool.checkin(self)
 
     def __enter__(self):
         return self
@@ -162,12 +163,25 @@ class Session:
               max_relaxations=None, trace=False, deadline_ms=None):
         """Evaluate one top-K query through the shared engine.
 
-        Identical contract to the historical facade ``query`` — result
-        cache, read/write-lock discipline, events, metrics — plus
-        ``deadline_ms``: a per-query evaluation budget enforced at plan and
-        join boundaries (:class:`~repro.errors.QueryTimeoutError` on
-        expiry).  Traced queries bypass the result cache and run under the
-        write lock, because ``attach_tracer`` mutates the shared IR engine.
+        Args:
+            query: an XPath-fragment string or a :class:`~repro.query.tpq.TPQ`.
+            k: how many answers to return.
+            scheme: a ranking scheme object or name ("structure-first",
+                "keyword-first", "combined").
+            algorithm: "dpo", "sso", "hybrid" (the default), "naive", or
+                "ir-first".
+            max_relaxations: cap on relaxation schedule length (None = all).
+            trace: when True, evaluate with tracing on and return a
+                :class:`~repro.obs.QueryTrace` (the result is its
+                ``.result``) instead of the bare result.
+            deadline_ms: per-query evaluation budget enforced at plan and
+                join boundaries; raises
+                :class:`~repro.errors.QueryTimeoutError` on expiry.
+
+        Untraced queries probe the result cache and evaluate under the
+        read lock.  Traced queries bypass the result cache and run under
+        the write lock, because ``attach_tracer`` mutates the shared IR
+        engine.
 
         When the engine has a trace sink configured
         (``Engine.configure_tracing``), a per-query sampling decision may
@@ -176,9 +190,9 @@ class Session:
         queries pay the traced query's costs (write lock, result-cache
         bypass) — size ``sample_rate`` accordingly.
         """
-        if self._closed:
-            raise FleXPathError("session is closed; check out a new one")
-        engine = self._engine
+        if self.closed:
+            raise FleXPathError("session is closed; connect a new one")
+        engine = self.engine
         context = engine.context
         result_cache = engine.result_cache
         tpq = coerce_query(query)
@@ -214,111 +228,80 @@ class Session:
                 },
             )
         started = perf_counter()
+        version = engine.backend.version
         query_trace = None
-        cache_key = None
+        cached = False
         try:
-            if result_cache is not None and not traced_run:
-                # Traced queries bypass the result cache — the caller asked
-                # to watch the evaluation, so returning a memo would be
-                # useless.
-                cache_key = (
-                    tpq,
-                    k,
-                    scheme.name,
-                    strategy.name,
-                    max_relaxations,
-                    engine.backend.version,
-                )
-                cached = result_cache.get(cache_key)
-                if cached is not None:
-                    seconds = perf_counter() - started
-                    if REGISTRY.enabled:
-                        REGISTRY.inc("query.count")
-                        REGISTRY.observe("query.seconds", seconds)
-                    if HUB.active:
-                        HUB.emit(
-                            "query_end",
-                            {
-                                "query": query_text,
-                                "k": k,
-                                "algorithm": cached.algorithm,
-                                "scheme": scheme.name,
-                                "seconds": seconds,
-                                "levels_evaluated": cached.levels_evaluated,
-                                "relaxations_used": cached.relaxations_used,
-                                "answers": len(cached.answers),
-                                "result": cached,
-                                "trace": None,
-                                "cached": True,
-                                "version": engine.backend.version,
-                                "deadline_ms": deadline_ms,
-                                "outcome": "ok",
-                            },
-                        )
-                    return cached
-            rwlock = context.rwlock
-            try:
-                if not traced_run:
+            if not traced_run:
+                # Only untraced queries probe the result cache: a traced
+                # query's caller asked to watch the evaluation, so a memo
+                # would be useless.
+                result = None
+                if result_cache is not None:
+                    cache_key = (
+                        tpq, k, scheme.name, strategy.name, max_relaxations
+                    )
+                    result = result_cache.get(cache_key, version)
+                cached = result is not None
+                if not cached:
                     # Read lock: any number of queries evaluate concurrently;
                     # ingest (the only mutation) takes the write side.
-                    with rwlock.read_locked():
+                    with context.rwlock.read_locked():
                         result = strategy.top_k(
                             tpq, k, scheme=scheme,
                             max_relaxations=max_relaxations, control=control,
                         )
-                    if cache_key is not None:
-                        result_cache.put(cache_key, result)
-                else:
-                    # Traced queries take the WRITE lock: ``attach_tracer``
-                    # swaps the tracer on the *shared* IR engine, which would
-                    # leak spans into (and race with) concurrent readers.
-                    with rwlock.write_locked():
-                        tracer = Tracer(sink=sink)
-                        context.attach_tracer(tracer)
-                        try:
-                            result = strategy.top_k(
-                                tpq, k, scheme=scheme,
-                                max_relaxations=max_relaxations,
-                                tracer=tracer, control=control,
-                            )
-                        finally:
-                            context.attach_tracer(None)
-                    if sink is not None:
-                        if REGISTRY.enabled:
-                            REGISTRY.inc("trace.exported")
-                        tracer.finish_root(
-                            "query",
-                            attributes={
-                                "query": query_text,
-                                "algorithm": result.algorithm,
-                                "k": k,
-                                "answers": len(result.answers),
-                                "sampled": sampled,
-                            },
+                    if result_cache is not None:
+                        result_cache.put(cache_key, version, result)
+            else:
+                # Traced queries take the WRITE lock: ``attach_tracer``
+                # swaps the tracer on the *shared* IR engine, which would
+                # leak spans into (and race with) concurrent readers.
+                with context.rwlock.write_locked():
+                    tracer = Tracer(sink=sink)
+                    context.attach_tracer(tracer)
+                    try:
+                        result = strategy.top_k(
+                            tpq, k, scheme=scheme,
+                            max_relaxations=max_relaxations,
+                            tracer=tracer, control=control,
                         )
-                    if trace:
-                        query_trace = build_query_trace(
-                            result, tracer, perf_counter() - started
-                        )
-            except QueryTimeoutError:
-                REGISTRY.inc("query.timeouts")
-                REGISTRY.inc("query.errors")
-                self._emit_aborted(
-                    query_text, k, strategy, scheme, started, deadline_ms,
-                    "timeout",
-                )
+                    finally:
+                        context.attach_tracer(None)
+                if sink is not None:
+                    if REGISTRY.enabled:
+                        REGISTRY.inc("trace.exported")
+                    tracer.finish_root(
+                        "query",
+                        attributes={
+                            "query": query_text,
+                            "algorithm": result.algorithm,
+                            "k": k,
+                            "answers": len(result.answers),
+                            "sampled": sampled,
+                        },
+                    )
+                if trace:
+                    query_trace = build_query_trace(
+                        result, tracer, perf_counter() - started
+                    )
+        except Exception as error:
+            REGISTRY.inc("query.errors")
+            if isinstance(error, QueryTimeoutError):
+                counter, outcome = "query.timeouts", "timeout"
+            elif isinstance(error, QueryCancelledError):
+                counter, outcome = "query.cancellations", "cancelled"
+            else:
                 raise
-            except QueryCancelledError:
-                REGISTRY.inc("query.cancellations")
-                REGISTRY.inc("query.errors")
-                self._emit_aborted(
-                    query_text, k, strategy, scheme, started, deadline_ms,
-                    "cancelled",
-                )
-                raise
-            except Exception:
-                REGISTRY.inc("query.errors")
-                raise
+            REGISTRY.inc(counter)
+            if HUB.active:
+                # A query that never produced a result still ends.
+                HUB.emit("query_end", query_end_payload(
+                    query_text, k, strategy.name, scheme.name,
+                    perf_counter() - started, engine.backend.version,
+                    deadline_ms=deadline_ms, outcome=outcome,
+                ))
+            raise
         finally:
             self._control = None
         seconds = perf_counter() - started
@@ -326,148 +309,9 @@ class Session:
             REGISTRY.inc("query.count")
             REGISTRY.observe("query.seconds", seconds)
         if HUB.active:
-            HUB.emit(
-                "query_end",
-                {
-                    "query": query_text,
-                    "k": k,
-                    "algorithm": result.algorithm,
-                    "scheme": scheme.name,
-                    "seconds": seconds,
-                    "levels_evaluated": result.levels_evaluated,
-                    "relaxations_used": result.relaxations_used,
-                    "answers": len(result.answers),
-                    "result": result,
-                    "trace": query_trace,
-                    "cached": False,
-                    "version": engine.backend.version,
-                    "deadline_ms": deadline_ms,
-                    "outcome": "ok",
-                },
-            )
+            HUB.emit("query_end", query_end_payload(
+                query_text, k, result.algorithm, scheme.name, seconds,
+                engine.backend.version, result=result, trace=query_trace,
+                cached=cached, deadline_ms=deadline_ms,
+            ))
         return query_trace if trace else result
-
-    def _emit_aborted(self, query_text, k, strategy, scheme, started,
-                      deadline_ms, outcome):
-        """Emit ``query_end`` for a query that never produced a result."""
-        if not HUB.active:
-            return
-        HUB.emit(
-            "query_end",
-            {
-                "query": query_text,
-                "k": k,
-                "algorithm": strategy.name,
-                "scheme": scheme.name,
-                "seconds": perf_counter() - started,
-                "levels_evaluated": None,
-                "relaxations_used": None,
-                "answers": None,
-                "result": None,
-                "trace": None,
-                "cached": False,
-                "version": self._engine.backend.version,
-                "deadline_ms": deadline_ms,
-                "outcome": outcome,
-            },
-        )
-
-
-class SessionPool:
-    """Bounded idle-list of sessions with registry gauges.
-
-    ``size`` bounds only the *idle* list: a checkout when the list is empty
-    creates a fresh (overflow) session rather than blocking, and checkins
-    beyond the bound discard — the QueuePool discipline, minus blocking,
-    because sessions hold no exclusive resources.
-
-    Registry surface: ``session_pool.idle`` / ``session_pool.in_use``
-    gauges, ``session_pool.checkouts`` / ``session_pool.created`` /
-    ``session_pool.discarded`` counters, and a
-    ``session_pool.checkout_seconds`` histogram (the overhead the
-    ``bench_session_pool`` gate bounds below 5% of median query time).
-    """
-
-    def __init__(self, engine, size=DEFAULT_POOL_SIZE):
-        if size < 1:
-            raise FleXPathError("pool size must be >= 1")
-        self._engine = engine
-        self._size = size
-        self._idle = []
-        self._in_use = 0
-        self._checkouts = 0
-        self._created = 0
-        self._discarded = 0
-        self._lock = threading.Lock()
-
-    @property
-    def size(self):
-        return self._size
-
-    def checkout(self):
-        """A ready session — reused from the idle list, or freshly built."""
-        started = perf_counter()
-        with self._lock:
-            session = self._idle.pop() if self._idle else None
-            if session is None:
-                self._created += 1
-            self._in_use += 1
-            self._checkouts += 1
-            idle = len(self._idle)
-            in_use = self._in_use
-        if session is None:
-            session = Session(self._engine, pool=self)
-        else:
-            session._closed = False
-            session._control = None
-        if REGISTRY.enabled:
-            REGISTRY.inc("session_pool.checkouts")
-            REGISTRY.observe(
-                "session_pool.checkout_seconds", perf_counter() - started
-            )
-            REGISTRY.set_gauge("session_pool.idle", idle)
-            REGISTRY.set_gauge("session_pool.in_use", in_use)
-        return session
-
-    def checkin(self, session):
-        """Return a session; beyond the idle bound it is discarded.
-
-        Exactly-once per checkout: a session already on the idle list is
-        ignored, so a stale ``close()`` racing a re-issue can neither
-        double-decrement the ``in_use`` gauge nor list the same session
-        twice (which would hand one session to two threads at once).
-        """
-        with self._lock:
-            if any(idle_session is session for idle_session in self._idle):
-                return
-            self._in_use = max(0, self._in_use - 1)
-            if len(self._idle) < self._size:
-                self._idle.append(session)
-            else:
-                self._discarded += 1
-            idle = len(self._idle)
-            in_use = self._in_use
-        if REGISTRY.enabled:
-            REGISTRY.set_gauge("session_pool.idle", idle)
-            REGISTRY.set_gauge("session_pool.in_use", in_use)
-
-    def info(self):
-        """Instance-level pool counters (JSON-safe)."""
-        with self._lock:
-            return {
-                "size": self._size,
-                "idle": len(self._idle),
-                "in_use": self._in_use,
-                "checkouts": self._checkouts,
-                "created": self._created,
-                "discarded": self._discarded,
-            }
-
-    def __repr__(self):
-        with self._lock:
-            idle, in_use = len(self._idle), self._in_use
-        return "SessionPool(size=%d, idle=%d, in_use=%d)" % (
-            self._size,
-            idle,
-            in_use,
-        )

@@ -48,7 +48,7 @@ import heapq
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.backend.sharded import GlobalNode
-from repro.compiled import PlanCache, compile_query
+from repro.compiled import PlanCache, cached_compile, compile_query
 from repro.errors import FleXPathError
 from repro.ir.scoring import idf
 from repro.obs.metrics import REGISTRY
@@ -74,24 +74,6 @@ from repro.topk.base import (
 #: reordering between the bound and the executor's accumulation, trading an
 #: immeasurable amount of pruning for certainty.
 _CEILING_EPSILON = 1e-9
-
-
-class _VersionShim:
-    """Stands in for ``context.corpus`` during coordinator compiles.
-
-    :func:`~repro.compiled.compile_query` stamps the artifact with
-    ``corpus.version``; the sharded corpus version is the backend's (the
-    sum over children), which is what fences plan/result caches here.
-    """
-
-    __slots__ = ("_backend",)
-
-    def __init__(self, backend):
-        self._backend = backend
-
-    @property
-    def version(self):
-        return self._backend.version
 
 
 class AggregateEvalCache:
@@ -159,7 +141,7 @@ class ShardedQueryContext:
 
     Quacks like :class:`~repro.topk.base.QueryContext` everywhere the
     engine, session, and observability layers look: ``backend`` /
-    ``corpus`` (a version shim) / ``rwlock`` / ``ir`` / ``statistics`` /
+    ``rwlock`` / ``ir`` / ``statistics`` /
     ``penalties`` / ``estimator`` / ``eval_cache`` / ``plan_cache`` /
     ``compile`` / ``schedule`` / ``attach_tracer``.  ``document`` is None —
     no unified node table exists.
@@ -168,7 +150,6 @@ class ShardedQueryContext:
     def __init__(self, backend, weights=UNIFORM_WEIGHTS,
                  plan_cache_size=None, cost_model=None):
         self.backend = backend
-        self.corpus = _VersionShim(backend)
         self.document = None
         self.rwlock = backend.lock
         self.ir = backend.ir
@@ -190,10 +171,7 @@ class ShardedQueryContext:
             [context.eval_cache for context in self.shard_contexts]
         )
         self.executor = None
-        self.plan_cache = (
-            PlanCache() if plan_cache_size is None
-            else PlanCache(plan_cache_size)
-        )
+        self.plan_cache = PlanCache(plan_cache_size)
         self._thread_pool = None
         self.process_pool = None
         backend.subscribe(self._on_backend_growth)
@@ -219,27 +197,13 @@ class ShardedQueryContext:
 
         Penalties and schedules derive from aggregate statistics, and a
         plan's node-id-free structure is corpus-independent, so the same
-        immutable artifact drives all shards.  The cache key carries the
+        immutable artifact drives all shards.  The plan cache fences on the
         backend version (the sum of child versions), so ingest into *any*
         shard fences every cached artifact.
         """
-        key = (
-            query,
-            max_relaxations,
-            skip_useless_gamma,
-            self.backend.version,
-            self.cost_model.fingerprint(),
+        return cached_compile(
+            self, compile_query, query, max_relaxations, skip_useless_gamma
         )
-        compiled = self.plan_cache.get(key)
-        if compiled is None:
-            compiled = compile_query(
-                self,
-                query,
-                max_relaxations=max_relaxations,
-                skip_useless_gamma=skip_useless_gamma,
-            )
-            self.plan_cache.put(key, compiled)
-        return compiled
 
     def schedule(self, query, max_steps=None, skip_useless_gamma=True):
         return self.compile(
@@ -365,7 +329,7 @@ class ShardedStrategy:
 
     Shares the single-shard strategy's whole surface (``name``, ``top_k``
     signature, ``choose_level`` for SSO-style wraps) so the session layer,
-    result cache, and facade cannot tell the difference.
+    result cache, and engine cannot tell the difference.
     """
 
     def __init__(self, strategy_cls, context):

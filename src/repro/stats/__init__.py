@@ -1,21 +1,10 @@
 """Selectivity estimation over the StorageBackend statistics surface.
 
-The raw count collector (:class:`DocumentStatistics`) moved to
-:mod:`repro.backend.stats` — it is physical-layer code, and modules under
-``stats/`` execute exclusively through the
-:class:`~repro.backend.base.StorageBackend` seam.  The name is still
-re-exported here (lazily, so the layering gate sees no static import) for
-compatibility with existing callers.
+The raw count collector (``DocumentStatistics``) is physical-layer code
+and lives in :mod:`repro.backend.stats`; modules under ``stats/`` execute
+exclusively through the :class:`~repro.backend.base.StorageBackend` seam.
 """
 
 from repro.stats.selectivity import SelectivityEstimator
 
-__all__ = ["DocumentStatistics", "SelectivityEstimator"]
-
-
-def __getattr__(name):
-    if name == "DocumentStatistics":
-        from repro.backend.stats import DocumentStatistics
-
-        return DocumentStatistics
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+__all__ = ["SelectivityEstimator"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.backend import as_backend
-from repro.compiled import PlanCache, compile_query
+from repro.compiled import PlanCache, cached_compile, compile_query
 from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import LevelTrace
@@ -81,10 +81,7 @@ class QueryContext:
         self.executor = PlanExecutor(backend, self.ir,
                                      eval_cache=self.eval_cache,
                                      feedback=self.feedback)
-        self.plan_cache = (
-            PlanCache() if plan_cache_size is None
-            else PlanCache(plan_cache_size)
-        )
+        self.plan_cache = PlanCache(plan_cache_size)
         backend.subscribe(self._on_backend_growth)
 
     def _on_backend_growth(self, backend, start_id, end_id):
@@ -106,7 +103,7 @@ class QueryContext:
         The executor receives its tracer per ``run`` call; the IR engine is
         long-lived and shared, so tracing is attached for the duration of a
         traced query and detached afterwards.  Because the attachment
-        mutates shared state, the facade runs traced queries under the
+        mutates shared state, the session runs traced queries under the
         context's *write* lock (see DESIGN §10).
         """
         self.ir.set_tracer(tracer)
@@ -114,27 +111,13 @@ class QueryContext:
     def compile(self, query, max_relaxations=None, skip_useless_gamma=True):
         """Return the :class:`~repro.compiled.CompiledQuery` for a request.
 
-        Fronted by the bounded, corpus-version-fenced plan cache: a warm
+        Fronted by the bounded, backend-version-fenced plan cache: a warm
         hit returns the shared immutable artifact without touching the
         closure, schedule, or plan builders.
         """
-        key = (
-            query,
-            max_relaxations,
-            skip_useless_gamma,
-            self.backend.version,
-            self.cost_model.fingerprint(),
+        return cached_compile(
+            self, compile_query, query, max_relaxations, skip_useless_gamma
         )
-        compiled = self.plan_cache.get(key)
-        if compiled is None:
-            compiled = compile_query(
-                self,
-                query,
-                max_relaxations=max_relaxations,
-                skip_useless_gamma=skip_useless_gamma,
-            )
-            self.plan_cache.put(key, compiled)
-        return compiled
 
     def schedule(self, query, max_steps=None, skip_useless_gamma=True):
         """Return (and cache) the relaxation schedule for a query."""
@@ -299,23 +282,18 @@ def run_plan_traced(context, plan, label, tracer, traces, **kwargs):
     """
     if not tracer.enabled:
         result = context.executor.run(plan, **kwargs)
-        if HUB.active:
-            HUB.emit(
-                "level_executed",
-                {"label": label, "stats": result.stats.as_dict()},
+    else:
+        level_tracer = Tracer()
+        result = context.executor.run(plan, tracer=level_tracer, **kwargs)
+        tracer.merge(level_tracer)
+        traces.append(
+            LevelTrace(
+                label=label,
+                spans=level_tracer.snapshot()["spans"],
+                stats=result.stats,
+                operators=tuple(result.operators or ()),
             )
-        return result
-    level_tracer = Tracer()
-    result = context.executor.run(plan, tracer=level_tracer, **kwargs)
-    tracer.merge(level_tracer)
-    traces.append(
-        LevelTrace(
-            label=label,
-            spans=level_tracer.snapshot()["spans"],
-            stats=result.stats,
-            operators=tuple(result.operators or ()),
         )
-    )
     if HUB.active:
         HUB.emit(
             "level_executed",

@@ -63,7 +63,7 @@ class TestRoutes:
         assert status["version"] == engine.backend.version
         assert set(status["caches"]) >= {"plan_cache", "eval_cache",
                                          "result_cache"}
-        assert status["session_pool"]["size"] == engine.pool.size
+        assert "session_pool" not in status
         assert status["tracing"]["configured"] is True
         assert status["tracing"]["sample_rate"] == 0.5
         assert isinstance(status["slow_queries"], list)

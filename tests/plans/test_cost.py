@@ -15,10 +15,10 @@ from repro.plans import (
     build_strict_plan,
     order_joins,
 )
-from repro.plans.cost import REFINE_MIN_SAMPLES, join_cost_key
+from repro.plans.cost import join_cost_key
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmark import generate_document
 
 
@@ -160,22 +160,21 @@ class TestStaticCostModel:
 
 
 class TestFeedbackStatistics:
-    def test_generation_stays_stable_during_warmup(self):
+    def test_recording_never_advances_the_epoch(self):
         feedback = FeedbackStatistics()
-        for _ in range(REFINE_MIN_SAMPLES - 1):
+        for _ in range(300):  # well past any sample-count threshold
             feedback.record_pool("item", 10)
-        assert feedback.generation == 0
+            feedback.record_join("item", "pc", "name", bases=5, produced=10)
+        assert feedback.epoch == 0
+        assert feedback.info() == {"pools": 1, "fanouts": 1, "epoch": 0}
 
-    def test_generation_advances_at_threshold_then_doubles(self):
+    def test_each_refresh_with_data_is_one_epoch(self):
         feedback = FeedbackStatistics()
-        for _ in range(REFINE_MIN_SAMPLES):
-            feedback.record_pool("item", 10)
-        assert feedback.generation == 1
-        for _ in range(REFINE_MIN_SAMPLES - 1):
-            feedback.record_pool("item", 10)
-        assert feedback.generation == 1  # not yet doubled
         feedback.record_pool("item", 10)
-        assert feedback.generation == 2  # 2 * REFINE_MIN_SAMPLES samples
+        feedback.refresh()
+        feedback.record_pool("item", 10)
+        feedback.refresh()
+        assert feedback.epoch == 2
 
     def test_pool_mean(self):
         feedback = FeedbackStatistics()
@@ -199,19 +198,19 @@ class TestFeedbackStatistics:
     def test_refresh_advances_only_with_data(self):
         feedback = FeedbackStatistics()
         feedback.refresh()
-        assert feedback.generation == 0
+        assert feedback.epoch == 0
         feedback.record_pool("item", 10)
         feedback.refresh()
-        assert feedback.generation == 1
+        assert feedback.epoch == 1
 
     def test_clear_forgets_and_advances(self):
         feedback = FeedbackStatistics()
         feedback.record_pool("item", 10)
         feedback.clear()
         assert feedback.pool_size("item") is None
-        assert feedback.generation == 1
+        assert feedback.epoch == 1
         feedback.clear()  # idempotent on empty
-        assert feedback.generation == 1
+        assert feedback.epoch == 1
 
     def test_concurrent_recording(self):
         feedback = FeedbackStatistics()
@@ -248,13 +247,17 @@ class TestMeasuredCostModel:
         # Unmeasured keys still fall back to the static estimate.
         assert measured.tag_cardinality("mailbox") == stats.tag_count("mailbox")
 
-    def test_fingerprint_tracks_generation(self, stats):
+    def test_fingerprint_tracks_the_epoch(self, stats):
         measured = MeasuredCostModel(stats)
         cold = measured.fingerprint()
-        measured.feedback.record_pool("item", 3)
-        assert measured.fingerprint() == cold  # warm-up: no churn
+        for _ in range(200):
+            measured.feedback.record_pool("item", 3)
+        assert measured.fingerprint() == cold  # observing is not churn
         measured.feedback.refresh()
-        assert measured.fingerprint() != cold
+        refreshed = measured.fingerprint()
+        assert refreshed != cold
+        measured.feedback.clear()
+        assert measured.fingerprint() not in (cold, refreshed)
 
     def test_shared_feedback_instance(self, stats):
         feedback = FeedbackStatistics()

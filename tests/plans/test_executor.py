@@ -14,7 +14,7 @@ from repro.plans import (
 from repro.query import evaluate, parse_query
 from repro.rank import STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmark import generate_document
 
 

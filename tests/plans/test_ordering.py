@@ -7,13 +7,14 @@ from repro.plans import (
     SSO_MODE,
     STRICT,
     PlanExecutor,
+    StaticCostModel,
     build_encoded_plan,
     build_strict_plan,
+    lower_plan,
 )
-from repro.plans.ordering import selectivity_ordered
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmark import generate_document
 
 
@@ -32,6 +33,11 @@ def executor(doc):
     return PlanExecutor(doc, IREngine(doc))
 
 
+def static_ordered(plan, statistics):
+    """The plan re-ordered by §6's static estimates (what lowering runs)."""
+    return lower_plan(plan, StaticCostModel(statistics)).logical
+
+
 QUERY = (
     "//item[./description/parlist/listitem and ./mailbox/mail/text and ./name]"
 )
@@ -41,7 +47,7 @@ class TestOrdering:
     def test_dependencies_respected(self, stats):
         query = parse_query(QUERY)
         plan = build_strict_plan(query, UNIFORM_WEIGHTS)
-        reordered = selectivity_ordered(plan, stats)
+        reordered = static_ordered(plan, stats)
         bound = {plan.root_var}
         for join in reordered.joins:
             for alt in join.alternatives:
@@ -51,7 +57,7 @@ class TestOrdering:
     def test_same_joins_possibly_new_order(self, stats):
         query = parse_query(QUERY)
         plan = build_strict_plan(query, UNIFORM_WEIGHTS)
-        reordered = selectivity_ordered(plan, stats)
+        reordered = static_ordered(plan, stats)
         assert sorted(j.var for j in reordered.joins) == sorted(
             j.var for j in plan.joins
         )
@@ -59,7 +65,7 @@ class TestOrdering:
     def test_selective_tags_come_early(self, stats, doc):
         query = parse_query(QUERY)
         plan = build_strict_plan(query, UNIFORM_WEIGHTS)
-        reordered = selectivity_ordered(plan, stats)
+        reordered = static_ordered(plan, stats)
         # Among the direct children of item, the rarest tag should precede
         # the most common one whenever dependencies allow.
         direct = [
@@ -72,8 +78,8 @@ class TestOrdering:
     def test_deterministic(self, stats):
         query = parse_query(QUERY)
         plan = build_strict_plan(query, UNIFORM_WEIGHTS)
-        first = selectivity_ordered(plan, stats)
-        second = selectivity_ordered(plan, stats)
+        first = static_ordered(plan, stats)
+        second = static_ordered(plan, stats)
         assert [j.var for j in first.joins] == [j.var for j in second.joins]
 
 
@@ -82,7 +88,7 @@ class TestCorrectnessUnderReordering:
         query = parse_query(QUERY)
         plan = build_strict_plan(query, UNIFORM_WEIGHTS)
         baseline = executor.run(plan, mode=STRICT)
-        reordered = executor.run(selectivity_ordered(plan, stats), mode=STRICT)
+        reordered = executor.run(static_ordered(plan, stats), mode=STRICT)
         assert sorted(a.node_id for a in baseline.answers) == sorted(
             a.node_id for a in reordered.answers
         )
@@ -94,7 +100,7 @@ class TestCorrectnessUnderReordering:
         plan = build_encoded_plan(schedule, len(schedule))
         baseline = executor.run(plan, mode=SSO_MODE)
         reordered = executor.run(
-            selectivity_ordered(plan, stats), mode=SSO_MODE
+            static_ordered(plan, stats), mode=SSO_MODE
         )
         assert {
             a.node_id: round(a.score.structural, 9) for a in baseline.answers

@@ -23,7 +23,7 @@ from repro.plans.physical import BINARY, TWIG
 from repro.query import parse_query
 from repro.rank import STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.topk.base import QueryContext
 from repro.xmark import generate_document
 

@@ -6,7 +6,7 @@ from repro.ir import IREngine
 from repro.plans import build_encoded_plan, build_strict_plan
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmltree import parse
 
 

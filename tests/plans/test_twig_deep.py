@@ -20,7 +20,7 @@ from repro.plans import (
 from repro.plans.physical import BINARY, TWIG
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmltree import parse
 
 DEPTH = 1000

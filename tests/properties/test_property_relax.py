@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from repro.query import evaluate, is_contained_in
 from repro.relax import PenaltyModel, RelaxationSchedule, applicable_relaxations
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 
 from tests.properties.strategies import documents, tree_patterns
 

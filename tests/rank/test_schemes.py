@@ -90,7 +90,7 @@ class TestPaperProperties:
         from repro.ir import IREngine
         from repro.query import parse_query
         from repro.relax import PenaltyModel, RelaxationSchedule
-        from repro.stats import DocumentStatistics
+        from repro.backend.stats import DocumentStatistics
         from repro.xmltree import parse
 
         doc = parse(

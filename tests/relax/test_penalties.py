@@ -5,7 +5,7 @@ import pytest
 from repro.ir import IREngine
 from repro.query import Ad, Pc, parse_query
 from repro.relax import PenaltyModel, WeightAssignment
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmltree import parse
 
 

@@ -13,7 +13,7 @@ from repro.relax import (
     RelaxationSchedule,
     candidate_steps,
 )
-from repro.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics
 from repro.xmltree import parse
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.ir import IREngine
 from repro.query import evaluate, parse_query
-from repro.stats import DocumentStatistics, SelectivityEstimator
+from repro.backend.stats import DocumentStatistics
+from repro.stats import SelectivityEstimator
 from repro.xmark import generate_document
 
 

@@ -154,7 +154,7 @@ class TestIncrementalIngest:
             ) == fresh.direct_nodes_with_term(term)
 
     def test_extended_statistics_match_rebuild(self):
-        from repro.stats.collector import DocumentStatistics
+        from repro.backend.stats import DocumentStatistics
 
         corpus = Corpus()
         engine = FleXPath.from_corpus(corpus)
@@ -186,7 +186,7 @@ class TestIncrementalIngest:
 
     def test_backwards_extension_rejected(self):
         from repro.ir import InvertedIndex
-        from repro.stats.collector import DocumentStatistics
+        from repro.backend.stats import DocumentStatistics
 
         doc = parse(TEXTS[0])
         with pytest.raises(ValueError):

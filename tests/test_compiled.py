@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro import CompiledQuery, FleXPath, PlanCache, compile_query
+from repro import CompiledQuery, FleXPath, compile_query
 from repro.collection import Corpus
-from repro.compiled import DEFAULT_PLAN_CACHE_SIZE
 from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.query.parser import parse_query
@@ -47,11 +46,15 @@ class TestCompiledQuery:
         compiled = compile_query(context, parse_query(QUERY))
         levels = len(compiled.schedule) + 1
         assert compiled.level_count() == levels
-        assert len(compiled.strict_plans) == levels
-        assert len(compiled.encoded_plans) == levels
+        assert len(compiled.strict_physical_plans) == levels
+        assert len(compiled.encoded_physical_plans) == levels
         for level in range(levels):
-            assert compiled.strict_plan(level) is compiled.strict_plans[level]
-            assert compiled.encoded_plan(level) is compiled.encoded_plans[level]
+            strict = compiled.strict_physical(level)
+            assert strict is compiled.strict_physical_plans[level]
+            assert strict.logical.distinguished
+            encoded = compiled.encoded_physical(level)
+            assert encoded is compiled.encoded_physical_plans[level]
+            assert encoded.logical.distinguished
 
     def test_captures_closure_and_core(self, context):
         tpq = parse_query(QUERY)
@@ -73,61 +76,6 @@ class TestCompiledQuery:
     def test_repr(self, context):
         compiled = compile_query(context, parse_query("//article"))
         assert "CompiledQuery" in repr(compiled)
-
-
-class TestPlanCache:
-    def test_default_bound(self):
-        assert PlanCache().max_entries == DEFAULT_PLAN_CACHE_SIZE
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            PlanCache(max_entries=0)
-
-    def test_lru_eviction(self):
-        cache = PlanCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh: b becomes least recently used
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.evictions == 1
-        assert _counter("plan_cache.evictions") == 1
-
-    def test_invalidate_counts_once_and_only_when_nonempty(self):
-        cache = PlanCache()
-        cache.invalidate()
-        assert cache.invalidations == 0
-        cache.put("a", 1)
-        cache.invalidate()
-        assert cache.invalidations == 1
-        assert len(cache) == 0
-        assert _counter("plan_cache.invalidations") == 1
-
-    def test_info_and_registry_counters(self):
-        cache = PlanCache()
-        cache.get("missing")
-        cache.put("a", 1)
-        cache.get("a")
-        info = cache.info()
-        assert info["hits"] == 1
-        assert info["misses"] == 1
-        assert info["entries"] == 1
-        assert _counter("plan_cache.hits") == 1
-        assert _counter("plan_cache.misses") == 1
-        assert "PlanCache" in repr(cache)
-
-    def test_cache_events(self):
-        events = []
-        HUB.on("cache_hit", events.append)
-        HUB.on("cache_miss", events.append)
-        cache = PlanCache()
-        cache.get("k")
-        cache.put("k", 1)
-        cache.get("k")
-        assert [event["cache"] for event in events] == ["plan", "plan"]
-        assert all(event["engine"] == "plan" for event in events)
 
 
 class TestContextCompile:
@@ -165,6 +113,52 @@ class TestContextCompile:
         assert after is not before
         assert after.corpus_version == corpus.version
         assert context.plan_cache.invalidations >= 1
+
+
+class TestPlanCacheSurvivesFeedback:
+    """Regression: the plan key used to carry a feedback generation that
+    advanced whenever any observed key crossed 64, 128, 256... samples, so
+    a steady workload kept re-keying (and evicting) plans it already held.
+    """
+
+    QUERIES = [
+        QUERY,
+        "//article[./title]",
+        "//article[./section/paragraph]",
+        '//section[./paragraph[.contains("XML")]]',
+        "//book[./title]",
+        "//article[.//algorithm]",
+    ]
+
+    def test_replay_of_a_pool_that_fits_hits_every_probe(self):
+        from repro import Engine
+
+        engine = Engine.from_xml(
+            LIBRARY_XML, cache=False, plan_cache_size=len(self.QUERIES)
+        )
+        feedback = engine.context.feedback
+        for _ in range(40):
+            for text in self.QUERIES:
+                engine.query(text, k=50, algorithm="dpo")
+        assert max(entry[0] for entry in feedback._pools.values()) > 64
+        plan_cache = engine.context.plan_cache
+        before = plan_cache.info()
+        for text in self.QUERIES:
+            engine.query(text, k=50, algorithm="dpo")
+        after = plan_cache.info()
+        assert after["hits"] - before["hits"] == len(self.QUERIES)
+        assert after["misses"] == before["misses"] == len(self.QUERIES)
+        assert after["evictions"] == 0
+
+    def test_refresh_is_what_relowers_cached_plans(self, context):
+        tpq = parse_query(QUERY)
+        first = context.compile(tpq)
+        context.feedback.record_pool("article", 3)
+        assert context.compile(tpq) is first
+        context.feedback.refresh()
+        relowered = context.compile(tpq)
+        assert relowered is not first
+        assert relowered.cost_fingerprint != first.cost_fingerprint
 
 
 class TestFacadeIntegration:
@@ -234,30 +228,6 @@ class TestFacadeIntegration:
         assert results[2] is not None and not isinstance(
             results[2], Exception
         )
-
-    def test_result_cache_size_forwarded(self, tmp_path):
-        engine = FleXPath.from_xml(LIBRARY_XML, result_cache_size=3)
-        assert engine.result_cache.max_entries == 3
-
-        path = tmp_path / "library.xml"
-        path.write_text(LIBRARY_XML, encoding="utf-8")
-        engine = FleXPath.from_file(path, result_cache_size=5)
-        assert engine.result_cache.max_entries == 5
-
-        engine = FleXPath.from_files([path], result_cache_size=7)
-        assert engine.result_cache.max_entries == 7
-
-        corpus = Corpus()
-        corpus.add_text(LIBRARY_XML)
-        engine = FleXPath.from_corpus(corpus, result_cache_size=9)
-        assert engine.result_cache.max_entries == 9
-
-        from repro.xmltree.storage import dump_document
-
-        dump_path = tmp_path / "library.fxd"
-        dump_document(parse(LIBRARY_XML), dump_path)
-        engine = FleXPath.from_dump(dump_path, result_cache_size=11)
-        assert engine.result_cache.max_entries == 11
 
     def test_cache_info_reports_all_three_tiers(self):
         engine = FleXPath.from_xml(LIBRARY_XML, result_cache_size=1)

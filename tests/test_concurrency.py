@@ -228,7 +228,7 @@ class TestStrategySharing:
 
     def test_facade_strategies_hold_no_per_query_state(self):
         engine = FleXPath.from_xml(LIBRARY_XML)
-        for strategy in engine._algorithms.values():
+        for strategy in engine.algorithms.values():
             state = {
                 name: value
                 for name, value in vars(strategy).items()

@@ -1,21 +1,114 @@
-"""The FleXPath facade."""
+"""The serving entry point: ``Engine``, and ``FleXPath`` as its first name."""
 
 import pytest
 
-from repro import FleXPath, FleXPathError
+from repro import Corpus, Engine, FleXPath, FleXPathError, QueryTimeoutError
 from repro.rank import STRUCTURE_FIRST
+from repro.xmltree import parse
+from repro.xmltree.storage import dump_document
+from tests.conftest import LIBRARY_XML
+
+PARITY_QUERY = (
+    '//article[.//algorithm and ./section[./paragraph'
+    ' and .contains("XML" and "streaming")]]'
+)
 
 
-class TestConstruction:
-    def test_from_xml(self):
-        engine = FleXPath.from_xml("<r><a>word</a></r>")
-        assert engine.document.count("a") == 1
+def _from_xml(cls, tmp_path, **kwargs):
+    return cls.from_xml(LIBRARY_XML, **kwargs)
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "doc.xml"
-        path.write_text("<r><a>word</a></r>")
-        engine = FleXPath.from_file(str(path))
-        assert engine.document.count("a") == 1
+
+def _from_file(cls, tmp_path, **kwargs):
+    path = tmp_path / "library.xml"
+    path.write_text(LIBRARY_XML, encoding="utf-8")
+    return cls.from_file(str(path), **kwargs)
+
+
+def _from_files(cls, tmp_path, **kwargs):
+    path = tmp_path / "library.xml"
+    path.write_text(LIBRARY_XML, encoding="utf-8")
+    return cls.from_files([path], **kwargs)
+
+
+def _from_corpus(cls, tmp_path, **kwargs):
+    corpus = Corpus()
+    corpus.add_text(LIBRARY_XML)
+    return cls.from_corpus(corpus, **kwargs)
+
+
+def _from_dump(cls, tmp_path, **kwargs):
+    path = tmp_path / "library.fxd"
+    dump_document(parse(LIBRARY_XML), path)
+    return cls.from_dump(path, **kwargs)
+
+
+def _direct(cls, tmp_path, **kwargs):
+    return cls(parse(LIBRARY_XML), **kwargs)
+
+
+CONSTRUCTORS = [_from_xml, _from_file, _from_files, _from_corpus, _from_dump,
+                _direct]
+
+# Every historical entry point, reduced to something comparable.
+ENTRY_POINTS = {
+    "query": lambda e: e.query(PARITY_QUERY, k=3).node_ids(),
+    "query_tpq": lambda e: e.query(
+        e.relaxations(PARITY_QUERY).level(0).query, k=3).node_ids(),
+    "query_many": lambda e: [
+        result.node_ids()
+        for result in e.query_many([PARITY_QUERY, "//book"], k=3, workers=2)
+    ],
+    "exact": lambda e: [node.node_id for node in e.exact(PARITY_QUERY)],
+    "keyword_search": lambda e: [
+        (match.node.node_id, match.score)
+        for match in e.keyword_search('"streaming" and "xml"', k=5)
+    ],
+    "relaxations": lambda e: e.relaxations(PARITY_QUERY).describe(),
+    "explain": lambda e: e.explain(PARITY_QUERY, k=5, scheme="combined"),
+    "connect": lambda e: e.connect().query(PARITY_QUERY, k=3).node_ids(),
+    "cache_info": lambda e: sorted(e.cache_info()),
+    "accessors": lambda e: (
+        e.corpus is None, e.document is e.context.document,
+        e.backend is e.context.backend, e.lock is e.context.rwlock,
+        sorted(e.algorithms),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", [Engine, FleXPath])
+class TestFacadeParity:
+    """``FleXPath`` is ``Engine``: same constructors, same entry points."""
+
+    @pytest.mark.parametrize("build", CONSTRUCTORS)
+    def test_constructors_forward_every_keyword(self, cls, build, tmp_path):
+        engine = build(cls, tmp_path, result_cache_size=7, plan_cache_size=5)
+        assert type(engine) is cls
+        assert isinstance(engine, Engine)
+        assert engine.result_cache.max_entries == 7
+        assert engine.context.plan_cache.max_entries == 5
+        assert len(engine.query("//article", k=3).answers) == 3
+        uncached = build(cls, tmp_path, cache=False)
+        assert uncached.result_cache is None
+        assert uncached.context.eval_cache.enabled is False
+
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    def test_entry_points_agree_with_engine(self, cls, entry_point):
+        call = ENTRY_POINTS[entry_point]
+        assert call(cls.from_xml(LIBRARY_XML)) == call(
+            Engine.from_xml(LIBRARY_XML)
+        )
+
+    def test_deadline_is_forwarded(self, cls):
+        with pytest.raises(QueryTimeoutError):
+            cls.from_xml(LIBRARY_XML).query(PARITY_QUERY, deadline_ms=1e-6)
+
+
+def test_flexpath_accessors():
+    facade = FleXPath.from_xml(LIBRARY_XML)
+    assert facade.engine is facade
+    assert facade.parse("//article") == facade.parse("//article")
+    assert facade.context is facade.engine.context
+    assert facade.result_cache is facade.engine.result_cache
 
 
 class TestQueryInterface:

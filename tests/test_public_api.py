@@ -61,7 +61,8 @@ class TestSubpackages:
             "repro.workload",
             "repro.ir.highlight",
             "repro.ir.storage",
-            "repro.plans.ordering",
+            "repro.cache",
+            "repro.compiled",
             "repro.relax.extensions",
             "repro.topk.ir_first",
             "repro.topk.naive",

@@ -1,9 +1,11 @@
-"""The tier-2 ResultCache: facade integration, invalidation, kill switch."""
+"""The tier-2 ResultCache in front of queries: hits, invalidation, kill switch.
+
+The LRU itself is covered in tests/test_cache.py.
+"""
 
 import pytest
 
-from repro import FleXPath, ResultCache
-from repro.cache import ResultCache as CacheFromModule
+from repro import FleXPath
 from repro.collection import Corpus
 from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
@@ -23,60 +25,6 @@ def clean_observability():
 
 def _counter(name):
     return REGISTRY.as_dict()["counters"].get(name, 0)
-
-
-class TestUnit:
-    def test_exported_class_is_the_module_class(self):
-        assert ResultCache is CacheFromModule
-
-    def test_lru_eviction(self):
-        cache = ResultCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh: b becomes least recently used
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert _counter("result_cache.evictions") == 1
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ResultCache(max_entries=0)
-
-    def test_invalidate_counts_once_and_only_when_nonempty(self):
-        cache = ResultCache()
-        cache.invalidate()
-        assert _counter("result_cache.invalidations") == 0
-        cache.put("a", 1)
-        cache.invalidate()
-        assert _counter("result_cache.invalidations") == 1
-        assert len(cache) == 0
-
-    def test_len_and_repr_hold_the_lock(self):
-        # Regression: __len__/__repr__ used to read _entries without the
-        # mutex; observe the lock directly to pin the discipline down.
-        cache = ResultCache(max_entries=3)
-        cache.put("a", 1)
-
-        class SpyLock:
-            def __init__(self, inner):
-                self.inner = inner
-                self.entered = 0
-
-            def __enter__(self):
-                self.entered += 1
-                return self.inner.__enter__()
-
-            def __exit__(self, *exc):
-                return self.inner.__exit__(*exc)
-
-        spy = SpyLock(cache._lock)
-        cache._lock = spy
-        assert len(cache) == 1
-        assert spy.entered == 1
-        assert repr(cache) == "ResultCache(entries=1, max_entries=3)"
-        assert spy.entered == 2
 
 
 class TestFacade:

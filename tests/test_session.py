@@ -1,10 +1,10 @@
-"""The pooled Session serving layer: pool discipline, deadlines, cancellation."""
+"""The Session serving layer: lifecycle, deadlines, cancellation."""
 
 import threading
 
 import pytest
 
-from repro.engine import Engine, FleXPath
+from repro.engine import Engine
 from repro.errors import (
     FleXPathError,
     QueryBatchError,
@@ -13,7 +13,7 @@ from repro.errors import (
 )
 from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
-from repro.session import DEFAULT_POOL_SIZE, QueryControl, SessionPool
+from repro.session import QueryControl
 from tests.conftest import LIBRARY_XML
 
 QUERY = '//article[./section[./paragraph and .contains("streaming")]]'
@@ -30,10 +30,6 @@ def clean_observability():
 
 def _counter(name):
     return REGISTRY.as_dict()["counters"].get(name, 0)
-
-
-def _gauge(name):
-    return REGISTRY.as_dict()["gauges"].get(name)
 
 
 @pytest.fixture()
@@ -79,6 +75,15 @@ class TestSessionLifecycle:
             result = session.query(QUERY, k=3)
         assert result.answers
 
+    def test_connect_returns_independent_sessions(self, engine):
+        first = engine.connect()
+        second = engine.connect()
+        assert first is not second
+        assert first.engine is engine
+        first.close()
+        assert not second.closed
+        assert second.query(QUERY, k=2).answers
+
     def test_close_is_idempotent_and_closed_sessions_refuse(self, engine):
         session = engine.connect()
         session.close()
@@ -121,11 +126,6 @@ class TestDeadline:
     def test_engine_query_forwards_deadline(self, engine):
         with pytest.raises(QueryTimeoutError):
             engine.query(QUERY, deadline_ms=1e-6)
-
-    def test_facade_forwards_deadline(self):
-        facade = FleXPath.from_xml(LIBRARY_XML)
-        with pytest.raises(QueryTimeoutError):
-            facade.query(QUERY, deadline_ms=1e-6)
 
     def test_deadline_applies_per_query_in_batch(self, engine):
         with pytest.raises(QueryBatchError) as info:
@@ -171,81 +171,6 @@ class TestCancellation:
         session.close()
 
 
-class TestSessionPool:
-    def test_bad_size_rejected(self, engine):
-        with pytest.raises(FleXPathError):
-            SessionPool(engine, size=0)
-
-    def test_checkout_reuses_idle_sessions(self, engine):
-        first = engine.connect()
-        first.close()
-        second = engine.connect()
-        assert second is first
-        assert not second.closed
-        second.close()
-
-    def test_overflow_never_blocks_and_discards_on_checkin(self, engine):
-        pool = SessionPool(engine, size=2)
-        sessions = [pool.checkout() for _ in range(5)]
-        assert len({id(s) for s in sessions}) == 5
-        for session in sessions:
-            pool.checkin(session)
-        info = pool.info()
-        assert info == {
-            "size": 2,
-            "idle": 2,
-            "in_use": 0,
-            "checkouts": 5,
-            "created": 5,
-            "discarded": 3,
-        }
-
-    def test_pool_gauges_and_counters(self, engine):
-        pool = SessionPool(engine, size=2)
-        first = pool.checkout()
-        second = pool.checkout()
-        assert _gauge("session_pool.in_use") == 2
-        assert _gauge("session_pool.idle") == 0
-        pool.checkin(first)
-        pool.checkin(second)
-        assert _gauge("session_pool.in_use") == 0
-        assert _gauge("session_pool.idle") == 2
-        assert _counter("session_pool.checkouts") == 2
-        histogram = REGISTRY.as_dict()["histograms"].get(
-            "session_pool.checkout_seconds"
-        )
-        assert histogram["count"] == 2
-
-    def test_engine_pool_size_is_configurable(self):
-        engine = Engine.from_xml(LIBRARY_XML, pool_size=3)
-        assert engine.pool.size == 3
-        default = Engine.from_xml(LIBRARY_XML)
-        assert default.pool.size == DEFAULT_POOL_SIZE
-
-    def test_concurrent_checkouts_are_consistent(self, engine):
-        pool = SessionPool(engine, size=4)
-        errors = []
-
-        def worker():
-            try:
-                for _ in range(50):
-                    session = pool.checkout()
-                    pool.checkin(session)
-            except Exception as error:  # pragma: no cover
-                errors.append(error)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        info = pool.info()
-        assert info["in_use"] == 0
-        assert info["checkouts"] == 400
-        assert info["idle"] <= 4
-
-
 class TestEngineSurface:
     def test_cache_info_schema_is_consistent(self, engine):
         engine.query(QUERY, k=3)
@@ -271,12 +196,6 @@ class TestEngineSurface:
             second = session.query(QUERY, k=3)
         assert second is first
 
-    def test_facade_exposes_the_engine(self):
-        facade = FleXPath.from_xml(LIBRARY_XML)
-        assert isinstance(facade.engine, Engine)
-        assert facade.context is facade.engine.context
-        assert facade.result_cache is facade.engine.result_cache
-
     def test_traced_query_through_session(self, engine):
         with engine.connect() as session:
             trace = session.query(QUERY, k=3, trace=True)
@@ -284,9 +203,9 @@ class TestEngineSurface:
         assert trace.spans
 
 
-class TestExceptionPathCheckin:
-    """A raising query must return its session exactly once; gauges never
-    drift (the satellite bugfix audit for Session/SessionPool)."""
+class TestExceptionPaths:
+    """A raising query propagates, is counted once, and leaves the engine
+    serving."""
 
     def _raising_engine(self):
         engine = Engine.from_xml(LIBRARY_XML)
@@ -297,50 +216,31 @@ class TestExceptionPathCheckin:
             def top_k(self, *args, **kwargs):
                 raise RuntimeError("executor blew up")
 
-        engine._algorithms["exploding"] = ExplodingStrategy()
+        engine.algorithms["exploding"] = ExplodingStrategy()
         return engine
 
-    def test_raising_queries_never_drift_in_use(self):
+    def test_raising_queries_are_counted_and_do_not_poison_the_engine(self):
         engine = self._raising_engine()
         for _ in range(5):
             with pytest.raises(RuntimeError):
                 engine.query(QUERY, algorithm="exploding")
-        info = engine.pool.info()
-        assert info["in_use"] == 0
-        assert info["idle"] == 1  # one session, reused every round
-        assert info["checkouts"] == 5
-        assert _gauge("session_pool.in_use") == 0
+        assert _counter("query.errors") == 5
+        assert engine.query(QUERY, k=2).answers
 
-    def test_timeout_path_checks_in(self, engine):
+    def test_raising_query_clears_the_inflight_control(self):
+        engine = self._raising_engine()
+        session = engine.connect()
+        with pytest.raises(RuntimeError):
+            session.query(QUERY, algorithm="exploding", deadline_ms=60_000)
+        session.cancel()  # nothing in flight: must not poison the next query
+        assert session.query(QUERY, k=2, deadline_ms=60_000).answers
+
+    def test_timeout_path_counts_every_timeout(self, engine):
         for _ in range(3):
             with pytest.raises(QueryTimeoutError):
                 engine.query(QUERY, deadline_ms=0.0001)
-        info = engine.pool.info()
-        assert info["in_use"] == 0
-        assert info["idle"] == 1
         assert _counter("query.timeouts") == 3
-
-    def test_double_checkin_is_ignored(self, engine):
-        pool = engine.pool
-        session = pool.checkout()
-        assert pool.info()["in_use"] == 1
-        session.close()
-        assert pool.info() == {**pool.info(), "in_use": 0}
-        # A stale close after the pool re-issued the session must not
-        # double-list it or drive in_use negative.
-        pool.checkin(session)
-        info = pool.info()
-        assert info["in_use"] == 0
-        assert info["idle"] == 1
-        reissued = pool.checkout()
-        assert reissued is session
-        assert pool.info()["in_use"] == 1
-        # the stale checkin again, while the session is legitimately out
-        pool.checkin(session)
-        reissued.close()
-        final = pool.info()
-        assert final["in_use"] == 0
-        assert final["idle"] == 1
+        assert _counter("query.errors") == 3
 
     def test_raising_strategy_under_concurrency(self):
         engine = self._raising_engine()
@@ -361,7 +261,5 @@ class TestExceptionPathCheckin:
         for thread in threads:
             thread.join(timeout=30)
         assert errors == []
-        info = engine.pool.info()
-        assert info["in_use"] == 0
-        assert info["idle"] <= DEFAULT_POOL_SIZE
+        assert not any(thread.is_alive() for thread in threads)
         assert _counter("query.errors") == 8

@@ -24,10 +24,9 @@ fails (exit 1, one line per violation) on:
   engine/session facades, ...) — storage must not reach back up.
 
 The one sanctioned escape hatch is a module-level ``__getattr__`` (PEP
-562): a lazy compatibility re-export like
-``repro.stats.collector.DocumentStatistics`` may import the moved class
-inside that function, because nothing executes it until a caller outside
-the guarded packages asks for the name.
+562): a lazy compatibility re-export may import a moved class inside that
+function, because nothing executes it until a caller outside the guarded
+packages asks for the name.  (No module uses it today.)
 
 Run directly (``python tools/check_layering.py``) or through the pytest
 wrapper in ``tests/test_layering.py``; CI runs both.
