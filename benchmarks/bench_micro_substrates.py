@@ -109,3 +109,24 @@ def test_micro_ir_most_specific(benchmark, document):
 
     matches = benchmark(run)
     benchmark.extra_info["matches"] = len(matches)
+
+
+def test_micro_ir_probe(benchmark, document):
+    """The point probes join processing issues: 10 k ``satisfies`` + ``score``
+    of one three-term expression over a tag pool, expression already resolved."""
+    engine = IREngine(document)
+    expr = parse_ftexpr('("vintage" or "treasure") and "gold"')
+    pool = document.nodes_with_tag("text")
+    nodes = [pool[i % len(pool)] for i in range(5_000)]
+
+    def run():
+        satisfied = 0
+        for node in nodes:
+            if engine.satisfies(node, expr):
+                satisfied += 1
+            engine.score(node, expr)
+        return satisfied
+
+    satisfied = benchmark(run)
+    benchmark.extra_info["probes"] = 2 * len(nodes)
+    benchmark.extra_info["satisfied"] = satisfied

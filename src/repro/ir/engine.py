@@ -13,14 +13,14 @@ Boolean structure and plain terms match anywhere in the subtree.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 
 from repro.errors import FleXPathError
 from repro.ir.ftexpr import And, Not, Or, Phrase, Term, Window
 from repro.ir.index import InvertedIndex
-from repro.ir.matching import ftexpr_matches
-from repro.ir.scoring import positive_terms, score_subtree
-from repro.ir.tokenizer import normalize_term
+from repro.ir.matching import _phrase_matches, _window_matches, ftexpr_matches
+from repro.ir.scoring import positive_terms, score_region
+from repro.ir.tokenizer import normalize_term, tokenize_and_stem
 from repro.obs.events import HUB
 from repro.obs.tracer import NULL_TRACER
 
@@ -52,12 +52,17 @@ class IREngine:
         self._document = document
         self._index = index if index is not None else InvertedIndex(document)
         self._virtual_root_id = virtual_root_id
-        self._idf_index = None
+        self._idf_index = self._index
         self._tracer = NULL_TRACER
-        self._local_match_cache = {}
         self._most_specific_cache = {}
         self._terms_cache = {}
         self._count_cache = {}
+        # Expressions resolved against the current postings: a probe
+        # ``(start, end) -> bool`` per (sub-)expression, and the
+        # ``(term, posting)`` pairs ``score`` weighs.  Both hold postings,
+        # so ``extend`` drops them.
+        self._probe_cache = {}
+        self._bound_terms_cache = {}
         # Always-on lifetime counters: plain unsynchronized ints, folded
         # into the process MetricsRegistry per query (see metrics_snapshot).
         self._m_cache_hits = 0
@@ -97,7 +102,7 @@ class IREngine:
         aggregate so shard-local scores are byte-identical to the
         unsharded engine's; ``None`` restores local statistics.
         """
-        self._idf_index = idf_index
+        self._idf_index = idf_index if idf_index is not None else self._index
 
     # -- lifetime metrics --------------------------------------------------------
 
@@ -139,11 +144,14 @@ class IREngine:
 
         The inverted index extends in place (appended ids keep postings
         sorted); the per-expression caches are document-dependent, so they
-        are dropped.  ``_terms_cache`` is a pure expression transform and
-        survives.
+        are dropped — a resolved probe may hold "no posting" for a term
+        that has one now, or a sealed posting a disk index has since
+        swapped for a hydrated copy.  ``_terms_cache`` is a pure expression
+        transform and survives.
         """
         self._index.extend(start_id, end_id)
-        self._local_match_cache.clear()
+        self._probe_cache.clear()
+        self._bound_terms_cache.clear()
         self._most_specific_cache.clear()
         self._count_cache.clear()
 
@@ -154,16 +162,16 @@ class IREngine:
         self._m_satisfies_calls += 1
         if self._tracer.enabled:
             self._tracer.count("ir.satisfies_calls")
-        return self._satisfies_region(expression, node.start, node.end)
+        return self._resolve(expression)(node.start, node.end)
 
     def score(self, node, expression):
         """Keyword score of ``node`` for the expression, in [0, 1]."""
         self._m_score_calls += 1
         if self._tracer.enabled:
             self._tracer.count("ir.score_calls")
-        terms = self._positive_terms(expression)
-        return score_subtree(self._index, node, terms,
-                             idf_index=self._idf_index)
+        return score_region(
+            self._idf_index, self._bound_terms(expression), node.start, node.end
+        )
 
     # -- ranked retrieval --------------------------------------------------------
 
@@ -173,30 +181,38 @@ class IREngine:
         An element qualifies when its subtree satisfies the expression and
         no proper descendant's does; results are sorted by descending score,
         ties broken by document order.
+
+        The cached list carries scores, and scores carry ``idf`` weights a
+        sharded corpus reads from an aggregate that moves when *another*
+        shard ingests (this engine's ``extend`` never runs).  ``idf`` only
+        changes when a text element is indexed, so the source's
+        ``text_element_count`` at scoring time fences each entry.
         """
-        if expression in self._most_specific_cache:
+        fence = self._idf_index.text_element_count
+        cached = self._most_specific_cache.get(expression)
+        if cached is not None and cached[0] == fence:
             self._cache_hit("most_specific")
-            return self._most_specific_cache[expression]
+            return cached[1]
         self._cache_miss("most_specific")
-        candidates = self._candidate_nodes(expression)
-        satisfying = [
-            node
-            for node in candidates
-            if self._satisfies_region(expression, node.start, node.end)
-        ]
-        satisfying.sort(key=lambda node: node.start)
-        minimal = []
-        for index, node in enumerate(satisfying):
+        probe = self._resolve(expression)
+        ends = self._document.store.ends
+        satisfying = sorted(
+            node_id
+            for node_id in self._candidate_ids(expression)
+            if probe(node_id, ends[node_id])
+        )
+        matches = []
+        for index, node_id in enumerate(satisfying):
             next_index = index + 1
             if (
                 next_index < len(satisfying)
-                and satisfying[next_index].start < node.end
+                and satisfying[next_index] < ends[node_id]
             ):
                 continue  # the next satisfying node is a descendant
-            minimal.append(node)
-        matches = [IRMatch(node, self.score(node, expression)) for node in minimal]
+            node = self._document.node(node_id)
+            matches.append(IRMatch(node, self.score(node, expression)))
         matches.sort(key=lambda m: (-m.score, m.node.node_id))
-        self._most_specific_cache[expression] = matches
+        self._most_specific_cache[expression] = (fence, matches)
         return matches
 
     def count_satisfying(self, expression, tag=None):
@@ -212,17 +228,18 @@ class IREngine:
             self._cache_hit("count")
             return self._count_cache[key]
         self._cache_miss("count")
+        probe = self._resolve(expression)
+        store = self._document.store
         if tag is None:
-            pool = self._document.nodes()
+            pool = range(len(store))
         else:
-            pool = self._document.nodes_with_tag(tag)
+            pool = store.node_ids_with_tag(tag)
+        ends = store.ends
         skip = self._virtual_root_id
-        count = sum(
-            1
-            for node in pool
-            if node.node_id != skip
-            and self._satisfies_region(expression, node.start, node.end)
-        )
+        count = 0
+        for node_id in pool:
+            if node_id != skip and probe(node_id, ends[node_id]):
+                count += 1
         self._count_cache[key] = count
         return count
 
@@ -239,34 +256,89 @@ class IREngine:
             self._terms_cache[expression] = normalized
         return self._terms_cache[expression]
 
-    def _satisfies_region(self, expression, start, end):
+    def _bound_terms(self, expression):
+        """``(term, posting-or-None)`` per positive term of the expression."""
+        bound = self._bound_terms_cache.get(expression)
+        if bound is None:
+            posting = self._index.posting
+            bound = [
+                (term, posting(term)) for term in self._positive_terms(expression)
+            ]
+            self._bound_terms_cache[expression] = bound
+        return bound
+
+    def _resolve(self, expression):
+        """The expression's probe: ``probe(start, end)`` is True when the
+        region ``[start, end)`` satisfies it.
+
+        All linguistic work and type dispatch happens here, once per
+        (sub-)expression and ``extend`` generation: terms are normalized
+        and bound to their postings, Boolean structure is composed from
+        the children's probes, phrases and windows bind to their
+        local-match id list the first time they are reached.  What is left
+        per probe is a bisect per term evaluated — and the
+        ``ir.postings_scanned`` count of exactly those.
+        """
+        probe = self._probe_cache.get(expression)
+        if probe is not None:
+            return probe
         if isinstance(expression, Term):
             normalized = normalize_term(expression.word)
             if normalized is None:
+                probe = _never  # a stop word is in no posting and costs no scan
+            else:
+                posting = self._index.posting(normalized)
+                ids = posting.node_ids if posting is not None else ()
+
+                def probe(start, end):
+                    self._m_postings_scanned += 1
+                    if self._tracer.enabled:
+                        self._tracer.count("ir.postings_scanned")
+                    # Posting.subtree_has, minus the call.
+                    lo = bisect_left(ids, start)
+                    return lo < len(ids) and ids[lo] < end
+
+        elif isinstance(expression, And):
+            children = [self._resolve(child) for child in expression.children]
+
+            def probe(start, end):
+                for child in children:
+                    if not child(start, end):
+                        return False
+                return True
+
+        elif isinstance(expression, Or):
+            children = [self._resolve(child) for child in expression.children]
+
+            def probe(start, end):
+                for child in children:
+                    if child(start, end):
+                        return True
                 return False
-            self._m_postings_scanned += 1
-            if self._tracer.enabled:
-                self._tracer.count("ir.postings_scanned")
-            posting = self._index.posting(normalized)
-            return posting is not None and posting.subtree_has(start, end)
-        if isinstance(expression, And):
-            return all(
-                self._satisfies_region(child, start, end)
-                for child in expression.children
-            )
-        if isinstance(expression, Or):
-            return any(
-                self._satisfies_region(child, start, end)
-                for child in expression.children
-            )
-        if isinstance(expression, Not):
-            return not self._satisfies_region(expression.child, start, end)
-        if isinstance(expression, (Phrase, Window)):
-            local_ids = self._local_match_ids(expression)
-            # Binary-search for a locally matching element inside the region.
-            lo = bisect.bisect_left(local_ids, start)
-            return lo < len(local_ids) and local_ids[lo] < end
-        raise TypeError("unknown full-text expression %r" % (expression,))
+
+        elif isinstance(expression, Not):
+            child = self._resolve(expression.child)
+
+            def probe(start, end):
+                return not child(start, end)
+
+        elif isinstance(expression, (Phrase, Window)):
+            ids = None
+
+            def probe(start, end):
+                nonlocal ids
+                if ids is None:
+                    ids = self._local_match_ids(expression)
+                else:
+                    self._cache_hit("local_match")
+                # Binary-search for a locally matching element in the region.
+                lo = bisect_left(ids, start)
+                return lo < len(ids) and ids[lo] < end
+
+        else:
+            raise TypeError("unknown full-text expression %r" % (expression,))
+        self._probe_cache[expression] = probe
+        return probe
 
     def _local_match_ids(self, expression):
         """Sorted ids of elements whose *direct* text satisfies the
@@ -279,9 +351,6 @@ class IREngine:
         no-match — there the term is the whole expression, here the
         positional constraint is unsatisfiable by construction).
         """
-        if expression in self._local_match_cache:
-            self._cache_hit("local_match")
-            return self._local_match_cache[expression]
         words = [normalize_term(word) for word in expression.terms()]
         words = [word for word in words if word is not None]
         if not words:
@@ -291,58 +360,52 @@ class IREngine:
                 % (kind, expression)
             )
         self._cache_miss("local_match")
+        postings = {}
         candidate_ids = None
         for word in words:
             self._m_postings_scanned += 1
             if self._tracer.enabled:
                 self._tracer.count("ir.postings_scanned")
-            posting = self._index.posting(word)
+            posting = postings[word] = self._index.posting(word)
             ids = set(posting.node_ids) if posting else set()
             candidate_ids = ids if candidate_ids is None else candidate_ids & ids
         result = []
-        if candidate_ids:
-            for node_id in sorted(candidate_ids):
-                node = self._document.node(node_id)
-                positions = {}
-                for word in set(words):
-                    posting = self._index.posting(word)
-                    positions[word] = list(posting.positions_of(node_id))
-                if self._local_expression_holds(expression, positions):
-                    result.append(node_id)
-        self._local_match_cache[expression] = result
+        for node_id in sorted(candidate_ids):
+            positions = {
+                word: posting.positions_of(node_id)
+                for word, posting in postings.items()
+            }
+            if self._local_expression_holds(expression, positions):
+                result.append(node_id)
         return result
 
     @staticmethod
     def _local_expression_holds(expression, positions):
-        # Rebuild a minimal token table and reuse the reference matcher.
-        from repro.ir import matching
-
+        # Reuse the reference matcher on the element's own positions.
         if isinstance(expression, Phrase):
-            return matching._phrase_matches(expression.words, positions)
-        return matching._window_matches(expression, positions)
+            return _phrase_matches(expression.words, positions)
+        return _window_matches(expression, positions)
+
+    def _candidate_ids(self, expression):
+        """Ids that could possibly be minimal satisfiers: every
+        ancestor-or-self of a direct occurrence of a positive term."""
+        parent_ids = self._document.store.parent_ids
+        seen = set()
+        for _term, posting in self._bound_terms(expression):
+            if posting is None:
+                continue
+            for node_id in posting.node_ids:
+                while node_id >= 0 and node_id not in seen:
+                    seen.add(node_id)
+                    node_id = parent_ids[node_id]
+        return seen
 
     # -- convenience -------------------------------------------------------------
 
     def matches_text(self, expression, text):
         """Check an expression against free-standing text (testing helper)."""
-        from repro.ir.tokenizer import tokenize_and_stem
-
         return ftexpr_matches(expression, tokenize_and_stem(text))
 
-    def _candidate_nodes(self, expression):
-        """Nodes that could possibly be minimal satisfiers: every
-        ancestor-or-self of a direct occurrence of a positive term."""
-        terms = self._positive_terms(expression)
-        seen = set()
-        nodes = []
-        for term in terms:
-            posting = self._index.posting(term)
-            if posting is None:
-                continue
-            for node_id in posting.node_ids:
-                node = self._document.node(node_id)
-                while node is not None and node.node_id not in seen:
-                    seen.add(node.node_id)
-                    nodes.append(node)
-                    node = self._document.parent(node)
-        return nodes
+
+def _never(start, end):
+    return False

@@ -27,6 +27,34 @@ from dataclasses import dataclass
 from repro.errors import FTExprParseError
 
 
+def _hash_once(cls):
+    """Class decorator: compute the dataclass field hash once per object.
+
+    An expression keys every IR-engine and evaluation-cache probe, and the
+    generated ``__hash__`` walks the whole expression tree on each call.
+    The value is unchanged, only remembered; it is left out of pickles
+    because string hashes differ between processes.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = field_hash(self)
+            return value
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Term:
     """A single keyword."""
@@ -40,6 +68,7 @@ class Term:
         return '"%s"' % self.word
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Phrase:
     """A multi-word phrase; words must occur consecutively."""
@@ -53,6 +82,7 @@ class Phrase:
         return '"%s"' % " ".join(self.words)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And:
     """Conjunction of sub-expressions."""
@@ -67,6 +97,7 @@ class And:
         return "(%s)" % " and ".join(str(c) for c in self.children)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or:
     """Disjunction of sub-expressions."""
@@ -81,6 +112,7 @@ class Or:
         return "(%s)" % " or ".join(str(c) for c in self.children)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Not:
     """Negation of a sub-expression."""
@@ -94,6 +126,7 @@ class Not:
         return "not %s" % self.child
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Window:
     """Proximity: all terms occur within ``size`` consecutive tokens."""

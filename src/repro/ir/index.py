@@ -91,8 +91,9 @@ class InvertedIndex:
                 "cannot extend index backwards (indexed to %d, asked for %d)"
                 % (self._indexed_upto, start_id)
             )
+        texts = document.store.texts
         for node_id in range(start_id, end_id):
-            text = document.node(node_id).text
+            text = texts[node_id]
             if not text:
                 continue
             tokens = tokenize_and_stem(text)

@@ -73,17 +73,30 @@ def score_subtree(index, node, stemmed_terms, idf_index=None):
     *global* document frequencies, or per-shard scores would diverge from
     the unsharded engine's.
     """
-    if not stemmed_terms:
-        return 0.0
-    if idf_index is None:
-        idf_index = index
+    bound = [(term, index.posting(term)) for term in stemmed_terms]
+    return score_region(
+        index if idf_index is None else idf_index, bound, node.start, node.end
+    )
+
+
+def score_region(idf_index, bound_terms, start, end):
+    """Score the region ``[start, end)`` for ``(term, posting)`` pairs.
+
+    The one implementation of the formula in the module docstring: the IR
+    engine binds each term to its posting (``None`` for a term the index
+    has never seen) once per expression and calls this per probe; ``idf``
+    weights are read from ``idf_index`` on every call because a sharded
+    corpus' aggregate moves whenever any shard ingests.
+    """
     numerator = 0.0
     denominator = 0.0
-    for term in stemmed_terms:
+    for term, posting in bound_terms:
         weight = idf(idf_index, term)
         denominator += weight
-        frequency = index.subtree_term_frequency(term, node)
-        numerator += weight * tf_saturation(frequency)
+        if posting is not None:
+            numerator += weight * tf_saturation(
+                posting.subtree_occurrences(start, end)
+            )
     if denominator == 0.0:
         return 0.0
     return numerator / denominator

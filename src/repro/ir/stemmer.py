@@ -8,7 +8,15 @@ including the m() measure, *v* / *d* / *o* conditions, and the step order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
+
+#: Bound on the word -> stem memo behind :func:`stem`.  A corpus' vocabulary
+#: is tiny next to its token count (Zipf), so nearly every call is a hit; at
+#: ~280 bytes per entry (two short strings, a dict slot, an LRU link) a full
+#: memo is about 18 MB.
+STEM_MEMO_SIZE = 1 << 16
 
 
 def _is_consonant(word, index):
@@ -66,8 +74,18 @@ def _replace(word, suffix, replacement, min_measure):
     return word
 
 
+@lru_cache(maxsize=STEM_MEMO_SIZE)
 def stem(word):
-    """Return the Porter stem of a lower-case word."""
+    """Return the Porter stem of a lower-case word (memoized, thread-safe).
+
+    Stemming is a pure function of a short string, so each distinct surface
+    form pays for the five steps once per process: index builds, WAL replay
+    and query-term normalization all come through here.
+    """
+    return _porter_stem(word)
+
+
+def _porter_stem(word):
     if len(word) <= 2:
         return word
 

@@ -7,7 +7,13 @@ used at indexing time and at query time so that terms line up.
 
 from __future__ import annotations
 
+import re
+
 from repro.ir.stemmer import stem
+
+# Maximal runs of ``str.isalnum()`` characters: ``\w`` is exactly "alnum or
+# underscore" for str patterns, so take the underscore back out.
+_WORD = re.compile(r"[^\W_]+")
 
 # The classic short stop list; enough to keep the index focused without
 # changing which documents satisfy conjunctive queries in practice.
@@ -19,18 +25,16 @@ STOP_WORDS = frozenset(
 
 
 def tokenize(text):
-    """Split text into lower-case word tokens (no stemming, no stop list)."""
-    tokens = []
-    word = []
-    for char in text:
-        if char.isalnum():
-            word.append(char.lower())
-        elif word:
-            tokens.append("".join(word))
-            word = []
-    if word:
-        tokens.append("".join(word))
-    return tokens
+    """Split text into lower-case word tokens (no stemming, no stop list).
+
+    Tokens are lower-cased character by character.  ``str.lower()`` on a
+    whole token agrees with that except for capital sigma, whose lower case
+    depends on its position in the word, so text containing one takes the
+    per-character route.
+    """
+    if "\u03a3" in text:
+        return ["".join(map(str.lower, word)) for word in _WORD.findall(text)]
+    return [word.lower() for word in _WORD.findall(text)]
 
 
 def tokenize_and_stem(text, stop_words=STOP_WORDS):

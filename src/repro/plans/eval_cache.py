@@ -154,13 +154,16 @@ class EvaluationCache:
         """Memoized ``ir.score(node, expression)``.
 
         Shares entries with :meth:`satisfies` — a score is only ever asked
-        for after a satisfying probe, so the pair rides one key.
+        for after a satisfying probe, so the pair rides one key — but is a
+        probe of its own: an entry whose score half is still empty counts
+        as a miss, so ``hits + misses`` is the number of probes made.
         """
         key = (expression, node.node_id)
         cached = self._contains.get(key)
         if cached is not None and cached[1] is not None:
             self._hit("contains")
             return cached[1]
+        self._miss("contains")
         value = ir.score(node, expression)
         satisfied = cached[0] if cached is not None else True
         with self._lock:

@@ -174,9 +174,11 @@ class PlanExecutor:
 
         ``checkpoint`` is the session deadline/cancellation hook: a
         zero-argument callable invoked once before seeding and once per
-        join — the coarse-grained boundaries where abandoning a run cannot
-        leave shared state half-mutated.  It aborts by raising (see
-        :class:`~repro.session.QueryControl`); ``None`` costs nothing.
+        join (the twig operator: once per variable while seeding and while
+        filtering by ``contains``, then before the holistic join and before
+        the score pass) — the coarse-grained boundaries where abandoning a
+        run cannot leave shared state half-mutated.  It aborts by raising
+        (see :class:`~repro.session.QueryControl`); ``None`` costs nothing.
 
         ``plan`` may be a logical :class:`~repro.plans.plan.Plan` (executed
         with the binary pipeline, as before) or a
@@ -417,8 +419,6 @@ class PlanExecutor:
         cache = run.cache
         feedback = self._feedback
         actuals = {}
-        if checkpoint is not None:
-            checkpoint()
 
         # Twig shape: parent/axis per variable, parents-before-children.
         var_tags = {plan.root_var: plan.root_tag}
@@ -437,6 +437,8 @@ class PlanExecutor:
         with tracer.span("seed"):
             pools = {}
             for var in order:
+                if checkpoint is not None:
+                    checkpoint()
                 allowed = run.pools.get(var)
                 pool = self._pool(var_tags[var], var_attrs[var], allowed, cache)
                 pools[var] = pool
@@ -455,6 +457,8 @@ class PlanExecutor:
             for var in order:
                 checks = plan.checks_by_var.get(var, ())
                 pool = pools[var]
+                if checkpoint is not None:
+                    checkpoint()
                 if not checks:
                     filtered_ids[var] = [node.node_id for node in pool]
                     continue
@@ -494,6 +498,8 @@ class PlanExecutor:
                 ]
                 stats.answers_deduped += before - len(filtered_ids[distinguished])
 
+        if checkpoint is not None:
+            checkpoint()
         with tracer.span("twig"):
             final = backend.twig_filter_ids(
                 filtered_ids, parents, axes, order
@@ -513,6 +519,8 @@ class PlanExecutor:
         # distinguished variable's subtree down to it.
         has_checks = bool(plan.checks_by_var)
         if has_checks:
+            if checkpoint is not None:
+                checkpoint()
             children = {var: [] for var in order}
             for var in order[1:]:
                 children[parents[var]].append(var)

@@ -169,3 +169,89 @@ class TestAllStopwordPositional:
     def test_single_stopword_term_is_a_quiet_no_match(self, doc, engine):
         expr = parse_ftexpr('"the"')
         assert not engine.satisfies(doc.node(0), expr)
+
+
+class TestLinguisticsHappenOnce:
+    """Stemming is paid per distinct string, normalization per resolved
+    expression — never per probe, never per token."""
+
+    @pytest.fixture()
+    def stems(self, monkeypatch):
+        """Counts calls of the uncached stemmer, starting from a cold memo."""
+        from collections import Counter
+
+        from repro.ir import stemmer
+
+        calls = Counter()
+        uncached = stemmer._porter_stem
+
+        def counting(word):
+            calls[word] += 1
+            return uncached(word)
+
+        monkeypatch.setattr(stemmer, "_porter_stem", counting)
+        stemmer.stem.cache_clear()
+        yield calls
+        stemmer.stem.cache_clear()
+
+    def test_probes_normalize_once_per_extend_generation(
+        self, stems, monkeypatch
+    ):
+        from repro import Corpus
+        from repro.backend import InMemoryBackend
+        from repro.ir import engine as engine_module
+
+        normalized = []
+        normalize = engine_module.normalize_term
+
+        def counting(term):
+            normalized.append(term)
+            return normalize(term)
+
+        monkeypatch.setattr(engine_module, "normalize_term", counting)
+        backend = InMemoryBackend(Corpus())
+        backend.add_document(parse("<d><t>vintage gold</t><t>treasures</t></d>"))
+        ir = backend.ir
+        stems.clear()  # the index build stemmed the text; probes start here
+        expr = parse_ftexpr('("vintage" or "treasure") and "golden"')
+        nodes = list(backend.document.nodes())
+
+        def probe_1000():
+            for index in range(500):
+                node = nodes[index % len(nodes)]
+                ir.satisfies(node, expr)
+                ir.score(node, expr)
+
+        probe_1000()
+        # The index build put "vintage" in the memo (the text says
+        # "treasures", not "treasure"); the other two are stemmed once.
+        assert dict(stems) == {"treasure": 1, "golden": 1}
+        # Once per term for the probe, once per term for the scored terms.
+        assert sorted(normalized) == sorted(2 * ["vintage", "treasure", "golden"])
+
+        del normalized[:]
+        backend.add_document(parse("<d><t>golden treasure</t></d>"))
+        stems.clear()
+        probe_1000()
+        assert not stems
+        # The probe re-resolves against the grown postings; the positive
+        # terms are a pure function of the expression and were kept.
+        assert sorted(normalized) == ["golden", "treasure", "vintage"]
+
+    def test_indexing_stems_each_surface_form_once(self, stems):
+        from repro.ir import STOP_WORDS, InvertedIndex, tokenize
+        from repro.xmark import generate_document
+
+        document = generate_document(target_bytes=30_000, seed=3)
+        forms = {
+            token
+            for node in document.nodes()
+            for token in tokenize(node.text)
+            if token not in STOP_WORDS
+        }
+        InvertedIndex(document)
+        assert set(stems) == forms
+        assert max(stems.values()) == 1
+        stems.clear()
+        InvertedIndex(document)  # e.g. WAL replay, a second shard, a reopen
+        assert not stems

@@ -57,6 +57,34 @@ class TestUnit:
         assert cache.satisfier_set("key", compute) == frozenset({7})
         assert len(calls) == 1
 
+    def test_contains_counts_every_probe_once(self, context):
+        """``satisfies`` and ``score`` are separate probes sharing an entry:
+        on fresh nodes both miss, on a second pass both hit, and hits +
+        misses is the number of probes made."""
+        from repro.ir import parse_ftexpr
+
+        cache = EvaluationCache()
+        ir = context.ir
+        expr = parse_ftexpr('"gold"')
+        nodes = list(context.document.nodes())
+        for node in nodes:
+            assert cache.satisfies(ir, node, expr) == ir.satisfies(node, expr)
+            assert cache.score(ir, node, expr) == ir.score(node, expr)
+        snapshot = cache.metrics_snapshot()
+        assert snapshot["eval_cache.contains.misses"] == 2 * len(nodes)
+        assert snapshot["eval_cache.contains.hits"] == 0
+        for node in nodes:
+            cache.satisfies(ir, node, expr)
+            cache.score(ir, node, expr)
+        snapshot = cache.metrics_snapshot()
+        assert snapshot["eval_cache.contains.misses"] == 2 * len(nodes)
+        assert snapshot["eval_cache.contains.hits"] == 2 * len(nodes)
+        # A score asked for before any satisfies probe is a miss too.
+        assert cache.score(ir, nodes[0], parse_ftexpr('"ring"')) >= 0.0
+        assert cache.metrics_snapshot()["eval_cache.contains.misses"] == (
+            2 * len(nodes) + 1
+        )
+
     def test_disabled_satisfier_set_computes_every_time(self):
         cache = EvaluationCache()
         cache.enabled = False

@@ -318,3 +318,57 @@ class TestCompiledPhysical:
                 clone.strict_physical(level).operator
                 == compiled.strict_physical(level).operator
             )
+
+
+class TestTwigDeadline:
+    """The twig operator reaches a checkpoint between pools, not only on entry."""
+
+    QUERY = (
+        '//item[.contains("name") and ./description[.contains("name")] '
+        'and ./mailbox/mail/text[.contains("name")]]'
+    )
+
+    def test_overshoot_is_bounded_by_one_pool(self, doc, stats):
+        """The deadline passes during the first ``contains`` probe.  Work done
+        after that (probes are the unit — no wall clock, so no flakiness) must
+        stay within the pool being filtered; checking on entry only, the run
+        probed every pool and finished as if there were no deadline."""
+        from repro.errors import QueryTimeoutError
+
+        probes_after_deadline = []
+
+        class ExpiringIR(IREngine):
+            def satisfies(self, node, expression):
+                probes_after_deadline.append(node.node_id)
+                return super().satisfies(node, expression)
+
+        def checkpoint():
+            if probes_after_deadline:
+                raise QueryTimeoutError("query exceeded its deadline")
+
+        executor = PlanExecutor(doc, ExpiringIR(doc))
+        physical = lower_plan(
+            build_strict_plan(parse_query(self.QUERY), UNIFORM_WEIGHTS),
+            StaticCostModel(stats, operator_policy="twig"),
+        )
+        assert physical.operator == TWIG
+        unbounded = executor.run(physical, mode=STRICT)
+        pools = [len(doc.nodes_with_tag(tag)) for tag in ("item", "description", "text")]
+        assert len(probes_after_deadline) >= sum(pools)  # the overshoot to bound
+        assert unbounded.answers
+
+        del probes_after_deadline[:]
+        with pytest.raises(QueryTimeoutError):
+            executor.run(physical, mode=STRICT, checkpoint=checkpoint)
+        assert 0 < len(probes_after_deadline) <= max(pools)
+
+    def test_checkpoint_reached_between_every_stage(self, executor, stats):
+        calls = []
+        physical = lower_plan(
+            build_strict_plan(parse_query(self.QUERY), UNIFORM_WEIGHTS),
+            StaticCostModel(stats, operator_policy="twig"),
+        )
+        executor.run(physical, mode=STRICT, checkpoint=lambda: calls.append(1))
+        variables = 5  # item, description, mailbox, mail, text
+        # seed + checks loops per variable, before the join, before scoring
+        assert len(calls) == 2 * variables + 2
