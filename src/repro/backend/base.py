@@ -31,6 +31,7 @@ Three groups of members:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 
 from repro.backend.kernels import (
     max_value_per_ancestor,
@@ -143,7 +144,8 @@ class StorageBackend(ABC):
         return self.document.nodes_with_tag(tag)
 
     def node_ids_with_tag(self, tag):
-        return [node.node_id for node in self.document.nodes_with_tag(tag)]
+        """Id-sorted ids of the nodes carrying ``tag`` (shared; read only)."""
+        return self.document.store.node_ids_with_tag(tag)
 
     def count(self, tag):
         return self.document.count(tag)
@@ -166,11 +168,27 @@ class StorageBackend(ABC):
     def descendants_with_tag(self, node, tag):
         return self.document.descendants_with_tag(node, tag)
 
-    def descendant_ids_with_tag(self, node, tag):
-        return self.document.descendant_ids_with_tag(node, tag)
+    def descendant_ids_with_tag(self, node_id, tag):
+        """Ids of ``node_id``'s descendants carrying ``tag`` (id-sorted).
 
-    def child_ids_with_tag(self, node, tag):
-        return self.document.child_ids_with_tag(node, tag)
+        Ids in, ids out, columns only: two binary searches over the tag's
+        id list bounded by the node's region.  A node view is accepted in
+        place of its id.
+        """
+        node_id = getattr(node_id, "node_id", node_id)
+        ids = self.node_ids_with_tag(tag)
+        low = bisect_right(ids, node_id)
+        return ids[low:bisect_left(ids, self.ends[node_id], low)]
+
+    def child_ids_with_tag(self, node_id, tag):
+        """Ids of ``node_id``'s children carrying ``tag`` (id-sorted)."""
+        node_id = getattr(node_id, "node_id", node_id)
+        parent_ids = self.parent_ids
+        return [
+            child_id
+            for child_id in self.descendant_ids_with_tag(node_id, tag)
+            if parent_ids[child_id] == node_id
+        ]
 
     # -- id-level join kernels ------------------------------------------------
 

@@ -49,13 +49,16 @@ def structural_join_ids(ends, levels, ancestor_ids, descendant_ids, axis="ad"):
 
     while d_index < d_len:
         descendant = descendant_ids[d_index]
-        if not stack and a_index < a_len and ancestor_ids[a_index] > descendant:
-            # Nothing open and the next candidate starts later: every
-            # descendant before it cannot match — bisect straight there.
-            d_index = bisect_left(
-                descendant_ids, ancestor_ids[a_index], lo=d_index + 1
-            )
-            continue
+        if not stack:
+            if a_index == a_len:
+                break  # nothing open, nothing left to open
+            if ancestor_ids[a_index] > descendant:
+                # The next candidate starts later: every descendant
+                # before it cannot match — bisect straight there.
+                d_index = bisect_left(
+                    descendant_ids, ancestor_ids[a_index], lo=d_index + 1
+                )
+                continue
         # Push every ancestor candidate opening before this descendant.
         while a_index < a_len and ancestor_ids[a_index] < descendant:
             candidate = ancestor_ids[a_index]

@@ -113,9 +113,6 @@ class InMemoryBackend(StorageBackend):
     def tag_ids(self):
         return self._document.store.tag_ids
 
-    def node_ids_with_tag(self, tag):
-        return self._document.store.node_ids_with_tag(tag)
-
     # -- full-text ------------------------------------------------------------
 
     @property

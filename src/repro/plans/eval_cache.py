@@ -8,12 +8,14 @@ that shared work inside one :class:`~repro.topk.base.QueryContext`:
 
 - **pool** — seeded tag pools per variable: the filtered candidate list for
   a plan root, keyed by ``(tag, attr-predicate set, pool restriction)``;
-- **join** — structural-join candidate sets: per base node, the filtered
-  children/descendants for one join signature ``(axis, tag, surviving
-  attr-predicate set, pool restriction)``;
+- **join** — structural-join candidate sets: one ``base id → candidate
+  ids`` table per join signature ``(axis, tag, surviving attr-predicate
+  set, pool restriction)``, fetched once per join step and filled for the
+  bases it lacks by one merge;
 - **contains** — point ``satisfies``/``score`` probes of the IR engine,
-  keyed by ``(expression, node id)`` — the same context node is checked
-  against the same expression at every level that binds it;
+  one ``node id → (satisfied, score)`` table per expression — the same
+  context node is checked against the same expression at every level that
+  binds it; a node view is made only on a miss;
 - **satisfiers** — whole contains-satisfier id sets per ``(expression,
   tag)``, the generalization of the IR-first strategy's private satisfier
   cache so every strategy shares one copy (and so the set is *invalidated*
@@ -28,7 +30,9 @@ Observability: each probe bumps plain int hit/miss counters (folded as
 deltas into the process :class:`~repro.obs.metrics.MetricsRegistry` per
 query, like the IR engine's) and fires the ``cache_hit``/``cache_miss``
 event seam with ``{"engine": "eval", "cache": <name>}`` payloads when
-listeners are attached.
+listeners are attached.  Join probes are counted per probe too, but the
+executor tallies a whole join step and folds it in with one call — one
+event per step, carrying the probe ``count``.
 
 Thread-safety: a single mutex guards every *structural* mutation (insert,
 budget flush, clear), so concurrent queries sharing one context can probe
@@ -49,9 +53,10 @@ from repro.obs.events import HUB
 #: The named sub-caches, in probe-frequency order.
 CACHE_NAMES = ("pool", "join", "contains", "satisfiers")
 
-#: Entry budget shared by the two unbounded-growth maps (join + contains).
-#: Exceeding it flushes that map — a full flush is crude but keeps the
-#: per-probe path to a dict get, and repeated queries re-warm in one run.
+#: Entry budget of each of the two unbounded-growth maps (join and contains,
+#: each counted over the entries of all its tables).  Exceeding it flushes
+#: that map — a full flush is crude but keeps the per-probe path to a dict
+#: get, and repeated queries re-warm in one run.
 DEFAULT_MAX_ENTRIES = 200_000
 
 
@@ -63,7 +68,9 @@ class EvaluationCache:
         "max_entries",
         "_pools",
         "_joins",
+        "_join_entries",
         "_contains",
+        "_contains_entries",
         "_satisfier_sets",
         "_hits",
         "_misses",
@@ -77,7 +84,9 @@ class EvaluationCache:
         self.max_entries = max_entries
         self._pools = {}
         self._joins = {}
+        self._join_entries = 0
         self._contains = {}
+        self._contains_entries = 0
         self._satisfier_sets = {}
         self._hits = dict.fromkeys(CACHE_NAMES, 0)
         self._misses = dict.fromkeys(CACHE_NAMES, 0)
@@ -112,63 +121,108 @@ class EvaluationCache:
         with self._lock:
             self._pools[key] = nodes
 
-    # -- join cache (per-base candidate sets) --------------------------------
+    # -- join cache (one candidate table per join signature) -----------------
 
-    def get_join(self, key):
-        """Cached filtered join candidates for ``key``, or None."""
-        nodes = self._joins.get(key)
-        if nodes is None:
-            self._miss("join")
-            return None
-        self._hit("join")
-        return nodes
+    def join_table(self, signature, bases, resolve):
+        """The ``base id → candidate ids`` table covering ``bases``.
 
-    def put_join(self, key, nodes):
+        ``bases`` is the set of distinct base ids one join step probes;
+        ``resolve(sorted missing ids)`` returns the entries the table lacks
+        (every missing id present, ``()`` for no candidates).  Returns the
+        table — shared and live, callers only read it — and the number of
+        bases that had to be resolved.  The budget counts bases over all
+        tables: an insert that would exceed it drops every table first, and
+        the step in flight keeps the entries it already relied on.
+        """
+        table = self._joins.get(signature)
+        missing = bases.difference(table) if table else bases
+        if not missing:
+            return table, 0
+        filled = resolve(sorted(missing))
         with self._lock:
-            joins = self._joins
-            if len(joins) >= self.max_entries:
-                joins.clear()
+            if self._join_entries + len(filled) > self.max_entries:
+                self._joins.clear()
+                self._join_entries = 0
                 self._flushes += 1
-            joins[key] = nodes
+            current = self._joins.get(signature)
+            if table and current is not table:
+                # Flushed (here or by a concurrent run) since ``missing``
+                # was computed: carry over what this step found present.
+                for base in bases:
+                    if base not in filled:
+                        filled[base] = table[base]
+            if current is None:
+                current = self._joins[signature] = {}
+            before = len(current)
+            current.update(filled)
+            self._join_entries += len(current) - before
+        return current, len(missing)
+
+    def count_join_probes(self, hits, misses):
+        """Fold one join step's per-probe tallies into the counters."""
+        self._hits["join"] += hits
+        self._misses["join"] += misses
+        if HUB.active:
+            for kind, count in (("cache_hit", hits), ("cache_miss", misses)):
+                if count:
+                    HUB.emit(
+                        kind, {"engine": "eval", "cache": "join", "count": count}
+                    )
 
     # -- contains probes -----------------------------------------------------
 
-    def satisfies(self, ir, node, expression):
-        """Memoized ``ir.satisfies(node, expression)``."""
-        key = (expression, node.node_id)
-        cached = self._contains.get(key)
+    def satisfies(self, ir, node_of, node_id, expression):
+        """Memoized ``ir.satisfies(node_of(node_id), expression)``."""
+        table = self._contains.get(expression)
+        cached = table.get(node_id) if table is not None else None
         if cached is not None:
             self._hit("contains")
             return cached[0]
         self._miss("contains")
-        satisfied = ir.satisfies(node, expression)
-        with self._lock:
-            contains = self._contains
-            if len(contains) >= self.max_entries:
-                contains.clear()
-                self._flushes += 1
-            contains[key] = (satisfied, None)
+        satisfied = ir.satisfies(node_of(node_id), expression)
+        self._put_contains(expression, node_id, (satisfied, None))
         return satisfied
 
-    def score(self, ir, node, expression):
-        """Memoized ``ir.score(node, expression)``.
+    def score(self, ir, node_of, node_id, expression):
+        """Memoized ``ir.score(node_of(node_id), expression)``.
 
         Shares entries with :meth:`satisfies` — a score is only ever asked
-        for after a satisfying probe, so the pair rides one key — but is a
+        for after a satisfying probe, so the pair rides one entry — but is a
         probe of its own: an entry whose score half is still empty counts
         as a miss, so ``hits + misses`` is the number of probes made.
         """
-        key = (expression, node.node_id)
-        cached = self._contains.get(key)
+        table = self._contains.get(expression)
+        cached = table.get(node_id) if table is not None else None
         if cached is not None and cached[1] is not None:
             self._hit("contains")
             return cached[1]
         self._miss("contains")
-        value = ir.score(node, expression)
+        value = ir.score(node_of(node_id), expression)
         satisfied = cached[0] if cached is not None else True
-        with self._lock:
-            self._contains[key] = (satisfied, value)
+        self._put_contains(expression, node_id, (satisfied, value))
         return value
+
+    def _put_contains(self, expression, node_id, entry):
+        """Store one probe result in its expression's ``node id → entry`` table.
+
+        One table per expression rather than one ``(expression, node id)``
+        key per probe: an entry is then an int and a pair of scalars, which
+        the cyclic collector stops tracking at its first visit, so a warm
+        cache of 10⁵ probes costs a full collection nothing to walk.  The
+        budget counts entries over all tables; reaching it drops them all.
+        """
+        with self._lock:
+            table = self._contains.get(expression)
+            if table is None or node_id not in table:
+                if self._contains_entries >= self.max_entries:
+                    self._contains.clear()
+                    self._contains_entries = 0
+                    self._flushes += 1
+                    table = None
+                self._contains_entries += 1
+                if table is None:
+                    table = self._contains[expression] = {}
+            table[node_id] = entry
 
     # -- satisfier sets (IR-first seeding) -----------------------------------
 
@@ -204,15 +258,17 @@ class EvaluationCache:
                 self._invalidations += 1
             self._pools.clear()
             self._joins.clear()
+            self._join_entries = 0
             self._contains.clear()
+            self._contains_entries = 0
             self._satisfier_sets.clear()
 
     def entry_count(self):
-        """Total live entries across the sub-caches."""
+        """Total live entries across the sub-caches (joins: bases held)."""
         return (
             len(self._pools)
-            + len(self._joins)
-            + len(self._contains)
+            + self._join_entries
+            + self._contains_entries
             + len(self._satisfier_sets)
         )
 

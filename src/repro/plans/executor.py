@@ -19,12 +19,22 @@ is discarded only when its optimistic completion (current score +
 ``maxScoreGrowth``) is strictly below the current K-th *guaranteed* score —
 guarantees come from completed answers and from tuples whose remaining
 joins are all optional.
+
+Both operators work on node ids from seed to collect.  The binary pipeline
+resolves a join's candidates set-at-a-time — one ``base id → candidate
+ids`` table per alternative, filled by one structural merge
+(:meth:`PlanExecutor._candidates`) — and then extends tuple by tuple with a
+dict lookup.  ``backend.node(id)`` is called for an answer, for a
+``contains`` probe the evaluation cache cannot answer, and for an attribute
+predicate while a pool is filtered; nowhere else.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass
+from functools import partial
+from operator import itemgetter
 
 from repro.backend import as_backend
 from repro.obs.metrics import REGISTRY
@@ -47,6 +57,18 @@ HYBRID_MODE = "hybrid"
 #: derive from penalty weights (unit scale), so one part in 10⁹ separates
 #: genuinely distinct levels while absorbing reordering noise.
 PRUNE_EPSILON = 1e-9
+
+#: Input tuples between two ``checkpoint`` calls inside one join or one
+#: ``contains`` filter.  A deadline that passes mid-join is noticed within
+#: this many input tuples instead of at the next join boundary; at the
+#: pipeline's ~1 µs per tuple that is a few milliseconds of overshoot.
+CHECKPOINT_STRIDE = 4096
+
+#: Sort key of a pipeline tuple ``(bindings, ss, ks, signature)`` for SSO.
+_STRUCTURAL = itemgetter(1)
+
+#: Id of the empty signature in every :class:`_Signatures`.
+_NO_PARTS = 0
 
 
 @dataclass
@@ -95,16 +117,61 @@ class ExecutionResult:
     operators: list = None
 
 
-class _Tuple:
-    """A partial match: variable bindings plus accumulated scores."""
+class _Score:
+    """A reusable ``(structural, keyword)`` pair to hand ``scheme.sort_key``.
 
-    __slots__ = ("bindings", "ss", "ks", "signature")
+    The pipeline asks the scheme for a sort key per tuple when it prunes
+    and per collision when it projects; one scratch instance per phase,
+    overwritten before each call, stands in for the ``AnswerScore`` each of
+    those calls would otherwise allocate.  ``sort_key`` returns a fresh
+    tuple, so nothing aliases the scratch value.
+    """
 
-    def __init__(self, bindings, ss, ks, signature):
-        self.bindings = bindings
-        self.ss = ss
-        self.ks = ks
-        self.signature = signature
+    __slots__ = ("structural", "keyword")
+
+    def combined(self):
+        return self.structural + self.keyword
+
+
+class _Signatures:
+    """One run's satisfied-predicate signatures, interned as small ints.
+
+    A partial match carries the id, not the tuple of parts: extending a
+    signature is one dict subscript per input tuple instead of one tuple
+    concatenation per output tuple, and Hybrid's buckets hash an int
+    instead of a tuple of tuples.  :meth:`PlanExecutor._collect` reads the
+    parts back for the tuples that win an answer.
+    """
+
+    __slots__ = ("values", "_ids")
+
+    def __init__(self):
+        self.values = [()]  # id → tuple of parts; _NO_PARTS is the empty one
+        self._ids = {(): _NO_PARTS}
+
+    def intern(self, value):
+        found = self._ids.get(value)
+        if found is None:
+            found = self._ids[value] = len(self.values)
+            self.values.append(value)
+        return found
+
+
+class _Extension(dict):
+    """Signature id → id of that signature plus one fixed part, on demand."""
+
+    __slots__ = ("_signatures", "_part")
+
+    def __init__(self, signatures, part):
+        self._signatures = signatures
+        self._part = (part,)
+
+    def __missing__(self, signature):
+        signatures = self._signatures
+        extended = self[signature] = signatures.intern(
+            signatures.values[signature] + self._part
+        )
+        return extended
 
 
 class _RunState:
@@ -112,16 +179,61 @@ class _RunState:
 
     Keeping these off the executor instance is what makes one executor
     reentrant: concurrent queries sharing a context each carry their own
-    restrictions, dedup set, and cache handle down the call stack instead
-    of racing over shared attributes.
+    restrictions, dedup set, cache handle and signature table down the
+    call stack instead of racing over shared attributes.
     """
 
-    __slots__ = ("pools", "excluded", "cache")
+    __slots__ = ("pools", "excluded", "cache", "signatures")
 
     def __init__(self, pools, excluded, cache):
         self.pools = pools
         self.excluded = excluded
         self.cache = cache
+        self.signatures = _Signatures()
+
+
+def _strides(tuples, checkpoint):
+    """``tuples`` in ``CHECKPOINT_STRIDE`` slices, a checkpoint between each."""
+    if checkpoint is None or len(tuples) <= CHECKPOINT_STRIDE:
+        yield tuples
+        return
+    for start in range(0, len(tuples), CHECKPOINT_STRIDE):
+        if start:
+            checkpoint()
+        yield tuples[start:start + CHECKPOINT_STRIDE]
+
+
+def _best_per_key(tuples, key_of, scheme):
+    """``{key: best-scoring tuple}`` over ``key_of(bindings)``, first-seen order.
+
+    A tuple whose key is ``None`` is left out; on equal scores the earlier
+    tuple stays.  Scores are only looked at where two tuples share a key —
+    a sort key is computed per collision, never per tuple, and nothing but
+    the winning tuple itself is held per key.
+    """
+    sort_key = scheme.sort_key
+    score = _Score()
+    best = {}
+    ranks = {}  # sort key of best[key], from that key's first collision on
+    for item in tuples:
+        key = key_of(item[0])
+        if key is None:
+            continue
+        held = best.setdefault(key, item)
+        if held is item:
+            continue
+        rank = ranks.get(key)
+        if rank is None:
+            score.structural = held[1]
+            score.keyword = held[2]
+            rank = ranks[key] = sort_key(score)
+        score.structural = item[1]
+        score.keyword = item[2]
+        challenger = sort_key(score)
+        if challenger > rank:
+            best[key] = item
+            ranks[key] = challenger
+    return best
 
 
 class PlanExecutor:
@@ -173,12 +285,14 @@ class PlanExecutor:
         no-op tracer makes an untraced run cost nothing extra.
 
         ``checkpoint`` is the session deadline/cancellation hook: a
-        zero-argument callable invoked once before seeding and once per
-        join (the twig operator: once per variable while seeding and while
-        filtering by ``contains``, then before the holistic join and before
-        the score pass) — the coarse-grained boundaries where abandoning a
-        run cannot leave shared state half-mutated.  It aborts by raising
-        (see :class:`~repro.session.QueryControl`); ``None`` costs nothing.
+        zero-argument callable invoked once before seeding, once per join
+        and every :data:`CHECKPOINT_STRIDE` input tuples inside a join or a
+        ``contains`` filter (the twig operator: once per variable while
+        seeding and while filtering by ``contains``, then before the
+        holistic join and before the score pass) — boundaries where
+        abandoning a run cannot leave shared state half-mutated.  It aborts
+        by raising (see :class:`~repro.session.QueryControl`); ``None``
+        costs nothing.
 
         ``plan`` may be a logical :class:`~repro.plans.plan.Plan` (executed
         with the binary pipeline, as before) or a
@@ -251,7 +365,15 @@ class PlanExecutor:
 
     def _run_binary(self, plan, k, scheme, mode, run, stats, tracer,
                     checkpoint, record=False):
-        """The classic pipeline: seed, then extend join by join."""
+        """The classic pipeline: seed, then extend join by join.
+
+        A partial match is a plain 4-tuple ``(bindings, ss, ks, signature)``
+        whose ``bindings`` are node ids in plan order (``None`` where an
+        optional join found nothing or a dead variable was projected away);
+        a node view is made only for a winning answer in :meth:`_collect`,
+        for a ``contains`` probe the cache cannot answer, and for attribute
+        predicates while a pool is filtered.
+        """
         actuals = {}
         feedback = self._feedback
         var_tags = {plan.root_var: plan.root_tag}
@@ -260,31 +382,18 @@ class PlanExecutor:
         var_positions = {plan.root_var: 0}
         for index, join in enumerate(plan.joins):
             var_positions[join.var] = index + 1
-        live_after = self._liveness(plan)
+        projections = self._projections(plan, var_positions)
 
         growth_ss, growth_ks, guaranteed_ss, guaranteed_ok = plan.growth_tables()
         prune = k is not None and mode in (SSO_MODE, HYBRID_MODE)
         distinguished_pos = var_positions[plan.distinguished]
+        sort_key = scheme.sort_key
+        score = _Score()
 
         # Guarantees are tracked per prospective answer node: several tuples
         # guaranteeing the *same* answer must count once, or the threshold
         # would overestimate and prune genuine top-K answers.
         guaranteed_by_node = {}
-
-        def guarantee(item, value):
-            if distinguished_pos >= len(item.bindings):
-                return  # answer node not bound yet; no safe guarantee key
-            node = item.bindings[distinguished_pos]
-            if node is None:
-                return
-            current = guaranteed_by_node.get(node.node_id)
-            if current is None or value > current:
-                guaranteed_by_node[node.node_id] = value
-
-        def threshold():
-            if len(guaranteed_by_node) < k:
-                return None
-            return heapq.nlargest(k, guaranteed_by_node.values())[-1]
 
         if checkpoint is not None:
             checkpoint()
@@ -301,7 +410,8 @@ class PlanExecutor:
                 tuples = self._drop_known_answers(run, tuples, 0, stats)
         with tracer.span("checks"):
             tuples = self._apply_checks(
-                run, plan, plan.root_var, tuples, var_positions, stats
+                run, plan, plan.root_var, tuples, var_positions, stats,
+                checkpoint,
             )
         if record and plan.checks_by_var.get(plan.root_var):
             actuals[("contains-filter", plan.root_var)] = len(tuples)
@@ -314,7 +424,9 @@ class PlanExecutor:
                 checkpoint()
             bases = len(tuples)
             with tracer.span("extend"):
-                tuples = self._extend(run, join, tuples, var_positions, stats)
+                tuples = self._extend(
+                    run, join, tuples, var_positions, stats, checkpoint
+                )
             if record:
                 actuals[("binary-join", join.var)] = len(tuples)
             if (feedback is not None
@@ -335,38 +447,42 @@ class PlanExecutor:
                     )
             with tracer.span("checks"):
                 tuples = self._apply_checks(
-                    run, plan, join.var, tuples, var_positions, stats
+                    run, plan, join.var, tuples, var_positions, stats,
+                    checkpoint,
                 )
             if record and plan.checks_by_var.get(join.var):
                 actuals[("contains-filter", join.var)] = len(tuples)
             with tracer.span("project"):
-                tuples = self._project(
-                    tuples, live_after[index], var_positions, scheme, stats
-                )
+                tuples = self._project(tuples, projections[index], scheme)
             position = index + 1
 
             if prune:
                 # Register guarantees, then prune against the threshold.
                 with tracer.span("prune"):
-                    if guaranteed_ok[position]:
-                        for item in tuples:
-                            guarantee(
-                                item,
-                                self._pessimistic(
-                                    item, guaranteed_ss[position], scheme
-                                ),
-                            )
-                    limit = threshold()
-                    if limit is not None:
+                    if guaranteed_ok[position] and distinguished_pos <= position:
+                        # (An answer node not bound yet has no safe key.)
+                        sure_ss = guaranteed_ss[position]
+                        for bindings, ss, ks, _signature in tuples:
+                            node_id = bindings[distinguished_pos]
+                            if node_id is None:
+                                continue
+                            score.structural = ss + sure_ss
+                            score.keyword = ks
+                            value = sort_key(score)[0]
+                            current = guaranteed_by_node.get(node_id)
+                            if current is None or value > current:
+                                guaranteed_by_node[node_id] = value
+                    if len(guaranteed_by_node) >= k:
+                        limit = heapq.nlargest(
+                            k, guaranteed_by_node.values()
+                        )[-1] - PRUNE_EPSILON
+                        more_ss = growth_ss[position]
+                        more_ks = growth_ks[position]
                         kept = []
                         for item in tuples:
-                            optimistic = self._optimistic(
-                                item,
-                                growth_ss[position],
-                                growth_ks[position],
-                                scheme,
-                            )
-                            if optimistic < limit - PRUNE_EPSILON:
+                            score.structural = item[1] + more_ss
+                            score.keyword = item[2] + more_ks
+                            if sort_key(score)[0] < limit:
                                 stats.tuples_pruned += 1
                             else:
                                 kept.append(item)
@@ -375,7 +491,7 @@ class PlanExecutor:
             if mode == SSO_MODE:
                 # SSO keeps intermediate answers sorted on score (§5.2.2).
                 with tracer.span("sort"):
-                    tuples.sort(key=lambda item: item.ss, reverse=True)
+                    tuples.sort(key=_STRUCTURAL, reverse=True)
                 stats.sort_operations += 1
                 stats.sorted_tuples += len(tuples)
             elif mode == HYBRID_MODE:
@@ -383,7 +499,7 @@ class PlanExecutor:
                 with tracer.span("bucket"):
                     buckets = {}
                     for item in tuples:
-                        buckets.setdefault(item.signature, []).append(item)
+                        buckets.setdefault(item[3], []).append(item)
                     stats.buckets_created += len(buckets)
                     tuples = [
                         item for bucket in buckets.values() for item in bucket
@@ -392,7 +508,9 @@ class PlanExecutor:
             stats.note_intermediate(len(tuples))
 
         with tracer.span("collect"):
-            answers = self._collect(plan, tuples, var_positions, scheme, stats)
+            answers = self._collect(
+                run, plan, tuples, var_positions, scheme, stats
+            )
         return answers, actuals
 
     # -- the holistic twig operator ---------------------------------------------
@@ -415,8 +533,8 @@ class PlanExecutor:
         keyword score is the max over embeddings in both formulations.
         """
         backend = self._backend
-        ir = self._ir
         cache = run.cache
+        satisfies, score = self._contains_probes(cache)
         feedback = self._feedback
         actuals = {}
 
@@ -460,29 +578,22 @@ class PlanExecutor:
                 if checkpoint is not None:
                     checkpoint()
                 if not checks:
-                    filtered_ids[var] = [node.node_id for node in pool]
+                    filtered_ids[var] = pool
                     continue
                 ids = []
                 scores = {}
-                for node in pool:
+                for node_id in pool:
                     total = 0.0
                     alive = True
                     for check in checks:
-                        if cache is not None:
-                            ok = cache.satisfies(ir, node, check.ftexpr)
-                        else:
-                            ok = ir.satisfies(node, check.ftexpr)
-                        if not ok:
+                        if not satisfies(node_id, check.ftexpr):
                             alive = False
                             stats.tuples_failed += 1
                             break
-                        if cache is not None:
-                            total += cache.score(ir, node, check.ftexpr)
-                        else:
-                            total += ir.score(node, check.ftexpr)
+                        total += score(node_id, check.ftexpr)
                     if alive:
-                        ids.append(node.node_id)
-                        scores[node.node_id] = total
+                        ids.append(node_id)
+                        scores[node_id] = total
                 filtered_ids[var] = ids
                 own[var] = scores
                 actuals[("contains-filter", var)] = len(ids)
@@ -581,9 +692,6 @@ class PlanExecutor:
         satisfied = frozenset(signature)
 
         with tracer.span("collect"):
-            node_by_id = {
-                node.node_id: node for node in pools[distinguished]
-            }
             answers = []
             for node_id in answer_ids:
                 ks = (
@@ -593,7 +701,7 @@ class PlanExecutor:
                 )
                 answers.append(
                     ScoredAnswer(
-                        node=node_by_id[node_id],
+                        node=backend.node(node_id),
                         score=AnswerScore(ss, ks),
                         relaxation_level=0,
                         satisfied=satisfied,
@@ -604,183 +712,251 @@ class PlanExecutor:
 
     # -- phases -----------------------------------------------------------------
 
-    def _pool(self, tag, attr_predicates, allowed, cache):
-        """One variable's candidate pool (tag scan + filters), cache-backed.
+    def _contains_probes(self, cache):
+        """``satisfies(node_id, ftexpr)`` and ``score(node_id, ftexpr)``.
 
-        The key matches the seed pool key exactly, so the twig operator's
-        per-variable pools and the pipeline's seed pools share entries.
+        Through the evaluation cache when one is live — a node view is then
+        made only on a miss — and straight to the IR engine otherwise.
         """
-        nodes = None
+        ir = self._ir
+        node_of = self._backend.node
+        if cache is not None:
+            return (partial(cache.satisfies, ir, node_of),
+                    partial(cache.score, ir, node_of))
+        return (lambda node_id, ftexpr: ir.satisfies(node_of(node_id), ftexpr),
+                lambda node_id, ftexpr: ir.score(node_of(node_id), ftexpr))
+
+    def _pool(self, tag, attr_predicates, allowed, cache):
+        """One variable's candidate ids (tag scan + filters), cache-backed.
+
+        The same key serves a plan's seed, the twig operator's per-variable
+        pools and the descendant side of the pipeline's join merges, so all
+        three share entries.  Id-sorted; shared — callers do not mutate it.
+        """
+        ids = None
         pool_key = None
         if cache is not None:
             pool_key = (tag, attr_predicates, restriction_key(allowed))
-            nodes = cache.get_pool(pool_key)
-        if nodes is None:
+            ids = cache.get_pool(pool_key)
+        if ids is None:
+            backend = self._backend
             if tag is not None:
-                candidates = self._backend.nodes_with_tag(tag)
+                ids = backend.node_ids_with_tag(tag)
             else:
-                candidates = list(self._backend.nodes())
-            nodes = []
-            for node in candidates:
-                if allowed is not None and node.node_id not in allowed:
-                    continue
-                if not self._attrs_ok(attr_predicates, node):
-                    continue
-                nodes.append(node)
+                ids = range(len(backend))
+            if allowed is not None:
+                ids = [node_id for node_id in ids if node_id in allowed]
+            if attr_predicates:
+                node_of = backend.node
+                ids = [
+                    node_id
+                    for node_id in ids
+                    if self._attrs_ok(attr_predicates, node_of(node_id))
+                ]
             if cache is not None:
-                nodes = tuple(nodes)
-                cache.put_pool(pool_key, nodes)
-        return nodes
+                cache.put_pool(pool_key, ids)
+        return ids
 
     def _seed(self, run, plan, stats):
-        nodes = self._pool(
+        ids = self._pool(
             plan.root_tag,
             plan.root_attr_predicates,
             run.pools.get(plan.root_var),
             run.cache,
         )
-        tuples = [_Tuple((node,), 0.0, 0.0, ()) for node in nodes]
+        tuples = [((node_id,), 0.0, 0.0, _NO_PARTS) for node_id in ids]
         stats.tuples_produced += len(tuples)
         return tuples
 
-    def _extend(self, run, join, tuples, var_positions, stats):
-        out = []
+    def _candidates(self, run, join, axis, bases):
+        """``base id → candidate ids`` for one alternative of one join.
+
+        Resolved set-at-a-time: the bases the cached table for this join
+        signature lacks are merged in one pass against the join variable's
+        pool and grouped by base; candidates come out id-sorted.  Returns
+        the table and how many bases had to be resolved.
+        """
         allowed = run.pools.get(join.var)
         cache = run.cache
-        filter_key = None
-        if cache is not None:
-            # The per-base candidate set depends only on the navigation
-            # (axis, base node, tag) and the surviving filters — the
-            # canonical join signature shared across relaxation levels.
-            filter_key = (
-                join.tag,
-                join.attr_predicates,
-                restriction_key(allowed),
+
+        def resolve(missing):
+            pool = self._pool(join.tag, join.attr_predicates, allowed, cache)
+            grouped = {}
+            for base, candidate in self._backend.structural_join_ids(
+                    missing, pool, axis=axis):
+                found = grouped.get(base)
+                if found is None:
+                    grouped[base] = [candidate]
+                else:
+                    found.append(candidate)
+            filled = dict.fromkeys(missing, ())
+            for base, found in grouped.items():
+                filled[base] = tuple(found)
+            return filled
+
+        if cache is None:
+            return resolve(sorted(bases)), 0
+        # The candidate set per base depends only on the navigation and the
+        # surviving filters — the canonical join signature shared across
+        # relaxation levels.
+        signature = (
+            axis, join.tag, join.attr_predicates, restriction_key(allowed)
+        )
+        return cache.join_table(signature, bases, resolve)
+
+    def _extend(self, run, join, tuples, var_positions, stats, checkpoint):
+        steps = []
+        hits = misses = 0
+        extension = partial(_Extension, run.signatures)
+        for alt_index, alt in enumerate(join.alternatives):
+            position = var_positions[alt.connect_var]
+            bases = {item[0][position] for item in tuples}
+            probes = len(tuples)
+            if None in bases:
+                bases.discard(None)
+                probes = sum(
+                    1 for item in tuples if item[0][position] is not None
+                )
+            table, resolved = self._candidates(run, join, alt.axis, bases)
+            hits += probes - resolved
+            misses += resolved
+            steps.append(
+                (position, table, alt.delta, extension((join.var, alt_index)))
             )
-        for item in tuples:
-            emitted = set()
-            matched = False
-            for alt_index, alt in enumerate(join.alternatives):
-                base = item.bindings[var_positions[alt.connect_var]]
-                if base is None:
-                    continue
-                candidates = None
-                if cache is not None:
-                    join_key = (alt.axis, base.node_id, filter_key)
-                    candidates = cache.get_join(join_key)
-                if candidates is None:
-                    if alt.axis == "pc":
-                        raw = self._children(base, join.tag)
-                    else:
-                        raw = self._descendants(base, join.tag)
-                    candidates = [
-                        candidate
-                        for candidate in raw
-                        if (allowed is None or candidate.node_id in allowed)
-                        and self._attrs_ok(join.attr_predicates, candidate)
-                    ]
-                    if cache is not None:
-                        candidates = tuple(candidates)
-                        cache.put_join(join_key, candidates)
-                for candidate in candidates:
-                    if candidate.node_id in emitted:
+        if run.cache is not None:
+            run.cache.count_join_probes(hits, misses)
+        optional = join.optional
+        unmatched_delta = join.optional_delta
+        unmatched = extension((join.var, -1))
+        first_position, first_table, first_delta, first_extended = steps[0]
+        later = steps[1:]
+        out = []
+        append = out.append
+        for stride in _strides(tuples, checkpoint):
+            produced = len(out)
+            for bindings, ss, ks, signature in stride:
+                base = bindings[first_position]
+                candidates = first_table[base] if base is not None else ()
+                if candidates:
+                    new_ss = ss + first_delta
+                    extended = first_extended[signature]
+                    for candidate in candidates:
+                        append((bindings + (candidate,), new_ss, ks, extended))
+                if later:
+                    emitted = set(candidates)
+                    for position, table, delta, extended in later:
+                        base = bindings[position]
+                        if base is None:
+                            continue
+                        for candidate in table[base]:
+                            if candidate not in emitted:
+                                emitted.add(candidate)
+                                append((
+                                    bindings + (candidate,),
+                                    ss + delta,
+                                    ks,
+                                    extended[signature],
+                                ))
+                    if emitted:
                         continue
-                    emitted.add(candidate.node_id)
-                    matched = True
-                    out.append(
-                        _Tuple(
-                            item.bindings + (candidate,),
-                            item.ss + alt.delta,
-                            item.ks,
-                            item.signature + ((join.var, alt_index),),
-                        )
-                    )
-            if not matched:
-                if join.optional:
-                    out.append(
-                        _Tuple(
-                            item.bindings + (None,),
-                            item.ss + join.optional_delta,
-                            item.ks,
-                            item.signature + ((join.var, -1),),
-                        )
-                    )
+                elif candidates:
+                    continue
+                if optional:
+                    append((
+                        bindings + (None,),
+                        ss + unmatched_delta,
+                        ks,
+                        unmatched[signature],
+                    ))
                 else:
                     stats.tuples_failed += 1
-        stats.tuples_produced += len(out)
+            stats.tuples_produced += len(out) - produced
         return out
 
-    def _apply_checks(self, run, plan, var, tuples, var_positions, stats):
+    def _apply_checks(self, run, plan, var, tuples, var_positions, stats,
+                      checkpoint):
         checks = plan.checks_by_var.get(var)
         if not checks:
             return tuples
-        ir = self._ir
-        cache = run.cache
+        satisfies, score = self._contains_probes(run.cache)
+        extension = partial(_Extension, run.signatures)
+        compiled = [
+            (
+                check.ftexpr,
+                [
+                    (
+                        var_positions[level.var],
+                        level.delta,
+                        extension(("contains", var, check_index, level_index)),
+                    )
+                    for level_index, level in enumerate(check.levels)
+                ],
+            )
+            for check_index, check in enumerate(checks)
+        ]
         out = []
-        for item in tuples:
-            ss = item.ss
-            ks = item.ks
-            signature = item.signature
-            alive = True
-            for check_index, check in enumerate(checks):
-                matched_level = None
-                for level_index, level in enumerate(check.levels):
-                    node = item.bindings[var_positions[level.var]]
-                    if node is None:
-                        continue
-                    if cache is not None:
-                        satisfied = cache.satisfies(ir, node, check.ftexpr)
+        for stride in _strides(tuples, checkpoint):
+            for bindings, ss, ks, signature in stride:
+                for ftexpr, levels in compiled:
+                    for position, delta, extended in levels:
+                        node_id = bindings[position]
+                        if node_id is None:
+                            continue
+                        if satisfies(node_id, ftexpr):
+                            ss += delta
+                            ks += score(node_id, ftexpr)
+                            signature = extended[signature]
+                            break
                     else:
-                        satisfied = ir.satisfies(node, check.ftexpr)
-                    if satisfied:
-                        matched_level = level_index
-                        ss += level.delta
-                        if cache is not None:
-                            ks += cache.score(ir, node, check.ftexpr)
-                        else:
-                            ks += ir.score(node, check.ftexpr)
+                        # No level of this check matched: the tuple dies.
+                        stats.tuples_failed += 1
                         break
-                if matched_level is None:
-                    alive = False
-                    break
-                signature = signature + (("contains", var, check_index, matched_level),)
-            if alive:
-                out.append(_Tuple(item.bindings, ss, ks, signature))
-            else:
-                stats.tuples_failed += 1
+                else:
+                    out.append((bindings, ss, ks, signature))
         return out
 
-    def _collect(self, plan, tuples, var_positions, scheme, stats):
+    def _collect(self, run, plan, tuples, var_positions, scheme, stats):
         stats.answers_before_dedup = len(tuples)
-        best = {}
-        distinguished_pos = var_positions[plan.distinguished]
-        for item in tuples:
-            node = item.bindings[distinguished_pos]
-            if node is None:
-                for ancestor_var in plan.fallback_chain:
-                    node = item.bindings[var_positions[ancestor_var]]
-                    if node is not None:
-                        break
-            if node is None:
-                continue
-            score = AnswerScore(item.ss, item.ks)
-            level = sum(
-                1
-                for part in item.signature
-                if (part[0] == "contains" and part[3] > 0)
-                or (part[0] != "contains" and part[1] != 0)
-            )
-            current = best.get(node.node_id)
-            if current is None or scheme.sort_key(score) > scheme.sort_key(
-                current.score
-            ):
-                best[node.node_id] = ScoredAnswer(
-                    node=node,
-                    score=score,
-                    relaxation_level=level,
-                    satisfied=frozenset(item.signature),
+        positions = [var_positions[plan.distinguished]]
+        positions.extend(var_positions[var] for var in plan.fallback_chain)
+        if len(positions) == 1:
+            answer_of = itemgetter(positions[0])
+        else:
+            def answer_of(bindings):
+                for position in positions:
+                    node_id = bindings[position]
+                    if node_id is not None:
+                        return node_id
+                return None
+
+        # Only the tuple that won its answer node pays for a node view, and
+        # each distinct signature for one relaxation level and one frozen
+        # predicate set, shared by the answers that carry it.
+        node_of = self._backend.node
+        signatures = run.signatures.values
+        described = {}
+        answers = []
+        for node_id, (_bindings, ss, ks, signature) in _best_per_key(
+                tuples, answer_of, scheme).items():
+            found = described.get(signature)
+            if found is None:
+                parts = signatures[signature]
+                level = sum(
+                    1
+                    for part in parts
+                    if (part[0] == "contains" and part[3] > 0)
+                    or (part[0] != "contains" and part[1] != 0)
                 )
-        return list(best.values())
+                found = described[signature] = (level, frozenset(parts))
+            answers.append(
+                ScoredAnswer(
+                    node=node_of(node_id),
+                    score=AnswerScore(ss, ks),
+                    relaxation_level=found[0],
+                    satisfied=found[1],
+                )
+            )
+        return answers
 
     def _drop_known_answers(self, run, tuples, position, stats):
         """Discard tuples already answered at a previous relaxation level.
@@ -790,13 +966,8 @@ class PlanExecutor:
         the threshold / ``maxScoreGrowth`` mechanism.
         """
         excluded = run.excluded
-        kept = []
-        for item in tuples:
-            node = item.bindings[position]
-            if node is not None and node.node_id in excluded:
-                stats.answers_deduped += 1
-            else:
-                kept.append(item)
+        kept = [item for item in tuples if item[0][position] not in excluded]
+        stats.answers_deduped += len(tuples) - len(kept)
         return kept
 
     # -- projection -------------------------------------------------------------
@@ -828,64 +999,52 @@ class PlanExecutor:
             acc.add(join.var)
         return live
 
-    def _project(self, tuples, live, var_positions, scheme, stats):
+    @classmethod
+    def _projections(cls, plan, var_positions):
+        """Per join, the live binding positions to key on — or ``None``.
+
+        ``None`` marks a join after which no bound variable dies.  Tuples
+        are pairwise distinct on their live bindings at every point of the
+        pipeline (seeds are distinct nodes; a join appends distinct
+        candidates to distinct inputs; a projection keeps one tuple per
+        key), so with nothing dying every key is unique and
+        :meth:`_project` has nothing to do.
+        """
+        projections = []
+        alive = {0}
+        for index, live in enumerate(cls._liveness(plan)):
+            alive.add(index + 1)
+            keep = {
+                var_positions[var] for var in live if var in var_positions
+            } & alive
+            projections.append(None if keep == alive else tuple(sorted(keep)))
+            alive = keep
+        return projections
+
+    @staticmethod
+    def _project(tuples, key_positions, scheme):
         """Null out dead bindings and keep the best tuple per live key.
 
         Tuples with identical live bindings have identical futures (every
         later join and check reads only live variables), so only the one
         with the best current score can contribute a top answer.
         """
-        live_positions = {
-            var_positions[var] for var in live if var in var_positions
-        }
-        key_positions = sorted(live_positions)
-        best = {}
-        for item in tuples:
-            bindings = item.bindings
-            key = tuple(
-                bindings[pos].node_id if bindings[pos] is not None else None
-                for pos in key_positions
-                if pos < len(bindings)
-            )
-            current = best.get(key)
-            if current is None or scheme.sort_key(
-                AnswerScore(item.ss, item.ks)
-            ) > scheme.sort_key(AnswerScore(current.ss, current.ks)):
-                best[key] = item
+        if key_positions is None or not tuples:
+            return tuples
+        best = _best_per_key(tuples, itemgetter(*key_positions), scheme)
         if len(best) == len(tuples):
             return tuples
-        projected = []
-        for item in best.values():
-            bindings = tuple(
-                node if position in live_positions else None
-                for position, node in enumerate(item.bindings)
-            )
-            projected.append(_Tuple(bindings, item.ss, item.ks, item.signature))
-        return projected
-
-    # -- bounds -------------------------------------------------------------------
-
-    @staticmethod
-    def _optimistic(item, growth_ss, growth_ks, scheme):
-        key = scheme.sort_key(AnswerScore(item.ss + growth_ss, item.ks + growth_ks))
-        return key[0]
-
-    @staticmethod
-    def _pessimistic(item, guaranteed_ss, scheme):
-        key = scheme.sort_key(AnswerScore(item.ss + guaranteed_ss, item.ks))
-        return key[0]
-
-    # -- candidate access -----------------------------------------------------------
-
-    def _children(self, node, tag):
-        if tag is None:
-            return self._backend.children(node)
-        return self._backend.children_with_tag(node, tag)
-
-    def _descendants(self, node, tag):
-        if tag is None:
-            return list(self._backend.descendants(node))
-        return self._backend.descendants_with_tag(node, tag)
+        # One C-level pick per survivor: a dead position reads the ``None``
+        # appended behind the bindings.
+        width = len(tuples[0][0])
+        nulled = itemgetter(*[
+            position if position in key_positions else width
+            for position in range(width)
+        ])
+        return [
+            (nulled(bindings + (None,)), ss, ks, signature)
+            for bindings, ss, ks, signature in best.values()
+        ]
 
     def _attrs_ok(self, predicates, node):
         for predicate in predicates:

@@ -428,7 +428,7 @@ class Document:
         """
         ids = self._store.node_ids_with_tag(tag)
         if not ids:
-            return []
+            return _EMPTY_IDS
         lo = bisect.bisect_right(ids, node.start)
         hi = bisect.bisect_left(ids, self._store.ends[node.node_id], lo=lo)
         parent_ids = self._store.parent_ids

@@ -153,6 +153,112 @@ class TestNavigation:
             )
 
 
+def _shard_view(xml_text, tmp_path):
+    """What a sharded engine's executors run against: one shard's view."""
+    from repro.backend.sharded import RoundRobinRouter, ShardedBackend
+
+    sharded = ShardedBackend.in_memory(2, router=RoundRobinRouter())
+    sharded.add_document(parse(xml_text), name="library")
+    sharded.add_document(parse(EXTRA_XML), name="extra")
+    return sharded.views()[0]
+
+
+@pytest.fixture(
+    params=[factory for _name, factory in BACKEND_FACTORIES] + [_shard_view],
+    ids=[name for name, _factory in BACKEND_FACTORIES] + ["shard-view"],
+)
+def id_backend(request, tmp_path):
+    return request.param(LIBRARY_XML, tmp_path)
+
+
+class _NoViews:
+    """Stand-in document that fails the test if a node view is asked for."""
+
+    def __init__(self, document):
+        self.store = document.store
+
+    def __len__(self):
+        return len(self.store)
+
+    def __getattr__(self, name):
+        raise AssertionError("the id seam touched document.%s" % name)
+
+
+class TestIdSeam:
+    """Ids in, ids out: what the executor calls between seed and answer."""
+
+    def _without_views(self, backend, monkeypatch):
+        owner = getattr(backend, "_child", backend)
+        monkeypatch.setattr(owner, "_document", _NoViews(owner.document))
+
+    def test_node_ids_with_tag_makes_no_views(self, id_backend, monkeypatch):
+        expected = {
+            tag: [n.node_id for n in id_backend.nodes_with_tag(tag)]
+            for tag in id_backend.document.tags
+        }
+        self._without_views(id_backend, monkeypatch)
+        for tag, ids in expected.items():
+            assert list(id_backend.node_ids_with_tag(tag)) == ids
+        assert len(id_backend.node_ids_with_tag("no-such-tag")) == 0
+
+    def test_tagged_axes_take_ids_and_return_ids(self, id_backend, monkeypatch):
+        document = id_backend.document
+        tags = sorted(document.tags)
+        bases = [node.node_id for node in list(document.nodes())[:40]]
+        expected = {
+            (base, tag): (
+                [n.node_id for n in document.descendants_with_tag(
+                    document.node(base), tag)],
+                [n.node_id for n in document.children_with_tag(
+                    document.node(base), tag)],
+            )
+            for base in bases
+            for tag in tags
+        }
+        views = {base: document.node(base) for base in bases[:5]}
+        self._without_views(id_backend, monkeypatch)
+        for (base, tag), (descendants, children) in expected.items():
+            assert list(id_backend.descendant_ids_with_tag(base, tag)) == descendants
+            assert list(id_backend.child_ids_with_tag(base, tag)) == children
+        # A view is still accepted where an id is expected.
+        for base, view in views.items():
+            for tag in tags:
+                assert list(id_backend.descendant_ids_with_tag(view, tag)) == (
+                    expected[base, tag][0]
+                )
+                assert list(id_backend.child_ids_with_tag(view, tag)) == (
+                    expected[base, tag][1]
+                )
+
+    def test_document_id_axes_share_the_empty_sequence(self, id_backend):
+        document = id_backend.document
+        root = document.node(0)
+        assert document.child_ids_with_tag(root, "no-such-tag") is (
+            document.descendant_ids_with_tag(root, "no-such-tag")
+        )
+
+    @pytest.mark.parametrize("axis", ["ad", "pc"])
+    def test_join_by_ids_matches_per_base_navigation(self, id_backend, axis):
+        """The merge the executor fills a join table with, grouped by base,
+        is the per-base navigation it replaced."""
+        bases = list(id_backend.node_ids_with_tag("article"))
+        pool = id_backend.node_ids_with_tag("paragraph")
+        grouped = {base: [] for base in bases}
+        for base, candidate in id_backend.structural_join_ids(
+                bases, pool, axis=axis):
+            grouped[base].append(candidate)
+        navigate = (id_backend.descendant_ids_with_tag if axis == "ad"
+                    else id_backend.child_ids_with_tag)
+        assert grouped == {
+            base: list(navigate(base, "paragraph")) for base in bases
+        }
+
+    def test_node_resolves_an_id_to_its_view(self, id_backend):
+        for node_id in list(id_backend.node_ids_with_tag("section"))[:5]:
+            node = id_backend.node(node_id)
+            assert (node.node_id, node.tag) == (node_id, "section")
+
+
 class TestColumns:
     def test_columns_byte_identical_to_store(self, backend):
         store = backend.document.store

@@ -2,6 +2,7 @@
 """Profile one end-to-end workload: the "profile before code" rule as one command.
 
     python tools/profile_e2e.py mix_distinct [--seconds N] [--seed S]
+    python tools/profile_e2e.py paper_relax --callers 'document.py:.*.node.$'
 
 Runs ``benchmarks/e2e/run.py --workload <workload> --trace 0`` in this
 process under ``cProfile`` (set-up, ingest and queries alike — everything
@@ -9,6 +10,9 @@ the untraced run measures) and prints the 25 functions with the most
 ``tottime`` and the cumulative ``tottime`` per ``repro.*`` module.  The
 run's own metric lines are suppressed; profiled timings are two to three
 times the unprofiled ones, so read shares, not milliseconds.
+``--callers FUNC`` adds the ``pstats`` callers table of every function
+whose ``file:line(name)`` matches the regular expression ``FUNC`` — "who
+still makes node views" is ``--callers 'document.py:.*.node.$'``.
 """
 
 from __future__ import annotations
@@ -77,6 +81,9 @@ def main():
     parser.add_argument("workload")
     parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--callers", metavar="FUNC",
+                        help="also print who calls the functions matching "
+                             "this regex (pstats print_callers)")
     args = parser.parse_args()
     stats, result = profile(args.workload, args.seconds, args.seed)
     print("# %s seed=%d seconds=%g under cProfile: %d ops attempted, %d failed, "
@@ -84,6 +91,9 @@ def main():
               args.workload, args.seed, args.seconds, result["attempted"],
               result["failed"], result["metrics"]["queries_per_s"]["value"]))
     report(stats)
+    if args.callers:
+        print("\ncallers of %r" % args.callers)
+        stats.strip_dirs().sort_stats("cumulative").print_callers(args.callers)
     return 0 if result["correct"] else 1
 
 
