@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.harness import SIZES, document_for
 from repro.ir import IREngine, InvertedIndex, parse_ftexpr
-from repro.plans import structural_join
+from repro.plans import structural_join_ids
 from repro.backend.stats import DocumentStatistics
 from repro.xmark import generate_document
 from repro.xmltree import dump_document, load_document, parse, to_xml
@@ -60,10 +60,13 @@ def test_micro_statistics(benchmark, document):
 
 
 def test_micro_structural_join(benchmark, document):
-    items = document.nodes_with_tag("item")
-    texts = document.nodes_with_tag("text")
+    store = document.store
+    items = store.node_ids_with_tag("item")
+    texts = store.node_ids_with_tag("text")
 
-    pairs = benchmark(structural_join, items, texts, "ad")
+    pairs = benchmark(
+        structural_join_ids, store.ends, store.levels, items, texts, "ad"
+    )
     benchmark.extra_info["pairs"] = len(pairs)
 
 

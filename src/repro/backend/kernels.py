@@ -15,6 +15,12 @@ nested chain, so the *top* of the stack is the deepest open ancestor and is
 the only possible parent (``level == descendant.level - 1``) — no per-pair
 stack scan is needed.
 
+One kernel is not a merge: :func:`semi_join_ancestor_ids` asks only *whether*
+each ancestor has a match, which the region encoding answers with a binary
+search per ancestor — it beats a merge whenever the descendant pool is not
+much smaller than the ancestor list, because the merge steps through the
+pool in Python and the probe searches it in C.
+
 These functions are part of the :class:`~repro.backend.base.StorageBackend`
 seam: backends may override the protocol's join methods with storage-native
 implementations, and these pure-Python merges are both the reference
@@ -23,7 +29,7 @@ semantics and the default implementation.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 
 def _check_axis(axis):
@@ -101,11 +107,14 @@ def semi_join_descendant_ids(ends, levels, ancestor_ids, descendant_ids,
 
     while d_index < d_len:
         descendant = descendant_ids[d_index]
-        if not stack and a_index < a_len and ancestor_ids[a_index] > descendant:
-            d_index = bisect_left(
-                descendant_ids, ancestor_ids[a_index], lo=d_index + 1
-            )
-            continue
+        if not stack:
+            if a_index == a_len:
+                break  # nothing open, nothing left to open
+            if ancestor_ids[a_index] > descendant:
+                d_index = bisect_left(
+                    descendant_ids, ancestor_ids[a_index], lo=d_index + 1
+                )
+                continue
         while a_index < a_len and ancestor_ids[a_index] < descendant:
             candidate = ancestor_ids[a_index]
             while stack and ends[stack[-1]] <= candidate:
@@ -126,63 +135,51 @@ def semi_join_ancestor_ids(ends, levels, ancestor_ids, descendant_ids,
                            axis="ad"):
     """Ids from ``ancestor_ids`` with at least one joining descendant.
 
-    Matches are collected into a set during the merge and emitted by one
-    ordered filter pass over the input — no pair list, no re-sort.  Once
-    every open ancestor is marked the descendant scan skips ahead to the
-    next unopened candidate.
+    A probe per ancestor, not a merge: the descendants of ``a`` are the
+    slice of the id-sorted ``descendant_ids`` inside ``(a, ends[a])``, so
+    ``ad`` is one binary search plus one compare, and ``pc`` walks that
+    slice skipping the whole subtree of every non-child it meets and stops
+    at the first child.  While the ancestors ascend the search resumes
+    where the previous one ended, and an ancestor that starts before the
+    descendant already found there needs no search at all.  The
+    Python-level work is per *ancestor*, whatever the size of
+    ``descendant_ids``; ``ancestor_ids`` may come in any order and the
+    output keeps it.
     """
     _check_axis(axis)
-    matched = set()
-    stack = []
-    a_index = 0
-    d_index = 0
-    a_len = len(ancestor_ids)
+    kept = []
     d_len = len(descendant_ids)
+    if not d_len:
+        return kept
+    last = descendant_ids[d_len - 1]
     parent_only = axis == "pc"
-
-    while d_index < d_len:
-        descendant = descendant_ids[d_index]
-        if not stack and a_index < a_len and ancestor_ids[a_index] > descendant:
-            d_index = bisect_left(
-                descendant_ids, ancestor_ids[a_index], lo=d_index + 1
-            )
+    index = 0  # the first descendant past ``previous``
+    previous = -1
+    for ancestor in ancestor_ids:
+        if ancestor >= last:
+            continue  # no descendant starts after it
+        if ancestor < previous:
+            index = 0  # not ascending: search from the start again
+        previous = ancestor
+        if descendant_ids[index] <= ancestor:
+            index = bisect_right(descendant_ids, ancestor, index + 1)
+        descendant = descendant_ids[index]
+        end = ends[ancestor]
+        if not parent_only:
+            if descendant < end:
+                kept.append(ancestor)
             continue
-        while a_index < a_len and ancestor_ids[a_index] < descendant:
-            candidate = ancestor_ids[a_index]
-            while stack and ends[stack[-1]] <= candidate:
-                stack.pop()
-            stack.append(candidate)
-            a_index += 1
-        while stack and ends[stack[-1]] <= descendant:
-            stack.pop()
-        if parent_only:
-            if stack:
-                top = stack[-1]
-                if levels[top] + 1 == levels[descendant]:
-                    matched.add(top)
-        else:
-            # Walk deepest-first: when an entry is already matched, every
-            # entry below it was open at that earlier match too.
-            for ancestor in reversed(stack):
-                if ancestor in matched:
-                    break
-                matched.add(ancestor)
-        if (
-            not parent_only
-            and stack
-            and len(matched) == a_index
-            and a_index < a_len
-        ):
-            # Every pushed ancestor already matched: skip to the first
-            # descendant that could open a new candidate.
-            d_index = bisect_left(
-                descendant_ids, ancestor_ids[a_index], lo=d_index + 1
-            )
-            continue
-        d_index += 1
-    if len(matched) == a_len:
-        return list(ancestor_ids)
-    return [node_id for node_id in ancestor_ids if node_id in matched]
+        child_level = levels[ancestor] + 1
+        probe = index
+        while descendant < end:
+            if levels[descendant] == child_level:
+                kept.append(ancestor)
+                break
+            probe = bisect_left(descendant_ids, ends[descendant], probe + 1)
+            if probe == d_len:
+                break
+            descendant = descendant_ids[probe]
+    return kept
 
 
 def max_value_per_ancestor(ends, levels, ancestor_ids, descendant_ids,
@@ -307,17 +304,19 @@ def twig_filter_ids(ends, levels, pools, parents, axes, order):
 
     The TwigStack-style core of the holistic twig operator: instead of a
     pipeline of binary joins materializing intermediate tuple lists, two
-    passes of stack-merge semi-joins over the id-sorted candidate pools
+    passes of semi-joins over the id-sorted candidate pools
     compute, for every twig variable, exactly the nodes participating in
-    at least one complete embedding — no pair list is ever built.
+    at least one complete embedding — no pair list is ever built.  (The
+    bottom-up pass asks an existence question per candidate, so it runs on
+    the probe kernel; the top-down pass is a stack merge.)
 
     ``pools`` maps variable name to an id-sorted id list; ``parents`` maps
     each variable to its twig parent (None at the root); ``axes`` maps each
     non-root variable to its edge axis ("pc"/"ad"); ``order`` lists the
     variables parent-before-child (any topological order of the twig).
 
-    Returns ``{var: id list}`` with every list id-sorted.  Cost is a
-    constant number of linear merges per twig edge — O(Σ pool sizes) per
+    Returns ``{var: id list}`` with every list id-sorted.  Cost is one
+    probe pass and one linear merge per twig edge — O(Σ pool sizes) per
     edge — independent of how many embeddings exist.
     """
     children = {var: [] for var in order}

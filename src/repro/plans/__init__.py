@@ -1,6 +1,12 @@
-"""Join plans: structural join primitive, relaxation-encoded plans,
-cost-model-driven physical lowering, executor."""
+"""Join plans: relaxation-encoded plans, cost-model-driven physical
+lowering, executor; the structural-join id kernels (physical-layer code in
+:mod:`repro.backend.kernels`) are re-exported for the join planners."""
 
+from repro.backend.kernels import (
+    semi_join_ancestor_ids,
+    semi_join_descendant_ids,
+    structural_join_ids,
+)
 from repro.plans.cost import (
     CostModel,
     FeedbackStatistics,
@@ -32,14 +38,6 @@ from repro.plans.plan import (
     build_encoded_plan,
     build_strict_plan,
 )
-from repro.plans.structural_join import (
-    semi_join_ancestor_ids,
-    semi_join_ancestors,
-    semi_join_descendant_ids,
-    semi_join_descendants,
-    structural_join,
-    structural_join_ids,
-)
 
 __all__ = [
     "Alternative",
@@ -66,9 +64,6 @@ __all__ = [
     "order_joins",
     "twig_eligible",
     "semi_join_ancestor_ids",
-    "semi_join_ancestors",
     "semi_join_descendant_ids",
-    "semi_join_descendants",
-    "structural_join",
     "structural_join_ids",
 ]

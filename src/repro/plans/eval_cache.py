@@ -11,7 +11,9 @@ that shared work inside one :class:`~repro.topk.base.QueryContext`:
 - **join** — structural-join candidate sets: one ``base id → candidate
   ids`` table per join signature ``(axis, tag, surviving attr-predicate
   set, pool restriction)``, fetched once per join step and filled for the
-  bases it lacks by one merge;
+  bases it lacks by one merge; a semi-join step keeps ``base id → bool``
+  (has any candidate) under a signature of its own, same budget, flush and
+  counters;
 - **contains** — point ``satisfies``/``score`` probes of the IR engine,
   one ``node id → (satisfied, score)`` table per expression — the same
   context node is checked against the same expression at every level that
@@ -124,11 +126,12 @@ class EvaluationCache:
     # -- join cache (one candidate table per join signature) -----------------
 
     def join_table(self, signature, bases, resolve):
-        """The ``base id → candidate ids`` table covering ``bases``.
+        """The ``base id → candidate ids`` (or ``→ bool``) table covering ``bases``.
 
         ``bases`` is the set of distinct base ids one join step probes;
         ``resolve(sorted missing ids)`` returns the entries the table lacks
-        (every missing id present, ``()`` for no candidates).  Returns the
+        (every missing id present, ``()`` or ``False`` for no candidates —
+        the values are the caller's, the table only keeps them).  Returns the
         table — shared and live, callers only read it — and the number of
         bases that had to be resolved.  The budget counts bases over all
         tables: an insert that would exceed it drops every table first, and

@@ -24,9 +24,12 @@ Both operators work on node ids from seed to collect.  The binary pipeline
 resolves a join's candidates set-at-a-time — one ``base id → candidate
 ids`` table per alternative, filled by one structural merge
 (:meth:`PlanExecutor._candidates`) — and then extends tuple by tuple with a
-dict lookup.  ``backend.node(id)`` is called for an answer, for a
-``contains`` probe the evaluation cache cannot answer, and for an attribute
-predicate while a pool is filtered; nowhere else.
+dict lookup.  A join whose binding nobody reads
+(:meth:`~repro.plans.plan.Plan.existential`) is a semi-join instead: one
+tuple out per tuple in, decided by a ``base id → bool`` table
+(:meth:`PlanExecutor._semi_join`).  ``backend.node(id)`` is called for an
+answer, for a ``contains`` probe the evaluation cache cannot answer, and for
+an attribute predicate while a pool is filtered; nowhere else.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 
 from repro.backend import as_backend
@@ -236,6 +240,34 @@ def _best_per_key(tuples, key_of, scheme):
     return best
 
 
+def _candidates_of(backend, bases, pool, axis):
+    """``base → id-sorted candidate ids`` for sorted ``bases``: one merge."""
+    grouped = {}
+    for base, candidate in backend.structural_join_ids(bases, pool, axis=axis):
+        found = grouped.get(base)
+        if found is None:
+            grouped[base] = [candidate]
+        else:
+            found.append(candidate)
+    filled = dict.fromkeys(bases, ())
+    for base, found in grouped.items():
+        filled[base] = tuple(found)
+    return filled
+
+
+def _always(_base):
+    """The optional round of a semi-join: whatever is left matches."""
+    return True
+
+
+def _has_candidate(backend, bases, pool, axis):
+    """``base → whether it has any candidate``: one probe per base."""
+    filled = dict.fromkeys(bases, False)
+    for base in backend.semi_join_ancestor_ids(bases, pool, axis=axis):
+        filled[base] = True
+    return filled
+
+
 class PlanExecutor:
     """Executes plans against one StorageBackend + IR engine pair.
 
@@ -257,7 +289,8 @@ class PlanExecutor:
         # and join fan-outs recorded during real runs feed the measured cost
         # model.  Only semantically clean measurements are recorded —
         # unrestricted pools without attribute predicates, required
-        # single-alternative joins with non-empty input.
+        # single-alternative joins with non-empty input that enumerate their
+        # matches (a semi-join's output says nothing about fan-out).
         self._feedback = feedback
 
     # -- public entry ---------------------------------------------------------
@@ -368,25 +401,29 @@ class PlanExecutor:
         """The classic pipeline: seed, then extend join by join.
 
         A partial match is a plain 4-tuple ``(bindings, ss, ks, signature)``
-        whose ``bindings`` are node ids in plan order (``None`` where an
-        optional join found nothing or a dead variable was projected away);
-        a node view is made only for a winning answer in :meth:`_collect`,
-        for a ``contains`` probe the cache cannot answer, and for attribute
-        predicates while a pool is filtered.
+        whose ``bindings`` are the node ids of the variables somebody reads,
+        in plan order (``None`` where an optional join found nothing or a
+        dead variable was projected away; an existential join binds
+        nothing); a node view is made only for a winning answer in
+        :meth:`_collect`, for a ``contains`` probe the cache cannot answer,
+        and for attribute predicates while a pool is filtered.
         """
         actuals = {}
         feedback = self._feedback
         var_tags = {plan.root_var: plan.root_tag}
         for join in plan.joins:
             var_tags[join.var] = join.tag
+        existential = self._existential(plan)
         var_positions = {plan.root_var: 0}
-        for index, join in enumerate(plan.joins):
-            var_positions[join.var] = index + 1
+        for join, unread in zip(plan.joins, existential):
+            if not unread:
+                var_positions[join.var] = len(var_positions)
         projections = self._projections(plan, var_positions)
 
         growth_ss, growth_ks, guaranteed_ss, guaranteed_ok = plan.growth_tables()
         prune = k is not None and mode in (SSO_MODE, HYBRID_MODE)
         distinguished_pos = var_positions[plan.distinguished]
+        answer_bound = plan.distinguished == plan.root_var
         sort_key = scheme.sort_key
         score = _Score()
 
@@ -423,13 +460,18 @@ class PlanExecutor:
             if checkpoint is not None:
                 checkpoint()
             bases = len(tuples)
+            step = self._semi_join if existential[index] else self._extend
             with tracer.span("extend"):
-                tuples = self._extend(
+                tuples = step(
                     run, join, tuples, var_positions, stats, checkpoint
                 )
             if record:
-                actuals[("binary-join", join.var)] = len(tuples)
+                actuals[(
+                    "semi-join" if existential[index] else "binary-join",
+                    join.var,
+                )] = len(tuples)
             if (feedback is not None
+                    and not existential[index]
                     and bases > 0
                     and len(join.alternatives) == 1
                     and not join.optional
@@ -455,11 +497,12 @@ class PlanExecutor:
             with tracer.span("project"):
                 tuples = self._project(tuples, projections[index], scheme)
             position = index + 1
+            answer_bound = answer_bound or join.var == plan.distinguished
 
             if prune:
                 # Register guarantees, then prune against the threshold.
                 with tracer.span("prune"):
-                    if guaranteed_ok[position] and distinguished_pos <= position:
+                    if guaranteed_ok[position] and answer_bound:
                         # (An answer node not bound yet has no safe key.)
                         sure_ss = guaranteed_ss[position]
                         for bindings, ss, ks, _signature in tuples:
@@ -768,31 +811,23 @@ class PlanExecutor:
         stats.tuples_produced += len(tuples)
         return tuples
 
-    def _candidates(self, run, join, axis, bases):
+    def _candidates(self, run, join, axis, bases, exists=False):
         """``base id → candidate ids`` for one alternative of one join.
 
         Resolved set-at-a-time: the bases the cached table for this join
         signature lacks are merged in one pass against the join variable's
-        pool and grouped by base; candidates come out id-sorted.  Returns
-        the table and how many bases had to be resolved.
+        pool and grouped by base; candidates come out id-sorted.  With
+        ``exists`` the table is ``base id → bool`` — whether the base has
+        any candidate — filled by one probe per missing base.  Returns the
+        table and how many bases had to be resolved.
         """
         allowed = run.pools.get(join.var)
         cache = run.cache
+        fill = _has_candidate if exists else _candidates_of
 
         def resolve(missing):
             pool = self._pool(join.tag, join.attr_predicates, allowed, cache)
-            grouped = {}
-            for base, candidate in self._backend.structural_join_ids(
-                    missing, pool, axis=axis):
-                found = grouped.get(base)
-                if found is None:
-                    grouped[base] = [candidate]
-                else:
-                    found.append(candidate)
-            filled = dict.fromkeys(missing, ())
-            for base, found in grouped.items():
-                filled[base] = tuple(found)
-            return filled
+            return fill(self._backend, missing, pool, axis)
 
         if cache is None:
             return resolve(sorted(bases)), 0
@@ -800,9 +835,20 @@ class PlanExecutor:
         # surviving filters — the canonical join signature shared across
         # relaxation levels.
         signature = (
-            axis, join.tag, join.attr_predicates, restriction_key(allowed)
+            axis, join.tag, join.attr_predicates, restriction_key(allowed),
+            exists,
         )
         return cache.join_table(signature, bases, resolve)
+
+    @staticmethod
+    def _bound_bases(tuples, position):
+        """The distinct ids bound at ``position``, and how many tuples bind one."""
+        bases = {item[0][position] for item in tuples}
+        probes = len(tuples)
+        if None in bases:
+            bases.discard(None)
+            probes = sum(1 for item in tuples if item[0][position] is not None)
+        return bases, probes
 
     def _extend(self, run, join, tuples, var_positions, stats, checkpoint):
         steps = []
@@ -810,13 +856,7 @@ class PlanExecutor:
         extension = partial(_Extension, run.signatures)
         for alt_index, alt in enumerate(join.alternatives):
             position = var_positions[alt.connect_var]
-            bases = {item[0][position] for item in tuples}
-            probes = len(tuples)
-            if None in bases:
-                bases.discard(None)
-                probes = sum(
-                    1 for item in tuples if item[0][position] is not None
-                )
+            bases, probes = self._bound_bases(tuples, position)
             table, resolved = self._candidates(run, join, alt.axis, bases)
             hits += probes - resolved
             misses += resolved
@@ -871,6 +911,71 @@ class PlanExecutor:
                 else:
                     stats.tuples_failed += 1
             stats.tuples_produced += len(out) - produced
+        return out
+
+    def _semi_join(self, run, join, tuples, var_positions, stats, checkpoint):
+        """An existential join: exactly one tuple out per surviving input.
+
+        Nobody reads the binding, so all that matters per input is the
+        first alternative under which *any* candidate exists — Figure 8's
+        "``c(section, algorithm)`` or if not … then ``d(article,
+        algorithm)``".  Alternatives are best-first with non-increasing
+        ``delta``, every tuple :meth:`_extend` would emit for one input
+        shares its live key and keyword score, and ties keep the earlier
+        tuple: the one emitted here is the one the projection would have
+        kept.  Alternative *j* is resolved only for the bases of inputs
+        alternatives ``< j`` left unmatched; the bindings stay as they are.
+        """
+        rounds = [
+            (var_positions[alt.connect_var], alt.axis, alt.delta, alt_index)
+            for alt_index, alt in enumerate(join.alternatives)
+        ]
+        if join.optional:
+            # Whatever no alternative matched survives unbound: a last round
+            # without an axis, which matches everything.
+            rounds.append((0, None, join.optional_delta, -1))
+        out = [None] * len(tuples)
+        pending = tuples  # the inputs no round has matched yet, in order ...
+        slots = range(len(tuples))  # ... and where each one's output goes
+        hits = misses = 0
+        for position, axis, delta, alt_index in rounds:
+            if not pending:
+                break
+            if axis is None:
+                matches = _always
+            else:
+                bases, probes = self._bound_bases(pending, position)
+                table, resolved = self._candidates(
+                    run, join, axis, bases, exists=True
+                )
+                hits += probes - resolved
+                misses += resolved
+                # No table when no input binds a base; None is in no table.
+                matches = (table or {}).get
+            extended = _Extension(run.signatures, (join.var, alt_index))
+            unmatched = []
+            unmatched_slots = []
+            pairs = zip(slots, pending)
+            for done in range(0, len(pending), CHECKPOINT_STRIDE):
+                if done and checkpoint is not None:
+                    checkpoint()
+                for slot, item in islice(pairs, CHECKPOINT_STRIDE):
+                    bindings, ss, ks, signature = item
+                    if matches(bindings[position]):
+                        out[slot] = (
+                            bindings, ss + delta, ks, extended[signature]
+                        )
+                    else:
+                        unmatched.append(item)
+                        unmatched_slots.append(slot)
+            pending = unmatched
+            slots = unmatched_slots
+        if run.cache is not None:
+            run.cache.count_join_probes(hits, misses)
+        if pending:
+            stats.tuples_failed += len(pending)
+            out = [item for item in out if item is not None]
+        stats.tuples_produced += len(out)
         return out
 
     def _apply_checks(self, run, plan, var, tuples, var_positions, stats,
@@ -973,47 +1078,27 @@ class PlanExecutor:
     # -- projection -------------------------------------------------------------
 
     @staticmethod
-    def _liveness(plan):
-        """Per join position, the variables still referenced afterwards.
+    def _existential(plan):
+        """Per join, whether it runs as a semi-join — the one place that decides."""
+        return plan.existential()
 
-        A variable is live after join ``i`` when a later join's alternative
-        connects through it, a later contains check reads it, or the answer
-        node may come from it (distinguished variable and its fallback
-        chain). Dead variables are projected away so tuples that differ
-        only in exhausted branches collapse — without this, relaxed plans
-        enumerate the cross product of every branch's matches.
-        """
-        needed = {plan.distinguished}
-        needed.update(plan.fallback_chain)
-        needed.add(plan.root_var)
-        live = [None] * len(plan.joins)
-        acc = set(needed)
-        for index in range(len(plan.joins) - 1, -1, -1):
-            live[index] = frozenset(acc)
-            join = plan.joins[index]
-            for alt in join.alternatives:
-                acc.add(alt.connect_var)
-            for check in plan.checks_by_var.get(join.var, ()):
-                for level in check.levels:
-                    acc.add(level.var)
-            acc.add(join.var)
-        return live
-
-    @classmethod
-    def _projections(cls, plan, var_positions):
+    @staticmethod
+    def _projections(plan, var_positions):
         """Per join, the live binding positions to key on — or ``None``.
 
-        ``None`` marks a join after which no bound variable dies.  Tuples
-        are pairwise distinct on their live bindings at every point of the
-        pipeline (seeds are distinct nodes; a join appends distinct
-        candidates to distinct inputs; a projection keeps one tuple per
-        key), so with nothing dying every key is unique and
-        :meth:`_project` has nothing to do.
+        ``None`` marks a join after which no bound variable dies (an
+        existential join's variable has no position: it is never bound).
+        Tuples are pairwise distinct on their live bindings at every point
+        of the pipeline (seeds are distinct nodes; a join appends distinct
+        candidates to distinct inputs; a semi-join emits one tuple per
+        input; a projection keeps one tuple per key), so with nothing dying
+        every key is unique and :meth:`_project` has nothing to do.
         """
         projections = []
         alive = {0}
-        for index, live in enumerate(cls._liveness(plan)):
-            alive.add(index + 1)
+        for join, live in zip(plan.joins, plan.live_after()):
+            if join.var in var_positions:
+                alive.add(var_positions[join.var])
             keep = {
                 var_positions[var] for var in live if var in var_positions
             } & alive

@@ -15,10 +15,13 @@ The operator vocabulary:
   scan plus attribute/restriction filters);
 - ``binary-join`` — extend the intermediate tuple list across one
   :class:`~repro.plans.plan.PlanJoin` (the classic pipeline step; carries
-  semi-join projection and liveness collapsing inside the executor);
+  liveness collapsing inside the executor);
+- ``semi-join`` — the same step for a join whose binding nobody reads
+  (:meth:`~repro.plans.plan.Plan.existential`): one tuple out per tuple in,
+  the first alternative with any candidate wins, nothing is enumerated;
 - ``contains-filter`` — apply one variable's ``contains`` checks;
 - ``twig-join`` — the holistic operator: match the *entire* twig in a
-  constant number of stack-merge passes over the id-sorted pools
+  constant number of passes over the id-sorted pools
   (TwigStack-family; kernel in :mod:`repro.backend.kernels`), no
   intermediate pair lists at all.
 
@@ -55,7 +58,8 @@ class OperatorEstimate:
     ``explain --analyze`` can print them side by side.
     """
 
-    kind: str  # "seed-scan" | "binary-join" | "twig-join" | "contains-filter"
+    # "seed-scan" | "binary-join" | "semi-join" | "twig-join" | "contains-filter"
+    kind: str
     var: str
     detail: str
     estimate: float
@@ -183,6 +187,7 @@ def _operator_estimates(plan, operator, cost_model):
             )
     else:
         pipeline = cost_model.estimate_pipeline(plan)
+        existential = plan.existential()
         out.append(
             OperatorEstimate(
                 kind="seed-scan",
@@ -196,16 +201,20 @@ def _operator_estimates(plan, operator, cost_model):
                 "%s(%s)" % (alt.axis, alt.connect_var)
                 for alt in join.alternatives
             )
+            estimate = pipeline[index + 1]
+            if existential[index]:
+                # One tuple out per tuple in, at most.
+                estimate = min(estimate, out[-1].estimate)
             out.append(
                 OperatorEstimate(
-                    kind="binary-join",
+                    kind="semi-join" if existential[index] else "binary-join",
                     var=join.var,
                     detail="%s tag=%s%s" % (
                         axes,
                         join.tag or "*",
                         " optional" if join.optional else "",
                     ),
-                    estimate=pipeline[index + 1],
+                    estimate=estimate,
                 )
             )
     for var, checks in sorted(plan.checks_by_var.items()):

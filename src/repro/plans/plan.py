@@ -113,6 +113,56 @@ class Plan:
     def join_count(self):
         return len(self.joins)
 
+    # -- who reads a binding (projection and semi-joins key on this) ---------
+
+    def live_after(self):
+        """Per join position, the variables still referenced afterwards.
+
+        A variable is live after join ``i`` when a later join's alternative
+        connects through it, a later contains check reads it, or the answer
+        node may come from it (distinguished variable and its fallback
+        chain). Dead variables are projected away so tuples that differ
+        only in exhausted branches collapse — without this, relaxed plans
+        enumerate the cross product of every branch's matches.
+        """
+        acc = {self.distinguished, self.root_var}
+        acc.update(self.fallback_chain)
+        live = [None] * len(self.joins)
+        for index in range(len(self.joins) - 1, -1, -1):
+            live[index] = frozenset(acc)
+            join = self.joins[index]
+            for alt in join.alternatives:
+                acc.add(alt.connect_var)
+            for check in self.checks_by_var.get(join.var, ()):
+                for level in check.levels:
+                    acc.add(level.var)
+            acc.add(join.var)
+        return live
+
+    def existential(self):
+        """Per join, whether nobody ever reads the binding it makes.
+
+        True for a variable that is dead the moment it is bound: no join
+        connects through it, no ``contains`` level reads it (a check's
+        first level is the variable it is attached to) and no answer can
+        come from it — a pattern leaf that is not the distinguished node.
+        That is "not in :meth:`live_after` at its own join, and no check of
+        its own", in one pass: every plan of every level is lowered at
+        compile time.  Such a join only asks *whether* a match exists
+        (Figure 8's "``c(section, algorithm)`` or if not … then
+        ``d(article, algorithm)``"), so the executor runs it as a semi-join
+        and the lowering names it one.
+        """
+        read = {self.distinguished, self.root_var, *self.fallback_chain}
+        for join in self.joins:
+            for alt in join.alternatives:
+                read.add(alt.connect_var)
+        for checks in self.checks_by_var.values():
+            for check in checks:
+                for level in check.levels:
+                    read.add(level.var)
+        return tuple(join.var not in read for join in self.joins)
+
     # -- static score-bound tables (used for threshold pruning, §5.2.2) ------
 
     def growth_tables(self):
@@ -264,6 +314,11 @@ def build_encoded_plan(schedule, level):
     for entry in schedule.entries[1 : level + 1]:
         step = entry.step
         before = schedule.entries[entry.index - 1].query
+        # Every derivation scores at most what it was derived from, so each
+        # chain below comes out best-first with non-increasing deltas — the
+        # executor's semi-join step takes the first alternative that matches
+        # for the best one.
+        assert step.penalty >= 0, step
         if step.operator == GAMMA:
             var = step.target
             last = alternatives[var][-1]

@@ -2,7 +2,10 @@
 
 ``binary_pipeline_recording.json`` was written by this module's
 :func:`record` at the commit *before* the binary pipeline moved from node
-views to node ids (``python -m tests.plans.test_binary_differential`` there).
+views to node ids (``python -m tests.plans.test_binary_differential`` there),
+and written again when existential joins became semi-joins: against the
+first recording that change moved ``tuples_produced`` (down, in 309 plan runs
+of 16 queries) and nothing else in any of the 525 runs.
 It holds, for one seeded XMark document and a fixed query list — the paper's
 Q1–Q3, seeded :class:`~repro.workload.WorkloadGenerator` patterns, and
 hand-written wildcard / attribute-predicate / ``contains`` queries — what

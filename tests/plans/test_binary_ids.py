@@ -3,6 +3,8 @@ candidate resolution per join alternative, no projection where nothing dies,
 and a deadline noticed inside a join — counted in calls and tuples, never
 in wall-clock time."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.backend import as_backend
@@ -12,6 +14,7 @@ from repro.plans import (
     HYBRID_MODE,
     SSO_MODE,
     STRICT,
+    Alternative,
     PlanExecutor,
     build_encoded_plan,
     build_strict_plan,
@@ -24,8 +27,9 @@ from repro.topk.base import QueryContext
 from repro.xmark import PAPER_Q1, PAPER_Q2, generate_document
 from repro.xmltree import parse
 
-NAVIGATION = (
-    "structural_join_ids",
+#: The two kernels a join step may call, then everything per-base.
+KERNELS = ("structural_join_ids", "semi_join_ancestor_ids")
+NAVIGATION = KERNELS + (
     "children",
     "children_with_tag",
     "child_ids_with_tag",
@@ -83,15 +87,22 @@ class TestOneResolutionPerAlternative:
         result = context.executor.run(plan, k=10, mode=mode)
         assert result.stats.tuples_produced > 20 * alternatives
         assert 0 < sum(calls.values()) <= alternatives
-        assert sum(calls.values()) == calls["structural_join_ids"]
+        assert sum(calls.values()) == sum(calls[name] for name in KERNELS)
 
     def test_uncached_executor_is_bounded_the_same_way(self, doc, monkeypatch):
+        """One kernel call per alternative actually needed — a merge where
+        the binding is read, a probe pass where it is not — and no per-base
+        navigation."""
         backend = as_backend(doc)
         plan = build_strict_plan(parse_query(PAPER_Q2), UNIFORM_WEIGHTS)
         calls = count_calls(monkeypatch, backend, NAVIGATION)
         result = PlanExecutor(backend).run(plan)
         assert result.answers
         assert sum(calls.values()) == len(plan.joins)
+        existential = sum(plan.existential())
+        assert 0 < existential < len(plan.joins)
+        assert calls["semi_join_ancestor_ids"] == existential
+        assert calls["structural_join_ids"] == len(plan.joins) - existential
 
 
 class TestProjection:
@@ -174,6 +185,64 @@ class TestDeadlineInsideAJoin:
             executor.run(plan, checkpoint=checkpoint)
         joined = stats_seen[-1].tuples_produced - self.FAN  # minus the seeds
         assert 0 < joined <= self.STRIDE
+
+    @pytest.mark.parametrize("inner, rounds", [("<b/>", 1), ("<x><b/></x>", 2)])
+    def test_semi_join_overshoot_is_at_most_one_stride(
+            self, stats_seen, monkeypatch, inner, rounds):
+        """The step decides per input with one table lookup: count the
+        lookups made once the deadline has passed — while the probe kernel
+        of the deciding alternative ran (the second document's <b> are
+        grandchildren: ``pc`` matches nothing, then ``ad`` everything)."""
+        backend = as_backend(
+            parse("<r>%s</r>" % (("<a>%s</a>" % inner) * self.FAN))
+        )
+        plan = build_strict_plan(parse_query("//a[./b]"), UNIFORM_WEIGHTS)
+        join, = plan.joins
+        relaxed = Alternative("$1", "ad", 0.5, "γ")
+        plan = replace(plan, joins=(
+            replace(join, alternatives=join.alternatives + (relaxed,)),
+        ))
+        assert plan.existential() == (True,)
+        kernel_calls = []
+        late_lookups = []
+        probe = backend.semi_join_ancestor_ids
+        fill = executor_module._has_candidate
+
+        def counted_probe(*args, **kwargs):
+            kernel_calls.append(True)
+            return probe(*args, **kwargs)
+
+        class Watched(dict):
+            def get(self, base):
+                if len(kernel_calls) >= rounds:
+                    late_lookups.append(base)
+                return super().get(base)
+
+        def checkpoint():
+            if len(kernel_calls) >= rounds:
+                raise QueryTimeoutError("query exceeded its deadline")
+
+        monkeypatch.setattr(backend, "semi_join_ancestor_ids", counted_probe)
+        monkeypatch.setattr(
+            executor_module, "_has_candidate",
+            lambda *args: Watched(fill(*args)),
+        )
+        executor = PlanExecutor(backend)
+        bare = executor.run(plan)
+        assert len(bare.answers) == self.FAN
+        assert len(kernel_calls) == rounds
+        assert len(late_lookups) == self.FAN
+        del kernel_calls[:], late_lookups[:]
+        with pytest.raises(QueryTimeoutError):
+            executor.run(plan, checkpoint=checkpoint)
+        assert 0 < len(late_lookups) <= self.STRIDE
+        # A checkpoint that never fires is called at every stride boundary
+        # of every round (plus run entry and the join) and changes nothing.
+        calls = []
+        monkeypatch.setattr(executor_module, "_has_candidate", fill)
+        checked = executor.run(plan, checkpoint=lambda: calls.append(1))
+        assert checked.stats == bare.stats
+        assert len(calls) == 2 + rounds * (-(-self.FAN // self.STRIDE) - 1)
 
     def test_checks_overshoot_is_at_most_one_stride(self, backend, stats_seen):
         probes_after_deadline = []

@@ -247,14 +247,15 @@ class TestExecutorIntegration:
         plan = build_strict_plan(parse_query(QUERY), context.weights)
         calls = count_calls(monkeypatch, context.backend, NAVIGATION)
         context.executor.run(plan)
-        assert sum(calls.values()) == calls["structural_join_ids"] == len(
-            plan.joins
-        )
+        # One kernel call per alternative needed: a merge for section (its
+        # contains check reads the node), a probe pass for the paragraph leaf.
+        assert sum(calls.values()) == len(plan.joins) == 2
+        assert calls["structural_join_ids"] == calls["semi_join_ancestor_ids"] == 1
         cold = context.eval_cache.metrics_snapshot()
         result = context.executor.run(plan)
         warm = context.eval_cache.metrics_snapshot()
         assert result.answers
-        # Every join table already covers every base: no merge, no navigation.
+        # Every join table already covers every base: no kernel, no navigation.
         assert sum(calls.values()) == len(plan.joins)
         for kind in ("pool", "join", "contains"):
             assert warm["eval_cache.%s.hits" % kind] > cold[
