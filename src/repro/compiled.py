@@ -49,11 +49,7 @@ class CompiledQuery:
     measures.
 
     Instances hash and compare by identity; the cache key lives in
-    :func:`cached_compile`, not on the artifact.  Picklable: it is the
-    unit the sharded scatter path ships to worker processes (the schedule
-    drops its penalty model in transit, see
-    ``RelaxationSchedule.__getstate__`` — workers only execute prebuilt
-    plans and read per-level scores, both materialized here).
+    :func:`cached_compile`, not on the artifact.
     """
 
     tpq: object
@@ -172,8 +168,8 @@ def cached_compile(context, producer, query, max_relaxations,
                    skip_useless_gamma):
     """Probe ``context.plan_cache``; on a miss run ``producer`` and store.
 
-    The one probe-compile-store path behind ``QueryContext.compile`` and
-    ``ShardedQueryContext.compile``.  The key is the compile request plus
+    The one probe-compile-store path behind ``QueryContext.compile`` (which
+    the sharded coordinator inherits).  The key is the compile request plus
     the cost model's fingerprint, fenced by the backend version: a grown
     corpus can never be answered with plans whose penalties were derived
     from stale statistics, and a different (or ``refresh()``-ed) cost

@@ -98,26 +98,20 @@ class Engine:
                  result_cache_size=None, plan_cache_size=None):
         self.backend = as_backend(source)
         if self.backend.document is None:
-            # A sharded backend has no unified node table: queries go
-            # through the scatter-gather coordinator, which presents the
-            # same context/strategy surface to sessions and caches.
-            from repro.sharding import ShardedQueryContext, ShardedStrategy
+            # A sharded backend has no unified node table: the coordinator
+            # context lists one source per shard, and the same strategies
+            # scatter their plans over them.
+            from repro.sharding import ShardedQueryContext
 
-            self.context = ShardedQueryContext(
-                self.backend, weights=weights,
-                plan_cache_size=plan_cache_size,
-            )
-            self.algorithms = {
-                name: ShardedStrategy(cls, self.context)
-                for name, cls in _ALGORITHMS.items()
-            }
+            context_cls = ShardedQueryContext
         else:
-            self.context = QueryContext(
-                self.backend, weights=weights, plan_cache_size=plan_cache_size
-            )
-            self.algorithms = {
-                name: cls(self.context) for name, cls in _ALGORITHMS.items()
-            }
+            context_cls = QueryContext
+        self.context = context_cls(
+            self.backend, weights=weights, plan_cache_size=plan_cache_size
+        )
+        self.algorithms = {
+            name: cls(self.context) for name, cls in _ALGORITHMS.items()
+        }
         if cache:
             self.result_cache = ResultCache(result_cache_size)
             self.backend.subscribe(self._on_backend_growth)

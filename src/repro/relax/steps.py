@@ -220,19 +220,6 @@ class RelaxationSchedule:
         """Number of relaxation levels beyond the original query."""
         return len(self.entries) - 1
 
-    def __getstate__(self):
-        # The penalty model holds the backend (and its thread lock), which
-        # cannot cross a process boundary.  Everything the schedule serves
-        # after construction — levels, cumulative penalties, base score —
-        # is already materialized, so ship the schedule without it (the
-        # sharded scatter path pickles CompiledQuery artifacts to workers).
-        state = dict(self.__dict__)
-        state["penalty_model"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     def level(self, index):
         return self.entries[index]
 

@@ -18,142 +18,64 @@ pattern, where most elements satisfy it) the filtering is pure overhead —
 the trade-off the paper predicted, measurable with
 ``benchmarks/bench_ablation_ir_first.py``.
 
-Stateless: satisfier sets live in the context's shared (locked)
-:class:`~repro.plans.eval_cache.EvaluationCache`, everything else per
-query in the :class:`~repro.topk.base.ExecutionSession`.
+The walk itself is :meth:`repro.topk.dpo.DPO.execute`; this module only
+supplies the per-source restriction.  Satisfier sets are in the source's
+own node ids and live in that source's shared (locked)
+:class:`~repro.plans.eval_cache.EvaluationCache`.
 """
 
 from __future__ import annotations
 
-from repro.obs.tracer import NULL_TRACER
-from repro.plans.executor import STRICT
-from repro.rank.schemes import STRUCTURE_FIRST, rank_answers
-from repro.rank.scores import AnswerScore, ScoredAnswer
-from repro.topk.base import (
-    ExecutionSession,
-    TopKResult,
-    begin_topk_metrics,
-    combined_level_cutoff,
-    record_topk_metrics,
-)
+from repro.topk.dpo import DPO
 
 
-class IRFirstDPO:
+class IRFirstDPO(DPO):
     """DPO with contains-satisfier pre-filtering from the inverted index."""
 
     name = "IRFirstDPO"
 
-    def __init__(self, context):
-        self._context = context
-
-    def _satisfiers(self, ftexpr, tag):
-        """Node ids (with the given tag) whose subtree satisfies ``ftexpr``.
-
-        The set lives in the context's shared :class:`EvaluationCache`
-        (``satisfiers`` sub-cache), so it survives across queries, is
-        shared with any other strategy asking the same question, and is
-        invalidated when the corpus grows — the strategy-private dict this
-        replaced was never invalidated.
-        """
-        context = self._context
-
-        def compute():
-            ir = context.ir
-            backend = context.backend
-            if tag is None:
-                pool = backend.nodes()
-            else:
-                pool = backend.nodes_with_tag(tag)
-            return frozenset(
-                node.node_id for node in pool if ir.satisfies(node, ftexpr)
+    def _source_arguments(self, session, query):
+        arguments = super()._source_arguments(session, query)
+        with session.tracer.span("ir_filter"):
+            arguments["pool_restrictions"] = _restrictions_for(
+                session.context, query
             )
+        return arguments
 
-        return context.eval_cache.satisfier_set((ftexpr, tag), compute)
 
-    def _restrictions_for(self, query):
-        restrictions = {}
-        for predicate in query.contains:
-            satisfiers = self._satisfiers(
-                predicate.ftexpr, query.tag_of(predicate.var)
-            )
-            current = restrictions.get(predicate.var)
-            if current is None:
-                restrictions[predicate.var] = satisfiers
-            else:
-                restrictions[predicate.var] = current & satisfiers
-        return restrictions
+def _satisfiers(context, ftexpr, tag):
+    """Node ids (with the given tag) whose subtree satisfies ``ftexpr``.
 
-    def top_k(self, query, k, scheme=STRUCTURE_FIRST, max_relaxations=None,
-              tracer=NULL_TRACER, control=None):
-        context = self._context
-        metrics_token = begin_topk_metrics(context)
-        with tracer.span("compile"):
-            compiled = context.compile(query, max_relaxations=max_relaxations)
-        session = ExecutionSession(context, tracer=tracer, control=control)
-        with tracer.span("execute"):
-            result = self.execute(compiled, session, k, scheme)
-        return record_topk_metrics(context, result, metrics_token)
+    The set lives in the source context's shared :class:`EvaluationCache`
+    (``satisfiers`` sub-cache), so it survives across queries, is shared
+    with any other strategy asking the same question, and is invalidated
+    when the corpus grows.
+    """
 
-    def execute(self, compiled, session, k, scheme=STRUCTURE_FIRST):
-        """DPO's level walk with per-level IR pre-filtering (stateless)."""
-        schedule = compiled.schedule
-        contains_count = compiled.contains_count()
-
-        cutoff = len(schedule)
-        reached_level = None
-
-        for level in range(len(schedule) + 1):
-            if level > cutoff:
-                break
-            entry = schedule.level(level)
-            plan = compiled.strict_physical(level)
-            with session.tracer.span("ir_filter"):
-                restrictions = self._restrictions_for(entry.query)
-            result = session.run_plan(
-                plan,
-                "level %d" % level,
-                mode=STRICT,
-                pool_restrictions=restrictions,
-                exclude_answer_ids=session.seen,
-            )
-
-            level_score = schedule.structural_score(level)
-            fresh = []
-            for answer in result.answers:
-                if answer.node_id in session.seen:
-                    continue
-                session.seen.add(answer.node_id)
-                fresh.append(
-                    ScoredAnswer(
-                        node=answer.node,
-                        score=AnswerScore(level_score, answer.score.keyword),
-                        relaxation_level=level,
-                        satisfied=answer.satisfied,
-                    )
-                )
-            fresh.sort(key=lambda a: scheme.sort_key(a.score), reverse=True)
-            session.collected.extend(fresh)
-
-            if len(session.collected) >= k and reached_level is None:
-                reached_level = level
-                if scheme.requires_all_relaxations:
-                    cutoff = len(schedule)
-                elif scheme.keyword_headroom(contains_count) > 0:
-                    cutoff = combined_level_cutoff(
-                        schedule, reached_level, contains_count
-                    )
-                else:
-                    cutoff = level
-
-        answers = rank_answers(session.collected, scheme, k)
-        return TopKResult(
-            algorithm=self.name,
-            query=compiled.tpq,
-            k=k,
-            scheme=scheme,
-            answers=answers,
-            relaxations_used=session.levels_evaluated - 1,
-            levels_evaluated=session.levels_evaluated,
-            stats=session.stats,
-            traces=session.traces,
+    def compute():
+        ir = context.ir
+        backend = context.backend
+        if tag is None:
+            pool = backend.nodes()
+        else:
+            pool = backend.nodes_with_tag(tag)
+        return frozenset(
+            node.node_id for node in pool if ir.satisfies(node, ftexpr)
         )
+
+    return context.eval_cache.satisfier_set((ftexpr, tag), compute)
+
+
+def _restrictions_for(context, query):
+    """Per-variable satisfier sets for one level's query on one source."""
+    restrictions = {}
+    for predicate in query.contains:
+        satisfiers = _satisfiers(
+            context, predicate.ftexpr, query.tag_of(predicate.var)
+        )
+        current = restrictions.get(predicate.var)
+        if current is None:
+            restrictions[predicate.var] = satisfiers
+        else:
+            restrictions[predicate.var] = current & satisfiers
+    return restrictions

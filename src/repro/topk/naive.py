@@ -11,78 +11,23 @@ what DPO's bookkeeping and SSO's single-plan encoding buy:
 
 - every schedule level is evaluated in full (no early stop at K);
 - no answer-id memory across levels — the containment-implied duplicates
-  are recomputed at every level and deduplicated only at the end;
+  are recomputed at every level and a node keeps its best-scoring
+  appearance;
 - all answers are collected and sorted once, at the end.
 
-Stateless like its siblings: plans come prebuilt from the
-:class:`~repro.compiled.CompiledQuery`, per-query state rides the
-:class:`~repro.topk.base.ExecutionSession`.
+It is :meth:`repro.topk.dpo.DPO.execute` with the answer memory switched
+off.  (Over several sources the scatter's ceiling rule still retires a
+source that can no longer reach the top K — that is the coordinator's
+saving, not the strategy's.)
 """
 
 from __future__ import annotations
 
-from repro.obs.tracer import NULL_TRACER
-from repro.plans.executor import STRICT
-from repro.rank.schemes import STRUCTURE_FIRST, rank_answers
-from repro.rank.scores import AnswerScore, ScoredAnswer
-from repro.topk.base import (
-    ExecutionSession,
-    TopKResult,
-    begin_topk_metrics,
-    record_topk_metrics,
-)
+from repro.topk.dpo import DPO
 
 
-class NaiveRewriting:
+class NaiveRewriting(DPO):
     """Evaluate every relaxation in full; sort everything at the end."""
 
     name = "NaiveRewriting"
-
-    def __init__(self, context):
-        self._context = context
-
-    def top_k(self, query, k, scheme=STRUCTURE_FIRST, max_relaxations=None,
-              tracer=NULL_TRACER, control=None):
-        context = self._context
-        metrics_token = begin_topk_metrics(context)
-        with tracer.span("compile"):
-            compiled = context.compile(query, max_relaxations=max_relaxations)
-        session = ExecutionSession(context, tracer=tracer, control=control)
-        with tracer.span("execute"):
-            result = self.execute(compiled, session, k, scheme)
-        return record_topk_metrics(context, result, metrics_token)
-
-    def execute(self, compiled, session, k, scheme=STRUCTURE_FIRST):
-        """Evaluate every level in full over the compiled artifact."""
-        schedule = compiled.schedule
-
-        collected = {}
-        for level in range(len(schedule) + 1):
-            plan = compiled.strict_physical(level)
-            result = session.run_plan(plan, "level %d" % level, mode=STRICT)
-            level_score = schedule.structural_score(level)
-            for answer in result.answers:
-                scored = ScoredAnswer(
-                    node=answer.node,
-                    score=AnswerScore(level_score, answer.score.keyword),
-                    relaxation_level=level,
-                    satisfied=answer.satisfied,
-                )
-                current = collected.get(answer.node_id)
-                if current is None or scheme.sort_key(scored.score) > scheme.sort_key(
-                    current.score
-                ):
-                    collected[answer.node_id] = scored
-
-        answers = rank_answers(collected.values(), scheme, k)
-        return TopKResult(
-            algorithm=self.name,
-            query=compiled.tpq,
-            k=k,
-            scheme=scheme,
-            answers=answers,
-            relaxations_used=len(schedule),
-            levels_evaluated=session.levels_evaluated,
-            stats=session.stats,
-            traces=session.traces,
-        )
+    _remembers_answers = False

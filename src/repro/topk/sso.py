@@ -1,4 +1,5 @@
-"""SSO — Static Selectivity Order (§5.1.2, Algorithm 1).
+"""SSO — Static Selectivity Order (§5.1.2, Algorithm 1), and the one
+encoded-plan loop.
 
 SSO never evaluates intermediate relaxation levels: it uses the selectivity
 estimator to decide statically how many of the cheapest relaxations must be
@@ -10,33 +11,37 @@ kept **sorted on score** — the re-sorting cost that motivates Hybrid.
 When the estimate was optimistic and fewer than K answers come back,
 SSO restarts with more relaxations encoded (Algorithm 1, lines 11-13).
 
+:meth:`SSO.execute` is the only encoded-plan loop in the package (Hybrid
+is this class with the executor's bucket mode).  It runs the plan on every
+source of the context through a :class:`~repro.topk.base.Scatter` and
+restarts all of them together while the merged count stays under K: the
+executor's threshold pruning never returns fewer than ``min(K, true
+count)`` answers per source, so the sum over sources reaches K exactly
+when one unsharded run would.  There is no round after the count reaches
+K, hence no K-th score to bound against — retiring sources is a property
+of the level walk.
+
 Like every strategy, SSO is stateless: per-query state lives in the
-:class:`~repro.topk.base.ExecutionSession`, plans in the immutable
-:class:`~repro.compiled.CompiledQuery`.
+scatter's per-source :class:`~repro.topk.base.ExecutionSession`, plans in
+the immutable :class:`~repro.compiled.CompiledQuery`.
 """
 
 from __future__ import annotations
 
-from repro.obs.tracer import NULL_TRACER
 from repro.plans.executor import SSO_MODE
 from repro.rank.schemes import STRUCTURE_FIRST, rank_answers
-from repro.topk.base import (
-    ExecutionSession,
-    TopKResult,
-    begin_topk_metrics,
-    combined_level_cutoff,
-    record_topk_metrics,
-)
+from repro.rank.scores import ScoredAnswer
+from repro.topk.base import Strategy, combined_level_cutoff
 
 
-class SSO:
+class SSO(Strategy):
     """Static Selectivity Order top-K evaluation."""
 
     name = "SSO"
     _mode = SSO_MODE
-
-    def __init__(self, context):
-        self._context = context
+    # Bound on this class so that a tracer can wrap the encoded strategies'
+    # entry point alone (benchmarks/e2e/spans.py patches this name).
+    top_k = Strategy.top_k
 
     def choose_level(self, schedule, k, scheme, contains_count):
         """Pick the relaxation level to encode, from selectivity estimates.
@@ -44,7 +49,8 @@ class SSO:
         Walks the schedule accumulating estimated result sizes until K is
         reached (Algorithm 1, lines 3-7), then applies the scheme's policy:
         keyword-first encodes everything; combined extends to the §5.1
-        cutoff.
+        cutoff.  The estimator is the context's, so under the sharded
+        coordinator the choice is made once, from corpus-wide statistics.
         """
         estimator = self._context.estimator
         level = 0
@@ -59,50 +65,46 @@ class SSO:
             return combined_level_cutoff(schedule, level, contains_count)
         return level
 
-    def top_k(self, query, k, scheme=STRUCTURE_FIRST, max_relaxations=None,
-              tracer=NULL_TRACER, control=None):
-        """Return the top-K answers of ``query`` under ``scheme``."""
-        context = self._context
-        metrics_token = begin_topk_metrics(context)
-        with tracer.span("compile"):
-            compiled = context.compile(query, max_relaxations=max_relaxations)
-        session = ExecutionSession(context, tracer=tracer, control=control)
-        with tracer.span("execute"):
-            result = self.execute(compiled, session, k, scheme)
-        return record_topk_metrics(context, result, metrics_token)
-
-    def execute(self, compiled, session, k, scheme=STRUCTURE_FIRST):
+    def execute(self, compiled, scatter, k, scheme=STRUCTURE_FIRST):
         """Run the encoded-plan evaluation (with restarts) — stateless."""
         schedule = compiled.schedule
-        contains_count = compiled.contains_count()
+        readdress = scatter.readdress
 
-        level = self.choose_level(schedule, k, scheme, contains_count)
-
+        level = self.choose_level(
+            schedule, k, scheme, compiled.contains_count()
+        )
+        restarts = 0
         while True:
-            plan = compiled.encoded_physical(level)
-            result = session.run_plan(
-                plan,
+            results = scatter.run(
+                compiled.encoded_physical(level),
                 "encoded@level %d" % level,
                 k=k,
                 scheme=scheme,
                 mode=self._mode,
             )
-            if len(result.answers) >= k or level >= len(schedule):
+            count = sum(len(result.answers) for _, result in results)
+            if count >= k or level >= len(schedule):
                 break
             # Estimate was optimistic: drop more predicates and restart.
             level += 1
-            session.restarts += 1
+            restarts += 1
 
-        answers = rank_answers(result.answers, scheme, k)
-        return TopKResult(
-            algorithm=self.name,
-            query=compiled.tpq,
-            k=k,
-            scheme=scheme,
-            answers=answers,
-            relaxations_used=level,
-            levels_evaluated=session.levels_evaluated,
-            restarts=session.restarts,
-            stats=session.stats,
-            traces=session.traces,
+        if readdress is None:
+            answers = [
+                answer for _, result in results for answer in result.answers
+            ]
+        else:
+            answers = [
+                ScoredAnswer(
+                    node=readdress(index, answer.node),
+                    score=answer.score,
+                    relaxation_level=answer.relaxation_level,
+                    satisfied=answer.satisfied,
+                )
+                for index, result in results
+                for answer in result.answers
+            ]
+        return scatter.result(
+            self.name, k, scheme, rank_answers(answers, scheme, k),
+            relaxations_used=level, restarts=restarts,
         )

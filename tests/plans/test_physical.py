@@ -306,19 +306,6 @@ class TestCompiledPhysical:
         assert compiled.cost_model_name == context.cost_model.name
         assert compiled.cost_fingerprint == context.cost_model.fingerprint()
 
-    def test_compiled_query_pickles_with_physical(self, doc):
-        context = QueryContext(doc)
-        compiled = compile_query(
-            context, parse_query('//item[./mailbox[.contains("gold")]]')
-        )
-        clone = pickle.loads(pickle.dumps(compiled))
-        assert clone.level_count() == compiled.level_count()
-        for level in range(clone.level_count()):
-            assert (
-                clone.strict_physical(level).operator
-                == compiled.strict_physical(level).operator
-            )
-
 
 class TestTwigDeadline:
     """The twig operator reaches a checkpoint between pools, not only on entry."""

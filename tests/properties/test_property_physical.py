@@ -17,7 +17,7 @@ from repro.backend.sharded import RoundRobinRouter, ShardedBackend
 from repro.collection import Corpus
 from repro.plans import StaticCostModel
 from repro.rank import COMBINED, KEYWORD_FIRST, STRUCTURE_FIRST
-from repro.sharding import ShardedQueryContext, ShardedStrategy
+from repro.sharding import ShardedQueryContext
 from repro.topk import (
     DPO,
     SSO,
@@ -126,12 +126,8 @@ def test_sharded_identical(docs, shard_count, query, k, scheme):
     binary = _sharded_context(docs, shard_count, "binary")
     try:
         for strategy in STRATEGIES:
-            expected = ShardedStrategy(strategy, binary).top_k(
-                query, k, scheme=scheme
-            )
-            got = ShardedStrategy(strategy, twig).top_k(
-                query, k, scheme=scheme
-            )
+            expected = strategy(binary).top_k(query, k, scheme=scheme)
+            got = strategy(twig).top_k(query, k, scheme=scheme)
             assert _ranked(got) == _ranked(expected), strategy.__name__
     finally:
         twig.close()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.backend.sharded import RoundRobinRouter, ShardedBackend
 from repro.collection import Corpus
 from repro.rank import COMBINED, KEYWORD_FIRST, STRUCTURE_FIRST
-from repro.sharding import ShardedQueryContext, ShardedStrategy
+from repro.sharding import ShardedQueryContext
 from repro.topk import (
     DPO,
     SSO,
@@ -31,6 +31,7 @@ from repro.topk import (
 from tests.properties.strategies import documents, tree_patterns
 
 STRATEGIES = (DPO, SSO, Hybrid, NaiveRewriting, IRFirstDPO)
+SCHEMES = (STRUCTURE_FIRST, KEYWORD_FIRST, COMBINED)
 
 
 def _build_pair(docs, shard_count):
@@ -61,9 +62,7 @@ def _assert_equivalent(docs, shard_count, query, k, scheme):
     try:
         for strategy in STRATEGIES:
             expected = strategy(flat).top_k(query, k, scheme=scheme)
-            got = ShardedStrategy(strategy, sharded).top_k(
-                query, k, scheme=scheme
-            )
+            got = strategy(sharded).top_k(query, k, scheme=scheme)
             assert _ranked(got) == _ranked(expected), strategy.__name__
     finally:
         sharded.close()
@@ -112,9 +111,39 @@ def test_pruned_rounds_never_drop_answers(docs, query):
     flat, sharded = _build_pair(docs, 3)
     try:
         expected = DPO(flat).top_k(query, 2, scheme=KEYWORD_FIRST)
-        got = ShardedStrategy(DPO, sharded).top_k(query, 2, scheme=KEYWORD_FIRST)
+        got = DPO(sharded).top_k(query, 2, scheme=KEYWORD_FIRST)
         assert _ranked(got) == _ranked(expected)
         assert got.shard_rounds >= 1
         assert got.shards_pruned >= 0  # counter present and non-negative
     finally:
         sharded.close()
+
+
+@given(
+    st.lists(documents(), min_size=1, max_size=4),
+    tree_patterns(always_tagged=True),
+    st.integers(1, 8),
+)
+@settings(max_examples=25, deadline=None)
+def test_one_shard_is_the_plain_loop(docs, query, k):
+    """One source is one source, whichever context lists it.
+
+    A 1-shard coordinator and a plain context run the *same* loop, so they
+    agree not only on the ranked answers but on the work: plans executed,
+    relaxations used, restarts — and a plain context coordinates nothing.
+    """
+    flat, sharded = _build_pair(docs, 1)
+    for strategy in STRATEGIES:
+        for scheme in SCHEMES:
+            expected = strategy(flat).top_k(query, k, scheme=scheme)
+            got = strategy(sharded).top_k(query, k, scheme=scheme)
+            label = (strategy.__name__, scheme.name)
+            assert _ranked(got) == _ranked(expected), label
+            assert (
+                got.levels_evaluated, got.relaxations_used, got.restarts
+            ) == (
+                expected.levels_evaluated,
+                expected.relaxations_used,
+                expected.restarts,
+            ), label
+            assert expected.shard_rounds == expected.shards_pruned == 0

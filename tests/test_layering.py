@@ -92,6 +92,35 @@ class TestDetection:
         assert len(violations) == 1
         assert "query-side" in violations[0]
 
+    def test_strategy_code_cannot_import_the_coordinator(self, tmp_path):
+        root = _fake_tree(
+            tmp_path, "from repro.sharding import ShardedQueryContext\n"
+        )
+        violations = check_layering.check(root)
+        assert len(violations) == 1
+        assert "coordinator" in violations[0]
+        # Only repro.topk is held to it: plans/stats never could wrap one.
+        assert check_layering.check(
+            _fake_tree(tmp_path / "other", "import repro.sharding\n", "plans")
+        ) == []
+
+    def test_coordinator_cannot_import_a_strategy(self, tmp_path):
+        root = _fake_tree(tmp_path, "")
+        sharding = root / "repro" / "sharding.py"
+        sharding.write_text(
+            "from repro.topk.base import QueryContext\n", encoding="utf-8"
+        )
+        assert check_layering.check(root) == []
+        sharding.write_text(
+            "from repro.topk.base import QueryContext\n"
+            "from repro.topk.dpo import DPO\n"
+            "from repro.topk import SSO\n",
+            encoding="utf-8",
+        )
+        violations = check_layering.check(root)
+        assert len(violations) == 2
+        assert all("strategy" in violation for violation in violations)
+
     def test_guarded_code_cannot_import_sharded_backend(self, tmp_path):
         root = _fake_tree(
             tmp_path, "from repro.backend.sharded import ShardedBackend\n"

@@ -21,7 +21,13 @@ fails (exit 1, one line per violation) on:
 - the reverse direction: modules under ``repro.backend`` (including the
   sharded topology in ``backend/sharded.py``) importing query-side
   packages (``repro.topk``, ``repro.plans``, ``repro.sharding``, the
-  engine/session facades, ...) — storage must not reach back up.
+  engine/session facades, ...) — storage must not reach back up;
+- the two directions a second copy of the strategies would live in: no
+  module under ``repro.topk`` imports ``repro.sharding`` (strategies are
+  written against a context's sources, never against the coordinator),
+  and ``repro/sharding.py`` imports no concrete strategy module
+  (``repro.topk.{dpo,sso,hybrid,naive,ir_first}``) — the coordinator
+  supplies sources, it does not wrap or re-implement a strategy.
 
 The one sanctioned escape hatch is a module-level ``__getattr__`` (PEP
 562): a lazy compatibility re-export may import a moved class inside that
@@ -100,6 +106,11 @@ BACKEND_BANNED_PREFIXES = (
 )
 
 
+def _under(name, package):
+    """True for ``package`` itself and any dotted name below it."""
+    return (name + ".").startswith(package + ".")
+
+
 def _walk_guarded(tree):
     """Walk the module AST, skipping module-level ``__getattr__`` bodies."""
     stack = [
@@ -146,10 +157,7 @@ def _backend_violations(path, tree):
     """Yield upward imports (storage → query side) in one backend module."""
 
     def banned(module):
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in BACKEND_BANNED_PREFIXES
-        )
+        return any(_under(module, prefix) for prefix in BACKEND_BANNED_PREFIXES)
 
     for node in _walk_guarded(tree):
         if isinstance(node, ast.Import):
@@ -171,6 +179,43 @@ def _backend_violations(path, tree):
                 )
 
 
+def _import_statements(tree):
+    """Yield ``(lineno, dotted names)`` per absolute import statement.
+
+    ``from a import b`` names both ``a`` and ``a.b`` — ``b`` may be a
+    submodule.
+    """
+    for node in _walk_guarded(tree):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, [node.module] + [
+                "%s.%s" % (node.module, alias.name) for alias in node.names
+            ]
+
+
+def _topk_violations(tree):
+    """Yield imports of the sharded coordinator in one ``repro.topk`` module."""
+    for lineno, names in _import_statements(tree):
+        if any(_under(name, "repro.sharding") for name in names):
+            yield lineno, "strategy code imports the sharded coordinator"
+
+
+def _sharding_violations(tree):
+    """Yield imports from ``repro.topk`` other than its shared base module.
+
+    ``repro/sharding.py`` supplies sources to the strategies; naming one
+    (``repro.topk.dpo`` ..., or a re-export from the package root) is how a
+    second copy of its loop would start.
+    """
+    for lineno, names in _import_statements(tree):
+        if any(
+            _under(name, "repro.topk") and not _under(name, "repro.topk.base")
+            for name in names
+        ):
+            yield lineno, "coordinator imports a strategy (only repro.topk.base)"
+
+
 def check(src_root):
     """All layering violations under ``src_root`` as printable strings."""
     violations = []
@@ -179,7 +224,10 @@ def check(src_root):
         for path in sorted((src_root / "repro" / package).rglob("*.py")):
             walked.add(path.relative_to(src_root / "repro").as_posix())
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for lineno, message in _module_violations(path, tree):
+            found = list(_module_violations(path, tree))
+            if package == "topk":
+                found.extend(_topk_violations(tree))
+            for lineno, message in found:
                 violations.append("%s:%d: %s" % (path, lineno, message))
     for required in REQUIRED_GUARDED_MODULES:
         if required not in walked:
@@ -193,6 +241,11 @@ def check(src_root):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             for lineno, message in _backend_violations(path, tree):
                 violations.append("%s:%d: %s" % (path, lineno, message))
+    sharding = src_root / "repro" / "sharding.py"
+    if sharding.is_file():
+        tree = ast.parse(sharding.read_text(encoding="utf-8"), filename=str(sharding))
+        for lineno, message in _sharding_violations(tree):
+            violations.append("%s:%d: %s" % (sharding, lineno, message))
     return violations
 
 
