@@ -8,7 +8,7 @@ respected) buys on the fully relaxed Q3 plan.
 import pytest
 
 from benchmarks.harness import context_for, query, warm
-from repro.plans import SSO_MODE, StaticCostModel, build_encoded_plan, lower_plan
+from repro.plans import SSO_MODE, build_encoded_plan, lower_plan
 from repro.rank import STRUCTURE_FIRST
 
 SIZE = "10MB"
@@ -22,7 +22,7 @@ def setup():
     warm(context, QUERY)
     schedule = context.schedule(query(QUERY))
     plan = build_encoded_plan(schedule, len(schedule))
-    reordered = lower_plan(plan, StaticCostModel(context.statistics)).logical
+    reordered = lower_plan(plan, context.statistics)
     return context, {"preorder": plan, "selectivity": reordered}
 
 

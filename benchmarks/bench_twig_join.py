@@ -1,4 +1,4 @@
-"""Twig-join ablation: holistic operator vs binary pipeline, static vs measured.
+"""Twig-join ablation: holistic operator vs binary pipeline.
 
 The holistic twig operator replaces the per-intermediate-tuple cost of the
 binary pipeline with a constant number of passes over the candidate pools,
@@ -11,32 +11,20 @@ and .//incategory]`` the two operators are level; ROADMAP item 2 has the
 table.)  Caching is off throughout: the timing loops re-run the identical
 plan, and any eval-cache hit would measure the cache, not the operator.
 
-Two CI gates ride on the medians:
-
-- ``test_twig_speedup_gate`` — the holistic operator is ≥1.3× the binary
-  pipeline's median on the branchy pattern;
-- ``test_measured_not_slower_than_static`` — plans lowered through the
-  warmed :class:`MeasuredCostModel` are never slower than the §6 static
-  ordering (small tolerance for timer noise; the measured model must pay
-  for its bookkeeping with at-least-as-good plans).
+One CI gate rides on the medians: ``test_twig_speedup_gate`` — the holistic
+operator is ≥1.3× the binary pipeline's median on the branchy pattern.
 """
 
 import os
 import statistics
+from dataclasses import replace
 from time import perf_counter
 
 import pytest
 
 from repro.ir import IREngine
-from repro.plans import (
-    STRICT,
-    MeasuredCostModel,
-    PlanExecutor,
-    StaticCostModel,
-    build_strict_plan,
-    lower_plan,
-)
-from repro.plans.physical import BINARY, TWIG
+from repro.plans import STRICT, PlanExecutor, build_strict_plan, lower_plan
+from repro.plans.plan import BINARY, TWIG
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
 from repro.backend.stats import DocumentStatistics
@@ -74,31 +62,29 @@ def executor(doc, ir):
     return PlanExecutor(doc, ir)  # no eval cache: measure the operator
 
 
-def _physical(stats, policy):
+@pytest.fixture(scope="module")
+def lowered(stats):
+    """The branchy plan in the lowering's join order."""
     plan = build_strict_plan(parse_query(BRANCHY_QUERY), UNIFORM_WEIGHTS)
-    return lower_plan(plan, StaticCostModel(stats, operator_policy=policy))
+    return lower_plan(plan, stats)
 
 
 @pytest.fixture(scope="module")
-def twig_plan(stats):
-    physical = _physical(stats, "twig")
-    assert physical.operator == TWIG
-    return physical
+def twig_plan(lowered):
+    return replace(lowered, operator=TWIG)
 
 
 @pytest.fixture(scope="module")
-def binary_plan(stats):
-    physical = _physical(stats, "binary")
-    assert physical.operator == BINARY
-    return physical
+def binary_plan(lowered):
+    return replace(lowered, operator=BINARY)
 
 
-def _median_seconds(executor, physical, rounds=ROUNDS):
-    executor.run(physical, mode=STRICT)  # warm the IR postings
+def _median_seconds(executor, plan, rounds=ROUNDS):
+    executor.run(plan, mode=STRICT)  # warm the IR postings
     samples = []
     for _ in range(rounds):
         start = perf_counter()
-        executor.run(physical, mode=STRICT)
+        executor.run(plan, mode=STRICT)
         samples.append(perf_counter() - start)
     return statistics.median(samples)
 
@@ -147,32 +133,4 @@ def test_twig_answers_match_binary(executor, twig_plan, binary_plan):
     ) == sorted(
         (a.node_id, round(a.score.structural, 9), round(a.score.keyword, 9))
         for a in binary.answers
-    )
-
-
-def test_measured_not_slower_than_static(doc, ir, stats):
-    """Feedback-driven lowering never loses to the §6 static ordering.
-
-    The measured model is warmed on the workload itself (the executor
-    records true pool sizes and fan-outs), refreshed so the observations
-    take effect, and then re-lowers the plan.  Its median must stay
-    within noise of the static model's — measured numbers can only
-    improve the ordering and operator choice, never degrade them.
-    """
-    plan = build_strict_plan(parse_query(BRANCHY_QUERY), UNIFORM_WEIGHTS)
-    static_physical = lower_plan(plan, StaticCostModel(stats))
-
-    measured = MeasuredCostModel(stats)
-    warm_executor = PlanExecutor(doc, ir, feedback=measured.feedback)
-    for _ in range(3):
-        warm_executor.run(lower_plan(plan, measured), mode=STRICT)
-    measured.feedback.refresh()
-    measured_physical = lower_plan(plan, measured)
-
-    executor = PlanExecutor(doc, ir)
-    static_median = _median_seconds(executor, static_physical)
-    measured_median = _median_seconds(executor, measured_physical)
-    assert measured_median <= static_median * 1.15, (
-        "measured-cost plan %.1fms vs static %.1fms"
-        % (measured_median * 1e3, static_median * 1e3)
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache import BoundedLRU
-from repro.plans.physical import lower_plan
+from repro.plans.lowering import lower_plan
 from repro.plans.plan import build_encoded_plan, build_strict_plan
 from repro.query.closure import closure
 from repro.query.minimize import minimize
@@ -41,12 +41,11 @@ class CompiledQuery:
 
     Immutable by construction: the schedule, closure, core, and both
     lowered plan families (per-level strict plans for DPO-style walks,
-    per-level encoded plans for SSO/Hybrid single-pass evaluation; each
-    physical plan carries its logical plan as ``.logical``) are built
-    eagerly and stored in tuples.  A warm :class:`PlanCache` hit therefore
-    skips closure computation, schedule construction, and *all* plan
-    building — the acceptance target ``benchmarks/bench_plan_cache.py``
-    measures.
+    per-level encoded plans for SSO/Hybrid single-pass evaluation) are
+    built eagerly and stored in tuples.  A warm :class:`PlanCache` hit
+    therefore skips closure computation, schedule construction, and *all*
+    plan building — the acceptance target
+    ``benchmarks/bench_plan_cache.py`` measures.
 
     Instances hash and compare by identity; the cache key lives in
     :func:`cached_compile`, not on the artifact.
@@ -60,10 +59,8 @@ class CompiledQuery:
     skip_useless_gamma: bool
     weights: object
     corpus_version: int
-    strict_physical_plans: tuple
-    encoded_physical_plans: tuple
-    cost_model_name: str
-    cost_fingerprint: tuple
+    strict_plans: tuple
+    encoded_plans: tuple
 
     # -- level accessors -----------------------------------------------------
 
@@ -75,13 +72,13 @@ class CompiledQuery:
         """Total levels including level 0 (the original query)."""
         return len(self.schedule) + 1
 
-    def strict_physical(self, level):
+    def strict_plan(self, level):
         """The lowered plan evaluating exactly schedule level ``level``."""
-        return self.strict_physical_plans[level]
+        return self.strict_plans[level]
 
-    def encoded_physical(self, level):
+    def encoded_plan(self, level):
         """The lowered single-pass plan encoding schedule levels 0..``level``."""
-        return self.encoded_physical_plans[level]
+        return self.encoded_plans[level]
 
     def structural_score(self, level):
         """Compile-time structural score of answers first seen at ``level``."""
@@ -103,8 +100,9 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
                   skip_useless_gamma=True):
     """Produce the immutable :class:`CompiledQuery` for one request shape.
 
-    Pure with respect to the context: reads the penalty model and backend
-    version, writes nothing.  The artifact captures, in order:
+    Pure with respect to the context: reads the penalty model, the corpus
+    counts and the backend version, writes nothing.  The artifact captures,
+    in order:
 
     1. the **closure** of the query's logical expression and its **core**
        (the minimal equivalent set, Theorem 1) — the §3 semantics every
@@ -113,14 +111,13 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
        (cheapest valid drop first, §4);
     3. one **strict plan per level** (what DPO and the naive baseline
        execute) and one **encoded plan per level** (what SSO/Hybrid
-       execute, Figure 8), each lowered to a physical plan: the context's
-       cost model — with whatever feedback it has observed so far — orders
-       the joins and picks the physical operator (holistic twig join vs.
-       binary pipeline) at compile time, so the execute phase never builds
-       a plan.
+       execute, Figure 8), each lowered from the context's corpus counts
+       (:func:`~repro.plans.lowering.lower_plan`: join order, holistic twig
+       join vs. binary pipeline, per-operator estimates) at compile time,
+       so the execute phase never builds a plan.
     """
     weights = weights if weights is not None else context.weights
-    cost_model = context.cost_model
+    statistics = context.statistics
     closure_set = closure(tpq)
     core_set = minimize(closure_set)
     schedule = RelaxationSchedule(
@@ -129,12 +126,12 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
         max_steps=max_relaxations,
         skip_useless_gamma=skip_useless_gamma,
     )
-    strict_physical_plans = tuple(
-        lower_plan(build_strict_plan(entry.query, weights), cost_model)
+    strict_plans = tuple(
+        lower_plan(build_strict_plan(entry.query, weights), statistics)
         for entry in schedule.entries
     )
-    encoded_physical_plans = tuple(
-        lower_plan(build_encoded_plan(schedule, level), cost_model)
+    encoded_plans = tuple(
+        lower_plan(build_encoded_plan(schedule, level), statistics)
         for level in range(len(schedule) + 1)
     )
     return CompiledQuery(
@@ -146,10 +143,8 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
         skip_useless_gamma=skip_useless_gamma,
         weights=weights,
         corpus_version=context.backend.version,
-        strict_physical_plans=strict_physical_plans,
-        encoded_physical_plans=encoded_physical_plans,
-        cost_model_name=cost_model.name,
-        cost_fingerprint=cost_model.fingerprint(),
+        strict_plans=strict_plans,
+        encoded_plans=encoded_plans,
     )
 
 
@@ -169,22 +164,16 @@ def cached_compile(context, producer, query, max_relaxations,
     """Probe ``context.plan_cache``; on a miss run ``producer`` and store.
 
     The one probe-compile-store path behind ``QueryContext.compile`` (which
-    the sharded coordinator inherits).  The key is the compile request plus
-    the cost model's fingerprint, fenced by the backend version: a grown
-    corpus can never be answered with plans whose penalties were derived
-    from stale statistics, and a different (or ``refresh()``-ed) cost
-    model never serves another's physical plans.
+    the sharded coordinator inherits).  The key is the compile request,
+    fenced by the backend version: a grown corpus can never be answered
+    with plans whose penalties, join order or operator were derived from
+    stale statistics.
 
     ``producer`` is the calling module's own ``compile_query`` binding, so
     a tracer that wraps that module-level name (benchmarks/e2e/spans.py)
     still sees the compile.
     """
-    key = (
-        query,
-        max_relaxations,
-        skip_useless_gamma,
-        context.cost_model.fingerprint(),
-    )
+    key = (query, max_relaxations, skip_useless_gamma)
     version = context.backend.version
     compiled = context.plan_cache.get(key, version)
     if compiled is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 #: Executor phases in pipeline order; rendering and aggregation follow it.
 #: ``twig`` is the holistic twig-join operator's stack-merge pass (strict
-#: runs whose physical plan chose it); binary-pipeline runs never emit it.
+#: runs of a plan lowered to it); binary-pipeline runs never emit it.
 PHASES = ("seed", "extend", "twig", "checks", "dedup", "project", "prune",
           "sort", "bucket", "collect")
 
@@ -28,7 +28,7 @@ class LevelTrace:
     label: str
     spans: dict  # phase name -> {"seconds": float, "calls": int}
     stats: object  # the run's ExecutionStats
-    operators: tuple = ()  # per-operator est/actual dicts (physical plans)
+    operators: tuple = ()  # per-operator est/actual dicts (lowered plans)
 
     def seconds(self, phase):
         entry = self.spans.get(phase)
@@ -175,13 +175,13 @@ class QueryTrace:
                     )
                 )
                 for op in level.operators:
-                    actual = op.get("actual")
+                    estimate, actual = op["estimate"], op.get("actual")
                     lines.append(
-                        "    %-15s %-10s est=%-10.1f act=%-8s %s"
+                        "    %-15s %-10s est=%-10s act=%-8s %s"
                         % (
                             op["kind"],
                             op["var"],
-                            op["estimate"],
+                            "-" if estimate is None else "%.1f" % estimate,
                             "-" if actual is None else actual,
                             op["detail"],
                         )

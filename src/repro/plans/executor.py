@@ -41,10 +41,12 @@ from itertools import islice
 from operator import itemgetter
 
 from repro.backend import as_backend
+from repro.errors import EvaluationError
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import NULL_TRACER
 from repro.plans.eval_cache import restriction_key
-from repro.plans.physical import TWIG, PhysicalPlan
+from repro.plans.lowering import twig_eligible
+from repro.plans.plan import TWIG
 from repro.rank.schemes import STRUCTURE_FIRST
 from repro.rank.scores import AnswerScore, ScoredAnswer
 
@@ -109,16 +111,30 @@ class ExecutionStats:
 class ExecutionResult:
     """Deduplicated scored answers plus execution counters.
 
-    ``operators`` is populated only when a :class:`PhysicalPlan` ran: one
-    JSON-safe dict per lowered operator with the cost model's ``estimate``
-    next to the observed ``actual`` cardinality — the raw material of
-    ``explain --analyze``.  It stays off :class:`ExecutionStats` because
-    the stats dataclass is folded additively into the metrics registry.
+    ``estimates`` are the plan's :class:`~repro.plans.lowering.OperatorEstimate`
+    records (empty for a plan that was never lowered) and ``actuals`` the
+    cardinalities this run observed, keyed ``(kind, var)``.  They stay off
+    :class:`ExecutionStats` because the stats dataclass is folded additively
+    into the metrics registry.
     """
 
     answers: list
     stats: ExecutionStats
-    operators: list = None
+    estimates: tuple
+    actuals: dict
+
+    @property
+    def operators(self):
+        """One JSON-safe dict per estimated operator: the lowering's
+        ``estimate`` next to this run's ``actual`` (None where the operator
+        did not run) — the raw material of ``explain --analyze``.  Built on
+        access, so a run nobody inspects allocates none of it."""
+        operators = []
+        for op in self.estimates:
+            entry = op.as_dict()
+            entry["actual"] = self.actuals.get((op.kind, op.var))
+            operators.append(entry)
+        return operators
 
 
 class _Score:
@@ -281,17 +297,10 @@ class PlanExecutor:
     corpus); all candidate access goes through the backend seam.
     """
 
-    def __init__(self, source, ir_engine=None, eval_cache=None, feedback=None):
+    def __init__(self, source, ir_engine=None, eval_cache=None):
         self._backend = as_backend(source, ir_engine=ir_engine)
         self._ir = ir_engine if ir_engine is not None else self._backend.ir
         self._eval_cache = eval_cache
-        # FeedbackStatistics (repro.plans.cost) or None: observed pool sizes
-        # and join fan-outs recorded during real runs feed the measured cost
-        # model.  Only semantically clean measurements are recorded —
-        # unrestricted pools without attribute predicates, required
-        # single-alternative joins with non-empty input that enumerate their
-        # matches (a semi-join's output says nothing about fan-out).
-        self._feedback = feedback
 
     # -- public entry ---------------------------------------------------------
 
@@ -327,17 +336,14 @@ class PlanExecutor:
         by raising (see :class:`~repro.session.QueryControl`); ``None``
         costs nothing.
 
-        ``plan`` may be a logical :class:`~repro.plans.plan.Plan` (executed
-        with the binary pipeline, as before) or a
-        :class:`~repro.plans.physical.PhysicalPlan`; the latter routes to
-        the holistic twig operator when the lowering chose it — but only in
-        strict mode, because threshold / ``maxScoreGrowth`` pruning needs
-        the scored intermediates the holistic operator never materializes.
+        ``plan.operator`` picks the operator: the holistic twig join runs
+        a ``TWIG`` plan in strict mode only, because threshold /
+        ``maxScoreGrowth`` pruning needs the scored intermediates the
+        holistic operator never materializes; every other run takes the
+        binary pipeline.  A ``TWIG`` plan that is not
+        :func:`~repro.plans.lowering.twig_eligible` is refused with an
+        :class:`~repro.errors.EvaluationError`.
         """
-        physical = None
-        if isinstance(plan, PhysicalPlan):
-            physical = plan
-            plan = physical.logical
         stats = ExecutionStats()
         cache = self._eval_cache
         run = _RunState(
@@ -350,19 +356,19 @@ class PlanExecutor:
             if tracer.enabled and run.cache is not None
             else None
         )
-        use_twig = (
-            physical is not None
-            and physical.operator == TWIG
-            and mode == STRICT
-        )
+        use_twig = plan.operator == TWIG and mode == STRICT
         if use_twig:
+            if not twig_eligible(plan):
+                raise EvaluationError(
+                    "the twig operator cannot evaluate this plan: it has "
+                    "alternatives, optional joins or promoted contains levels"
+                )
             answers, actuals = self._run_twig(
                 plan, run, stats, tracer, checkpoint
             )
         else:
             answers, actuals = self._run_binary(
-                plan, k, scheme, mode, run, stats, tracer, checkpoint,
-                record=physical is not None,
+                plan, k, scheme, mode, run, stats, tracer, checkpoint
             )
         if eval_before is not None:
             # Surface this run's cache activity in the trace: with a warm
@@ -375,10 +381,10 @@ class PlanExecutor:
         if REGISTRY.enabled:
             # Fold this run's counters into the process registry: additive
             # fields become counters; max_intermediate is a high-water mark.
-            folded = {"executor.plans_executed": 1}
-            if physical is not None:
-                folded["plan.physical.twig" if use_twig
-                       else "plan.physical.binary"] = 1
+            folded = {
+                "executor.plans_executed": 1,
+                "plan.physical.twig" if use_twig else "plan.physical.binary": 1,
+            }
             for key, value in stats.as_dict().items():
                 if value and key != "max_intermediate":
                     folded["executor." + key] = value
@@ -386,18 +392,11 @@ class PlanExecutor:
             REGISTRY.set_gauge_max(
                 "executor.max_intermediate", stats.max_intermediate
             )
-        operators = None
-        if physical is not None:
-            operators = []
-            for op in physical.operators:
-                entry = op.as_dict()
-                entry["actual"] = actuals.get((op.kind, op.var))
-                operators.append(entry)
         return ExecutionResult(answers=answers, stats=stats,
-                               operators=operators)
+                               estimates=plan.estimates, actuals=actuals)
 
     def _run_binary(self, plan, k, scheme, mode, run, stats, tracer,
-                    checkpoint, record=False):
+                    checkpoint):
         """The classic pipeline: seed, then extend join by join.
 
         A partial match is a plain 4-tuple ``(bindings, ss, ks, signature)``
@@ -409,10 +408,6 @@ class PlanExecutor:
         and for attribute predicates while a pool is filtered.
         """
         actuals = {}
-        feedback = self._feedback
-        var_tags = {plan.root_var: plan.root_tag}
-        for join in plan.joins:
-            var_tags[join.var] = join.tag
         existential = self._existential(plan)
         var_positions = {plan.root_var: 0}
         for join, unread in zip(plan.joins, existential):
@@ -436,12 +431,7 @@ class PlanExecutor:
             checkpoint()
         with tracer.span("seed"):
             tuples = self._seed(run, plan, stats)
-        if record:
-            actuals[("seed-scan", plan.root_var)] = len(tuples)
-        if (feedback is not None
-                and run.pools.get(plan.root_var) is None
-                and not plan.root_attr_predicates):
-            feedback.record_pool(plan.root_tag, len(tuples))
+        actuals[("seed-scan", plan.root_var)] = len(tuples)
         if run.excluded and plan.distinguished == plan.root_var:
             with tracer.span("dedup"):
                 tuples = self._drop_known_answers(run, tuples, 0, stats)
@@ -450,7 +440,7 @@ class PlanExecutor:
                 run, plan, plan.root_var, tuples, var_positions, stats,
                 checkpoint,
             )
-        if record and plan.checks_by_var.get(plan.root_var):
+        if plan.checks_by_var.get(plan.root_var):
             actuals[("contains-filter", plan.root_var)] = len(tuples)
         # Zero-join plans never enter the loop below; record the seeded and
         # checked population here so max_intermediate is meaningful for them.
@@ -459,29 +449,15 @@ class PlanExecutor:
         for index, join in enumerate(plan.joins):
             if checkpoint is not None:
                 checkpoint()
-            bases = len(tuples)
             step = self._semi_join if existential[index] else self._extend
             with tracer.span("extend"):
                 tuples = step(
                     run, join, tuples, var_positions, stats, checkpoint
                 )
-            if record:
-                actuals[(
-                    "semi-join" if existential[index] else "binary-join",
-                    join.var,
-                )] = len(tuples)
-            if (feedback is not None
-                    and not existential[index]
-                    and bases > 0
-                    and len(join.alternatives) == 1
-                    and not join.optional
-                    and run.pools.get(join.var) is None
-                    and not join.attr_predicates):
-                alt = join.alternatives[0]
-                feedback.record_join(
-                    var_tags.get(alt.connect_var), alt.axis, join.tag,
-                    bases, len(tuples),
-                )
+            actuals[(
+                "semi-join" if existential[index] else "binary-join",
+                join.var,
+            )] = len(tuples)
             if run.excluded and join.var == plan.distinguished:
                 with tracer.span("dedup"):
                     tuples = self._drop_known_answers(
@@ -492,7 +468,7 @@ class PlanExecutor:
                     run, plan, join.var, tuples, var_positions, stats,
                     checkpoint,
                 )
-            if record and plan.checks_by_var.get(join.var):
+            if plan.checks_by_var.get(join.var):
                 actuals[("contains-filter", join.var)] = len(tuples)
             with tracer.span("project"):
                 tuples = self._project(tuples, projections[index], scheme)
@@ -578,7 +554,6 @@ class PlanExecutor:
         backend = self._backend
         cache = run.cache
         satisfies, score = self._contains_probes(cache)
-        feedback = self._feedback
         actuals = {}
 
         # Twig shape: parent/axis per variable, parents-before-children.
@@ -600,13 +575,11 @@ class PlanExecutor:
             for var in order:
                 if checkpoint is not None:
                     checkpoint()
-                allowed = run.pools.get(var)
-                pool = self._pool(var_tags[var], var_attrs[var], allowed, cache)
+                pool = self._pool(
+                    var_tags[var], var_attrs[var], run.pools.get(var), cache
+                )
                 pools[var] = pool
                 stats.tuples_produced += len(pool)
-                if (feedback is not None and allowed is None
-                        and not var_attrs[var]):
-                    feedback.record_pool(var_tags[var], len(pool))
         actuals[("seed-scan", plan.root_var)] = len(pools[plan.root_var])
 
         # Contains pre-filter: keep only satisfying nodes per variable and

@@ -35,6 +35,11 @@ from repro.errors import EvaluationError
 from repro.query.tpq import PC
 from repro.relax.steps import GAMMA, KAPPA, LAMBDA, SIGMA
 
+#: The two top-level operators a plan can run under (``Plan.operator``): the
+#: binary structural-join pipeline, and the holistic twig join.
+BINARY = "binary"
+TWIG = "twig"
+
 
 @dataclass(frozen=True)
 class Alternative:
@@ -96,16 +101,23 @@ class PlanJoin:
 
 @dataclass
 class Plan:
-    """An executable left-deep plan."""
+    """An executable left-deep plan.
+
+    The builders below leave ``joins`` in pre-order, ``operator`` binary and
+    ``estimates`` empty; :func:`~repro.plans.lowering.lower_plan` returns a
+    copy with all three decided from the corpus counts.
+    """
 
     root_var: str
     root_tag: str
     root_attr_predicates: tuple
-    joins: tuple  # PlanJoin per non-root variable, pre-order
+    joins: tuple  # PlanJoin per non-root variable, in execution order
     checks_by_var: dict  # attach var -> list[ContainsCheck]
     distinguished: str
     fallback_chain: tuple  # distinguished's original ancestors, nearest first
     base_score: float
+    operator: str = BINARY  # what PlanExecutor.run dispatches on
+    estimates: tuple = ()  # OperatorEstimate per operator, pipeline order
 
     def contains_count(self):
         return sum(len(checks) for checks in self.checks_by_var.values())
@@ -218,6 +230,9 @@ class Plan:
                 "%s %+0.3f" % (level.var, level.delta) for level in check.levels
             )
             lines.append("root contains(%s): %s" % (check.ftexpr, chain))
+        if self.estimates:
+            lines.append("physical operator: %s" % self.operator)
+            lines.extend(op.describe() for op in self.estimates)
         return "\n".join(lines)
 
 

@@ -125,11 +125,9 @@ class ShardedQueryContext(QueryContext):
     ``estimator`` / ``plan_cache`` / ``compile`` / ``schedule`` /
     ``attach_tracer`` (which fans out to every shard's IR engine through
     the aggregate) — is inherited, bound to the sharded backend's
-    aggregates.  The coordinator's cost model lowers plans against
-    *aggregate* statistics; shard contexts keep their own feedback, which
-    stays shard-local and never feeds the coordinator's fingerprint.
-    ``document`` and ``executor`` are None: no unified node table exists,
-    and plans only ever run on the sources.
+    aggregates, so plans are lowered once, from *aggregate* counts, and run
+    as lowered on every shard.  ``document`` and ``executor`` are None: no
+    unified node table exists, and plans only ever run on the sources.
     """
 
     def _bind_execution(self):
@@ -148,7 +146,6 @@ class ShardedQueryContext(QueryContext):
         # dropped their own caches; what goes stale here is the
         # coordinator's plan cache (penalties from aggregate statistics).
         self.plan_cache.invalidate()
-        self.feedback.clear()
 
     def readdress(self, source_index, node):
         """The shard-local answer ``node`` under its global node id."""

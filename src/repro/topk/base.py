@@ -35,7 +35,6 @@ from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import LevelTrace
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.plans.cost import FeedbackStatistics, MeasuredCostModel
 from repro.plans.eval_cache import EvaluationCache
 from repro.plans.executor import PlanExecutor
 from repro.rank.schemes import STRUCTURE_FIRST
@@ -74,8 +73,7 @@ class QueryContext:
     readdress = None
 
     def __init__(self, document, ir_engine=None, statistics=None,
-                 weights=UNIFORM_WEIGHTS, plan_cache_size=None,
-                 cost_model=None):
+                 weights=UNIFORM_WEIGHTS, plan_cache_size=None):
         backend = as_backend(document, ir_engine=ir_engine,
                              statistics=statistics)
         self.backend = backend
@@ -87,18 +85,6 @@ class QueryContext:
         self.weights = weights
         self.penalties = PenaltyModel(self.statistics, self.ir, weights)
         self.estimator = SelectivityEstimator(self.statistics, self.ir)
-        # Physical lowering is cost-model driven: the default feedback
-        # model starts out identical to §6's static estimates and refines
-        # join ordering / operator choice from the cardinalities the
-        # executor observes.  Pass a CostModel to override (ablations pin
-        # operator_policy; custom models per docs/EXTENDING.md).
-        if cost_model is None:
-            cost_model = MeasuredCostModel(self.statistics)
-        self.cost_model = cost_model
-        feedback = getattr(cost_model, "feedback", None)
-        self.feedback = (
-            feedback if feedback is not None else FeedbackStatistics()
-        )
         self.plan_cache = PlanCache(plan_cache_size)
         self._bind_execution()
         backend.subscribe(self._on_backend_growth)
@@ -107,8 +93,7 @@ class QueryContext:
         """Build what runs plans: evaluation cache, executor, sources."""
         self.eval_cache = EvaluationCache()
         self.executor = PlanExecutor(self.backend, self.ir,
-                                     eval_cache=self.eval_cache,
-                                     feedback=self.feedback)
+                                     eval_cache=self.eval_cache)
         self.sources = (self,)
 
     def _on_backend_growth(self, backend, start_id, end_id):
@@ -121,8 +106,6 @@ class QueryContext:
         """
         self.plan_cache.invalidate()
         self.eval_cache.clear()
-        # Observed cardinalities refer to the pre-growth corpus.
-        self.feedback.clear()
 
     def attach_tracer(self, tracer):
         """Point the context's IR engine at a tracer (None detaches).
@@ -218,7 +201,7 @@ class ExecutionSession:
                     label=label,
                     spans=level_tracer.snapshot()["spans"],
                     stats=result.stats,
-                    operators=tuple(result.operators or ()),
+                    operators=tuple(result.operators),
                 )
             )
         if HUB.active:

@@ -88,7 +88,7 @@ class DPO(Strategy):
             last_level = level
             query = schedule.level(level).query
             results = scatter.run(
-                compiled.strict_physical(level),
+                compiled.strict_plan(level),
                 "level %d" % level,
                 lambda session: self._source_arguments(session, query),
                 mode=STRICT,

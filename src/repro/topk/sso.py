@@ -76,7 +76,7 @@ class SSO(Strategy):
         restarts = 0
         while True:
             results = scatter.run(
-                compiled.encoded_physical(level),
+                compiled.encoded_plan(level),
                 "encoded@level %d" % level,
                 k=k,
                 scheme=scheme,

@@ -1,21 +1,16 @@
-"""The cost-model seam: ordering keys, feedback statistics, measured model."""
-
-import threading
+"""The lowering's §6 arithmetic: ordering keys, join order, fan-outs."""
 
 import pytest
 
 from repro.errors import EvaluationError
 from repro.plans import (
     Alternative,
-    FeedbackStatistics,
-    MeasuredCostModel,
     Plan,
     PlanJoin,
-    StaticCostModel,
     build_strict_plan,
     order_joins,
 )
-from repro.plans.cost import join_cost_key
+from repro.plans.lowering import estimate_pipeline, join_cost_key, join_fanout
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
 from repro.backend.stats import DocumentStatistics
@@ -84,19 +79,17 @@ class TestJoinCostKey:
 
 class TestOrderJoins:
     def test_absent_tags_rank_strictly_cheapest(self, stats):
-        model = StaticCostModel(stats)
         plan = _plan([
             _join("v1", "name", "v0"),
             _join("v2", "zzz_absent_b", "v0"),
             _join("v3", "zzz_absent_a", "v0"),
         ])
         assert stats.tag_count("zzz_absent_a") == 0
-        ordered = order_joins(plan, model)
+        ordered = order_joins(plan, stats)
         # Both absent tags come first, deterministically by variable name.
         assert [join.var for join in ordered] == ["v2", "v3", "v1"]
 
     def test_absent_tag_order_independent_of_plan_position(self, stats):
-        model = StaticCostModel(stats)
         forward = _plan([
             _join("v2", "zzz_absent_b", "v0"),
             _join("v3", "zzz_absent_a", "v0"),
@@ -105,17 +98,16 @@ class TestOrderJoins:
             _join("v3", "zzz_absent_a", "v0"),
             _join("v2", "zzz_absent_b", "v0"),
         ])
-        assert [j.var for j in order_joins(forward, model)] == [
-            j.var for j in order_joins(backward, model)
+        assert [j.var for j in order_joins(forward, stats)] == [
+            j.var for j in order_joins(backward, stats)
         ]
 
     def test_dependencies_respected(self, stats):
-        model = StaticCostModel(stats)
         query = parse_query(
             "//item[./description/parlist/listitem and ./mailbox/mail]"
         )
         plan = build_strict_plan(query, UNIFORM_WEIGHTS)
-        ordered = order_joins(plan, model)
+        ordered = order_joins(plan, stats)
         bound = {plan.root_var}
         for join in ordered:
             for alt in join.alternatives:
@@ -123,145 +115,28 @@ class TestOrderJoins:
             bound.add(join.var)
 
     def test_cyclic_dependencies_raise(self, stats):
-        model = StaticCostModel(stats)
         plan = _plan([
             _join("v1", "name", "v2"),
             _join("v2", "name", "v1"),
         ])
         with pytest.raises(EvaluationError):
-            order_joins(plan, model)
+            order_joins(plan, stats)
 
 
 class TestStaticCostModel:
+    """§6's uniform-independence estimates, read off the corpus counts."""
+
     def test_cardinality_is_tag_count(self, stats, doc):
-        model = StaticCostModel(stats)
-        assert model.tag_cardinality("item") == doc.count("item")
-        assert model.tag_cardinality("zzz_absent") == 0
+        assert estimate_pipeline(_plan([]), stats) == [doc.count("item")]
+        assert estimate_pipeline(_plan([], "zzz_absent"), stats) == [0.0]
 
     def test_fanout_is_pairs_per_base(self, stats):
-        model = StaticCostModel(stats)
         expected = stats.pc_count("item", "name") / stats.tag_count("item")
-        assert model.join_fanout("item", "pc", "name") == pytest.approx(expected)
-
-    def test_fanout_zero_base(self, stats):
-        model = StaticCostModel(stats)
-        assert model.join_fanout("zzz_absent", "pc", "name") == 0.0
-
-    def test_fingerprint_constant(self, stats):
-        model = StaticCostModel(stats)
-        assert model.fingerprint() == model.fingerprint()
-        assert model.fingerprint() != StaticCostModel(
-            stats, operator_policy="twig"
-        ).fingerprint()
-
-    def test_rejects_unknown_policy(self, stats):
-        with pytest.raises(ValueError):
-            StaticCostModel(stats, operator_policy="quantum")
-
-
-class TestFeedbackStatistics:
-    def test_recording_never_advances_the_epoch(self):
-        feedback = FeedbackStatistics()
-        for _ in range(300):  # well past any sample-count threshold
-            feedback.record_pool("item", 10)
-            feedback.record_join("item", "pc", "name", bases=5, produced=10)
-        assert feedback.epoch == 0
-        assert feedback.info() == {"pools": 1, "fanouts": 1, "epoch": 0}
-
-    def test_each_refresh_with_data_is_one_epoch(self):
-        feedback = FeedbackStatistics()
-        feedback.record_pool("item", 10)
-        feedback.refresh()
-        feedback.record_pool("item", 10)
-        feedback.refresh()
-        assert feedback.epoch == 2
-
-    def test_pool_mean(self):
-        feedback = FeedbackStatistics()
-        feedback.record_pool("item", 10)
-        feedback.record_pool("item", 20)
-        assert feedback.pool_size("item") == pytest.approx(15.0)
-        assert feedback.pool_size("unseen") is None
-
-    def test_fanout_mean(self):
-        feedback = FeedbackStatistics()
-        feedback.record_join("item", "pc", "name", bases=10, produced=25)
-        feedback.record_join("item", "pc", "name", bases=10, produced=15)
-        assert feedback.fanout("item", "pc", "name") == pytest.approx(2.0)
-        assert feedback.fanout("item", "ad", "name") is None
-
-    def test_zero_base_joins_ignored(self):
-        feedback = FeedbackStatistics()
-        feedback.record_join("item", "pc", "name", bases=0, produced=0)
-        assert feedback.fanout("item", "pc", "name") is None
-
-    def test_refresh_advances_only_with_data(self):
-        feedback = FeedbackStatistics()
-        feedback.refresh()
-        assert feedback.epoch == 0
-        feedback.record_pool("item", 10)
-        feedback.refresh()
-        assert feedback.epoch == 1
-
-    def test_clear_forgets_and_advances(self):
-        feedback = FeedbackStatistics()
-        feedback.record_pool("item", 10)
-        feedback.clear()
-        assert feedback.pool_size("item") is None
-        assert feedback.epoch == 1
-        feedback.clear()  # idempotent on empty
-        assert feedback.epoch == 1
-
-    def test_concurrent_recording(self):
-        feedback = FeedbackStatistics()
-
-        def record():
-            for _ in range(200):
-                feedback.record_pool("item", 10)
-                feedback.record_join("item", "pc", "name", 5, 10)
-
-        threads = [threading.Thread(target=record) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert feedback.pool_size("item") == pytest.approx(10.0)
-        assert feedback.fanout("item", "pc", "name") == pytest.approx(2.0)
-
-
-class TestMeasuredCostModel:
-    def test_cold_model_matches_static(self, stats):
-        static = StaticCostModel(stats)
-        measured = MeasuredCostModel(stats)
-        assert measured.tag_cardinality("item") == static.tag_cardinality("item")
-        assert measured.join_fanout("item", "pc", "name") == pytest.approx(
-            static.join_fanout("item", "pc", "name")
+        assert join_fanout(stats, "item", "pc", "name") == pytest.approx(expected)
+        plan = _plan([_join("v1", "name", "v0")])
+        assert estimate_pipeline(plan, stats)[1] == pytest.approx(
+            stats.pc_count("item", "name")
         )
 
-    def test_observations_override_static(self, stats):
-        measured = MeasuredCostModel(stats)
-        measured.feedback.record_pool("item", 3)
-        measured.feedback.record_join("item", "pc", "name", bases=3, produced=30)
-        assert measured.tag_cardinality("item") == pytest.approx(3.0)
-        assert measured.join_fanout("item", "pc", "name") == pytest.approx(10.0)
-        # Unmeasured keys still fall back to the static estimate.
-        assert measured.tag_cardinality("mailbox") == stats.tag_count("mailbox")
-
-    def test_fingerprint_tracks_the_epoch(self, stats):
-        measured = MeasuredCostModel(stats)
-        cold = measured.fingerprint()
-        for _ in range(200):
-            measured.feedback.record_pool("item", 3)
-        assert measured.fingerprint() == cold  # observing is not churn
-        measured.feedback.refresh()
-        refreshed = measured.fingerprint()
-        assert refreshed != cold
-        measured.feedback.clear()
-        assert measured.fingerprint() not in (cold, refreshed)
-
-    def test_shared_feedback_instance(self, stats):
-        feedback = FeedbackStatistics()
-        first = MeasuredCostModel(stats, feedback=feedback)
-        second = MeasuredCostModel(stats, feedback=feedback)
-        feedback.record_pool("item", 7)
-        assert first.tag_cardinality("item") == second.tag_cardinality("item")
+    def test_fanout_zero_base(self, stats):
+        assert join_fanout(stats, "zzz_absent", "pc", "name") == 0.0

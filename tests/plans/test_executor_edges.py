@@ -7,12 +7,14 @@ from repro.plans import (
     Alternative,
     ContainsCheck,
     ContainsLevel,
+    HYBRID_MODE,
     Plan,
     PlanExecutor,
     PlanJoin,
     SSO_MODE,
     STRICT,
 )
+from repro.plans import executor as executor_module
 from repro.xmltree import parse
 
 
@@ -185,3 +187,48 @@ class TestAlternativeCredit:
         result = executor.run(plan, mode=SSO_MODE)
         assert len(result.answers) == 1
         assert result.answers[0].score.structural == pytest.approx(0.5)
+
+
+class TestPruneEpsilonTieSlack:
+    """The documented exception to exact threshold pruning: the
+    ``PRUNE_EPSILON`` tie slack.  A guarantee and the finished tuple it was
+    registered for add the same deltas in different orders, so they can
+    differ in the last ulp; without the slack an answer is pruned against
+    its own guarantee."""
+
+    @pytest.fixture()
+    def tied(self):
+        doc = parse("<r>" + "<a/>" * 5 + "</r>")
+        plan = make_plan([
+            PlanJoin(
+                var=var,
+                tag=tag,
+                alternatives=(Alternative("$1", "pc", 1.0, "strict"),),
+                optional_delta=delta,
+            )
+            for var, tag, delta in (
+                ("$2", "x", 0.3), ("$3", "y", 0.2), ("$4", "z", 0.1),
+            )
+        ])
+        # Registered after the first join: own score + guaranteed remainder.
+        assert 0.3 + (0.1 + 0.2) == 0.6000000000000001
+        # What the same tuple scores once the pipeline has added them up.
+        assert (0.3 + 0.2) + 0.1 == 0.6
+        return PlanExecutor(doc, IREngine(doc)), plan
+
+    @pytest.mark.parametrize("mode", [SSO_MODE, HYBRID_MODE])
+    def test_answers_survive_their_own_guarantee(self, tied, mode):
+        executor, plan = tied
+        result = executor.run(plan, k=3, mode=mode)
+        assert len(result.answers) == 5
+        assert {a.score.structural for a in result.answers} == {0.6}
+        assert result.stats.tuples_pruned == 0
+
+    @pytest.mark.parametrize("mode", [SSO_MODE, HYBRID_MODE])
+    def test_without_the_slack_the_tie_loses_every_answer(
+            self, tied, mode, monkeypatch):
+        executor, plan = tied
+        monkeypatch.setattr(executor_module, "PRUNE_EPSILON", 0.0)
+        result = executor.run(plan, k=3, mode=mode)
+        assert result.answers == []
+        assert result.stats.tuples_pruned == 5

@@ -1,31 +1,35 @@
-"""Physical lowering: eligibility, operator choice, twig/binary equivalence."""
+"""Lowering: eligibility, operator choice, twig/binary equivalence."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro import Engine
 from repro.compiled import compile_query
+from repro.errors import EvaluationError
 from repro.ir import IREngine
 from repro.obs.metrics import REGISTRY
 from repro.plans import (
     HYBRID_MODE,
     SSO_MODE,
     STRICT,
-    PhysicalPlan,
+    OperatorEstimate,
+    Plan,
     PlanExecutor,
-    StaticCostModel,
     build_encoded_plan,
     build_strict_plan,
     lower_plan,
     twig_eligible,
 )
-from repro.plans.physical import BINARY, TWIG
+from repro.plans.plan import BINARY, TWIG
 from repro.query import parse_query
 from repro.rank import STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
 from repro.backend.stats import DocumentStatistics
 from repro.topk.base import QueryContext
 from repro.xmark import generate_document
+from tests.plans.pinning import pinned_operator
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +76,24 @@ def _ranked(result):
     )
 
 
+def unfounded_zero_estimates(operators):
+    """The operators reporting ``estimate == 0.0`` next to a non-zero actual
+    although their input was not estimated empty — a number nobody made."""
+    bound_by = {}
+    previous = None
+    found = []
+    for op in operators:
+        if op["kind"] == "contains-filter":
+            source = bound_by[op["var"]]
+        else:
+            source = previous
+            bound_by[op["var"]] = previous = op
+        if (op["estimate"] == 0.0 and op["actual"]
+                and (source is None or source["estimate"] != 0.0)):
+            found.append(op)
+    return found
+
+
 class TestTwigEligibility:
     def test_strict_plans_eligible(self, model):
         for text in TWIG_QUERIES:
@@ -100,22 +122,21 @@ class TestLowering:
         plan = build_strict_plan(
             parse_query("//item[./mailbox/mail/text]"), UNIFORM_WEIGHTS
         )
-        physical = lower_plan(plan, StaticCostModel(stats))
-        assert isinstance(physical, PhysicalPlan)
-        assert physical.operator in (TWIG, BINARY)
-        assert physical.twig_eligible
-        assert physical.cost_model == "static"
-        kinds = [op.kind for op in physical.operators]
+        assert plan.operator == BINARY and plan.estimates == ()
+        lowered = lower_plan(plan, stats)
+        assert isinstance(lowered, Plan)
+        assert lowered.operator in (TWIG, BINARY)
+        assert twig_eligible(lowered)
+        kinds = [op.kind for op in lowered.estimates]
         assert kinds[0] == "seed-scan"
-        assert len(physical.operators) == 1 + len(physical.logical.joins)
+        assert len(lowered.estimates) == 1 + len(lowered.joins)
 
     def test_join_order_follows_cost_model(self, stats):
         plan = build_strict_plan(
             parse_query("//item[./name and ./incategory and ./mailbox]"),
             UNIFORM_WEIGHTS,
         )
-        physical = lower_plan(plan, StaticCostModel(stats))
-        ordered = physical.logical
+        ordered = lower_plan(plan, stats)
         direct = [
             j for j in ordered.joins
             if j.alternatives[0].connect_var == ordered.root_var
@@ -123,57 +144,61 @@ class TestLowering:
         counts = [stats.tag_count(j.tag) for j in direct]
         assert counts == sorted(counts)
 
-    def test_operator_policy_forces_choice(self, stats):
-        plan = build_strict_plan(
-            parse_query("//item[./mailbox/mail]"), UNIFORM_WEIGHTS
-        )
-        twig = lower_plan(plan, StaticCostModel(stats, operator_policy="twig"))
-        binary = lower_plan(
-            plan, StaticCostModel(stats, operator_policy="binary")
-        )
-        assert twig.operator == TWIG
-        assert binary.operator == BINARY
-
-    def test_forced_twig_still_respects_eligibility(self, stats, model):
+    def test_forced_twig_still_respects_eligibility(
+            self, executor, stats, model):
+        """The executor refuses an ineligible twig plan: a hand-set
+        ``operator`` cannot produce wrong answers."""
         query = parse_query(
             '//item[./description/parlist and ./mailbox[.contains("gold")]]'
         )
         schedule = RelaxationSchedule(query, model)
         plan = build_encoded_plan(schedule, len(schedule))
-        physical = lower_plan(
-            plan, StaticCostModel(stats, operator_policy="twig")
+        with pinned_operator(TWIG):
+            lowered = lower_plan(plan, stats)
+        assert lowered.operator == BINARY
+        assert not twig_eligible(lowered)
+        forced = replace(lowered, operator=TWIG)
+        with pytest.raises(EvaluationError, match="twig operator"):
+            executor.run(forced, mode=STRICT)
+        # Only a twig *run* is checked: the pruning modes never take it.
+        assert _ranked(executor.run(forced, k=5, mode=SSO_MODE)) == _ranked(
+            executor.run(lowered, k=5, mode=SSO_MODE)
         )
-        assert physical.operator == BINARY
-        assert not physical.twig_eligible
 
     def test_contains_filter_estimates_present(self, stats):
         plan = build_strict_plan(
             parse_query('//item[./mailbox/mail/text[.contains("gold")]]'),
             UNIFORM_WEIGHTS,
         )
-        physical = lower_plan(plan, StaticCostModel(stats))
-        kinds = [op.kind for op in physical.operators]
-        assert "contains-filter" in kinds
+        filters = [op for op in lower_plan(plan, stats).estimates
+                   if op.kind == "contains-filter"]
+        assert filters
+        # Not estimated, and says so: never a made-up 0.0.
+        assert all(op.estimate is None for op in filters)
+        assert all("est=-" in op.describe() for op in filters)
 
     def test_describe_renders(self, stats):
         plan = build_strict_plan(
             parse_query("//item[./mailbox]"), UNIFORM_WEIGHTS
         )
-        text = lower_plan(plan, StaticCostModel(stats)).describe()
+        assert "physical operator:" not in plan.describe()
+        text = lower_plan(plan, stats).describe()
         assert "physical operator:" in text
         assert "seed-scan" in text
 
     def test_physical_plan_pickles(self, stats):
+        """A lowered ``Plan`` pickles, decisions included."""
         plan = build_strict_plan(
             parse_query('//item[./mailbox/mail[.contains("gold")]]'),
             UNIFORM_WEIGHTS,
         )
-        physical = lower_plan(plan, StaticCostModel(stats))
-        clone = pickle.loads(pickle.dumps(physical))
-        assert clone.operator == physical.operator
-        assert [op.as_dict() for op in clone.operators] == [
-            op.as_dict() for op in physical.operators
+        lowered = lower_plan(plan, stats)
+        clone = pickle.loads(pickle.dumps(lowered))
+        assert clone.operator == lowered.operator
+        assert [join.var for join in clone.joins] == [
+            join.var for join in lowered.joins
         ]
+        assert clone.estimates == lowered.estimates
 
 
 class TestExecutorDispatch:
@@ -182,31 +207,21 @@ class TestExecutorDispatch:
         self, executor, stats, query_text
     ):
         plan = build_strict_plan(parse_query(query_text), UNIFORM_WEIGHTS)
-        twig = executor.run(
-            lower_plan(plan, StaticCostModel(stats, operator_policy="twig")),
-            mode=STRICT,
-        )
-        binary = executor.run(
-            lower_plan(plan, StaticCostModel(stats, operator_policy="binary")),
-            mode=STRICT,
-        )
-        logical = executor.run(plan, mode=STRICT)
+        lowered = lower_plan(plan, stats)
+        twig = executor.run(replace(lowered, operator=TWIG), mode=STRICT)
+        binary = executor.run(replace(lowered, operator=BINARY), mode=STRICT)
+        as_built = executor.run(plan, mode=STRICT)
         assert _ranked(twig) == _ranked(binary)
-        assert _ranked(twig) == _ranked(logical)
+        assert _ranked(twig) == _ranked(as_built)
 
     def test_twig_signatures_match_binary(self, executor, stats):
         plan = build_strict_plan(
             parse_query('//item[./mailbox/mail[.contains("gold")]]'),
             UNIFORM_WEIGHTS,
         )
-        twig = executor.run(
-            lower_plan(plan, StaticCostModel(stats, operator_policy="twig")),
-            mode=STRICT,
-        )
-        binary = executor.run(
-            lower_plan(plan, StaticCostModel(stats, operator_policy="binary")),
-            mode=STRICT,
-        )
+        lowered = lower_plan(plan, stats)
+        twig = executor.run(replace(lowered, operator=TWIG), mode=STRICT)
+        binary = executor.run(replace(lowered, operator=BINARY), mode=STRICT)
         assert {a.node_id: a.satisfied for a in twig.answers} == {
             a.node_id: a.satisfied for a in binary.answers
         }
@@ -217,38 +232,34 @@ class TestExecutorDispatch:
         self, executor, stats, model, mode
     ):
         # The holistic operator cannot apply threshold pruning, so a twig
-        # physical plan under SSO/Hybrid must run the binary pipeline.
+        # plan under SSO/Hybrid must run the binary pipeline.
         query = parse_query("//item[./description/parlist]")
         schedule = RelaxationSchedule(query, model)
         plan = build_encoded_plan(schedule, 0)
-        physical = lower_plan(
-            plan, StaticCostModel(stats, operator_policy="twig")
+        with pinned_operator(TWIG):
+            lowered = lower_plan(plan, stats)
+        assert lowered.operator == TWIG
+        via_lowered = executor.run(
+            lowered, k=5, scheme=STRUCTURE_FIRST, mode=mode
         )
-        assert physical.operator == TWIG
-        via_physical = executor.run(
-            physical, k=5, scheme=STRUCTURE_FIRST, mode=mode
-        )
-        via_logical = executor.run(plan, k=5, scheme=STRUCTURE_FIRST, mode=mode)
-        assert _ranked(via_physical) == _ranked(via_logical)
-        assert via_physical.operators is not None
+        as_built = executor.run(plan, k=5, scheme=STRUCTURE_FIRST, mode=mode)
+        assert _ranked(via_lowered) == _ranked(as_built)
         actuals = {
             (op["kind"], op["var"]): op["actual"]
-            for op in via_physical.operators
+            for op in via_lowered.operators
         }
-        # Binary actuals were recorded, twig ones never ran.
-        assert ("twig-join", plan.joins[0].var) not in {
-            key for key, value in actuals.items() if value is not None
-        } or actuals[("twig-join", plan.joins[0].var)] is None
+        # The seed ran; the twig joins the lowering described never did.
+        assert actuals[("seed-scan", plan.root_var)] is not None
+        assert actuals[("twig-join", plan.joins[0].var)] is None
 
     def test_operators_report_estimates_and_actuals(self, executor, stats):
         plan = build_strict_plan(
             parse_query('//item[./mailbox/mail/text[.contains("gold")]]'),
             UNIFORM_WEIGHTS,
         )
-        physical = lower_plan(
-            plan, StaticCostModel(stats, operator_policy="twig")
-        )
-        result = executor.run(physical, mode=STRICT)
+        with pinned_operator(TWIG):
+            lowered = lower_plan(plan, stats)
+        result = executor.run(lowered, mode=STRICT)
         assert result.operators
         by_key = {(op["kind"], op["var"]): op for op in result.operators}
         seed = by_key[("seed-scan", plan.root_var)]
@@ -259,36 +270,57 @@ class TestExecutorDispatch:
         for op in twig_ops:
             assert op["actual"] is not None
 
-    def test_logical_plans_report_no_operators(self, executor):
-        plan = build_strict_plan(
-            parse_query("//item[./mailbox]"), UNIFORM_WEIGHTS
-        )
-        result = executor.run(plan, mode=STRICT)
-        assert result.operators is None
-
-    def test_physical_counters(self, executor, stats):
+    def test_physical_counters(self, executor):
         plan = build_strict_plan(
             parse_query("//item[./mailbox]"), UNIFORM_WEIGHTS
         )
         REGISTRY.reset()
         try:
-            executor.run(
-                lower_plan(
-                    plan, StaticCostModel(stats, operator_policy="twig")
-                ),
-                mode=STRICT,
-            )
-            executor.run(
-                lower_plan(
-                    plan, StaticCostModel(stats, operator_policy="binary")
-                ),
-                mode=STRICT,
-            )
+            executor.run(replace(plan, operator=TWIG), mode=STRICT)
+            executor.run(replace(plan, operator=BINARY), mode=STRICT)
+            # A twig plan in a pruning mode runs — and counts — as binary.
+            executor.run(replace(plan, operator=TWIG), k=3, mode=SSO_MODE)
             counters = REGISTRY.as_dict()["counters"]
             assert counters.get("plan.physical.twig") == 1
-            assert counters.get("plan.physical.binary") == 1
+            assert counters.get("plan.physical.binary") == 2
         finally:
             REGISTRY.reset()
+
+    def test_no_level_reports_an_estimate_nobody_made(self, doc):
+        """``explain --analyze`` printed ``contains-filter est=0.0 act=6``:
+        a 0.0 next to a non-zero actual must follow from an empty input."""
+        context = QueryContext(doc)
+        compiled = compile_query(
+            context,
+            parse_query('//item[./mailbox/mail/text[.contains("vintage")]]'),
+        )
+        filtered = 0
+        for level in range(compiled.level_count()):
+            for plan, mode in ((compiled.strict_plan(level), STRICT),
+                               (compiled.encoded_plan(level), SSO_MODE)):
+                operators = context.executor.run(plan, mode=mode).operators
+                assert unfounded_zero_estimates(operators) == []
+                filtered += sum(
+                    1 for op in operators
+                    if op["kind"] == "contains-filter" and op["actual"]
+                )
+        assert filtered  # the case the defect showed on is exercised
+
+    def test_untraced_runs_build_no_operator_dicts(self, doc, monkeypatch):
+        calls = []
+        as_dict = OperatorEstimate.as_dict
+        monkeypatch.setattr(
+            OperatorEstimate, "as_dict",
+            lambda self: calls.append(self) or as_dict(self),
+        )
+        engine = Engine(doc, cache=False)
+        query = "//item[./mailbox/mail/text]"
+        for algorithm in ("dpo", "sso"):
+            assert engine.query(query, k=5, algorithm=algorithm).answers
+        assert calls == []
+        traced = engine.query(query, k=5, algorithm="dpo", trace=True)
+        assert calls
+        assert any(level.operators for level in traced.levels)
 
 
 class TestCompiledPhysical:
@@ -298,13 +330,12 @@ class TestCompiledPhysical:
             context, parse_query("//item[./mailbox/mail]")
         )
         for level in range(compiled.level_count()):
-            strict = compiled.strict_physical(level)
-            encoded = compiled.encoded_physical(level)
-            assert isinstance(strict, PhysicalPlan)
-            assert isinstance(encoded, PhysicalPlan)
-        assert compiled.strict_physical(0).logical.joins
-        assert compiled.cost_model_name == context.cost_model.name
-        assert compiled.cost_fingerprint == context.cost_model.fingerprint()
+            for plan in (compiled.strict_plan(level),
+                         compiled.encoded_plan(level)):
+                assert isinstance(plan, Plan)
+                assert plan.operator in (TWIG, BINARY)
+                assert plan.estimates  # lowered, not as built
+        assert compiled.strict_plan(0).joins
 
 
 class TestTwigDeadline:
@@ -315,7 +346,7 @@ class TestTwigDeadline:
         'and ./mailbox/mail/text[.contains("name")]]'
     )
 
-    def test_overshoot_is_bounded_by_one_pool(self, doc, stats):
+    def test_overshoot_is_bounded_by_one_pool(self, doc):
         """The deadline passes during the first ``contains`` probe.  Work done
         after that (probes are the unit — no wall clock, so no flakiness) must
         stay within the pool being filtered; checking on entry only, the run
@@ -334,11 +365,10 @@ class TestTwigDeadline:
                 raise QueryTimeoutError("query exceeded its deadline")
 
         executor = PlanExecutor(doc, ExpiringIR(doc))
-        physical = lower_plan(
+        physical = replace(
             build_strict_plan(parse_query(self.QUERY), UNIFORM_WEIGHTS),
-            StaticCostModel(stats, operator_policy="twig"),
+            operator=TWIG,
         )
-        assert physical.operator == TWIG
         unbounded = executor.run(physical, mode=STRICT)
         pools = [len(doc.nodes_with_tag(tag)) for tag in ("item", "description", "text")]
         assert len(probes_after_deadline) >= sum(pools)  # the overshoot to bound
@@ -349,11 +379,11 @@ class TestTwigDeadline:
             executor.run(physical, mode=STRICT, checkpoint=checkpoint)
         assert 0 < len(probes_after_deadline) <= max(pools)
 
-    def test_checkpoint_reached_between_every_stage(self, executor, stats):
+    def test_checkpoint_reached_between_every_stage(self, executor):
         calls = []
-        physical = lower_plan(
+        physical = replace(
             build_strict_plan(parse_query(self.QUERY), UNIFORM_WEIGHTS),
-            StaticCostModel(stats, operator_policy="twig"),
+            operator=TWIG,
         )
         executor.run(physical, mode=STRICT, checkpoint=lambda: calls.append(1))
         variables = 5  # item, description, mailbox, mail, text

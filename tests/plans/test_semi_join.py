@@ -19,19 +19,20 @@ from repro.plans import (
     STRICT,
     EvaluationCache,
     PlanExecutor,
-    StaticCostModel,
     build_encoded_plan,
     build_strict_plan,
     lower_plan,
 )
+from repro.plans.lowering import estimate_pipeline
+from repro.plans.plan import BINARY
 from repro.query import parse_query
 from repro.rank import COMBINED, KEYWORD_FIRST, STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, RelaxationSchedule
-from repro.topk import DPO
 from repro.topk.base import QueryContext
 from repro.xmark import PAPER_Q3, generate_document
 from repro.xmltree import parse
 from repro.xmltree.builder import TreeBuilder
+from tests.plans.pinning import pinned_operator
 from tests.plans.test_binary_ids import KERNELS, count_calls
 from tests.properties.strategies import TAGS, WORDS, tree_patterns
 
@@ -130,15 +131,13 @@ class TestWhichJoinsQualify:
     def test_existential_is_dead_at_its_own_join_with_no_check_of_its_own(
             self, doc, query, reorder):
         """The one-pass definition against the per-position liveness the
-        projection uses, in plan order and in the cost model's order."""
+        projection uses, in plan order and in the lowering's order."""
         context = QueryContext(doc)
         schedule = RelaxationSchedule(query, context.penalties)
         for level in (0, len(schedule) // 2, len(schedule)):
             plan = build_encoded_plan(schedule, level)
             if reorder:
-                plan = lower_plan(
-                    plan, StaticCostModel(context.statistics)
-                ).logical
+                plan = lower_plan(plan, context.statistics)
             assert plan.existential() == tuple(
                 join.var not in live and not plan.checks_by_var.get(join.var)
                 for join, live in zip(plan.joins, plan.live_after())
@@ -155,34 +154,33 @@ class TestLoweredOperator:
             parse_query("//item[./mailbox/mail and ./incategory]"),
             UNIFORM_WEIGHTS,
         )
-        model = StaticCostModel(context.statistics, operator_policy="binary")
-        physical = lower_plan(plan, model)
-        kinds = {op.var: op.kind for op in physical.operators}
+        with pinned_operator(BINARY):
+            lowered = lower_plan(plan, context.statistics)
+        kinds = {op.var: op.kind for op in lowered.estimates}
         existential = dict(zip(
-            (join.var for join in physical.logical.joins),
-            physical.logical.existential(),
+            (join.var for join in lowered.joins), lowered.existential(),
         ))
         assert sorted(existential.values()) == [False, True, True]
         for var, flag in existential.items():
             assert kinds[var] == ("semi-join" if flag else "binary-join")
         # A semi-join emits at most one tuple per input; its estimate says so
         # even where the fan-out estimate is above one (incategory: ~1.5).
-        pipeline = model.estimate_pipeline(physical.logical)
+        pipeline = estimate_pipeline(lowered, context.statistics)
         assert max(pipeline) > pipeline[0]
-        previous = physical.operators[0]
-        for op in physical.operators[1:]:
+        previous = lowered.estimates[0]
+        for op in lowered.estimates[1:]:
             if op.kind == "semi-join":
                 assert op.estimate <= previous.estimate
             if op.kind in ("semi-join", "binary-join"):
                 previous = op
-        result = PlanExecutor(context.backend, context.ir).run(physical)
+        result = PlanExecutor(context.backend, context.ir).run(lowered)
         inputs = None
         for op in result.operators:
             assert op["actual"] is not None, op
             if op["kind"] == "semi-join":
                 assert op["actual"] <= inputs
             inputs = op["actual"]
-        assert "semi-join" in physical.describe()
+        assert "semi-join" in lowered.describe()
 
 
 # -- (a) invisible in every result -------------------------------------------------
@@ -227,14 +225,17 @@ def assert_invisible(doc, query, level_share, k, restrict, cached):
     context = QueryContext(doc)
     schedule = RelaxationSchedule(query, context.penalties)
     level = round(level_share * len(schedule))
-    binary = StaticCostModel(context.statistics, operator_policy="binary")
-    strict = lower_plan(
-        build_strict_plan(schedule.level(level).query, context.weights), binary
+    statistics = context.statistics
+    strict = replace(
+        lower_plan(
+            build_strict_plan(schedule.level(level).query, context.weights),
+            statistics,
+        ),
+        operator=BINARY,
     )
-    encoded = lower_plan(build_encoded_plan(schedule, level), binary)
-    for physical, mode in (
+    encoded = lower_plan(build_encoded_plan(schedule, level), statistics)
+    for plan, mode in (
             (strict, STRICT), (encoded, SSO_MODE), (encoded, HYBRID_MODE)):
-        plan = physical.logical
         restrictions = None
         dead = [join for join, flag in zip(plan.joins, plan.existential())
                 if flag]
@@ -251,7 +252,7 @@ def assert_invisible(doc, query, level_share, k, restrict, cached):
                     eval_cache=EvaluationCache() if cached else None,
                 )
                 results.append(observed(executor.run(
-                    physical, k=k, scheme=scheme, mode=mode,
+                    plan, k=k, scheme=scheme, mode=mode,
                     pool_restrictions=restrictions,
                 )))
             (answers, stats, produced), (ref_answers, ref_stats, ref_produced) = results
@@ -445,39 +446,3 @@ class TestTheStep:
         cache = small.eval_cache
         assert cache.metrics_snapshot()["eval_cache.flushes"] > 0
         assert cache._join_entries == sum(map(len, cache._joins.values()))
-
-
-# -- feedback hygiene --------------------------------------------------------------
-
-
-class TestFeedback:
-    def test_a_semi_join_teaches_the_cost_model_nothing(self):
-        doc = generate_document(target_bytes=40_000, seed=21)
-        context = QueryContext(doc)
-        edge = ("item", "pc", "incategory")
-        static = StaticCostModel(context.statistics).join_fanout(*edge)
-        assert static > 1  # several categories per item
-        # Q3 through DPO: a strict plan per relaxation level, the incategory
-        # leaf a required single-alternative join in each — what feedback
-        # records when the join enumerates.
-        result = DPO(context).top_k(parse_query(PAPER_Q3), 10)
-        assert len(result.answers) == 10 and len(result.stats) > 1
-        strict = build_strict_plan(
-            parse_query("//item[./name and ./incategory]"), context.weights
-        )
-        assert strict.existential() == (True, True)
-        assert context.executor.run(strict).answers
-        # Its output is at most its input: recorded, that would read as a
-        # fan-out below one wherever incategory is bound as a live variable.
-        assert context.feedback.fanout(*edge) is None
-        assert context.cost_model.join_fanout(*edge) == static
-        # A run that enumerates the same edge does teach it — the true value.
-        live = build_strict_plan(
-            parse_query("//item/incategory"), context.weights
-        )
-        result = context.executor.run(live)
-        items = context.statistics.tag_count("item")
-        assert context.cost_model.join_fanout(*edge) == pytest.approx(
-            len(result.answers) / items
-        )
-        assert context.cost_model.join_fanout(*edge) > 1

@@ -7,17 +7,13 @@ ancestor and a candidate child.  The twig operator must agree with the
 binary pipeline on both answers and round-9 scores everywhere.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ir import IREngine
-from repro.plans import (
-    STRICT,
-    PlanExecutor,
-    StaticCostModel,
-    build_strict_plan,
-    lower_plan,
-)
-from repro.plans.physical import BINARY, TWIG
+from repro.plans import STRICT, PlanExecutor, build_strict_plan, lower_plan
+from repro.plans.plan import BINARY, TWIG
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
 from repro.backend.stats import DocumentStatistics
@@ -51,16 +47,12 @@ def _ranked(result):
 
 
 def _run_both(executor, stats, query_text):
-    plan = build_strict_plan(parse_query(query_text), UNIFORM_WEIGHTS)
-    twig_plan = lower_plan(plan, StaticCostModel(stats, operator_policy="twig"))
-    binary_plan = lower_plan(
-        plan, StaticCostModel(stats, operator_policy="binary")
+    plan = lower_plan(
+        build_strict_plan(parse_query(query_text), UNIFORM_WEIGHTS), stats
     )
-    assert twig_plan.operator == TWIG
-    assert binary_plan.operator == BINARY
     return (
-        executor.run(twig_plan, mode=STRICT),
-        executor.run(binary_plan, mode=STRICT),
+        executor.run(replace(plan, operator=TWIG), mode=STRICT),
+        executor.run(replace(plan, operator=BINARY), mode=STRICT),
     )
 
 

@@ -295,6 +295,31 @@ class TestExplainJson:
                 seen_kinds.add(op["kind"])
         assert "seed-scan" in seen_kinds
 
+    def test_analyze_never_prints_an_estimate_nobody_made(self, xml_file):
+        """A ``contains-filter`` used to read ``est=0.0  act=2``."""
+        import json
+
+        from tests.plans.test_physical import unfounded_zero_estimates
+
+        argv = [
+            "explain", xml_file,
+            '//article[./section/paragraph[.contains("streaming")]]',
+            "--analyze", "--algorithm", "dpo", "-k", "3",
+        ]
+        code, output = run(argv)
+        assert code == 0
+        filters = [line for line in output.splitlines()
+                   if "contains-filter" in line]
+        assert filters and all("est=- " in line for line in filters)
+        assert any("act=0" not in line for line in filters)
+        code, output = run(argv + ["--json"])
+        assert code == 0
+        for level in json.loads(output)["levels"]:
+            assert unfounded_zero_estimates(level["operators"]) == []
+            for op in level["operators"]:
+                if op["kind"] == "contains-filter":
+                    assert op["estimate"] is None
+
 
 class TestMetrics:
     def test_prometheus_text_output(self, xml_file):

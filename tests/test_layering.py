@@ -129,10 +129,10 @@ class TestDetection:
 
     def test_missing_required_guarded_module_is_flagged(self, tmp_path):
         root = _fake_tree(tmp_path, "")
-        (root / "repro" / "plans" / "cost.py").unlink()
+        (root / "repro" / "plans" / "lowering.py").unlink()
         violations = check_layering.check(root)
         assert len(violations) == 1
-        assert "plans/cost.py" in violations[0]
+        assert "plans/lowering.py" in violations[0]
 
     def test_module_getattr_shim_is_exempt(self, tmp_path):
         root = _fake_tree(
