@@ -50,6 +50,7 @@ from repro.errors import CorruptStorageError, FleXPathError
 from repro.ir.engine import IREngine
 from repro.ir.index import InvertedIndex, Posting
 from repro.xmltree.document import Document
+from repro.xmltree.storage import decode_fragment, encode_fragment
 
 WAL_NAME = "wal.log"
 SEGMENT_PREFIX = "seg-"
@@ -84,7 +85,8 @@ class DiskInvertedIndex(InvertedIndex):
             if location is None:
                 return None
             posting = diskfmt.decode_posting(
-                self._mm, location[0], location[1], self._name
+                self._mm, location[0], location[1], len(self._document),
+                self._name,
             )
             self._postings[term] = posting
             if REGISTRY.enabled:
@@ -205,9 +207,14 @@ class DiskBackend(InMemoryBackend):
             # Envelope (magic + CRC) checks run now so a torn or flipped
             # segment fails the open; the Python-level decodes are
             # deferred to first full-text / statistics touch.
-            postings_mm = diskfmt.map_postings(postings_path)
+            postings_mm = diskfmt.map_segment(
+                postings_path, diskfmt.POSTINGS_MAGIC, "postings"
+            )
             mmaps.append(postings_mm)
-            stats_buffer = diskfmt.load_stats(stats_path)
+            stats_buffer = diskfmt.map_segment(
+                stats_path, diskfmt.STATS_MAGIC, "stats"
+            )
+            mmaps.append(stats_buffer)
         except CorruptStorageError:
             for mm in mmaps:
                 mm.close()
@@ -242,7 +249,7 @@ class DiskBackend(InMemoryBackend):
         """
         for payload in self._wal.recover(generation):
             try:
-                document, name = diskfmt.decode_fragment(
+                document, name = decode_fragment(
                     payload, name=self._wal.path
                 )
             except CorruptStorageError:
@@ -381,7 +388,7 @@ class DiskBackend(InMemoryBackend):
         with self._ingest_mutex:
             if name is None:
                 name = "doc%d" % len(self.corpus)
-            self._wal.append(diskfmt.encode_fragment(document, name))
+            self._wal.append(encode_fragment(document, name))
             root = self.corpus.add_document(document, name=name)
             self._wal_documents += 1
             if REGISTRY.enabled:

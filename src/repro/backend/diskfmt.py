@@ -5,10 +5,11 @@ format (DESIGN §12) has three kinds of artifact, all little-endian,
 fixed-width (``struct``), and CRC-protected:
 
 - **Column segment** (``columns.bin``): the whole node table of a sealed
-  corpus generation — interned tag dictionary, the four structural
-  ``int32`` columns (tag/parent/level/end), a text blob with a ``uint64``
-  offset table, the sparse attribute table, the per-tag id index, and the
-  fragment table (which source document owns which id range).  Readers
+  corpus generation — interned tag dictionary, then the node table exactly
+  as :func:`repro.xmltree.storage.write_node_table` lays it out for a WAL
+  fragment (four ``int32`` columns, text table, attribute table), then the
+  per-tag id index and the fragment table (which source document owns
+  which id range).  Readers
   ``mmap`` the file: the structural columns hydrate into ``array('i')``
   with one ``frombytes`` memcpy each (they must stay mutable for WAL-tail
   growth), while the text payload — usually the bulk of the bytes — is
@@ -24,13 +25,17 @@ fixed-width (``struct``), and CRC-protected:
 
 Plus the **write-ahead log** (``wal.log``): a 16-byte header (magic +
 generation) followed by self-delimiting records ``FXR1 | u32 length |
-u32 crc32(payload) | payload``, each payload an encoded document fragment.
+u32 crc32(payload) | payload``, each payload a
+:func:`~repro.xmltree.storage.encode_fragment` document fragment.
 :class:`WriteAheadLog` fsyncs every append and, on open, recovers the
 longest valid record prefix, truncating any torn tail in place.
 
-Every reader raises :class:`~repro.errors.CorruptStorageError` — never a
-raw ``struct.error``/``ValueError``/``IndexError`` — naming the file and
-the byte offset where validation failed.
+The byte cursors, the envelope check and the node-table validator live
+in :mod:`repro.xmltree.storage`, so dump files, WAL records and column
+segments refuse the same bytes.  Every reader raises
+:class:`~repro.errors.CorruptStorageError` — never a raw
+``struct.error``/``ValueError``/``IndexError`` — naming the file and the
+byte offset where validation failed.
 
 Every I/O seam here reports into the process observability plane (DESIGN
 §13) with the PR 2–3 zero-overhead-when-off contract: each seam pays one
@@ -46,18 +51,28 @@ CRC-failure counter and emits a ``storage_corruption`` event.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
-import sys
 import zlib
-from array import array
 from time import perf_counter
 
 from repro.errors import CorruptStorageError
 from repro.ir.index import Posting
 from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
-from repro.xmltree.document import ColumnarStore, Document, TagDictionary
+from repro.xmltree.document import ColumnarStore
+from repro.xmltree.storage import (
+    ByteReader,
+    ByteWriter,
+    check_envelope,
+    read_attributes,
+    read_columns_into,
+    read_tags,
+    read_text_table,
+    validate_node_table,
+    write_node_table,
+)
 
 SEGMENT_MAGIC = b"FXSEG001"
 POSTINGS_MAGIC = b"FXPST001"
@@ -73,13 +88,10 @@ _RECORD_HEADER = struct.Struct("<4sII")  # magic, payload length, payload crc
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_I32 = struct.Struct("<i")
 
 #: ``None`` tag sentinel in statistics keys (a u32 length that no real
 #: tag name can have).
 _NONE_TAG = 0xFFFFFFFF
-
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _artifact_kind(path):
@@ -101,127 +113,32 @@ def _observe_segment_load(path, kind, size, seconds):
         )
 
 
-def _int_array_bytes(values):
-    """``array('i')`` payload bytes, always little-endian on disk."""
-    data = values if isinstance(values, array) else array("i", values)
-    if _BIG_ENDIAN:
-        data = array("i", data)
-        data.byteswap()
-    return data.tobytes()
-
-
-def _int_array_from(buffer):
-    """An ``array('i')`` from little-endian payload bytes."""
-    data = array("i")
-    data.frombytes(buffer)
-    if _BIG_ENDIAN:
-        data.byteswap()
-    return data
-
-
-class _Writer:
-    """Accumulates one artifact's bytes; CRC and fsync happen at close."""
-
-    def __init__(self):
-        self._parts = bytearray()
-
-    def raw(self, data):
-        self._parts += data
-
-    def u32(self, value):
-        self._parts += _U32.pack(value)
-
-    def u64(self, value):
-        self._parts += _U64.pack(value)
-
-    def i32(self, value):
-        self._parts += _I32.pack(value)
-
-    def text(self, value):
-        data = value.encode("utf-8")
-        self.u32(len(data))
-        self.raw(data)
-
-    def int_array(self, values):
-        self.raw(_int_array_bytes(values))
-
-    def __len__(self):
-        return len(self._parts)
-
-    def write_to(self, path):
-        """Write payload + trailing CRC32, fsync'd."""
-        observing = REGISTRY.enabled or HUB.active
-        started = perf_counter() if observing else 0.0
-        self._parts += _U32.pack(zlib.crc32(self._parts))
-        with open(path, "wb") as handle:
-            handle.write(self._parts)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if observing:
-            seconds = perf_counter() - started
-            size = len(self._parts)
-            if REGISTRY.enabled:
-                REGISTRY.inc_many(
-                    {"segment.seals": 1, "segment.seal_bytes": size}
-                )
-                REGISTRY.observe("segment.seal_seconds", seconds)
-            if HUB.active:
-                HUB.emit(
-                    "segment_sealed",
-                    {
-                        "path": str(path),
-                        "kind": _artifact_kind(path),
-                        "bytes": size,
-                        "seconds": seconds,
-                    },
-                )
-
-
-class _Reader:
-    """Sequential cursor over a buffer; short reads raise CorruptStorageError."""
-
-    __slots__ = ("buffer", "offset", "name")
-
-    def __init__(self, buffer, name, offset=0):
-        self.buffer = buffer
-        self.offset = offset
-        self.name = name
-
-    def fail(self, message):
-        raise CorruptStorageError(
-            "corrupt %s: %s (at byte %d)" % (self.name, message, self.offset)
-        )
-
-    def _take(self, count):
-        end = self.offset + count
-        if end > len(self.buffer):
-            self.fail("unexpected end of file")
-        start = self.offset
-        self.offset = end
-        return start
-
-    def raw(self, count):
-        return bytes(self.buffer[self._take(count) : self.offset])
-
-    def u32(self):
-        return _U32.unpack_from(self.buffer, self._take(4))[0]
-
-    def u64(self):
-        return _U64.unpack_from(self.buffer, self._take(8))[0]
-
-    def i32(self):
-        return _I32.unpack_from(self.buffer, self._take(4))[0]
-
-    def text(self):
-        length = self.u32()
-        try:
-            return self.raw(length).decode("utf-8")
-        except UnicodeDecodeError:
-            self.fail("undecodable text")
-
-    def int_array(self, count):
-        start = self._take(4 * count)
-        return _int_array_from(self.buffer[start : self.offset])
+def _seal(writer, path):
+    """Write ``writer``'s payload + trailing CRC32 to ``path``, fsync'd."""
+    observing = REGISTRY.enabled or HUB.active
+    started = perf_counter() if observing else 0.0
+    data = writer.data
+    data += _U32.pack(zlib.crc32(data))
+    with open(path, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    if observing:
+        seconds = perf_counter() - started
+        size = len(data)
+        if REGISTRY.enabled:
+            REGISTRY.inc_many({"segment.seals": 1, "segment.seal_bytes": size})
+            REGISTRY.observe("segment.seal_seconds", seconds)
+        if HUB.active:
+            HUB.emit(
+                "segment_sealed",
+                {
+                    "path": str(path),
+                    "kind": _artifact_kind(path),
+                    "bytes": size,
+                    "seconds": seconds,
+                },
+            )
 
 
 def _report_corruption(name, counter, message):
@@ -232,144 +149,23 @@ def _report_corruption(name, counter, message):
 
 
 def _check_magic_and_crc(buffer, magic, name):
-    """Validate the artifact envelope; returns the payload end offset."""
-    if len(buffer) < len(magic) + 4:
-        message = "corrupt %s: file too short (%d bytes)" % (name, len(buffer))
-        _report_corruption(name, "segment.crc_failures", message)
-        raise CorruptStorageError(message)
-    if bytes(buffer[: len(magic)]) != magic:
-        message = "corrupt %s: bad magic %r" % (name, bytes(buffer[:8]))
-        _report_corruption(name, "segment.crc_failures", message)
-        raise CorruptStorageError(message)
-    payload_end = len(buffer) - 4
-    view = memoryview(buffer)[:payload_end]
-    crc = zlib.crc32(view)
-    view.release()
-    (stored,) = _U32.unpack_from(buffer, payload_end)
-    if crc != stored:
-        message = (
-            "corrupt %s: CRC mismatch (stored %08x, computed %08x)"
-            % (name, stored, crc)
-        )
-        _report_corruption(name, "segment.crc_failures", message)
-        raise CorruptStorageError(message)
-    return payload_end
-
-
-# -- fragment codec (WAL record payloads) -------------------------------------
-
-
-def encode_fragment(document, name):
-    """One parsed document + its corpus name as a WAL record payload."""
-    store = document.store
-    writer = _Writer()
-    writer.text(name)
-    tags = store.tags.names()
-    writer.u32(len(tags))
-    for tag in tags:
-        writer.text(tag)
-    count = len(store)
-    writer.u32(count)
-    writer.int_array(store.tag_ids)
-    writer.int_array(store.parent_ids)
-    writer.int_array(store.levels)
-    writer.int_array(store.ends)
-    _write_texts(writer, store.texts, count)
-    _write_attributes(writer, store.attribute_table)
-    return bytes(writer._parts)
-
-
-def decode_fragment(payload, name="wal record"):
-    """Rebuild ``(document, name)`` from :func:`encode_fragment` output."""
-    reader = _Reader(payload, name)
-    doc_name = reader.text()
-    tag_count = reader.u32()
-    tags = [reader.text() for _ in range(tag_count)]
-    count = reader.u32()
-    store = ColumnarStore()
-    store.tags = TagDictionary(tags)
-    store.tag_ids = reader.int_array(count)
-    store.parent_ids = reader.int_array(count)
-    store.levels = reader.int_array(count)
-    store.ends = reader.int_array(count)
-    store.texts = _read_texts(reader, count)
-    store.attribute_table = _read_attributes(reader)
-    tag_lists = [array("i") for _ in range(tag_count)]
-    for node_id, tag_id in enumerate(store.tag_ids):
-        if not 0 <= tag_id < tag_count:
-            reader.fail("node %d has unknown tag id %d" % (node_id, tag_id))
-        tag_lists[tag_id].append(node_id)
-    store.tag_node_ids = {
-        tag_id: ids for tag_id, ids in enumerate(tag_lists) if ids
-    }
-    _validate_structure(store, reader)
-    return Document(store), doc_name
-
-
-def _validate_structure(store, reader):
-    count = len(store)
-    parent_ids = store.parent_ids
-    ends = store.ends
-    for node_id in range(count):
-        parent_id = parent_ids[node_id]
-        if parent_id >= node_id:
-            reader.fail("node %d precedes its parent" % node_id)
-        if not node_id < ends[node_id] <= count:
-            reader.fail("node %d has invalid region end" % node_id)
-
-
-def _write_texts(writer, texts, count):
-    blobs = [text.encode("utf-8") for text in texts]
-    writer.u64(count + 1)
-    offset = 0
-    for blob in blobs:
-        writer.u64(offset)
-        offset += len(blob)
-    writer.u64(offset)
-    writer.u64(offset)  # blob length
-    for blob in blobs:
-        writer.raw(blob)
-
-
-def _read_texts(reader, count):
-    offset_count = reader.u64()
-    if offset_count != count + 1:
-        reader.fail(
-            "text offsets disagree with node count (%d vs %d)"
-            % (offset_count, count + 1)
-        )
-    offsets = [reader.u64() for _ in range(offset_count)]
-    blob_len = reader.u64()
-    if offsets and (offsets[-1] != blob_len or offsets != sorted(offsets)):
-        reader.fail("text offset table is inconsistent")
-    blob = reader.raw(blob_len)
+    """:func:`check_envelope`, counted as a segment CRC failure."""
     try:
-        return [
-            blob[offsets[i] : offsets[i + 1]].decode("utf-8")
-            for i in range(count)
-        ]
-    except UnicodeDecodeError:
-        reader.fail("undecodable text payload")
+        return check_envelope(buffer, magic, name)
+    except CorruptStorageError as error:
+        _report_corruption(name, "segment.crc_failures", str(error))
+        raise
 
 
-def _write_attributes(writer, attribute_table):
-    writer.u32(len(attribute_table))
-    for node_id in sorted(attribute_table):
-        attributes = attribute_table[node_id]
-        writer.i32(node_id)
-        writer.u32(len(attributes))
-        for key in sorted(attributes):
-            writer.text(key)
-            writer.text(attributes[key])
-
-
-def _read_attributes(reader):
-    table = {}
-    for _ in range(reader.u32()):
-        node_id = reader.i32()
-        pairs = reader.u32()
-        table[node_id] = {reader.text(): reader.text() for _ in range(pairs)}
-    return table
+def _map(path, what):
+    """Read-only ``mmap`` of a sealed artifact."""
+    try:
+        with open(path, "rb") as handle:
+            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as error:
+        raise CorruptStorageError(
+            "corrupt %s: cannot map %s (%s)" % (path, what, error)
+        ) from None
 
 
 # -- column segment ------------------------------------------------------------
@@ -377,34 +173,25 @@ def _read_attributes(reader):
 
 def write_columns(path, store, fragments):
     """Seal a node table (+ fragment table) into ``columns.bin``."""
-    writer = _Writer()
+    writer = ByteWriter()
     writer.raw(SEGMENT_MAGIC)
     writer.u32(FORMAT_VERSION)
-    count = len(store)
-    writer.u64(count)
+    writer.u64(len(store))
     tags = store.tags.names()
     writer.u32(len(tags))
     writer.u32(len(fragments))
     for tag in tags:
         writer.text(tag)
-    writer.int_array(store.tag_ids)
-    writer.int_array(store.parent_ids)
-    writer.int_array(store.levels)
-    writer.int_array(store.ends)
-    _write_texts(writer, store.texts, count)
-    _write_attributes(writer, store.attribute_table)
+    write_node_table(writer, store)
     for tag_id in range(len(tags)):
-        ids = store.tag_node_ids.get(tag_id)
-        if ids is None:
-            interned = store.tags.id_of(tags[tag_id])
-            ids = store.tag_node_ids.get(interned, ())
+        ids = store.tag_node_ids.get(tag_id, ())
         writer.u64(len(ids))
         writer.int_array(ids)
     for start, end, name in fragments:
         writer.i32(start)
         writer.i32(end)
         writer.text(name)
-    writer.write_to(path)
+    _seal(writer, path)
 
 
 def read_columns(path):
@@ -413,57 +200,55 @@ def read_columns(path):
     Returns ``(store, fragments, mm)`` — a :class:`ColumnarStore` whose
     structural columns are hydrated ``array('i')`` copies and whose text
     column reads lazily out of the returned ``mmap`` (keep it open for the
-    store's lifetime).
+    store's lifetime).  The table passes :func:`validate_node_table`, the
+    stored tag index must equal the one the tag column implies, and the
+    fragment table must list exactly the virtual root's children.
     """
-    import mmap as mmap_module
-
     name = str(path)
     started = perf_counter()
+    mm = _map(path, "segment")
     try:
-        with open(path, "rb") as handle:
-            mm = mmap_module.mmap(
-                handle.fileno(), 0, access=mmap_module.ACCESS_READ
-            )
-    except (OSError, ValueError) as error:
-        raise CorruptStorageError(
-            "corrupt %s: cannot map segment (%s)" % (name, error)
-        ) from None
-    try:
-        _check_magic_and_crc(mm, SEGMENT_MAGIC, name)
-        reader = _Reader(mm, name, offset=len(SEGMENT_MAGIC))
+        payload_end = _check_magic_and_crc(mm, SEGMENT_MAGIC, name)
+        reader = ByteReader(mm, name, offset=len(SEGMENT_MAGIC))
         version = reader.u32()
         if version != FORMAT_VERSION:
             reader.fail("unsupported segment format version %d" % version)
         count = reader.u64()
         tag_count = reader.u32()
         fragment_count = reader.u32()
-        tags = [reader.text() for _ in range(tag_count)]
         store = ColumnarStore()
-        store.tags = TagDictionary(tags)
-        store.tag_ids = reader.int_array(count)
-        store.parent_ids = reader.int_array(count)
-        store.levels = reader.int_array(count)
-        store.ends = reader.int_array(count)
-        offset_count = reader.u64()
-        if offset_count != count + 1:
-            reader.fail("text offset table disagrees with node count")
-        offsets_at = reader.offset
-        reader._take(8 * offset_count)
-        blob_len = reader.u64()
-        blob_at = reader._take(blob_len)
-        store.texts = LazyTextColumn(mm, offsets_at, blob_at, count)
-        store.attribute_table = _read_attributes(reader)
-        store.tag_node_ids = {}
+        store.tags = read_tags(reader, tag_count)
+        read_columns_into(store, reader, count)
+        _offsets, offsets_at, blob_at = read_text_table(reader, count)
+        store.texts = LazyTextColumn(mm, offsets_at, blob_at, count, name)
+        store.attribute_table = read_attributes(reader, count)
+        stored_index = {}
         for tag_id in range(tag_count):
             ids = reader.int_array(reader.u64())
-            if len(ids):
-                store.tag_node_ids[tag_id] = ids
+            if ids:
+                stored_index[tag_id] = ids
         fragments = []
         for _ in range(fragment_count):
             start = reader.i32()
             end = reader.i32()
             fragments.append((start, end, reader.text()))
-        _validate_structure(store, reader)
+        if reader.offset != payload_end:
+            reader.fail("trailing bytes after the fragment table")
+        store.tag_node_ids = validate_node_table(store, reader)
+        if stored_index != store.tag_node_ids:
+            reader.fail("tag index disagrees with the tag column")
+        child = 1  # fragments are the root's children, in id order
+        for start, end, _ in fragments:
+            if (
+                start != child
+                or start >= count
+                or store.parent_ids[start]
+                or store.ends[start] != end
+            ):
+                reader.fail("fragment %d is not a child of the root" % start)
+            child = end
+        if child != count:
+            reader.fail("fragment table does not cover the corpus")
         if REGISTRY.enabled or HUB.active:
             _observe_segment_load(
                 name, "columns", len(mm), perf_counter() - started
@@ -486,25 +271,33 @@ class LazyTextColumn:
     ``store.texts`` (index, slice, iterate, append/extend for WAL-tail
     growth), but the sealed region decodes per access straight out of the
     segment mapping — the text payload never materializes wholesale, which
-    is what keeps corpora bigger than RAM serveable.
+    is what keeps corpora bigger than RAM serveable.  The offsets were
+    checked at open; a text that is not UTF-8 raises
+    :class:`~repro.errors.CorruptStorageError` when first read.
     """
 
-    __slots__ = ("_mm", "_offsets_at", "_blob_at", "_count", "_tail")
+    __slots__ = ("_mm", "_offsets_at", "_blob_at", "_count", "_tail", "_name")
 
-    def __init__(self, mm, offsets_at, blob_at, count):
+    def __init__(self, mm, offsets_at, blob_at, count, name):
         self._mm = mm
         self._offsets_at = offsets_at
         self._blob_at = blob_at
         self._count = count
         self._tail = []
+        self._name = name
 
     def _base_text(self, index):
         at = self._offsets_at + 8 * index
         start = _U64.unpack_from(self._mm, at)[0]
         end = _U64.unpack_from(self._mm, at + 8)[0]
-        return self._mm[self._blob_at + start : self._blob_at + end].decode(
-            "utf-8"
-        )
+        try:
+            return self._mm[self._blob_at + start : self._blob_at + end].decode(
+                "utf-8"
+            )
+        except UnicodeDecodeError:
+            raise CorruptStorageError(
+                "corrupt %s: text of node %d is not UTF-8" % (self._name, index)
+            ) from None
 
     def __len__(self):
         return self._count + len(self._tail)
@@ -555,15 +348,15 @@ def write_postings(path, postings, text_elements):
     blobs = []
     for term in terms:
         posting = postings[term]
-        blob = _Writer()
+        blob = ByteWriter()
         for node_id, positions in zip(posting.node_ids, posting.position_lists):
             blob.i32(node_id)
             blob.u32(len(positions))
             for position in positions:
                 blob.u32(position)
-        blobs.append(bytes(blob._parts))
+        blobs.append(bytes(blob.data))
 
-    writer = _Writer()
+    writer = ByteWriter()
     writer.raw(POSTINGS_MAGIC)
     writer.u32(FORMAT_VERSION)
     writer.u64(text_elements)
@@ -571,7 +364,7 @@ def write_postings(path, postings, text_elements):
     directory_size = sum(
         4 + len(term.encode("utf-8")) + 16 for term in terms
     )
-    offset = len(writer) + directory_size
+    offset = len(writer.data) + directory_size
     for term, blob in zip(terms, blobs):
         writer.text(term)
         writer.u64(offset)
@@ -579,40 +372,28 @@ def write_postings(path, postings, text_elements):
         offset += len(blob)
     for blob in blobs:
         writer.raw(blob)
-    writer.write_to(path)
+    _seal(writer, path)
 
 
-def map_postings(path):
-    """Map a postings segment and verify its envelope (magic + CRC).
+def map_segment(path, magic, kind):
+    """Map a sealed ``postings``/``stats`` artifact and verify its envelope.
 
-    Returns the ``mmap`` only — the directory parse is Python-level work
-    proportional to the vocabulary, so cold start defers it to
-    :func:`parse_postings_directory` on first full-text touch.  The CRC
-    pass here is C-speed and catches torn or flipped segments at
+    Returns the ``mmap`` only — the payload parse is Python-level work
+    proportional to the vocabulary or tag pairs, so cold start defers it to
+    :func:`parse_postings_directory` / :func:`parse_stats` on first touch.
+    The CRC pass here is C-speed and catches torn or flipped segments at
     ``open()`` time, where the caller can still fail the whole corpus.
     """
-    import mmap as mmap_module
-
     name = str(path)
     started = perf_counter()
+    mm = _map(path, kind)
     try:
-        with open(path, "rb") as handle:
-            mm = mmap_module.mmap(
-                handle.fileno(), 0, access=mmap_module.ACCESS_READ
-            )
-    except (OSError, ValueError) as error:
-        raise CorruptStorageError(
-            "corrupt %s: cannot map postings (%s)" % (name, error)
-        ) from None
-    try:
-        _check_magic_and_crc(mm, POSTINGS_MAGIC, name)
+        _check_magic_and_crc(mm, magic, name)
     except CorruptStorageError:
         mm.close()
         raise
     if REGISTRY.enabled or HUB.active:
-        _observe_segment_load(
-            name, "postings", len(mm), perf_counter() - started
-        )
+        _observe_segment_load(name, kind, len(mm), perf_counter() - started)
     return mm
 
 
@@ -625,7 +406,7 @@ def parse_postings_directory(mm, name="postings segment"):
     """
     try:
         payload_end = len(mm) - 4
-        reader = _Reader(mm, name, offset=len(POSTINGS_MAGIC))
+        reader = ByteReader(mm, name, offset=len(POSTINGS_MAGIC))
         version = reader.u32()
         if version != FORMAT_VERSION:
             reader.fail("unsupported postings format version %d" % version)
@@ -646,27 +427,19 @@ def parse_postings_directory(mm, name="postings segment"):
         raise CorruptStorageError("corrupt %s: %s" % (name, error)) from None
 
 
-def open_postings(path):
-    """Map a postings segment and parse its directory in one step.
+def decode_posting(mm, offset, entries, node_count, name="postings segment"):
+    """Materialize one term's :class:`~repro.ir.index.Posting` from the map.
 
-    Returns ``(mm, directory, text_elements)``.  Cold start prefers the
-    split :func:`map_postings` / :func:`parse_postings_directory` pair.
+    Node ids must rise strictly and stay below ``node_count``.
     """
-    mm = map_postings(path)
-    try:
-        directory, text_elements = parse_postings_directory(mm, str(path))
-    except CorruptStorageError:
-        mm.close()
-        raise
-    return mm, directory, text_elements
-
-
-def decode_posting(mm, offset, entries, name="postings segment"):
-    """Materialize one term's :class:`~repro.ir.index.Posting` from the map."""
-    reader = _Reader(mm, name, offset=offset)
+    reader = ByteReader(mm, name, offset=offset)
     posting = Posting()
+    previous = -1
     for _ in range(entries):
         node_id = reader.i32()
+        if not previous < node_id < node_count:
+            reader.fail("posting lists node %d out of order or range" % node_id)
+        previous = node_id
         count = reader.u32()
         posting.add(node_id, [reader.u32() for _ in range(count)])
     return posting
@@ -683,18 +456,15 @@ def _write_tag_ref(writer, tag):
 
 
 def _read_tag_ref(reader):
-    length = reader.u32()
-    if length == _NONE_TAG:
+    if _U32.unpack_from(reader.buffer, reader.offset)[0] == _NONE_TAG:
+        reader.take(4)
         return None
-    try:
-        return reader.raw(length).decode("utf-8")
-    except UnicodeDecodeError:
-        reader.fail("undecodable tag name")
+    return reader.text()
 
 
 def write_stats(path, state):
     """Seal a :meth:`DocumentStatistics.state` export into ``stats.bin``."""
-    writer = _Writer()
+    writer = ByteWriter()
     writer.raw(STATS_MAGIC)
     writer.u32(FORMAT_VERSION)
     writer.u64(state["counted_upto"])
@@ -718,36 +488,13 @@ def write_stats(path, state):
             ids = sorted(sets[key])
             writer.u64(len(ids))
             writer.int_array(ids)
-    writer.write_to(path)
-
-
-def load_stats(path):
-    """Read a statistics segment and verify its envelope (magic + CRC).
-
-    Returns the raw buffer; the per-entry decode is deferred to
-    :func:`parse_stats` so cold start pays only the C-speed CRC pass.
-    """
-    name = str(path)
-    started = perf_counter()
-    try:
-        with open(path, "rb") as handle:
-            buffer = handle.read()
-    except OSError as error:
-        raise CorruptStorageError(
-            "corrupt %s: cannot read statistics (%s)" % (name, error)
-        ) from None
-    _check_magic_and_crc(buffer, STATS_MAGIC, name)
-    if REGISTRY.enabled or HUB.active:
-        _observe_segment_load(
-            name, "stats", len(buffer), perf_counter() - started
-        )
-    return buffer
+    _seal(writer, path)
 
 
 def parse_stats(buffer, name="statistics segment"):
-    """Decode a (CRC-checked) statistics buffer into a state export."""
+    """Decode a (CRC-checked) statistics segment into a state export."""
     try:
-        reader = _Reader(buffer, name, offset=len(STATS_MAGIC))
+        reader = ByteReader(buffer, name, offset=len(STATS_MAGIC))
         version = reader.u32()
         if version != FORMAT_VERSION:
             reader.fail("unsupported statistics format version %d" % version)
@@ -772,11 +519,6 @@ def parse_stats(buffer, name="statistics segment"):
         raise
     except Exception as error:
         raise CorruptStorageError("corrupt %s: %s" % (name, error)) from None
-
-
-def read_stats(path):
-    """Load a statistics segment back into a ``DocumentStatistics`` state."""
-    return parse_stats(load_stats(path), str(path))
 
 
 # -- manifest ------------------------------------------------------------------

@@ -8,15 +8,15 @@ Commands:
 - ``search FILE FTEXPR``  content-only keyword search (no structure)
 - ``generate``            emit an XMark-like document to stdout or a file
 - ``stats FILE``          document and tag statistics
-- ``dump FILE OUT``       convert a document to the columnar dump format
+- ``dump FILE OUT``       convert a document to a binary dump file
 - ``metrics FILE``        run a workload and dump the metrics registry
 - ``serve-metrics FILE``  serve /metrics, /healthz, /statusz over HTTP
 - ``ingest DIR FILE...``  append documents to an on-disk corpus (WAL-durable)
 - ``compact DIR``         fold an on-disk corpus' WAL into a sealed segment
 - ``open --path DIR``     open an on-disk corpus; show status or run a query
 
-``FILE`` may be either an XML file or a ``flexpath-doc`` dump (sniffed
-from the first line) — dumps skip the XML parser entirely on load.  For
+``FILE`` may be either an XML file or a dump written by ``dump`` (sniffed
+by its magic bytes) — dumps skip the XML parser entirely on load.  For
 the query-style commands it may also be an on-disk corpus *directory*
 (created with ``ingest``), which opens via mmap with no parsing at all.
 
@@ -40,6 +40,7 @@ from repro.engine import FleXPath
 from repro.errors import FleXPathError
 from repro.xmark import generate_document
 from repro.xmltree.serialize import to_xml
+from repro.xmltree.storage import DUMP_MAGIC, dump_document, load_document
 
 
 def build_parser():
@@ -144,14 +145,10 @@ def build_parser():
     )
 
     dump = commands.add_parser(
-        "dump", help="convert a document to the columnar dump format"
+        "dump", help="convert a document to a binary dump file"
     )
     dump.add_argument("file", help="XML document (or an existing dump)")
     dump.add_argument("output", help="dump file to write")
-    dump.add_argument(
-        "--format-version", type=int, choices=(1, 2), default=2,
-        help="dump format version (2 = interned tag dictionary)",
-    )
 
     metrics = commands.add_parser(
         "metrics",
@@ -287,19 +284,17 @@ def main(argv=None, out=None):
 
 
 def _is_dump(path):
-    """True if ``path`` looks like a ``flexpath-doc`` dump file."""
+    """True if ``path`` starts with the dump file magic."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.readline().startswith("flexpath-doc ")
-    except (OSError, UnicodeDecodeError):
+        with open(path, "rb") as handle:
+            return handle.read(len(DUMP_MAGIC)) == DUMP_MAGIC
+    except OSError:
         return False
 
 
 def _load_document(path):
     """Parse an XML file, or load it directly when it is a dump."""
     if _is_dump(path):
-        from repro.xmltree.storage import load_document
-
         return load_document(path)
     from repro.xmltree.parser import parse_file
 
@@ -553,15 +548,9 @@ def _cmd_generate(args, out):
 
 
 def _cmd_dump(args, out):
-    from repro.xmltree.storage import dump_document
-
     document = _load_document(args.file)
-    dump_document(document, args.output, version=args.format_version)
-    print(
-        "wrote %d nodes (format v%d) to %s"
-        % (len(document), args.format_version, args.output),
-        file=out,
-    )
+    dump_document(document, args.output)
+    print("wrote %d nodes to %s" % (len(document), args.output), file=out)
     return 0
 
 
@@ -591,19 +580,24 @@ def _cmd_metrics(engine, args, out):
     from repro.obs.slowlog import SlowQueryLog
     from repro.workload import generate_workload
 
+    if args.workload:
+        with open(args.workload, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
+        queries = [line for line in lines if line and not line.startswith("#")]
+    elif engine.document is None:
+        raise FleXPathError(
+            "`metrics` needs a unified node table to generate a workload;"
+            " pass --workload FILE for a sharded corpus"
+        )
+    else:
+        queries = generate_workload(
+            engine.document, args.count, seed=args.seed
+        )
     registry = get_registry()
     registry.reset()  # the dump should describe this workload run only
     slowlog = None
     if args.slow_ms is not None:
         slowlog = SlowQueryLog(slow_ms=args.slow_ms).install()
-    if args.workload:
-        with open(args.workload, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        queries = [line for line in lines if line and not line.startswith("#")]
-    else:
-        queries = generate_workload(
-            engine.document, args.count, seed=args.seed
-        )
     failures = 0
     try:
         for item in queries:

@@ -160,7 +160,7 @@ class Engine:
 
     @classmethod
     def from_dump(cls, path, **kwargs):
-        """Build an engine from a ``flexpath-doc`` dump file."""
+        """Build an engine from a file written by ``dump_document``."""
         from repro.xmltree.storage import load_document
 
         return cls(load_document(path), **kwargs)

@@ -55,10 +55,10 @@ class EvaluationError(FleXPathError):
 class CorruptStorageError(FleXPathError):
     """Raised when an on-disk artifact fails validation on load.
 
-    Covers every persistent surface — ``flexpath-doc`` dumps, DiskBackend
-    segment files, and write-ahead-log headers — with one contract: the
+    Covers every persistent surface — ``dump_document`` files, DiskBackend
+    segment files, and write-ahead-log records — with one contract: the
     message starts with ``corrupt`` and names the offending file plus the
-    line, node, or byte offset where validation failed.  Raw
+    node or byte offset where validation failed.  Raw
     ``ValueError`` / ``IndexError`` / ``struct.error`` from a truncated or
     bit-flipped file never escape to callers.
     """

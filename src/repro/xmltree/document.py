@@ -34,8 +34,8 @@ class TagDictionary:
     """Interned tag names: a bidirectional ``name <-> small int`` mapping.
 
     Ids are assigned densely in first-appearance order, which makes the
-    dictionary itself serializable as a plain list of names (dump format
-    v2 relies on this).
+    dictionary itself serializable as a plain list of names (the node-table
+    codec in :mod:`repro.xmltree.storage` relies on this).
     """
 
     __slots__ = ("_names", "_ids")

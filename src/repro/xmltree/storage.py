@@ -1,320 +1,358 @@
-"""Compact persistence for parsed documents.
+"""The node-table codec: the one place a document becomes bytes and back.
 
-XML parsing is the slowest fixed cost in the pipeline; a document that will
-be queried repeatedly is better stored in a line-oriented dump of the node
-table (the region encoding is implicit in the pre-order layout, so only
-parent, tag, attributes and text need storing). Loading fills the columnar
-store directly — no per-node objects — and is several times faster than
-re-parsing XML.
+A document is a pre-order node table (DESIGN §5): an interned tag
+dictionary, four ``int32`` columns (tag id, parent id, level, region end),
+a text column and a sparse attribute table.  Every persistent form of that
+table goes through this module:
 
-Format (version 2, the default)::
+- :func:`encode_fragment` / :func:`decode_fragment` — the *fragment*
+  payload, which is also the write-ahead log's record payload::
 
-    flexpath-doc 2
-    <node-count>\t<tag-count>
-    <escaped-tag-name>          } tag dictionary, one line per
-    ...                         } interned tag, in id order
-    <parent-id>\t<tag-id>\t<attr-field>\t<escaped-text>
-    ...
+      text name | u32 tag-count | text tag × tag-count | u32 node-count |
+      node table
 
-Version 1 (still loadable, writable with ``version=1``) stores the tag
-name inline on every node line instead of interning it::
+- :func:`write_node_table` — the part a sealed column segment shares with
+  the fragment: the four columns as raw little-endian ``int32`` arrays, the
+  text table (``u64`` offset count, ``u64`` offsets, ``u64`` blob length,
+  one UTF-8 blob) and the attribute table (``u32`` rows of ``i32`` node id,
+  ``u32`` pair count, key/value texts), where *text* is a ``u32`` byte
+  length plus UTF-8;
+- :func:`dump_document` / :func:`load_document` — a dump file is the
+  fragment payload in the envelope sealed segments use: 8-byte magic,
+  payload, trailing CRC32 of both (:func:`check_envelope`).
 
-    flexpath-doc 1
-    <node-count>
-    <parent-id>\t<tag>\t<attr-field>\t<escaped-text>
-    ...
-
-Text and attribute values are escaped with backslash sequences (including
-``\\s`` for the ``\\x1f`` attribute-pair separator) so the format stays
-line-oriented. The format is an internal convenience, not an interchange
-format — use :mod:`repro.xmltree.serialize` for XML output.
+Decoders trust nothing: :func:`validate_node_table` refuses any table whose
+region encoding contradicts its parent column, and every failure raises
+:class:`~repro.errors.CorruptStorageError` naming the source and the byte
+offset.  The format is an internal convenience, not an interchange format
+— use :mod:`repro.xmltree.serialize` for XML output.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+import zlib
 from array import array
+from itertools import islice
 
-from repro.errors import CorruptStorageError, FleXPathError
-from repro.xmltree.document import ColumnarStore, Document
+from repro.errors import CorruptStorageError
+from repro.xmltree.document import ColumnarStore, Document, TagDictionary
 
-_MAGIC_V1 = "flexpath-doc 1"
-_MAGIC_V2 = "flexpath-doc 2"
+DUMP_MAGIC = b"FXDOC001"
 
-_ATTR_SEPARATOR = "\x1f"
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_I32 = struct.Struct("<i")
+_ROW = struct.Struct("<iI")  # attribute row: node id, pair count
 
-
-def _escape(text):
-    return (
-        text.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace(_ATTR_SEPARATOR, "\\s")
-    )
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _unescape(text):
-    if "\\" not in text:
-        return text
-    parts = []
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char == "\\" and index + 1 < length:
-            follower = text[index + 1]
-            if follower == "t":
-                parts.append("\t")
-            elif follower == "n":
-                parts.append("\n")
-            elif follower == "r":
-                parts.append("\r")
-            elif follower == "s":
-                parts.append(_ATTR_SEPARATOR)
-            elif follower == "\\":
-                parts.append("\\")
-            else:
-                raise FleXPathError("bad escape \\%s" % follower)
-            index += 2
-        else:
-            parts.append(char)
-            index += 1
-    return "".join(parts)
+class ByteWriter:
+    """Accumulates one payload's bytes (``data``), little-endian."""
+
+    __slots__ = ("data",)
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def raw(self, data):
+        self.data += data
+
+    def u32(self, value):
+        self.data += _U32.pack(value)
+
+    def u64(self, value):
+        self.data += _U64.pack(value)
+
+    def i32(self, value):
+        self.data += _I32.pack(value)
+
+    def text(self, value):
+        data = value.encode("utf-8")
+        self.u32(len(data))
+        self.raw(data)
+
+    def int_array(self, values):
+        data = values if isinstance(values, array) else array("i", values)
+        if _BIG_ENDIAN:
+            data = array("i", data)
+            data.byteswap()
+        self.raw(data.tobytes())
 
 
-def _encode_attributes(attributes):
-    if not attributes:
-        return ""
-    return _ATTR_SEPARATOR.join(
-        "%s=%s" % (_escape(name), _escape(value))
-        for name, value in sorted(attributes.items())
-    )
+class ByteReader:
+    """Sequential cursor over a buffer; short reads raise CorruptStorageError."""
 
+    __slots__ = ("buffer", "offset", "name", "size")
 
-def _decode_attributes(field):
-    if not field:
-        return None
-    attributes = {}
-    for pair in field.split(_ATTR_SEPARATOR):
-        name, _sep, value = pair.partition("=")
-        attributes[_unescape(name)] = _unescape(value)
-    return attributes
+    def __init__(self, buffer, name, offset=0):
+        self.buffer = buffer
+        self.offset = offset
+        self.name = name
+        self.size = len(buffer)
 
-
-def dump_document(document, path, version=2):
-    """Write a document to the compact node-table format.
-
-    ``version=2`` (default) writes the columnar format with an interned
-    tag dictionary; ``version=1`` writes the legacy per-line-tag format.
-    """
-    store = document.store
-    if version == 2:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_MAGIC_V2 + "\n")
-            handle.write("%d\t%d\n" % (len(store), len(store.tags)))
-            for name in store.tags:
-                handle.write(_escape(name) + "\n")
-            attribute_table = store.attribute_table
-            texts = store.texts
-            for node_id, (parent_id, tag_id) in enumerate(
-                zip(store.parent_ids, store.tag_ids)
-            ):
-                handle.write(
-                    "%d\t%d\t%s\t%s\n"
-                    % (
-                        parent_id,
-                        tag_id,
-                        _encode_attributes(attribute_table.get(node_id)),
-                        _escape(texts[node_id]),
-                    )
-                )
-    elif version == 1:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_MAGIC_V1 + "\n")
-            handle.write("%d\n" % len(store))
-            attribute_table = store.attribute_table
-            texts = store.texts
-            for node_id, (parent_id, tag_id) in enumerate(
-                zip(store.parent_ids, store.tag_ids)
-            ):
-                handle.write(
-                    "%d\t%s\t%s\t%s\n"
-                    % (
-                        parent_id,
-                        _escape(store.tags.name_of(tag_id)),
-                        _encode_attributes(attribute_table.get(node_id)),
-                        _escape(texts[node_id]),
-                    )
-                )
-    else:
-        raise FleXPathError("unknown dump version %r" % (version,))
-
-
-def load_document(path):
-    """Load a document previously written by :func:`dump_document`.
-
-    Both format versions are accepted; the version is dispatched on the
-    header line.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        try:
-            if header == _MAGIC_V2:
-                return _load_v2(handle)
-            if header == _MAGIC_V1:
-                return _load_v1(handle)
-        except FleXPathError:
-            raise
-        except (ValueError, IndexError, OverflowError) as error:
-            # Backstop: no raw parse error from a truncated or bit-flipped
-            # dump may escape — same contract as DiskBackend segment opens.
-            raise CorruptStorageError(
-                "corrupt dump %s: %s" % (path, error)
-            ) from None
+    def fail(self, message):
         raise CorruptStorageError(
-            "corrupt dump %s: not a flexpath document dump (bad header %r)"
-            % (path, header)
+            "corrupt %s: %s (at byte %d)" % (self.name, message, self.offset)
         )
 
+    def take(self, count):
+        """Advance past ``count`` bytes; returns where they start."""
+        start = self.offset
+        end = start + count
+        if end > self.size:
+            self.fail("unexpected end of file")
+        self.offset = end
+        return start
 
-def _finish_store(store, count):
-    """Compute region ends from the pre-order parent layout and wrap up."""
+    def u32(self):
+        return _U32.unpack_from(self.buffer, self.take(4))[0]
+
+    def u64(self):
+        return _U64.unpack_from(self.buffer, self.take(8))[0]
+
+    def i32(self):
+        return _I32.unpack_from(self.buffer, self.take(4))[0]
+
+    def text(self):
+        # One call per text on the hot open path: the u32 length and the
+        # bytes it announces, bounds-checked together.
+        start = self.offset + 4
+        if start > self.size:
+            self.fail("unexpected end of file")
+        end = start + _U32.unpack_from(self.buffer, start - 4)[0]
+        if end > self.size:
+            self.fail("unexpected end of file")
+        self.offset = end
+        try:
+            return str(self.buffer[start:end], "utf-8")
+        except UnicodeDecodeError:
+            self.fail("undecodable text")
+
+    def int_array(self, count):
+        data = array("i")
+        data.frombytes(self.buffer[self.take(4 * count) : self.offset])
+        if _BIG_ENDIAN:
+            data.byteswap()
+        return data
+
+
+def check_envelope(buffer, magic, name):
+    """Check ``magic | payload | crc32``; returns the payload end offset."""
+    if len(buffer) < len(magic) + 4:
+        raise CorruptStorageError(
+            "corrupt %s: file too short (%d bytes)" % (name, len(buffer))
+        )
+    if bytes(buffer[: len(magic)]) != magic:
+        raise CorruptStorageError(
+            "corrupt %s: bad magic %r" % (name, bytes(buffer[: len(magic)]))
+        )
+    payload_end = len(buffer) - 4
+    view = memoryview(buffer)[:payload_end]
+    crc = zlib.crc32(view)
+    view.release()
+    (stored,) = _U32.unpack_from(buffer, payload_end)
+    if crc != stored:
+        raise CorruptStorageError(
+            "corrupt %s: CRC mismatch (stored %08x, computed %08x)"
+            % (name, stored, crc)
+        )
+    return payload_end
+
+
+# -- the node table -----------------------------------------------------------
+
+
+def write_node_table(writer, store):
+    """The four columns, the text table and the attribute table."""
+    count = len(store)
+    writer.int_array(store.tag_ids)
+    writer.int_array(store.parent_ids)
+    writer.int_array(store.levels)
+    writer.int_array(store.ends)
+    blobs = [text.encode("utf-8") for text in store.texts]
+    writer.u64(count + 1)
+    offset = 0
+    for blob in blobs:
+        writer.u64(offset)
+        offset += len(blob)
+    writer.u64(offset)
+    writer.u64(offset)  # blob length
+    for blob in blobs:
+        writer.raw(blob)
+    attribute_table = store.attribute_table
+    writer.u32(len(attribute_table))
+    for node_id in sorted(attribute_table):
+        attributes = attribute_table[node_id]
+        writer.i32(node_id)
+        writer.u32(len(attributes))
+        for key in sorted(attributes):
+            writer.text(key)
+            writer.text(attributes[key])
+
+
+def read_tags(reader, tag_count):
+    """The tag dictionary; a repeated name would hide a tag id's nodes."""
+    names = [reader.text() for _ in range(tag_count)]
+    if len(set(names)) != tag_count:
+        reader.fail("duplicate tag name")
+    return TagDictionary(names)
+
+
+def read_columns_into(store, reader, count):
+    """Read the four ``int32`` columns into ``store``."""
+    store.tag_ids = reader.int_array(count)
+    store.parent_ids = reader.int_array(count)
+    store.levels = reader.int_array(count)
+    store.ends = reader.int_array(count)
+
+
+def read_text_table(reader, count):
+    """Check a text table; returns ``(offsets, offsets_at, blob_at)``.
+
+    ``offsets`` has ``count + 1`` entries rising from 0 to the blob length,
+    so text ``i`` is blob bytes ``offsets[i]:offsets[i + 1]``.
+    """
+    if reader.u64() != count + 1:
+        reader.fail("text offsets disagree with node count")
+    offsets_at = reader.take(8 * (count + 1))
+    offsets = struct.unpack_from("<%dQ" % (count + 1), reader.buffer, offsets_at)
+    blob_len = reader.u64()
+    blob_at = reader.take(blob_len)
+    if offsets[0] or offsets[-1] != blob_len or sorted(offsets) != list(offsets):
+        reader.fail("text offset table is inconsistent")
+    return offsets, offsets_at, blob_at
+
+
+def read_attributes(reader, count):
+    """The attribute table: rows for distinct nodes, in ascending id order."""
+    table = {}
+    previous = -1
+    text = reader.text
+    for _ in range(reader.u32()):
+        node_id, pairs = _ROW.unpack_from(reader.buffer, reader.take(8))
+        if not previous < node_id < count:
+            reader.fail("attribute row for node %d out of order" % node_id)
+        previous = node_id
+        attributes = table[node_id] = {}
+        for _ in range(pairs):
+            key = text()
+            attributes[key] = text()
+        if len(attributes) != pairs:
+            reader.fail("duplicate attribute name on node %d" % node_id)
+    return table
+
+
+def validate_node_table(store, reader):
+    """Refuse a table that is not one pre-order region-encoded tree.
+
+    Checks that node 0 is the only root (parent -1, level 0, end = count),
+    every other parent is an earlier node, every level is its parent's + 1,
+    every end lies in ``(id, parent's end]``, and every tag id is known.
+    Nesting puts each subtree inside its region, so ``Σ(end - id) ==
+    Σ(level + 1)`` holds only when every region is exactly its subtree.
+    Returns the tag index rebuilt from the tag column.
+    """
+    count = len(store)
     if not count:
-        raise CorruptStorageError("corrupt dump: empty document")
-    ends = store.ends
-    parent_ids = store.parent_ids
-    for node_id in range(count - 1, -1, -1):
-        parent_id = parent_ids[node_id]
-        if parent_id >= 0 and ends[node_id] > ends[parent_id]:
-            ends[parent_id] = ends[node_id]
-    return Document(store)
-
-
-def _append_row(store, node_id, parent_id, tag_id, attributes, text):
-    """Append one loaded row straight onto the columns."""
-    if parent_id < 0:
-        level = 0
-    else:
-        if parent_id >= node_id:
-            raise CorruptStorageError(
-                "corrupt dump: node %d precedes its parent" % node_id
-            )
-        level = store.levels[parent_id] + 1
-    store.tag_ids.append(tag_id)
-    store.parent_ids.append(parent_id)
-    store.levels.append(level)
-    store.ends.append(node_id + 1)
-    store.texts.append(text)
-    if attributes:
-        store.attribute_table[node_id] = attributes
-    ids = store.tag_node_ids.get(tag_id)
-    if ids is None:
-        ids = store.tag_node_ids[tag_id] = array("i")
-    ids.append(node_id)
-
-
-def _load_v2(handle):
-    counts = handle.readline().rstrip("\n").split("\t")
-    try:
-        count, tag_count = int(counts[0]), int(counts[1])
-    except (ValueError, IndexError):
-        raise CorruptStorageError("corrupt dump: missing node count") from None
-
-    store = ColumnarStore()
-    for index in range(tag_count):
-        line = handle.readline()
-        if not line:
-            raise CorruptStorageError(
-                "corrupt dump: expected %d tags, found %d" % (tag_count, index)
-            )
-        store.tags.intern(_unescape(line.rstrip("\n")))
-
-    # The tag dictionary is known before the first node row, so the hot
-    # loop can write the columns directly: local column bindings, no
-    # per-row function call, and the tag index built as a dense list
-    # indexed by tag id instead of a dict probe per node.
+        reader.fail("empty node table")
     tag_ids = store.tag_ids
     parent_ids = store.parent_ids
     levels = store.levels
     ends = store.ends
-    texts = store.texts
-    attribute_table = store.attribute_table
-    tag_lists = [array("i") for _ in range(tag_count)]
-    for node_id in range(count):
-        line = handle.readline()
-        if not line:
-            raise CorruptStorageError(
-                "corrupt dump: expected %d nodes, found %d" % (count, node_id)
-            )
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 4:
-            raise CorruptStorageError("corrupt dump at node %d" % node_id)
-        try:
-            parent_id = int(fields[0])
-            tag_id = int(fields[1])
-        except ValueError:
-            raise CorruptStorageError(
-                "corrupt dump at node %d (bad id field)" % node_id
-            ) from None
-        if not 0 <= tag_id < tag_count:
-            raise CorruptStorageError(
-                "corrupt dump: node %d has unknown tag id %d" % (node_id, tag_id)
-            )
-        if parent_id < 0:
-            level = 0
-        elif parent_id >= node_id:
-            raise CorruptStorageError(
-                "corrupt dump: node %d precedes its parent" % node_id
-            )
-        else:
-            level = levels[parent_id] + 1
-        tag_ids.append(tag_id)
-        parent_ids.append(parent_id)
-        levels.append(level)
-        ends.append(node_id + 1)
-        texts.append(_unescape(fields[3]))
-        attributes = _decode_attributes(fields[2])
-        if attributes:
-            attribute_table[node_id] = attributes
-        tag_lists[tag_id].append(node_id)
-    store.tag_node_ids = {
-        tag_id: ids for tag_id, ids in enumerate(tag_lists) if ids
-    }
-    return _finish_store(store, count)
-
-
-def _load_v1(handle):
+    if parent_ids[0] != -1 or levels[0] or ends[0] != count:
+        reader.fail("node 0 is not the root of the table")
+    index = [array("i") for _ in range(len(store.tags))]
+    # Keyed by tag id, so an unknown (even negative) id is a KeyError.
+    appends = {tag_id: ids.append for tag_id, ids in enumerate(index)}
+    rows = zip(
+        range(1, count),
+        islice(tag_ids, 1, None),
+        islice(parent_ids, 1, None),
+        islice(levels, 1, None),
+        islice(ends, 1, None),
+    )
     try:
-        count = int(handle.readline())
-    except ValueError:
-        raise CorruptStorageError("corrupt dump: missing node count") from None
+        appends[tag_ids[0]](0)
+        for node_id, tag_id, parent_id, level, end in rows:
+            if not (
+                0 <= parent_id < node_id
+                and level == levels[parent_id] + 1
+                and node_id < end <= ends[parent_id]
+            ):
+                if not 0 <= parent_id < node_id:
+                    problem = "impossible parent %d" % parent_id
+                elif level != levels[parent_id] + 1:
+                    problem = "level %d under a level-%d parent" % (
+                        level,
+                        levels[parent_id],
+                    )
+                else:
+                    problem = "region end %d outside its parent's" % end
+                reader.fail("node %d has %s" % (node_id, problem))
+            appends[tag_id](node_id)
+    except KeyError as error:
+        reader.fail("unknown tag id %s" % error)
+    if sum(ends) - count * (count - 1) // 2 != sum(levels) + count:
+        reader.fail("region ends disagree with the parent column")
+    return {tag_id: ids for tag_id, ids in enumerate(index) if ids}
 
+
+# -- fragments and dump files -------------------------------------------------
+
+
+def encode_fragment(document, name):
+    """One document + its corpus name as a fragment payload (WAL record)."""
+    store = document.store
+    writer = ByteWriter()
+    writer.text(name)
+    tags = store.tags.names()
+    writer.u32(len(tags))
+    for tag in tags:
+        writer.text(tag)
+    writer.u32(len(store))
+    write_node_table(writer, store)
+    return bytes(writer.data)
+
+
+def decode_fragment(payload, name="wal record"):
+    """Rebuild ``(document, name)`` from :func:`encode_fragment` output."""
+    reader = ByteReader(payload, name)
+    doc_name = reader.text()
     store = ColumnarStore()
-    for node_id in range(count):
-        line = handle.readline()
-        if not line:
-            raise CorruptStorageError(
-                "corrupt dump: expected %d nodes, found %d" % (count, node_id)
-            )
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 4:
-            raise CorruptStorageError(
-                "corrupt dump at node %d (line %d)" % (node_id, node_id + 3)
-            )
-        try:
-            parent_id = int(fields[0])
-        except ValueError:
-            raise CorruptStorageError(
-                "corrupt dump: bad parent id %r at node %d (line %d)"
-                % (fields[0], node_id, node_id + 3)
-            ) from None
-        tag_id = store.tags.intern(_unescape(fields[1]))
-        _append_row(
-            store,
-            node_id,
-            parent_id,
-            tag_id,
-            _decode_attributes(fields[2]),
-            _unescape(fields[3]),
-        )
-    return _finish_store(store, count)
+    store.tags = read_tags(reader, reader.u32())
+    count = reader.u32()
+    read_columns_into(store, reader, count)
+    offsets, _offsets_at, blob_at = read_text_table(reader, count)
+    blob = bytes(payload[blob_at : reader.offset])
+    try:
+        store.texts = [
+            blob[start:end].decode("utf-8")
+            for start, end in zip(offsets, offsets[1:])
+        ]
+    except UnicodeDecodeError:
+        reader.fail("undecodable text payload")
+    store.attribute_table = read_attributes(reader, count)
+    if reader.offset != len(payload):
+        reader.fail("trailing bytes after the node table")
+    store.tag_node_ids = validate_node_table(store, reader)
+    return Document(store), doc_name
+
+
+def dump_document(document, path):
+    """Write ``document`` to ``path``: magic, fragment payload, CRC32."""
+    data = DUMP_MAGIC + encode_fragment(document, "")
+    with open(path, "wb") as handle:
+        handle.write(data + _U32.pack(zlib.crc32(data)))
+
+
+def load_document(path):
+    """Load a document written by :func:`dump_document`."""
+    name = str(path)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    payload_end = check_envelope(data, DUMP_MAGIC, name)
+    payload = memoryview(data)[len(DUMP_MAGIC) : payload_end]
+    return decode_fragment(payload, name)[0]

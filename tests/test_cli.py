@@ -215,6 +215,16 @@ class TestOtherCommands:
         doc = parse_file(target)
         assert doc.root.tag == "site"
 
+    def test_dump_then_query_the_dump(self, xml_file, tmp_path):
+        dump = str(tmp_path / "library.fxd")
+        code, output = run(["dump", xml_file, dump])
+        assert code == 0
+        assert "wrote" in output
+        query = '//article[./section[./paragraph and .contains("XML")]]'
+        assert run(["query", dump, query, "-k", "3"]) == run(
+            ["query", xml_file, query, "-k", "3"]
+        )
+
     def test_generate_to_stdout(self):
         code, output = run(["generate", "--size-kb", "5", "--seed", "2"])
         assert code == 0
@@ -353,6 +363,24 @@ class TestMetrics:
         import json
 
         assert json.loads(output)["counters"]["query.count"] == 2
+
+    def test_sharded_corpus_needs_a_workload_file(self, tmp_path, capsys):
+        from repro import Engine
+        from repro.xmltree import parse
+
+        path = str(tmp_path / "corpus")
+        engine = Engine.sharded(shard_count=2, path=path)
+        for index in range(2):
+            engine.backend.add_document(parse("<r><a>gold %d</a></r>" % index))
+        engine.backend.close()
+        code, _output = run(["metrics", path, "--count", "2"])
+        assert code == 1
+        assert "--workload" in capsys.readouterr().err
+        workload = tmp_path / "workload.txt"
+        workload.write_text("//a\n")
+        code, output = run(["metrics", path, "--workload", str(workload)])
+        assert code == 0
+        assert "flexpath_query_count 1" in output
 
     def test_slow_ms_uninstalls_after_the_run(self, xml_file):
         from repro.obs.events import HUB

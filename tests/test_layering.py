@@ -134,6 +134,29 @@ class TestDetection:
         assert len(violations) == 1
         assert "plans/lowering.py" in violations[0]
 
+    def test_data_layer_imports_only_itself_errors_and_stdlib(self, tmp_path):
+        root = _fake_tree(tmp_path, "")
+        xmltree = root / "repro" / "xmltree"
+        xmltree.mkdir(parents=True)
+        (xmltree / "storage.py").write_text(
+            "import zlib\n"
+            "from repro.errors import CorruptStorageError\n"
+            "from repro.xmltree.document import Document\n"
+            "from .node import XMLNode\n",
+            encoding="utf-8",
+        )
+        assert check_layering.check(root) == []
+        (xmltree / "storage.py").write_text(
+            "from repro.obs.metrics import REGISTRY\n"
+            "from ..backend import diskfmt\n"
+            "def load():\n"
+            "    import numpy\n",
+            encoding="utf-8",
+        )
+        violations = check_layering.check(root)
+        assert len(violations) == 3
+        assert all("data layer" in violation for violation in violations)
+
     def test_module_getattr_shim_is_exempt(self, tmp_path):
         root = _fake_tree(
             tmp_path,

@@ -60,7 +60,6 @@ class TestSubpackages:
             "repro.quality",
             "repro.workload",
             "repro.ir.highlight",
-            "repro.ir.storage",
             "repro.cache",
             "repro.compiled",
             "repro.relax.extensions",

@@ -1,9 +1,13 @@
-"""The compact document dump format."""
+"""The dump file: a fragment payload in a magic + CRC32 envelope."""
+
+import struct
+import zlib
 
 import pytest
 
 from repro.errors import CorruptStorageError, FleXPathError
 from repro.xmltree import dump_document, load_document, parse
+from repro.xmltree.storage import DUMP_MAGIC, encode_fragment
 from repro.xmark import generate_document
 
 
@@ -15,6 +19,26 @@ def sample():
         '<book lang="fr"><title>Deux</title></book>'
         "</lib>"
     )
+
+
+def _write_dump(path, payload, magic=DUMP_MAGIC):
+    """A dump file around ``payload`` whose CRC is correct."""
+    data = magic + bytes(payload)
+    path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+    return str(path)
+
+
+def _tampered(tmp_path, edit):
+    """Dump ``<a><b><c/></b><d/></a>`` after ``edit`` mangled its columns."""
+    doc = parse("<a><b><c/></b><d/></a>")
+    edit(doc.store)
+    return _write_dump(tmp_path / "bad.fxd", encode_fragment(doc, ""))
+
+
+# Byte offsets inside the payload of ``_tampered``'s document: the empty
+# name (4), the tag count (4), four one-letter tags (4 × 5), the node count.
+_TAGS_AT = 8
+_COUNT_AT = _TAGS_AT + 4 * 5
 
 
 class TestRoundTrip:
@@ -73,6 +97,25 @@ class TestRoundTrip:
             n.node_id for n in evaluate(query, loaded)
         ]
 
+    def test_engine_from_dump_answers_like_from_xml(self, tmp_path):
+        from repro.engine import Engine
+        from repro.xmark import PAPER_QUERIES
+        from repro.xmltree import to_xml
+
+        xml = to_xml(generate_document(target_bytes=20_000, seed=8))
+        path = str(tmp_path / "auctions.fxd")
+        dump_document(parse(xml), path)
+        engines = [Engine.from_xml(xml), Engine.from_dump(path)]
+        for name in ("Q1", "Q2", "Q3"):
+            answers = [
+                [
+                    (a.node_id, a.score.structural, a.score.keyword)
+                    for a in engine.query(PAPER_QUERIES[name], k=10).answers
+                ]
+                for engine in engines
+            ]
+            assert answers[0] == answers[1], name
+
 
 def _assert_same_nodes(first, second):
     assert len(first) == len(second)
@@ -87,20 +130,14 @@ def _assert_same_nodes(first, second):
 
 
 class TestFormatVersions:
-    def test_default_writes_v2(self, sample, tmp_path):
-        path = tmp_path / "doc.fxd"
-        dump_document(sample, str(path))
-        assert path.read_text().startswith("flexpath-doc 2\n")
-
-    def test_v1_still_writable_and_loadable(self, sample, tmp_path):
-        path = tmp_path / "doc.fxd"
-        dump_document(sample, str(path), version=1)
-        assert path.read_text().startswith("flexpath-doc 1\n")
-        _assert_same_nodes(sample, load_document(str(path)))
+    """The version lives in the magic; the ``v2`` names predate the codec."""
 
     def test_unknown_version_rejected(self, sample, tmp_path):
-        with pytest.raises(FleXPathError, match="version"):
-            dump_document(sample, str(tmp_path / "doc.fxd"), version=3)
+        path = _write_dump(
+            tmp_path / "doc.fxd", encode_fragment(sample, ""), magic=b"FXDOC002"
+        )
+        with pytest.raises(CorruptStorageError, match="bad magic"):
+            load_document(path)
 
     def test_v2_round_trip_is_byte_exact(self, sample, tmp_path):
         first = tmp_path / "one.fxd"
@@ -110,21 +147,12 @@ class TestFormatVersions:
         assert first.read_bytes() == second.read_bytes()
 
     def test_v2_interns_tags_once(self, tmp_path):
-        doc = parse("<a>" + "<b/>" * 50 + "</a>")
-        path = tmp_path / "doc.fxd"
-        dump_document(doc, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[1] == "51\t2"
-        assert lines[2:4] == ["a", "b"]
-        # Node lines carry the small tag id, not the name.
-        assert lines[5] == "0\t1\t\t"
-
-    def test_versions_agree(self, sample, tmp_path):
-        v1 = tmp_path / "one.fxd"
-        v2 = tmp_path / "two.fxd"
-        dump_document(sample, str(v1), version=1)
-        dump_document(sample, str(v2), version=2)
-        _assert_same_nodes(load_document(str(v1)), load_document(str(v2)))
+        short = tmp_path / "short.fxd"
+        long = tmp_path / "long.fxd"
+        dump_document(parse("<a>" + "<b/>" * 50 + "</a>"), str(short))
+        dump_document(parse("<a>" + "<bbbbbbbbbb/>" * 50 + "</a>"), str(long))
+        # Nodes carry a fixed-width tag id; the name is stored once.
+        assert long.stat().st_size - short.stat().st_size == 9
 
 
 class TestSeparatorEscaping:
@@ -144,12 +172,14 @@ class TestSeparatorEscaping:
         doc.store.set_text(1, "text with \x1f separator and \\ backslash")
         return doc
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_control_characters_round_trip(self, tmp_path, version):
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_control_characters_round_trip(self, tmp_path, rounds):
         doc = self._exotic_document()
         path = str(tmp_path / "doc.fxd")
-        dump_document(doc, path, version=version)
-        loaded = load_document(path)
+        loaded = doc
+        for _ in range(rounds):
+            dump_document(loaded, path)
+            loaded = load_document(path)
         _assert_same_nodes(doc, loaded)
         assert loaded.root.attributes == {
             "sep": "a\x1fb",
@@ -159,8 +189,6 @@ class TestSeparatorEscaping:
         assert loaded.node(1).text == "text with \x1f separator and \\ backslash"
 
     def test_separator_does_not_split_attributes(self, tmp_path):
-        # A \x1f inside a value used to leak into the pair separator,
-        # corrupting neighbouring attributes on reload.
         doc = self._exotic_document()
         path = str(tmp_path / "doc.fxd")
         dump_document(doc, path)
@@ -170,107 +198,87 @@ class TestSeparatorEscaping:
 
 class TestCorruptInputs:
     def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("something else\n1\n-1\ta\t\t\n")
-        with pytest.raises(FleXPathError, match="header"):
+        # A text dump of the retired ``flexpath-doc`` format is re-dumped
+        # from its XML; loading it fails closed.
+        path = tmp_path / "old.fxd"
+        path.write_text("flexpath-doc 2\n1\t1\na\n-1\t0\t\t\n")
+        with pytest.raises(CorruptStorageError, match="bad magic"):
             load_document(str(path))
 
     def test_missing_count(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 1\nnot-a-number\n")
-        with pytest.raises(FleXPathError, match="node count"):
-            load_document(str(path))
+        payload = encode_fragment(parse("<a><b><c/></b><d/></a>"), "")
+        path = _write_dump(tmp_path / "bad.fxd", payload[:_COUNT_AT])
+        with pytest.raises(CorruptStorageError, match="end of file"):
+            load_document(path)
 
-    def test_truncated(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 1\n3\n-1\ta\t\t\n")
-        with pytest.raises(FleXPathError, match="expected 3"):
+    def test_truncated(self, sample, tmp_path):
+        path = tmp_path / "doc.fxd"
+        dump_document(sample, str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(CorruptStorageError, match="CRC"):
             load_document(str(path))
 
     def test_forward_parent_reference(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 1\n2\n-1\ta\t\t\n5\tb\t\t\n")
-        with pytest.raises(FleXPathError, match="precedes"):
-            load_document(str(path))
+        def edit(store):
+            store.parent_ids[1] = 3
 
-    def test_wrong_field_count(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 1\n1\n-1\ta\n")
-        with pytest.raises(FleXPathError, match="corrupt"):
-            load_document(str(path))
+        with pytest.raises(CorruptStorageError, match="impossible parent 3"):
+            load_document(_tampered(tmp_path, edit))
 
     def test_v2_missing_counts(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 2\n3\n")
-        with pytest.raises(FleXPathError, match="node count"):
-            load_document(str(path))
+        path = _write_dump(tmp_path / "bad.fxd", struct.pack("<I", 0))
+        with pytest.raises(CorruptStorageError, match="end of file"):
+            load_document(path)
 
     def test_v2_truncated_tag_dictionary(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 2\n1\t2\na\n")
-        with pytest.raises(FleXPathError, match="expected 2 tags"):
-            load_document(str(path))
+        payload = encode_fragment(parse("<a><b><c/></b><d/></a>"), "")
+        path = _write_dump(tmp_path / "bad.fxd", payload[: _TAGS_AT + 5])
+        with pytest.raises(CorruptStorageError, match="end of file"):
+            load_document(path)
 
     def test_v2_truncated_nodes(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 2\n2\t1\na\n-1\t0\t\t\n")
-        with pytest.raises(FleXPathError, match="expected 2 nodes"):
-            load_document(str(path))
+        payload = encode_fragment(parse("<a><b><c/></b><d/></a>"), "")
+        path = _write_dump(tmp_path / "bad.fxd", payload[: _COUNT_AT + 4 + 16])
+        with pytest.raises(CorruptStorageError, match="end of file"):
+            load_document(path)
 
     def test_v2_unknown_tag_id(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 2\n1\t1\na\n-1\t7\t\t\n")
-        with pytest.raises(FleXPathError, match="unknown tag id"):
-            load_document(str(path))
+        def edit(store):
+            store.tag_ids[2] = 7
+
+        with pytest.raises(CorruptStorageError, match="unknown tag id"):
+            load_document(_tampered(tmp_path, edit))
 
     def test_v2_forward_parent_reference(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 2\n2\t1\na\n-1\t0\t\t\n5\t0\t\t\n")
-        with pytest.raises(FleXPathError, match="precedes"):
-            load_document(str(path))
+        def edit(store):
+            store.parent_ids[3] = -7
+
+        with pytest.raises(CorruptStorageError, match="impossible parent -7"):
+            load_document(_tampered(tmp_path, edit))
 
     def test_empty_document_rejected(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 2\n0\t0\n")
-        with pytest.raises(FleXPathError, match="empty"):
-            load_document(str(path))
+        payload = struct.pack("<III", 0, 0, 0) + struct.pack("<QQQI", 1, 0, 0, 0)
+        path = _write_dump(tmp_path / "bad.fxd", payload)
+        with pytest.raises(CorruptStorageError, match="empty"):
+            load_document(path)
 
-    def test_bad_escape_rejected(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 2\n1\t1\na\n-1\t0\t\tbad\\q\n")
-        with pytest.raises(FleXPathError, match="escape"):
-            load_document(str(path))
-
-    def test_non_integer_parent_id_is_wrapped(self, tmp_path):
-        # Regression: a non-numeric parent field used to escape as a raw
-        # ValueError from int(); now it is a CorruptStorageError naming
-        # the offending node and line.
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 1\n1\nxyz\ta\t\t\n")
-        with pytest.raises(CorruptStorageError, match="bad parent id 'xyz'"):
-            load_document(str(path))
-        with pytest.raises(FleXPathError, match="line 3"):
-            load_document(str(path))
-
-    def test_non_integer_counts_are_wrapped(self, tmp_path):
-        path = tmp_path / "bad.fxd"
-        path.write_text("flexpath-doc 2\nnot\tcounts\n")
-        with pytest.raises(CorruptStorageError, match="corrupt dump"):
-            load_document(str(path))
-
-    def test_corrupt_dumps_raise_the_storage_subclass(self, tmp_path):
+    def test_corrupt_dumps_raise_the_storage_subclass(self, sample, tmp_path):
         # Every corruption shape funnels into CorruptStorageError, which
         # is a FleXPathError, so both old and new handlers keep working.
         assert issubclass(CorruptStorageError, FleXPathError)
+        good = tmp_path / "good.fxd"
+        dump_document(sample, str(good))
+        data = good.read_bytes()
         shapes = [
-            "not a dump at all\n",
-            "flexpath-doc 9\n1\n",
-            "flexpath-doc 1\n\n",
-            "flexpath-doc 1\n2\n-1\ta\t\t\n",
-            "flexpath-doc 2\n1\t1\na\n-1\t7\t\t\n",
+            b"not a dump at all\n",
+            b"",
+            DUMP_MAGIC,
+            data[:-1] + bytes([data[-1] ^ 0xFF]),  # CRC mismatch
+            data + b"\x00",
         ]
         for index, body in enumerate(shapes):
             path = tmp_path / ("bad%d.fxd" % index)
-            path.write_text(body)
+            path.write_bytes(body)
             with pytest.raises(CorruptStorageError):
                 load_document(str(path))

@@ -27,7 +27,11 @@ fails (exit 1, one line per violation) on:
   written against a context's sources, never against the coordinator),
   and ``repro/sharding.py`` imports no concrete strategy module
   (``repro.topk.{dpo,sso,hybrid,naive,ir_first}``) — the coordinator
-  supplies sources, it does not wrap or re-implement a strategy.
+  supplies sources, it does not wrap or re-implement a strategy;
+- the data layer: modules under ``repro.xmltree`` (the node table and its
+  codec, which ``repro.backend`` builds on) import only ``repro.xmltree.*``,
+  ``repro.errors`` and the standard library — no observability plane, no
+  storage backend.
 
 The one sanctioned escape hatch is a module-level ``__getattr__`` (PEP
 562): a lazy compatibility re-export may import a moved class inside that
@@ -59,7 +63,6 @@ BANNED_MODULES = {
     "repro.xmltree.document",
     "repro.xmltree.storage",
     "repro.ir.index",
-    "repro.ir.storage",
     "repro.backend.memory",
     "repro.backend.stats",
     "repro.backend.sharded",
@@ -212,6 +215,29 @@ def _sharding_violations(tree):
             yield lineno, "coordinator imports a strategy (only repro.topk.base)"
 
 
+def _data_layer_violations(tree):
+    """Yield imports from outside the data layer in one ``repro.xmltree`` module."""
+    for node in _walk_guarded(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                # ``.x`` is repro.xmltree.x, ``..x`` is repro.x.
+                anchor = ["repro", "xmltree"][: 3 - node.level]
+                module = ".".join(anchor + ([module] if module else []))
+            modules = [module]
+        else:
+            continue
+        for module in modules:
+            if _under(module, "repro"):
+                allowed = _under(module, "repro.xmltree") or module == "repro.errors"
+            else:
+                allowed = module.partition(".")[0] in sys.stdlib_module_names
+            if not allowed:
+                yield node.lineno, "data layer imports %r" % module
+
+
 def check(src_root):
     """All layering violations under ``src_root`` as printable strings."""
     violations = []
@@ -237,6 +263,10 @@ def check(src_root):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             for lineno, message in _backend_violations(path, tree):
                 violations.append("%s:%d: %s" % (path, lineno, message))
+    for path in sorted((src_root / "repro" / "xmltree").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for lineno, message in _data_layer_violations(tree):
+            violations.append("%s:%d: %s" % (path, lineno, message))
     sharding = src_root / "repro" / "sharding.py"
     if sharding.is_file():
         tree = ast.parse(sharding.read_text(encoding="utf-8"), filename=str(sharding))
