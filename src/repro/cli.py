@@ -36,7 +36,7 @@ import argparse
 import json
 import sys
 
-from repro.engine import FleXPath
+from repro.engine import Engine
 from repro.errors import FleXPathError
 from repro.xmark import generate_document
 from repro.xmltree.serialize import to_xml
@@ -348,7 +348,7 @@ def _dispatch(args, out):
         )
     else:
         source = _load_document(args.file)
-    engine = FleXPath(
+    engine = Engine(
         source,
         cache=not getattr(args, "no_cache", False),
     )
@@ -382,7 +382,7 @@ def _text_source(engine):
     whose ``full_text`` resolves a GlobalNode through its owning shard."""
     if engine.document is not None:
         return engine.document
-    return engine.engine.backend
+    return engine.backend
 
 
 def _cmd_query(engine, args, out):
@@ -634,7 +634,7 @@ def _cmd_serve_metrics(engine, args, out):
         enable_slow_query_log(args.slow_ms)
     if args.query:
         engine.query(args.query, k=args.k)
-    server = engine.engine.serve_metrics(port=args.port, host=args.host)
+    server = engine.serve_metrics(port=args.port, host=args.host)
     print(
         "serving metrics at %s (routes: /metrics /metrics.json /healthz"
         " /statusz)" % server.url,
@@ -735,7 +735,7 @@ def _cmd_open(args, out):
         )
         if args.query is None:
             return 0
-        engine = FleXPath(backend)
+        engine = Engine(backend)
         result = engine.query(
             args.query, k=args.k, scheme=args.scheme, algorithm=args.algorithm
         )

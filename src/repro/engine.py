@@ -48,7 +48,7 @@ from repro.query.evaluate import evaluate
 from repro.rank.schemes import STRUCTURE_FIRST, scheme_by_name
 from repro.relax.penalties import UNIFORM_WEIGHTS
 from repro.session import Session, coerce_query, query_end_payload
-from repro.topk.base import QueryContext
+from repro.topk.base import QueryContext, summed
 from repro.topk.dpo import DPO
 from repro.topk.hybrid import Hybrid
 from repro.topk.ir_first import IRFirstDPO
@@ -76,8 +76,8 @@ class Engine:
     :meth:`query` / :meth:`query_many` conveniences that open one
     internally.
 
-    ``cache=False`` is the kill switch for *both* caching tiers: the
-    per-context :class:`~repro.plans.eval_cache.EvaluationCache` is
+    ``cache=False`` is the kill switch for *both* caching tiers: every
+    source's :class:`~repro.plans.eval_cache.EvaluationCache` is
     disabled and no :class:`~repro.cache.ResultCache` is attached, so
     every query recomputes from scratch (byte-identical answers, useful
     for benchmarking and verification).
@@ -116,7 +116,8 @@ class Engine:
             self.result_cache = ResultCache(result_cache_size)
             self.backend.subscribe(self._on_backend_growth)
         else:
-            self.context.eval_cache.enabled = False
+            for source in self.context.sources:
+                source.eval_cache.enabled = False
             self.result_cache = None
         self.metrics = REGISTRY
         self.trace_sink = None
@@ -247,7 +248,9 @@ class Engine:
         return {
             "enabled": self.result_cache is not None,
             "plan_cache": self.context.plan_cache.info(),
-            "eval_cache": self.context.eval_cache.info(),
+            "eval_cache": summed(
+                source.eval_cache.info() for source in self.context.sources
+            ),
             "result_cache": (
                 self.result_cache.info()
                 if self.result_cache is not None
@@ -487,19 +490,5 @@ class Engine:
         return "%s(%r)" % (type(self).__name__, self.backend)
 
 
-class FleXPath(Engine):
-    """The paper's Figure 7 facade: an :class:`Engine` under its first name.
-
-    Kept so code written against ``FleXPath(document)`` and its
-    ``.engine`` / ``.parse`` accessors keeps working; everything else is
-    inherited.
-    """
-
-    @property
-    def engine(self):
-        """The serving core — this object."""
-        return self
-
-    def parse(self, query_text):
-        """Parse an XPath-fragment string into a TPQ."""
-        return coerce_query(query_text)
+#: The paper's Figure 7 name for the serving core.
+FleXPath = Engine

@@ -155,6 +155,12 @@ def conjunction(*words):
 
 # -- parser -----------------------------------------------------------------
 
+#: Deepest nesting of parentheses and ``not`` the parser accepts.  Each
+#: level is a recursion of the parser, and a ``not`` one of every later
+#: walk over the expression; at this depth both stay far inside Python's
+#: stack limit.
+MAX_NESTING = 32
+
 
 def parse_ftexpr(text):
     """Parse the concrete FTExp syntax into an AST."""
@@ -166,8 +172,9 @@ def parse_ftexpr(text):
 
 class _FTParser:
     def __init__(self, text):
-        self._tokens = _tokenize(text)
+        self._tokens, self._offsets = _tokenize(text)
         self._pos = 0
+        self._depth = 0
 
     def _peek(self):
         if self._pos < len(self._tokens):
@@ -205,19 +212,31 @@ class _FTParser:
             return children[0]
         return And(tuple(children))
 
+    def _nested(self, parse):
+        """Consume the opening token and ``parse()`` one level deeper."""
+        if self._depth == MAX_NESTING:
+            raise FTExprParseError(
+                "full-text expression nests deeper than %d at offset %d"
+                % (MAX_NESTING, self._offsets[self._pos])
+            )
+        self._pos += 1
+        self._depth += 1
+        expr = parse()
+        self._depth -= 1
+        return expr
+
     def parse_unary(self):
         if self._peek() == ("keyword", "not"):
-            self._next()
-            return Not(self.parse_unary())
+            return Not(self._nested(self.parse_unary))
         return self.parse_primary()
 
     def parse_primary(self):
-        kind, value = self._next()
-        if kind == "lparen":
-            expr = self.parse_or()
+        if self._peek() == ("lparen", "("):
+            expr = self._nested(self.parse_or)
             if self._next() != ("rparen", ")"):
                 raise FTExprParseError("expected ')'")
             return expr
+        kind, value = self._next()
         if kind == "string":
             words = tuple(value.lower().split())
             if not words:
@@ -258,10 +277,13 @@ class _FTParser:
 
 
 def _tokenize(text):
+    """The tokens of ``text`` and, in a parallel list, each one's offset."""
     tokens = []
+    offsets = []
     pos = 0
     length = len(text)
     while pos < length:
+        start = pos
         char = text[pos]
         if char in " \t\r\n":
             pos += 1
@@ -298,4 +320,6 @@ def _tokenize(text):
             pos = end
         else:
             raise FTExprParseError("unexpected character %r" % char)
-    return tokens
+        if len(offsets) < len(tokens):
+            offsets.append(start)
+    return tokens, offsets

@@ -3,47 +3,44 @@
 FleXPath's top-K algorithms evaluate a *sequence* of plans per query — DPO
 walks the relaxation schedule one level at a time, SSO/Hybrid restart with
 more relaxations encoded — and adjacent levels share almost all of their
-leaf scans and prefix joins.  :class:`EvaluationCache` memoizes exactly
-that shared work inside one :class:`~repro.topk.base.QueryContext`:
+leaf scans, joins and ``contains`` checks.  :class:`EvaluationCache`
+memoizes exactly that shared work inside one
+:class:`~repro.topk.base.QueryContext`, in four tiers of one class:
 
 - **pool** — seeded tag pools per variable: the filtered candidate list for
   a plan root, keyed by ``(tag, attr-predicate set, pool restriction)``;
-- **join** — structural-join candidate sets: one ``base id → candidate
-  ids`` table per join signature ``(axis, tag, surviving attr-predicate
-  set, pool restriction)``, fetched once per join step and filled for the
-  bases it lacks by one merge; a semi-join step keeps ``base id → bool``
-  (has any candidate) under a signature of its own, same budget, flush and
-  counters;
-- **contains** — point ``satisfies``/``score`` probes of the IR engine,
-  one ``node id → (satisfied, score)`` table per expression — the same
-  context node is checked against the same expression at every level that
-  binds it; a node view is made only on a miss;
+- **join** — one ``base id → candidate ids`` table per join signature
+  ``(axis, tag, surviving attr-predicate set, pool restriction, exists)``;
+  a semi-join step keeps ``base id → 0.0`` (has a candidate) or ``None``;
+- **contains** — one ``node id → keyword score`` table per expression,
+  ``None`` where the node does not satisfy it;
 - **satisfiers** — whole contains-satisfier id sets per ``(expression,
-  tag)``, the generalization of the IR-first strategy's private satisfier
-  cache so every strategy shares one copy (and so the set is *invalidated*
-  on corpus growth, which the private copy never was).
+  tag)``, the IR-first strategy's seeds.
+
+Two access shapes, nothing else: :meth:`EvaluationCache.value` keeps one
+entry per key (``pool``, ``satisfiers``); :meth:`EvaluationCache.table`
+keeps one ``id → value`` table per key (``join``, ``contains``) and is
+probed set-at-a-time — one call per pipeline step, filling the ids the
+table lacks with one resolver call.
 
 The cache is owned by the query context and survives across queries — a
 document only changes through :meth:`~repro.collection.Corpus.add_document`,
 which clears it via the context's subscription.  ``enabled = False`` is the
-kill switch: every probe computes directly and records nothing.
+kill switch: both shapes then compute directly and record nothing.
 
-Observability: each probe bumps plain int hit/miss counters (folded as
+Observability: each tier keeps plain int hit/miss counters (folded as
 deltas into the process :class:`~repro.obs.metrics.MetricsRegistry` per
 query, like the IR engine's) and fires the ``cache_hit``/``cache_miss``
-event seam with ``{"engine": "eval", "cache": <name>}`` payloads when
-listeners are attached.  Join probes are counted per probe too, but the
-executor tallies a whole join step and folds it in with one call — one
-event per step, carrying the probe ``count``.
+event seam with ``{"engine": "eval", "cache": <tier>, "count": n}`` — one
+event per call — when listeners are attached.
 
-Thread-safety: a single mutex guards every *structural* mutation (insert,
+Thread-safety: each tier's mutex guards its *structural* mutations (insert,
 budget flush, clear), so concurrent queries sharing one context can probe
 and fill the cache safely.  Lookups stay lock-free — CPython dict reads
 are atomic and a racy miss merely recomputes a value that was about to be
 cached anyway.  The hit/miss counters are likewise unlocked advisory
 tallies: a lost increment under contention skews a ratio by a hair but can
-never corrupt state, and per-probe locking on the hottest path in the
-system is the wrong trade.
+never corrupt state.
 """
 
 from __future__ import annotations
@@ -52,246 +49,152 @@ import threading
 
 from repro.obs.events import HUB
 
-#: The named sub-caches, in probe-frequency order.
-CACHE_NAMES = ("pool", "join", "contains", "satisfiers")
-
-#: Entry budget of each of the two unbounded-growth maps (join and contains,
-#: each counted over the entries of all its tables).  Exceeding it flushes
-#: that map — a full flush is crude but keeps the per-probe path to a dict
-#: get, and repeated queries re-warm in one run.
+#: Entry budget of each tier (a table tier counts the entries of all its
+#: tables).  Exceeding it flushes that tier — a full flush is crude but
+#: keeps the probe path to a dict get, and repeated queries re-warm in one
+#: run.
 DEFAULT_MAX_ENTRIES = 200_000
 
 
-class EvaluationCache:
-    """Memoizes pools, join candidates, and contains probes per context."""
+class _Tier:
+    """One memo: its dict, entry count, budget, flush, counters and lock."""
 
     __slots__ = (
-        "enabled",
-        "max_entries",
-        "_pools",
-        "_joins",
-        "_join_entries",
-        "_contains",
-        "_contains_entries",
-        "_satisfier_sets",
-        "_hits",
-        "_misses",
-        "_flushes",
-        "_invalidations",
-        "_lock",
+        "name", "max_entries", "data", "entries", "hits", "misses",
+        "flushes", "lock",
     )
 
-    def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
-        self.enabled = True
+    def __init__(self, name, max_entries):
+        self.name = name
         self.max_entries = max_entries
-        self._pools = {}
-        self._joins = {}
-        self._join_entries = 0
-        self._contains = {}
-        self._contains_entries = 0
-        self._satisfier_sets = {}
-        self._hits = dict.fromkeys(CACHE_NAMES, 0)
-        self._misses = dict.fromkeys(CACHE_NAMES, 0)
-        self._flushes = 0
-        self._invalidations = 0
-        self._lock = threading.Lock()
+        self.data = {}
+        self.entries = self.hits = self.misses = self.flushes = 0
+        self.lock = threading.Lock()
 
-    # -- probe bookkeeping ---------------------------------------------------
-
-    def _hit(self, cache):
-        self._hits[cache] += 1
-        if HUB.active:
-            HUB.emit("cache_hit", {"engine": "eval", "cache": cache})
-
-    def _miss(self, cache):
-        self._misses[cache] += 1
-        if HUB.active:
-            HUB.emit("cache_miss", {"engine": "eval", "cache": cache})
-
-    # -- pool cache (plan seeds) ---------------------------------------------
-
-    def get_pool(self, key):
-        """Cached seed pool for ``key``, or None."""
-        nodes = self._pools.get(key)
-        if nodes is None:
-            self._miss("pool")
-            return None
-        self._hit("pool")
-        return nodes
-
-    def put_pool(self, key, nodes):
-        with self._lock:
-            self._pools[key] = nodes
-
-    # -- join cache (one candidate table per join signature) -----------------
-
-    def join_table(self, signature, bases, resolve):
-        """The ``base id → candidate ids`` (or ``→ bool``) table covering ``bases``.
-
-        ``bases`` is the set of distinct base ids one join step probes;
-        ``resolve(sorted missing ids)`` returns the entries the table lacks
-        (every missing id present, ``()`` or ``False`` for no candidates —
-        the values are the caller's, the table only keeps them).  Returns the
-        table — shared and live, callers only read it — and the number of
-        bases that had to be resolved.  The budget counts bases over all
-        tables: an insert that would exceed it drops every table first, and
-        the step in flight keeps the entries it already relied on.
-        """
-        table = self._joins.get(signature)
-        missing = bases.difference(table) if table else bases
-        if not missing:
-            return table, 0
-        filled = resolve(sorted(missing))
-        with self._lock:
-            if self._join_entries + len(filled) > self.max_entries:
-                self._joins.clear()
-                self._join_entries = 0
-                self._flushes += 1
-            current = self._joins.get(signature)
-            if table and current is not table:
-                # Flushed (here or by a concurrent run) since ``missing``
-                # was computed: carry over what this step found present.
-                for base in bases:
-                    if base not in filled:
-                        filled[base] = table[base]
-            if current is None:
-                current = self._joins[signature] = {}
-            before = len(current)
-            current.update(filled)
-            self._join_entries += len(current) - before
-        return current, len(missing)
-
-    def count_join_probes(self, hits, misses):
-        """Fold one join step's per-probe tallies into the counters."""
-        self._hits["join"] += hits
-        self._misses["join"] += misses
+    def count(self, hits, misses):
+        self.hits += hits
+        self.misses += misses
         if HUB.active:
             for kind, count in (("cache_hit", hits), ("cache_miss", misses)):
                 if count:
                     HUB.emit(
-                        kind, {"engine": "eval", "cache": "join", "count": count}
+                        kind, {"engine": "eval", "cache": self.name, "count": count}
                     )
 
-    # -- contains probes -----------------------------------------------------
+    def make_room(self, adding):
+        """Under the lock: flush every entry if ``adding`` more would not fit."""
+        if self.entries + adding > self.max_entries:
+            self.data.clear()
+            self.entries = 0
+            self.flushes += 1
 
-    def satisfies(self, ir, node_of, node_id, expression):
-        """Memoized ``ir.satisfies(node_of(node_id), expression)``."""
-        table = self._contains.get(expression)
-        cached = table.get(node_id) if table is not None else None
-        if cached is not None:
-            self._hit("contains")
-            return cached[0]
-        self._miss("contains")
-        satisfied = ir.satisfies(node_of(node_id), expression)
-        self._put_contains(expression, node_id, (satisfied, None))
-        return satisfied
 
-    def score(self, ir, node_of, node_id, expression):
-        """Memoized ``ir.score(node_of(node_id), expression)``.
+class EvaluationCache:
+    """Memoizes pools, join candidates, contains checks and satisfier sets."""
 
-        Shares entries with :meth:`satisfies` — a score is only ever asked
-        for after a satisfying probe, so the pair rides one entry — but is a
-        probe of its own: an entry whose score half is still empty counts
-        as a miss, so ``hits + misses`` is the number of probes made.
-        """
-        table = self._contains.get(expression)
-        cached = table.get(node_id) if table is not None else None
-        if cached is not None and cached[1] is not None:
-            self._hit("contains")
-            return cached[1]
-        self._miss("contains")
-        value = ir.score(node_of(node_id), expression)
-        satisfied = cached[0] if cached is not None else True
-        self._put_contains(expression, node_id, (satisfied, value))
-        return value
+    __slots__ = ("enabled", "_tiers", "_invalidations")
 
-    def _put_contains(self, expression, node_id, entry):
-        """Store one probe result in its expression's ``node id → entry`` table.
+    def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
+        self.enabled = True
+        self._tiers = {
+            name: _Tier(name, max_entries)
+            for name in ("pool", "join", "contains", "satisfiers")
+        }
+        self._invalidations = 0
 
-        One table per expression rather than one ``(expression, node id)``
-        key per probe: an entry is then an int and a pair of scalars, which
-        the cyclic collector stops tracking at its first visit, so a warm
-        cache of 10⁵ probes costs a full collection nothing to walk.  The
-        budget counts entries over all tables; reaching it drops them all.
-        """
-        with self._lock:
-            table = self._contains.get(expression)
-            if table is None or node_id not in table:
-                if self._contains_entries >= self.max_entries:
-                    self._contains.clear()
-                    self._contains_entries = 0
-                    self._flushes += 1
-                    table = None
-                self._contains_entries += 1
-                if table is None:
-                    table = self._contains[expression] = {}
-            table[node_id] = entry
+    @property
+    def max_entries(self):
+        """The entry budget of each tier."""
+        return self._tiers["pool"].max_entries
 
-    # -- satisfier sets (IR-first seeding) -----------------------------------
+    @max_entries.setter
+    def max_entries(self, value):
+        for tier in self._tiers.values():
+            tier.max_entries = value
 
-    def satisfier_set(self, key, compute):
-        """Cached frozenset of satisfier node ids, computing on first use.
-
-        ``compute`` runs (uncached, uncounted) when the cache is disabled,
-        so the kill switch degrades to direct evaluation everywhere.
-        """
+    def value(self, tier, key, compute):
+        """The entry for ``key`` in ``tier``, computing it on first use."""
         if not self.enabled:
             return compute()
-        cached = self._satisfier_sets.get(key)
-        if cached is not None:
-            self._hit("satisfiers")
-            return cached
-        self._miss("satisfiers")
-        value = compute()
-        with self._lock:
-            self._satisfier_sets[key] = value
-        return value
+        tier = self._tiers[tier]
+        found = tier.data.get(key)
+        if found is not None:
+            tier.count(1, 0)
+            return found
+        tier.count(0, 1)
+        found = compute()
+        with tier.lock:
+            if key not in tier.data:
+                tier.make_room(1)
+                tier.entries += 1
+            tier.data[key] = found
+        return found
 
-    # -- lifecycle -----------------------------------------------------------
+    def table(self, tier, key, ids, resolve, probes):
+        """The ``id → value`` table for ``key`` in ``tier``, covering ``ids``.
+
+        ``ids`` is the set of distinct ids one pipeline step reads;
+        ``resolve(sorted missing ids)`` returns a dict holding every id the
+        table lacks (the values are the caller's, the table only keeps
+        them).  Returns the table — shared and live, callers only read it.
+        ``probes`` is how many reads the step makes: hits are ``probes``
+        less the ids resolved, misses the ids resolved.  An insert that
+        would exceed the tier's budget drops every table first, and the
+        step in flight keeps the entries it already relied on.
+        """
+        if not self.enabled:
+            return resolve(sorted(ids))
+        tier = self._tiers[tier]
+        table = tier.data.get(key)
+        missing = ids.difference(table) if table else ids
+        if missing:
+            filled = resolve(sorted(missing))
+            with tier.lock:
+                tier.make_room(len(filled))
+                current = tier.data.get(key)
+                if table and current is not table:
+                    # Flushed (here or by a concurrent run) since ``missing``
+                    # was computed: carry over what this step found present.
+                    for node_id in ids:
+                        if node_id not in filled:
+                            filled[node_id] = table[node_id]
+                if current is None:
+                    current = tier.data[key] = {}
+                before = len(current)
+                current.update(filled)
+                tier.entries += len(current) - before
+            table = current
+        tier.count(probes - len(missing), len(missing))
+        return table if table is not None else {}
 
     def clear(self):
         """Drop every entry (corpus growth / test isolation); counters stay."""
-        with self._lock:
-            if (
-                self._pools
-                or self._joins
-                or self._contains
-                or self._satisfier_sets
-            ):
-                self._invalidations += 1
-            self._pools.clear()
-            self._joins.clear()
-            self._join_entries = 0
-            self._contains.clear()
-            self._contains_entries = 0
-            self._satisfier_sets.clear()
-
-    def entry_count(self):
-        """Total live entries across the sub-caches (joins: bases held)."""
-        return (
-            len(self._pools)
-            + self._join_entries
-            + self._contains_entries
-            + len(self._satisfier_sets)
-        )
+        dropped = False
+        for tier in self._tiers.values():
+            with tier.lock:
+                dropped = dropped or bool(tier.data)
+                tier.data.clear()
+                tier.entries = 0
+        if dropped:
+            self._invalidations += 1
 
     def info(self):
         """Instance counters, same schema as the plan and result caches.
 
-        ``hits``/``misses`` aggregate across the four sub-caches (the
-        per-cache split is in :meth:`metrics_snapshot`); ``evictions`` is
-        the budget-flush count, ``invalidations`` the growth/clear count.
+        Sums over the tiers: ``max_entries`` is the sum of their budgets
+        (so ``entries <= max_entries``), ``evictions`` the budget flushes,
+        ``invalidations`` the growth/clear count; the per-tier split is in
+        :meth:`metrics_snapshot`.
         """
+        tiers = self._tiers.values()
         return {
-            "entries": self.entry_count(),
-            "max_entries": self.max_entries,
-            "hits": sum(self._hits.values()),
-            "misses": sum(self._misses.values()),
-            "evictions": self._flushes,
+            "entries": sum(tier.entries for tier in tiers),
+            "max_entries": sum(tier.max_entries for tier in tiers),
+            "hits": sum(tier.hits for tier in tiers),
+            "misses": sum(tier.misses for tier in tiers),
+            "evictions": sum(tier.flushes for tier in tiers),
             "invalidations": self._invalidations,
         }
-
-    # -- metrics -------------------------------------------------------------
 
     def metrics_snapshot(self):
         """Lifetime counters, keyed like the process registry.
@@ -300,26 +203,12 @@ class EvaluationCache:
         :class:`~repro.obs.MetricsRegistry` (see
         :func:`repro.topk.base.record_topk_metrics`).
         """
-        snapshot = {}
-        for name in CACHE_NAMES:
-            snapshot["eval_cache.%s.hits" % name] = self._hits[name]
-            snapshot["eval_cache.%s.misses" % name] = self._misses[name]
-        snapshot["eval_cache.flushes"] = self._flushes
+        snapshot = {"eval_cache.flushes": 0}
+        for tier in self._tiers.values():
+            snapshot["eval_cache.%s.hits" % tier.name] = tier.hits
+            snapshot["eval_cache.%s.misses" % tier.name] = tier.misses
+            snapshot["eval_cache.flushes"] += tier.flushes
         return snapshot
-
-    def hit_ratio(self):
-        """Overall hit ratio across every sub-cache (None before any probe)."""
-        hits = sum(self._hits.values())
-        misses = sum(self._misses.values())
-        if not hits and not misses:
-            return None
-        return hits / (hits + misses)
-
-    def __repr__(self):
-        return "EvaluationCache(enabled=%s, entries=%d)" % (
-            self.enabled,
-            self.entry_count(),
-        )
 
 
 def restriction_key(allowed):

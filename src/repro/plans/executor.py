@@ -20,16 +20,18 @@ is discarded only when its optimistic completion (current score +
 guarantees come from completed answers and from tuples whose remaining
 joins are all optional.
 
-Both operators work on node ids from seed to collect.  The binary pipeline
-resolves a join's candidates set-at-a-time — one ``base id → candidate
-ids`` table per alternative, filled by one structural merge
-(:meth:`PlanExecutor._candidates`) — and then extends tuple by tuple with a
-dict lookup.  A join whose binding nobody reads
-(:meth:`~repro.plans.plan.Plan.existential`) is a semi-join instead: one
-tuple out per tuple in, decided by a ``base id → bool`` table
-(:meth:`PlanExecutor._semi_join`).  ``backend.node(id)`` is called for an
-answer, for a ``contains`` probe the evaluation cache cannot answer, and for
-an attribute predicate while a pool is filtered; nowhere else.
+Both operators work on node ids from seed to collect, and resolve every
+step set-at-a-time: one table per step over the distinct ids the pending
+tuples bind, read by plain subscripts.  A join reads one ``base id →
+candidate ids`` table per alternative, filled by one structural merge
+(:meth:`PlanExecutor._candidates`), and extends tuple by tuple.  A join
+whose binding nobody reads (:meth:`~repro.plans.plan.Plan.existential`) is
+a semi-join instead, and a ``contains`` check a filter: both run as
+*rounds* (:meth:`PlanExecutor._rounds`) — one tuple out per surviving
+tuple in, decided by the first alternative or check level whose table maps
+the tuple's id to a gain.  ``backend.node(id)`` is called for an answer,
+for a node a ``contains`` table lacks, and for an attribute predicate
+while a pool is filtered; nowhere else.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.backend import as_backend
 from repro.errors import EvaluationError
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import NULL_TRACER
-from repro.plans.eval_cache import restriction_key
+from repro.plans.eval_cache import EvaluationCache, restriction_key
 from repro.plans.lowering import twig_eligible
 from repro.plans.plan import TWIG
 from repro.rank.schemes import STRUCTURE_FIRST
@@ -64,10 +66,11 @@ HYBRID_MODE = "hybrid"
 #: genuinely distinct levels while absorbing reordering noise.
 PRUNE_EPSILON = 1e-9
 
-#: Input tuples between two ``checkpoint`` calls inside one join or one
-#: ``contains`` filter.  A deadline that passes mid-join is noticed within
-#: this many input tuples instead of at the next join boundary; at the
-#: pipeline's ~1 µs per tuple that is a few milliseconds of overshoot.
+#: Input tuples (or nodes a ``contains`` table resolves) between two
+#: ``checkpoint`` calls inside one join or one ``contains`` filter.  A
+#: deadline that passes mid-join is noticed within this many input tuples
+#: instead of at the next join boundary; at the pipeline's ~1 µs per tuple
+#: that is a few milliseconds of overshoot.
 CHECKPOINT_STRIDE = 4096
 
 #: Sort key of a pipeline tuple ``(bindings, ss, ks, signature)`` for SSO.
@@ -199,16 +202,15 @@ class _RunState:
 
     Keeping these off the executor instance is what makes one executor
     reentrant: concurrent queries sharing a context each carry their own
-    restrictions, dedup set, cache handle and signature table down the
-    call stack instead of racing over shared attributes.
+    restrictions, dedup set and signature table down the call stack
+    instead of racing over shared attributes.
     """
 
-    __slots__ = ("pools", "excluded", "cache", "signatures")
+    __slots__ = ("pools", "excluded", "signatures")
 
-    def __init__(self, pools, excluded, cache):
+    def __init__(self, pools, excluded):
         self.pools = pools
         self.excluded = excluded
-        self.cache = cache
         self.signatures = _Signatures()
 
 
@@ -271,17 +273,34 @@ def _candidates_of(backend, bases, pool, axis):
     return filled
 
 
-def _always(_base):
+def _no_gain(_node_id):
     """The optional round of a semi-join: whatever is left matches."""
-    return True
+    return 0.0
 
 
 def _has_candidate(backend, bases, pool, axis):
-    """``base → whether it has any candidate``: one probe per base."""
-    filled = dict.fromkeys(bases, False)
+    """``base → 0.0`` if it has any candidate, else ``None``: one probe per base."""
+    filled = dict.fromkeys(bases)
     for base in backend.semi_join_ancestor_ids(bases, pool, axis=axis):
-        filled[base] = True
+        filled[base] = 0.0
     return filled
+
+
+def _disabled_cache():
+    """An evaluation cache that computes every entry and records nothing."""
+    cache = EvaluationCache()
+    cache.enabled = False
+    return cache
+
+
+def _bound_ids(tuples, position):
+    """The distinct ids bound at ``position``, and how many tuples bind one."""
+    ids = {item[0][position] for item in tuples}
+    probes = len(tuples)
+    if None in ids:
+        ids.discard(None)
+        probes = sum(1 for item in tuples if item[0][position] is not None)
+    return ids, probes
 
 
 class PlanExecutor:
@@ -290,7 +309,8 @@ class PlanExecutor:
     Stateless across runs: every :meth:`run` builds a private
     :class:`_RunState`, so one executor instance serves any number of
     concurrent queries (the shared :class:`EvaluationCache` it probes is
-    internally locked).
+    internally locked).  Given no cache it builds a private disabled one,
+    which computes every table and records nothing.
 
     ``source`` may be a :class:`~repro.backend.base.StorageBackend` or
     anything :func:`~repro.backend.as_backend` coerces (a bare document, a
@@ -300,7 +320,7 @@ class PlanExecutor:
     def __init__(self, source, ir_engine=None, eval_cache=None):
         self._backend = as_backend(source, ir_engine=ir_engine)
         self._ir = ir_engine if ir_engine is not None else self._backend.ir
-        self._eval_cache = eval_cache
+        self._eval_cache = eval_cache or _disabled_cache()
 
     # -- public entry ---------------------------------------------------------
 
@@ -329,9 +349,10 @@ class PlanExecutor:
         ``checkpoint`` is the session deadline/cancellation hook: a
         zero-argument callable invoked once before seeding, once per join
         and every :data:`CHECKPOINT_STRIDE` input tuples inside a join or a
-        ``contains`` filter (the twig operator: once per variable while
-        seeding and while filtering by ``contains``, then before the
-        holistic join and before the score pass) — boundaries where
+        ``contains`` filter, or nodes a ``contains`` table resolves (the
+        twig operator: once per variable while seeding and while filtering
+        by ``contains``, then before the holistic join and before the
+        score pass) — boundaries where
         abandoning a run cannot leave shared state half-mutated.  It aborts
         by raising (see :class:`~repro.session.QueryControl`); ``None``
         costs nothing.
@@ -349,13 +370,8 @@ class PlanExecutor:
         run = _RunState(
             pools=pool_restrictions or {},
             excluded=exclude_answer_ids or (),
-            cache=cache if cache is not None and cache.enabled else None,
         )
-        eval_before = (
-            run.cache.metrics_snapshot()
-            if tracer.enabled and run.cache is not None
-            else None
-        )
+        eval_before = cache.metrics_snapshot() if tracer.enabled else None
         use_twig = plan.operator == TWIG and mode == STRICT
         if use_twig:
             if not twig_eligible(plan):
@@ -374,7 +390,7 @@ class PlanExecutor:
             # Surface this run's cache activity in the trace: with a warm
             # cache the IR counters legitimately read zero, and the hits
             # are what explain --analyze should show instead.
-            for key, value in run.cache.metrics_snapshot().items():
+            for key, value in cache.metrics_snapshot().items():
                 delta = value - eval_before[key]
                 if delta:
                     tracer.count(key, delta)
@@ -404,8 +420,8 @@ class PlanExecutor:
         in plan order (``None`` where an optional join found nothing or a
         dead variable was projected away; an existential join binds
         nothing); a node view is made only for a winning answer in
-        :meth:`_collect`, for a ``contains`` probe the cache cannot answer,
-        and for attribute predicates while a pool is filtered.
+        :meth:`_collect`, for a node a ``contains`` table lacks, and for
+        attribute predicates while a pool is filtered.
         """
         actuals = {}
         existential = self._existential(plan)
@@ -552,8 +568,6 @@ class PlanExecutor:
         keyword score is the max over embeddings in both formulations.
         """
         backend = self._backend
-        cache = run.cache
-        satisfies, score = self._contains_probes(cache)
         actuals = {}
 
         # Twig shape: parent/axis per variable, parents-before-children.
@@ -575,44 +589,30 @@ class PlanExecutor:
             for var in order:
                 if checkpoint is not None:
                     checkpoint()
-                pool = self._pool(
-                    var_tags[var], var_attrs[var], run.pools.get(var), cache
-                )
+                pool = self._pool(var_tags[var], var_attrs[var], run.pools.get(var))
                 pools[var] = pool
                 stats.tuples_produced += len(pool)
         actuals[("seed-scan", plan.root_var)] = len(pools[plan.root_var])
 
-        # Contains pre-filter: keep only satisfying nodes per variable and
-        # remember each survivor's own keyword score (sum over its checks,
-        # in check order — the same accumulation the pipeline performs).
+        # Contains pre-filter: the pipeline's own checks over each variable's
+        # pool, keeping the survivors and each one's keyword score (the sum
+        # over its checks, in check order).
         own = {}
         filtered_ids = {}
         with tracer.span("checks"):
             for var in order:
-                checks = plan.checks_by_var.get(var, ())
-                pool = pools[var]
                 if checkpoint is not None:
                     checkpoint()
-                if not checks:
-                    filtered_ids[var] = pool
+                if not plan.checks_by_var.get(var):
+                    filtered_ids[var] = pools[var]
                     continue
-                ids = []
-                scores = {}
-                for node_id in pool:
-                    total = 0.0
-                    alive = True
-                    for check in checks:
-                        if not satisfies(node_id, check.ftexpr):
-                            alive = False
-                            stats.tuples_failed += 1
-                            break
-                        total += score(node_id, check.ftexpr)
-                    if alive:
-                        ids.append(node_id)
-                        scores[node_id] = total
-                filtered_ids[var] = ids
-                own[var] = scores
-                actuals[("contains-filter", var)] = len(ids)
+                seeds = [((node_id,), 0.0, 0.0, _NO_PARTS) for node_id in pools[var]]
+                survivors = self._apply_checks(
+                    run, plan, var, seeds, {var: 0}, stats, None
+                )
+                own[var] = {bindings[0]: ks for bindings, _ss, ks, _ in survivors}
+                filtered_ids[var] = list(own[var])
+                actuals[("contains-filter", var)] = len(survivors)
 
         distinguished = plan.distinguished
         if run.excluded:
@@ -728,33 +728,15 @@ class PlanExecutor:
 
     # -- phases -----------------------------------------------------------------
 
-    def _contains_probes(self, cache):
-        """``satisfies(node_id, ftexpr)`` and ``score(node_id, ftexpr)``.
-
-        Through the evaluation cache when one is live — a node view is then
-        made only on a miss — and straight to the IR engine otherwise.
-        """
-        ir = self._ir
-        node_of = self._backend.node
-        if cache is not None:
-            return (partial(cache.satisfies, ir, node_of),
-                    partial(cache.score, ir, node_of))
-        return (lambda node_id, ftexpr: ir.satisfies(node_of(node_id), ftexpr),
-                lambda node_id, ftexpr: ir.score(node_of(node_id), ftexpr))
-
-    def _pool(self, tag, attr_predicates, allowed, cache):
+    def _pool(self, tag, attr_predicates, allowed):
         """One variable's candidate ids (tag scan + filters), cache-backed.
 
         The same key serves a plan's seed, the twig operator's per-variable
         pools and the descendant side of the pipeline's join merges, so all
         three share entries.  Id-sorted; shared — callers do not mutate it.
         """
-        ids = None
-        pool_key = None
-        if cache is not None:
-            pool_key = (tag, attr_predicates, restriction_key(allowed))
-            ids = cache.get_pool(pool_key)
-        if ids is None:
+
+        def compute():
             backend = self._backend
             if tag is not None:
                 ids = backend.node_ids_with_tag(tag)
@@ -769,41 +751,38 @@ class PlanExecutor:
                     for node_id in ids
                     if self._attrs_ok(attr_predicates, node_of(node_id))
                 ]
-            if cache is not None:
-                cache.put_pool(pool_key, ids)
-        return ids
+            return ids
+
+        key = (tag, attr_predicates, restriction_key(allowed))
+        return self._eval_cache.value("pool", key, compute)
 
     def _seed(self, run, plan, stats):
         ids = self._pool(
             plan.root_tag,
             plan.root_attr_predicates,
             run.pools.get(plan.root_var),
-            run.cache,
         )
         tuples = [((node_id,), 0.0, 0.0, _NO_PARTS) for node_id in ids]
         stats.tuples_produced += len(tuples)
         return tuples
 
-    def _candidates(self, run, join, axis, bases, exists=False):
+    def _candidates(self, run, join, axis, bases, probes, exists=False):
         """``base id → candidate ids`` for one alternative of one join.
 
         Resolved set-at-a-time: the bases the cached table for this join
         signature lacks are merged in one pass against the join variable's
         pool and grouped by base; candidates come out id-sorted.  With
-        ``exists`` the table is ``base id → bool`` — whether the base has
-        any candidate — filled by one probe per missing base.  Returns the
-        table and how many bases had to be resolved.
+        ``exists`` the table is ``base id → 0.0`` where the base has any
+        candidate and ``None`` where it has none, filled by one probe per
+        missing base.  ``probes`` is how many tuples read the table.
         """
         allowed = run.pools.get(join.var)
-        cache = run.cache
         fill = _has_candidate if exists else _candidates_of
 
         def resolve(missing):
-            pool = self._pool(join.tag, join.attr_predicates, allowed, cache)
+            pool = self._pool(join.tag, join.attr_predicates, allowed)
             return fill(self._backend, missing, pool, axis)
 
-        if cache is None:
-            return resolve(sorted(bases)), 0
         # The candidate set per base depends only on the navigation and the
         # surviving filters — the canonical join signature shared across
         # relaxation levels.
@@ -811,33 +790,43 @@ class PlanExecutor:
             axis, join.tag, join.attr_predicates, restriction_key(allowed),
             exists,
         )
-        return cache.join_table(signature, bases, resolve)
+        return self._eval_cache.table("join", signature, bases, resolve, probes)
 
-    @staticmethod
-    def _bound_bases(tuples, position):
-        """The distinct ids bound at ``position``, and how many tuples bind one."""
-        bases = {item[0][position] for item in tuples}
-        probes = len(tuples)
-        if None in bases:
-            bases.discard(None)
-            probes = sum(1 for item in tuples if item[0][position] is not None)
-        return bases, probes
+    def _contains_table(self, ftexpr, node_ids, probes, checkpoint=None):
+        """``node id → keyword score`` for ``ftexpr``, ``None`` where unsatisfied.
+
+        One node view per node the table lacks: ``ir.satisfies``, then
+        ``ir.score`` for the satisfiers only, with a ``checkpoint`` every
+        :data:`CHECKPOINT_STRIDE` nodes.
+        """
+        ir = self._ir
+        node_of = self._backend.node
+
+        def resolve(missing):
+            filled = {}
+            for done in range(0, len(missing), CHECKPOINT_STRIDE):
+                if done and checkpoint is not None:
+                    checkpoint()
+                for node_id in missing[done:done + CHECKPOINT_STRIDE]:
+                    node = node_of(node_id)
+                    filled[node_id] = (
+                        ir.score(node, ftexpr) if ir.satisfies(node, ftexpr) else None
+                    )
+            return filled
+
+        return self._eval_cache.table("contains", ftexpr, node_ids, resolve, probes)
 
     def _extend(self, run, join, tuples, var_positions, stats, checkpoint):
         steps = []
-        hits = misses = 0
         extension = partial(_Extension, run.signatures)
         for alt_index, alt in enumerate(join.alternatives):
             position = var_positions[alt.connect_var]
-            bases, probes = self._bound_bases(tuples, position)
-            table, resolved = self._candidates(run, join, alt.axis, bases)
-            hits += probes - resolved
-            misses += resolved
+            table = self._candidates(
+                run, join, alt.axis, *_bound_ids(tuples, position)
+            )
             steps.append(
                 (position, table, alt.delta, extension((join.var, alt_index)))
             )
-        if run.cache is not None:
-            run.cache.count_join_probes(hits, misses)
         optional = join.optional
         unmatched_delta = join.optional_delta
         unmatched = extension((join.var, -1))
@@ -896,36 +885,78 @@ class PlanExecutor:
         ``delta``, every tuple :meth:`_extend` would emit for one input
         shares its live key and keyword score, and ties keep the earlier
         tuple: the one emitted here is the one the projection would have
-        kept.  Alternative *j* is resolved only for the bases of inputs
-        alternatives ``< j`` left unmatched; the bindings stay as they are.
+        kept.  One round per alternative (:meth:`_rounds`), so alternative
+        *j* is resolved only for the bases of inputs alternatives ``< j``
+        left unmatched; the bindings stay as they are.
         """
+        extension = partial(_Extension, run.signatures)
         rounds = [
-            (var_positions[alt.connect_var], alt.axis, alt.delta, alt_index)
+            (
+                var_positions[alt.connect_var],
+                partial(self._candidates, run, join, alt.axis, exists=True),
+                alt.delta,
+                extension((join.var, alt_index)),
+            )
             for alt_index, alt in enumerate(join.alternatives)
         ]
         if join.optional:
             # Whatever no alternative matched survives unbound: a last round
-            # without an axis, which matches everything.
-            rounds.append((0, None, join.optional_delta, -1))
+            # without a table, which matches everything.
+            rounds.append(
+                (0, None, join.optional_delta, extension((join.var, -1)))
+            )
+        out = self._rounds(rounds, tuples, stats, checkpoint)
+        stats.tuples_produced += len(out)
+        return out
+
+    def _apply_checks(self, run, plan, var, tuples, var_positions, stats,
+                      checkpoint):
+        """The ``contains`` checks on ``var``, in check order.
+
+        Each check is one run of :meth:`_rounds`, one round per level: a
+        tuple takes the first level whose node satisfies the expression,
+        gaining that level's ``delta`` and the node's keyword score, and
+        dies when no level does.
+        """
+        extension = partial(_Extension, run.signatures)
+        for check_index, check in enumerate(plan.checks_by_var.get(var, ())):
+            fetch = partial(self._contains_table, check.ftexpr, checkpoint=checkpoint)
+            tuples = self._rounds([
+                (
+                    var_positions[level.var],
+                    fetch,
+                    level.delta,
+                    extension(("contains", var, check_index, level_index)),
+                )
+                for level_index, level in enumerate(check.levels)
+            ], tuples, stats, checkpoint)
+        return tuples
+
+    @staticmethod
+    def _rounds(rounds, tuples, stats, checkpoint):
+        """Each tuple's first matching round, one tuple out per tuple matched.
+
+        A round is ``(position, fetch, delta, extended)``.
+        ``fetch(ids, probes)`` returns the table over the ids bound at
+        ``position`` among the tuples no earlier round matched; a tuple
+        whose id the table maps to a gain leaves as ``(bindings, ss +
+        delta, ks + gain, extended[signature])``, and one mapped to ``None``
+        (or with nothing bound there) goes on to the next round.  A round
+        without ``fetch`` matches whatever is left with gain ``0.0``.
+        Tuples no round matched die into ``tuples_failed``; the others keep
+        their input order.
+        """
         out = [None] * len(tuples)
         pending = tuples  # the inputs no round has matched yet, in order ...
         slots = range(len(tuples))  # ... and where each one's output goes
-        hits = misses = 0
-        for position, axis, delta, alt_index in rounds:
+        for position, fetch, delta, extended in rounds:
             if not pending:
                 break
-            if axis is None:
-                matches = _always
+            if fetch is None:
+                gain_of = _no_gain
             else:
-                bases, probes = self._bound_bases(pending, position)
-                table, resolved = self._candidates(
-                    run, join, axis, bases, exists=True
-                )
-                hits += probes - resolved
-                misses += resolved
-                # No table when no input binds a base; None is in no table.
-                matches = (table or {}).get
-            extended = _Extension(run.signatures, (join.var, alt_index))
+                # None is in no table: an unbound position never matches.
+                gain_of = fetch(*_bound_ids(pending, position)).get
             unmatched = []
             unmatched_slots = []
             pairs = zip(slots, pending)
@@ -934,63 +965,19 @@ class PlanExecutor:
                     checkpoint()
                 for slot, item in islice(pairs, CHECKPOINT_STRIDE):
                     bindings, ss, ks, signature = item
-                    if matches(bindings[position]):
-                        out[slot] = (
-                            bindings, ss + delta, ks, extended[signature]
-                        )
-                    else:
+                    gain = gain_of(bindings[position])
+                    if gain is None:
                         unmatched.append(item)
                         unmatched_slots.append(slot)
+                    else:
+                        out[slot] = (
+                            bindings, ss + delta, ks + gain, extended[signature]
+                        )
             pending = unmatched
             slots = unmatched_slots
-        if run.cache is not None:
-            run.cache.count_join_probes(hits, misses)
         if pending:
             stats.tuples_failed += len(pending)
             out = [item for item in out if item is not None]
-        stats.tuples_produced += len(out)
-        return out
-
-    def _apply_checks(self, run, plan, var, tuples, var_positions, stats,
-                      checkpoint):
-        checks = plan.checks_by_var.get(var)
-        if not checks:
-            return tuples
-        satisfies, score = self._contains_probes(run.cache)
-        extension = partial(_Extension, run.signatures)
-        compiled = [
-            (
-                check.ftexpr,
-                [
-                    (
-                        var_positions[level.var],
-                        level.delta,
-                        extension(("contains", var, check_index, level_index)),
-                    )
-                    for level_index, level in enumerate(check.levels)
-                ],
-            )
-            for check_index, check in enumerate(checks)
-        ]
-        out = []
-        for stride in _strides(tuples, checkpoint):
-            for bindings, ss, ks, signature in stride:
-                for ftexpr, levels in compiled:
-                    for position, delta, extended in levels:
-                        node_id = bindings[position]
-                        if node_id is None:
-                            continue
-                        if satisfies(node_id, ftexpr):
-                            ss += delta
-                            ks += score(node_id, ftexpr)
-                            signature = extended[signature]
-                            break
-                    else:
-                        # No level of this check matched: the tuple dies.
-                        stats.tuples_failed += 1
-                        break
-                else:
-                    out.append((bindings, ss, ks, signature))
         return out
 
     def _collect(self, run, plan, tuples, var_positions, scheme, stats):

@@ -26,6 +26,12 @@ from repro.query.tpq import AD, PC, TPQ
 
 _REL_OPS = ("<=", ">=", "!=", "=", "<", ">")
 
+#: Deepest pattern node the parser accepts, in steps from the root.  The
+#: paper's queries are at most five deep; every later pass over a pattern
+#: (closure, minimization, ``to_xpath``) recurses along it, and at this
+#: depth they all stay far inside Python's stack limit.
+MAX_PATTERN_DEPTH = 32
+
 
 def parse_query(text):
     """Parse an XPath-fragment string into a :class:`TPQ`."""
@@ -57,7 +63,7 @@ class _QueryParser:
         self._skip_ws()
         if self._pos >= self._length or self._text[self._pos] != "/":
             raise QueryParseError("query must start with '/' or '//'")
-        trunk = self._parse_path()
+        trunk = self._parse_path(0)
         self._skip_ws()
         if self._pos != self._length:
             raise QueryParseError(
@@ -118,11 +124,19 @@ class _QueryParser:
 
     # -- paths ------------------------------------------------------------------
 
-    def _parse_path(self):
-        """Parse a chain of steps; returns the list of _PatternNodes."""
+    def _parse_path(self, depth):
+        """Parse a chain of steps below a node ``depth`` steps deep.
+
+        Returns the list of _PatternNodes.
+        """
         steps = []
         while True:
             self._skip_ws()
+            if depth == MAX_PATTERN_DEPTH and self._text.startswith("/", self._pos):
+                raise QueryParseError(
+                    "query pattern deeper than %d steps at offset %d"
+                    % (MAX_PATTERN_DEPTH, self._pos)
+                )
             if self._text.startswith("//", self._pos):
                 axis = AD
                 self._pos += 2
@@ -133,19 +147,20 @@ class _QueryParser:
                 break
             tag = self._parse_name()
             node = _PatternNode(tag, axis)
+            depth += 1
             self._skip_ws()
             if self._text.startswith("[", self._pos):
                 self._pos += 1
-                self._parse_qualifiers(node)
+                self._parse_qualifiers(node, depth)
             steps.append(node)
         if not steps:
             raise QueryParseError("expected a location step at offset %d" % self._pos)
         return steps
 
-    def _parse_qualifiers(self, node):
+    def _parse_qualifiers(self, node, depth):
         while True:
             self._skip_ws()
-            self._parse_qualifier(node)
+            self._parse_qualifier(node, depth)
             self._skip_ws()
             if self._match_keyword("and"):
                 continue
@@ -156,7 +171,7 @@ class _QueryParser:
                 "expected 'and' or ']' at offset %d" % self._pos
             )
 
-    def _parse_qualifier(self, node):
+    def _parse_qualifier(self, node, depth):
         self._skip_ws()
         if self._text.startswith("@", self._pos):
             self._parse_attr_comparison(node)
@@ -170,16 +185,11 @@ class _QueryParser:
             return
         if self._text.startswith("./", self._pos):
             self._pos += 1
-            steps = self._parse_path()
-            self._attach_chain(node, steps)
-            return
-        if self._text.startswith(".//", self._pos):
-            self._pos += 1
-            steps = self._parse_path()
+            steps = self._parse_path(depth)
             self._attach_chain(node, steps)
             return
         if self._text.startswith("/", self._pos):
-            steps = self._parse_path()
+            steps = self._parse_path(depth)
             self._attach_chain(node, steps)
             return
         raise QueryParseError("expected a qualifier at offset %d" % self._pos)

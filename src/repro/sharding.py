@@ -47,7 +47,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.backend.sharded import GlobalNode
 from repro.ir.scoring import idf
-from repro.plans.eval_cache import CACHE_NAMES
 from repro.topk.base import QueryContext
 
 #: Safety pad on the per-shard keyword ceiling: the ceiling is provably an
@@ -55,66 +54,6 @@ from repro.topk.base import QueryContext
 #: reordering between the bound and the executor's accumulation, trading an
 #: immeasurable amount of pruning for certainty.
 _CEILING_EPSILON = 1e-9
-
-
-class AggregateEvalCache:
-    """The coordinator-facing view over the per-shard evaluation caches.
-
-    Serves the :class:`~repro.engine.Engine` surface — the ``enabled``
-    kill switch fans out, ``info()``/``metrics_snapshot()`` sum — while
-    all actual memoization stays shard-local (keys are shard-local node
-    ids, which must never mix).
-    """
-
-    def __init__(self, caches):
-        self._caches = list(caches)
-
-    @property
-    def enabled(self):
-        return all(cache.enabled for cache in self._caches)
-
-    @enabled.setter
-    def enabled(self, value):
-        for cache in self._caches:
-            cache.enabled = value
-
-    def clear(self):
-        for cache in self._caches:
-            cache.clear()
-
-    def entry_count(self):
-        return sum(cache.entry_count() for cache in self._caches)
-
-    def info(self):
-        totals = {
-            "entries": 0,
-            "max_entries": 0,
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "invalidations": 0,
-        }
-        for cache in self._caches:
-            for key, value in cache.info().items():
-                totals[key] += value
-        return totals
-
-    def metrics_snapshot(self):
-        totals = dict.fromkeys(
-            ["eval_cache.%s.%s" % (name, kind)
-             for name in CACHE_NAMES for kind in ("hits", "misses")]
-            + ["eval_cache.flushes"],
-            0,
-        )
-        for cache in self._caches:
-            for key, value in cache.metrics_snapshot().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def __repr__(self):
-        return "AggregateEvalCache(shards=%d, entries=%d)" % (
-            len(self._caches), self.entry_count()
-        )
 
 
 class ShardedQueryContext(QueryContext):
@@ -126,8 +65,10 @@ class ShardedQueryContext(QueryContext):
     ``attach_tracer`` (which fans out to every shard's IR engine through
     the aggregate) — is inherited, bound to the sharded backend's
     aggregates, so plans are lowered once, from *aggregate* counts, and run
-    as lowered on every shard.  ``document`` and ``executor`` are None: no
-    unified node table exists, and plans only ever run on the sources.
+    as lowered on every shard.  ``document``, ``executor`` and
+    ``eval_cache`` are None: no unified node table exists, plans only ever
+    run on the sources, and each source memoizes in its own evaluation
+    cache (keys are shard-local node ids, which must never mix).
     """
 
     def _bind_execution(self):
@@ -135,9 +76,7 @@ class ShardedQueryContext(QueryContext):
             QueryContext(view, weights=self.weights)
             for view in self.backend.views()
         ]
-        self.eval_cache = AggregateEvalCache(
-            [source.eval_cache for source in self.sources]
-        )
+        self.eval_cache = None
         self.executor = None
         self._thread_pool = None
 

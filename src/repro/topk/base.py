@@ -446,16 +446,13 @@ def begin_topk_metrics(context):
     Returns an opaque token for :func:`record_topk_metrics`, or None when
     the process registry is disabled — the disabled path costs one
     attribute check, mirroring ``NULL_TRACER``.  The token captures the
-    start time and the IR engine's lifetime counters so only this query's
-    *deltas* get folded into the shared registry.
+    start time, the IR engine's lifetime counters and those of the
+    sources' evaluation caches (summed) so only this query's *deltas* get
+    folded into the shared registry.
     """
     if not REGISTRY.enabled:
         return None
-    return (
-        perf_counter(),
-        context.ir.metrics_snapshot(),
-        context.eval_cache.metrics_snapshot(),
-    )
+    return perf_counter(), context.ir.metrics_snapshot(), _eval_counters(context)
 
 
 def record_topk_metrics(context, result, token):
@@ -463,9 +460,10 @@ def record_topk_metrics(context, result, token):
 
     Records, per algorithm, the query count, levels explored, answers
     returned, restarts, and a wall-time histogram — plus the IR engine's
-    cache and postings deltas accumulated while the window was open, and
-    the ``shards.*`` counters of a coordinated evaluation.  Returns
-    ``result`` so the caller can fold this into its return statement.
+    cache and postings deltas and the ``eval_cache.*`` deltas accumulated
+    while the window was open, and the ``shards.*`` counters of a
+    coordinated evaluation.  Returns ``result`` so the caller can fold this
+    into its return statement.
     """
     if token is None:
         return result
@@ -486,13 +484,27 @@ def record_topk_metrics(context, result, token):
         delta = value - ir_before[key]
         if delta:
             folded[key] = delta
-    for key, value in context.eval_cache.metrics_snapshot().items():
+    for key, value in _eval_counters(context).items():
         delta = value - eval_before[key]
         if delta:
             folded[key] = delta
     REGISTRY.inc_many(folded)
     REGISTRY.observe("topk.%s.seconds" % algorithm, seconds)
     return result
+
+
+def summed(counters):
+    """Count dicts (one per source) added key by key."""
+    totals = {}
+    for counts in counters:
+        for key, value in counts.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+def _eval_counters(context):
+    """The evaluation-cache counters of ``context``'s sources, summed."""
+    return summed(source.eval_cache.metrics_snapshot() for source in context.sources)
 
 
 def combined_level_cutoff(schedule, reached_level, contains_count):

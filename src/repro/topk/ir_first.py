@@ -47,7 +47,7 @@ def _satisfiers(context, ftexpr, tag):
     """Node ids (with the given tag) whose subtree satisfies ``ftexpr``.
 
     The set lives in the source context's shared :class:`EvaluationCache`
-    (``satisfiers`` sub-cache), so it survives across queries, is shared
+    (``satisfiers`` tier), so it survives across queries, is shared
     with any other strategy asking the same question, and is invalidated
     when the corpus grows.
     """
@@ -63,7 +63,7 @@ def _satisfiers(context, ftexpr, tag):
             node.node_id for node in pool if ir.satisfies(node, ftexpr)
         )
 
-    return context.eval_cache.satisfier_set((ftexpr, tag), compute)
+    return context.eval_cache.value("satisfiers", (ftexpr, tag), compute)
 
 
 def _restrictions_for(context, query):

@@ -275,6 +275,60 @@ class TestObservability:
         assert counters.get("shards.rounds", 0) >= result.shard_rounds
 
 
+class TestShardEvalCaches:
+    """The coordinator holds no evaluation cache: every view of one is a
+    sum over the per-source caches."""
+
+    @staticmethod
+    def _engine(**kwargs):
+        engine = Engine.sharded(2, router=RoundRobinRouter(), **kwargs)
+        for index, text in enumerate(DOCS):
+            engine.backend.add_document(parse(text), name="doc%d" % index)
+        return engine
+
+    def test_cache_info_sums_the_sources(self):
+        engine = self._engine()
+        assert engine.context.eval_cache is None
+        engine.query(QUERY, k=3, algorithm="sso")
+        engine.query("//b[./a]", k=3, algorithm="ir-first")
+        per_source = [source.eval_cache.info() for source in engine.context.sources]
+        assert len(per_source) == 2
+        assert all(info["entries"] > 0 for info in per_source)
+        assert engine.cache_info()["eval_cache"] == {
+            key: sum(info[key] for info in per_source) for key in per_source[0]
+        }
+
+    def test_cache_off_disables_every_source(self):
+        engine = self._engine(cache=False)
+        sources = engine.context.sources
+        assert [source.eval_cache.enabled for source in sources] == [False, False]
+        engine.query(QUERY, k=3)
+        assert engine.cache_info()["eval_cache"]["entries"] == 0
+
+    def test_registry_deltas_are_the_summed_source_deltas(self):
+        engine = self._engine()
+        engine.query(QUERY, k=3, algorithm="hybrid")  # warm some tables
+        engine.result_cache.invalidate()
+        sources = engine.context.sources
+
+        def eval_counts():
+            return [source.eval_cache.metrics_snapshot() for source in sources]
+
+        before = eval_counts()
+        REGISTRY.reset()
+        engine.query(QUERY, k=3, algorithm="dpo")
+        after = eval_counts()
+        counters = REGISTRY.as_dict()["counters"]
+        deltas = {
+            key: sum(a[key] - b[key] for a, b in zip(after, before))
+            for key in after[0]
+        }
+        assert any(deltas.values())
+        assert {
+            key: counters.get(key, 0) for key in deltas
+        } == deltas
+
+
 class TestEngineIntegration:
     def test_all_algorithms_match_unsharded(self):
         sharded = Engine.sharded(shard_count=3, router=RoundRobinRouter())

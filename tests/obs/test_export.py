@@ -188,7 +188,7 @@ class TestEngineTracing:
     def test_explicit_trace_also_exports_when_sink_configured(self):
         engine = FleXPath.from_xml(LIBRARY_XML)
         sink = InMemoryTraceSink()
-        engine.engine.configure_tracing(sink, sample_rate=0.0)
+        engine.configure_tracing(sink, sample_rate=0.0)
         trace = engine.query("//article[./title]", k=3, trace=True)
         root = next(r for r in sink.records() if r["name"] == "query")
         assert root["attributes"]["sampled"] is False

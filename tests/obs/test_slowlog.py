@@ -116,7 +116,7 @@ class TestPayloadSchema:
         detail = self._one_detail(engine, caplog)
         assert self.EXPECTED_KEYS <= set(detail)
         assert detail["cached"] is False
-        assert detail["version"] == engine.engine.backend.version
+        assert detail["version"] == engine.backend.version
         assert detail["deadline_ms"] is None
         assert detail["outcome"] == "ok"
 

@@ -279,5 +279,6 @@ class TestDeadlineInsideAJoin:
             a.node_id for a in bare.answers
         ]
         strides = -(-self.FAN // self.STRIDE)
-        # entry + the join, then the boundaries inside the join's two phases
-        assert len(calls) == 2 + 2 * (strides - 1)
+        # entry + the join, then the boundaries inside the join, inside the
+        # contains table's fill and inside the check's round
+        assert len(calls) == 2 + 3 * (strides - 1)

@@ -30,9 +30,8 @@ class TestUnit:
     def test_pool_miss_then_hit(self):
         cache = EvaluationCache()
         key = ("article", (), None)
-        assert cache.get_pool(key) is None
-        cache.put_pool(key, (1, 2))
-        assert cache.get_pool(key) == (1, 2)
+        assert cache.value("pool", key, lambda: (1, 2)) == (1, 2)
+        assert cache.value("pool", key, lambda: pytest.fail("recomputed")) == (1, 2)
         snapshot = cache.metrics_snapshot()
         assert snapshot["eval_cache.pool.misses"] == 1
         assert snapshot["eval_cache.pool.hits"] == 1
@@ -48,39 +47,39 @@ class TestUnit:
     def test_join_table_resolves_only_missing_bases(self):
         cache = EvaluationCache()
         calls = []
-        table, resolved = cache.join_table("sig", {3, 1}, self._resolver(calls))
-        assert (table, resolved) == ({1: (101,), 3: (103,)}, 2)
-        again, resolved = cache.join_table("sig", {1, 2}, self._resolver(calls))
-        assert again is table  # one table per signature, shared and live
-        assert resolved == 1
+        table = cache.table("join", "sig", {3, 1}, self._resolver(calls), 2)
+        assert table == {1: (101,), 3: (103,)}
+        again = cache.table("join", "sig", {1, 2}, self._resolver(calls), 2)
+        assert again is table  # one table per key, shared and live
         assert calls == [[1, 3], [2]]  # sorted, and only what was missing
-        assert cache.join_table("sig", {1, 2, 3}, self._resolver(calls))[1] == 0
+        cache.table("join", "sig", {1, 2, 3}, self._resolver(calls), 3)
         assert len(calls) == 2
-        assert cache.entry_count() == cache.info()["entries"] == 3
+        assert cache.info()["entries"] == 3
 
     def test_join_budget_counts_bases_over_all_tables(self):
         cache = EvaluationCache(max_entries=3)
         calls = []
-        first, _ = cache.join_table("a", {1, 2}, self._resolver(calls))
-        cache.join_table("b", {1}, self._resolver(calls))
-        assert cache.entry_count() == 3
+        first = cache.table("join", "a", {1, 2}, self._resolver(calls), 2)
+        cache.table("join", "b", {1}, self._resolver(calls), 1)
+        assert cache.info()["entries"] == 3
         assert cache.metrics_snapshot()["eval_cache.flushes"] == 0
         # One more base exceeds the budget: every table is dropped, and the
         # step in flight keeps the entries it had found present.
-        table, resolved = cache.join_table("a", {1, 2, 7}, self._resolver(calls))
-        assert resolved == 1
+        table = cache.table("join", "a", {1, 2, 7}, self._resolver(calls), 3)
+        assert calls[-1] == [7]
         assert table is not first
         assert table == {1: (101,), 2: (102,), 7: (107,)}
         assert cache.metrics_snapshot()["eval_cache.flushes"] == 1
-        assert cache.entry_count() == 3
+        assert cache.info()["entries"] == 3
         # Table "b" went with the flush.
-        assert cache.join_table("b", {1}, self._resolver(calls))[1] == 1
+        cache.table("join", "b", {1}, self._resolver(calls), 1)
+        assert calls[-1] == [1]
 
     def test_join_tables_survive_concurrent_fills_and_flushes(self):
         """More workers than cores, a budget small enough to flush all the
-        time: every returned table still covers every base asked for with
-        that signature's values, and the budget's count stays the sum of
-        the tables."""
+        time, on both table tiers: every returned table still covers every
+        id asked for with that key's values, and each tier's count stays
+        the sum of its tables."""
         import random
         import sys
         import threading
@@ -93,17 +92,20 @@ class TestUnit:
         def worker(seed):
             rng = random.Random(seed)
             while time.monotonic() < stop:
-                signature = rng.randrange(3)
-                bases = set(rng.sample(range(120), rng.randint(1, 25)))
-                table, _resolved = cache.join_table(
-                    signature,
-                    bases,
-                    lambda missing: {b: (b, signature) for b in missing},
+                tier = rng.choice(("join", "contains"))
+                key = rng.randrange(3)
+                ids = set(rng.sample(range(120), rng.randint(1, 25)))
+                table = cache.table(
+                    tier,
+                    key,
+                    ids,
+                    lambda missing: {i: (i, tier, key) for i in missing},
+                    len(ids),
                 )
                 wrong.extend(
-                    (signature, base)
-                    for base in bases
-                    if table.get(base) != (base, signature)
+                    (tier, key, node_id)
+                    for node_id in ids
+                    if table.get(node_id) != (node_id, tier, key)
                 )
 
         interval = sys.getswitchinterval()
@@ -120,16 +122,21 @@ class TestUnit:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        assert cache.metrics_snapshot()["eval_cache.flushes"] > 0
-        assert cache._join_entries == sum(map(len, cache._joins.values()))
+        for name in ("join", "contains"):
+            tier = cache._tiers[name]
+            assert tier.flushes > 0, name
+            assert tier.entries == sum(map(len, tier.data.values())), name
 
     def test_join_probe_tallies_fold_into_the_counters(self):
+        """A table call counts its own probes: misses are the ids it had to
+        resolve, hits the rest of ``probes`` (tuples sharing an id each
+        count)."""
         cache = EvaluationCache()
-        cache.count_join_probes(5, 2)
-        cache.count_join_probes(1, 0)
+        cache.table("join", "sig", {1, 2}, self._resolver([]), 7)
+        cache.table("join", "sig", {1, 2, 3}, self._resolver([]), 1 + 2 + 3)
         snapshot = cache.metrics_snapshot()
-        assert snapshot["eval_cache.join.hits"] == 6
-        assert snapshot["eval_cache.join.misses"] == 2
+        assert snapshot["eval_cache.join.hits"] == 5 + 5
+        assert snapshot["eval_cache.join.misses"] == 2 + 1
 
     def test_satisfier_set_computes_once(self):
         cache = EvaluationCache()
@@ -139,70 +146,76 @@ class TestUnit:
             calls.append(1)
             return frozenset({7})
 
-        assert cache.satisfier_set("key", compute) == frozenset({7})
-        assert cache.satisfier_set("key", compute) == frozenset({7})
+        assert cache.value("satisfiers", "key", compute) == frozenset({7})
+        assert cache.value("satisfiers", "key", compute) == frozenset({7})
         assert len(calls) == 1
 
-    def test_contains_counts_every_probe_once(self, context):
-        """``satisfies`` and ``score`` are separate probes sharing an entry:
-        on fresh nodes both miss, on a second pass both hit, and hits +
-        misses is the number of probes made."""
+    def test_contains_table_holds_scores_and_none(self, context, monkeypatch):
+        """One ``node id → score`` table per expression, ``None`` where the
+        node does not satisfy it, filled through the executor's resolver:
+        one node view per missing node, ``ir.score`` for satisfiers only."""
         from repro.ir import parse_ftexpr
 
-        cache = EvaluationCache()
         ir = context.ir
         expr = parse_ftexpr('"gold"')
+        executor = PlanExecutor(context.backend, ir, eval_cache=EvaluationCache())
         nodes = list(context.document.nodes())
+        ids = {node.node_id for node in nodes}
         views = []
+        node_of = context.backend.node
 
-        def node_of(node_id):
+        def counting(node_id):
             views.append(node_id)
-            return context.document.node(node_id)
+            return node_of(node_id)
 
+        monkeypatch.setattr(context.backend, "node", counting)
+        table = executor._contains_table(expr, ids, len(ids))
+        assert sorted(views) == sorted(ids)
         for node in nodes:
-            node_id = node.node_id
-            assert cache.satisfies(ir, node_of, node_id, expr) == ir.satisfies(
-                node, expr
-            )
-            assert cache.score(ir, node_of, node_id, expr) == ir.score(node, expr)
-        snapshot = cache.metrics_snapshot()
-        assert snapshot["eval_cache.contains.misses"] == 2 * len(nodes)
-        assert snapshot["eval_cache.contains.hits"] == 0
+            expected = ir.score(node, expr) if ir.satisfies(node, expr) else None
+            assert table[node.node_id] == expected
+        assert {value is None for value in table.values()} == {True, False}
         del views[:]
-        for node in nodes:
-            cache.satisfies(ir, node_of, node.node_id, expr)
-            cache.score(ir, node_of, node.node_id, expr)
-        assert views == []  # a hit never makes a node view
-        snapshot = cache.metrics_snapshot()
-        assert snapshot["eval_cache.contains.misses"] == 2 * len(nodes)
-        assert snapshot["eval_cache.contains.hits"] == 2 * len(nodes)
-        # A score asked for before any satisfies probe is a miss too.
-        assert cache.score(ir, node_of, 0, parse_ftexpr('"ring"')) >= 0.0
-        assert cache.metrics_snapshot()["eval_cache.contains.misses"] == (
-            2 * len(nodes) + 1
-        )
+        assert executor._contains_table(expr, ids, 2 * len(ids)) is table
+        assert views == []  # a warm table makes no node view
+        snapshot = executor._eval_cache.metrics_snapshot()
+        assert snapshot["eval_cache.contains.misses"] == len(ids)
+        assert snapshot["eval_cache.contains.hits"] == 2 * len(ids)
 
-    def test_contains_budget_counts_entries_over_all_tables(self, context):
+    def test_contains_budget_counts_entries_over_all_tables(self):
         """One table per expression; the budget is the sum of their entries,
-        a score filling an existing entry adds nothing, and reaching the
-        budget drops every table."""
-        from repro.ir import parse_ftexpr
-
+        and an insert past it drops every table."""
         cache = EvaluationCache(max_entries=3)
-        ir, node_of = context.ir, context.document.node
-        gold, ring = parse_ftexpr('"gold"'), parse_ftexpr('"ring"')
-        cache.satisfies(ir, node_of, 0, gold)
-        cache.score(ir, node_of, 0, gold)
-        cache.satisfies(ir, node_of, 1, gold)
-        cache.satisfies(ir, node_of, 0, ring)
-        assert cache.entry_count() == cache.info()["entries"] == 3
+
+        def resolve(missing):
+            return dict.fromkeys(missing, 0.5)
+
+        cache.table("contains", "gold", {0, 1}, resolve, 2)
+        cache.table("contains", "ring", {0}, resolve, 1)
+        assert cache.info()["entries"] == 3
         assert cache.metrics_snapshot()["eval_cache.flushes"] == 0
-        cache.satisfies(ir, node_of, 1, ring)
+        cache.table("contains", "ring", {1}, resolve, 1)
         assert cache.metrics_snapshot()["eval_cache.flushes"] == 1
-        assert cache.entry_count() == 1
+        assert cache.info()["entries"] == 1
         misses = cache.metrics_snapshot()["eval_cache.contains.misses"]
-        cache.satisfies(ir, node_of, 0, gold)  # went with the flush
+        cache.table("contains", "gold", {0}, resolve, 1)  # went with the flush
         assert cache.metrics_snapshot()["eval_cache.contains.misses"] == misses + 1
+
+    def test_every_tier_is_bounded(self):
+        """``pool`` and ``satisfiers`` keep a budget of their own too, and
+        ``info()`` reports the sum of the four budgets."""
+        cache = EvaluationCache(max_entries=3)
+        for key in range(10):
+            cache.value("pool", key, lambda: (1,))
+            cache.value("satisfiers", key, frozenset)
+        info = cache.info()
+        assert info["max_entries"] == 4 * 3
+        assert info["entries"] <= info["max_entries"]
+        assert info["entries"] == 1 + 1  # 10 inserts each, flushed at 4, 7 and 10
+        assert info["evictions"] == 3 + 3
+        assert cache.max_entries == 3
+        cache.max_entries = 5
+        assert cache.info()["max_entries"] == 4 * 5
 
     def test_disabled_satisfier_set_computes_every_time(self):
         cache = EvaluationCache()
@@ -213,27 +226,39 @@ class TestUnit:
             calls.append(1)
             return frozenset()
 
-        cache.satisfier_set("key", compute)
-        cache.satisfier_set("key", compute)
+        cache.value("satisfiers", "key", compute)
+        cache.value("satisfiers", "key", compute)
         assert len(calls) == 2
-        assert cache.entry_count() == 0
+        assert cache.info()["entries"] == 0
+
+    def test_disabled_cache_computes_every_time_and_records_nothing(self):
+        cache = EvaluationCache()
+        cache.enabled = False
+        calls = []
+
+        def resolve(missing):
+            calls.append(missing)
+            return dict.fromkeys(missing, 0.0)
+
+        for _ in range(2):
+            assert cache.value("pool", "p", lambda: calls.append("p") or (1,)) == (1,)
+            assert cache.table("contains", "e", {2, 1}, resolve, 5) == {1: 0.0, 2: 0.0}
+        assert calls == ["p", [1, 2], "p", [1, 2]]
+        info = cache.info()
+        assert info.pop("max_entries") == 4 * cache.max_entries
+        assert set(info.values()) == {0}
+        assert set(cache.metrics_snapshot().values()) == {0}
 
     def test_clear_drops_entries_keeps_counters(self):
         cache = EvaluationCache()
-        cache.put_pool("p", ())
-        cache.get_pool("p")
+        cache.value("pool", "p", tuple)
+        cache.value("pool", "p", tuple)
         cache.clear()
-        assert cache.entry_count() == 0
+        assert cache.info()["entries"] == 0
+        assert cache.info()["invalidations"] == 1
         assert cache.metrics_snapshot()["eval_cache.pool.hits"] == 1
-        assert cache.get_pool("p") is None
-
-    def test_hit_ratio(self):
-        cache = EvaluationCache()
-        assert cache.hit_ratio() is None
-        cache.get_pool("p")  # miss
-        cache.put_pool("p", ())
-        cache.get_pool("p")  # hit
-        assert cache.hit_ratio() == 0.5
+        cache.value("pool", "p", tuple)
+        assert cache.metrics_snapshot()["eval_cache.pool.misses"] == 2
 
     def test_restriction_key(self):
         assert restriction_key(None) is None
@@ -290,7 +315,7 @@ class TestExecutorIntegration:
         query = parse_query(QUERY)
         schedule = RelaxationSchedule(query, context.penalties)
         context.executor.run(build_strict_plan(query, context.weights))
-        joins = context.eval_cache._joins
+        joins = context.eval_cache._tiers["join"].data
         strict_tables = dict(joins)
         assert strict_tables
         calls = count_calls(monkeypatch, context.backend, NAVIGATION)
@@ -300,23 +325,24 @@ class TestExecutorIntegration:
             assert joins[signature] is table
         # Only signatures the strict level never used needed a merge.
         assert sum(calls.values()) <= len(joins) - len(strict_tables)
-        assert context.eval_cache.entry_count() >= sum(map(len, joins.values()))
+        assert context.eval_cache.info()["entries"] >= sum(map(len, joins.values()))
 
     def test_warm_tables_hold_nothing_the_collector_tracks(self, context):
         """What makes a full collection cheap over a warm cache: every join
-        and contains entry is an int mapped to a tuple of scalars, which the
-        collector drops from its lists at its first visit (a tuple key that
-        holds the expression would stay tracked for life)."""
+        and contains entry is an int mapped to a float, ``None`` or a tuple
+        of ints, which the collector never tracks or drops from its lists at
+        its first visit (a tuple key that holds the expression would stay
+        tracked for life)."""
         import gc
 
         context.executor.run(build_strict_plan(parse_query(QUERY), context.weights))
-        cache = context.eval_cache
+        tiers = context.eval_cache._tiers
         gc.collect()
-        assert len(cache._contains) == 1  # one table for the one expression
+        assert len(tiers["contains"].data) == 1  # one table for the one expression
         entries = [
             entry
-            for tables in (cache._joins, cache._contains)
-            for table in tables.values()
+            for name in ("join", "contains")
+            for table in tiers[name].data.values()
             for entry in table.items()
         ]
         assert entries
@@ -371,7 +397,7 @@ class TestExecutorIntegration:
         context.executor.run(plan)
         snapshot = context.eval_cache.metrics_snapshot()
         assert all(value == 0 for value in snapshot.values())
-        assert context.eval_cache.entry_count() == 0
+        assert context.eval_cache.info()["entries"] == 0
 
     def test_executor_without_cache_unchanged(self, context):
         executor = PlanExecutor(context.document, context.ir)
@@ -399,9 +425,9 @@ class TestContextLifecycle:
         context = QueryContext(corpus)
         plan = build_strict_plan(parse_query(QUERY), context.weights)
         context.executor.run(plan)
-        assert context.eval_cache.entry_count() > 0
+        assert context.eval_cache.info()["entries"] > 0
         corpus.add_text("<article><section><paragraph>gold</paragraph></section></article>")
-        assert context.eval_cache.entry_count() == 0
+        assert context.eval_cache.info()["entries"] == 0
         # The fresh document must be visible through the caches.
         result = context.executor.run(plan)
         assert len(result.answers) == 2

@@ -392,7 +392,7 @@ class TestTheStep:
         assert sum(calls.values()) == 0
         assert observed(second) == observed(first)
 
-    # -- (e) the eval-cache contract over the bool tables -----------------------
+    # -- (e) the eval-cache contract over the 0.0/None tables ------------------
 
     def test_probes_with_a_bound_base_are_hits_plus_misses(self, context):
         cache = context.eval_cache
@@ -401,15 +401,17 @@ class TestTheStep:
         snapshot = cache.metrics_snapshot()
         assert snapshot["eval_cache.join.misses"] == 4 + 4 + 3 + 2
         assert snapshot["eval_cache.join.hits"] == 0
-        # One entry per base per table; a bool table's entries are bools.
-        assert cache.entry_count() - len(cache._pools) == 13
-        assert cache.info()["entries"] == cache.entry_count()
-        bools = [
+        # One entry per base per table; a semi-join table holds 0.0 where
+        # the base has a candidate and None where it has none.
+        joins = cache._tiers["join"]
+        assert joins.entries == 13
+        assert cache.info()["entries"] == joins.entries + len(cache._tiers["pool"].data)
+        exists = [
             value
-            for signature, table in cache._joins.items() if signature[-1]
+            for signature, table in joins.data.items() if signature[-1]
             for value in table.values()
         ]
-        assert len(bools) == 9 and set(bools) == {True, False}
+        assert len(exists) == 9 and set(exists) == {0.0, None}
         context.executor.run(self.plan(context, 3))
         snapshot = cache.metrics_snapshot()
         assert snapshot["eval_cache.join.misses"] == 13
@@ -445,4 +447,5 @@ class TestTheStep:
             assert observed(got) == observed(expected)
         cache = small.eval_cache
         assert cache.metrics_snapshot()["eval_cache.flushes"] > 0
-        assert cache._join_entries == sum(map(len, cache._joins.values()))
+        joins = cache._tiers["join"]
+        assert joins.entries == sum(map(len, joins.data.values()))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import FleXPath
+from repro import FleXPath, parse_query
 from repro.collection import Corpus, DocumentCollection
 from repro.errors import FleXPathError
 from repro.xmltree import parse
@@ -263,7 +263,7 @@ class TestVirtualRootExclusion:
 
     def test_one_document_corpus_penalties_match_single_document(self):
         single, on_corpus = self._engines()
-        query = single.parse(self.QUERY)
+        query = parse_query(self.QUERY)
         reference = single.context.schedule(query)
         live = on_corpus.context.schedule(query)
         assert len(live) == len(reference)

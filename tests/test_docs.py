@@ -55,3 +55,37 @@ class TestCrossReferences:
         experiments = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
         for path in set(re.findall(r"tests/[\w/]+\.py", experiments)):
             assert (ROOT / path).exists(), path
+
+
+def test_the_eval_cache_example_in_extending_runs():
+    """``docs/EXTENDING.md``'s EvaluationCache example, executed as written:
+    counted once when cold, all hits when warm, nothing recorded when the
+    cache is off — and the same arguments every time."""
+    from repro.topk import ExecutionSession, QueryContext
+    from repro.xmark import generate_document
+
+    text = (ROOT / "docs/EXTENDING.md").read_text(encoding="utf-8")
+    section = text.split("## Opting a custom strategy into the EvaluationCache")[1]
+    block, = re.findall(r"```python\n(.*?)```", section.split("\n## ")[0], flags=re.S)
+    namespace = {}
+    exec(compile(block, "docs/EXTENDING.md[eval cache]", "exec"), namespace)
+    arguments_of = namespace["my_source_arguments"]
+
+    context = QueryContext(generate_document(target_bytes=30_000, seed=3))
+    session = ExecutionSession(context)
+    cache = context.eval_cache
+    cold = arguments_of(session)
+    chosen = cold["pool_restrictions"]["$1"]
+    assert 0 < len(chosen) <= 10
+    counts = cache.metrics_snapshot()
+    assert counts["eval_cache.satisfiers.misses"] == 1
+    satisfiers = counts["eval_cache.contains.misses"]
+    assert satisfiers >= len(chosen)
+    assert arguments_of(session) == cold
+    counts = cache.metrics_snapshot()
+    assert counts["eval_cache.satisfiers.hits"] == 1
+    assert counts["eval_cache.contains.hits"] == satisfiers
+    cache.enabled = False
+    before = cache.info()
+    assert arguments_of(session) == cold
+    assert cache.info() == before

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro import Corpus, Engine, FleXPath, FleXPathError, QueryTimeoutError
+from repro import (
+    Corpus,
+    Engine,
+    FleXPath,
+    FleXPathError,
+    QueryTimeoutError,
+    parse_query,
+)
 from repro.rank import STRUCTURE_FIRST
 from repro.xmltree import parse
 from repro.xmltree.storage import dump_document
@@ -75,7 +82,7 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("cls", [Engine, FleXPath])
+@pytest.mark.parametrize("cls", [Engine, FleXPath], ids=["Engine", "FleXPath"])
 class TestFacadeParity:
     """``FleXPath`` is ``Engine``: same constructors, same entry points."""
 
@@ -103,12 +110,12 @@ class TestFacadeParity:
             cls.from_xml(LIBRARY_XML).query(PARITY_QUERY, deadline_ms=1e-6)
 
 
-def test_flexpath_accessors():
-    facade = FleXPath.from_xml(LIBRARY_XML)
-    assert facade.engine is facade
-    assert facade.parse("//article") == facade.parse("//article")
-    assert facade.context is facade.engine.context
-    assert facade.result_cache is facade.engine.result_cache
+def test_flexpath_is_a_name_for_engine():
+    """The paper's Figure 7 name is the class itself, with no accessors of
+    its own: queries parse through ``repro.parse_query``."""
+    assert FleXPath is Engine
+    engine = FleXPath.from_xml(LIBRARY_XML)
+    assert not hasattr(engine, "engine") and not hasattr(engine, "parse")
 
 
 class TestQueryInterface:
@@ -117,7 +124,7 @@ class TestQueryInterface:
         assert len(result.answers) == 3
 
     def test_tpq_query(self, library_engine):
-        tpq = library_engine.parse("//article")
+        tpq = parse_query("//article")
         result = library_engine.query(tpq, k=2)
         assert len(result.answers) == 2
 

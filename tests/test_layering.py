@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
 
@@ -120,6 +122,23 @@ class TestDetection:
         violations = check_layering.check(root)
         assert len(violations) == 2
         assert all("strategy" in violation for violation in violations)
+
+    @pytest.mark.parametrize("module", ["sharding.py", "engine.py"])
+    def test_coordinator_and_engine_cannot_import_the_eval_cache(
+            self, tmp_path, module):
+        root = _fake_tree(tmp_path, "")
+        path = root / "repro" / module
+        path.write_text("from repro.topk.base import QueryContext\n", encoding="utf-8")
+        assert check_layering.check(root) == []
+        path.write_text(
+            "from repro.plans.eval_cache import EvaluationCache\n"
+            "from repro.plans import EvaluationCache\n"
+            "import repro.plans.eval_cache\n",
+            encoding="utf-8",
+        )
+        violations = check_layering.check(root)
+        assert len(violations) == 3
+        assert all("evaluation cache" in violation for violation in violations)
 
     def test_guarded_code_cannot_import_sharded_backend(self, tmp_path):
         root = _fake_tree(

@@ -51,7 +51,7 @@ class TestExplainVariants:
 class TestDatasetQ4:
     def test_q4_combines_q2_and_q3(self, article_doc, article_engine):
         from repro.datasets import FIGURE1_QUERIES
-        from repro.query import evaluate
+        from repro.query import evaluate, parse_query
 
         oracle = lambda node, expr: article_engine.context.ir.satisfies(
             node, expr
@@ -60,7 +60,7 @@ class TestDatasetQ4:
             name: {
                 n.node_id
                 for n in evaluate(
-                    article_engine.parse(FIGURE1_QUERIES[name]),
+                    parse_query(FIGURE1_QUERIES[name]),
                     article_doc,
                     contains_oracle=oracle,
                 )

@@ -5,7 +5,7 @@ The LRU itself is covered in tests/test_cache.py.
 
 import pytest
 
-from repro import FleXPath
+from repro import FleXPath, parse_query
 from repro.collection import Corpus
 from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
@@ -48,7 +48,7 @@ class TestFacade:
     def test_equivalent_query_spellings_share_an_entry(self):
         engine = FleXPath.from_xml(LIBRARY_XML)
         text = engine.query(QUERY, k=5)
-        parsed = engine.query(engine.parse(QUERY), k=5)
+        parsed = engine.query(parse_query(QUERY), k=5)
         assert parsed is text
         assert _counter("result_cache.hits") == 1
 

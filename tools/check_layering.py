@@ -28,6 +28,10 @@ fails (exit 1, one line per violation) on:
   and ``repro/sharding.py`` imports no concrete strategy module
   (``repro.topk.{dpo,sso,hybrid,naive,ir_first}``) — the coordinator
   supplies sources, it does not wrap or re-implement a strategy;
+- one evaluation cache per source: ``repro/sharding.py`` and
+  ``repro/engine.py`` do not import ``repro.plans.eval_cache`` (nor its
+  ``EvaluationCache`` re-exports) — they read each source's own cache, so
+  no second cache view over the shards can grow back;
 - the data layer: modules under ``repro.xmltree`` (the node table and its
   codec, which ``repro.backend`` builds on) import only ``repro.xmltree.*``,
   ``repro.errors`` and the standard library — no observability plane, no
@@ -215,6 +219,17 @@ def _sharding_violations(tree):
             yield lineno, "coordinator imports a strategy (only repro.topk.base)"
 
 
+def _eval_cache_violations(tree):
+    """Yield imports of the evaluation cache in the coordinator or engine."""
+    for lineno, names in _import_statements(tree):
+        if any(
+            _under(name, "repro.plans.eval_cache")
+            or name.endswith(".EvaluationCache")
+            for name in names
+        ):
+            yield lineno, "imports the evaluation cache (read each source's own)"
+
+
 def _data_layer_violations(tree):
     """Yield imports from outside the data layer in one ``repro.xmltree`` module."""
     for node in _walk_guarded(tree):
@@ -267,11 +282,16 @@ def check(src_root):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for lineno, message in _data_layer_violations(tree):
             violations.append("%s:%d: %s" % (path, lineno, message))
-    sharding = src_root / "repro" / "sharding.py"
-    if sharding.is_file():
-        tree = ast.parse(sharding.read_text(encoding="utf-8"), filename=str(sharding))
-        for lineno, message in _sharding_violations(tree):
-            violations.append("%s:%d: %s" % (sharding, lineno, message))
+    for name in ("sharding.py", "engine.py"):
+        path = src_root / "repro" / name
+        if not path.is_file():
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = list(_eval_cache_violations(tree))
+        if name == "sharding.py":
+            found.extend(_sharding_violations(tree))
+        for lineno, message in found:
+            violations.append("%s:%d: %s" % (path, lineno, message))
     return violations
 
 
