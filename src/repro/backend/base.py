@@ -211,7 +211,7 @@ class StorageBackend(ABC):
         )
 
     def twig_filter_ids(self, pools, parents, axes, order):
-        """Holistic twig filter over id-sorted per-variable candidate pools."""
+        """Holistic twig filter over id-sorted pools (unused; see the kernel)."""
         return twig_filter_ids(
             self.ends, self.levels, pools, parents, axes, order
         )

@@ -318,6 +318,9 @@ def twig_filter_ids(ends, levels, pools, parents, axes, order):
     Returns ``{var: id list}`` with every list id-sorted.  Cost is one
     probe pass and one linear merge per twig edge — O(Σ pool sizes) per
     edge — independent of how many embeddings exist.
+
+    No longer called by the executor; it stays in the backend seam because
+    ``benchmarks/e2e/spans.py`` patches it by name, and goes with that table.
     """
     children = {var: [] for var in order}
     for var in order:

@@ -5,7 +5,7 @@ walks the relaxation schedule one level at a time, SSO/Hybrid restart with
 more relaxations encoded — and adjacent levels share almost all of their
 leaf scans, joins and ``contains`` checks.  :class:`EvaluationCache`
 memoizes exactly that shared work inside one
-:class:`~repro.topk.base.QueryContext`, in four tiers of one class:
+:class:`~repro.topk.base.QueryContext`, in five tiers of one class:
 
 - **pool** — seeded tag pools per variable: the filtered candidate list for
   a plan root, keyed by ``(tag, attr-predicate set, pool restriction)``;
@@ -15,13 +15,18 @@ memoizes exactly that shared work inside one
 - **contains** — one ``node id → keyword score`` table per expression,
   ``None`` where the node does not satisfy it;
 - **satisfiers** — whole contains-satisfier id sets per ``(expression,
-  tag)``, the IR-first strategy's seeds.
+  tag)``, the IR-first strategy's seeds;
+- **subtree** — the twig operator's ``node id → best keyword score`` of a
+  full embedding of one variable's subtree, for the pool nodes that have
+  one, per subtree signature ``(tag, attr-predicate set, pool
+  restriction, check expressions, ((axis, child signature), ...))``.
 
 Two access shapes, nothing else: :meth:`EvaluationCache.value` keeps one
 entry per key (``pool``, ``satisfiers``); :meth:`EvaluationCache.table`
-keeps one ``id → value`` table per key (``join``, ``contains``) and is
-probed set-at-a-time — one call per pipeline step, filling the ids the
-table lacks with one resolver call.
+keeps one ``id → value`` table per key (``join``, ``contains``,
+``subtree``) and is probed set-at-a-time — one call per pipeline step,
+filling the ids the table lacks with one resolver call (a ``subtree``
+table is filled whole, from the variable's pool).
 
 The cache is owned by the query context and survives across queries — a
 document only changes through :meth:`~repro.collection.Corpus.add_document`,
@@ -54,6 +59,9 @@ from repro.obs.events import HUB
 #: keeps the probe path to a dict get, and repeated queries re-warm in one
 #: run.
 DEFAULT_MAX_ENTRIES = 200_000
+
+#: The tier names, in the order ``metrics_snapshot`` reports them.
+TIERS = ("pool", "join", "contains", "satisfiers", "subtree")
 
 
 class _Tier:
@@ -90,16 +98,13 @@ class _Tier:
 
 
 class EvaluationCache:
-    """Memoizes pools, join candidates, contains checks and satisfier sets."""
+    """Memoizes pools, joins, contains checks, satisfier sets, subtree tables."""
 
     __slots__ = ("enabled", "_tiers", "_invalidations")
 
     def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
         self.enabled = True
-        self._tiers = {
-            name: _Tier(name, max_entries)
-            for name in ("pool", "join", "contains", "satisfiers")
-        }
+        self._tiers = {name: _Tier(name, max_entries) for name in TIERS}
         self._invalidations = 0
 
     @property
@@ -133,10 +138,13 @@ class EvaluationCache:
     def table(self, tier, key, ids, resolve, probes):
         """The ``id → value`` table for ``key`` in ``tier``, covering ``ids``.
 
-        ``ids`` is the set of distinct ids one pipeline step reads;
-        ``resolve(sorted missing ids)`` returns a dict holding every id the
-        table lacks (the values are the caller's, the table only keeps
-        them).  Returns the table — shared and live, callers only read it.
+        ``ids`` is the set of distinct ids one pipeline step reads, or an
+        id-sorted sequence for a table that is filled whole or not at all
+        (the ``subtree`` tier's): a table present is then a hit without a
+        set difference.  ``resolve(sorted missing ids)`` returns a dict
+        holding every id the table lacks (the values are the caller's, the
+        table only keeps them; a whole table may leave ids out).  Returns
+        the table — shared and live, callers only read it.
         ``probes`` is how many reads the step makes: hits are ``probes``
         less the ids resolved, misses the ids resolved.  An insert that
         would exceed the tier's budget drops every table first, and the
@@ -146,7 +154,12 @@ class EvaluationCache:
             return resolve(sorted(ids))
         tier = self._tiers[tier]
         table = tier.data.get(key)
-        missing = ids.difference(table) if table else ids
+        if table is None:
+            missing = ids
+        elif isinstance(ids, (set, frozenset)):
+            missing = ids.difference(table)
+        else:
+            missing = ()
         if missing:
             filled = resolve(sorted(missing))
             with tier.lock:

@@ -116,7 +116,8 @@ class ExecutionResult:
 
     ``estimates`` are the plan's :class:`~repro.plans.lowering.OperatorEstimate`
     records (empty for a plan that was never lowered) and ``actuals`` the
-    cardinalities this run observed, keyed ``(kind, var)``.  They stay off
+    cardinalities this run observed, keyed ``(kind, var)`` — for a twig run
+    a function returning them, as it may look up cached tables.  They stay off
     :class:`ExecutionStats` because the stats dataclass is folded additively
     into the metrics registry.
     """
@@ -132,10 +133,11 @@ class ExecutionResult:
         ``estimate`` next to this run's ``actual`` (None where the operator
         did not run) — the raw material of ``explain --analyze``.  Built on
         access, so a run nobody inspects allocates none of it."""
+        actuals = self.actuals() if callable(self.actuals) else self.actuals
         operators = []
         for op in self.estimates:
             entry = op.as_dict()
-            entry["actual"] = self.actuals.get((op.kind, op.var))
+            entry["actual"] = actuals.get((op.kind, op.var))
             operators.append(entry)
         return operators
 
@@ -214,6 +216,51 @@ class _RunState:
         self.signatures = _Signatures()
 
 
+class _Twig:
+    """A twig-eligible plan as a tree, with the signature of every subtree.
+
+    ``nodes[var]`` is ``(tag, attr predicates, pool restriction, checks)``,
+    ``parents[var]`` ``(parent, axis)``, ``children[var]`` ``(child, axis)``
+    pairs in plan order; ``scored[var]`` whether a check sits in the subtree
+    (if not, its table is all ``0.0``); ``signatures[var]`` everything the
+    subtree's table depends on, so levels that agree on a subtree share it.
+    """
+
+    __slots__ = ("root", "nodes", "parents", "children", "scored", "signatures")
+
+    def __init__(self, plan, pools):
+        checks = plan.checks_by_var
+        root = self.root = plan.root_var
+        self.nodes = {root: (plan.root_tag, plan.root_attr_predicates,
+                             pools.get(root), checks.get(root, ()))}
+        self.parents = {}
+        self.children = {root: []}
+        for join in plan.joins:
+            alt = join.alternatives[0]
+            self.nodes[join.var] = (join.tag, join.attr_predicates,
+                                    pools.get(join.var), checks.get(join.var, ()))
+            self.parents[join.var] = (alt.connect_var, alt.axis)
+            self.children[join.var] = []
+            self.children[alt.connect_var].append((join.var, alt.axis))
+        self.scored = {}
+        self.signatures = {}
+        for var in reversed(self.nodes):  # joins bind parents first
+            kids = self.children[var]
+            self.scored[var] = bool(self.nodes[var][3]) or any(
+                self.scored[child] for child, _axis in kids
+            )
+            self.signatures[var] = self.signature(var, kids)
+
+    def signature(self, var, kids):
+        """The cache key of ``var``'s table over the child edges ``kids``."""
+        tag, attrs, allowed, checks = self.nodes[var]
+        return (
+            tag, attrs, restriction_key(allowed),
+            tuple(check.ftexpr for check in checks),
+            tuple((axis, self.signatures[child]) for child, axis in kids),
+        )
+
+
 def _strides(tuples, checkpoint):
     """``tuples`` in ``CHECKPOINT_STRIDE`` slices, a checkpoint between each."""
     if checkpoint is None or len(tuples) <= CHECKPOINT_STRIDE:
@@ -271,6 +318,15 @@ def _candidates_of(backend, bases, pool, axis):
     for base, found in grouped.items():
         filled[base] = tuple(found)
     return filled
+
+
+def _plus(scores, gains):
+    """``scores`` plus ``gains`` per id, without the ids ``gains`` has no value for."""
+    return {
+        node_id: ks + gains[node_id]
+        for node_id, ks in scores.items()
+        if gains.get(node_id) is not None
+    }
 
 
 def _no_gain(_node_id):
@@ -350,10 +406,10 @@ class PlanExecutor:
         zero-argument callable invoked once before seeding, once per join
         and every :data:`CHECKPOINT_STRIDE` input tuples inside a join or a
         ``contains`` filter, or nodes a ``contains`` table resolves (the
-        twig operator: once per variable while seeding and while filtering
-        by ``contains``, then before the holistic join and before the
-        score pass) — boundaries where
-        abandoning a run cannot leave shared state half-mutated.  It aborts
+        twig operator: once on entry, then once per subtree table it
+        resolves and every :data:`CHECKPOINT_STRIDE` ids of its fill) —
+        boundaries where abandoning a run cannot leave shared state
+        half-mutated.  It aborts
         by raising (see :class:`~repro.session.QueryControl`); ``None``
         costs nothing.
 
@@ -551,156 +607,37 @@ class PlanExecutor:
     # -- the holistic twig operator ---------------------------------------------
 
     def _run_twig(self, plan, run, stats, tracer, checkpoint):
-        """Evaluate a twig-eligible plan holistically (TwigStack-family).
+        """Evaluate a twig-eligible plan bottom-up over cached subtree tables.
 
-        Instead of growing an intermediate tuple list join by join, match
-        the whole twig with a constant number of stack-merge passes over
-        the per-variable candidate pools (``twig_filter_ids`` through the
-        backend seam), then recover per-answer keyword scores with a
-        max-aggregation dynamic program over the filtered pools — the max
-        over embeddings of a tree-shaped sum decomposes into independent
-        branch maxima below each spine node plus a top-down prefix above.
+        A subtree table (:meth:`_subtree`) holds the pool nodes of a
+        variable where its whole subtree embeds, each with the best keyword
+        score of such an embedding; the max over embeddings of a tree-shaped
+        sum decomposes into independent per-child maxima.  Tables are cached
+        under their subtree's signature (:class:`_Twig`), so a DPO level
+        finds every subtree its relaxation step left alone and pays only
+        for the path from the changed node up.  The answers are the
+        distinguished variable's matches (:meth:`_spine`), all with one
+        structural score and signature, as the plan is conjunctive.
 
-        Produces exactly the answers/scores of the binary pipeline on the
-        same plan: twig-eligible plans have single required alternatives
-        and original-level checks, so every surviving answer carries the
-        same constant structural score and signature, and the per-answer
-        keyword score is the max over embeddings in both formulations.
+        Stats: ``tuples_produced`` counts the pool ids of the tables this
+        run resolved (nothing for a cache hit); ``answers_deduped`` the
+        excluded ids among the distinguished variable's matches, and
+        ``max_intermediate`` those matches.  The actuals are each
+        variable's matches, read off its table whether resolved or cached.
         """
-        backend = self._backend
-        actuals = {}
-
-        # Twig shape: parent/axis per variable, parents-before-children.
-        var_tags = {plan.root_var: plan.root_tag}
-        var_attrs = {plan.root_var: plan.root_attr_predicates}
-        parents = {plan.root_var: None}
-        axes = {}
-        order = [plan.root_var]
-        for join in plan.joins:
-            alt = join.alternatives[0]
-            var_tags[join.var] = join.tag
-            var_attrs[join.var] = join.attr_predicates
-            parents[join.var] = alt.connect_var
-            axes[join.var] = alt.axis
-            order.append(join.var)
-
-        with tracer.span("seed"):
-            pools = {}
-            for var in order:
-                if checkpoint is not None:
-                    checkpoint()
-                pool = self._pool(var_tags[var], var_attrs[var], run.pools.get(var))
-                pools[var] = pool
-                stats.tuples_produced += len(pool)
-        actuals[("seed-scan", plan.root_var)] = len(pools[plan.root_var])
-
-        # Contains pre-filter: the pipeline's own checks over each variable's
-        # pool, keeping the survivors and each one's keyword score (the sum
-        # over its checks, in check order).
-        own = {}
-        filtered_ids = {}
-        with tracer.span("checks"):
-            for var in order:
-                if checkpoint is not None:
-                    checkpoint()
-                if not plan.checks_by_var.get(var):
-                    filtered_ids[var] = pools[var]
-                    continue
-                seeds = [((node_id,), 0.0, 0.0, _NO_PARTS) for node_id in pools[var]]
-                survivors = self._apply_checks(
-                    run, plan, var, seeds, {var: 0}, stats, None
-                )
-                own[var] = {bindings[0]: ks for bindings, _ss, ks, _ in survivors}
-                filtered_ids[var] = list(own[var])
-                actuals[("contains-filter", var)] = len(survivors)
-
-        distinguished = plan.distinguished
-        if run.excluded:
-            with tracer.span("dedup"):
-                before = len(filtered_ids[distinguished])
-                filtered_ids[distinguished] = [
-                    node_id
-                    for node_id in filtered_ids[distinguished]
-                    if node_id not in run.excluded
-                ]
-                stats.answers_deduped += before - len(filtered_ids[distinguished])
-
+        twig = _Twig(plan, run.pools)
+        tables = {}
         if checkpoint is not None:
             checkpoint()
         with tracer.span("twig"):
-            final = backend.twig_filter_ids(
-                filtered_ids, parents, axes, order
+            matches = self._spine(
+                twig, plan.distinguished, stats, checkpoint, tables
             )
-        for join in plan.joins:
-            actuals[("twig-join", join.var)] = len(final[join.var])
-        stats.note_intermediate(sum(len(ids) for ids in final.values()))
 
-        answer_ids = final[distinguished]
-        if not answer_ids:
-            stats.answers_before_dedup = 0
-            return [], actuals
-
-        # Keyword scores: max over full embeddings of the summed per-node
-        # contains scores.  down[v][n] = best achievable in v's subtree
-        # with v bound to n; the spine DP carries everything outside the
-        # distinguished variable's subtree down to it.
-        has_checks = bool(plan.checks_by_var)
-        if has_checks:
-            if checkpoint is not None:
-                checkpoint()
-            children = {var: [] for var in order}
-            for var in order[1:]:
-                children[parents[var]].append(var)
-
-            down = {}
-            branch_max = {}
-            for var in reversed(order):
-                base = own.get(var)
-                totals = {
-                    node_id: (base.get(node_id, 0.0) if base else 0.0)
-                    for node_id in final[var]
-                }
-                per_child = {}
-                for child in children[var]:
-                    agg = backend.max_value_per_ancestor(
-                        final[var], final[child], down[child],
-                        axis=axes[child],
-                    )
-                    per_child[child] = agg
-                    for node_id in final[var]:
-                        totals[node_id] += agg[node_id]
-                branch_max[var] = per_child
-                down[var] = totals
-
-            spine = [distinguished]
-            while parents[spine[-1]] is not None:
-                spine.append(parents[spine[-1]])
-            spine.reverse()
-
-            up = {spine[0]: {node_id: 0.0 for node_id in final[spine[0]]}}
-            for parent_var, var in zip(spine, spine[1:]):
-                base = own.get(parent_var)
-                rest = {}
-                for node_id in final[parent_var]:
-                    total = up[parent_var][node_id]
-                    if base:
-                        total += base.get(node_id, 0.0)
-                    for child in children[parent_var]:
-                        if child == var:
-                            continue
-                        total += branch_max[parent_var][child][node_id]
-                    rest[node_id] = total
-                up[var] = backend.max_value_per_descendant(
-                    final[parent_var], rest, final[var], axis=axes[var]
-                )
-            up_scores = up[distinguished]
-            down_scores = down[distinguished]
-
-        # Constant structural score and signature: every join matched its
-        # single strict alternative, every check matched at level 0.
         ss = 0.0
         for join in plan.joins:
             ss += join.alternatives[0].delta
+        # Every join matched its one alternative, every check at level 0.
         signature = [(join.var, 0) for join in plan.joins]
         for var, checks in plan.checks_by_var.items():
             for check_index in range(len(checks)):
@@ -708,23 +645,115 @@ class PlanExecutor:
         satisfied = frozenset(signature)
 
         with tracer.span("collect"):
-            answers = []
-            for node_id in answer_ids:
-                ks = (
-                    up_scores[node_id] + down_scores[node_id]
-                    if has_checks
-                    else 0.0
+            node_of = self._backend.node
+            excluded = run.excluded
+            answers = [
+                ScoredAnswer(
+                    node=node_of(node_id),
+                    score=AnswerScore(ss, ks),
+                    relaxation_level=0,
+                    satisfied=satisfied,
                 )
-                answers.append(
-                    ScoredAnswer(
-                        node=backend.node(node_id),
-                        score=AnswerScore(ss, ks),
-                        relaxation_level=0,
-                        satisfied=satisfied,
-                    )
+                for node_id, ks in matches.items()
+                if node_id not in excluded
+            ]
+        stats.answers_deduped += len(matches) - len(answers)
+        stats.note_intermediate(len(matches))
+        stats.answers_before_dedup = len(answers)
+
+        def actuals():
+            # A table below a cached one is looked up only when asked for.
+            root_pool = self._pool(*twig.nodes[twig.root][:3])
+            found = {("seed-scan", twig.root): len(root_pool)}
+            for var, node in twig.nodes.items():
+                table = tables[var] if var in tables else self._subtree(
+                    twig, var, twig.children[var], ExecutionStats(), None, tables
                 )
-            stats.answers_before_dedup = len(answers)
+                if var != twig.root:
+                    found[("twig-join", var)] = len(table)
+                if node[3]:
+                    found[("contains-filter", var)] = len(table)
+            return found
+
         return answers, actuals
+
+    def _subtree(self, twig, var, kids, stats, checkpoint, tables):
+        """``node id → best keyword score`` of ``var``'s subtree, matches only.
+
+        ``kids`` are the ``(child, axis)`` edges in the subtree: all of
+        ``var``'s but the spine child on the spine.  A missing table is built
+        from the pool with a ``semi_join_ancestor_ids`` probe per all-``0.0``
+        child table (most selective first), a ``max_value_per_ancestor`` pass
+        per scored one, then ``var``'s own ``contains`` tables in check
+        order; it checkpoints on entry and every :data:`CHECKPOINT_STRIDE`
+        ids of its fill, and enters the cache only whole.
+        """
+        backend = self._backend
+        tag, attrs, allowed, checks = twig.nodes[var]
+        full = kids is twig.children[var]
+        key = twig.signatures[var] if full else twig.signature(var, kids)
+        pool = self._pool(tag, attrs, allowed)
+
+        def resolve(ids):
+            if checkpoint is not None:
+                checkpoint()
+            probes = []
+            gains = []
+            for child, axis in kids:
+                below = self._subtree(
+                    twig, child, twig.children[child], stats, checkpoint, tables
+                )
+                if twig.scored[child]:
+                    gains.append((below, axis))
+                else:
+                    probes.append((len(below), below, axis))
+            probes.sort(key=itemgetter(0))
+            alive = ids
+            for _count, below, axis in probes:
+                alive = backend.semi_join_ancestor_ids(alive, list(below), axis=axis)
+            scores = {}
+            for chunk in _strides(alive, checkpoint):
+                scores.update(dict.fromkeys(chunk, 0.0))
+            for below, axis in gains:
+                scores = _plus(scores, backend.max_value_per_ancestor(
+                    list(scores), list(below), below, axis=axis
+                ))
+            for check in checks:
+                scores = _plus(scores, self._contains_table(
+                    check.ftexpr, set(scores), len(scores), checkpoint
+                ))
+            stats.tuples_produced += len(ids)
+            return scores
+
+        table = self._eval_cache.table("subtree", key, pool, resolve, len(pool))
+        if full:
+            tables[var] = table
+        return table
+
+    def _spine(self, twig, distinguished, stats, checkpoint, tables):
+        """``node id → keyword score`` of the distinguished variable's matches.
+
+        The root's table when the root is distinguished.  Otherwise one
+        top-down pass from the root: per spine variable, the table of its
+        subtree *without* the spine child (cached under its own signature)
+        plus the best of its spine ancestors (``max_value_per_descendant``).
+        """
+        spine = [distinguished]
+        while spine[-1] in twig.parents:
+            spine.append(twig.parents[spine[-1]][0])
+        spine.reverse()
+        best = None
+        for var, below in zip(spine, spine[1:] + [None]):
+            kids = twig.children[var]
+            if below is not None:
+                kids = [edge for edge in kids if edge[0] != below]
+            table = self._subtree(twig, var, kids, stats, checkpoint, tables)
+            if best is not None:
+                table = _plus(table, self._backend.max_value_per_descendant(
+                    list(best), best, list(table), axis=twig.parents[var][1]
+                ))
+            best = table
+        return best
 
     # -- phases -----------------------------------------------------------------
 

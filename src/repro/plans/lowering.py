@@ -22,10 +22,10 @@ The operator vocabulary (``OperatorEstimate.kind``):
   (:meth:`~repro.plans.plan.Plan.existential`): one tuple out per tuple in,
   the first alternative with any candidate wins, nothing is enumerated;
 - ``contains-filter`` — apply one variable's ``contains`` checks;
-- ``twig-join`` — the holistic operator: match the *entire* twig in a
-  constant number of passes over the id-sorted pools
-  (TwigStack-family; kernel in :mod:`repro.backend.kernels`), no
-  intermediate pair lists at all.
+- ``twig-join`` — the holistic operator: one variable's subtree table,
+  built bottom-up from its pool and one kernel call per child table
+  (:mod:`repro.backend.kernels`) and cached across relaxation levels, no
+  intermediate tuple lists at all.
 
 Twig eligibility: the holistic operator evaluates *conjunctive* twigs —
 every join must have exactly one alternative and be required, and every
@@ -205,21 +205,14 @@ def estimate_pipeline(plan, statistics):
     return estimates
 
 
-def choose_operator(plan, statistics, pipeline):
-    """``TWIG`` or ``BINARY`` for an ordered plan — the one place that decides.
+def choose_operator(plan):
+    """``TWIG`` or ``BINARY`` for a plan — the one place that decides.
 
-    The holistic operator's cost is a constant number of linear merges
-    over the per-variable pools — Σ pool sizes — while the binary pipeline
-    pays per *intermediate tuple* per join (``pipeline``, the plan's
-    :func:`estimate_pipeline`).  Twig wins whenever the estimated
-    intermediates outgrow the pools, eligibility permitting.
+    Every twig-eligible plan takes the holistic operator: its subtree
+    tables are cached across relaxation levels, so a strict DPO level
+    pays only for the branch its relaxation step changed.
     """
-    if not twig_eligible(plan):
-        return BINARY
-    pool_cost = float(statistics.tag_count(plan.root_tag))
-    for join in plan.joins:
-        pool_cost += float(statistics.tag_count(join.tag))
-    return TWIG if pool_cost <= sum(pipeline) else BINARY
+    return TWIG if twig_eligible(plan) else BINARY
 
 
 def lower_plan(plan, statistics):
@@ -230,7 +223,7 @@ def lower_plan(plan, statistics):
     """
     ordered = replace(plan, joins=order_joins(plan, statistics))
     pipeline = estimate_pipeline(ordered, statistics)
-    operator = choose_operator(ordered, statistics, pipeline)
+    operator = choose_operator(ordered)
     return replace(
         ordered,
         operator=operator,

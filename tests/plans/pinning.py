@@ -15,7 +15,7 @@ def pinned_operator(operator):
     plan the twig operator cannot evaluate stays binary.
     """
 
-    def choose(plan, statistics, pipeline):
+    def choose(plan):
         return operator if lowering.twig_eligible(plan) else BINARY
 
     return mock.patch.object(lowering, "choose_operator", choose)

@@ -15,6 +15,14 @@ the satisfied-predicate sets, and the
 :class:`~repro.plans.executor.ExecutionStats` of every plan run.
 Everything here goes through the public ``Engine`` surface, so the same
 code produced the recording and checks it.
+
+Since every strict plan runs under the twig operator, whose subtree tables
+are cached across levels, the strategies that walk strict plans (DPO, its
+IR-first variant and the naive baseline) report the counters a twig run
+defines its own way (:data:`TWIG_COUNTERS`, see ``PlanExecutor._run_twig``)
+differently from the binary runs recorded.  For those runs the recording is
+checked on everything else: answers, score bits, levels, satisfied sets,
+the number of plan runs and the pruning-mode counters.
 """
 
 import hashlib
@@ -24,6 +32,7 @@ import os
 import pytest
 
 from repro import Engine
+from repro.plans.executor import ExecutionStats
 from repro.workload import WorkloadGenerator
 from repro.xmark import PAPER_QUERIES, generate_document
 
@@ -39,6 +48,15 @@ WORKLOAD_QUERIES = 24
 K = 5
 
 STRATEGIES = ("dpo", "sso", "hybrid", "naive", "ir-first")
+
+#: The strategies whose plan runs are strict, and so twig runs.
+STRICT_WALKS = ("dpo", "naive", "ir-first")
+
+#: ``ExecutionStats`` fields a twig run counts its own way.
+TWIG_COUNTERS = frozenset({
+    "tuples_produced", "answers_deduped", "tuples_failed",
+    "max_intermediate", "answers_before_dedup",
+})
 SCHEMES = ("structure-first", "keyword-first", "combined")
 
 HANDWRITTEN = (
@@ -116,6 +134,10 @@ NAMES = (
 )
 
 
+#: The order ``observe`` records the stats fields in.
+FIELDS = tuple(ExecutionStats().as_dict())
+
+
 @pytest.fixture(scope="module")
 def corpus():
     document, named = queries()
@@ -144,6 +166,13 @@ def test_matches_the_parent_recording(corpus, recording, name):
     expected = recording[name]["runs"]
     assert sorted(observed) == sorted(expected)
     for run in sorted(expected):
+        if run.split("/")[0] in STRICT_WALKS:
+            for entry in (observed[run], expected[run]):
+                entry["stats"] = [
+                    [value for field, value in zip(FIELDS, stats)
+                     if field not in TWIG_COUNTERS]
+                    for stats in entry["stats"]
+                ]
         assert observed[run] == expected[run], (name, named[name], run)
 
 

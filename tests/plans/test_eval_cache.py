@@ -1,9 +1,12 @@
 """The tier-1 EvaluationCache: memo behavior, instrumentation, wiring."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.plans import EvaluationCache, PlanExecutor, build_strict_plan
-from repro.plans.eval_cache import restriction_key
+from repro.plans.eval_cache import TIERS, restriction_key
+from repro.plans.plan import BINARY, TWIG
 from repro.query import parse_query
 from repro.topk import QueryContext
 from repro.xmltree import parse
@@ -203,19 +206,19 @@ class TestUnit:
 
     def test_every_tier_is_bounded(self):
         """``pool`` and ``satisfiers`` keep a budget of their own too, and
-        ``info()`` reports the sum of the four budgets."""
+        ``info()`` reports the sum of the five budgets."""
         cache = EvaluationCache(max_entries=3)
         for key in range(10):
             cache.value("pool", key, lambda: (1,))
             cache.value("satisfiers", key, frozenset)
         info = cache.info()
-        assert info["max_entries"] == 4 * 3
+        assert info["max_entries"] == len(TIERS) * 3
         assert info["entries"] <= info["max_entries"]
         assert info["entries"] == 1 + 1  # 10 inserts each, flushed at 4, 7 and 10
         assert info["evictions"] == 3 + 3
         assert cache.max_entries == 3
         cache.max_entries = 5
-        assert cache.info()["max_entries"] == 4 * 5
+        assert cache.info()["max_entries"] == len(TIERS) * 5
 
     def test_disabled_satisfier_set_computes_every_time(self):
         cache = EvaluationCache()
@@ -245,7 +248,7 @@ class TestUnit:
             assert cache.table("contains", "e", {2, 1}, resolve, 5) == {1: 0.0, 2: 0.0}
         assert calls == ["p", [1, 2], "p", [1, 2]]
         info = cache.info()
-        assert info.pop("max_entries") == 4 * cache.max_entries
+        assert info.pop("max_entries") == len(TIERS) * cache.max_entries
         assert set(info.values()) == {0}
         assert set(cache.metrics_snapshot().values()) == {0}
 
@@ -335,13 +338,16 @@ class TestExecutorIntegration:
         tracked for life)."""
         import gc
 
-        context.executor.run(build_strict_plan(parse_query(QUERY), context.weights))
+        plan = build_strict_plan(parse_query(QUERY), context.weights)
+        context.executor.run(plan)
+        context.executor.run(replace(plan, operator=TWIG))
         tiers = context.eval_cache._tiers
         gc.collect()
         assert len(tiers["contains"].data) == 1  # one table for the one expression
+        assert tiers["subtree"].data
         entries = [
             entry
-            for name in ("join", "contains")
+            for name in ("join", "contains", "subtree")
             for table in tiers[name].data.values()
             for entry in table.items()
         ]
@@ -373,9 +379,14 @@ class TestExecutorIntegration:
                     (a.node_id, a.score, a.relaxation_level, a.satisfied)
                     for a in bare.answers
                 ]
-                assert [s.as_dict() for s in cached.stats] == [
-                    s.as_dict() for s in bare.stats
-                ]
+                # A strict run counts only the tables it resolved, so the
+                # cached engine produces at most what the bare one does.
+                cached_stats = [s.as_dict() for s in cached.stats]
+                bare_stats = [s.as_dict() for s in bare.stats]
+                assert sum(s.pop("tuples_produced") for s in cached_stats) <= sum(
+                    s.pop("tuples_produced") for s in bare_stats
+                )
+                assert cached_stats == bare_stats
 
     def test_cached_run_matches_uncached(self, context):
         plan = build_strict_plan(parse_query(QUERY), context.weights)
@@ -431,3 +442,76 @@ class TestContextLifecycle:
         # The fresh document must be visible through the caches.
         result = context.executor.run(plan)
         assert len(result.answers) == 2
+
+
+class TestSubtreeTier:
+    """The twig operator's tables, and what a twig run counts."""
+
+    @staticmethod
+    def _twig(context, text):
+        plan = build_strict_plan(parse_query(text), context.weights)
+        return replace(plan, operator=TWIG)
+
+    def test_tuples_produced_counts_the_tables_a_run_resolved(self, context):
+        """Pool ids of the subtree tables the run resolved, nothing for a
+        table found cached: a level pays for the branch it changed."""
+        pool = {
+            tag: len(context.document.nodes_with_tag(tag))
+            for tag in ("article", "section", "paragraph", "title")
+        }
+        executor = context.executor
+        narrow = self._twig(context, "//article[./section/paragraph]")
+        cold = executor.run(narrow)
+        assert cold.stats.tuples_produced == (
+            pool["article"] + pool["section"] + pool["paragraph"]
+        )
+        snapshot = context.eval_cache.metrics_snapshot()
+        assert snapshot["eval_cache.subtree.misses"] == cold.stats.tuples_produced
+        assert snapshot["eval_cache.subtree.hits"] == 0
+
+        warm = executor.run(narrow)
+        assert warm.stats.tuples_produced == 0
+        assert warm.answers == cold.answers
+        snapshot = context.eval_cache.metrics_snapshot()
+        assert snapshot["eval_cache.subtree.hits"] == pool["article"]  # the root
+
+        # One more branch: the section subtree is a hit, the root and the
+        # new leaf resolve.
+        wider = executor.run(
+            self._twig(context, "//article[./section/paragraph and ./title]")
+        )
+        assert wider.stats.tuples_produced == pool["article"] + pool["title"]
+        tier = context.eval_cache._tiers["subtree"]
+        assert tier.entries == sum(map(len, tier.data.values()))
+
+    def test_answers_deduped_counts_excluded_matches(self, context):
+        """Excluded ids among the distinguished variable's matches; an
+        excluded id that is no match counts nothing."""
+        plan = self._twig(context, "//article[./section/paragraph]")
+        matches = [answer.node_id for answer in context.executor.run(plan).answers]
+        assert len(matches) == 2
+        note = context.document.nodes_with_tag("note")[0].node_id
+        result = context.executor.run(
+            plan, exclude_answer_ids={matches[0], note}
+        )
+        assert result.stats.answers_deduped == 1
+        assert [answer.node_id for answer in result.answers] == matches[1:]
+        assert result.stats.max_intermediate == len(matches)
+        assert result.stats.answers_before_dedup == 1
+
+    def test_attribute_predicates_key_the_table(self):
+        """Two plans that differ only in a child's attribute predicate share
+        no table: with the unfiltered one cached, the filtered one still
+        answers as the uncached binary pipeline does."""
+        context = QueryContext(parse(
+            '<lib><article><section id="s1"><paragraph/></section></article>'
+            '<article><section id="s2"><paragraph/></section></article></lib>'
+        ))
+        context.executor.run(self._twig(context, "//article[./section/paragraph]"))
+        filtered = self._twig(context, '//article[./section[@id="s1"]/paragraph]')
+        got = [answer.node_id for answer in context.executor.run(filtered).answers]
+        bare = PlanExecutor(context.document, context.ir).run(
+            replace(filtered, operator=BINARY)
+        )
+        assert len(got) == 1
+        assert got == [answer.node_id for answer in bare.answers]

@@ -22,13 +22,14 @@ from repro.plans import (
     lower_plan,
     twig_eligible,
 )
+from repro.plans.lowering import choose_operator
 from repro.plans.plan import BINARY, TWIG
 from repro.query import parse_query
 from repro.rank import STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
 from repro.backend.stats import DocumentStatistics
 from repro.topk.base import QueryContext
-from repro.xmark import generate_document
+from repro.xmark import PAPER_QUERIES, generate_document
 from tests.plans.pinning import pinned_operator
 
 
@@ -66,6 +67,8 @@ TWIG_QUERIES = [
     "//item[./name and ./incategory]",
     '//item[./description//keyword and ./mailbox/mail[.contains("ship")]]',
     "//listitem[./text]",
+    # Two checks on one variable: the twig table must apply both.
+    '//item[.contains("father") and .contains("ground") and ./description]',
 ]
 
 
@@ -125,11 +128,43 @@ class TestLowering:
         assert plan.operator == BINARY and plan.estimates == ()
         lowered = lower_plan(plan, stats)
         assert isinstance(lowered, Plan)
-        assert lowered.operator in (TWIG, BINARY)
+        assert lowered.operator == TWIG
         assert twig_eligible(lowered)
         kinds = [op.kind for op in lowered.estimates]
         assert kinds[0] == "seed-scan"
         assert len(lowered.estimates) == 1 + len(lowered.joins)
+
+    def test_operator_is_twig_iff_eligible(self, stats, model):
+        """The one rule: no cost crossover, eligibility alone decides."""
+        seen = set()
+        for text in TWIG_QUERIES + [
+            '//item[./description/parlist and ./mailbox[.contains("gold")]]'
+        ]:
+            schedule = RelaxationSchedule(parse_query(text), model)
+            plans = [
+                build_strict_plan(entry.query, UNIFORM_WEIGHTS)
+                for entry in schedule.entries
+            ] + [
+                build_encoded_plan(schedule, level)
+                for level in range(len(schedule) + 1)
+            ]
+            for plan in plans:
+                lowered = lower_plan(plan, stats)
+                assert choose_operator(lowered) == lowered.operator
+                assert lowered.operator == (
+                    TWIG if twig_eligible(lowered) else BINARY
+                )
+                seen.add(lowered.operator)
+        assert seen == {TWIG, BINARY}
+
+    def test_every_strict_paper_plan_takes_the_twig_operator(self, doc):
+        context = QueryContext(doc)
+        for text in PAPER_QUERIES.values():
+            compiled = compile_query(context, parse_query(text))
+            for level in range(compiled.level_count()):
+                plan = compiled.strict_plan(level)
+                assert plan.operator == TWIG, (text, level)
+                assert plan.distinguished == plan.root_var
 
     def test_join_order_follows_cost_model(self, stats):
         plan = build_strict_plan(
@@ -236,8 +271,7 @@ class TestExecutorDispatch:
         query = parse_query("//item[./description/parlist]")
         schedule = RelaxationSchedule(query, model)
         plan = build_encoded_plan(schedule, 0)
-        with pinned_operator(TWIG):
-            lowered = lower_plan(plan, stats)
+        lowered = lower_plan(plan, stats)
         assert lowered.operator == TWIG
         via_lowered = executor.run(
             lowered, k=5, scheme=STRUCTURE_FIRST, mode=mode
@@ -257,8 +291,7 @@ class TestExecutorDispatch:
             parse_query('//item[./mailbox/mail/text[.contains("gold")]]'),
             UNIFORM_WEIGHTS,
         )
-        with pinned_operator(TWIG):
-            lowered = lower_plan(plan, stats)
+        lowered = lower_plan(plan, stats)
         result = executor.run(lowered, mode=STRICT)
         assert result.operators
         by_key = {(op["kind"], op["var"]): op for op in result.operators}
@@ -339,7 +372,7 @@ class TestCompiledPhysical:
 
 
 class TestTwigDeadline:
-    """The twig operator reaches a checkpoint between pools, not only on entry."""
+    """The twig operator reaches a checkpoint per subtree table it resolves."""
 
     QUERY = (
         '//item[.contains("name") and ./description[.contains("name")] '
@@ -371,7 +404,9 @@ class TestTwigDeadline:
         )
         unbounded = executor.run(physical, mode=STRICT)
         pools = [len(doc.nodes_with_tag(tag)) for tag in ("item", "description", "text")]
-        assert len(probes_after_deadline) >= sum(pools)  # the overshoot to bound
+        # Checks probe the nodes whose subtree embeds: more than any one
+        # pool in all — the overshoot to bound.
+        assert len(probes_after_deadline) > max(pools)
         assert unbounded.answers
 
         del probes_after_deadline[:]
@@ -387,5 +422,67 @@ class TestTwigDeadline:
         )
         executor.run(physical, mode=STRICT, checkpoint=lambda: calls.append(1))
         variables = 5  # item, description, mailbox, mail, text
-        # seed + checks loops per variable, before the join, before scoring
-        assert len(calls) == 2 * variables + 2
+        # once on entry, then once per subtree table resolved (every pool
+        # here is below CHECKPOINT_STRIDE, so no fill reaches a stride)
+        assert len(calls) == 1 + variables
+
+    def test_abort_inside_a_resolve_leaves_only_whole_tables(
+            self, doc, monkeypatch):
+        """A checkpoint raising on its Nth call inside a subtree resolve, for
+        N spread over a whole DPO query: the query fails with the session's
+        error, every table the ``subtree`` tier kept is one a full run
+        builds too, and the next identical query answers as an uncached
+        engine does."""
+        from repro.errors import FleXPathError, QueryTimeoutError
+        from repro.plans import executor as executor_module
+        from repro.session import QueryControl
+
+        # Small strides, so the fills checkpoint inside a resolve as well.
+        monkeypatch.setattr(executor_module, "CHECKPOINT_STRIDE", 8)
+        query = self.QUERY
+
+        def ask(engine):
+            result = engine.query(query, k=10, algorithm="dpo", deadline_ms=60_000)
+            return _ranked(result)
+
+        expected = ask(Engine(doc, cache=False))
+        reference = Engine(doc)
+        ask(reference)
+        whole = reference.context.eval_cache._tiers["subtree"].data
+
+        depth = [0]
+        subtree = PlanExecutor._subtree
+
+        def tracked(self, *args):
+            depth[0] += 1
+            try:
+                return subtree(self, *args)
+            finally:
+                depth[0] -= 1
+
+        calls = []
+        raise_at = [None]
+        check = QueryControl.check
+
+        def checkpoint(self):
+            calls.append(depth[0] > 0)
+            if len(calls) == raise_at[0]:
+                raise QueryTimeoutError("query exceeded its deadline")
+            return check(self)
+
+        monkeypatch.setattr(PlanExecutor, "_subtree", tracked)
+        monkeypatch.setattr(QueryControl, "check", checkpoint)
+        ask(Engine(doc))
+        inside = [n for n, in_resolve in enumerate(calls, 1) if in_resolve]
+        assert len(inside) > 10
+        for nth in inside[::max(1, len(inside) // 10)]:
+            engine = Engine(doc)
+            del calls[:]
+            raise_at[0] = nth
+            with pytest.raises(FleXPathError):
+                ask(engine)
+            kept = engine.context.eval_cache._tiers["subtree"].data
+            for key, table in kept.items():
+                assert whole[key] == table, nth
+            raise_at[0] = None
+            assert ask(engine) == expected, nth

@@ -7,6 +7,12 @@ are compared to nine places, like everywhere else in these suites: a join
 order is an order of float additions, so Theorem 3's invariance holds to the
 last ulp only in real arithmetic.)
 
+Against any warm cache, the twig operator's subtree tables are keyed by
+everything they depend on: every strict plan of a schedule under the twig
+operator returns what the binary STRICT pipeline returns — with the cache
+off, cold, and warmed by the *other* levels of the same schedule, with and
+without IR-first pool restrictions.
+
 Engine by engine, the lowering may pick the twig join or the binary
 pipeline per plan, so the two must be interchangeable: with the operator
 choice pinned to twig and pinned to binary, every algorithm must produce the
@@ -24,8 +30,10 @@ from hypothesis import strategies as st
 
 from repro.backend.sharded import RoundRobinRouter, ShardedBackend
 from repro.collection import Corpus
+from repro.ir.ftexpr import Term
 from repro.plans import (
     HYBRID_MODE,
+    EvaluationCache,
     SSO_MODE,
     STRICT,
     PlanExecutor,
@@ -35,6 +43,8 @@ from repro.plans import (
     twig_eligible,
 )
 from repro.plans.plan import BINARY, TWIG
+from repro.query.predicates import Contains
+from repro.query.tpq import TPQ
 from repro.rank import COMBINED, KEYWORD_FIRST, STRUCTURE_FIRST
 from repro.rank.scores import AnswerScore
 from repro.relax import RelaxationSchedule
@@ -47,9 +57,10 @@ from repro.topk import (
     NaiveRewriting,
     QueryContext,
 )
+from repro.topk.ir_first import _restrictions_for
 
 from tests.plans.pinning import pinned_operator
-from tests.properties.strategies import documents, tree_patterns
+from tests.properties.strategies import WORDS, documents, tree_patterns
 
 STRATEGIES = (DPO, SSO, Hybrid, NaiveRewriting, IRFirstDPO)
 SCHEMES = (STRUCTURE_FIRST, KEYWORD_FIRST, COMBINED)
@@ -155,6 +166,66 @@ def test_lowering_is_invisible_plan_by_plan(doc, query, k, scheme):
     schedule = RelaxationSchedule(query, context.penalties)
     plans = strict_plans(context, schedule) + encoded_plans(schedule)
     assert_lowering_invisible(context, plans, k, scheme)
+
+
+def _reworded(query, word):
+    """``query`` with every ``contains`` asking for ``word`` instead."""
+    return TPQ(
+        query.root,
+        {child: (parent, axis) for parent, child, axis in query.edges()},
+        {var: query.tag_of(var) for var in query.variables},
+        query.distinguished,
+        contains=[Contains(predicate.var, Term(word)) for predicate in query.contains],
+    )
+
+
+@given(documents(), tree_patterns(), st.sampled_from(WORDS), st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_twig_equals_binary_against_any_warm_cache(doc, query, word, rng):
+    """Node ids, round-9 scores, levels and satisfied sets per strict plan.
+
+    Each plan runs unrestricted, under its IR-first restriction and with a
+    random id subset on one variable; the warm cache has seen every other
+    run of the schedule, and the same pattern asking for another word —
+    levels that differ from these in tag, axis, restriction, check or
+    child subtree, which the subtree signature must all tell apart.
+    (Attribute predicates are pinned in ``tests/plans/test_eval_cache.py``.)
+    """
+    context = QueryContext(doc)
+    variables = list(query.variables)
+    chosen = rng.choice(variables)
+    subset = frozenset(
+        node_id for node_id in range(len(context.backend)) if rng.random() < 0.5
+    )
+    runs = []
+    for each in (query, _reworded(query, word)):
+        schedule = RelaxationSchedule(each, context.penalties)
+        for plan, entry in zip(strict_plans(context, schedule), schedule.entries):
+            plan = lower_plan(plan, context.statistics)
+            for restrictions in (
+                None, _restrictions_for(context, entry.query), {chosen: subset}
+            ):
+                runs.append((plan, restrictions))
+    oracle = PlanExecutor(context.backend, context.ir)
+    for index, (plan, restrictions) in enumerate(runs):
+        assert plan.operator == TWIG
+        expected = _observed(
+            oracle.run(
+                replace(plan, operator=BINARY), pool_restrictions=restrictions
+            ).answers,
+            True,
+        )
+        warm = PlanExecutor(context.backend, context.ir, EvaluationCache())
+        for other, (other_plan, other_restrictions) in enumerate(runs):
+            if other != index:
+                warm.run(other_plan, pool_restrictions=other_restrictions)
+        for executor in (
+            oracle,
+            PlanExecutor(context.backend, context.ir, EvaluationCache()),
+            warm,
+        ):
+            got = executor.run(plan, pool_restrictions=restrictions)
+            assert _observed(got.answers, True) == expected, plan.describe()
 
 
 def _ranked(result):

@@ -331,6 +331,56 @@ class TestExplainJson:
                     assert op["estimate"] is None
 
 
+class TestExplainAnalyzeWarm:
+    QUERY = '//article[./section[./paragraph and ./title and .contains("XML")]]'
+
+    def test_cache_hit_levels_print_the_cold_actuals(self, xml_file, monkeypatch):
+        """Every twig actual is read off its subtree table, hit or resolved:
+        a DPO run whose tables are all cached prints what a cold one does."""
+        import json
+
+        from repro import Engine, cli
+
+        query = self.QUERY
+        argv = [
+            "explain", xml_file, query, "--analyze", "--algorithm", "dpo",
+            "-k", "3",
+        ]
+        code, cold = run(argv)
+        assert code == 0
+        code, cold_json = run(argv + ["--json"])
+        assert code == 0
+
+        def warmed(source, **options):
+            engine = Engine(source, **options)
+            engine.query(query, k=3, algorithm="dpo")
+            return engine
+
+        monkeypatch.setattr(cli, "Engine", warmed)
+        code, warm = run(argv)
+        assert code == 0
+        code, warm_json = run(argv + ["--json"])
+        assert code == 0
+
+        cold_json, warm_json = json.loads(cold_json), json.loads(warm_json)
+        assert cold_json["counters"]["eval_cache.subtree.misses"] > 0
+        assert "eval_cache.subtree.misses" not in warm_json["counters"]
+        assert warm_json["counters"]["eval_cache.subtree.hits"] > 0
+        assert all(
+            level["stats"]["tuples_produced"] == 0 for level in warm_json["levels"]
+        )
+
+        def actuals(output):
+            return [
+                line.split("act=")[1].split()[0]
+                for line in output.splitlines()
+                if "twig-join" in line or "contains-filter" in line
+            ]
+
+        assert actuals(cold) and actuals(warm) == actuals(cold)
+        assert any(value not in ("-", "0") for value in actuals(cold))
+
+
 class TestMetrics:
     def test_prometheus_text_output(self, xml_file):
         code, output = run(["metrics", xml_file, "--count", "3"])

@@ -89,3 +89,17 @@ def test_the_eval_cache_example_in_extending_runs():
     before = cache.info()
     assert arguments_of(session) == cold
     assert cache.info() == before
+
+
+def test_eval_cache_tier_lists_match_the_code():
+    """The ``eval_cache.py`` docstring and DESIGN's tier table name exactly
+    the tiers :class:`EvaluationCache` has, in the same order."""
+    from repro.plans import eval_cache
+
+    tiers = list(eval_cache.TIERS)
+    assert sorted(eval_cache.EvaluationCache()._tiers) == sorted(tiers)
+    in_docstring = re.findall(r"^- \*\*(\w+)\*\* —", eval_cache.__doc__, flags=re.M)
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    in_design = re.findall(r"^\| `(\w+)` \| `(?:value|table)` \|", design, flags=re.M)
+    assert in_docstring == tiers
+    assert in_design == tiers
