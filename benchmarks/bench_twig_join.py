@@ -1,14 +1,13 @@
-"""Twig-join ablation: holistic operator vs binary pipeline, and DPO reuse.
+"""Twig-join operator: one branchy strict plan, and DPO reuse.
 
-Two questions.  *Operator*: the holistic twig operator against the binary
-pipeline on one branchy, descendant-heavy strict plan whose fan-out sits on
+Two questions.  *Operator*: the holistic twig operator, which runs every
+strict plan, on one branchy, descendant-heavy plan whose fan-out sits on
 **inner** nodes — many parlists and mails per item, each read by the join
-below it.  Caching is off for these rows: the timing loops re-run the
+below it.  Caching is off for this row: the timing loop re-runs the
 identical plan, and any eval-cache hit would measure the cache, not the
 operator.
 
-*Reuse*: every twig-eligible plan takes the twig operator (no cost
-crossover), because its subtree tables are cached across relaxation
+*Reuse*: the twig operator's subtree tables are cached across relaxation
 levels.  ``test_dpo_levels_reuse_untouched_subtrees`` runs DPO on paper Q3
 with K = 200 and reports each strict level's milliseconds twice — *reused*,
 as the walk runs it (the cache cleared once per query, so a level finds
@@ -18,14 +17,12 @@ cleared cache — and gates that the walk costs less than its levels cold.
 
 import os
 import statistics
-from dataclasses import replace
 from time import perf_counter
 
 import pytest
 
 from repro.ir import IREngine
 from repro.plans import STRICT, PlanExecutor, build_strict_plan, lower_plan
-from repro.plans.plan import BINARY, TWIG
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
 from repro.backend.stats import DocumentStatistics
@@ -36,10 +33,9 @@ from benchmarks.harness import document_for
 
 SIZE = os.environ.get("FLEXPATH_BENCH_SIZE", "10MB")
 
-#: Branchy, descendant-heavy, fan-out on the inner nodes: the binary
-#: pipeline materializes a tuple per (item, parlist) and per (item, mail)
-#: before each leaf collapses them, while the twig operator passes over
-#: each pool once.
+#: Branchy, descendant-heavy, fan-out on the inner nodes: the twig
+#: operator passes over each pool once, where a tuple pipeline would
+#: materialize a tuple per (item, parlist) and per (item, mail).
 BRANCHY_QUERY = "//item[.//parlist//listitem and .//mail//text]"
 
 ROUNDS = 5
@@ -69,52 +65,18 @@ def executor(doc, ir):
 def lowered(stats):
     """The branchy plan in the lowering's join order."""
     plan = build_strict_plan(parse_query(BRANCHY_QUERY), UNIFORM_WEIGHTS)
-    return lower_plan(plan, stats)
+    return lower_plan(plan, stats, strict=True)
 
 
-@pytest.fixture(scope="module")
-def twig_plan(lowered):
-    return replace(lowered, operator=TWIG)
-
-
-@pytest.fixture(scope="module")
-def binary_plan(lowered):
-    return replace(lowered, operator=BINARY)
-
-
-def test_twig_holistic_join(benchmark, executor, twig_plan):
+def test_twig_holistic_join(benchmark, executor, lowered):
     result = benchmark.pedantic(
-        lambda: executor.run(twig_plan, mode=STRICT),
+        lambda: executor.run(lowered, mode=STRICT),
         rounds=ROUNDS,
         warmup_rounds=1,
     )
     assert result.answers
     benchmark.extra_info["operator"] = "twig"
     benchmark.extra_info["answers"] = len(result.answers)
-
-
-def test_binary_pipeline(benchmark, executor, binary_plan):
-    result = benchmark.pedantic(
-        lambda: executor.run(binary_plan, mode=STRICT),
-        rounds=ROUNDS,
-        warmup_rounds=1,
-    )
-    assert result.answers
-    benchmark.extra_info["operator"] = "binary"
-    benchmark.extra_info["answers"] = len(result.answers)
-
-
-def test_twig_answers_match_binary(executor, twig_plan, binary_plan):
-    """The speedup is not bought with answers."""
-    twig = executor.run(twig_plan, mode=STRICT)
-    binary = executor.run(binary_plan, mode=STRICT)
-    assert sorted(
-        (a.node_id, round(a.score.structural, 9), round(a.score.keyword, 9))
-        for a in twig.answers
-    ) == sorted(
-        (a.node_id, round(a.score.structural, 9), round(a.score.keyword, 9))
-        for a in binary.answers
-    )
 
 
 DPO_QUERY = PAPER_QUERIES["Q3"]

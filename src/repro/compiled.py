@@ -110,11 +110,12 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
     2. the **relaxation schedule** with per-level cumulative penalties
        (cheapest valid drop first, §4);
     3. one **strict plan per level** (what DPO and the naive baseline
-       execute) and one **encoded plan per level** (what SSO/Hybrid
-       execute, Figure 8), each lowered from the context's corpus counts
-       (:func:`~repro.plans.lowering.lower_plan`: join order, holistic twig
-       join vs. binary pipeline, per-operator estimates) at compile time,
-       so the execute phase never builds a plan.
+       execute, on the holistic twig join) and one **encoded plan per
+       level** (what SSO/Hybrid execute, Figure 8, on the binary
+       pipeline), each lowered from the context's corpus counts
+       (:func:`~repro.plans.lowering.lower_plan`: join order and the
+       estimates of its family's operator) at compile time, so the execute
+       phase never builds a plan.
     """
     weights = weights if weights is not None else context.weights
     statistics = context.statistics
@@ -127,11 +128,11 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
         skip_useless_gamma=skip_useless_gamma,
     )
     strict_plans = tuple(
-        lower_plan(build_strict_plan(entry.query, weights), statistics)
+        lower_plan(build_strict_plan(entry.query, weights), statistics, strict=True)
         for entry in schedule.entries
     )
     encoded_plans = tuple(
-        lower_plan(build_encoded_plan(schedule, level), statistics)
+        lower_plan(build_encoded_plan(schedule, level), statistics, strict=False)
         for level in range(len(schedule) + 1)
     )
     return CompiledQuery(
@@ -166,7 +167,7 @@ def cached_compile(context, producer, query, max_relaxations,
     The one probe-compile-store path behind ``QueryContext.compile`` (which
     the sharded coordinator inherits).  The key is the compile request,
     fenced by the backend version: a grown corpus can never be answered
-    with plans whose penalties, join order or operator were derived from
+    with plans whose penalties, join order or estimates were derived from
     stale statistics.
 
     ``producer`` is the calling module's own ``compile_query`` binding, so

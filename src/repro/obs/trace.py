@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 #: Executor phases in pipeline order; rendering and aggregation follow it.
-#: ``twig`` is the holistic twig-join operator's stack-merge pass (strict
-#: runs of a plan lowered to it); binary-pipeline runs never emit it.
-PHASES = ("seed", "extend", "twig", "checks", "dedup", "project", "prune",
-          "sort", "bucket", "collect")
+#: ``twig`` is the holistic twig-join operator's bottom-up pass (every
+#: strict run); binary-pipeline runs never emit it.
+PHASES = ("seed", "extend", "twig", "checks", "project", "prune", "sort",
+          "bucket", "collect")
 
 
 @dataclass

@@ -1,24 +1,30 @@
 """Plan execution: the shared machinery behind DPO, SSO and Hybrid (§5.2).
 
-One executor runs a :class:`~repro.plans.plan.Plan` in one of three modes:
+One executor runs a :class:`~repro.plans.plan.Plan` in one of three modes,
+and the mode alone picks the operator:
 
-- ``"strict"`` — plain evaluation, no pruning, no score ordering. DPO runs
-  the strict plan of each relaxation level this way.
-- ``"sso"`` — after every join the intermediate tuple list is **sorted on
-  score** so the ``threshold + maxScoreGrowth`` pruning of §5.2.2 can be
-  applied; this resorting is exactly the bottleneck the paper attributes
-  to SSO ("there is a fundamental tension between these two sort orders").
-- ``"hybrid"`` — intermediate tuples are grouped into **buckets** keyed by
-  the set of predicates they satisfied (the sequence of alternatives
-  chosen). Within a bucket all tuples have the same structural score and
-  stay sorted on node id by construction, so no sorting on scores ever
-  happens; pruning works at bucket granularity (§5.2.3).
+- ``"strict"`` — the holistic twig operator (:meth:`PlanExecutor._run_twig`):
+  plain evaluation of a conjunctive plan, no pruning, no score ordering.
+  DPO runs the strict plan of each relaxation level this way.
+- ``"sso"`` — the binary pipeline (:meth:`PlanExecutor._run_binary`); after
+  every join the intermediate tuple list is **sorted on score** so the
+  ``threshold + maxScoreGrowth`` pruning of §5.2.2 can be applied; this
+  resorting is exactly the bottleneck the paper attributes to SSO ("there
+  is a fundamental tension between these two sort orders").
+- ``"hybrid"`` — the binary pipeline with intermediate tuples grouped into
+  **buckets** keyed by the set of predicates they satisfied (the sequence
+  of alternatives chosen). Within a bucket all tuples have the same
+  structural score and stay sorted on node id by construction, so no
+  sorting on scores ever happens; pruning works at bucket granularity
+  (§5.2.3).
 
 Pruning is conservative and never drops a potential top-K answer: a tuple
 is discarded only when its optimistic completion (current score +
 ``maxScoreGrowth``) is strictly below the current K-th *guaranteed* score —
 guarantees come from completed answers and from tuples whose remaining
-joins are all optional.
+joins are all optional.  It needs the scored intermediates only the binary
+pipeline materializes, which is why the encoded plans of SSO and Hybrid run
+there.
 
 Both operators work on node ids from seed to collect, and resolve every
 step set-at-a-time: one table per step over the distinct ids the pending
@@ -48,7 +54,6 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import NULL_TRACER
 from repro.plans.eval_cache import EvaluationCache, restriction_key
 from repro.plans.lowering import twig_eligible
-from repro.plans.plan import TWIG
 from repro.rank.schemes import STRUCTURE_FIRST
 from repro.rank.scores import AnswerScore, ScoredAnswer
 
@@ -85,7 +90,7 @@ class ExecutionStats:
     """Operational counters for one plan execution.
 
     ``tuples_pruned`` counts only threshold / ``maxScoreGrowth`` prunes;
-    tuples dropped because their answer node was already produced at an
+    answers dropped because their node was already produced at an
     earlier relaxation level (DPO's §5.2.2 dedup) are counted separately in
     ``answers_deduped`` — the two mechanisms discard work for unrelated
     reasons and conflating them made the pruning figures unreadable.
@@ -393,14 +398,14 @@ class PlanExecutor:
         to seed structural matching with contains-satisfying elements
         (§5.1's "alternative possibility").
 
-        ``exclude_answer_ids`` drops tuples whose distinguished binding is
-        already a known answer, as soon as that binding exists — DPO's
-        §5.2.2 trick for not recomputing the previous level's answers when
-        evaluating the next relaxation.
+        ``exclude_answer_ids`` (strict mode) drops the matches that are
+        already known answers — DPO's §5.2.2 trick for not reporting the
+        previous levels' answers again when evaluating the next relaxation.
 
-        ``tracer`` receives one span per phase (seed / extend / checks /
-        dedup / project / prune / sort / bucket / collect); the default
-        no-op tracer makes an untraced run cost nothing extra.
+        ``tracer`` receives one span per phase (twig / collect in strict
+        mode; seed / extend / checks / project / prune / sort / bucket /
+        collect otherwise); the default no-op tracer makes an untraced run
+        cost nothing extra.
 
         ``checkpoint`` is the session deadline/cancellation hook: a
         zero-argument callable invoked once before seeding, once per join
@@ -413,13 +418,10 @@ class PlanExecutor:
         by raising (see :class:`~repro.session.QueryControl`); ``None``
         costs nothing.
 
-        ``plan.operator`` picks the operator: the holistic twig join runs
-        a ``TWIG`` plan in strict mode only, because threshold /
-        ``maxScoreGrowth`` pruning needs the scored intermediates the
-        holistic operator never materializes; every other run takes the
-        binary pipeline.  A ``TWIG`` plan that is not
-        :func:`~repro.plans.lowering.twig_eligible` is refused with an
-        :class:`~repro.errors.EvaluationError`.
+        ``mode`` picks the operator: strict mode is the holistic twig
+        join, the pruning modes are the binary pipeline.  A plan that is
+        not :func:`~repro.plans.lowering.twig_eligible` is refused in
+        strict mode with an :class:`~repro.errors.EvaluationError`.
         """
         stats = ExecutionStats()
         cache = self._eval_cache
@@ -428,7 +430,7 @@ class PlanExecutor:
             excluded=exclude_answer_ids or (),
         )
         eval_before = cache.metrics_snapshot() if tracer.enabled else None
-        use_twig = plan.operator == TWIG and mode == STRICT
+        use_twig = mode == STRICT
         if use_twig:
             if not twig_eligible(plan):
                 raise EvaluationError(
@@ -469,7 +471,8 @@ class PlanExecutor:
 
     def _run_binary(self, plan, k, scheme, mode, run, stats, tracer,
                     checkpoint):
-        """The classic pipeline: seed, then extend join by join.
+        """The classic pipeline of the pruning modes: seed, then extend join
+        by join.
 
         A partial match is a plain 4-tuple ``(bindings, ss, ks, signature)``
         whose ``bindings`` are the node ids of the variables somebody reads,
@@ -488,7 +491,7 @@ class PlanExecutor:
         projections = self._projections(plan, var_positions)
 
         growth_ss, growth_ks, guaranteed_ss, guaranteed_ok = plan.growth_tables()
-        prune = k is not None and mode in (SSO_MODE, HYBRID_MODE)
+        prune = k is not None
         distinguished_pos = var_positions[plan.distinguished]
         answer_bound = plan.distinguished == plan.root_var
         sort_key = scheme.sort_key
@@ -504,9 +507,6 @@ class PlanExecutor:
         with tracer.span("seed"):
             tuples = self._seed(run, plan, stats)
         actuals[("seed-scan", plan.root_var)] = len(tuples)
-        if run.excluded and plan.distinguished == plan.root_var:
-            with tracer.span("dedup"):
-                tuples = self._drop_known_answers(run, tuples, 0, stats)
         with tracer.span("checks"):
             tuples = self._apply_checks(
                 run, plan, plan.root_var, tuples, var_positions, stats,
@@ -530,11 +530,6 @@ class PlanExecutor:
                 "semi-join" if existential[index] else "binary-join",
                 join.var,
             )] = len(tuples)
-            if run.excluded and join.var == plan.distinguished:
-                with tracer.span("dedup"):
-                    tuples = self._drop_known_answers(
-                        run, tuples, var_positions[join.var], stats
-                    )
             with tracer.span("checks"):
                 tuples = self._apply_checks(
                     run, plan, join.var, tuples, var_positions, stats,
@@ -1051,18 +1046,6 @@ class PlanExecutor:
                 )
             )
         return answers
-
-    def _drop_known_answers(self, run, tuples, position, stats):
-        """Discard tuples already answered at a previous relaxation level.
-
-        These drops are dedup, not pruning: they count into
-        ``answers_deduped`` so ``tuples_pruned`` stays a pure measure of
-        the threshold / ``maxScoreGrowth`` mechanism.
-        """
-        excluded = run.excluded
-        kept = [item for item in tuples if item[0][position] not in excluded]
-        stats.answers_deduped += len(tuples) - len(kept)
-        return kept
 
     # -- projection -------------------------------------------------------------
 

@@ -1,15 +1,17 @@
 """Lowering: from a plan as built to the plan the executor runs.
 
 The builders in :mod:`repro.plans.plan` emit a plan's joins in pattern
-pre-order under the binary operator.  :func:`lower_plan` returns the same
-:class:`~repro.plans.plan.Plan` record with the three corpus-dependent
-decisions made — join order (:func:`order_joins`), top-level operator
-(:func:`choose_operator`), per-operator cardinality estimates — each a pure
-function of the plan and the backend's counts surface (``tag_count`` /
-``pc_count`` / ``ad_count`` / ``total_elements``) under §6's
-uniform-independence assumption.  Nothing a run observes reaches a later
-lowering: a lowered plan is a function of its query and the corpus version,
-which is why the plan cache keys on the request alone.
+pre-order.  :func:`lower_plan` returns the same
+:class:`~repro.plans.plan.Plan` record with the two corpus-dependent
+decisions made — join order (:func:`order_joins`) and per-operator
+cardinality estimates — each a pure function of the plan and the backend's
+counts surface (``tag_count`` / ``pc_count`` / ``ad_count`` /
+``total_elements``) under §6's uniform-independence assumption.  The
+operators estimated are those of the plan's family, which the caller
+names: a strict plan runs under the twig operator, an encoded plan under
+the binary pipeline.  Nothing a run observes reaches a later lowering: a
+lowered plan is a function of its query and the corpus version, which is
+why the plan cache keys on the request alone.
 
 The operator vocabulary (``OperatorEstimate.kind``):
 
@@ -29,12 +31,12 @@ The operator vocabulary (``OperatorEstimate.kind``):
 
 Twig eligibility: the holistic operator evaluates *conjunctive* twigs —
 every join must have exactly one alternative and be required, and every
-contains check must sit at its original context level.  Strict plans at
-every relaxation level and encoded plans at level 0 qualify; encoded
-plans past level 0 (alternative chains, optional joins, promoted contains
-levels) stay on the binary pipeline, which is also the only operator
-that can apply threshold / ``maxScoreGrowth`` pruning (it needs scored
-intermediates, which the holistic operator never materializes).
+contains check must sit at its original context level.  Every strict plan
+is one; the executor refuses a strict-mode run of any other plan
+(:func:`twig_eligible`).  Encoded plans run on the binary pipeline at every
+level, level 0 included, because it is the operator that can apply
+threshold / ``maxScoreGrowth`` pruning (it needs scored intermediates,
+which the holistic operator never materializes).
 
 Layering: this module sees only the statistics *protocol* served by the
 backend seam — never a storage class — and the backend never imports it
@@ -46,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import EvaluationError
-from repro.plans.plan import BINARY, TWIG
 
 
 @dataclass(frozen=True)
@@ -205,33 +206,24 @@ def estimate_pipeline(plan, statistics):
     return estimates
 
 
-def choose_operator(plan):
-    """``TWIG`` or ``BINARY`` for a plan — the one place that decides.
+def lower_plan(plan, statistics, strict):
+    """``plan`` with join order and estimates decided.
 
-    Every twig-eligible plan takes the holistic operator: its subtree
-    tables are cached across relaxation levels, so a strict DPO level
-    pays only for the branch its relaxation step changed.
-    """
-    return TWIG if twig_eligible(plan) else BINARY
-
-
-def lower_plan(plan, statistics):
-    """``plan`` with join order, operator and estimates decided.
-
-    ``statistics`` is the backend-seam counts surface.  ``plan`` itself is
-    never mutated; the lowered copy shares its joins and checks.
+    ``statistics`` is the backend-seam counts surface.  ``strict`` names
+    the plan's family: a strict plan is estimated as the twig operator's
+    ``twig-join`` steps, an encoded one as the binary pipeline's
+    ``binary-join`` / ``semi-join`` steps.  ``plan`` itself is never
+    mutated; the lowered copy shares its joins and checks.
     """
     ordered = replace(plan, joins=order_joins(plan, statistics))
     pipeline = estimate_pipeline(ordered, statistics)
-    operator = choose_operator(ordered)
     return replace(
         ordered,
-        operator=operator,
-        estimates=_operator_estimates(ordered, operator, pipeline, statistics),
+        estimates=_operator_estimates(ordered, strict, pipeline, statistics),
     )
 
 
-def _operator_estimates(plan, operator, pipeline, statistics):
+def _operator_estimates(plan, strict, pipeline, statistics):
     """Per-step descriptors with predicted cardinalities."""
     out = [
         OperatorEstimate(
@@ -241,7 +233,7 @@ def _operator_estimates(plan, operator, pipeline, statistics):
             estimate=pipeline[0],
         )
     ]
-    if operator == TWIG:
+    if strict:
         for join in plan.joins:
             alt = join.alternatives[0]
             out.append(

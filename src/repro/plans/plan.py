@@ -21,10 +21,15 @@ the deepest chain variable is bound.
 Plans are built in two ways:
 
 - :func:`build_strict_plan` — one alternative per edge, everything
-  required; this evaluates a single TPQ exactly (used by DPO per level);
+  required; this evaluates a single TPQ exactly (used by DPO per level,
+  and run by the holistic twig operator);
 - :func:`build_encoded_plan` — replay a prefix of a
   :class:`~repro.relax.steps.RelaxationSchedule` into alternatives,
-  optional joins, and contains chains (used by SSO and Hybrid).
+  optional joins, and contains chains (used by SSO and Hybrid, and run by
+  the binary pipeline).
+
+A plan does not name its operator: the executor's mode does
+(:meth:`~repro.plans.executor.PlanExecutor.run`).
 """
 
 from __future__ import annotations
@@ -34,11 +39,6 @@ from dataclasses import dataclass
 from repro.errors import EvaluationError
 from repro.query.tpq import PC
 from repro.relax.steps import GAMMA, KAPPA, LAMBDA, SIGMA
-
-#: The two top-level operators a plan can run under (``Plan.operator``): the
-#: binary structural-join pipeline, and the holistic twig join.
-BINARY = "binary"
-TWIG = "twig"
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,9 @@ class PlanJoin:
 class Plan:
     """An executable left-deep plan.
 
-    The builders below leave ``joins`` in pre-order, ``operator`` binary and
-    ``estimates`` empty; :func:`~repro.plans.lowering.lower_plan` returns a
-    copy with all three decided from the corpus counts.
+    The builders below leave ``joins`` in pre-order and ``estimates`` empty;
+    :func:`~repro.plans.lowering.lower_plan` returns a copy with both
+    decided from the corpus counts.
     """
 
     root_var: str
@@ -116,7 +116,6 @@ class Plan:
     distinguished: str
     fallback_chain: tuple  # distinguished's original ancestors, nearest first
     base_score: float
-    operator: str = BINARY  # what PlanExecutor.run dispatches on
     estimates: tuple = ()  # OperatorEstimate per operator, pipeline order
 
     def contains_count(self):
@@ -230,9 +229,7 @@ class Plan:
                 "%s %+0.3f" % (level.var, level.delta) for level in check.levels
             )
             lines.append("root contains(%s): %s" % (check.ftexpr, chain))
-        if self.estimates:
-            lines.append("physical operator: %s" % self.operator)
-            lines.extend(op.describe() for op in self.estimates)
+        lines.extend(op.describe() for op in self.estimates)
         return "\n".join(lines)
 
 

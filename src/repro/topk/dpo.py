@@ -96,11 +96,10 @@ class DPO(Strategy):
 
             level_score = schedule.structural_score(level)
             for index, result in results:
+                # The executor already left out the ids in ``seen``.
                 seen = sessions[index].seen
                 for answer in result.answers:
                     if remembers:
-                        if answer.node_id in seen:
-                            continue
                         seen.add(answer.node_id)
                     node = answer.node
                     if readdress is not None:

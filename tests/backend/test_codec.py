@@ -4,17 +4,27 @@ Every decoder runs the same validator, so a region encoding that
 contradicts its parent column is refused wherever it comes from, and no
 truncation or single-byte flip gets past a decoder as anything but
 :class:`~repro.errors.CorruptStorageError` or the original document.
+
+A sealed segment's postings and statistics payloads are decoded on first
+touch, past the open-time CRC check; the same truncations and flips there
+must fail closed — only a :class:`~repro.errors.FleXPathError` may escape
+an open, a query or a statistics read.  Positions are not validated, so a
+flipped position byte may change a phrase answer: the contract there is
+"refused or harmless", not "refused or equal".
 """
 
+import os
 import struct
 import zlib
 from array import array
 
 import pytest
 
+from repro import Engine
 from repro.backend import diskfmt
+from repro.backend.disk import DiskBackend
 from repro.collection import Corpus
-from repro.errors import CorruptStorageError
+from repro.errors import CorruptStorageError, FleXPathError
 from repro.xmltree import dump_document, load_document, parse
 from repro.xmltree.storage import decode_fragment, encode_fragment
 
@@ -80,6 +90,16 @@ def _columns_case(tmp_path):
     return path.read_bytes()[:-4], decode, _seal
 
 
+def _hostile(payload):
+    """Every truncation of ``payload``, then every single-byte flip of it."""
+    for cut in range(len(payload)):
+        yield payload[:cut]
+    for at in range(len(payload)):
+        flipped = bytearray(payload)
+        flipped[at] ^= 0xFF
+        yield bytes(flipped)
+
+
 @pytest.mark.parametrize(
     "case", [_dump_case, _wal_case, _columns_case], ids=["dump", "wal", "columns"]
 )
@@ -87,20 +107,51 @@ def test_hostile_bytes_are_refused_or_harmless(case, tmp_path):
     """Truncate at every byte; flip every byte with the CRC recomputed."""
     payload, decode, seal = case(tmp_path)
     expected = decode(seal(payload))
-
-    def refused_or_equal(data):
+    for data in _hostile(payload):
         try:
             got = decode(seal(data))
         except CorruptStorageError:
-            return
+            continue
         assert got == expected
 
-    for cut in range(len(payload)):
-        refused_or_equal(payload[:cut])
-    for at in range(len(payload)):
-        flipped = bytearray(payload)
-        flipped[at] ^= 0xFF
-        refused_or_equal(bytes(flipped))
+
+SEGMENT_XML = (
+    "<lib><book><title>gold ring</title><year>1999</year></book>"
+    "<book><title>silver ring</title><note>gold</note></book></lib>"
+)
+
+
+def _touch(path):
+    """Open the corpus, run a ``contains`` and a structural query, and read
+    the statistics: what a serving engine does first."""
+    engine = Engine.open(path, cache=False)
+    try:
+        engine.query('//book[./title[.contains("gold ring")]]', k=3, algorithm="sso")
+        engine.query("//lib[./book/year]", k=3, algorithm="dpo")
+        engine.backend.statistics.tag_count("book")
+    finally:
+        engine.backend.close()
+
+
+@pytest.mark.parametrize("artifact", ["postings.bin", "stats.bin"])
+def test_hostile_segment_payloads_fail_closed(artifact, tmp_path):
+    """Truncate at every byte; flip every byte with the CRC recomputed."""
+    path = str(tmp_path / "corpus")
+    backend = DiskBackend.create(path)
+    backend.add_document(parse(SEGMENT_XML), name="lib")
+    backend.compact()  # one sealed segment, an empty WAL
+    backend.close()
+    target = os.path.join(path, diskfmt.read_manifest(path)["segment"], artifact)
+    with open(target, "rb") as handle:
+        payload = handle.read()[:-4]
+    _touch(path)
+    for data in _hostile(payload):
+        with open(target, "wb") as handle:
+            handle.write(_seal(data))
+        try:
+            _touch(path)
+        except FleXPathError:
+            pass
 
 
 class TestStructureRepros:

@@ -13,7 +13,6 @@ from repro.ir import IREngine
 from repro.plans import (
     HYBRID_MODE,
     SSO_MODE,
-    STRICT,
     Alternative,
     PlanExecutor,
     build_encoded_plan,
@@ -77,7 +76,7 @@ class TestViewsOnlyForAnswers:
 
 
 class TestOneResolutionPerAlternative:
-    @pytest.mark.parametrize("mode", [STRICT, SSO_MODE, HYBRID_MODE])
+    @pytest.mark.parametrize("mode", [SSO_MODE, HYBRID_MODE])
     def test_merges_bounded_by_alternatives_not_tuples(
             self, doc, monkeypatch, mode):
         context = QueryContext(doc)
@@ -96,7 +95,7 @@ class TestOneResolutionPerAlternative:
         backend = as_backend(doc)
         plan = build_strict_plan(parse_query(PAPER_Q2), UNIFORM_WEIGHTS)
         calls = count_calls(monkeypatch, backend, NAVIGATION)
-        result = PlanExecutor(backend).run(plan)
+        result = PlanExecutor(backend).run(plan, mode=SSO_MODE)
         assert result.answers
         assert sum(calls.values()) == len(plan.joins)
         existential = sum(plan.existential())
@@ -179,10 +178,10 @@ class TestDeadlineInsideAJoin:
         monkeypatch.setattr(backend, "structural_join_ids", expiring_merge)
         plan = build_strict_plan(parse_query("//a/b"), UNIFORM_WEIGHTS)
         executor = PlanExecutor(backend)
-        assert len(executor.run(plan).answers) == self.FAN
+        assert len(executor.run(plan, mode=SSO_MODE).answers) == self.FAN
         del expired[:]
         with pytest.raises(QueryTimeoutError):
-            executor.run(plan, checkpoint=checkpoint)
+            executor.run(plan, mode=SSO_MODE, checkpoint=checkpoint)
         joined = stats_seen[-1].tuples_produced - self.FAN  # minus the seeds
         assert 0 < joined <= self.STRIDE
 
@@ -228,19 +227,21 @@ class TestDeadlineInsideAJoin:
             lambda *args: Watched(fill(*args)),
         )
         executor = PlanExecutor(backend)
-        bare = executor.run(plan)
+        bare = executor.run(plan, mode=SSO_MODE)
         assert len(bare.answers) == self.FAN
         assert len(kernel_calls) == rounds
         assert len(late_lookups) == self.FAN
         del kernel_calls[:], late_lookups[:]
         with pytest.raises(QueryTimeoutError):
-            executor.run(plan, checkpoint=checkpoint)
+            executor.run(plan, mode=SSO_MODE, checkpoint=checkpoint)
         assert 0 < len(late_lookups) <= self.STRIDE
         # A checkpoint that never fires is called at every stride boundary
         # of every round (plus run entry and the join) and changes nothing.
         calls = []
         monkeypatch.setattr(executor_module, "_has_candidate", fill)
-        checked = executor.run(plan, checkpoint=lambda: calls.append(1))
+        checked = executor.run(
+            plan, mode=SSO_MODE, checkpoint=lambda: calls.append(1)
+        )
         assert checked.stats == bare.stats
         assert len(calls) == 2 + rounds * (-(-self.FAN // self.STRIDE) - 1)
 
@@ -260,10 +261,10 @@ class TestDeadlineInsideAJoin:
             parse_query('//b[.contains("gold")]'), UNIFORM_WEIGHTS
         )
         executor = PlanExecutor(backend, ExpiringIR(backend.document))
-        assert len(executor.run(plan).answers) == self.FAN
+        assert len(executor.run(plan, mode=SSO_MODE).answers) == self.FAN
         del probes_after_deadline[:]
         with pytest.raises(QueryTimeoutError):
-            executor.run(plan, checkpoint=checkpoint)
+            executor.run(plan, mode=SSO_MODE, checkpoint=checkpoint)
         assert 0 < len(probes_after_deadline) <= self.STRIDE
 
     def test_an_unexpired_checkpoint_changes_nothing(self, backend, stats_seen):
@@ -272,8 +273,10 @@ class TestDeadlineInsideAJoin:
         )
         executor = PlanExecutor(backend)
         calls = []
-        bare = executor.run(plan)
-        checked = executor.run(plan, checkpoint=lambda: calls.append(1))
+        bare = executor.run(plan, mode=SSO_MODE)
+        checked = executor.run(
+            plan, mode=SSO_MODE, checkpoint=lambda: calls.append(1)
+        )
         assert checked.stats == bare.stats
         assert [a.node_id for a in checked.answers] == [
             a.node_id for a in bare.answers

@@ -1,12 +1,9 @@
 """The tier-1 EvaluationCache: memo behavior, instrumentation, wiring."""
 
-from dataclasses import replace
-
 import pytest
 
-from repro.plans import EvaluationCache, PlanExecutor, build_strict_plan
+from repro.plans import SSO_MODE, EvaluationCache, PlanExecutor, build_strict_plan
 from repro.plans.eval_cache import TIERS, restriction_key
-from repro.plans.plan import BINARY, TWIG
 from repro.query import parse_query
 from repro.topk import QueryContext
 from repro.xmltree import parse
@@ -274,13 +271,13 @@ class TestExecutorIntegration:
     def test_second_run_hits_every_tier(self, context, monkeypatch):
         plan = build_strict_plan(parse_query(QUERY), context.weights)
         calls = count_calls(monkeypatch, context.backend, NAVIGATION)
-        context.executor.run(plan)
+        context.executor.run(plan, mode=SSO_MODE)
         # One kernel call per alternative needed: a merge for section (its
         # contains check reads the node), a probe pass for the paragraph leaf.
         assert sum(calls.values()) == len(plan.joins) == 2
         assert calls["structural_join_ids"] == calls["semi_join_ancestor_ids"] == 1
         cold = context.eval_cache.metrics_snapshot()
-        result = context.executor.run(plan)
+        result = context.executor.run(plan, mode=SSO_MODE)
         warm = context.eval_cache.metrics_snapshot()
         assert result.answers
         # Every join table already covers every base: no kernel, no navigation.
@@ -300,24 +297,24 @@ class TestExecutorIntegration:
         plan = build_strict_plan(
             parse_query("//lib//paragraph"), context.weights
         )
-        stats = context.executor.run(plan).stats
+        stats = context.executor.run(plan, mode=SSO_MODE).stats
         snapshot = context.eval_cache.metrics_snapshot()
         assert snapshot["eval_cache.join.misses"] == 1  # the one <lib> base
         assert snapshot["eval_cache.join.hits"] == 0
         assert stats.tuples_produced == 1 + 2
-        context.executor.run(plan)
+        context.executor.run(plan, mode=SSO_MODE)
         snapshot = context.eval_cache.metrics_snapshot()
         assert snapshot["eval_cache.join.misses"] == 1
         assert snapshot["eval_cache.join.hits"] == 1
 
     def test_levels_sharing_a_join_signature_share_one_table(
             self, context, monkeypatch):
-        from repro.plans import SSO_MODE, build_encoded_plan
+        from repro.plans import build_encoded_plan
         from repro.relax import RelaxationSchedule
 
         query = parse_query(QUERY)
         schedule = RelaxationSchedule(query, context.penalties)
-        context.executor.run(build_strict_plan(query, context.weights))
+        context.executor.run(build_strict_plan(query, context.weights), mode=SSO_MODE)
         joins = context.eval_cache._tiers["join"].data
         strict_tables = dict(joins)
         assert strict_tables
@@ -339,8 +336,8 @@ class TestExecutorIntegration:
         import gc
 
         plan = build_strict_plan(parse_query(QUERY), context.weights)
+        context.executor.run(plan, mode=SSO_MODE)
         context.executor.run(plan)
-        context.executor.run(replace(plan, operator=TWIG))
         tiers = context.eval_cache._tiers
         gc.collect()
         assert len(tiers["contains"].data) == 1  # one table for the one expression
@@ -449,8 +446,7 @@ class TestSubtreeTier:
 
     @staticmethod
     def _twig(context, text):
-        plan = build_strict_plan(parse_query(text), context.weights)
-        return replace(plan, operator=TWIG)
+        return build_strict_plan(parse_query(text), context.weights)
 
     def test_tuples_produced_counts_the_tables_a_run_resolved(self, context):
         """Pool ids of the subtree tables the run resolved, nothing for a
@@ -511,7 +507,7 @@ class TestSubtreeTier:
         filtered = self._twig(context, '//article[./section[@id="s1"]/paragraph]')
         got = [answer.node_id for answer in context.executor.run(filtered).answers]
         bare = PlanExecutor(context.document, context.ir).run(
-            replace(filtered, operator=BINARY)
+            filtered, mode=SSO_MODE
         )
         assert len(got) == 1
         assert got == [answer.node_id for answer in bare.answers]

@@ -244,8 +244,8 @@ class TestExecutorTracing:
         query = parse_query("//item[./description/parlist]")
         plan = build_strict_plan(query, UNIFORM_WEIGHTS)
         tracer = Tracer()
-        traced = executor.run(plan, mode=STRICT, tracer=tracer)
-        untraced = executor.run(plan, mode=STRICT)
+        traced = executor.run(plan, mode=SSO_MODE, tracer=tracer)
+        untraced = executor.run(plan, mode=SSO_MODE)
         assert [a.node_id for a in traced.answers] == [
             a.node_id for a in untraced.answers
         ]

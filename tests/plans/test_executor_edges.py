@@ -12,7 +12,6 @@ from repro.plans import (
     PlanExecutor,
     PlanJoin,
     SSO_MODE,
-    STRICT,
 )
 from repro.plans import executor as executor_module
 from repro.xmltree import parse
@@ -62,7 +61,7 @@ class TestOptionalJoins:
                 )
             ]
         )
-        result = executor.run(plan, mode=STRICT)
+        result = executor.run(plan, mode=SSO_MODE)
         # All three <a> elements answer; the one without <b> scores 0.25.
         assert len(result.answers) == 3
         scores = sorted(a.score.structural for a in result.answers)
@@ -81,7 +80,7 @@ class TestOptionalJoins:
             distinguished="$2",
             fallback=("$1",),
         )
-        result = executor.run(plan, mode=STRICT)
+        result = executor.run(plan, mode=SSO_MODE)
         # Two answers are <b> nodes; the <a> without <b> answers as itself.
         tags = sorted(a.node.tag for a in result.answers)
         assert tags == ["a", "b", "b"]
@@ -112,7 +111,7 @@ class TestContainsChains:
                 ]
             },
         )
-        result = executor.run(plan, mode=STRICT)
+        result = executor.run(plan, mode=SSO_MODE)
         by_score = sorted(round(a.score.structural, 2) for a in result.answers)
         # a1: b has gold -> 1.0; a2: no b, a has gold via c -> -0.5;
         # a3: b plain, a plain -> dies.
@@ -138,7 +137,7 @@ class TestContainsChains:
                 ]
             },
         )
-        result = executor.run(plan, mode=STRICT)
+        result = executor.run(plan, mode=SSO_MODE)
         assert result.answers == []
         assert result.stats.tuples_failed > 0
 

@@ -1,7 +1,8 @@
-"""Lowering: eligibility, operator choice, twig/binary equivalence."""
+"""Lowering and dispatch: eligibility, one operator per plan family (strict
+plans on the twig operator, encoded plans on the binary pipeline), and
+twig/binary equivalence."""
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -22,15 +23,12 @@ from repro.plans import (
     lower_plan,
     twig_eligible,
 )
-from repro.plans.lowering import choose_operator
-from repro.plans.plan import BINARY, TWIG
 from repro.query import parse_query
 from repro.rank import STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
 from repro.backend.stats import DocumentStatistics
 from repro.topk.base import QueryContext
 from repro.xmark import PAPER_QUERIES, generate_document
-from tests.plans.pinning import pinned_operator
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +70,35 @@ TWIG_QUERIES = [
 ]
 
 
+#: The row kinds of each operator's estimates and actuals.
+KINDS_OF = {
+    "twig": {"seed-scan", "twig-join", "contains-filter"},
+    "binary": {"seed-scan", "binary-join", "semi-join", "contains-filter"},
+}
+
+
 def _ranked(result):
     return sorted(
         (a.node_id, round(a.score.structural, 9), round(a.score.keyword, 9))
         for a in result.answers
     )
+
+
+def _kinds(plan):
+    return {op.kind for op in plan.estimates}
+
+
+def _family_plans(model, text):
+    """Every strict and every encoded plan of ``text``'s schedule, as built."""
+    schedule = RelaxationSchedule(parse_query(text), model)
+    strict = [
+        build_strict_plan(entry.query, UNIFORM_WEIGHTS)
+        for entry in schedule.entries
+    ]
+    encoded = [
+        build_encoded_plan(schedule, level) for level in range(len(schedule) + 1)
+    ]
+    return strict, encoded
 
 
 def unfounded_zero_estimates(operators):
@@ -125,37 +147,29 @@ class TestLowering:
         plan = build_strict_plan(
             parse_query("//item[./mailbox/mail/text]"), UNIFORM_WEIGHTS
         )
-        assert plan.operator == BINARY and plan.estimates == ()
-        lowered = lower_plan(plan, stats)
+        assert plan.estimates == ()
+        lowered = lower_plan(plan, stats, strict=True)
         assert isinstance(lowered, Plan)
-        assert lowered.operator == TWIG
         assert twig_eligible(lowered)
         kinds = [op.kind for op in lowered.estimates]
-        assert kinds[0] == "seed-scan"
-        assert len(lowered.estimates) == 1 + len(lowered.joins)
+        assert kinds == ["seed-scan"] + ["twig-join"] * len(lowered.joins)
 
-    def test_operator_is_twig_iff_eligible(self, stats, model):
-        """The one rule: no cost crossover, eligibility alone decides."""
-        seen = set()
+    def test_estimates_name_the_family_operator(self, stats, model):
+        """The lowering's caller names the family: strict plans are
+        estimated as twig joins, encoded plans as binary / semi-joins —
+        the encoded level-0 plan too, although it is twig-eligible."""
         for text in TWIG_QUERIES + [
             '//item[./description/parlist and ./mailbox[.contains("gold")]]'
         ]:
-            schedule = RelaxationSchedule(parse_query(text), model)
-            plans = [
-                build_strict_plan(entry.query, UNIFORM_WEIGHTS)
-                for entry in schedule.entries
-            ] + [
-                build_encoded_plan(schedule, level)
-                for level in range(len(schedule) + 1)
-            ]
-            for plan in plans:
-                lowered = lower_plan(plan, stats)
-                assert choose_operator(lowered) == lowered.operator
-                assert lowered.operator == (
-                    TWIG if twig_eligible(lowered) else BINARY
-                )
-                seen.add(lowered.operator)
-        assert seen == {TWIG, BINARY}
+            strict, encoded = _family_plans(model, text)
+            for plan in strict:
+                assert _kinds(lower_plan(plan, stats, strict=True)) <= KINDS_OF["twig"]
+            assert twig_eligible(encoded[0])
+            for plan in encoded:
+                lowered = lower_plan(plan, stats, strict=False)
+                assert _kinds(lowered) <= KINDS_OF["binary"]
+                if plan.joins:
+                    assert _kinds(lowered) & {"binary-join", "semi-join"}
 
     def test_every_strict_paper_plan_takes_the_twig_operator(self, doc):
         context = QueryContext(doc)
@@ -163,7 +177,7 @@ class TestLowering:
             compiled = compile_query(context, parse_query(text))
             for level in range(compiled.level_count()):
                 plan = compiled.strict_plan(level)
-                assert plan.operator == TWIG, (text, level)
+                assert _kinds(plan) <= KINDS_OF["twig"], (text, level)
                 assert plan.distinguished == plan.root_var
 
     def test_join_order_follows_cost_model(self, stats):
@@ -171,7 +185,7 @@ class TestLowering:
             parse_query("//item[./name and ./incategory and ./mailbox]"),
             UNIFORM_WEIGHTS,
         )
-        ordered = lower_plan(plan, stats)
+        ordered = lower_plan(plan, stats, strict=True)
         direct = [
             j for j in ordered.joins
             if j.alternatives[0].connect_var == ordered.root_var
@@ -181,23 +195,20 @@ class TestLowering:
 
     def test_forced_twig_still_respects_eligibility(
             self, executor, stats, model):
-        """The executor refuses an ineligible twig plan: a hand-set
-        ``operator`` cannot produce wrong answers."""
+        """Strict mode refuses an ineligible plan: handing an encoded plan
+        past level 0 to the twig operator cannot produce wrong answers."""
         query = parse_query(
             '//item[./description/parlist and ./mailbox[.contains("gold")]]'
         )
         schedule = RelaxationSchedule(query, model)
         plan = build_encoded_plan(schedule, len(schedule))
-        with pinned_operator(TWIG):
-            lowered = lower_plan(plan, stats)
-        assert lowered.operator == BINARY
+        lowered = lower_plan(plan, stats, strict=False)
         assert not twig_eligible(lowered)
-        forced = replace(lowered, operator=TWIG)
         with pytest.raises(EvaluationError, match="twig operator"):
-            executor.run(forced, mode=STRICT)
-        # Only a twig *run* is checked: the pruning modes never take it.
-        assert _ranked(executor.run(forced, k=5, mode=SSO_MODE)) == _ranked(
-            executor.run(lowered, k=5, mode=SSO_MODE)
+            executor.run(lowered, mode=STRICT)
+        # Only a twig *run* is checked: the pruning modes run it binary.
+        assert _ranked(executor.run(lowered, k=5, mode=SSO_MODE)) == _ranked(
+            executor.run(plan, k=5, mode=SSO_MODE)
         )
 
     def test_contains_filter_estimates_present(self, stats):
@@ -205,7 +216,7 @@ class TestLowering:
             parse_query('//item[./mailbox/mail/text[.contains("gold")]]'),
             UNIFORM_WEIGHTS,
         )
-        filters = [op for op in lower_plan(plan, stats).estimates
+        filters = [op for op in lower_plan(plan, stats, strict=True).estimates
                    if op.kind == "contains-filter"]
         assert filters
         # Not estimated, and says so: never a made-up 0.0.
@@ -216,10 +227,11 @@ class TestLowering:
         plan = build_strict_plan(
             parse_query("//item[./mailbox]"), UNIFORM_WEIGHTS
         )
-        assert "physical operator:" not in plan.describe()
-        text = lower_plan(plan, stats).describe()
-        assert "physical operator:" in text
-        assert "seed-scan" in text
+        assert "seed-scan" not in plan.describe()
+        text = lower_plan(plan, stats, strict=True).describe()
+        assert "seed-scan" in text and "twig-join" in text
+        # The mode a plan runs under names its operator; the plan does not.
+        assert "physical operator" not in text
 
     def test_physical_plan_pickles(self, stats):
         """A lowered ``Plan`` pickles, decisions included."""
@@ -227,9 +239,8 @@ class TestLowering:
             parse_query('//item[./mailbox/mail[.contains("gold")]]'),
             UNIFORM_WEIGHTS,
         )
-        lowered = lower_plan(plan, stats)
+        lowered = lower_plan(plan, stats, strict=True)
         clone = pickle.loads(pickle.dumps(lowered))
-        assert clone.operator == lowered.operator
         assert [join.var for join in clone.joins] == [
             join.var for join in lowered.joins
         ]
@@ -241,10 +252,11 @@ class TestExecutorDispatch:
     def test_twig_matches_binary_answers_and_scores(
         self, executor, stats, query_text
     ):
+        """Strict mode against the binary pipeline unpruned (``k=None``)."""
         plan = build_strict_plan(parse_query(query_text), UNIFORM_WEIGHTS)
-        lowered = lower_plan(plan, stats)
-        twig = executor.run(replace(lowered, operator=TWIG), mode=STRICT)
-        binary = executor.run(replace(lowered, operator=BINARY), mode=STRICT)
+        lowered = lower_plan(plan, stats, strict=True)
+        twig = executor.run(lowered, mode=STRICT)
+        binary = executor.run(lowered, mode=SSO_MODE)
         as_built = executor.run(plan, mode=STRICT)
         assert _ranked(twig) == _ranked(binary)
         assert _ranked(twig) == _ranked(as_built)
@@ -254,9 +266,9 @@ class TestExecutorDispatch:
             parse_query('//item[./mailbox/mail[.contains("gold")]]'),
             UNIFORM_WEIGHTS,
         )
-        lowered = lower_plan(plan, stats)
-        twig = executor.run(replace(lowered, operator=TWIG), mode=STRICT)
-        binary = executor.run(replace(lowered, operator=BINARY), mode=STRICT)
+        lowered = lower_plan(plan, stats, strict=True)
+        twig = executor.run(lowered, mode=STRICT)
+        binary = executor.run(lowered, mode=SSO_MODE)
         assert {a.node_id: a.satisfied for a in twig.answers} == {
             a.node_id: a.satisfied for a in binary.answers
         }
@@ -266,32 +278,30 @@ class TestExecutorDispatch:
     def test_pruning_modes_fall_back_to_binary(
         self, executor, stats, model, mode
     ):
-        # The holistic operator cannot apply threshold pruning, so a twig
-        # plan under SSO/Hybrid must run the binary pipeline.
+        # The holistic operator cannot apply threshold pruning, so SSO/Hybrid
+        # run the binary pipeline, on a twig-eligible level-0 plan too.
         query = parse_query("//item[./description/parlist]")
         schedule = RelaxationSchedule(query, model)
         plan = build_encoded_plan(schedule, 0)
-        lowered = lower_plan(plan, stats)
-        assert lowered.operator == TWIG
+        assert twig_eligible(plan)
+        lowered = lower_plan(plan, stats, strict=False)
         via_lowered = executor.run(
             lowered, k=5, scheme=STRUCTURE_FIRST, mode=mode
         )
         as_built = executor.run(plan, k=5, scheme=STRUCTURE_FIRST, mode=mode)
         assert _ranked(via_lowered) == _ranked(as_built)
-        actuals = {
-            (op["kind"], op["var"]): op["actual"]
-            for op in via_lowered.operators
-        }
-        # The seed ran; the twig joins the lowering described never did.
-        assert actuals[("seed-scan", plan.root_var)] is not None
-        assert actuals[("twig-join", plan.joins[0].var)] is None
+        # Every operator the lowering described is one that ran.
+        assert via_lowered.operators
+        for op in via_lowered.operators:
+            assert op["kind"] in KINDS_OF["binary"]
+            assert op["actual"] is not None, op
 
     def test_operators_report_estimates_and_actuals(self, executor, stats):
         plan = build_strict_plan(
             parse_query('//item[./mailbox/mail/text[.contains("gold")]]'),
             UNIFORM_WEIGHTS,
         )
-        lowered = lower_plan(plan, stats)
+        lowered = lower_plan(plan, stats, strict=True)
         result = executor.run(lowered, mode=STRICT)
         assert result.operators
         by_key = {(op["kind"], op["var"]): op for op in result.operators}
@@ -309,10 +319,11 @@ class TestExecutorDispatch:
         )
         REGISTRY.reset()
         try:
-            executor.run(replace(plan, operator=TWIG), mode=STRICT)
-            executor.run(replace(plan, operator=BINARY), mode=STRICT)
-            # A twig plan in a pruning mode runs — and counts — as binary.
-            executor.run(replace(plan, operator=TWIG), k=3, mode=SSO_MODE)
+            executor.run(plan, mode=STRICT)
+            # The same strict plan in a pruning mode runs — and counts — as
+            # binary: the mode picks the operator.
+            executor.run(plan, mode=SSO_MODE)
+            executor.run(plan, k=3, mode=HYBRID_MODE)
             counters = REGISTRY.as_dict()["counters"]
             assert counters.get("plan.physical.twig") == 1
             assert counters.get("plan.physical.binary") == 2
@@ -339,6 +350,31 @@ class TestExecutorDispatch:
                 )
         assert filtered  # the case the defect showed on is exercised
 
+    def test_traced_levels_report_the_operator_that_ran(self, doc):
+        """SSO/Hybrid's level-0 encoded plan used to be lowered with
+        ``twig-join`` estimates while it ran on the binary pipeline, so its
+        trace printed joins with ``actual None``.  Every traced level's rows
+        must name the operator that ran (a twig run emits the ``twig`` span)
+        and carry an actual."""
+        engine = Engine(doc, cache=False)
+        runs = {"dpo": "twig", "naive": "twig", "ir-first": "twig",
+                "sso": "binary", "hybrid": "binary"}
+        encoded_level_zero = 0
+        for text in PAPER_QUERIES.values():
+            for algorithm, operator in runs.items():
+                traced = engine.query(text, k=10, algorithm=algorithm, trace=True)
+                assert traced.levels, (text, algorithm)
+                for level in traced.levels:
+                    note = (text, algorithm, level.label)
+                    ran = "twig" if "twig" in level.spans else "binary"
+                    assert ran == operator, note
+                    for op in level.operators:
+                        assert op["kind"] in KINDS_OF[ran], (note, op)
+                        if op["kind"] != "contains-filter":
+                            assert op["actual"] is not None, (note, op)
+                    encoded_level_zero += level.label == "encoded@level 0"
+        assert encoded_level_zero  # the case the defect showed on ran
+
     def test_untraced_runs_build_no_operator_dicts(self, doc, monkeypatch):
         calls = []
         as_dict = OperatorEstimate.as_dict
@@ -363,11 +399,11 @@ class TestCompiledPhysical:
             context, parse_query("//item[./mailbox/mail]")
         )
         for level in range(compiled.level_count()):
-            for plan in (compiled.strict_plan(level),
-                         compiled.encoded_plan(level)):
+            for plan, kinds in ((compiled.strict_plan(level), KINDS_OF["twig"]),
+                                (compiled.encoded_plan(level), KINDS_OF["binary"])):
                 assert isinstance(plan, Plan)
-                assert plan.operator in (TWIG, BINARY)
                 assert plan.estimates  # lowered, not as built
+                assert _kinds(plan) <= kinds, level
         assert compiled.strict_plan(0).joins
 
 
@@ -398,10 +434,7 @@ class TestTwigDeadline:
                 raise QueryTimeoutError("query exceeded its deadline")
 
         executor = PlanExecutor(doc, ExpiringIR(doc))
-        physical = replace(
-            build_strict_plan(parse_query(self.QUERY), UNIFORM_WEIGHTS),
-            operator=TWIG,
-        )
+        physical = build_strict_plan(parse_query(self.QUERY), UNIFORM_WEIGHTS)
         unbounded = executor.run(physical, mode=STRICT)
         pools = [len(doc.nodes_with_tag(tag)) for tag in ("item", "description", "text")]
         # Checks probe the nodes whose subtree embeds: more than any one
@@ -416,10 +449,7 @@ class TestTwigDeadline:
 
     def test_checkpoint_reached_between_every_stage(self, executor):
         calls = []
-        physical = replace(
-            build_strict_plan(parse_query(self.QUERY), UNIFORM_WEIGHTS),
-            operator=TWIG,
-        )
+        physical = build_strict_plan(parse_query(self.QUERY), UNIFORM_WEIGHTS)
         executor.run(physical, mode=STRICT, checkpoint=lambda: calls.append(1))
         variables = 5  # item, description, mailbox, mail, text
         # once on entry, then once per subtree table resolved (every pool

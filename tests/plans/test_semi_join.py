@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.plans import (
     HYBRID_MODE,
     SSO_MODE,
-    STRICT,
     EvaluationCache,
     PlanExecutor,
     build_encoded_plan,
@@ -24,7 +23,6 @@ from repro.plans import (
     lower_plan,
 )
 from repro.plans.lowering import estimate_pipeline
-from repro.plans.plan import BINARY
 from repro.query import parse_query
 from repro.rank import COMBINED, KEYWORD_FIRST, STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, RelaxationSchedule
@@ -32,7 +30,6 @@ from repro.topk.base import QueryContext
 from repro.xmark import PAPER_Q3, generate_document
 from repro.xmltree import parse
 from repro.xmltree.builder import TreeBuilder
-from tests.plans.pinning import pinned_operator
 from tests.plans.test_binary_ids import KERNELS, count_calls
 from tests.properties.strategies import TAGS, WORDS, tree_patterns
 
@@ -137,7 +134,7 @@ class TestWhichJoinsQualify:
         for level in (0, len(schedule) // 2, len(schedule)):
             plan = build_encoded_plan(schedule, level)
             if reorder:
-                plan = lower_plan(plan, context.statistics)
+                plan = lower_plan(plan, context.statistics, strict=False)
             assert plan.existential() == tuple(
                 join.var not in live and not plan.checks_by_var.get(join.var)
                 for join, live in zip(plan.joins, plan.live_after())
@@ -150,12 +147,13 @@ class TestLoweredOperator:
         return QueryContext(generate_document(target_bytes=40_000, seed=21))
 
     def test_kind_estimate_and_actual(self, context):
+        """A conjunctive plan lowered as the binary pipeline's (encoded
+        family) and run unpruned there."""
         plan = build_strict_plan(
             parse_query("//item[./mailbox/mail and ./incategory]"),
             UNIFORM_WEIGHTS,
         )
-        with pinned_operator(BINARY):
-            lowered = lower_plan(plan, context.statistics)
+        lowered = lower_plan(plan, context.statistics, strict=False)
         kinds = {op.var: op.kind for op in lowered.estimates}
         existential = dict(zip(
             (join.var for join in lowered.joins), lowered.existential(),
@@ -173,7 +171,9 @@ class TestLoweredOperator:
                 assert op.estimate <= previous.estimate
             if op.kind in ("semi-join", "binary-join"):
                 previous = op
-        result = PlanExecutor(context.backend, context.ir).run(lowered)
+        result = PlanExecutor(context.backend, context.ir).run(
+            lowered, mode=SSO_MODE
+        )
         inputs = None
         for op in result.operators:
             assert op["actual"] is not None, op
@@ -226,16 +226,15 @@ def assert_invisible(doc, query, level_share, k, restrict, cached):
     schedule = RelaxationSchedule(query, context.penalties)
     level = round(level_share * len(schedule))
     statistics = context.statistics
-    strict = replace(
-        lower_plan(
-            build_strict_plan(schedule.level(level).query, context.weights),
-            statistics,
-        ),
-        operator=BINARY,
+    # The strict plan runs on the pipeline unpruned, as the step sees it.
+    strict = lower_plan(
+        build_strict_plan(schedule.level(level).query, context.weights),
+        statistics, strict=False,
     )
-    encoded = lower_plan(build_encoded_plan(schedule, level), statistics)
-    for plan, mode in (
-            (strict, STRICT), (encoded, SSO_MODE), (encoded, HYBRID_MODE)):
+    encoded = lower_plan(build_encoded_plan(schedule, level), statistics, strict=False)
+    for plan, mode, plan_k in (
+            (strict, SSO_MODE, None), (encoded, SSO_MODE, k),
+            (encoded, HYBRID_MODE, k)):
         restrictions = None
         dead = [join for join, flag in zip(plan.joins, plan.existential())
                 if flag]
@@ -252,7 +251,7 @@ def assert_invisible(doc, query, level_share, k, restrict, cached):
                     eval_cache=EvaluationCache() if cached else None,
                 )
                 results.append(observed(executor.run(
-                    plan, k=k, scheme=scheme, mode=mode,
+                    plan, k=plan_k, scheme=scheme, mode=mode,
                     pool_restrictions=restrictions,
                 )))
             (answers, stats, produced), (ref_answers, ref_stats, ref_produced) = results
@@ -362,7 +361,7 @@ class TestTheStep:
         return plan
 
     @pytest.mark.parametrize("level, survivors", [(2, 3), (3, 4)])
-    @pytest.mark.parametrize("mode", [STRICT, SSO_MODE, HYBRID_MODE])
+    @pytest.mark.parametrize("mode", [SSO_MODE, HYBRID_MODE])
     def test_one_tuple_per_surviving_input(
             self, context, probes, level, survivors, mode):
         doc = context.document
@@ -396,7 +395,7 @@ class TestTheStep:
 
     def test_probes_with_a_bound_base_are_hits_plus_misses(self, context):
         cache = context.eval_cache
-        context.executor.run(self.plan(context, 3))
+        context.executor.run(self.plan(context, 3), mode=SSO_MODE)
         # The b join probes 4 tuples; the c step 4, then 3, then 2.
         snapshot = cache.metrics_snapshot()
         assert snapshot["eval_cache.join.misses"] == 4 + 4 + 3 + 2
@@ -412,7 +411,7 @@ class TestTheStep:
             for value in table.values()
         ]
         assert len(exists) == 9 and set(exists) == {0.0, None}
-        context.executor.run(self.plan(context, 3))
+        context.executor.run(self.plan(context, 3), mode=SSO_MODE)
         snapshot = cache.metrics_snapshot()
         assert snapshot["eval_cache.join.misses"] == 13
         assert snapshot["eval_cache.join.hits"] == 13
@@ -427,7 +426,7 @@ class TestTheStep:
         )
         plan = build_encoded_plan(schedule, 4)
         assert plan.joins[0].optional
-        result = context.executor.run(plan)
+        result = context.executor.run(plan, mode=SSO_MODE)
         assert len(result.answers) == 4
         snapshot = context.eval_cache.metrics_snapshot()
         # b: 4 probes.  c: 3 bound bases at pc(b), 2 at ad(b), then the two

@@ -3,17 +3,15 @@
 Depth-1000 chain documents exercise the stack-merge kernels far past any
 realistic XMark nesting, and same-tag self-nesting (``//a[./a]``) hits the
 parent-child top-of-stack case where a node is simultaneously an open
-ancestor and a candidate child.  The twig operator must agree with the
-binary pipeline on both answers and round-9 scores everywhere.
+ancestor and a candidate child.  The twig operator (strict mode) must agree
+with the binary pipeline run unpruned (SSO mode, no ``k``) on both answers
+and round-9 scores everywhere.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from repro.ir import IREngine
-from repro.plans import STRICT, PlanExecutor, build_strict_plan, lower_plan
-from repro.plans.plan import BINARY, TWIG
+from repro.plans import SSO_MODE, STRICT, PlanExecutor, build_strict_plan, lower_plan
 from repro.query import parse_query
 from repro.relax import UNIFORM_WEIGHTS
 from repro.backend.stats import DocumentStatistics
@@ -48,12 +46,10 @@ def _ranked(result):
 
 def _run_both(executor, stats, query_text):
     plan = lower_plan(
-        build_strict_plan(parse_query(query_text), UNIFORM_WEIGHTS), stats
+        build_strict_plan(parse_query(query_text), UNIFORM_WEIGHTS), stats,
+        strict=True,
     )
-    return (
-        executor.run(replace(plan, operator=TWIG), mode=STRICT),
-        executor.run(replace(plan, operator=BINARY), mode=STRICT),
-    )
+    return executor.run(plan, mode=STRICT), executor.run(plan, mode=SSO_MODE)
 
 
 class TestDeepChain:

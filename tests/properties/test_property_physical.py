@@ -1,35 +1,27 @@
-"""Property: the lowering is invisible in every result.
+"""Property: the lowering and the operator are invisible in every result.
 
-Plan by plan, the plan as built (pre-order, binary), the lowered plan (joins
-re-ordered, operator chosen) and — where eligible — the lowered plan under
-the twig operator return the same answers with the same scores.  (Scores
-are compared to nine places, like everywhere else in these suites: a join
-order is an order of float additions, so Theorem 3's invariance holds to the
-last ulp only in real arithmetic.)
+Plan by plan, the plan as built (pre-order) and the lowered plan (joins
+re-ordered) return the same answers with the same scores on the binary
+pipeline, and — where the plan is conjunctive — on the twig operator too.
+(Scores are compared to nine places, like everywhere else in these suites:
+a join order is an order of float additions, so Theorem 3's invariance holds
+to the last ulp only in real arithmetic.)
 
 Against any warm cache, the twig operator's subtree tables are keyed by
-everything they depend on: every strict plan of a schedule under the twig
-operator returns what the binary STRICT pipeline returns — with the cache
-off, cold, and warmed by the *other* levels of the same schedule, with and
-without IR-first pool restrictions.
+everything they depend on: every strict plan of a schedule returns what the
+§2.1 specification evaluator (:func:`repro.query.evaluate.find_matches`)
+says, scored with the context's IR engine, and what the binary pipeline
+returns — with the cache off, cold, and warmed by the *other* levels of the
+same schedule, with and without IR-first pool restrictions.
 
-Engine by engine, the lowering may pick the twig join or the binary
-pipeline per plan, so the two must be interchangeable: with the operator
-choice pinned to twig and pinned to binary, every algorithm must produce the
-*same ranked answer list* — node identity, structural score, keyword score —
-under every ranking scheme, sharded and unsharded, with the evaluation cache
-on or off.  (Eligibility still gates the pinned choice: plans the twig
-operator cannot evaluate exactly stay binary, which is itself part of the
-contract under test.)
+That every strategy returns the same ranked answers cached and uncached, and
+sharded and unsharded, is ``test_property_cache.py``'s and
+``test_property_sharded.py``'s to check.
 """
-
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend.sharded import RoundRobinRouter, ShardedBackend
-from repro.collection import Corpus
 from repro.ir.ftexpr import Term
 from repro.plans import (
     HYBRID_MODE,
@@ -42,35 +34,18 @@ from repro.plans import (
     lower_plan,
     twig_eligible,
 )
-from repro.plans.plan import BINARY, TWIG
+from repro.query.evaluate import find_matches
 from repro.query.predicates import Contains
 from repro.query.tpq import TPQ
 from repro.rank import COMBINED, KEYWORD_FIRST, STRUCTURE_FIRST
 from repro.rank.scores import AnswerScore
 from repro.relax import RelaxationSchedule
-from repro.sharding import ShardedQueryContext
-from repro.topk import (
-    DPO,
-    SSO,
-    Hybrid,
-    IRFirstDPO,
-    NaiveRewriting,
-    QueryContext,
-)
+from repro.topk import QueryContext
 from repro.topk.ir_first import _restrictions_for
 
-from tests.plans.pinning import pinned_operator
 from tests.properties.strategies import WORDS, documents, tree_patterns
 
-STRATEGIES = (DPO, SSO, Hybrid, NaiveRewriting, IRFirstDPO)
 SCHEMES = (STRUCTURE_FIRST, KEYWORD_FIRST, COMBINED)
-
-
-def _corpus(docs):
-    corpus = Corpus()
-    for index, doc in enumerate(docs):
-        corpus.add_document(doc, name="doc%d" % index)
-    return corpus
 
 
 def _observed(answers, conjunctive):
@@ -117,32 +92,31 @@ def encoded_plans(schedule):
     ]
 
 
-def assert_lowering_invisible(context, plans, k, scheme=STRUCTURE_FIRST):
-    """Each plan as built, lowered, and lowered-under-twig agree.
+def assert_lowering_invisible(context, plans, strict, k, scheme=STRUCTURE_FIRST):
+    """Each plan as built and lowered (as the ``strict`` family) agree.
 
-    Strict mode returns every match, so whole answer sets are compared.  A
-    pruning mode may drop, at whichever join its order reaches first, tuples
-    that cannot make the top K — so there the ranked top K is compared.
+    Unpruned — the binary pipeline without ``k``, or the twig operator on a
+    conjunctive plan — every match comes back, so whole answer sets are
+    compared.  A pruning mode may drop, at whichever join its order reaches
+    first, tuples that cannot make the top K — so there the ranked top K is
+    compared.
     """
     executor = PlanExecutor(context.backend, context.ir)
     for plan in plans:
-        assert plan.operator == BINARY
-        lowered = lower_plan(plan, context.statistics)
+        lowered = lower_plan(plan, context.statistics, strict=strict)
         assert sorted(join.var for join in lowered.joins) == sorted(
             join.var for join in plan.joins
         )
-        variants = [lowered]
         conjunctive = twig_eligible(lowered)
+        runs = [(lowered, SSO_MODE)]
         if conjunctive:
-            variants.append(replace(lowered, operator=TWIG))
+            runs += [(plan, STRICT), (lowered, STRICT)]
         expected = _observed(
-            executor.run(plan, mode=STRICT).answers, conjunctive
+            executor.run(plan, mode=SSO_MODE).answers, conjunctive
         )
-        for variant in variants:
-            got = _observed(
-                executor.run(variant, mode=STRICT).answers, conjunctive
-            )
-            assert got == expected, variant.describe()
+        for variant, mode in runs:
+            got = _observed(executor.run(variant, mode=mode).answers, conjunctive)
+            assert got == expected, (mode, variant.describe())
         for mode in (SSO_MODE, HYBRID_MODE):
             as_built, as_lowered = (
                 _top(
@@ -164,8 +138,8 @@ def assert_lowering_invisible(context, plans, k, scheme=STRUCTURE_FIRST):
 def test_lowering_is_invisible_plan_by_plan(doc, query, k, scheme):
     context = QueryContext(doc)
     schedule = RelaxationSchedule(query, context.penalties)
-    plans = strict_plans(context, schedule) + encoded_plans(schedule)
-    assert_lowering_invisible(context, plans, k, scheme)
+    assert_lowering_invisible(context, strict_plans(context, schedule), True, k, scheme)
+    assert_lowering_invisible(context, encoded_plans(schedule), False, k, scheme)
 
 
 def _reworded(query, word):
@@ -179,10 +153,41 @@ def _reworded(query, word):
     )
 
 
+def _specified(context, query, plan, restrictions):
+    """The §2.1 answers of a strict plan's query, scored as the plan scores.
+
+    Every answer carries the plan's base structural score and, as keyword
+    score, the best Σ ``ir.score`` of the query's ``contains`` predicates
+    over the answer's matches; a restricted variable binds only its pool (a
+    restriction on a variable the level dropped restricts nothing).
+    """
+    ir = context.ir
+    best = {}
+    for match in find_matches(
+        query, context.document, contains_oracle=ir.satisfies
+    ):
+        if restrictions and any(
+            var in match and match[var].node_id not in allowed
+            for var, allowed in restrictions.items()
+        ):
+            continue
+        keyword = 0.0
+        for predicate in query.contains:
+            keyword += ir.score(match[predicate.var], predicate.ftexpr)
+        node_id = match[query.distinguished].node_id
+        if node_id not in best or keyword > best[node_id]:
+            best[node_id] = keyword
+    return sorted(
+        (node_id, round(plan.base_score, 9), round(keyword, 9))
+        for node_id, keyword in best.items()
+    )
+
+
 @given(documents(), tree_patterns(), st.sampled_from(WORDS), st.randoms())
 @settings(max_examples=40, deadline=None)
 def test_twig_equals_binary_against_any_warm_cache(doc, query, word, rng):
-    """Node ids, round-9 scores, levels and satisfied sets per strict plan.
+    """Node ids and round-9 scores per strict plan against the specification
+    evaluator, and levels and satisfied sets against the binary pipeline.
 
     Each plan runs unrestricted, under its IR-first restriction and with a
     random id subset on one variable; the warm cache has seen every other
@@ -201,119 +206,27 @@ def test_twig_equals_binary_against_any_warm_cache(doc, query, word, rng):
     for each in (query, _reworded(query, word)):
         schedule = RelaxationSchedule(each, context.penalties)
         for plan, entry in zip(strict_plans(context, schedule), schedule.entries):
-            plan = lower_plan(plan, context.statistics)
+            plan = lower_plan(plan, context.statistics, strict=True)
             for restrictions in (
                 None, _restrictions_for(context, entry.query), {chosen: subset}
             ):
-                runs.append((plan, restrictions))
-    oracle = PlanExecutor(context.backend, context.ir)
-    for index, (plan, restrictions) in enumerate(runs):
-        assert plan.operator == TWIG
-        expected = _observed(
-            oracle.run(
-                replace(plan, operator=BINARY), pool_restrictions=restrictions
-            ).answers,
+                runs.append((plan, entry.query, restrictions))
+    bare = PlanExecutor(context.backend, context.ir)
+    for index, (plan, level_query, restrictions) in enumerate(runs):
+        specified = _specified(context, level_query, plan, restrictions)
+        binary = _observed(
+            bare.run(plan, mode=SSO_MODE, pool_restrictions=restrictions).answers,
             True,
         )
+        assert [row[:3] for row in binary] == specified, plan.describe()
         warm = PlanExecutor(context.backend, context.ir, EvaluationCache())
-        for other, (other_plan, other_restrictions) in enumerate(runs):
+        for other, (other_plan, _query, other_restrictions) in enumerate(runs):
             if other != index:
                 warm.run(other_plan, pool_restrictions=other_restrictions)
         for executor in (
-            oracle,
+            bare,
             PlanExecutor(context.backend, context.ir, EvaluationCache()),
             warm,
         ):
             got = executor.run(plan, pool_restrictions=restrictions)
-            assert _observed(got.answers, True) == expected, plan.describe()
-
-
-def _ranked(result):
-    return [
-        (
-            answer.node_id,
-            round(answer.score.structural, 9),
-            round(answer.score.keyword, 9),
-        )
-        for answer in result.answers
-    ]
-
-
-def _assert_equivalent(docs, query, k, scheme, cached):
-    twig = QueryContext(_corpus(docs))
-    binary = QueryContext(_corpus(docs))
-    twig.eval_cache.enabled = binary.eval_cache.enabled = cached
-    for strategy in STRATEGIES:
-        with pinned_operator(BINARY):
-            expected = strategy(binary).top_k(query, k, scheme=scheme)
-        with pinned_operator(TWIG):
-            got = strategy(twig).top_k(query, k, scheme=scheme)
-        assert _ranked(got) == _ranked(expected), strategy.__name__
-    # The pin reached both compiles: strict plans are always eligible.
-    assert twig.compile(query).strict_plan(0).operator == TWIG
-    assert binary.compile(query).strict_plan(0).operator == BINARY
-
-
-@given(
-    st.lists(documents(), min_size=1, max_size=3),
-    tree_patterns(always_tagged=True),
-    st.integers(1, 8),
-    st.booleans(),
-)
-@settings(max_examples=25, deadline=None)
-def test_structure_first_identical(docs, query, k, cached):
-    _assert_equivalent(docs, query, k, STRUCTURE_FIRST, cached)
-
-
-@given(
-    st.lists(documents(), min_size=1, max_size=3),
-    tree_patterns(always_tagged=True),
-    st.integers(1, 8),
-    st.booleans(),
-)
-@settings(max_examples=25, deadline=None)
-def test_keyword_first_identical(docs, query, k, cached):
-    _assert_equivalent(docs, query, k, KEYWORD_FIRST, cached)
-
-
-@given(
-    st.lists(documents(), min_size=1, max_size=3),
-    tree_patterns(always_tagged=True),
-    st.integers(1, 8),
-    st.booleans(),
-)
-@settings(max_examples=25, deadline=None)
-def test_combined_identical(docs, query, k, cached):
-    _assert_equivalent(docs, query, k, COMBINED, cached)
-
-
-def _sharded_context(docs, shard_count):
-    backend = ShardedBackend.in_memory(shard_count, router=RoundRobinRouter())
-    for index, doc in enumerate(docs):
-        backend.add_document(doc, name="doc%d" % index)
-    return ShardedQueryContext(backend)
-
-
-@given(
-    st.lists(documents(), min_size=2, max_size=3),
-    st.integers(1, 3),
-    tree_patterns(always_tagged=True),
-    st.integers(1, 8),
-    st.sampled_from(SCHEMES),
-)
-@settings(max_examples=25, deadline=None)
-def test_sharded_identical(docs, shard_count, query, k, scheme):
-    twig = _sharded_context(docs, shard_count)
-    binary = _sharded_context(docs, shard_count)
-    try:
-        for strategy in STRATEGIES:
-            with pinned_operator(BINARY):
-                expected = strategy(binary).top_k(query, k, scheme=scheme)
-            with pinned_operator(TWIG):
-                got = strategy(twig).top_k(query, k, scheme=scheme)
-            assert _ranked(got) == _ranked(expected), strategy.__name__
-        assert twig.compile(query).strict_plan(0).operator == TWIG
-        assert binary.compile(query).strict_plan(0).operator == BINARY
-    finally:
-        twig.close()
-        binary.close()
+            assert _observed(got.answers, True) == binary, plan.describe()

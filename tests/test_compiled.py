@@ -153,7 +153,7 @@ class TestPlanCacheSurvivesFeedback:
         def decisions(context):
             compiled = compile_query(context, parse_query(QUERY))
             return [
-                ([join.var for join in plan.joins], plan.operator, plan.estimates)
+                ([join.var for join in plan.joins], plan.estimates)
                 for plan in compiled.strict_plans + compiled.encoded_plans
             ]
 
