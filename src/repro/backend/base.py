@@ -16,14 +16,16 @@ strategy/planner stack unchanged (see docs/EXTENDING.md); the conformance
 suite under ``tests/backend/`` is parametrized over implementations so new
 backends get their tests for free.
 
-Three groups of members:
+The seam is exactly what the query layers call (DESIGN §11), in three
+groups:
 
 - **abstract physical primitives** every backend must provide: the
   flyweight :attr:`document` view, the columnar :attr:`ends` /
   :attr:`levels` / :attr:`parent_ids` / :attr:`tag_ids` columns, the
   :attr:`ir` engine (full-text postings), and the statistics counts.
-- **concrete navigation defaults** delegating to the document view — a
-  backend whose storage supports faster paths overrides them.
+- **id access** — :meth:`node_ids_with_tag` seeds candidate pools and
+  :meth:`node` makes the one view an answer needs; all other navigation
+  lives on the :class:`~repro.xmltree.document.Document` itself.
 - **concrete join kernels** running the reference merges from
   :mod:`repro.backend.kernels` over the backend's own columns.
 """
@@ -31,15 +33,12 @@ Three groups of members:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
 
 from repro.backend.kernels import (
     max_value_per_ancestor,
     max_value_per_descendant,
     semi_join_ancestor_ids,
-    semi_join_descendant_ids,
     structural_join_ids,
-    twig_filter_ids,
 )
 
 
@@ -132,63 +131,15 @@ class StorageBackend(ABC):
     def __len__(self):
         return len(self.document)
 
-    # -- navigation (concrete defaults over the document view) ---------------
+    # -- node access ---------------------------------------------------------
 
     def node(self, node_id):
+        """The node view for ``node_id`` (answers only; plans run on ids)."""
         return self.document.node(node_id)
-
-    def nodes(self):
-        return self.document.nodes()
-
-    def nodes_with_tag(self, tag):
-        return self.document.nodes_with_tag(tag)
 
     def node_ids_with_tag(self, tag):
         """Id-sorted ids of the nodes carrying ``tag`` (shared; read only)."""
         return self.document.store.node_ids_with_tag(tag)
-
-    def count(self, tag):
-        return self.document.count(tag)
-
-    def parent(self, node):
-        return self.document.parent(node)
-
-    def children(self, node):
-        return self.document.children(node)
-
-    def children_with_tag(self, node, tag):
-        return self.document.children_with_tag(node, tag)
-
-    def ancestors(self, node):
-        return self.document.ancestors(node)
-
-    def descendants(self, node):
-        return self.document.descendants(node)
-
-    def descendants_with_tag(self, node, tag):
-        return self.document.descendants_with_tag(node, tag)
-
-    def descendant_ids_with_tag(self, node_id, tag):
-        """Ids of ``node_id``'s descendants carrying ``tag`` (id-sorted).
-
-        Ids in, ids out, columns only: two binary searches over the tag's
-        id list bounded by the node's region.  A node view is accepted in
-        place of its id.
-        """
-        node_id = getattr(node_id, "node_id", node_id)
-        ids = self.node_ids_with_tag(tag)
-        low = bisect_right(ids, node_id)
-        return ids[low:bisect_left(ids, self.ends[node_id], low)]
-
-    def child_ids_with_tag(self, node_id, tag):
-        """Ids of ``node_id``'s children carrying ``tag`` (id-sorted)."""
-        node_id = getattr(node_id, "node_id", node_id)
-        parent_ids = self.parent_ids
-        return [
-            child_id
-            for child_id in self.descendant_ids_with_tag(node_id, tag)
-            if parent_ids[child_id] == node_id
-        ]
 
     # -- id-level join kernels ------------------------------------------------
 
@@ -202,18 +153,6 @@ class StorageBackend(ABC):
         """Ids from ``ancestor_ids`` with at least one joining descendant."""
         return semi_join_ancestor_ids(
             self.ends, self.levels, ancestor_ids, descendant_ids, axis=axis
-        )
-
-    def semi_join_descendant_ids(self, ancestor_ids, descendant_ids, axis="ad"):
-        """Ids from ``descendant_ids`` with at least one joining ancestor."""
-        return semi_join_descendant_ids(
-            self.ends, self.levels, ancestor_ids, descendant_ids, axis=axis
-        )
-
-    def twig_filter_ids(self, pools, parents, axes, order):
-        """Holistic twig filter over id-sorted pools (unused; see the kernel)."""
-        return twig_filter_ids(
-            self.ends, self.levels, pools, parents, axes, order
         )
 
     def max_value_per_ancestor(self, ancestor_ids, descendant_ids,
@@ -238,10 +177,6 @@ class StorageBackend(ABC):
     @abstractmethod
     def ir(self):
         """The :class:`~repro.ir.engine.IREngine` over this storage."""
-
-    def posting(self, term):
-        """The inverted-index posting for ``term`` (empty if absent)."""
-        return self.ir.index.posting(term)
 
     # -- statistics (§4.3.1 / §6 counts) --------------------------------------
 
@@ -292,18 +227,18 @@ class StorageBackend(ABC):
         )
 
 
-def as_backend(source, ir_engine=None, statistics=None):
+def as_backend(source, ir_engine=None):
     """Coerce ``source`` into a :class:`StorageBackend`.
 
     Pass-through for an existing backend; a bare
     :class:`~repro.xmltree.document.Document` or growable corpus is wrapped
-    in an :class:`~repro.backend.memory.InMemoryBackend`.  ``ir_engine`` and
-    ``statistics`` optionally pre-seed the wrapper (compatibility with the
-    pre-seam ``QueryContext``/``PlanExecutor`` constructors); both are
-    ignored when ``source`` already is a backend.
+    in an :class:`~repro.backend.memory.InMemoryBackend`.  ``ir_engine``
+    optionally pre-seeds the wrapper (the ``QueryContext``/``PlanExecutor``
+    constructors accept one); it is ignored when ``source`` already is a
+    backend.
     """
     if isinstance(source, StorageBackend):
         return source
     from repro.backend.memory import InMemoryBackend
 
-    return InMemoryBackend(source, ir_engine=ir_engine, statistics=statistics)
+    return InMemoryBackend(source, ir_engine=ir_engine)

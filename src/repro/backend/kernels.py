@@ -21,8 +21,13 @@ search per ancestor — it beats a merge whenever the descendant pool is not
 much smaller than the ancestor list, because the merge steps through the
 pool in Python and the probe searches it in C.
 
-These functions are part of the :class:`~repro.backend.base.StorageBackend`
-seam: backends may override the protocol's join methods with storage-native
+Four kernels, every one of them called by the executor: the binary
+pipeline fills join tables with :func:`structural_join_ids` and answers
+existential joins with :func:`semi_join_ancestor_ids`; the twig operator's
+bottom-up pass also uses the probe, and its keyword-score passes are
+:func:`max_value_per_ancestor` / :func:`max_value_per_descendant`.  They
+are part of the :class:`~repro.backend.base.StorageBackend` seam: backends
+may override the protocol's join methods with storage-native
 implementations, and these pure-Python merges are both the reference
 semantics and the default implementation.
 """
@@ -86,49 +91,6 @@ def structural_join_ids(ends, levels, ancestor_ids, descendant_ids, axis="ad"):
                 results.append((ancestor, descendant))
         d_index += 1
     return results
-
-
-def semi_join_descendant_ids(ends, levels, ancestor_ids, descendant_ids,
-                             axis="ad"):
-    """Ids from ``descendant_ids`` with at least one joining ancestor.
-
-    Deduplicates during the merge (a descendant matches at most once per
-    pass) and never materializes the pair list; output stays id-sorted by
-    construction.
-    """
-    _check_axis(axis)
-    kept = []
-    stack = []
-    a_index = 0
-    d_index = 0
-    a_len = len(ancestor_ids)
-    d_len = len(descendant_ids)
-    parent_only = axis == "pc"
-
-    while d_index < d_len:
-        descendant = descendant_ids[d_index]
-        if not stack:
-            if a_index == a_len:
-                break  # nothing open, nothing left to open
-            if ancestor_ids[a_index] > descendant:
-                d_index = bisect_left(
-                    descendant_ids, ancestor_ids[a_index], lo=d_index + 1
-                )
-                continue
-        while a_index < a_len and ancestor_ids[a_index] < descendant:
-            candidate = ancestor_ids[a_index]
-            while stack and ends[stack[-1]] <= candidate:
-                stack.pop()
-            stack.append(candidate)
-            a_index += 1
-        while stack and ends[stack[-1]] <= descendant:
-            stack.pop()
-        if stack and (
-            not parent_only or levels[stack[-1]] + 1 == levels[descendant]
-        ):
-            kept.append(descendant)
-        d_index += 1
-    return kept
 
 
 def semi_join_ancestor_ids(ends, levels, ancestor_ids, descendant_ids,
@@ -297,57 +259,3 @@ def max_value_per_descendant(ends, levels, ancestor_ids, ancestor_values,
                 result[descendant] = ancestor_values[top[0]]
         d_index += 1
     return result
-
-
-def twig_filter_ids(ends, levels, pools, parents, axes, order):
-    """Holistic twig filter: per-variable ids that join in a full match.
-
-    The TwigStack-style core of the holistic twig operator: instead of a
-    pipeline of binary joins materializing intermediate tuple lists, two
-    passes of semi-joins over the id-sorted candidate pools
-    compute, for every twig variable, exactly the nodes participating in
-    at least one complete embedding — no pair list is ever built.  (The
-    bottom-up pass asks an existence question per candidate, so it runs on
-    the probe kernel; the top-down pass is a stack merge.)
-
-    ``pools`` maps variable name to an id-sorted id list; ``parents`` maps
-    each variable to its twig parent (None at the root); ``axes`` maps each
-    non-root variable to its edge axis ("pc"/"ad"); ``order`` lists the
-    variables parent-before-child (any topological order of the twig).
-
-    Returns ``{var: id list}`` with every list id-sorted.  Cost is one
-    probe pass and one linear merge per twig edge — O(Σ pool sizes) per
-    edge — independent of how many embeddings exist.
-
-    No longer called by the executor; it stays in the backend seam because
-    ``benchmarks/e2e/spans.py`` patches it by name, and goes with that table.
-    """
-    children = {var: [] for var in order}
-    for var in order:
-        parent = parents[var]
-        if parent is not None:
-            children[parent].append(var)
-
-    # Bottom-up: keep a node when every child edge has a supporting match.
-    supported = {}
-    for var in reversed(order):
-        candidates = pools[var]
-        for child in children[var]:
-            candidates = semi_join_ancestor_ids(
-                ends, levels, candidates, supported[child], axis=axes[child]
-            )
-            if not candidates:
-                break
-        supported[var] = candidates
-
-    # Top-down: additionally require the ancestor chain up to the root.
-    final = {}
-    for var in order:
-        parent = parents[var]
-        if parent is None:
-            final[var] = supported[var]
-        else:
-            final[var] = semi_join_descendant_ids(
-                ends, levels, final[parent], supported[var], axis=axes[var]
-            )
-    return final

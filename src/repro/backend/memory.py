@@ -3,8 +3,8 @@
 Wraps a :class:`~repro.xmltree.document.Document` or a growable corpus
 (:class:`~repro.collection.Corpus` / ``DocumentCollection``) and serves the
 whole :class:`~repro.backend.base.StorageBackend` surface out of the
-columnar store: navigation through the flyweight view, columns by
-reference, postings through a lazily built
+columnar store: tag-index ids and node views through the flyweight
+document, columns by reference, postings through a lazily built
 :class:`~repro.ir.engine.IREngine`, and statistics through a lazily built
 :class:`~repro.backend.stats.DocumentStatistics`.
 
@@ -32,12 +32,11 @@ def _is_growable(source):
 class InMemoryBackend(StorageBackend):
     """StorageBackend over the in-process columnar store.
 
-    ``ir_engine`` and ``statistics`` optionally seed the lazy members with
-    caller-built instances (the pre-seam constructor-injection paths keep
-    working through :func:`~repro.backend.base.as_backend`).
+    ``ir_engine`` optionally seeds the lazy full-text member with a
+    caller-built instance (through :func:`~repro.backend.base.as_backend`).
     """
 
-    def __init__(self, source, ir_engine=None, statistics=None):
+    def __init__(self, source, ir_engine=None):
         corpus = source if _is_growable(source) else None
         self._corpus = corpus
         self._document = corpus.document if corpus is not None else source
@@ -49,7 +48,7 @@ class InMemoryBackend(StorageBackend):
         # document never mutates, so its private lock is uncontended.
         self._lock = corpus.lock if corpus is not None else RWLock()
         self._ir = ir_engine
-        self._statistics = statistics
+        self._statistics = None
         self._listeners = []
         if corpus is not None:
             corpus.subscribe(self._on_corpus_growth)
@@ -151,11 +150,3 @@ class InMemoryBackend(StorageBackend):
 
     def ad_ancestor_count(self, ancestor_tag, descendant_tag):
         return self.statistics.ad_ancestor_count(ancestor_tag, descendant_tag)
-
-    def pc_child_fraction(self, parent_tag, child_tag):
-        return self.statistics.pc_child_fraction(parent_tag, child_tag)
-
-    def ad_descendant_fraction(self, ancestor_tag, descendant_tag):
-        return self.statistics.ad_descendant_fraction(
-            ancestor_tag, descendant_tag
-        )

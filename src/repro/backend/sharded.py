@@ -23,10 +23,13 @@ is purely score-level:
   (:meth:`~repro.ir.engine.IREngine.set_idf_source`), making shard-local
   keyword scores byte-identical to unsharded ones.
 
-Query execution against the shards goes through :class:`ShardView` — a
-per-shard :class:`~repro.backend.base.StorageBackend` that serves
-navigation, columns, and postings from its child but statistics from the
-global aggregate — built by :class:`repro.sharding.ShardedQueryContext`.
+Query execution runs on the children themselves:
+:class:`repro.sharding.ShardedQueryContext` compiles once against this
+backend's aggregate statistics and gives each shard an ordinary
+:class:`~repro.topk.base.QueryContext` over its child backend, so a
+shard's plans read only that shard's columns and postings (scored with
+the corpus-wide idf above) and memoize in that shard's own evaluation
+cache.
 """
 
 from __future__ import annotations
@@ -142,13 +145,14 @@ class _AggregateIndexStats:
 
 
 class _AggregateIR:
-    """The coordinator's IR surface: global counts, fan-out point queries.
+    """The coordinator's IR surface: global counts and keyword search.
 
-    Serves exactly what compile-time consumers need — ``count_satisfying``
-    for the :class:`~repro.relax.penalties.PenaltyModel` and the
-    selectivity estimator, ``most_specific_matches`` for keyword search,
-    ``satisfies`` for the exact-evaluation oracle (on :class:`GlobalNode`
-    arguments) — by summing or merging over the shard-local engines.
+    Serves exactly what coordinator-side consumers need —
+    ``count_satisfying`` for the :class:`~repro.relax.penalties.PenaltyModel`
+    and the selectivity estimator, ``most_specific_matches`` for keyword
+    search, the tracer and metrics fan-out — by summing or merging over the
+    shard-local engines.  Point queries (``satisfies`` / ``score``) run on
+    the shard engines themselves, inside each shard's plans.
     """
 
     def __init__(self, backend, stats):
@@ -160,35 +164,11 @@ class _AggregateIR:
         """The aggregate idf statistics (no merged postings exist)."""
         return self._stats
 
-    @property
-    def virtual_root_id(self):
-        return None
-
     def count_satisfying(self, expression, tag=None):
         return sum(
             shard.ir.count_satisfying(expression, tag)
             for shard in self._backend.shards
         )
-
-    def satisfies(self, node, expression):
-        shard_index = getattr(node, "shard_index", None)
-        if shard_index is None:
-            raise FleXPathError(
-                "aggregate IR point queries need a GlobalNode; got %r" % node
-            )
-        local = node.local_node
-        return self._backend.shards[shard_index].ir.satisfies(
-            local, expression
-        )
-
-    def score(self, node, expression):
-        shard_index = getattr(node, "shard_index", None)
-        if shard_index is None:
-            raise FleXPathError(
-                "aggregate IR point queries need a GlobalNode; got %r" % node
-            )
-        local = node.local_node
-        return self._backend.shards[shard_index].ir.score(local, expression)
 
     def most_specific_matches(self, expression):
         backend = self._backend
@@ -215,113 +195,6 @@ class _AggregateIR:
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    def positive_terms(self, expression):
-        """Normalized positive terms (delegated; a pure expression transform)."""
-        return self._backend.shards[0].ir._positive_terms(expression)
-
-
-class ShardView(StorageBackend):
-    """Per-shard execution backend: local storage, global statistics.
-
-    The navigation surface, the columnar node table, and the postings all
-    come from one child backend — a plan executed against a view touches
-    only that shard's data.  The statistics surface and the lock come from
-    the owning :class:`ShardedBackend`, so penalties, selectivity
-    estimates, and the read/write discipline are corpus-wide.
-    """
-
-    def __init__(self, parent, shard_index):
-        self._parent = parent
-        self._child = parent.shards[shard_index]
-        self._shard_index = shard_index
-
-    @property
-    def shard_index(self):
-        return self._shard_index
-
-    @property
-    def document(self):
-        return self._child.document
-
-    @property
-    def corpus(self):
-        return self._child.corpus
-
-    @property
-    def lock(self):
-        return self._parent.lock
-
-    @property
-    def version(self):
-        # The GLOBAL version: statistics are corpus-wide, so anything
-        # derived through this view is stale after ingest into ANY shard.
-        return self._parent.version
-
-    @property
-    def virtual_root_id(self):
-        return self._child.virtual_root_id
-
-    def subscribe(self, listener):
-        self._parent.subscribe(listener)
-
-    def add_document(self, document, name=None):
-        raise TypeError(
-            "ingest goes through the owning ShardedBackend, not a ShardView"
-        )
-
-    def describe(self):
-        info = self._child.describe()
-        info["shard_index"] = self._shard_index
-        return info
-
-    # -- columnar node table (shard-local) -----------------------------------
-
-    @property
-    def ends(self):
-        return self._child.ends
-
-    @property
-    def levels(self):
-        return self._child.levels
-
-    @property
-    def parent_ids(self):
-        return self._child.parent_ids
-
-    @property
-    def tag_ids(self):
-        return self._child.tag_ids
-
-    def node_ids_with_tag(self, tag):
-        return self._child.node_ids_with_tag(tag)
-
-    # -- full-text (shard-local postings, globally weighted scores) ----------
-
-    @property
-    def ir(self):
-        return self._child.ir
-
-    # -- statistics (corpus-wide aggregates) ---------------------------------
-
-    @property
-    def total_elements(self):
-        return self._parent.total_elements
-
-    def tag_count(self, tag):
-        return self._parent.tag_count(tag)
-
-    def pc_count(self, parent_tag, child_tag):
-        return self._parent.pc_count(parent_tag, child_tag)
-
-    def ad_count(self, ancestor_tag, descendant_tag):
-        return self._parent.ad_count(ancestor_tag, descendant_tag)
-
-    def pc_parent_count(self, parent_tag, child_tag):
-        return self._parent.pc_parent_count(parent_tag, child_tag)
-
-    def ad_ancestor_count(self, ancestor_tag, descendant_tag):
-        return self._parent.ad_ancestor_count(ancestor_tag, descendant_tag)
-
 
 class ShardedBackend(StorageBackend):
     """One logical corpus served by N child backends, split by document.
@@ -334,6 +207,7 @@ class ShardedBackend(StorageBackend):
     """
 
     SHARD_DIR_PREFIX = "shard-"
+    DEFAULT_SHARD_COUNT = 4
 
     def __init__(self, shards, router=None):
         if not shards:
@@ -379,28 +253,27 @@ class ShardedBackend(StorageBackend):
         return cls(shards, router=router)
 
     @classmethod
-    def open(cls, path, shard_count=4, router=None):
+    def open(cls, path, shard_count=None, router=None):
         """Open (or initialize) per-shard on-disk corpus directories.
 
         ``path/shard-0000 .. path/shard-NNNN`` each hold an independent
-        :class:`~repro.backend.disk.DiskBackend`; reopening uses the
-        directory count on disk, so ``shard_count`` only matters on first
-        creation (a mismatch on reopen is an error — resharding is not
-        implicit).
+        :class:`~repro.backend.disk.DiskBackend`.  Reopening uses the
+        directory count on disk when ``shard_count`` is None; a new corpus
+        gets :attr:`DEFAULT_SHARD_COUNT` shards.  An explicit count that
+        contradicts the directories on disk is an error — resharding is
+        not implicit.
         """
         from repro.backend.disk import DiskBackend
 
         os.makedirs(path, exist_ok=True)
-        existing = sorted(
-            entry for entry in os.listdir(path)
-            if entry.startswith(cls.SHARD_DIR_PREFIX)
-            and os.path.isdir(os.path.join(path, entry))
-        )
-        if existing and len(existing) != shard_count:
+        existing = cls.shard_count_at(path)
+        if shard_count is None:
+            shard_count = existing or cls.DEFAULT_SHARD_COUNT
+        elif existing and existing != shard_count:
             raise FleXPathError(
                 "corpus at %s has %d shard(s), asked to open %d —"
                 " resharding is not supported"
-                % (path, len(existing), shard_count)
+                % (path, existing, shard_count)
             )
         shards = []
         for index in range(shard_count):
@@ -414,6 +287,15 @@ class ShardedBackend(StorageBackend):
         backend = cls(shards, router=router)
         backend._rebuild_id_maps()
         return backend
+
+    @classmethod
+    def shard_count_at(cls, path):
+        """How many ``shard-*`` directories ``path`` holds (0: not sharded)."""
+        return sum(
+            1 for entry in os.listdir(path)
+            if entry.startswith(cls.SHARD_DIR_PREFIX)
+            and os.path.isdir(os.path.join(path, entry))
+        )
 
     def _rebuild_id_maps(self):
         """Recover the global-id assignment from reopened shard corpora.
@@ -458,10 +340,6 @@ class ShardedBackend(StorageBackend):
     def shard_count(self):
         return len(self._shards)
 
-    def views(self):
-        """One :class:`ShardView` per shard (fresh instances)."""
-        return [ShardView(self, index) for index in range(len(self._shards))]
-
     @property
     def document(self):
         """No unified node table exists; per-shard documents do."""
@@ -494,6 +372,21 @@ class ShardedBackend(StorageBackend):
             close = getattr(shard, "close", None)
             if close is not None:
                 close()
+
+    def compact(self):
+        """Compact every child that can (disk shards).
+
+        Each disk shard folds its WAL tail into its next sealed segment
+        (:meth:`~repro.backend.disk.DiskBackend.compact`), so a reopen
+        replays no WAL.  Returns the compacted shards' new generations in
+        shard order and republishes the ``shards.*`` gauges.
+        """
+        generations = [
+            shard.compact() for shard in self._shards
+            if getattr(shard, "compact", None) is not None
+        ]
+        self._publish_gauges()
+        return generations
 
     # -- ingest ---------------------------------------------------------------
 
@@ -582,10 +475,6 @@ class ShardedBackend(StorageBackend):
                 )
                 return GlobalNode(local, global_id, shard_index)
         raise FleXPathError("no document fragment holds global id %d" % global_id)
-
-    def shard_of(self, node):
-        """Shard index of a :class:`GlobalNode` answer."""
-        return node.shard_index
 
     def source_of(self, node):
         """Name of the routed source document containing ``node``."""

@@ -13,6 +13,7 @@ Commands:
 - ``serve-metrics FILE``  serve /metrics, /healthz, /statusz over HTTP
 - ``ingest DIR FILE...``  append documents to an on-disk corpus (WAL-durable)
 - ``compact DIR``         fold an on-disk corpus' WAL into a sealed segment
+                          (every shard's, for a sharded corpus)
 - ``open --path DIR``     open an on-disk corpus; show status or run a query
 
 ``FILE`` may be either an XML file or a dump written by ``dump`` (sniffed
@@ -238,7 +239,8 @@ def build_parser():
 
     compact = commands.add_parser(
         "compact",
-        help="fold an on-disk corpus' WAL tail into a sealed segment",
+        help="fold an on-disk corpus' WAL tail into a sealed segment"
+        " (every shard's, for a sharded corpus directory)",
     )
     compact.add_argument("corpus", help="corpus directory")
 
@@ -323,16 +325,8 @@ def _dispatch(args, out):
         # anything else as a single DiskBackend.
         from repro.backend.sharded import ShardedBackend
 
-        prefix = ShardedBackend.SHARD_DIR_PREFIX
-        existing = [
-            entry for entry in sorted(os.listdir(args.file))
-            if entry.startswith(prefix)
-            and os.path.isdir(os.path.join(args.file, entry))
-        ]
-        if existing:
-            source = ShardedBackend.open(
-                args.file, shard_count=shards or len(existing)
-            )
+        if ShardedBackend.shard_count_at(args.file):
+            source = ShardedBackend.open(args.file, shard_count=shards)
         else:
             from repro.backend.disk import DiskBackend
 
@@ -702,13 +696,21 @@ def _cmd_ingest(args, out):
 
 
 def _cmd_compact(args, out):
-    backend = _open_disk_backend(args.corpus)
+    import os
+
+    from repro.backend.sharded import ShardedBackend
+
+    if os.path.isdir(args.corpus) and ShardedBackend.shard_count_at(args.corpus):
+        backend = ShardedBackend.open(args.corpus)
+    else:
+        backend = _open_disk_backend(args.corpus)
     try:
+        # One generation for a disk corpus, one per shard for a sharded one.
         generation = backend.compact()
         info = backend.describe()
         print(
-            "compacted %s to generation %d (%d document(s), %d nodes)"
-            % (info["path"], generation, info["documents"], info["nodes"]),
+            "compacted %s to generation %s (%d document(s), %d nodes)"
+            % (args.corpus, generation, info["documents"], info["nodes"]),
             file=out,
         )
     finally:

@@ -185,22 +185,27 @@ class Engine:
         return cls(DiskBackend.create(path), **kwargs)
 
     @classmethod
-    def sharded(cls, shard_count=4, router=None, path=None, **kwargs):
+    def sharded(cls, shard_count=None, router=None, path=None, **kwargs):
         """Build an engine over a document-partitioned sharded corpus.
 
         With ``path=None``, ``shard_count`` fresh in-process shards; with a
         path, one WAL-durable :class:`~repro.backend.disk.DiskBackend`
         directory per shard under it (``path/shard-0000`` ...), reopenable
-        with the same call.  ``router`` picks the document→shard placement
-        policy (default: stable hash of the document name).  Queries
-        scatter over the shards in parallel and merge with the
-        maxScoreGrowth early-termination bound; answers, scores, and
-        penalties are identical to an unsharded engine over the same
-        ingest sequence.
+        with the same call.  ``shard_count`` defaults to the number of
+        shard directories already under ``path``, else to
+        :attr:`~repro.backend.sharded.ShardedBackend.DEFAULT_SHARD_COUNT`
+        (4); a count that contradicts the directories on disk is refused.
+        ``router`` picks the document→shard placement policy (default:
+        stable hash of the document name).  Queries scatter over the
+        shards in parallel and merge with the maxScoreGrowth
+        early-termination bound; answers, scores, and penalties are
+        identical to an unsharded engine over the same ingest sequence.
         """
         from repro.backend.sharded import ShardedBackend
 
         if path is None:
+            if shard_count is None:
+                shard_count = ShardedBackend.DEFAULT_SHARD_COUNT
             backend = ShardedBackend.in_memory(shard_count, router=router)
         else:
             backend = ShardedBackend.open(

@@ -4,7 +4,6 @@ executor; the structural-join id kernels (physical-layer code in
 
 from repro.backend.kernels import (
     semi_join_ancestor_ids,
-    semi_join_descendant_ids,
     structural_join_ids,
 )
 from repro.plans.eval_cache import EvaluationCache
@@ -52,6 +51,5 @@ __all__ = [
     "order_joins",
     "twig_eligible",
     "semi_join_ancestor_ids",
-    "semi_join_descendant_ids",
     "structural_join_ids",
 ]

@@ -10,14 +10,16 @@ lives here:
 - :class:`ShardedQueryContext` is a :class:`~repro.topk.base.QueryContext`
   over the :class:`~repro.backend.sharded.ShardedBackend` (global
   statistics, penalties, estimator, plan cache) whose ``sources`` are one
-  ordinary ``QueryContext`` per shard, each bound to a
-  :class:`~repro.backend.sharded.ShardView` (shard-local storage,
-  corpus-wide statistics).  A query compiles **once**, on the coordinator:
-  penalties and schedules derive from aggregate statistics and a plan's
-  node-id-free structure is corpus-independent, so the one
+  ordinary ``QueryContext`` per shard, each over that shard's child
+  backend.  A query compiles **once**, on the coordinator: penalties and
+  schedules derive from aggregate statistics and a plan's node-id-free
+  structure is corpus-independent, so the one
   :class:`~repro.compiled.CompiledQuery` artifact is valid on every shard.
   The plan cache fences on the backend version (the sum of child
   versions), so ingest into *any* shard fences every cached artifact.
+  Ingest into any shard also moves the corpus-wide idf every shard scores
+  with, so the same ingest clears every source's evaluation cache (one
+  rule, in ``_on_backend_growth``).
 - ``readdress`` wraps a shard-local answer node with the global id the
   unsharded corpus would have assigned, so merged answers rank and
   tie-break exactly like unsharded ones.
@@ -68,23 +70,28 @@ class ShardedQueryContext(QueryContext):
     as lowered on every shard.  ``document``, ``executor`` and
     ``eval_cache`` are None: no unified node table exists, plans only ever
     run on the sources, and each source memoizes in its own evaluation
-    cache (keys are shard-local node ids, which must never mix).
+    cache (keys are shard-local node ids, which must never mix).  A source
+    is a plain ``QueryContext`` over its child backend; the only thing it
+    cannot see for itself is an ingest into *another* shard, which is what
+    :meth:`_on_backend_growth` covers.
     """
 
     def _bind_execution(self):
         self.sources = [
-            QueryContext(view, weights=self.weights)
-            for view in self.backend.views()
+            QueryContext(shard, weights=self.weights)
+            for shard in self.backend.shards
         ]
         self.eval_cache = None
         self.executor = None
         self._thread_pool = None
 
     def _on_backend_growth(self, backend, start_id, end_id):
-        # The sources subscribed through their views and have already
-        # dropped their own caches; what goes stale here is the
-        # coordinator's plan cache (penalties from aggregate statistics).
+        # Penalties come from aggregate statistics and every shard scores
+        # with the aggregate idf, so an ingest into any one shard stales
+        # the plan cache and every source's memoized contains scores.
         self.plan_cache.invalidate()
+        for source in self.sources:
+            source.eval_cache.clear()
 
     def readdress(self, source_index, node):
         """The shard-local answer ``node`` under its global node id."""

@@ -49,10 +49,10 @@ class QueryContext:
     Accepts a :class:`~repro.backend.base.StorageBackend`, a plain
     :class:`~repro.xmltree.document.Document`, or a
     :class:`~repro.collection.Corpus` (bare sources are wrapped through
-    :func:`~repro.backend.as_backend`).  Everything physical — navigation,
-    postings, statistics — is reached through the backend seam: the
-    context's ``statistics`` attribute *is* the backend, which serves the
-    full counts surface.  Bound to a growable backend, the context
+    :func:`~repro.backend.as_backend`).  Everything physical — candidate
+    ids, joins, postings, statistics — is reached through the backend
+    seam: the context's ``statistics`` attribute *is* the backend, which
+    serves the full counts surface.  Bound to a growable backend, the context
     subscribes to ingests and drops its derived caches: the backend folds
     the new nodes into its own index and statistics before notifying, so
     only the plan cache (whose schedules' penalties depend on corpus
@@ -72,10 +72,9 @@ class QueryContext:
 
     readdress = None
 
-    def __init__(self, document, ir_engine=None, statistics=None,
-                 weights=UNIFORM_WEIGHTS, plan_cache_size=None):
-        backend = as_backend(document, ir_engine=ir_engine,
-                             statistics=statistics)
+    def __init__(self, document, ir_engine=None, weights=UNIFORM_WEIGHTS,
+                 plan_cache_size=None):
+        backend = as_backend(document, ir_engine=ir_engine)
         self.backend = backend
         self.corpus = backend.corpus
         self.document = backend.document

@@ -56,11 +56,12 @@ def _satisfiers(context, ftexpr, tag):
         ir = context.ir
         backend = context.backend
         if tag is None:
-            pool = backend.nodes()
+            ids = range(len(backend))
         else:
-            pool = backend.nodes_with_tag(tag)
+            ids = backend.node_ids_with_tag(tag)
         return frozenset(
-            node.node_id for node in pool if ir.satisfies(node, ftexpr)
+            node_id for node_id in ids
+            if ir.satisfies(backend.node(node_id), ftexpr)
         )
 
     return context.eval_cache.value("satisfiers", (ftexpr, tag), compute)

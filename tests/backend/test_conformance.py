@@ -2,8 +2,9 @@
 
 One shared test class, parametrized over a factory per registered backend
 implementation.  Every backend — in-memory today, anything pluggable
-tomorrow — must serve the same answers: navigation identical to the raw
-:class:`~repro.xmltree.document.Document`, columns byte-identical to the
+tomorrow — must serve the same answers: ids and columns agreeing with the
+raw :class:`~repro.xmltree.document.Document`'s navigation, columns
+byte-identical to the
 columnar store, join-kernel output identical to the reference kernels,
 postings and statistics identical to freshly built index/collector
 instances, and engine-level query results identical across backends.
@@ -20,11 +21,7 @@ import pytest
 
 from repro.backend import InMemoryBackend, StorageBackend, as_backend
 from repro.backend.disk import DiskBackend
-from repro.backend.kernels import (
-    semi_join_ancestor_ids,
-    semi_join_descendant_ids,
-    structural_join_ids,
-)
+from repro.backend.kernels import semi_join_ancestor_ids, structural_join_ids
 from repro.backend.stats import DocumentStatistics
 from repro.collection import Corpus
 from repro.engine import Engine
@@ -101,66 +98,71 @@ class TestProtocol:
 
 
 class TestNavigation:
+    """The backend's ids and columns agree with the document's navigation."""
+
     def test_node_round_trip(self, backend):
         document = backend.document
         for node in list(document.nodes())[:50]:
             assert backend.node(node.node_id).node_id == node.node_id
 
     def test_nodes_matches_document(self, backend):
-        document = backend.document
-        assert [n.node_id for n in backend.nodes()] == [
-            n.node_id for n in document.nodes()
-        ]
+        assert [n.node_id for n in backend.document.nodes()] == list(
+            range(len(backend))
+        )
 
     def test_nodes_with_tag_matches_document(self, backend):
         document = backend.document
         for tag in document.tags:
-            assert [n.node_id for n in backend.nodes_with_tag(tag)] == [
+            assert list(backend.node_ids_with_tag(tag)) == [
                 n.node_id for n in document.nodes_with_tag(tag)
             ]
-            assert backend.count(tag) == document.count(tag)
+            assert len(backend.node_ids_with_tag(tag)) == document.count(tag)
 
     def test_node_ids_with_tag_matches_views(self, backend):
         for tag in backend.document.tags:
             assert list(backend.node_ids_with_tag(tag)) == [
-                n.node_id for n in backend.nodes_with_tag(tag)
+                node_id for node_id in range(len(backend))
+                if backend.node(node_id).tag == tag
             ]
 
     def test_axes_match_document(self, backend):
         document = backend.document
+        ends, parent_ids = backend.ends, backend.parent_ids
         for node in list(document.nodes())[:30]:
-            assert [c.node_id for c in backend.children(node)] == [
-                c.node_id for c in document.children(node)
+            node_id = node.node_id
+            assert [c.node_id for c in document.children(node)] == [
+                child for child in range(node_id + 1, ends[node_id])
+                if parent_ids[child] == node_id
             ]
-            assert [d.node_id for d in backend.descendants(node)] == [
-                d.node_id for d in document.descendants(node)
-            ]
-            parent = backend.parent(node)
-            expected = document.parent(node)
-            assert (parent.node_id if parent else None) == (
-                expected.node_id if expected else None
+            assert [d.node_id for d in document.descendants(node)] == list(
+                range(node_id + 1, ends[node_id])
             )
+            parent = document.parent(node)
+            assert (parent.node_id if parent else -1) == parent_ids[node_id]
 
     def test_tagged_axes_match_document(self, backend):
         document = backend.document
         root = document.node(0)
         for tag in document.tags:
+            inside = [
+                node_id for node_id in backend.node_ids_with_tag(tag)
+                if 0 < node_id < backend.ends[0]
+            ]
             assert [
-                n.node_id for n in backend.descendants_with_tag(root, tag)
-            ] == [n.node_id for n in document.descendants_with_tag(root, tag)]
-            assert list(backend.descendant_ids_with_tag(root, tag)) == list(
-                document.descendant_ids_with_tag(root, tag)
-            )
+                n.node_id for n in document.descendants_with_tag(root, tag)
+            ] == inside
+            assert list(document.descendant_ids_with_tag(root, tag)) == inside
 
 
 def _shard_view(xml_text, tmp_path):
-    """What a sharded engine's executors run against: one shard's view."""
+    """What a sharded engine's executors run against: one shard's child
+    backend (its view of the corpus), routed beside a second shard."""
     from repro.backend.sharded import RoundRobinRouter, ShardedBackend
 
     sharded = ShardedBackend.in_memory(2, router=RoundRobinRouter())
     sharded.add_document(parse(xml_text), name="library")
     sharded.add_document(parse(EXTRA_XML), name="extra")
-    return sharded.views()[0]
+    return sharded.shards[0]
 
 
 @pytest.fixture(
@@ -188,13 +190,13 @@ class TestIdSeam:
     """Ids in, ids out: what the executor calls between seed and answer."""
 
     def _without_views(self, backend, monkeypatch):
-        owner = getattr(backend, "_child", backend)
-        monkeypatch.setattr(owner, "_document", _NoViews(owner.document))
+        monkeypatch.setattr(backend, "_document", _NoViews(backend.document))
 
     def test_node_ids_with_tag_makes_no_views(self, id_backend, monkeypatch):
+        document = id_backend.document
         expected = {
-            tag: [n.node_id for n in id_backend.nodes_with_tag(tag)]
-            for tag in id_backend.document.tags
+            tag: [n.node_id for n in document.nodes_with_tag(tag)]
+            for tag in document.tags
         }
         self._without_views(id_backend, monkeypatch)
         for tag, ids in expected.items():
@@ -202,6 +204,8 @@ class TestIdSeam:
         assert len(id_backend.node_ids_with_tag("no-such-tag")) == 0
 
     def test_tagged_axes_take_ids_and_return_ids(self, id_backend, monkeypatch):
+        """A base's tagged children and descendants are one id join away:
+        the join kernels over ``node_ids_with_tag`` never need a view."""
         document = id_backend.document
         tags = sorted(document.tags)
         bases = [node.node_id for node in list(document.nodes())[:40]]
@@ -215,20 +219,14 @@ class TestIdSeam:
             for base in bases
             for tag in tags
         }
-        views = {base: document.node(base) for base in bases[:5]}
         self._without_views(id_backend, monkeypatch)
         for (base, tag), (descendants, children) in expected.items():
-            assert list(id_backend.descendant_ids_with_tag(base, tag)) == descendants
-            assert list(id_backend.child_ids_with_tag(base, tag)) == children
-        # A view is still accepted where an id is expected.
-        for base, view in views.items():
-            for tag in tags:
-                assert list(id_backend.descendant_ids_with_tag(view, tag)) == (
-                    expected[base, tag][0]
-                )
-                assert list(id_backend.child_ids_with_tag(view, tag)) == (
-                    expected[base, tag][1]
-                )
+            pool = id_backend.node_ids_with_tag(tag)
+            for axis, wanted in (("ad", descendants), ("pc", children)):
+                assert [
+                    candidate for _base, candidate
+                    in id_backend.structural_join_ids([base], pool, axis=axis)
+                ] == wanted
 
     def test_document_id_axes_share_the_empty_sequence(self, id_backend):
         document = id_backend.document
@@ -247,10 +245,12 @@ class TestIdSeam:
         for base, candidate in id_backend.structural_join_ids(
                 bases, pool, axis=axis):
             grouped[base].append(candidate)
-        navigate = (id_backend.descendant_ids_with_tag if axis == "ad"
-                    else id_backend.child_ids_with_tag)
+        document = id_backend.document
+        navigate = (document.descendant_ids_with_tag if axis == "ad"
+                    else document.child_ids_with_tag)
         assert grouped == {
-            base: list(navigate(base, "paragraph")) for base in bases
+            base: list(navigate(document.node(base), "paragraph"))
+            for base in bases
         }
 
     def test_node_resolves_an_id_to_its_view(self, id_backend):
@@ -295,12 +295,12 @@ class TestKernels:
     def test_semi_joins_match_reference(self, backend):
         store = backend.document.store
         articles, paragraphs = self._id_pools(backend)
-        assert backend.semi_join_ancestor_ids(
-            articles, paragraphs
-        ) == semi_join_ancestor_ids(store.ends, store.levels, articles, paragraphs)
-        assert backend.semi_join_descendant_ids(
-            articles, paragraphs
-        ) == semi_join_descendant_ids(store.ends, store.levels, articles, paragraphs)
+        for axis in ("ad", "pc"):
+            assert backend.semi_join_ancestor_ids(
+                articles, paragraphs, axis=axis
+            ) == semi_join_ancestor_ids(
+                store.ends, store.levels, articles, paragraphs, axis=axis
+            )
 
 
 class TestFullText:
@@ -309,7 +309,7 @@ class TestFullText:
             backend.document, virtual_root_id=backend.virtual_root_id
         )
         for term in ("stream", "xml", "algorithm", "databas"):
-            ours = backend.posting(term)
+            ours = backend.ir.index.posting(term)
             reference = fresh.index.posting(term)
             if reference is None:
                 assert ours is None
@@ -319,7 +319,7 @@ class TestFullText:
             assert ours.count_prefix == reference.count_prefix
 
     def test_absent_term_has_no_posting(self, backend):
-        assert backend.posting("zzz-not-a-term") is None
+        assert backend.ir.index.posting("zzz-not-a-term") is None
 
 
 class TestStatistics:
@@ -374,7 +374,7 @@ class TestIngest:
         before = backend.tag_count("paragraph")
         backend.add_document(parse(EXTRA_XML))
         assert backend.tag_count("paragraph") == before + 1
-        assert backend.posting("stream").subtree_has(0, len(backend))
+        assert backend.ir.index.posting("stream").subtree_has(0, len(backend))
 
 
 class TestEngineParity:

@@ -23,7 +23,9 @@ from repro.backend.sharded import (
 )
 from repro.collection import Corpus
 from repro.errors import FleXPathError, QueryTimeoutError
+from repro.ir.scoring import idf
 from repro.obs.metrics import REGISTRY
+from repro.xmark import PAPER_Q1, PAPER_Q2, PAPER_Q3, generate_document
 from repro.xmltree import parse
 
 DOCS = (
@@ -89,7 +91,8 @@ class TestRouting:
     def test_shard_of_and_source_of(self):
         backend = _sharded(2)
         root = backend.add_document(parse(DOCS[0]), name="extra")
-        assert backend.shard_of(root) == root.shard_index
+        shard = backend.shards[root.shard_index]
+        assert shard.corpus.source_of(root.local_node) == "extra"
         assert backend.source_of(root) == "extra"
 
 
@@ -200,6 +203,74 @@ class TestDiskShards:
         with pytest.raises(FleXPathError, match="resharding"):
             ShardedBackend.open(path, shard_count=3)
 
+    def test_engine_reopens_with_the_shard_count_on_disk(self, tmp_path):
+        path = str(tmp_path / "corpus")
+        engine = Engine.sharded(
+            shard_count=2, router=RoundRobinRouter(), path=path
+        )
+        for index, text in enumerate(DOCS[:4]):
+            engine.backend.add_document(parse(text), name="doc%d" % index)
+        before = engine.query(QUERY, k=5)
+        engine.backend.close()
+        reopened = Engine.sharded(path=path)
+        try:
+            assert reopened.backend.shard_count == 2
+            assert reopened.backend.describe()["documents"] == 4
+            assert [a.score for a in reopened.query(QUERY, k=5).answers] == [
+                a.score for a in before.answers
+            ]
+        finally:
+            reopened.backend.close()
+        with pytest.raises(FleXPathError, match="resharding"):
+            Engine.sharded(shard_count=3, path=path)
+
+    def test_a_new_corpus_gets_the_default_shard_count(self, tmp_path):
+        engine = Engine.sharded(path=str(tmp_path / "corpus"))
+        try:
+            assert engine.backend.shard_count == 4
+        finally:
+            engine.backend.close()
+
+    def test_compact_seals_every_shard_and_keeps_answers(self, tmp_path):
+        """Answers over the WAL-replayed corpus equal those over the sealed
+        one, ids included (both sides reopen, so both rebuild the global
+        ids the same way)."""
+        path = str(tmp_path / "corpus")
+        backend = ShardedBackend.open(
+            path, shard_count=2, router=RoundRobinRouter()
+        )
+        for index in range(4):
+            backend.add_document(
+                generate_document(target_bytes=8_000, seed=index + 1),
+                name="doc%d" % index,
+            )
+        backend.close()
+
+        def answers(backend):
+            engine = Engine(backend)
+            return {
+                query: [
+                    (a.node_id, repr(a.score.structural), repr(a.score.keyword))
+                    for a in engine.query(query, k=10).answers
+                ]
+                for query in (PAPER_Q1, PAPER_Q2, PAPER_Q3)
+            }
+
+        backend = ShardedBackend.open(path)
+        try:
+            assert [shard.wal_documents for shard in backend.shards] == [2, 2]
+            before = answers(backend)
+            assert all(before.values())
+            assert backend.compact() == [2, 2]
+        finally:
+            backend.close()
+        backend = ShardedBackend.open(path)
+        try:
+            assert [shard.wal_documents for shard in backend.shards] == [0, 0]
+            assert answers(backend) == before
+        finally:
+            backend.close()
+
     def test_mixed_shard_kinds(self, tmp_path):
         disk = DiskBackend.create(str(tmp_path / "shard-disk"))
         backend = ShardedBackend(
@@ -304,6 +375,45 @@ class TestShardEvalCaches:
         assert [source.eval_cache.enabled for source in sources] == [False, False]
         engine.query(QUERY, k=3)
         assert engine.cache_info()["eval_cache"]["entries"] == 0
+
+    def test_an_ingest_into_one_shard_clears_every_shards_contains_tier(self):
+        """Any shard's ingest moves the corpus-wide idf every shard scores
+        with, so the shard that did not grow must drop its memoized
+        keyword scores too."""
+        docs = (
+            "<root><a>gold coin</a><a>silver</a></root>",
+            "<root><a>silver spoon</a></root>",
+            "<root><a>bronze gold</a></root>",
+        )
+        late = "<root><a>gold gold</a></root>"  # round robin: shard 1
+        query = '//a[.contains("gold" or "silver")]'
+
+        def build(texts):
+            engine = Engine.sharded(2, router=RoundRobinRouter())
+            for index, text in enumerate(texts):
+                engine.backend.add_document(parse(text), name="doc%d" % index)
+            return engine
+
+        def answers(engine, algorithm):
+            return [
+                (a.node_id, repr(a.score.structural), repr(a.score.keyword))
+                for a in engine.query(query, k=10, algorithm=algorithm).answers
+            ]
+
+        warm = build(docs)
+        answers(warm, "sso")
+        contains = warm.context.sources[0].eval_cache._tiers["contains"]
+        assert contains.data
+        before = idf(warm.backend.ir.index, "gold")
+        warm.backend.add_document(parse(late), name="doc3")
+        assert warm.backend._doc_shards[-1] == 1
+        assert idf(warm.backend.ir.index, "gold") != before
+        assert not contains.data
+        fresh = build(docs + (late,))
+        for algorithm in ("sso", "hybrid", "dpo", "ir-first", "naive"):
+            assert answers(warm, algorithm) == answers(fresh, algorithm), (
+                algorithm
+            )
 
     def test_registry_deltas_are_the_summed_source_deltas(self):
         engine = self._engine()

@@ -7,7 +7,7 @@ from repro.plans.eval_cache import TIERS, restriction_key
 from repro.query import parse_query
 from repro.topk import QueryContext
 from repro.xmltree import parse
-from tests.plans.test_binary_ids import NAVIGATION, count_calls
+from tests.plans.test_binary_ids import KERNELS, count_calls
 
 XML = (
     "<lib>"
@@ -270,7 +270,7 @@ class TestUnit:
 class TestExecutorIntegration:
     def test_second_run_hits_every_tier(self, context, monkeypatch):
         plan = build_strict_plan(parse_query(QUERY), context.weights)
-        calls = count_calls(monkeypatch, context.backend, NAVIGATION)
+        calls = count_calls(monkeypatch, context.backend, KERNELS)
         context.executor.run(plan, mode=SSO_MODE)
         # One kernel call per alternative needed: a merge for section (its
         # contains check reads the node), a probe pass for the paragraph leaf.
@@ -280,7 +280,7 @@ class TestExecutorIntegration:
         result = context.executor.run(plan, mode=SSO_MODE)
         warm = context.eval_cache.metrics_snapshot()
         assert result.answers
-        # Every join table already covers every base: no kernel, no navigation.
+        # Every join table already covers every base: no further kernel call.
         assert sum(calls.values()) == len(plan.joins)
         for kind in ("pool", "join", "contains"):
             assert warm["eval_cache.%s.hits" % kind] > cold[
@@ -318,7 +318,7 @@ class TestExecutorIntegration:
         joins = context.eval_cache._tiers["join"].data
         strict_tables = dict(joins)
         assert strict_tables
-        calls = count_calls(monkeypatch, context.backend, NAVIGATION)
+        calls = count_calls(monkeypatch, context.backend, KERNELS)
         relaxed = build_encoded_plan(schedule, len(schedule))
         context.executor.run(relaxed, k=5, mode=SSO_MODE)
         for signature, table in strict_tables.items():

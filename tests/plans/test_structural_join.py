@@ -10,11 +10,7 @@ from collections import Counter
 
 import pytest
 
-from repro.plans import (
-    semi_join_ancestor_ids,
-    semi_join_descendant_ids,
-    structural_join_ids,
-)
+from repro.plans import semi_join_ancestor_ids, structural_join_ids
 from repro.xmltree import parse
 
 
@@ -53,8 +49,8 @@ def kernel(function, doc, ancestor_ids, descendant_ids, axis="ad"):
                     axis=axis)
 
 
-def check_all_three(doc, ancestor_ids, descendant_ids, axis, note=None):
-    """Every kernel against the reference on one pair of inputs."""
+def check_both(doc, ancestor_ids, descendant_ids, axis, note=None):
+    """Both kernels against the reference on one pair of inputs."""
     expected = brute_force(doc, ancestor_ids, descendant_ids, axis)
     assert kernel(
         structural_join_ids, doc, ancestor_ids, descendant_ids, axis
@@ -63,15 +59,12 @@ def check_all_three(doc, ancestor_ids, descendant_ids, axis, note=None):
     assert kernel(
         semi_join_ancestor_ids, doc, ancestor_ids, descendant_ids, axis
     ) == [a for a in ancestor_ids if a in matched], note
-    assert kernel(
-        semi_join_descendant_ids, doc, ancestor_ids, descendant_ids, axis
-    ) == sorted({d for _a, d in expected}), note
 
 
 class TestCorrectness:
     @pytest.mark.parametrize("axis", ["ad", "pc"])
     def test_matches_brute_force(self, doc, axis):
-        check_all_three(doc, ids(doc, "a"), ids(doc, "b"), axis)
+        check_both(doc, ids(doc, "a"), ids(doc, "b"), axis)
 
     def test_nested_ancestors_all_reported(self, doc):
         # The inner <a> nests inside the outer <a>; descendants of the inner
@@ -81,8 +74,7 @@ class TestCorrectness:
         assert max(counted.values()) == 2  # bs inside the nested a
 
     def test_empty_inputs(self, doc):
-        for function in (structural_join_ids, semi_join_ancestor_ids,
-                         semi_join_descendant_ids):
+        for function in (structural_join_ids, semi_join_ancestor_ids):
             for axis in ("ad", "pc"):
                 assert kernel(function, doc, [], ids(doc, "b"), axis) == []
                 assert kernel(function, doc, ids(doc, "a"), [], axis) == []
@@ -94,8 +86,7 @@ class TestCorrectness:
         assert starts == sorted(starts)
 
     def test_invalid_axis(self, doc):
-        for function in (structural_join_ids, semi_join_ancestor_ids,
-                         semi_join_descendant_ids):
+        for function in (structural_join_ids, semi_join_ancestor_ids):
             with pytest.raises(ValueError):
                 kernel(function, doc, [], [], axis="sideways")
 
@@ -107,19 +98,10 @@ class TestSemiJoins:
         )
         assert len(kept) == 1
 
-    def test_descendant_semi_join(self, doc):
-        kept = kernel(
-            semi_join_descendant_ids, doc, ids(doc, "a"), ids(doc, "b")
-        )
-        # The top-level stray <b> has no a ancestor.
-        assert len(kept) == len(ids(doc, "b")) - 1
-
     def test_semi_join_deduplicates(self, doc):
-        # b under nested a has two a ancestors but appears once; the outer
-        # a has three b descendants but appears once.
-        for function in (semi_join_descendant_ids, semi_join_ancestor_ids):
-            kept = kernel(function, doc, ids(doc, "a"), ids(doc, "b"))
-            assert len(kept) == len(set(kept))
+        # The outer a has three b descendants but appears once.
+        kept = kernel(semi_join_ancestor_ids, doc, ids(doc, "a"), ids(doc, "b"))
+        assert len(kept) == len(set(kept))
 
     def test_ancestor_probe_keeps_its_input_order(self, doc):
         # The executor hands sorted bases, but the contract is input order:
@@ -154,9 +136,6 @@ class TestColumnarKernels:
         assert kernel(semi_join_ancestor_ids, *inputs) == sorted(
             {a for a, _d in pairs}
         )
-        assert kernel(semi_join_descendant_ids, *inputs) == sorted(
-            {d for _a, d in pairs}
-        )
 
     def test_pc_rejects_grandparents(self):
         # <a><c><b/></c></a>: a is an ancestor of b but never its parent,
@@ -166,8 +145,8 @@ class TestColumnarKernels:
                       "pc") == []
         assert kernel(structural_join_ids, doc, ids(doc, "c"), ids(doc, "b"),
                       "pc") == [(2, 3)]
-        check_all_three(doc, ids(doc, "a"), ids(doc, "b"), "pc")
-        check_all_three(doc, ids(doc, "c"), ids(doc, "b"), "pc")
+        check_both(doc, ids(doc, "a"), ids(doc, "b"), "pc")
+        check_both(doc, ids(doc, "c"), ids(doc, "b"), "pc")
 
     def test_pc_parent_below_nested_nonmatching_ancestor(self):
         # <a><a><b/></a></a>: both a's are open; only the inner (stack top)
@@ -176,13 +155,13 @@ class TestColumnarKernels:
         pairs = kernel(structural_join_ids, doc, ids(doc, "a"), ids(doc, "b"),
                        "pc")
         assert pairs == [(2, 3)]
-        check_all_three(doc, ids(doc, "a"), ids(doc, "b"), "pc")
+        check_both(doc, ids(doc, "a"), ids(doc, "b"), "pc")
 
     def test_pc_probe_skips_a_nonchild_subtree_to_reach_a_child(self):
         # The first b under the outer a is a grandchild inside <c>; its own
         # b child sits after that whole subtree.
         doc = parse("<r><a><c><b/><b/><b/></c><b/></a><a><c><b/></c></a></r>")
-        check_all_three(doc, ids(doc, "a"), ids(doc, "b"), "pc")
+        check_both(doc, ids(doc, "a"), ids(doc, "b"), "pc")
         assert kernel(semi_join_ancestor_ids, doc, ids(doc, "a"),
                       ids(doc, "b"), "pc") == [1]
 
@@ -197,21 +176,21 @@ class TestColumnarKernels:
     def test_same_tag_on_both_sides(self, axis):
         # A node is never its own ancestor, parent, descendant or child.
         doc = parse("<r><a><a><a/></a></a><a/></r>")
-        check_all_three(doc, ids(doc, "a"), ids(doc, "a"), axis)
+        check_both(doc, ids(doc, "a"), ids(doc, "a"), axis)
 
     def test_outputs_are_id_sorted(self, doc):
         inputs = (doc, ids(doc, "a"), ids(doc, "b"))
         ancestors = kernel(semi_join_ancestor_ids, *inputs)
-        descendants = kernel(semi_join_descendant_ids, *inputs)
+        pairs = kernel(structural_join_ids, *inputs)
         assert ancestors == sorted(ancestors)
-        assert descendants == sorted(descendants)
+        assert [d for _a, d in pairs] == sorted(d for _a, d in pairs)
 
     def test_random_trees_match_brute_force(self):
         rng = random.Random(23)
         for trial in range(15):
             doc = parse(_random_tree_xml(rng, max_depth=5))
             for axis in ("ad", "pc"):
-                check_all_three(
+                check_both(
                     doc, ids(doc, "x"), ids(doc, "y"), axis, (trial, axis)
                 )
 
@@ -242,14 +221,10 @@ class TestWorkDone:
             "<r><a><b/><b/></a><a><c/></a>%s</r>" % ("<b/>" * self.TAIL)
         )
 
-    @pytest.mark.parametrize("function", [
-        structural_join_ids, semi_join_descendant_ids,
-    ])
     @pytest.mark.parametrize("axis", ["ad", "pc"])
-    def test_a_merge_stops_after_the_last_ancestor_closes(
-            self, doc, function, axis):
+    def test_a_merge_stops_after_the_last_ancestor_closes(self, doc, axis):
         pool = _CountingSequence(ids(doc, "b"))
-        got = kernel(function, doc, ids(doc, "a"), pool, axis)
+        got = kernel(structural_join_ids, doc, ids(doc, "a"), pool, axis)
         assert len(got) == 2
         # The two matches, two ids to see the last region close, and
         # nothing of the tail behind them.
@@ -277,9 +252,9 @@ class TestRandomized:
             ys = array("i", ids(doc, "y"))
             everything = range(len(doc.store.ends))
             for axis in ("ad", "pc"):
-                check_all_three(doc, xs, ys, axis, (trial, axis, "arrays"))
-                check_all_three(doc, xs, everything, axis, (trial, axis, "x/*"))
-                check_all_three(doc, everything, ys, axis, (trial, axis, "*/y"))
+                check_both(doc, xs, ys, axis, (trial, axis, "arrays"))
+                check_both(doc, xs, everything, axis, (trial, axis, "x/*"))
+                check_both(doc, everything, ys, axis, (trial, axis, "*/y"))
 
 
 def _random_tree_xml(rng, max_depth):

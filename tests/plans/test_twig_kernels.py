@@ -1,14 +1,10 @@
-"""The holistic twig-join kernels: stack-merge filter + score aggregation."""
+"""The twig operator's score-aggregation kernels against brute force."""
 
 import random
 
 import pytest
 
-from repro.backend.kernels import (
-    max_value_per_ancestor,
-    max_value_per_descendant,
-    twig_filter_ids,
-)
+from repro.backend.kernels import max_value_per_ancestor, max_value_per_descendant
 from repro.xmltree import parse
 
 
@@ -189,138 +185,3 @@ class TestRandomizedAggregation:
                 ) == _brute_max_per_descendant(doc, xs, a_values, ys, axis), (
                     trial, axis,
                 )
-
-
-def _brute_twig(doc, pools, parents, axes, order):
-    """Reference twig filter: bottom-up support, then top-down chains."""
-    children = {var: [] for var in order}
-    for var in order:
-        if parents[var] is not None:
-            children[parents[var]].append(var)
-
-    supported = {}
-    for var in reversed(order):
-        kept = []
-        for node_id in pools[var]:
-            if all(
-                any(
-                    _relates(doc, node_id, child_id, axes[child])
-                    for child_id in supported[child]
-                )
-                for child in children[var]
-            ):
-                kept.append(node_id)
-        supported[var] = kept
-
-    final = {}
-    for var in order:
-        parent = parents[var]
-        if parent is None:
-            final[var] = supported[var]
-        else:
-            final[var] = [
-                node_id
-                for node_id in supported[var]
-                if any(
-                    _relates(doc, parent_id, node_id, axes[var])
-                    for parent_id in final[parent]
-                )
-            ]
-    return final
-
-
-class TestTwigFilter:
-    def test_linear_chain(self):
-        doc = parse("<r><a><c><b/></c></a><a><b/></a><c/></r>")
-        store = doc.store
-        pools = {
-            "v0": list(store.node_ids_with_tag("a")),
-            "v1": list(store.node_ids_with_tag("c")),
-            "v2": list(store.node_ids_with_tag("b")),
-        }
-        parents = {"v0": None, "v1": "v0", "v2": "v1"}
-        axes = {"v1": "pc", "v2": "pc"}
-        order = ["v0", "v1", "v2"]
-        final = twig_filter_ids(
-            store.ends, store.levels, pools, parents, axes, order
-        )
-        # Only the first a has a c child with a b child; the stray c and
-        # the second a's direct b must all be filtered out.
-        assert final == {"v0": [1], "v1": [2], "v2": [3]}
-
-    def test_branching_requires_all_edges(self):
-        doc = parse("<r><a><b/><c/></a><a><b/></a><a><c/></a></r>")
-        store = doc.store
-        pools = {
-            "v0": list(store.node_ids_with_tag("a")),
-            "v1": list(store.node_ids_with_tag("b")),
-            "v2": list(store.node_ids_with_tag("c")),
-        }
-        parents = {"v0": None, "v1": "v0", "v2": "v0"}
-        axes = {"v1": "ad", "v2": "ad"}
-        order = ["v0", "v1", "v2"]
-        final = twig_filter_ids(
-            store.ends, store.levels, pools, parents, axes, order
-        )
-        # Only the first a has both branches.
-        assert final["v0"] == [1]
-        assert len(final["v1"]) == 1
-        assert len(final["v2"]) == 1
-
-    def test_empty_pool_empties_everything_connected(self):
-        doc = parse("<r><a><b/></a></r>")
-        store = doc.store
-        pools = {
-            "v0": list(store.node_ids_with_tag("a")),
-            "v1": [],
-        }
-        parents = {"v0": None, "v1": "v0"}
-        axes = {"v1": "ad"}
-        final = twig_filter_ids(
-            store.ends, store.levels, pools, parents, axes, ["v0", "v1"]
-        )
-        assert final == {"v0": [], "v1": []}
-
-    def test_random_twigs_match_brute_force(self):
-        rng = random.Random(53)
-        for trial in range(12):
-            doc = parse(_random_tree_xml(rng, max_depth=5))
-            store = doc.store
-            # A 4-variable twig: root x, children y and z, grandchild x.
-            pools = {
-                "v0": list(store.node_ids_with_tag("x")),
-                "v1": list(store.node_ids_with_tag("y")),
-                "v2": list(store.node_ids_with_tag("z")),
-                "v3": list(store.node_ids_with_tag("x")),
-            }
-            parents = {"v0": None, "v1": "v0", "v2": "v0", "v3": "v1"}
-            axes = {
-                "v1": rng.choice(("ad", "pc")),
-                "v2": rng.choice(("ad", "pc")),
-                "v3": rng.choice(("ad", "pc")),
-            }
-            order = ["v0", "v1", "v2", "v3"]
-            got = twig_filter_ids(
-                store.ends, store.levels, pools, parents, axes, order
-            )
-            expected = _brute_twig(doc, pools, parents, axes, order)
-            assert got == expected, trial
-
-    def test_outputs_id_sorted(self):
-        rng = random.Random(59)
-        doc = parse(_random_tree_xml(rng, max_depth=5))
-        store = doc.store
-        pools = {
-            "v0": list(store.node_ids_with_tag("x")),
-            "v1": list(store.node_ids_with_tag("y")),
-        }
-        final = twig_filter_ids(
-            store.ends,
-            store.levels,
-            pools,
-            {"v0": None, "v1": "v0"},
-            {"v1": "ad"},
-            ["v0", "v1"],
-        )
-        for ids in final.values():
-            assert ids == sorted(ids)

@@ -219,9 +219,20 @@ def test_resolved_probes_survive_other_shards_ingest(docs, extra, expr):
         seen = []
         for backend in (flat, sharded):
             ir = backend.ir
-            nodes = [backend.node(i) for i in range(1, len(flat.document))]
+            # Point queries run where the plans run: on the engine of the
+            # shard holding the node, against its shard-local view.
+            probes = []
+            for node_id in range(1, len(flat.document)):
+                node = backend.node(node_id)
+                if backend is sharded:
+                    engine = sharded.shards[node.shard_index].ir
+                    node = node.local_node
+                else:
+                    engine = ir
+                probes.append((engine, node))
             seen.append([
-                [(ir.satisfies(n, e), ir.score(n, e).hex()) for n in nodes]
+                [(engine.satisfies(n, e), engine.score(n, e).hex())
+                 for engine, n in probes]
                 + [ir.count_satisfying(e)]
                 + [ir.count_satisfying(e, tag) for tag in TAGS]
                 + [[(m.node.node_id, m.score.hex())

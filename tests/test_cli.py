@@ -101,6 +101,31 @@ class TestQuery:
         )
         assert code == 0
         assert output.count("<a>") == 2
+        # --shards reaches the sharded open: a contradicting count refuses.
+        code, _output = run(["query", path, "//a", "--shards", "3"])
+        assert code == 1
+
+    def test_compact_a_sharded_corpus_directory(self, tmp_path):
+        from repro import Engine
+        from repro.backend.sharded import ShardedBackend
+        from repro.xmltree import parse
+
+        path = str(tmp_path / "corpus")
+        engine = Engine.sharded(shard_count=2, path=path)
+        for index in range(4):
+            engine.backend.add_document(
+                parse("<root><a>gold %d</a></root>" % index),
+                name="doc%d" % index,
+            )
+        engine.backend.close()
+        code, output = run(["compact", path])
+        assert code == 0
+        assert "to generation [2, 2] (4 document(s)" in output
+        backend = ShardedBackend.open(path)
+        try:
+            assert [shard.wal_documents for shard in backend.shards] == [0, 0]
+        finally:
+            backend.close()
 
     def test_bad_query_is_an_error(self, xml_file):
         code, _output = run(["query", xml_file, "not a query"])

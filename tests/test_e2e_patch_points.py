@@ -23,13 +23,18 @@ SPANS_PATH = (
 #: ``QueryContext.compile``; their time is recorded under the ``topk`` /
 #: ``rank`` / ``compiled`` points that do resolve.  The next ``benchmark``
 #: PR re-points ``spans.py``; until then ``sharding.coordinator_self_ms``
-#: reads 0.  The e2e smoke step in ``.github/workflows/ci.yml`` imports this
-#: set to check the traced records' ``meta.unpatched``.
+#: reads 0.  The two ``StorageBackend`` kernels are deleted and were never
+#: called by the executor before that, so dropping their wrappers moves no
+#: ``backend.kernels.*`` per-layer number.  The e2e smoke step in
+#: ``.github/workflows/ci.yml`` imports this set to check the traced
+#: records' ``meta.unpatched``.
 KNOWN_UNPATCHED = {
     "repro.sharding:ShardedQueryContext.compile",
     "repro.sharding.compile_query",
     "repro.sharding:ShardedStrategy.top_k",
     "repro.sharding.rank_answers",
+    "repro.backend.base:StorageBackend.semi_join_descendant_ids",
+    "repro.backend.base:StorageBackend.twig_filter_ids",
 }
 
 
