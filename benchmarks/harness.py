@@ -103,12 +103,8 @@ def run_topk_traced(context, algorithm_name, query_name, k, scheme=None,
     if scheme is not None:
         kwargs["scheme"] = scheme
     tracer = Tracer()
-    context.attach_tracer(tracer)
     started = perf_counter()
-    try:
-        result = algorithm.top_k(tpq, k, tracer=tracer, **kwargs)
-    finally:
-        context.attach_tracer(None)
+    result = algorithm.top_k(tpq, k, tracer=tracer, **kwargs)
     return build_query_trace(result, tracer, perf_counter() - started)
 
 

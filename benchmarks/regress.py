@@ -6,7 +6,7 @@ snapshots the median times of the smoke benchmarks, and every CI run
 compares its fresh ``--benchmark-json`` output against that snapshot::
 
     # refresh the baseline (after a PR that legitimately shifts performance)
-    python -m pytest benchmarks/bench_micro_substrates.py ... \
+    python -m pytest benchmarks/bench_ingest_memory.py ... \
         --benchmark-json=bench-smoke.json
     python benchmarks/regress.py bench-smoke.json --update
 

@@ -150,9 +150,9 @@ class _AggregateIR:
     Serves exactly what coordinator-side consumers need —
     ``count_satisfying`` for the :class:`~repro.relax.penalties.PenaltyModel`
     and the selectivity estimator, ``most_specific_matches`` for keyword
-    search, the tracer and metrics fan-out — by summing or merging over the
-    shard-local engines.  Point queries (``satisfies`` / ``score``) run on
-    the shard engines themselves, inside each shard's plans.
+    search — by summing or merging over the shard-local engines.  Point
+    queries (``satisfies`` / ``score``) run on the shard engines themselves,
+    inside each shard's plans, and each shard engine counts its own work.
     """
 
     def __init__(self, backend, stats):
@@ -183,17 +183,6 @@ class _AggregateIR:
                 matches.append(IRMatch(node, match.score))
         matches.sort(key=lambda m: (-m.score, m.node.node_id))
         return matches
-
-    def set_tracer(self, tracer):
-        for shard in self._backend.shards:
-            shard.ir.set_tracer(tracer)
-
-    def metrics_snapshot(self):
-        totals = {}
-        for shard in self._backend.shards:
-            for key, value in shard.ir.metrics_snapshot().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
 
 class ShardedBackend(StorageBackend):

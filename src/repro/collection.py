@@ -22,7 +22,6 @@ from repro.concurrency import RWLock
 from repro.errors import FleXPathError
 from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
-from repro.obs.tracer import NULL_TRACER
 from repro.xmltree.builder import TreeBuilder
 from repro.xmltree.parser import parse
 
@@ -45,7 +44,6 @@ class Corpus:
         self._ends = []  # fragment region ends, aligned with _starts
         self._names = []
         self._listeners = []
-        self._tracer = NULL_TRACER
         self._version = 0
         #: Writer-preferring reader/writer lock shared with every consumer of
         #: this corpus: queries hold it for read, :meth:`add_document` for
@@ -70,7 +68,6 @@ class Corpus:
         self._ends = [end for _, end, _ in fragments]
         self._names = [name for _, _, name in fragments]
         self._listeners = []
-        self._tracer = NULL_TRACER
         self._version = version
         self.lock = RWLock()
         return self
@@ -78,15 +75,6 @@ class Corpus:
     def fragments(self):
         """The ``(start, end, name)`` fragment table, ascending by start."""
         return list(zip(self._starts, self._ends, self._names))
-
-    def set_tracer(self, tracer):
-        """Attach a :class:`~repro.obs.Tracer` to ingest (None detaches).
-
-        Traced appends report ``corpus.splice`` (column append) and
-        ``corpus.extend_subscribers`` (incremental index/statistics growth)
-        spans, plus a ``corpus.nodes_added`` counter.
-        """
-        self._tracer = tracer if tracer is not None else NULL_TRACER
 
     # -- ingest --------------------------------------------------------------
 
@@ -96,25 +84,24 @@ class Corpus:
         O(len(document)): the fragment's columns are appended to the corpus
         store with offsets applied — existing documents are never touched,
         re-parsed, or copied.  Subscribers are notified with the appended
-        id range so indexes and statistics can extend incrementally.
+        id range so indexes and statistics can extend incrementally.  The
+        ingest is observed through the process registry
+        (``corpus.documents_added``, ``corpus.nodes_added``,
+        ``corpus.ingest_seconds``) and the ``doc_ingested`` event; a corpus
+        holds no tracer.
         """
         started = perf_counter()
         with self.lock.write_locked():
             if name is None:
                 name = "doc%d" % len(self._names)
             self._version += 1
-            tracer = self._tracer
-            with tracer.span("corpus.splice"):
-                start_id = self._document.append_fragment(document, parent_id=0)
+            start_id = self._document.append_fragment(document, parent_id=0)
             end_id = start_id + len(document)
             self._starts.append(start_id)
             self._ends.append(end_id)
             self._names.append(name)
-            if tracer.enabled:
-                tracer.count("corpus.nodes_added", end_id - start_id)
-            with tracer.span("corpus.extend_subscribers"):
-                for callback in self._listeners:
-                    callback(self, start_id, end_id)
+            for callback in self._listeners:
+                callback(self, start_id, end_id)
         seconds = perf_counter() - started
         if REGISTRY.enabled:
             REGISTRY.inc_many(

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from repro.cache import BoundedLRU
 from repro.plans.lowering import lower_plan
 from repro.plans.plan import build_encoded_plan, build_strict_plan
-from repro.query.closure import closure
-from repro.query.minimize import minimize
 from repro.relax.steps import RelaxationSchedule
 
 
@@ -39,21 +37,19 @@ from repro.relax.steps import RelaxationSchedule
 class CompiledQuery:
     """Everything knowable about a query before execution begins.
 
-    Immutable by construction: the schedule, closure, core, and both
-    lowered plan families (per-level strict plans for DPO-style walks,
-    per-level encoded plans for SSO/Hybrid single-pass evaluation) are
-    built eagerly and stored in tuples.  A warm :class:`PlanCache` hit
-    therefore skips closure computation, schedule construction, and *all*
-    plan building — the acceptance target
-    ``benchmarks/bench_plan_cache.py`` measures.
+    Immutable by construction: the schedule and both lowered plan
+    families (per-level strict plans for DPO-style walks, per-level
+    encoded plans for SSO/Hybrid single-pass evaluation) are built eagerly
+    and stored in tuples.  A warm :class:`PlanCache` hit therefore skips
+    schedule construction and *all* plan building — what the
+    ``compiled.plan_cache_hit_ratio`` layer of the ``mix_zipf`` end-to-end
+    workload measures.
 
     Instances hash and compare by identity; the cache key lives in
     :func:`cached_compile`, not on the artifact.
     """
 
     tpq: object
-    closure: frozenset
-    core: frozenset
     schedule: RelaxationSchedule
     max_relaxations: object
     skip_useless_gamma: bool
@@ -104,12 +100,9 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
     counts and the backend version, writes nothing.  The artifact captures,
     in order:
 
-    1. the **closure** of the query's logical expression and its **core**
-       (the minimal equivalent set, Theorem 1) — the §3 semantics every
-       relaxation is defined against;
-    2. the **relaxation schedule** with per-level cumulative penalties
+    1. the **relaxation schedule** with per-level cumulative penalties
        (cheapest valid drop first, §4);
-    3. one **strict plan per level** (what DPO and the naive baseline
+    2. one **strict plan per level** (what DPO and the naive baseline
        execute, on the holistic twig join) and one **encoded plan per
        level** (what SSO/Hybrid execute, Figure 8, on the binary
        pipeline), each lowered from the context's corpus counts
@@ -119,8 +112,6 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
     """
     weights = weights if weights is not None else context.weights
     statistics = context.statistics
-    closure_set = closure(tpq)
-    core_set = minimize(closure_set)
     schedule = RelaxationSchedule(
         tpq,
         context.penalties,
@@ -137,8 +128,6 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
     )
     return CompiledQuery(
         tpq=tpq,
-        closure=closure_set,
-        core=core_set,
         schedule=schedule,
         max_relaxations=max_relaxations,
         skip_useless_gamma=skip_useless_gamma,

@@ -389,7 +389,8 @@ class Engine:
         """Evaluate with strict XPath semantics — no relaxation.
 
         Returns the list of matching nodes in document order (the baseline
-        the paper's "strict interpretation" discussion refers to).
+        the paper's "strict interpretation" discussion refers to).  As in
+        :meth:`query`, a corpus' virtual root binds no variable.
         """
         tpq = coerce_query(query)
         query_text = query if isinstance(query, str) else tpq.to_xpath()
@@ -413,6 +414,7 @@ class Engine:
                     nodes = evaluate(
                         tpq, self.document,
                         contains_oracle=self.context.ir.satisfies,
+                        virtual_root_id=self.backend.virtual_root_id,
                     )
         except Exception:
             REGISTRY.inc("query.errors")
@@ -431,25 +433,25 @@ class Engine:
     def _exact_sharded(self, tpq):
         """Strict evaluation over a sharded backend: per shard, merged.
 
-        Every document lives whole inside one shard, so the union of
-        per-shard strict answer sets (re-addressed to global ids) is the
-        unsharded answer set; sorting by global id restores document
-        order.  Caller holds the read lock.
+        Every document lives whole inside one shard and no variable binds
+        a virtual root, so the union of per-shard strict answer sets
+        (re-addressed to global ids) is the unsharded answer set; sorting
+        by global id restores document order.  Caller holds the read lock.
         """
         from repro.backend.sharded import GlobalNode
 
         backend = self.backend
-        nodes = []
-        seen = set()
-        for shard_index, shard in enumerate(backend.shards):
+        nodes = [
+            GlobalNode(
+                node, backend.translate_id(shard_index, node.node_id),
+                shard_index,
+            )
+            for shard_index, shard in enumerate(backend.shards)
             for node in evaluate(
-                tpq, shard.document, contains_oracle=shard.ir.satisfies
-            ):
-                global_id = backend.translate_id(shard_index, node.node_id)
-                if global_id in seen:
-                    continue  # each shard's virtual root maps to global 0
-                seen.add(global_id)
-                nodes.append(GlobalNode(node, global_id, shard_index))
+                tpq, shard.document, contains_oracle=shard.ir.satisfies,
+                virtual_root_id=shard.virtual_root_id,
+            )
+        ]
         nodes.sort(key=lambda node: node.node_id)
         return nodes
 

@@ -22,7 +22,6 @@ from repro.ir.matching import _phrase_matches, _window_matches, ftexpr_matches
 from repro.ir.scoring import positive_terms, score_region
 from repro.ir.tokenizer import normalize_term, tokenize_and_stem
 from repro.obs.events import HUB
-from repro.obs.tracer import NULL_TRACER
 
 
 class IRMatch:
@@ -53,7 +52,6 @@ class IREngine:
         self._index = index if index is not None else InvertedIndex(document)
         self._virtual_root_id = virtual_root_id
         self._idf_index = self._index
-        self._tracer = NULL_TRACER
         self._most_specific_cache = {}
         self._terms_cache = {}
         self._count_cache = {}
@@ -63,8 +61,8 @@ class IREngine:
         # so ``extend`` drops them.
         self._probe_cache = {}
         self._bound_terms_cache = {}
-        # Always-on lifetime counters: plain unsynchronized ints, folded
-        # into the process MetricsRegistry per query (see metrics_snapshot).
+        # Always-on lifetime counters: plain unsynchronized ints, read by
+        # the top-K layer once per query (see metrics_snapshot).
         self._m_cache_hits = 0
         self._m_cache_misses = 0
         self._m_postings_scanned = 0
@@ -84,15 +82,6 @@ class IREngine:
         """Node id excluded from count statistics, or None."""
         return self._virtual_root_id
 
-    def set_tracer(self, tracer):
-        """Attach a :class:`~repro.obs.Tracer` (pass ``None`` to detach).
-
-        With a tracer attached the engine reports cache hits/misses and
-        postings scanned; detached (the default) those code paths reduce to
-        one attribute check.
-        """
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-
     def set_idf_source(self, idf_index):
         """Weight keyword scores by another index's ``idf`` statistics.
 
@@ -111,9 +100,11 @@ class IREngine:
 
         The counters are plain ints bumped unconditionally on the hot
         paths (an attribute increment costs far less than the postings
-        probe it annotates); callers fold *deltas* between two snapshots
-        into the shared :class:`~repro.obs.MetricsRegistry`, which is
-        where the locking lives.
+        probe it annotates).  The engine holds no tracer:
+        :meth:`~repro.topk.base.Strategy.top_k` folds the increments into a
+        traced query's tracer and into the shared
+        :class:`~repro.obs.MetricsRegistry`, which is where the locking
+        lives.
         """
         return {
             "ir.cache_hits": self._m_cache_hits,
@@ -125,15 +116,11 @@ class IREngine:
 
     def _cache_hit(self, cache):
         self._m_cache_hits += 1
-        if self._tracer.enabled:
-            self._tracer.count("ir.cache_hits")
         if HUB.active:
             HUB.emit("cache_hit", {"engine": "ir", "cache": cache})
 
     def _cache_miss(self, cache):
         self._m_cache_misses += 1
-        if self._tracer.enabled:
-            self._tracer.count("ir.cache_misses")
         if HUB.active:
             HUB.emit("cache_miss", {"engine": "ir", "cache": cache})
 
@@ -160,15 +147,11 @@ class IREngine:
     def satisfies(self, node, expression):
         """True if the subtree of ``node`` satisfies the expression."""
         self._m_satisfies_calls += 1
-        if self._tracer.enabled:
-            self._tracer.count("ir.satisfies_calls")
         return self._resolve(expression)(node.start, node.end)
 
     def score(self, node, expression):
         """Keyword score of ``node`` for the expression, in [0, 1]."""
         self._m_score_calls += 1
-        if self._tracer.enabled:
-            self._tracer.count("ir.score_calls")
         return score_region(
             self._idf_index, self._bound_terms(expression), node.start, node.end
         )
@@ -292,8 +275,6 @@ class IREngine:
 
                 def probe(start, end):
                     self._m_postings_scanned += 1
-                    if self._tracer.enabled:
-                        self._tracer.count("ir.postings_scanned")
                     # Posting.subtree_has, minus the call.
                     lo = bisect_left(ids, start)
                     return lo < len(ids) and ids[lo] < end
@@ -364,8 +345,6 @@ class IREngine:
         candidate_ids = None
         for word in words:
             self._m_postings_scanned += 1
-            if self._tracer.enabled:
-                self._tracer.count("ir.postings_scanned")
             posting = postings[word] = self._index.posting(word)
             ids = set(posting.node_ids) if posting else set()
             candidate_ids = ids if candidate_ids is None else candidate_ids & ids

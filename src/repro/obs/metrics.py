@@ -4,11 +4,12 @@ Where :class:`~repro.obs.tracer.Tracer` observes *one* activity (a single
 traced query, a single ingest) and is deliberately unsynchronized,
 :class:`MetricsRegistry` is the *always-on, process-lifetime* sink every
 instrumented seam reports into: the engine facade counts queries and
-errors, each top-K strategy records levels explored and per-query wall
-time, the plan executor folds its :class:`ExecutionStats` in after every
-run, the IR engine contributes cache and postings counters, and the corpus
-counts ingested documents.  One registry, one lock — cheap enough to leave
-on in production, inspectable at any moment.
+errors, the corpus counts ingested documents, and each top-K query folds
+in, once at its end, its levels and wall time, every plan's
+:class:`~repro.plans.executor.ExecutionStats`, and what its sources' IR
+engines and evaluation caches counted since their last fold
+(:meth:`MetricsRegistry.fold_lifetime`).  One registry, one lock — cheap
+enough to leave on in production, inspectable at any moment.
 
 Three metric kinds, in the Prometheus vocabulary:
 
@@ -29,6 +30,7 @@ what ``benchmarks/bench_metrics_overhead.py`` measures against.
 from __future__ import annotations
 
 import threading
+import weakref
 from bisect import bisect_left
 from time import perf_counter
 
@@ -121,7 +123,7 @@ class MetricsRegistry:
     A single :class:`threading.Lock` guards every mutation, so parallel
     executors (threads) can share one registry; reads take the same lock
     and return plain copies.  All recording methods are no-ops while
-    ``enabled`` is False.
+    ``enabled`` is False (:meth:`fold_lifetime` still advances its marks).
     """
 
     def __init__(self, enabled=True):
@@ -130,6 +132,8 @@ class MetricsRegistry:
         self._counters = {}
         self._gauges = {}
         self._histograms = {}
+        # Per component: its lifetime counters as of its last fold.
+        self._folded = weakref.WeakKeyDictionary()
 
     # -- recording -----------------------------------------------------------
 
@@ -174,6 +178,30 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._histograms[name] = Histogram()
             histogram.observe(value)
+
+    def fold_lifetime(self, components):
+        """Add what each component counted since its last fold.
+
+        A component keeps plain lifetime ints behind ``metrics_snapshot()``
+        (an IR engine, an evaluation cache).  The registry keeps one
+        high-water mark per component and reads the snapshot and advances
+        the mark under its own lock, so concurrent folds neither count an
+        increment twice nor drop one.  Disabled, it advances the marks
+        only: what was counted with the registry off never surfaces once
+        it is back on.  :meth:`reset` keeps the marks.
+        """
+        counters = self._counters
+        with self._lock:
+            for component in components:
+                current = component.metrics_snapshot()
+                mark = self._folded.get(component, {})
+                self._folded[component] = current
+                if not self.enabled:
+                    continue
+                for name, value in current.items():
+                    delta = value - mark.get(name, 0)
+                    if delta:
+                        counters[name] = counters.get(name, 0) + delta
 
     def timer(self, name):
         """Context manager observing its elapsed wall time into ``name``."""
@@ -278,7 +306,8 @@ class MetricsRegistry:
     # -- lifecycle -----------------------------------------------------------
 
     def reset(self):
-        """Drop every metric (the registry object and its lock survive)."""
+        """Drop every metric (the registry object, its lock and its
+        lifetime marks survive)."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()

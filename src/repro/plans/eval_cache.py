@@ -33,9 +33,9 @@ document only changes through :meth:`~repro.collection.Corpus.add_document`,
 which clears it via the context's subscription.  ``enabled = False`` is the
 kill switch: both shapes then compute directly and record nothing.
 
-Observability: each tier keeps plain int hit/miss counters (folded as
-deltas into the process :class:`~repro.obs.metrics.MetricsRegistry` per
-query, like the IR engine's) and fires the ``cache_hit``/``cache_miss``
+Observability: each tier keeps plain int hit/miss counters (read, like the
+IR engine's, by :meth:`~repro.topk.base.Strategy.top_k` at the end of a
+query) and fires the ``cache_hit``/``cache_miss``
 event seam with ``{"engine": "eval", "cache": <tier>, "count": n}`` — one
 event per call — when listeners are attached.
 
@@ -100,7 +100,7 @@ class _Tier:
 class EvaluationCache:
     """Memoizes pools, joins, contains checks, satisfier sets, subtree tables."""
 
-    __slots__ = ("enabled", "_tiers", "_invalidations")
+    __slots__ = ("enabled", "_tiers", "_invalidations", "__weakref__")
 
     def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
         self.enabled = True
@@ -212,9 +212,9 @@ class EvaluationCache:
     def metrics_snapshot(self):
         """Lifetime counters, keyed like the process registry.
 
-        Callers fold *deltas* between two snapshots into the shared
-        :class:`~repro.obs.MetricsRegistry` (see
-        :func:`repro.topk.base.record_topk_metrics`).
+        :meth:`~repro.topk.base.Strategy.top_k` folds their increments into
+        a traced query's tracer and into the
+        :class:`~repro.obs.MetricsRegistry`.
         """
         snapshot = {"eval_cache.flushes": 0}
         for tier in self._tiers.values():

@@ -50,7 +50,6 @@ from operator import itemgetter
 
 from repro.backend import as_backend
 from repro.errors import EvaluationError
-from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import NULL_TRACER
 from repro.plans.eval_cache import EvaluationCache, restriction_key
 from repro.plans.lowering import twig_eligible
@@ -424,14 +423,11 @@ class PlanExecutor:
         strict mode with an :class:`~repro.errors.EvaluationError`.
         """
         stats = ExecutionStats()
-        cache = self._eval_cache
         run = _RunState(
             pools=pool_restrictions or {},
             excluded=exclude_answer_ids or (),
         )
-        eval_before = cache.metrics_snapshot() if tracer.enabled else None
-        use_twig = mode == STRICT
-        if use_twig:
+        if mode == STRICT:
             if not twig_eligible(plan):
                 raise EvaluationError(
                     "the twig operator cannot evaluate this plan: it has "
@@ -443,28 +439,6 @@ class PlanExecutor:
         else:
             answers, actuals = self._run_binary(
                 plan, k, scheme, mode, run, stats, tracer, checkpoint
-            )
-        if eval_before is not None:
-            # Surface this run's cache activity in the trace: with a warm
-            # cache the IR counters legitimately read zero, and the hits
-            # are what explain --analyze should show instead.
-            for key, value in cache.metrics_snapshot().items():
-                delta = value - eval_before[key]
-                if delta:
-                    tracer.count(key, delta)
-        if REGISTRY.enabled:
-            # Fold this run's counters into the process registry: additive
-            # fields become counters; max_intermediate is a high-water mark.
-            folded = {
-                "executor.plans_executed": 1,
-                "plan.physical.twig" if use_twig else "plan.physical.binary": 1,
-            }
-            for key, value in stats.as_dict().items():
-                if value and key != "max_intermediate":
-                    folded["executor." + key] = value
-            REGISTRY.inc_many(folded)
-            REGISTRY.set_gauge_max(
-                "executor.max_intermediate", stats.max_intermediate
             )
         return ExecutionResult(answers=answers, stats=stats,
                                estimates=plan.estimates, actuals=actuals)
@@ -758,6 +732,9 @@ class PlanExecutor:
         The same key serves a plan's seed, the twig operator's per-variable
         pools and the descendant side of the pipeline's join merges, so all
         three share entries.  Id-sorted; shared — callers do not mutate it.
+        A corpus' virtual root is in no pool: it is no element of any
+        document, and a shard's own root would otherwise bind a variable
+        with only that shard's documents beneath it.
         """
 
         def compute():
@@ -766,6 +743,9 @@ class PlanExecutor:
                 ids = backend.node_ids_with_tag(tag)
             else:
                 ids = range(len(backend))
+            root = backend.virtual_root_id
+            if root is not None and ids and ids[0] == root:
+                ids = ids[1:]  # node 0: the first id of any pool holding it
             if allowed is not None:
                 ids = [node_id for node_id in ids if node_id in allowed]
             if attr_predicates:

@@ -31,12 +31,15 @@ def default_contains_oracle(document):
     return oracle
 
 
-def find_matches(query, document, contains_oracle=None, tag_matcher=None):
+def find_matches(query, document, contains_oracle=None, tag_matcher=None,
+                 virtual_root_id=None):
     """Yield complete matches as ``{variable: XMLNode}`` dicts.
 
     ``tag_matcher`` is an optional ``(query_tag, node_tag) -> bool``
     predicate enabling subtype semantics (the §3.4 type-hierarchy
-    extension); the default is exact tag equality.
+    extension); the default is exact tag equality.  ``virtual_root_id``
+    names a corpus' synthetic collection root, which binds no variable
+    (the plan executor's pools leave it out the same way).
     """
     if contains_oracle is None:
         contains_oracle = default_contains_oracle(document)
@@ -69,7 +72,10 @@ def find_matches(query, document, contains_oracle=None, tag_matcher=None):
             pool = document.nodes_with_tag(tag)
         else:
             pool = list(document.nodes())
-        pool = [node for node in pool if node_satisfies_unary(var, node)]
+        pool = [
+            node for node in pool
+            if node.node_id != virtual_root_id and node_satisfies_unary(var, node)
+        ]
         if not pool:
             return
         candidates[var] = pool
@@ -110,16 +116,19 @@ def find_matches(query, document, contains_oracle=None, tag_matcher=None):
     yield from search(0)
 
 
-def evaluate(query, document, contains_oracle=None, tag_matcher=None):
+def evaluate(query, document, contains_oracle=None, tag_matcher=None,
+             virtual_root_id=None):
     """Return the answer set: data nodes matched by the distinguished variable.
 
     Matches §2.1: ``Q(D) = {x | ∃ match f with f($d) = x}``; the result is a
-    list of distinct nodes in document order.
+    list of distinct nodes in document order.  The arguments are
+    :func:`find_matches`'.
     """
     seen = set()
     answers = []
     for match in find_matches(
-        query, document, contains_oracle=contains_oracle, tag_matcher=tag_matcher
+        query, document, contains_oracle=contains_oracle,
+        tag_matcher=tag_matcher, virtual_root_id=virtual_root_id,
     ):
         node = match[query.distinguished]
         if node.node_id not in seen:

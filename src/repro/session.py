@@ -180,8 +180,10 @@ class Session:
 
         Untraced queries probe the result cache and evaluate under the
         read lock.  Traced queries bypass the result cache and run under
-        the write lock, because ``attach_tracer`` mutates the shared IR
-        engine.
+        the write lock: their counters are the deltas of the sources'
+        shared lifetime counters (see
+        :meth:`~repro.topk.base.Strategy.top_k`), exact only while no other
+        query runs.
 
         When the engine has a trace sink configured
         (``Engine.configure_tracing``), a per-query sampling decision may
@@ -254,20 +256,17 @@ class Session:
                     if result_cache is not None:
                         result_cache.put(cache_key, version, result)
             else:
-                # Traced queries take the WRITE lock: ``attach_tracer``
-                # swaps the tracer on the *shared* IR engine, which would
-                # leak spans into (and race with) concurrent readers.
+                # Traced queries take the WRITE lock: the trace counts the
+                # shared IR engines' and evaluation caches' lifetime
+                # counters over the query, exact only while no other
+                # query moves them.
                 with context.rwlock.write_locked():
                     tracer = Tracer(sink=sink)
-                    context.attach_tracer(tracer)
-                    try:
-                        result = strategy.top_k(
-                            tpq, k, scheme=scheme,
-                            max_relaxations=max_relaxations,
-                            tracer=tracer, control=control,
-                        )
-                    finally:
-                        context.attach_tracer(None)
+                    result = strategy.top_k(
+                        tpq, k, scheme=scheme,
+                        max_relaxations=max_relaxations,
+                        tracer=tracer, control=control,
+                    )
                 if sink is not None:
                     if REGISTRY.enabled:
                         REGISTRY.inc("trace.exported")

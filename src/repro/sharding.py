@@ -33,14 +33,14 @@ lives here:
   ``shards.rounds`` the coordinated rounds.  Pruning never changes
   answers: every answer a pruned shard could still produce sorts strictly
   below the final K-th.
-- the scatter **thread pool**.  Traced queries run shards sequentially
-  instead (the shard IR engines share the query's
-  :class:`~repro.obs.Tracer`, which is not thread-safe) with each shard's
-  spans merged under a ``shard N`` span.
+- the scatter **thread pool**, traced queries included: a traced round
+  gives each shard a private :class:`~repro.obs.Tracer` (no shard-side
+  component holds one) and merges them, each shard's spans under a
+  ``shard N`` span, once the round is done.
 
-Known caveat: answers are byte-identical to the unsharded engine for
-queries whose bindings never touch the virtual collection root (wildcard
-root tags can bind it); the workload generator emits no such queries.
+No variable binds a shard's virtual collection root (the executor keeps
+it out of every pool, as it does the unsharded corpus' root), so answers
+are byte-identical to the unsharded engine's for wildcard patterns too.
 """
 
 from __future__ import annotations
@@ -63,14 +63,13 @@ class ShardedQueryContext(QueryContext):
 
     Everything the engine, session, and observability layers look at —
     ``backend`` / ``rwlock`` / ``ir`` / ``statistics`` / ``penalties`` /
-    ``estimator`` / ``plan_cache`` / ``compile`` / ``schedule`` /
-    ``attach_tracer`` (which fans out to every shard's IR engine through
-    the aggregate) — is inherited, bound to the sharded backend's
-    aggregates, so plans are lowered once, from *aggregate* counts, and run
-    as lowered on every shard.  ``document``, ``executor`` and
-    ``eval_cache`` are None: no unified node table exists, plans only ever
-    run on the sources, and each source memoizes in its own evaluation
-    cache (keys are shard-local node ids, which must never mix).  A source
+    ``estimator`` / ``plan_cache`` / ``compile`` / ``schedule`` — is
+    inherited, bound to the sharded backend's aggregates, so plans are
+    lowered once, from *aggregate* counts, and run as lowered on every
+    shard.  ``document``, ``executor`` and ``eval_cache`` are None: no
+    unified node table exists, plans only ever run on the sources, and
+    each source memoizes in its own evaluation cache (keys are shard-local
+    node ids, which must never mix).  A source
     is a plain ``QueryContext`` over its child backend; the only thing it
     cannot see for itself is an ingest into *another* shard, which is what
     :meth:`_on_backend_growth` covers.

@@ -36,7 +36,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import LevelTrace
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.plans.eval_cache import EvaluationCache
-from repro.plans.executor import PlanExecutor
+from repro.plans.executor import STRICT, PlanExecutor
 from repro.rank.schemes import STRUCTURE_FIRST
 from repro.rank.scores import AnswerScore
 from repro.relax.penalties import UNIFORM_WEIGHTS, PenaltyModel
@@ -106,23 +106,12 @@ class QueryContext:
         self.plan_cache.invalidate()
         self.eval_cache.clear()
 
-    def attach_tracer(self, tracer):
-        """Point the context's IR engine at a tracer (None detaches).
-
-        The executor receives its tracer per ``run`` call; the IR engine is
-        long-lived and shared, so tracing is attached for the duration of a
-        traced query and detached afterwards.  Because the attachment
-        mutates shared state, the session runs traced queries under the
-        context's *write* lock (see DESIGN §10).
-        """
-        self.ir.set_tracer(tracer)
-
     def compile(self, query, max_relaxations=None, skip_useless_gamma=True):
         """Return the :class:`~repro.compiled.CompiledQuery` for a request.
 
         Fronted by the bounded, backend-version-fenced plan cache: a warm
         hit returns the shared immutable artifact without touching the
-        closure, schedule, or plan builders.
+        schedule or plan builders.
         """
         return cached_compile(
             self, compile_query, query, max_relaxations, skip_useless_gamma
@@ -223,9 +212,9 @@ class Scatter:
       traces, plan counter) per source;
     - **transport** — :meth:`run` executes a plan on every still-runnable
       source: in the calling thread for one, on the context's thread pool
-      for several, and sequentially under a live tracer (the IR engines
-      share the query's tracer, which is not thread-safe) with each
-      source's spans merged under a ``shard N`` span;
+      for several.  Traced or not, the path is the same: a traced round
+      hands each source a private :class:`Tracer`, which records its
+      ``shard N`` span, and merges them into the query's afterwards;
     - **addressing** — ``readdress`` is the context's hook taking a
       source-local answer node to the ids callers see (None for a plain
       context: no wrapper, no translation);
@@ -286,19 +275,9 @@ class Scatter:
         runnable = self.runnable
         tracer = self.tracer
         if tracer.enabled:
-            results = []
             for index in runnable:
-                session = self.sessions[index]
-                session.tracer = source_tracer = Tracer()
-                try:
-                    with tracer.span("shard %d" % index):
-                        results.append(self._run_source(
-                            index, plan, label, per_source, kwargs
-                        ))
-                finally:
-                    session.tracer = NULL_TRACER
-                tracer.merge(source_tracer)
-        elif len(runnable) == 1:
+                self.sessions[index].tracer = Tracer()
+        if len(runnable) == 1:
             results = [
                 self._run_source(runnable[0], plan, label, per_source, kwargs)
             ]
@@ -317,16 +296,26 @@ class Scatter:
             # the rest stop within a CHECKPOINT_STRIDE.
             wait(futures)
             results = [future.result() for future in futures]
+        if tracer.enabled:
+            for index in runnable:
+                tracer.merge(self.sessions[index].tracer)
         return list(zip(runnable, results))
 
     def _run_source(self, index, plan, label, per_source, kwargs):
-        """Execute one source's plan for this round, in the current thread."""
+        """Execute one source's plan for this round, in the current thread.
+
+        A coordinated source runs inside a ``shard N`` span of its own
+        session's tracer (the null tracer when the query is untraced).
+        """
         session = self.sessions[index]
-        if per_source is not None:
-            kwargs = {**kwargs, **per_source(session)}
+        span = NULL_TRACER.span(label)
         if self.coordinated:
+            span = session.tracer.span("shard %d" % index)
             label = "shard %d %s" % (index, label)
-        return session.run_plan(plan, label, **kwargs)
+        with span:
+            if per_source is not None:
+                kwargs = {**kwargs, **per_source(session)}
+            return session.run_plan(plan, label, **kwargs)
 
     def retire(self, answers, k, scheme, next_structural):
         """Retire sources that can no longer place an answer in the top K.
@@ -380,27 +369,57 @@ class Scatter:
 class Strategy:
     """A stateless top-K policy over a shared context.
 
-    Subclasses set ``name`` and implement ``execute(compiled, scatter, k,
-    scheme)``; :meth:`top_k` is the one body every algorithm is entered
-    through, whatever the number of sources.
+    Subclasses set ``name`` and ``_mode`` (the executor mode every plan of
+    theirs runs in, which picks the operator) and implement
+    ``execute(compiled, scatter, k, scheme)``; :meth:`top_k` is the one
+    body every algorithm is entered through, whatever the number of
+    sources.
     """
 
     name = None
+    _mode = None
 
     def __init__(self, context):
         self._context = context
 
     def top_k(self, query, k, scheme=STRUCTURE_FIRST, max_relaxations=None,
               tracer=NULL_TRACER, control=None):
-        """Return the top-K answers of ``query`` under ``scheme``."""
+        """Return the top-K answers of ``query`` under ``scheme``.
+
+        The one place a query's counts reach observers.  Each source's IR
+        engine and evaluation cache keep lifetime ints only; a live
+        ``tracer`` gets their increments over compile + execute (exact: a
+        traced query holds the write lock).  At the end the registry gets
+        the query's own counts (:func:`_record_query`) and what the
+        sources counted since their last fold
+        (:meth:`~repro.obs.metrics.MetricsRegistry.fold_lifetime`, exact
+        under concurrency).
+        """
         context = self._context
-        metrics_token = begin_topk_metrics(context)
+        started = perf_counter()
+        components = [
+            part for source in context.sources
+            for part in (source.ir, source.eval_cache)
+        ]
+        before = None
+        if tracer.enabled:
+            before = summed(part.metrics_snapshot() for part in components)
         with tracer.span("compile"):
             compiled = context.compile(query, max_relaxations=max_relaxations)
         scatter = Scatter(context, compiled, tracer=tracer, control=control)
         with tracer.span("execute"):
             result = self.execute(compiled, scatter, k, scheme)
-        return record_topk_metrics(context, result, metrics_token)
+        if before is not None:
+            after = summed(part.metrics_snapshot() for part in components)
+            for key, value in after.items():
+                delta = value - before.get(key, 0)
+                if delta:
+                    tracer.count(key, delta)
+        if REGISTRY.enabled:
+            operator = "twig" if self._mode == STRICT else "binary"
+            _record_query(result, operator, perf_counter() - started)
+        REGISTRY.fold_lifetime(components)
+        return result
 
     def execute(self, compiled, scatter, k, scheme=STRUCTURE_FIRST):
         """Run this strategy's loop over a compiled artifact (stateless)."""
@@ -439,35 +458,16 @@ class TopKResult:
         )
 
 
-def begin_topk_metrics(context):
-    """Open a metrics window for one ``top_k`` call.
+def _record_query(result, operator, seconds):
+    """Fold one finished evaluation's own counts into the registry.
 
-    Returns an opaque token for :func:`record_topk_metrics`, or None when
-    the process registry is disabled — the disabled path costs one
-    attribute check, mirroring ``NULL_TRACER``.  The token captures the
-    start time, the IR engine's lifetime counters and those of the
-    sources' evaluation caches (summed) so only this query's *deltas* get
-    folded into the shared registry.
+    Per algorithm: the query count, levels explored, answers returned,
+    restarts and a wall-time histogram; the ``shards.*`` counters of a
+    coordinated evaluation; and every plan run's :class:`ExecutionStats` —
+    additive fields as ``executor.*`` counters next to
+    ``executor.plans_executed`` and ``plan.physical.<operator>``,
+    ``max_intermediate`` as a high-water-mark gauge.
     """
-    if not REGISTRY.enabled:
-        return None
-    return perf_counter(), context.ir.metrics_snapshot(), _eval_counters(context)
-
-
-def record_topk_metrics(context, result, token):
-    """Close a metrics window: fold one evaluation into the registry.
-
-    Records, per algorithm, the query count, levels explored, answers
-    returned, restarts, and a wall-time histogram — plus the IR engine's
-    cache and postings deltas and the ``eval_cache.*`` deltas accumulated
-    while the window was open, and the ``shards.*`` counters of a
-    coordinated evaluation.  Returns ``result`` so the caller can fold this
-    into its return statement.
-    """
-    if token is None:
-        return result
-    started, ir_before, eval_before = token
-    seconds = perf_counter() - started
     algorithm = result.algorithm.lower()
     folded = {
         "topk.%s.queries" % algorithm: 1,
@@ -479,17 +479,19 @@ def record_topk_metrics(context, result, token):
     if result.shard_rounds:
         folded["shards.rounds"] = result.shard_rounds
         folded["shards.pruned"] = result.shards_pruned
-    for key, value in context.ir.metrics_snapshot().items():
-        delta = value - ir_before[key]
-        if delta:
-            folded[key] = delta
-    for key, value in _eval_counters(context).items():
-        delta = value - eval_before[key]
-        if delta:
-            folded[key] = delta
+    if result.stats:
+        folded["executor.plans_executed"] = len(result.stats)
+        folded["plan.physical." + operator] = len(result.stats)
+        for stats in result.stats:
+            for key, value in stats.as_dict().items():
+                if value and key != "max_intermediate":
+                    key = "executor." + key
+                    folded[key] = folded.get(key, 0) + value
+        REGISTRY.set_gauge_max("executor.max_intermediate", max(
+            stats.max_intermediate for stats in result.stats
+        ))
     REGISTRY.inc_many(folded)
     REGISTRY.observe("topk.%s.seconds" % algorithm, seconds)
-    return result
 
 
 def summed(counters):
@@ -499,11 +501,6 @@ def summed(counters):
         for key, value in counts.items():
             totals[key] = totals.get(key, 0) + value
     return totals
-
-
-def _eval_counters(context):
-    """The evaluation-cache counters of ``context``'s sources, summed."""
-    return summed(source.eval_cache.metrics_snapshot() for source in context.sources)
 
 
 def combined_level_cutoff(schedule, reached_level, contains_count):

@@ -45,6 +45,7 @@ class DPO(Strategy):
     """Dynamic Penalty Order top-K evaluation."""
 
     name = "DPO"
+    _mode = STRICT
     # Bound on this class so that a tracer can wrap the walking strategies'
     # entry point alone (benchmarks/e2e/spans.py patches this name).
     top_k = Strategy.top_k
@@ -91,7 +92,7 @@ class DPO(Strategy):
                 compiled.strict_plan(level),
                 "level %d" % level,
                 lambda session: self._source_arguments(session, query),
-                mode=STRICT,
+                mode=self._mode,
             )
 
             level_score = schedule.structural_score(level)

@@ -4,8 +4,8 @@ The scatter-gather *scoring* equivalence lives in
 ``tests/properties/test_property_sharded.py``; this module covers the
 storage plane — document→shard routing, global-id translation, exact
 statistics aggregation, the on-disk per-shard layout, the published
-gauges/topology — plus the engine-facade seams (traced scatter, a failing
-scatter round, concurrent ingest).
+gauges/topology — plus the engine-facade seams (traced scatter, virtual
+roots, a failing scatter round, concurrent ingest).
 """
 
 import threading
@@ -25,6 +25,7 @@ from repro.collection import Corpus
 from repro.errors import FleXPathError, QueryTimeoutError
 from repro.ir.scoring import idf
 from repro.obs.metrics import REGISTRY
+from repro.plans.executor import PlanExecutor
 from repro.xmark import PAPER_Q1, PAPER_Q2, PAPER_Q3, generate_document
 from repro.xmltree import parse
 
@@ -471,18 +472,82 @@ class TestEngineIntegration:
             n.node_id for n in flat.exact(query)
         ]
 
-    def test_traced_query_has_shard_spans(self):
-        engine = FleXPath(_sharded(3))
-        trace = engine.query(QUERY, k=3, trace=True)
-        shard_spans = [
-            name for name in trace.spans if name.startswith("shard ")
+
+    def test_traced_query_has_shard_spans(self, monkeypatch):
+        """A traced query scatters like an untraced one: every source plan
+        of a two-source round runs on a ``shard-scatter`` thread, each
+        shard's spans land in the query trace, and the answers are the
+        untraced query's."""
+        engine = Engine.sharded(2, router=RoundRobinRouter(), cache=False)
+        for seed in (11, 12, 13, 14):
+            engine.backend.add_document(
+                generate_document(target_bytes=10_000, seed=seed),
+                name="doc%d" % seed,
+            )
+        query = '//item[./description and .contains("gold")]'
+        threads = []
+        run = PlanExecutor.run
+
+        def recording(self, *args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlanExecutor, "run", recording)
+        try:
+            for algorithm in ("dpo", "sso"):
+                plain = engine.query(query, k=50, algorithm=algorithm)
+                del threads[:]
+                traced = engine.query(
+                    query, k=50, algorithm=algorithm, trace=True
+                )
+                result = traced.result
+                assert [(a.node_id, a.score) for a in traced.answers] == [
+                    (a.node_id, a.score) for a in plain.answers
+                ]
+                assert result.shard_rounds >= 1
+                assert result.shards_pruned == 0  # both sources ran
+                assert len(threads) == result.levels_evaluated
+                assert all(name.startswith("shard-scatter") for name in threads)
+                for shard in ("shard 0", "shard 1"):
+                    assert traced.spans[shard]["calls"] == result.shard_rounds
+                assert traced.counter_totals()["ir.satisfies_calls"] > 0
+        finally:
+            engine.context.close()
+
+
+class TestVirtualRoot:
+    """No variable binds a corpus' virtual root, sharded or not: each
+    shard's root used to answer a wildcard query once per shard."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        docs = [generate_document(target_bytes=30_000, seed=s) for s in range(1, 5)]
+        corpus = Corpus()
+        sharded = Engine.sharded(2, router=RoundRobinRouter())
+        for index, doc in enumerate(docs):
+            corpus.add_document(doc, name="doc%d" % index)
+            sharded.backend.add_document(doc, name="doc%d" % index)
+        yield Engine(corpus), sharded
+        sharded.context.close()
+
+    @pytest.mark.parametrize("algorithm", ["dpo", "hybrid"])
+    def test_wildcard_answers_match_unsharded(self, engines, algorithm):
+        flat, sharded = engines
+        query = '//*[./site and .contains("gold")]'
+        expected = flat.query(query, k=5, algorithm=algorithm)
+        got = sharded.query(query, k=5, algorithm=algorithm)
+        assert expected.answers
+        assert 0 not in expected.node_ids()
+        assert [(a.node_id, a.score) for a in got.answers] == [
+            (a.node_id, a.score) for a in expected.answers
         ]
-        assert len(shard_spans) == 3
-        untraced = engine.query(QUERY, k=3)
-        traced_result = engine.query(QUERY, k=3)
-        assert [a.node_id for a in traced_result.answers] == [
-            a.node_id for a in untraced.answers
-        ]
+
+    def test_root_tag_matches_no_element(self, engines):
+        for engine in engines:
+            assert engine.query("//collection[./site]", k=5).answers == []
+            assert engine.exact("//collection[./site]") == []
+            assert engine.exact("//*[./site]") == []
+            assert len(engine.exact("//*/item")) == len(engine.exact("//item"))
 
 
 class TestScatterRound:

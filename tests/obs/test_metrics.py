@@ -1,6 +1,7 @@
 """The always-on metrics registry."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -14,6 +15,7 @@ from repro.obs.metrics import (
     REGISTRY,
     get_registry,
 )
+from repro.xmark import generate_document
 from tests.conftest import LIBRARY_XML
 
 
@@ -215,6 +217,84 @@ class TestGlobalRegistry:
         finally:
             REGISTRY.enabled = True
         assert REGISTRY.as_dict()["counters"] == {}
+
+
+class _Component:
+    """Lifetime counters behind ``metrics_snapshot``, like an IR engine's."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def metrics_snapshot(self):
+        return {"c.calls": self.calls}
+
+
+CONTAINS_QUERIES = [
+    '//item[./description and .contains("%s")]' % word
+    for word in ("gold", "vintage", "rare", "mint", "signed", "antique")
+] + ['//mail[./text and .contains("%s")]' % word for word in ("gold", "rare")]
+
+
+class TestLifetimeFolds:
+    def test_fold_adds_what_was_counted_since_the_last_fold(self, registry):
+        first, second = _Component(), _Component()
+        first.calls = 3
+        registry.fold_lifetime([first, second])
+        first.calls += 2
+        second.calls = 4
+        registry.fold_lifetime([first, second])
+        registry.fold_lifetime([first])
+        assert registry.counter("c.calls") == 9
+
+    def test_reset_keeps_the_marks(self, registry):
+        component = _Component()
+        component.calls = 5
+        registry.fold_lifetime([component])
+        registry.reset()
+        component.calls = 7
+        registry.fold_lifetime([component])
+        assert registry.counter("c.calls") == 2
+
+    def test_concurrent_queries_fold_each_increment_once(self):
+        """Overlapping queries on one engine: the registry's IR totals are
+        exactly what the IR engine counted, however the queries
+        interleave.  (A millisecond query fits one default thread switch
+        interval, so the interval is shortened to make the queries
+        overlap.)"""
+        engine = FleXPath(generate_document(target_bytes=60_000, seed=5),
+                          cache=False)
+        ir = engine.context.ir
+        engine.query(CONTAINS_QUERIES[0], k=5)  # the engine's first fold
+        REGISTRY.reset()
+        before = ir.metrics_snapshot()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            engine.query_many(CONTAINS_QUERIES * 2, k=5, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        after = ir.metrics_snapshot()
+        assert after["ir.satisfies_calls"] > before["ir.satisfies_calls"]
+        for name, value in after.items():
+            assert REGISTRY.counter(name) == value - before[name], name
+
+    def test_counts_made_while_disabled_never_surface(self):
+        """Registry off for one query, back on for the next: only the last
+        query's IR work is in the registry."""
+        engine = FleXPath(generate_document(target_bytes=40_000, seed=5),
+                          cache=False)
+        ir = engine.context.ir
+        REGISTRY.reset()
+        REGISTRY.enabled = False
+        try:
+            engine.query(CONTAINS_QUERIES[0], k=5)
+        finally:
+            REGISTRY.enabled = True
+        before = ir.metrics_snapshot()["ir.satisfies_calls"]
+        engine.query(CONTAINS_QUERIES[1], k=5)
+        delta = ir.metrics_snapshot()["ir.satisfies_calls"] - before
+        assert delta > 0
+        assert REGISTRY.counter("ir.satisfies_calls") == delta
 
 
 class TestQuantiles:

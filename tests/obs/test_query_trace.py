@@ -7,7 +7,9 @@ import pytest
 
 from repro import FleXPath
 from repro.cli import main
-from repro.obs import NULL_TRACER, PHASES, QueryTrace, Tracer
+from repro.obs import PHASES, QueryTrace, Tracer
+from repro.query import parse_query
+from repro.topk import DPO, QueryContext
 from repro.xmark import generate_document
 from repro.xmltree.serialize import write_xml
 
@@ -78,29 +80,27 @@ class TestQueryTrace:
         assert "max_intermediate" in text
 
     def test_tracer_detached_after_query(self, engine):
-        engine.query(QUERY, k=5, trace=True)
-        assert engine.context.ir._tracer is NULL_TRACER
+        """No shared component keeps a query's tracer: later queries,
+        traced or not, leave it exactly as its own query did."""
+        tracer = Tracer()
+        engine.strategy("dpo").top_k(parse_query(QUERY), 5, tracer=tracer)
+        done = tracer.snapshot()
+        engine.query(QUERY, k=5, algorithm="sso")
+        engine.query(QUERY, k=5, algorithm="dpo", trace=True)
+        assert tracer.snapshot() == done
 
     def test_untraced_query_records_nothing(self, engine):
-        engine.query(QUERY, k=5)
-        assert engine.context.ir._tracer is NULL_TRACER
+        result = engine.query(QUERY, k=5, algorithm="dpo")
+        assert result.traces == []
+        assert result.stats  # the counts still ride the result
 
-
-class TestCorpusTracing:
-    def test_splice_and_subscriber_spans(self):
-        from repro.collection import Corpus
-
-        corpus = Corpus()
-        FleXPath.from_corpus(corpus)  # subscribes index + statistics
+    def test_bare_top_k_reports_ir_counters(self, doc):
+        """The tracer handed to ``top_k`` gets the IR engine's counters with
+        no attach step around the call."""
         tracer = Tracer()
-        corpus.set_tracer(tracer)
-        corpus.add_text("<article><title>gold rush</title></article>")
-        assert tracer.calls("corpus.splice") == 1
-        assert tracer.calls("corpus.extend_subscribers") == 1
-        assert tracer.counters["corpus.nodes_added"] == 2
-        corpus.set_tracer(None)
-        corpus.add_text("<article><title>silver</title></article>")
-        assert tracer.calls("corpus.splice") == 1  # detached: unchanged
+        DPO(QueryContext(doc)).top_k(parse_query(QUERY), 5, tracer=tracer)
+        assert tracer.counters["ir.satisfies_calls"] > 0
+        assert tracer.counters["eval_cache.contains.misses"] > 0
 
 
 class TestCliAnalyze:

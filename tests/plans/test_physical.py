@@ -27,6 +27,7 @@ from repro.query import parse_query
 from repro.rank import STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
 from repro.backend.stats import DocumentStatistics
+from repro.topk import DPO, SSO, Hybrid
 from repro.topk.base import QueryContext
 from repro.xmark import PAPER_QUERIES, generate_document
 
@@ -313,20 +314,29 @@ class TestExecutorDispatch:
         for op in twig_ops:
             assert op["actual"] is not None
 
-    def test_physical_counters(self, executor):
-        plan = build_strict_plan(
-            parse_query("//item[./mailbox]"), UNIFORM_WEIGHTS
-        )
+    def test_physical_counters(self, doc):
+        """``top_k`` counts each plan run under the operator its strategy's
+        mode picks: DPO's strict plans as twig, SSO/Hybrid's as binary."""
+        context = QueryContext(doc)
+        tpq = parse_query("//item[./mailbox]")
         REGISTRY.reset()
         try:
-            executor.run(plan, mode=STRICT)
-            # The same strict plan in a pruning mode runs — and counts — as
-            # binary: the mode picks the operator.
-            executor.run(plan, mode=SSO_MODE)
-            executor.run(plan, k=3, mode=HYBRID_MODE)
+            results = [
+                strategy(context).top_k(tpq, 3) for strategy in (DPO, SSO, Hybrid)
+            ]
+            twig = results[0].levels_evaluated
+            binary = results[1].levels_evaluated + results[2].levels_evaluated
+            stats = [run for result in results for run in result.stats]
             counters = REGISTRY.as_dict()["counters"]
-            assert counters.get("plan.physical.twig") == 1
-            assert counters.get("plan.physical.binary") == 2
+            assert counters.get("plan.physical.twig") == twig > 0
+            assert counters.get("plan.physical.binary") == binary > 0
+            assert counters["executor.plans_executed"] == len(stats)
+            assert counters["executor.tuples_produced"] == sum(
+                run.tuples_produced for run in stats
+            )
+            assert REGISTRY.gauge("executor.max_intermediate") == max(
+                run.max_intermediate for run in stats
+            )
         finally:
             REGISTRY.reset()
 

@@ -159,12 +159,14 @@ def _specified(context, query, plan, restrictions):
     Every answer carries the plan's base structural score and, as keyword
     score, the best Σ ``ir.score`` of the query's ``contains`` predicates
     over the answer's matches; a restricted variable binds only its pool (a
-    restriction on a variable the level dropped restricts nothing).
+    restriction on a variable the level dropped restricts nothing), and a
+    corpus' virtual root binds nothing, as in the executor's pools.
     """
     ir = context.ir
     best = {}
     for match in find_matches(
-        query, context.document, contains_oracle=ir.satisfies
+        query, context.document, contains_oracle=ir.satisfies,
+        virtual_root_id=context.backend.virtual_root_id,
     ):
         if restrictions and any(
             var in match and match[var].node_id not in allowed

@@ -6,10 +6,9 @@ answer list* — node identity, structural score, keyword score — as one
 unsharded corpus, for every algorithm and every ranking scheme.  The
 early-termination merge may skip shard rounds, but never an answer.
 
-Queries are drawn with every variable tagged: a wildcard variable can
-bind the corpus virtual root, whose subtree is shard-local under
-sharding but corpus-wide without (the one documented non-equivalence,
-see ``repro.sharding``).
+Queries include wildcard variables: no variable binds a virtual
+collection root (a shard's root has only that shard's documents beneath
+it), so they need no exception.
 """
 
 from hypothesis import given, settings
@@ -71,7 +70,7 @@ def _assert_equivalent(docs, shard_count, query, k, scheme):
 @given(
     st.lists(documents(), min_size=2, max_size=4),
     st.integers(1, 3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
 )
 @settings(max_examples=25, deadline=None)
@@ -82,7 +81,7 @@ def test_structure_first_identical(docs, shard_count, query, k):
 @given(
     st.lists(documents(), min_size=2, max_size=4),
     st.integers(1, 3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
 )
 @settings(max_examples=25, deadline=None)
@@ -93,7 +92,7 @@ def test_keyword_first_identical(docs, shard_count, query, k):
 @given(
     st.lists(documents(), min_size=2, max_size=4),
     st.integers(1, 3),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
 )
 @settings(max_examples=25, deadline=None)
@@ -103,7 +102,7 @@ def test_combined_identical(docs, shard_count, query, k):
 
 @given(
     st.lists(documents(), min_size=3, max_size=5),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
 )
 @settings(max_examples=25, deadline=None)
 def test_pruned_rounds_never_drop_answers(docs, query):
@@ -121,7 +120,7 @@ def test_pruned_rounds_never_drop_answers(docs, query):
 
 @given(
     st.lists(documents(), min_size=1, max_size=4),
-    tree_patterns(always_tagged=True),
+    tree_patterns(),
     st.integers(1, 8),
 )
 @settings(max_examples=25, deadline=None)

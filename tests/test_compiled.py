@@ -56,11 +56,10 @@ class TestCompiledQuery:
             assert encoded is compiled.encoded_plans[level]
             assert encoded.distinguished
 
-    def test_captures_closure_and_core(self, context):
+    def test_captures_the_query(self, context):
         tpq = parse_query(QUERY)
         compiled = compile_query(context, tpq)
         assert compiled.tpq is tpq
-        assert compiled.core <= compiled.closure
         assert compiled.contains_count() == len(tpq.contains)
         assert compiled.structural_score(0) == pytest.approx(
             compiled.schedule.structural_score(0)
