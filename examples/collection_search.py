@@ -1,10 +1,9 @@
-"""Searching a multi-document collection with quality measurement.
+"""Searching a multi-document collection.
 
 Combines several bibliographic documents under one virtual root
 (the paper's "data tree, i.e., an XML document collection"), runs a
 flexible query across all of them, attributes each answer back to its
-source file, highlights the matched keywords, and quantifies the
-strict-vs-flexible recall gap with standard IR metrics.
+source file, and highlights the matched keywords.
 
 Run:  python examples/collection_search.py
 """
@@ -13,7 +12,6 @@ from repro import FleXPath
 from repro.collection import DocumentCollection
 from repro.ir import parse_ftexpr
 from repro.ir.highlight import snippet
-from repro.quality import compare_strict_vs_flexible
 
 DOCUMENTS = {
     "proceedings-2003.xml": """
@@ -73,30 +71,6 @@ def main():
             rank, source, answer.score.structural, answer.score.keyword
         ))
         print("   %s" % snippet(text, expression, width=64))
-    print()
-
-    # Ground truth: every article mentioning both keywords anywhere.
-    relevant = {
-        node.node_id
-        for node in collection.document.nodes_with_tag("article")
-        if engine.context.ir.satisfies(node, expression)
-    }
-    report = compare_strict_vs_flexible(engine, QUERY, relevant, k=len(relevant))
-    print("=== strict vs flexible against ground truth (%d relevant) ===" % (
-        len(relevant)
-    ))
-    for mode in ("strict", "flexible"):
-        row = report[mode]
-        print(
-            "%-9s precision=%.2f recall=%.2f f1=%.2f (returned %d)"
-            % (mode, row["precision"], row["recall"], row["f1"], row["returned"])
-        )
-    assert report["flexible"]["recall"] >= report["strict"]["recall"]
-    print(
-        "\nThe strict query misses the title-keywords and abstract-only"
-        "\narticles; relaxation recovers them while keeping exact matches"
-        "\non top."
-    )
 
 
 if __name__ == "__main__":

@@ -9,16 +9,4 @@ docs/EXTENDING.md for writing a custom backend.
 from repro.backend.base import StorageBackend, as_backend
 from repro.backend.memory import InMemoryBackend
 
-
-def __getattr__(name):
-    # DiskBackend imports lazily: the disk module pulls in the whole
-    # hydration stack (collection, ir, document), which in-memory users
-    # never pay for.
-    if name == "DiskBackend":
-        from repro.backend.disk import DiskBackend
-
-        return DiskBackend
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-__all__ = ["StorageBackend", "InMemoryBackend", "DiskBackend", "as_backend"]
+__all__ = ["StorageBackend", "InMemoryBackend", "as_backend"]

@@ -1,7 +1,7 @@
 """IR subsystem: tokenizer, Porter stemmer, FTExp language, inverted index,
 tf-idf scoring, and the IR engine that evaluates ``contains`` predicates."""
 
-from repro.ir.engine import IREngine, IRMatch
+from repro.ir.engine import IREngine
 from repro.ir.ftexpr import (
     And,
     Not,
@@ -27,7 +27,6 @@ from repro.ir.tokenizer import (
 __all__ = [
     "And",
     "IREngine",
-    "IRMatch",
     "InvertedIndex",
     "Not",
     "Or",

@@ -10,61 +10,35 @@ overhead when nothing is watching:
   and the benchmark harness' per-phase JSON aggregates.
 - **Process-lifetime metrics and events** (always-on): the
   :class:`MetricsRegistry` aggregates counters/gauges/latency histograms
-  across every query the process serves, and the :class:`EventHub` fires
-  SQLAlchemy-style listeners (``on("query_end", fn)``) at the fixed
-  instrumentation seams.  The built-in :class:`SlowQueryLog` is a stock
-  consumer of those events.
+  across every query the process serves, and the event hub in
+  :mod:`repro.obs.events` fires SQLAlchemy-style listeners
+  (``on("query_end", fn)``) at the fixed instrumentation seams.  The
+  built-in :class:`SlowQueryLog` is a stock consumer of those events.
 """
 
-from repro.obs.events import EVENTS, EventHub, HUB, off, on
-from repro.obs.export import (
-    InMemoryTraceSink,
-    JsonlTraceSink,
-    TraceSampler,
-    TraceSink,
-)
-from repro.obs.http import ObservabilityServer
-from repro.obs.metrics import (
-    BUCKET_BOUNDS,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-    get_registry,
-)
+from repro.obs.events import off, on
+from repro.obs.export import TraceSink
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.slowlog import (
     SlowQueryLog,
     disable_slow_query_log,
     enable_slow_query_log,
-    recent_slow_queries,
 )
-from repro.obs.trace import PHASES, LevelTrace, QueryTrace, build_query_trace
+from repro.obs.trace import PHASES, QueryTrace
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
-    "BUCKET_BOUNDS",
-    "EVENTS",
-    "EventHub",
-    "HUB",
-    "Histogram",
-    "InMemoryTraceSink",
-    "JsonlTraceSink",
-    "LevelTrace",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "ObservabilityServer",
     "PHASES",
     "QueryTrace",
-    "REGISTRY",
     "SlowQueryLog",
-    "TraceSampler",
     "TraceSink",
     "Tracer",
-    "build_query_trace",
     "disable_slow_query_log",
     "enable_slow_query_log",
     "get_registry",
     "off",
     "on",
-    "recent_slow_queries",
 ]

@@ -11,8 +11,6 @@ from repro.plans.executor import (
     HYBRID_MODE,
     SSO_MODE,
     STRICT,
-    ExecutionResult,
-    ExecutionStats,
     PlanExecutor,
 )
 from repro.plans.lowering import (
@@ -36,8 +34,6 @@ __all__ = [
     "ContainsCheck",
     "ContainsLevel",
     "EvaluationCache",
-    "ExecutionResult",
-    "ExecutionStats",
     "HYBRID_MODE",
     "OperatorEstimate",
     "Plan",

@@ -93,11 +93,6 @@ class PlanJoin:
     def best_delta(self):
         return self.alternatives[0].delta
 
-    def worst_case_delta(self):
-        if self.optional:
-            return self.optional_delta
-        return min(alt.delta for alt in self.alternatives)
-
 
 @dataclass
 class Plan:

@@ -31,30 +31,19 @@ def default_contains_oracle(document):
     return oracle
 
 
-def find_matches(query, document, contains_oracle=None, tag_matcher=None,
-                 virtual_root_id=None):
+def find_matches(query, document, contains_oracle=None, virtual_root_id=None):
     """Yield complete matches as ``{variable: XMLNode}`` dicts.
 
-    ``tag_matcher`` is an optional ``(query_tag, node_tag) -> bool``
-    predicate enabling subtype semantics (the §3.4 type-hierarchy
-    extension); the default is exact tag equality.  ``virtual_root_id``
-    names a corpus' synthetic collection root, which binds no variable
-    (the plan executor's pools leave it out the same way).
+    ``virtual_root_id`` names a corpus' synthetic collection root, which
+    binds no variable (the plan executor's pools leave it out the same
+    way).
     """
     if contains_oracle is None:
         contains_oracle = default_contains_oracle(document)
 
     order = list(query.variables)
 
-    def tag_ok(query_tag, node_tag):
-        if tag_matcher is not None:
-            return tag_matcher(query_tag, node_tag)
-        return query_tag == node_tag
-
     def node_satisfies_unary(var, node):
-        tag = query.tag_of(var)
-        if tag is not None and not tag_ok(tag, node.tag):
-            return False
         for predicate in query.attr_predicates:
             if predicate.var == var and not predicate.evaluate(
                 node.attributes.get(predicate.attr)
@@ -68,7 +57,7 @@ def find_matches(query, document, contains_oracle=None, tag_matcher=None,
     candidates = {}
     for var in order:
         tag = query.tag_of(var)
-        if tag is not None and tag_matcher is None:
+        if tag is not None:
             pool = document.nodes_with_tag(tag)
         else:
             pool = list(document.nodes())
@@ -116,8 +105,7 @@ def find_matches(query, document, contains_oracle=None, tag_matcher=None,
     yield from search(0)
 
 
-def evaluate(query, document, contains_oracle=None, tag_matcher=None,
-             virtual_root_id=None):
+def evaluate(query, document, contains_oracle=None, virtual_root_id=None):
     """Return the answer set: data nodes matched by the distinguished variable.
 
     Matches §2.1: ``Q(D) = {x | ∃ match f with f($d) = x}``; the result is a
@@ -128,7 +116,7 @@ def evaluate(query, document, contains_oracle=None, tag_matcher=None,
     answers = []
     for match in find_matches(
         query, document, contains_oracle=contains_oracle,
-        tag_matcher=tag_matcher, virtual_root_id=virtual_root_id,
+        virtual_root_id=virtual_root_id,
     ):
         node = match[query.distinguished]
         if node.node_id not in seen:

@@ -5,9 +5,6 @@ from repro.rank.schemes import (
     KEYWORD_FIRST,
     STRUCTURE_FIRST,
     Combined,
-    KeywordFirst,
-    RankingScheme,
-    StructureFirst,
     rank_answers,
     scheme_by_name,
 )
@@ -24,10 +21,7 @@ __all__ = [
     "STRUCTURE_FIRST",
     "AnswerScore",
     "Combined",
-    "KeywordFirst",
-    "RankingScheme",
     "ScoredAnswer",
-    "StructureFirst",
     "keyword_score",
     "rank_answers",
     "scheme_by_name",

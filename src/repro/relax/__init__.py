@@ -1,14 +1,5 @@
 """Query relaxation: operators, penalties, schedules, and the full space."""
 
-from repro.relax.extensions import (
-    Thesaurus,
-    TypeHierarchy,
-    drop_keyword,
-    expand_keyword,
-    hierarchy_tag_matcher,
-    tag_generalization,
-    weaken_value_predicate,
-)
 from repro.relax.operators import (
     axis_generalization,
     contains_promotion,
@@ -27,8 +18,6 @@ from repro.relax.steps import (
     LAMBDA,
     SIGMA,
     RelaxationSchedule,
-    RelaxationStep,
-    ScheduleEntry,
     candidate_steps,
 )
 
@@ -37,17 +26,8 @@ __all__ = [
     "KAPPA",
     "LAMBDA",
     "PenaltyModel",
-    "Thesaurus",
-    "TypeHierarchy",
-    "drop_keyword",
-    "expand_keyword",
-    "hierarchy_tag_matcher",
-    "tag_generalization",
-    "weaken_value_predicate",
     "RelaxationSchedule",
-    "RelaxationStep",
     "SIGMA",
-    "ScheduleEntry",
     "UNIFORM_WEIGHTS",
     "WeightAssignment",
     "applicable_relaxations",

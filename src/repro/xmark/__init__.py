@@ -1,13 +1,6 @@
 """XMark-like synthetic auction data (the paper's evaluation dataset)."""
 
 from repro.xmark.generator import XMarkConfig, XMarkGenerator, generate_document
-from repro.xmark.schema import (
-    ITEM_CHILDREN,
-    OPTIONAL_TAGS,
-    RECURSIVE_TAGS,
-    SHARED_TAGS,
-    TEXT_INLINE,
-)
 
 #: The three evaluation queries of §6, verbatim from the paper.
 PAPER_Q1 = "//item[./description/parlist]"
@@ -21,15 +14,10 @@ PAPER_Q3 = (
 PAPER_QUERIES = {"Q1": PAPER_Q1, "Q2": PAPER_Q2, "Q3": PAPER_Q3}
 
 __all__ = [
-    "ITEM_CHILDREN",
-    "OPTIONAL_TAGS",
     "PAPER_Q1",
     "PAPER_Q2",
     "PAPER_Q3",
     "PAPER_QUERIES",
-    "RECURSIVE_TAGS",
-    "SHARED_TAGS",
-    "TEXT_INLINE",
     "XMarkConfig",
     "XMarkGenerator",
     "generate_document",

@@ -1,9 +1,29 @@
 """Deterministic XMark-like document generator.
 
-Produces auction-site documents with the schema of
-:mod:`repro.xmark.schema`, sized by an approximate serialized-byte target,
-fully reproducible from a seed. The distribution knobs are chosen so the
-paper's evaluation queries behave as §6 describes:
+Produces auction-site documents with the XMark schema fragment below,
+sized by an approximate serialized-byte target, fully reproducible from a
+seed::
+
+    site
+    ├── regions
+    │   └── {africa,asia,australia,europe,namerica,samerica}
+    │       └── item*
+    │           ├── location, quantity, name, payment
+    │           ├── description → (text | parlist)
+    │           ├── shipping
+    │           ├── incategory*          (0..3, optional)
+    │           └── mailbox → mail* → (from, to, date, text)
+    ├── categories → category* → (name, description)
+    └── people → person* → (name, emailaddress, ...)
+
+    parlist → listitem+,  listitem → (text | parlist)
+    text → #PCDATA with optional inline bold / keyword / emph children
+
+It has the three features §6 calls out as enabling relaxations: recursive
+nodes (``parlist``), optional nodes (``incategory``) and shared nodes
+(``text`` under ``mail``, ``description`` and ``listitem``).  The
+distribution knobs are chosen so the paper's evaluation queries behave as
+§6 describes:
 
 - ``//item[./description/parlist]`` (paper Q1) matches a strict subset of
   items, and nested parlists make axis generalization *available*;

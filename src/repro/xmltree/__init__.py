@@ -8,18 +8,15 @@ dump format.
 """
 
 from repro.xmltree.builder import TreeBuilder, build_document, element
-from repro.xmltree.document import ColumnarStore, Document, TagDictionary
-from repro.xmltree.node import XMLNode
+from repro.xmltree.document import Document, TagDictionary
 from repro.xmltree.parser import parse, parse_file
 from repro.xmltree.serialize import to_xml, write_xml
 from repro.xmltree.storage import dump_document, load_document
 
 __all__ = [
-    "ColumnarStore",
     "Document",
     "TagDictionary",
     "TreeBuilder",
-    "XMLNode",
     "build_document",
     "dump_document",
     "element",

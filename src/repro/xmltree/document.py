@@ -385,14 +385,6 @@ class Document:
 
     # -- structural predicates ---------------------------------------------
 
-    def is_parent(self, ancestor, descendant):
-        """Return True if ``ancestor`` is the parent of ``descendant``."""
-        return ancestor.is_parent_of(descendant)
-
-    def is_ancestor(self, ancestor, descendant):
-        """Return True if ``ancestor`` is a proper ancestor of ``descendant``."""
-        return ancestor.is_ancestor_of(descendant)
-
     def descendants_with_tag(self, node, tag):
         """Return descendants of ``node`` having ``tag``, in document order.
 

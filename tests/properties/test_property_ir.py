@@ -8,7 +8,8 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import DiskBackend, InMemoryBackend
+from repro.backend import InMemoryBackend
+from repro.backend.disk import DiskBackend
 from repro.backend.sharded import RoundRobinRouter, ShardedBackend
 from repro.collection import Corpus
 from repro.ir import (

@@ -25,6 +25,7 @@ class TestRootPackage:
 SUBPACKAGES = [
     "repro.xmltree",
     "repro.ir",
+    "repro.obs",
     "repro.backend",
     "repro.stats",
     "repro.query",
@@ -57,12 +58,10 @@ class TestSubpackages:
             "repro.engine",
             "repro.errors",
             "repro.session",
-            "repro.quality",
             "repro.workload",
             "repro.ir.highlight",
             "repro.cache",
             "repro.compiled",
-            "repro.relax.extensions",
             "repro.topk.ir_first",
             "repro.topk.naive",
             "repro.xmltree.storage",

@@ -13,7 +13,8 @@ per module, whatever the scope; ``import a.b`` binds and is used by ``a``;
 ``from __future__`` and star imports are skipped.
 
 Run ``python tools/check_imports.py [ROOT ...]`` (default: ``src``,
-``tests``, ``benchmarks`` and ``tools`` of this repository); it exits 1
+``tests``, ``benchmarks``, ``tools`` and ``examples`` of this repository);
+it exits 1
 with one ``path:line: name`` per unused import.  ``tests/test_imports.py``
 runs it over the same roots.
 """
@@ -25,7 +26,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_ROOTS = ("src", "tests", "benchmarks", "tools")
+DEFAULT_ROOTS = ("src", "tests", "benchmarks", "tools", "examples")
 
 
 def _bindings(tree):
