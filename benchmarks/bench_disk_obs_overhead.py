@@ -1,16 +1,15 @@
 """Storage-plane instrumentation overhead: the zero-overhead-when-off gate.
 
-Not a paper figure.  PR 8 threads counters, histograms, and event emission
-through every DiskBackend I/O seam — WAL append/fsync, WAL replay, segment
-decode/seal, lazy hydration, compaction.  The design contract is the same
-as the query-path instrumentation: one ``REGISTRY.enabled`` / ``HUB.active``
-attribute check when nothing is watching, and bounded bookkeeping (a
-couple of dict folds under one lock per I/O operation) when the registry
-is on.  Disk operations are fsync- and memcpy-dominated (hundreds of µs to
+Not a paper figure.  Counters and histograms are threaded through every
+DiskBackend I/O seam — WAL append/fsync, WAL replay, segment decode/seal,
+lazy hydration, compaction.  The design contract is the same as the
+query-path instrumentation: one ``REGISTRY.enabled`` attribute check when
+the registry is killed, and bounded bookkeeping (a couple of dict folds
+under one lock per I/O operation) when it is on.  Disk operations are fsync- and memcpy-dominated (hundreds of µs to
 ms), so instrumentation in the ns range must vanish into them:
 
 - ``test_cold_open_instrumented`` / ``test_ingest_instrumented`` time the
-  default path (registry enabled, no listeners) — what production runs;
+  default path (registry enabled) — what production runs;
 - ``test_disk_obs_on_vs_off`` interleaves enabled/disabled medians for
   both cold open and WAL-durable ingest and *asserts* the instrumented
   path stays within 5% of the kill-switch path (plus a 100 µs noise

@@ -41,7 +41,6 @@ import threading
 from time import perf_counter
 
 from repro.backend import diskfmt
-from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.backend.memory import InMemoryBackend
 from repro.backend.stats import DocumentStatistics
@@ -316,9 +315,7 @@ class DiskBackend(InMemoryBackend):
                     self._ir = IREngine(
                         self._document, index=index, virtual_root_id=0
                     )
-                    self._observe_hydration(
-                        "postings_directory", started, terms=len(directory)
-                    )
+                    self._observe_hydration("postings_directory", started)
         return self._ir
 
     @property
@@ -347,18 +344,14 @@ class DiskBackend(InMemoryBackend):
                     self._observe_hydration("statistics", started)
         return self._statistics
 
-    def _observe_hydration(self, kind, started, **extra):
-        """Record one lazy sealed-payload materialization (counter + event)."""
-        if not (REGISTRY.enabled or HUB.active):
-            return
-        seconds = perf_counter() - started
+    @staticmethod
+    def _observe_hydration(kind, started):
+        """Record one lazy sealed-payload materialization."""
         if REGISTRY.enabled:
             REGISTRY.inc("disk.%s_hydrations" % kind)
-            REGISTRY.observe("disk.%s_hydration_seconds" % kind, seconds)
-        if HUB.active:
-            payload = {"path": self._path, "kind": kind, "seconds": seconds}
-            payload.update(extra)
-            HUB.emit("hydration", payload)
+            REGISTRY.observe(
+                "disk.%s_hydration_seconds" % kind, perf_counter() - started
+            )
 
     # -- ingest ----------------------------------------------------------------
 
@@ -444,25 +437,13 @@ class DiskBackend(InMemoryBackend):
             for generation in range(1, old_generation + 1):
                 stale = os.path.join(self._path, _segment_name(generation))
                 shutil.rmtree(stale, ignore_errors=True)
-            if REGISTRY.enabled or HUB.active:
-                seconds = perf_counter() - started
-                if REGISTRY.enabled:
-                    REGISTRY.inc_many(
-                        {"compaction.count": 1, "compaction.documents_folded": folded}
-                    )
-                    REGISTRY.observe("compaction.seconds", seconds)
-                    REGISTRY.set_gauge("disk.generation", new_generation)
-                    REGISTRY.set_gauge("disk.wal_documents", 0)
-                if HUB.active:
-                    HUB.emit(
-                        "compaction",
-                        {
-                            "path": self._path,
-                            "generation": new_generation,
-                            "documents_folded": folded,
-                            "seconds": seconds,
-                        },
-                    )
+            if REGISTRY.enabled:
+                REGISTRY.inc_many(
+                    {"compaction.count": 1, "compaction.documents_folded": folded}
+                )
+                REGISTRY.observe("compaction.seconds", perf_counter() - started)
+                REGISTRY.set_gauge("disk.generation", new_generation)
+                REGISTRY.set_gauge("disk.wal_documents", 0)
             return new_generation
 
     def describe(self):

@@ -37,15 +37,14 @@ segments refuse the same bytes.  Every reader raises
 ``struct.error``/``ValueError``/``IndexError`` — naming the file and the
 byte offset where validation failed.
 
-Every I/O seam here reports into the process observability plane (DESIGN
-§13) with the PR 2–3 zero-overhead-when-off contract: each seam pays one
-``REGISTRY.enabled`` / ``HUB.active`` attribute check when the registry is
-killed and nothing is subscribed.  WAL appends time the write and the
-fsync separately (``wal.append_seconds`` / ``wal.fsync_seconds``),
-recovery counts replayed records and torn-tail truncations, segment
-reads/writes observe per-artifact decode/seal latency and bytes
-(``segment.*``), and every failed envelope or record check increments a
-CRC-failure counter and emits a ``storage_corruption`` event.
+Every I/O seam here reports into the process metrics registry (DESIGN
+§13) with the zero-overhead-when-off contract: each seam pays one
+``REGISTRY.enabled`` attribute check when the registry is killed.  WAL
+appends time the write and the fsync separately (``wal.append_seconds`` /
+``wal.fsync_seconds``), recovery counts replayed records and torn-tail
+truncations, segment reads/writes observe per-artifact decode/seal
+latency and bytes (``segment.*``), and every failed envelope or record
+check increments a CRC-failure counter.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from time import perf_counter
 
 from repro.errors import CorruptStorageError
 from repro.ir.index import Posting
-from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.xmltree.document import ColumnarStore
 from repro.xmltree.storage import (
@@ -94,28 +92,15 @@ _U64 = struct.Struct("<Q")
 _NONE_TAG = 0xFFFFFFFF
 
 
-def _artifact_kind(path):
-    """``columns``/``postings``/``stats``/``wal`` from an artifact path."""
-    base = os.path.basename(str(path))
-    return base[:-4] if base.endswith(".bin") else base
-
-
-def _observe_segment_load(path, kind, size, seconds):
-    """Fold one sealed-artifact read into the registry and event hub."""
-    if REGISTRY.enabled:
-        REGISTRY.inc_many({"segment.loads": 1, "segment.load_bytes": size})
-        REGISTRY.observe("segment.%s_decode_seconds" % kind, seconds)
-    if HUB.active:
-        HUB.emit(
-            "segment_loaded",
-            {"path": str(path), "kind": kind, "bytes": size,
-             "seconds": seconds},
-        )
+def _observe_segment_load(kind, size, seconds):
+    """Fold one sealed-artifact read into the registry."""
+    REGISTRY.inc_many({"segment.loads": 1, "segment.load_bytes": size})
+    REGISTRY.observe("segment.%s_decode_seconds" % kind, seconds)
 
 
 def _seal(writer, path):
     """Write ``writer``'s payload + trailing CRC32 to ``path``, fsync'd."""
-    observing = REGISTRY.enabled or HUB.active
+    observing = REGISTRY.enabled
     started = perf_counter() if observing else 0.0
     data = writer.data
     data += _U32.pack(zlib.crc32(data))
@@ -124,36 +109,16 @@ def _seal(writer, path):
         handle.flush()
         os.fsync(handle.fileno())
     if observing:
-        seconds = perf_counter() - started
-        size = len(data)
-        if REGISTRY.enabled:
-            REGISTRY.inc_many({"segment.seals": 1, "segment.seal_bytes": size})
-            REGISTRY.observe("segment.seal_seconds", seconds)
-        if HUB.active:
-            HUB.emit(
-                "segment_sealed",
-                {
-                    "path": str(path),
-                    "kind": _artifact_kind(path),
-                    "bytes": size,
-                    "seconds": seconds,
-                },
-            )
-
-
-def _report_corruption(name, counter, message):
-    """Count a failed storage-integrity check and notify listeners."""
-    REGISTRY.inc(counter)
-    if HUB.active:
-        HUB.emit("storage_corruption", {"path": name, "error": message})
+        REGISTRY.inc_many({"segment.seals": 1, "segment.seal_bytes": len(data)})
+        REGISTRY.observe("segment.seal_seconds", perf_counter() - started)
 
 
 def _check_magic_and_crc(buffer, magic, name):
     """:func:`check_envelope`, counted as a segment CRC failure."""
     try:
         return check_envelope(buffer, magic, name)
-    except CorruptStorageError as error:
-        _report_corruption(name, "segment.crc_failures", str(error))
+    except CorruptStorageError:
+        REGISTRY.inc("segment.crc_failures")
         raise
 
 
@@ -249,10 +214,8 @@ def read_columns(path):
             child = end
         if child != count:
             reader.fail("fragment table does not cover the corpus")
-        if REGISTRY.enabled or HUB.active:
-            _observe_segment_load(
-                name, "columns", len(mm), perf_counter() - started
-            )
+        if REGISTRY.enabled:
+            _observe_segment_load("columns", len(mm), perf_counter() - started)
         return store, fragments, mm
     except CorruptStorageError:
         mm.close()
@@ -392,8 +355,8 @@ def map_segment(path, magic, kind):
     except CorruptStorageError:
         mm.close()
         raise
-    if REGISTRY.enabled or HUB.active:
-        _observe_segment_load(name, kind, len(mm), perf_counter() - started)
+    if REGISTRY.enabled:
+        _observe_segment_load(kind, len(mm), perf_counter() - started)
     return mm
 
 
@@ -633,12 +596,7 @@ class WriteAheadLog:
                     break  # torn write: record body never made it to disk
                 payload = data[start:end]
                 if zlib.crc32(payload) != crc:
-                    _report_corruption(
-                        self._path,
-                        "wal.crc_failures",
-                        "corrupt %s: record CRC mismatch (at byte %d)"
-                        % (self._path, offset),
-                    )
+                    REGISTRY.inc("wal.crc_failures")
                     break
                 payloads.append(payload)
                 offset = end
@@ -658,17 +616,6 @@ class WriteAheadLog:
                 deltas["wal.truncated_bytes"] = truncated
             REGISTRY.inc_many(deltas)
             REGISTRY.observe("wal.replay_seconds", perf_counter() - started)
-        if HUB.active:
-            HUB.emit(
-                "wal_replay",
-                {
-                    "path": self._path,
-                    "generation": expected_generation,
-                    "records": len(payloads),
-                    "truncated_bytes": truncated,
-                    "seconds": perf_counter() - started,
-                },
-            )
         return payloads
 
     def _rewrite_header(self):
@@ -680,7 +627,7 @@ class WriteAheadLog:
 
     def append(self, payload):
         """Durably append one record; returns its byte offset."""
-        observing = REGISTRY.enabled or HUB.active
+        observing = REGISTRY.enabled
         started = perf_counter() if observing else 0.0
         handle = self._ensure_open()
         offset = handle.tell()
@@ -694,20 +641,9 @@ class WriteAheadLog:
         if observing:
             done = perf_counter()
             size = _RECORD_HEADER.size + len(payload)
-            if REGISTRY.enabled:
-                REGISTRY.inc_many({"wal.appends": 1, "wal.append_bytes": size})
-                REGISTRY.observe("wal.append_seconds", done - started)
-                REGISTRY.observe("wal.fsync_seconds", done - fsync_started)
-            if HUB.active:
-                HUB.emit(
-                    "wal_append",
-                    {
-                        "path": self._path,
-                        "bytes": size,
-                        "seconds": done - started,
-                        "fsync_seconds": done - fsync_started,
-                    },
-                )
+            REGISTRY.inc_many({"wal.appends": 1, "wal.append_bytes": size})
+            REGISTRY.observe("wal.append_seconds", done - started)
+            REGISTRY.observe("wal.fsync_seconds", done - fsync_started)
         return offset
 
     def reset(self, generation):

@@ -7,7 +7,7 @@ objects in front of every query, and the
 :class:`~repro.compiled.CompiledQuery` artifacts in front of
 :func:`~repro.compiled.compile_query`.  Both are :class:`BoundedLRU` under
 a name; the name picks the registry prefix (``result_cache.*`` /
-``plan_cache.*``) and the ``cache_hit``/``cache_miss`` event payload.
+``plan_cache.*``).
 
 Correctness relies on two facts:
 
@@ -33,14 +33,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 
 
 class BoundedLRU:
-    """Thread-safe, version-fenced LRU with registry/event instrumentation."""
+    """Thread-safe, version-fenced LRU with registry instrumentation."""
 
-    #: Short tier name: registry prefix ``<name>_cache``, event payload.
+    #: Short tier name: registry prefix ``<name>_cache``.
     name = None
     #: Bound used when the constructor is given none.
     default_max_entries = None
@@ -54,7 +53,6 @@ class BoundedLRU:
         self._entries = OrderedDict()  # key -> (version, value)
         self._lock = threading.Lock()
         self._prefix = self.name + "_cache."
-        self._event = {"engine": self.name, "cache": self.name}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -72,8 +70,6 @@ class BoundedLRU:
                 self.misses += 1
         if REGISTRY.enabled:
             REGISTRY.inc(self._prefix + ("hits" if hit else "misses"))
-        if HUB.active:
-            HUB.emit("cache_hit" if hit else "cache_miss", dict(self._event))
         return entry[1] if hit else None
 
     def put(self, key, version, value):

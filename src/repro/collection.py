@@ -20,7 +20,6 @@ from time import perf_counter
 
 from repro.concurrency import RWLock
 from repro.errors import FleXPathError
-from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.xmltree.builder import TreeBuilder
 from repro.xmltree.parser import parse
@@ -87,8 +86,7 @@ class Corpus:
         id range so indexes and statistics can extend incrementally.  The
         ingest is observed through the process registry
         (``corpus.documents_added``, ``corpus.nodes_added``,
-        ``corpus.ingest_seconds``) and the ``doc_ingested`` event; a corpus
-        holds no tracer.
+        ``corpus.ingest_seconds``); a corpus holds no tracer.
         """
         started = perf_counter()
         with self.lock.write_locked():
@@ -102,7 +100,6 @@ class Corpus:
             self._names.append(name)
             for callback in self._listeners:
                 callback(self, start_id, end_id)
-        seconds = perf_counter() - started
         if REGISTRY.enabled:
             REGISTRY.inc_many(
                 {
@@ -110,18 +107,8 @@ class Corpus:
                     "corpus.nodes_added": end_id - start_id,
                 }
             )
-            REGISTRY.observe("corpus.ingest_seconds", seconds)
+            REGISTRY.observe("corpus.ingest_seconds", perf_counter() - started)
             REGISTRY.set_gauge("corpus.documents", len(self._names))
-        if HUB.active:
-            HUB.emit(
-                "doc_ingested",
-                {
-                    "name": name,
-                    "nodes": end_id - start_id,
-                    "seconds": seconds,
-                    "documents": len(self._names),
-                },
-            )
         return self._document.node(start_id)
 
     def add_text(self, text, name=None):

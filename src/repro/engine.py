@@ -42,7 +42,7 @@ from time import perf_counter
 from repro.backend import as_backend
 from repro.cache import ResultCache
 from repro.errors import FleXPathError, QueryBatchError
-from repro.obs.events import HUB
+from repro.obs import events
 from repro.obs.metrics import REGISTRY
 from repro.query.evaluate import evaluate
 from repro.rank.schemes import STRUCTURE_FIRST, scheme_by_name
@@ -394,17 +394,6 @@ class Engine:
         """
         tpq = coerce_query(query)
         query_text = query if isinstance(query, str) else tpq.to_xpath()
-        if HUB.active:
-            HUB.emit(
-                "query_start",
-                {
-                    "query": query_text,
-                    "k": None,
-                    "algorithm": "exact",
-                    "scheme": None,
-                    "traced": False,
-                },
-            )
         started = perf_counter()
         try:
             with self.lock.read_locked():
@@ -423,8 +412,8 @@ class Engine:
         if REGISTRY.enabled:
             REGISTRY.inc("exact.count")
             REGISTRY.observe("exact.seconds", seconds)
-        if HUB.active:
-            HUB.emit("query_end", query_end_payload(
+        if events.LISTENERS:
+            events.emit(query_end_payload(
                 query_text, None, "exact", None, seconds,
                 self.backend.version, result=nodes,
             ))

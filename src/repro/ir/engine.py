@@ -21,7 +21,6 @@ from repro.ir.index import InvertedIndex
 from repro.ir.matching import _phrase_matches, _window_matches, ftexpr_matches
 from repro.ir.scoring import positive_terms, score_region
 from repro.ir.tokenizer import normalize_term, tokenize_and_stem
-from repro.obs.events import HUB
 
 
 class IRMatch:
@@ -114,16 +113,6 @@ class IREngine:
             "ir.score_calls": self._m_score_calls,
         }
 
-    def _cache_hit(self, cache):
-        self._m_cache_hits += 1
-        if HUB.active:
-            HUB.emit("cache_hit", {"engine": "ir", "cache": cache})
-
-    def _cache_miss(self, cache):
-        self._m_cache_misses += 1
-        if HUB.active:
-            HUB.emit("cache_miss", {"engine": "ir", "cache": cache})
-
     # -- incremental corpus growth ---------------------------------------------
 
     def extend(self, start_id, end_id=None):
@@ -174,9 +163,9 @@ class IREngine:
         fence = self._idf_index.text_element_count
         cached = self._most_specific_cache.get(expression)
         if cached is not None and cached[0] == fence:
-            self._cache_hit("most_specific")
+            self._m_cache_hits += 1
             return cached[1]
-        self._cache_miss("most_specific")
+        self._m_cache_misses += 1
         probe = self._resolve(expression)
         ends = self._document.store.ends
         satisfying = sorted(
@@ -208,9 +197,9 @@ class IREngine:
         """
         key = (expression, tag)
         if key in self._count_cache:
-            self._cache_hit("count")
+            self._m_cache_hits += 1
             return self._count_cache[key]
-        self._cache_miss("count")
+        self._m_cache_misses += 1
         probe = self._resolve(expression)
         store = self._document.store
         if tag is None:
@@ -311,7 +300,7 @@ class IREngine:
                 if ids is None:
                     ids = self._local_match_ids(expression)
                 else:
-                    self._cache_hit("local_match")
+                    self._m_cache_hits += 1
                 # Binary-search for a locally matching element in the region.
                 lo = bisect_left(ids, start)
                 return lo < len(ids) and ids[lo] < end
@@ -340,7 +329,7 @@ class IREngine:
                 "%s %s consists entirely of stop words and can never match"
                 % (kind, expression)
             )
-        self._cache_miss("local_match")
+        self._m_cache_misses += 1
         postings = {}
         candidate_ids = None
         for word in words:

@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, and event hooks for the query path.
+"""Observability: tracing, metrics, and the ``query_end`` hook.
 
 ``repro.obs`` has two telemetry planes with one shared principle — zero
 overhead when nothing is watching:
@@ -8,12 +8,12 @@ overhead when nothing is watching:
   :class:`QueryTrace` is the structured result surfaced by
   ``FleXPath.query(..., trace=True)``, the CLI's ``explain --analyze``,
   and the benchmark harness' per-phase JSON aggregates.
-- **Process-lifetime metrics and events** (always-on): the
-  :class:`MetricsRegistry` aggregates counters/gauges/latency histograms
-  across every query the process serves, and the event hub in
-  :mod:`repro.obs.events` fires SQLAlchemy-style listeners
-  (``on("query_end", fn)``) at the fixed instrumentation seams.  The
-  built-in :class:`SlowQueryLog` is a stock consumer of those events.
+- **Process-lifetime metrics** (always-on): the :class:`MetricsRegistry`
+  aggregates counters/gauges/latency histograms across every query,
+  ingest, cache probe and storage operation the process serves.  One
+  listener seam rides beside it: :mod:`repro.obs.events` calls
+  ``on("query_end", fn)`` listeners once per answered query, and the
+  built-in :class:`SlowQueryLog` is the stock listener.
 """
 
 from repro.obs.events import off, on

@@ -1,30 +1,12 @@
-"""SQLAlchemy-style event hooks at the query path's fixed seams.
+"""The one listener seam: ``query_end``.
 
-SQLAlchemy instruments its engine with listeners at a handful of fixed
-points (``before_cursor_execute`` / ``after_cursor_execute``, pool
-checkouts); FleXPath does the same with a process-wide :class:`EventHub`
-and a fixed set of event names:
-
-====================  =======================================================
-``query_start``       a ``FleXPath.query``/``exact`` call begins
-``query_end``         it finished (payload carries wall time, levels, answers)
-``level_executed``    one plan execution completed (DPO runs one per level,
-                      SSO/Hybrid one per restart)
-``cache_hit``         an IR-engine expression cache probe hit
-``cache_miss``        ... or missed
-``doc_ingested``      a document was spliced into a :class:`Corpus`
-``wal_append``        a WAL record was durably appended (bytes, fsync time)
-``wal_replay``        a WAL tail was recovered on open (records applied,
-                      torn-tail bytes truncated)
-``segment_loaded``    a sealed segment artifact was mapped/decoded on open
-``segment_sealed``    a segment artifact was written (create/compact)
-``hydration``         a lazy sealed payload materialized (postings
-                      directory, statistics)
-``compaction``        a WAL tail was folded into a sealed segment
-``storage_corruption``  a CRC/validation check failed on a storage artifact
-====================  =======================================================
-
-Listeners are plain callables taking one dict payload::
+Each entry point that answers a query — :meth:`Session.query
+<repro.session.Session.query>` (and so ``Engine.query``/``query_many``)
+and ``Engine.exact`` — calls the ``query_end`` listeners once per call,
+timeouts and cancellations included, with one dict payload
+(:func:`repro.session.query_end_payload`: wall time, levels, answer count,
+cache hit, deadline outcome, and the :class:`~repro.obs.QueryTrace` of a
+traced call)::
 
     from repro.obs import on, off
 
@@ -35,124 +17,48 @@ Listeners are plain callables taking one dict payload::
     ...
     off("query_end", watch)
 
-The no-listener fast path mirrors :data:`~repro.obs.tracer.NULL_TRACER`'s
-zero-overhead design: instrumented seams gate on the hub's ``active``
-attribute (a plain bool maintained by ``on``/``off``), so with nothing
-subscribed a hot path pays one attribute check and nothing else.
-Listeners run synchronously on the emitting thread, in subscription
-order; a listener that raises propagates to the caller (as in SQLAlchemy
-— a broken listener should be loud, not silently unhooked).
+Everything else a query, an ingest, a cache or the storage layer does is
+counted by the metrics registry (:mod:`repro.obs.metrics`), the one place
+to read it.  With nothing subscribed an entry point pays one truth test
+of :data:`LISTENERS`.  Listeners run synchronously on the emitting
+thread, in subscription order; a listener that raises propagates to the
+caller (as in SQLAlchemy — a broken listener should be loud, not silently
+unhooked).
 """
 
 from __future__ import annotations
 
 from repro.errors import FleXPathError
 
-#: Every event the instrumented seams emit, in rough pipeline order.
-EVENTS = (
-    "query_start",
-    "query_end",
-    "level_executed",
-    "cache_hit",
-    "cache_miss",
-    "doc_ingested",
-    "wal_append",
-    "wal_replay",
-    "segment_loaded",
-    "segment_sealed",
-    "hydration",
-    "compaction",
-    "storage_corruption",
-)
+#: The ``query_end`` listeners, in subscription order.  Entry points test
+#: it before building a payload.
+LISTENERS = []
 
 
-class EventHub:
-    """Dispatches named events to subscribed listeners.
-
-    ``active`` is True while *any* listener is subscribed — the one
-    attribute hot seams check before building a payload.  Subscription is
-    validated against :data:`EVENTS`; unknown names raise
-    :class:`~repro.errors.FleXPathError` immediately rather than silently
-    never firing.
-    """
-
-    def __init__(self):
-        self._listeners = {name: [] for name in EVENTS}
-        self.active = False
-
-    def on(self, event, listener):
-        """Subscribe ``listener(payload)`` to the named event."""
-        self._check(event)
-        if not callable(listener):
-            raise FleXPathError("listener for %r is not callable" % event)
-        self._listeners[event].append(listener)
-        self.active = True
-        return listener
-
-    def off(self, event, listener):
-        """Unsubscribe a listener; unknown listeners are ignored."""
-        self._check(event)
-        try:
-            self._listeners[event].remove(listener)
-        except ValueError:
-            pass
-        self.active = any(self._listeners.values())
-
-    def emit(self, event, payload):
-        """Deliver ``payload`` to the event's listeners, in order.
-
-        Callers on hot paths must gate on ``hub.active`` first; ``emit``
-        itself only checks the per-event list, so a cold call with no
-        listeners is still just a dict lookup.
-        """
-        try:
-            listeners = self._listeners[event]
-        except KeyError:
-            self._check(event)
-            raise  # unreachable: _check raised already
-        for listener in listeners:
-            listener(payload)
-
-    def has(self, event):
-        """True when the named event has at least one listener."""
-        self._check(event)
-        return bool(self._listeners[event])
-
-    def listeners(self, event):
-        """The event's current listeners (a copy)."""
-        self._check(event)
-        return list(self._listeners[event])
-
-    def clear(self):
-        """Drop every listener (test/shutdown helper)."""
-        for listeners in self._listeners.values():
-            listeners.clear()
-        self.active = False
-
-    def _check(self, event):
-        if event not in self._listeners:
-            raise FleXPathError(
-                "unknown event %r (choose from %s)"
-                % (event, ", ".join(EVENTS))
-            )
-
-    def __repr__(self):
-        return "EventHub(%s)" % ", ".join(
-            "%s=%d" % (name, len(listeners))
-            for name, listeners in self._listeners.items()
-            if listeners
+def _check(event):
+    if event != "query_end":
+        raise FleXPathError(
+            "unknown event %r (the only event is 'query_end')" % (event,)
         )
 
 
-#: The process-wide hub every instrumented seam emits into.
-HUB = EventHub()
-
-
 def on(event, listener):
-    """Subscribe ``listener(payload)`` to an event on the process hub."""
-    return HUB.on(event, listener)
+    """Subscribe ``listener(payload)`` to ``query_end``; returns it."""
+    _check(event)
+    if not callable(listener):
+        raise FleXPathError("listener for %r is not callable" % event)
+    LISTENERS.append(listener)
+    return listener
 
 
 def off(event, listener):
-    """Unsubscribe a listener from an event on the process hub."""
-    HUB.off(event, listener)
+    """Unsubscribe a listener; unknown listeners are ignored."""
+    _check(event)
+    if listener in LISTENERS:
+        LISTENERS.remove(listener)
+
+
+def emit(payload):
+    """Deliver one ``query_end`` payload to every listener, in order."""
+    for listener in LISTENERS:
+        listener(payload)

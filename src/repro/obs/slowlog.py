@@ -1,4 +1,4 @@
-"""The built-in slow-query log — a stock consumer of the event hub.
+"""The built-in slow-query log — the stock ``query_end`` listener.
 
 A served FleXPath needs to answer "which queries are hurting us?" without
 anyone having attached a tracer in advance.  :class:`SlowQueryLog`
@@ -25,9 +25,9 @@ Each instance also retains its most recent details in a bounded ring
 buffer (:meth:`recent`), which is what the ``/statusz`` page of the
 embedded observability endpoint renders.
 
-Nothing is installed by default — the hub's no-listener fast path stays
-intact until :func:`enable_slow_query_log` is called (or the CLI is run
-with ``--slow-ms``).
+Nothing is installed by default — the entry points' no-listener fast path
+stays intact until :func:`enable_slow_query_log` is called (or the CLI is
+run with ``--slow-ms``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import logging
 from collections import deque
 from threading import Lock
 
-from repro.obs.events import HUB
+from repro.obs.events import off, on
 
 logger = logging.getLogger("repro.slowlog")
 
@@ -47,31 +47,28 @@ RECENT_CAPACITY = 32
 class SlowQueryLog:
     """Logs queries slower than ``slow_ms`` milliseconds.
 
-    One instance subscribes to one hub's ``query_end`` via
-    :meth:`install`; :meth:`uninstall` detaches it.  ``slow_ms`` may be
-    adjusted on a live instance.
+    One instance subscribes to ``query_end`` via :meth:`install`;
+    :meth:`uninstall` detaches it.  ``slow_ms`` may be adjusted on a live
+    instance.
     """
 
-    def __init__(self, slow_ms=100.0, log=None, hub=None,
-                 recent_capacity=RECENT_CAPACITY):
+    def __init__(self, slow_ms=100.0):
         self.slow_ms = slow_ms
-        self._log = log if log is not None else logger
-        self._hub = hub if hub is not None else HUB
         self._installed = False
-        self._recent = deque(maxlen=recent_capacity)
+        self._recent = deque(maxlen=RECENT_CAPACITY)
         self._recent_lock = Lock()
 
     def install(self):
         """Subscribe to ``query_end``; idempotent."""
         if not self._installed:
-            self._hub.on("query_end", self._on_query_end)
+            on("query_end", self._on_query_end)
             self._installed = True
         return self
 
     def uninstall(self):
         """Unsubscribe; idempotent."""
         if self._installed:
-            self._hub.off("query_end", self._on_query_end)
+            off("query_end", self._on_query_end)
             self._installed = False
 
     @property
@@ -106,7 +103,7 @@ class SlowQueryLog:
             detail["phases"] = trace.phase_aggregates()
         with self._recent_lock:
             self._recent.append(detail)
-        self._log.warning(
+        logger.warning(
             "slow query (%.1f ms, %s/%s, %s level(s), outcome=%s): %s",
             seconds * 1000.0,
             detail["algorithm"],

@@ -33,11 +33,9 @@ document only changes through :meth:`~repro.collection.Corpus.add_document`,
 which clears it via the context's subscription.  ``enabled = False`` is the
 kill switch: both shapes then compute directly and record nothing.
 
-Observability: each tier keeps plain int hit/miss counters (read, like the
+Observability: each tier keeps plain int hit/miss counters, read, like the
 IR engine's, by :meth:`~repro.topk.base.Strategy.top_k` at the end of a
-query) and fires the ``cache_hit``/``cache_miss``
-event seam with ``{"engine": "eval", "cache": <tier>, "count": n}`` — one
-event per call — when listeners are attached.
+query.
 
 Thread-safety: each tier's mutex guards its *structural* mutations (insert,
 budget flush, clear), so concurrent queries sharing one context can probe
@@ -51,8 +49,6 @@ never corrupt state.
 from __future__ import annotations
 
 import threading
-
-from repro.obs.events import HUB
 
 #: Entry budget of each tier (a table tier counts the entries of all its
 #: tables).  Exceeding it flushes that tier — a full flush is crude but
@@ -78,16 +74,6 @@ class _Tier:
         self.data = {}
         self.entries = self.hits = self.misses = self.flushes = 0
         self.lock = threading.Lock()
-
-    def count(self, hits, misses):
-        self.hits += hits
-        self.misses += misses
-        if HUB.active:
-            for kind, count in (("cache_hit", hits), ("cache_miss", misses)):
-                if count:
-                    HUB.emit(
-                        kind, {"engine": "eval", "cache": self.name, "count": count}
-                    )
 
     def make_room(self, adding):
         """Under the lock: flush every entry if ``adding`` more would not fit."""
@@ -124,9 +110,9 @@ class EvaluationCache:
         tier = self._tiers[tier]
         found = tier.data.get(key)
         if found is not None:
-            tier.count(1, 0)
+            tier.hits += 1
             return found
-        tier.count(0, 1)
+        tier.misses += 1
         found = compute()
         with tier.lock:
             if key not in tier.data:
@@ -177,7 +163,8 @@ class EvaluationCache:
                 current.update(filled)
                 tier.entries += len(current) - before
             table = current
-        tier.count(probes - len(missing), len(missing))
+        tier.hits += probes - len(missing)
+        tier.misses += len(missing)
         return table if table is not None else {}
 
     def clear(self):

@@ -29,7 +29,7 @@ from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
 )
-from repro.obs.events import HUB
+from repro.obs import events
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import build_query_trace
 from repro.obs.tracer import Tracer
@@ -218,20 +218,9 @@ class Session:
             and engine.trace_sampler.sample()
         )
         traced_run = trace or sampled
-        if HUB.active:
-            HUB.emit(
-                "query_start",
-                {
-                    "query": query_text,
-                    "k": k,
-                    "algorithm": strategy.name,
-                    "scheme": scheme.name,
-                    "traced": traced_run,
-                },
-            )
         started = perf_counter()
         version = engine.backend.version
-        query_trace = None
+        query_trace = result = outcome = None
         cached = False
         try:
             if not traced_run:
@@ -284,6 +273,7 @@ class Session:
                     query_trace = build_query_trace(
                         result, tracer, perf_counter() - started
                     )
+            outcome = "ok"
         except Exception as error:
             REGISTRY.inc("query.errors")
             if isinstance(error, QueryTimeoutError):
@@ -293,24 +283,21 @@ class Session:
             else:
                 raise
             REGISTRY.inc(counter)
-            if HUB.active:
-                # A query that never produced a result still ends.
-                HUB.emit("query_end", query_end_payload(
-                    query_text, k, strategy.name, scheme.name,
-                    perf_counter() - started, engine.backend.version,
-                    deadline_ms=deadline_ms, outcome=outcome,
-                ))
             raise
         finally:
             self._control = None
-        seconds = perf_counter() - started
-        if REGISTRY.enabled:
-            REGISTRY.inc("query.count")
-            REGISTRY.observe("query.seconds", seconds)
-        if HUB.active:
-            HUB.emit("query_end", query_end_payload(
-                query_text, k, result.algorithm, scheme.name, seconds,
-                engine.backend.version, result=result, trace=query_trace,
-                cached=cached, deadline_ms=deadline_ms,
-            ))
+            # A query ends once whether it answered or ran out of time;
+            # any other error is the caller's to see, not an outcome.
+            if outcome is not None:
+                seconds = perf_counter() - started
+                if outcome == "ok" and REGISTRY.enabled:
+                    REGISTRY.inc("query.count")
+                    REGISTRY.observe("query.seconds", seconds)
+                if events.LISTENERS:
+                    events.emit(query_end_payload(
+                        query_text, k, strategy.name, scheme.name, seconds,
+                        engine.backend.version, result=result,
+                        trace=query_trace, cached=cached,
+                        deadline_ms=deadline_ms, outcome=outcome,
+                    ))
         return query_trace if trace else result

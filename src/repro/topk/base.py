@@ -31,7 +31,6 @@ from time import perf_counter
 
 from repro.backend import as_backend
 from repro.compiled import PlanCache, cached_compile, compile_query
-from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import LevelTrace
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -168,9 +167,7 @@ class ExecutionSession:
         With a live tracer the plan runs against a fresh per-level
         :class:`Tracer` whose spans are merged into the session's and kept
         as a :class:`LevelTrace`; with the null tracer this is exactly one
-        extra ``enabled`` check.  This is also the ``level_executed`` event
-        seam — one emission per plan execution, gated on the hub's
-        no-listener fast path.
+        extra ``enabled`` check.
         """
         control = self.control
         if control is not None:
@@ -191,11 +188,6 @@ class ExecutionSession:
                     stats=result.stats,
                     operators=tuple(result.operators),
                 )
-            )
-        if HUB.active:
-            HUB.emit(
-                "level_executed",
-                {"label": label, "stats": result.stats.as_dict()},
             )
         self.stats.append(result.stats)
         self.levels_evaluated += 1

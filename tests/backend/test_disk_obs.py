@@ -1,6 +1,8 @@
 """Storage-plane observability: WAL, segment, hydration, compaction metrics."""
 
 import os
+import pathlib
+import re
 import struct
 
 import pytest
@@ -9,7 +11,6 @@ from repro.backend import diskfmt
 from repro.backend.disk import DiskBackend
 from repro.engine import Engine
 from repro.errors import CorruptStorageError
-from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.xmltree import parse
 from tests.conftest import LIBRARY_XML
@@ -19,14 +20,13 @@ EXTRA_XML = (
     "<paragraph>incremental XML streaming</paragraph></section></article>"
 )
 
+DESIGN = pathlib.Path(__file__).resolve().parents[2] / "DESIGN.md"
 
-@pytest.fixture(autouse=True)
-def clean_telemetry():
-    REGISTRY.reset()
-    HUB.clear()
-    yield
-    REGISTRY.reset()
-    HUB.clear()
+#: The metric families DESIGN §13.1 catalogs for the storage plane.
+STORAGE_PREFIXES = ("wal.", "segment.", "disk.", "compaction.")
+
+
+pytestmark = pytest.mark.usefixtures("clean_observability")
 
 
 @pytest.fixture()
@@ -40,6 +40,23 @@ def _seeded(corpus_dir):
     return backend
 
 
+def _flip_byte(path, offset):
+    """Invert one byte of a file in place (negative offsets count from the end)."""
+    if offset < 0:
+        offset += os.path.getsize(path)
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(offset)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+def _tear_wal_tail(corpus_dir):
+    """Append a record header whose body never reached the disk."""
+    with open(os.path.join(corpus_dir, "wal.log"), "ab") as handle:
+        handle.write(diskfmt.RECORD_MAGIC + struct.pack(">I", 999))
+
+
 class TestWalMetrics:
     def test_append_counts_bytes_and_latency(self, corpus_dir):
         backend = _seeded(corpus_dir)
@@ -48,41 +65,30 @@ class TestWalMetrics:
             assert REGISTRY.counter("wal.append_bytes") > 0
             assert REGISTRY.histogram("wal.append_seconds")["count"] == 1
             assert REGISTRY.histogram("wal.fsync_seconds")["count"] == 1
+            # The fsync is a slice of the append it belongs to.
+            assert (
+                REGISTRY.histogram("wal.append_seconds")["sum"]
+                >= REGISTRY.histogram("wal.fsync_seconds")["sum"]
+                >= 0
+            )
         finally:
             backend.close()
-
-    def test_append_emits_event(self, corpus_dir):
-        backend = DiskBackend.create(corpus_dir)
-        events = []
-        HUB.on("wal_append", events.append)
-        try:
-            backend.add_document(parse(EXTRA_XML), name="extra.xml")
-        finally:
-            backend.close()
-        (payload,) = events
-        assert payload["bytes"] > 0
-        assert payload["seconds"] >= payload["fsync_seconds"] >= 0
 
     def test_replay_counts_records(self, corpus_dir):
         _seeded(corpus_dir).close()
         REGISTRY.reset()
-        events = []
-        HUB.on("wal_replay", events.append)
         backend = DiskBackend.open(corpus_dir)
         backend.close()
         assert REGISTRY.counter("wal.replays") == 1
         assert REGISTRY.counter("wal.replay_records") == 1
         assert REGISTRY.counter("wal.torn_tail_truncations") == 0
-        (payload,) = events
-        assert payload["records"] == 1
-        assert payload["truncated_bytes"] == 0
-        assert payload["generation"] == 1
+        assert REGISTRY.counter("wal.truncated_bytes") == 0
+        assert REGISTRY.histogram("wal.replay_seconds")["count"] == 1
+        assert backend.generation == 1
 
     def test_torn_tail_truncation_is_counted(self, corpus_dir):
         _seeded(corpus_dir).close()
-        wal_path = os.path.join(corpus_dir, "wal.log")
-        with open(wal_path, "ab") as handle:
-            handle.write(diskfmt.RECORD_MAGIC + struct.pack(">I", 999))
+        _tear_wal_tail(corpus_dir)
         REGISTRY.reset()
         backend = DiskBackend.open(corpus_dir)
         backend.close()
@@ -92,71 +98,50 @@ class TestWalMetrics:
 
     def test_record_crc_failure_is_counted(self, corpus_dir):
         _seeded(corpus_dir).close()
-        wal_path = os.path.join(corpus_dir, "wal.log")
-        size = os.path.getsize(wal_path)
-        with open(wal_path, "r+b") as handle:
-            handle.seek(size - 1)
-            byte = handle.read(1)
-            handle.seek(size - 1)
-            handle.write(bytes([byte[0] ^ 0xFF]))
+        _flip_byte(os.path.join(corpus_dir, "wal.log"), -1)
         REGISTRY.reset()
-        corruptions = []
-        HUB.on("storage_corruption", corruptions.append)
         backend = DiskBackend.open(corpus_dir)
         backend.close()
         assert REGISTRY.counter("wal.crc_failures") == 1
         assert REGISTRY.counter("wal.replay_records") == 0
-        assert len(corruptions) == 1
+        assert REGISTRY.counter("wal.truncated_bytes") > 0
 
 
 class TestSegmentMetrics:
     def test_open_counts_segment_loads(self, corpus_dir):
         _seeded(corpus_dir).close()
         REGISTRY.reset()
-        loads = []
-        HUB.on("segment_loaded", loads.append)
         backend = DiskBackend.open(corpus_dir)
         backend.close()
         assert REGISTRY.counter("segment.loads") == 3
         assert REGISTRY.counter("segment.load_bytes") > 0
-        kinds = {payload["kind"] for payload in loads}
-        assert kinds == {"columns", "postings", "stats"}
-        for kind in kinds:
+        for kind in ("columns", "postings", "stats"):
             histogram = REGISTRY.histogram("segment.%s_decode_seconds" % kind)
             assert histogram["count"] == 1
 
-    def test_seal_counts_and_events(self, corpus_dir):
-        seals = []
-        HUB.on("segment_sealed", seals.append)
+    def test_seal_counts_each_artifact(self, corpus_dir):
         backend = _seeded(corpus_dir)
         try:
             assert REGISTRY.counter("segment.seals") == 3  # create() seals one segment
             backend.compact()
             assert REGISTRY.counter("segment.seals") == 6
             assert REGISTRY.histogram("segment.seal_seconds")["count"] == 6
+            sealed = os.path.join(corpus_dir, "seg-00000002")
+            assert REGISTRY.counter("segment.seal_bytes") > sum(
+                os.path.getsize(os.path.join(sealed, name))
+                for name in ("columns.bin", "postings.bin", "stats.bin")
+            )
         finally:
             backend.close()
-        assert {payload["kind"] for payload in seals} == {
-            "columns", "postings", "stats",
-        }
 
     def test_segment_crc_failure_is_counted(self, corpus_dir):
         _seeded(corpus_dir).close()
         columns = os.path.join(corpus_dir, "seg-00000001", "columns.bin")
-        size = os.path.getsize(columns)
-        with open(columns, "r+b") as handle:
-            handle.seek(size // 2)
-            byte = handle.read(1)
-            handle.seek(size // 2)
-            handle.write(bytes([byte[0] ^ 0xFF]))
+        _flip_byte(columns, os.path.getsize(columns) // 2)
         REGISTRY.reset()
-        corruptions = []
-        HUB.on("storage_corruption", corruptions.append)
-        with pytest.raises(CorruptStorageError):
+        with pytest.raises(CorruptStorageError, match=r"columns\.bin"):
             DiskBackend.open(corpus_dir)
         assert REGISTRY.counter("segment.crc_failures") == 1
-        assert len(corruptions) == 1
-        assert "columns.bin" in corruptions[0]["path"]
 
 
 class TestHydrationMetrics:
@@ -165,8 +150,6 @@ class TestHydrationMetrics:
         backend.compact()
         backend.close()
         REGISTRY.reset()
-        hydrations = []
-        HUB.on("hydration", hydrations.append)
         backend = DiskBackend.open(corpus_dir)
         try:
             # Cold open defers both heavy decodes.
@@ -184,14 +167,10 @@ class TestHydrationMetrics:
             # Hydration is once per open backend.
             backend.ir
             assert REGISTRY.counter("disk.postings_directory_hydrations") == 1
+            # The hydrated directory serves the sealed vocabulary.
+            assert backend.ir.index.posting("stream") is not None
         finally:
             backend.close()
-        kinds = {payload["kind"] for payload in hydrations}
-        assert kinds == {"postings_directory", "statistics"}
-        directory_event = next(
-            p for p in hydrations if p["kind"] == "postings_directory"
-        )
-        assert directory_event["terms"] > 0
 
     def test_query_through_engine_hydrates_touched_postings(self, corpus_dir):
         backend = _seeded(corpus_dir)
@@ -212,22 +191,17 @@ class TestHydrationMetrics:
 class TestCompactionMetrics:
     def test_compaction_span_and_gauges(self, corpus_dir):
         backend = _seeded(corpus_dir)
-        compactions = []
-        HUB.on("compaction", compactions.append)
         try:
             assert REGISTRY.gauge("disk.wal_documents") == 1
             backend.compact()
             assert REGISTRY.counter("compaction.count") == 1
             assert REGISTRY.counter("compaction.documents_folded") == 1
             assert REGISTRY.histogram("compaction.seconds")["count"] == 1
+            assert REGISTRY.histogram("compaction.seconds")["sum"] > 0
             assert REGISTRY.gauge("disk.generation") == 2
             assert REGISTRY.gauge("disk.wal_documents") == 0
         finally:
             backend.close()
-        (payload,) = compactions
-        assert payload["generation"] == 2
-        assert payload["documents_folded"] == 1
-        assert payload["seconds"] > 0
 
 
 class TestKillSwitch:
@@ -245,3 +219,47 @@ class TestKillSwitch:
         assert snapshot["counters"] == {}
         assert snapshot["histograms"] == {}
         assert snapshot["gauges"] == {}
+
+
+def _documented_storage_metrics():
+    """``{name: kind}`` for every storage name in DESIGN §13.1's table."""
+    section = DESIGN.read_text(encoding="utf-8").split("### 13.1 ")[1]
+    section = section.split("\n### ")[0]
+    documented = {}
+    for names, kind in re.findall(r"^\| (`.+?`) \| (\w+) \|", section, flags=re.M):
+        for name in re.findall(r"`([\w.]+)`", names):
+            if name.startswith(STORAGE_PREFIXES):
+                documented[name] = kind
+    return documented
+
+
+class TestCatalog:
+    def test_a_disk_lifecycle_records_exactly_the_documented_metrics(
+        self, corpus_dir
+    ):
+        """Every storage metric one lifecycle records is in DESIGN §13.1's
+        table under its kind, and every name the table lists is recorded."""
+        backend = _seeded(corpus_dir)
+        backend.compact()
+        backend.add_document(parse(EXTRA_XML), name="extra.xml")
+        backend.close()
+        _tear_wal_tail(corpus_dir)
+        backend = DiskBackend.open(corpus_dir)
+        assert backend.ir.index.posting("stream") is not None
+        backend.statistics
+        backend.close()
+        _flip_byte(os.path.join(corpus_dir, "wal.log"), -1)
+        DiskBackend.open(corpus_dir).close()
+        columns = os.path.join(corpus_dir, "seg-00000002", "columns.bin")
+        _flip_byte(columns, os.path.getsize(columns) // 2)
+        with pytest.raises(CorruptStorageError):
+            DiskBackend.open(corpus_dir)
+
+        snapshot = REGISTRY.as_dict()
+        recorded = {
+            name: kind
+            for kind in ("counter", "gauge", "histogram")
+            for name in snapshot[kind + "s"]
+            if name.startswith(STORAGE_PREFIXES)
+        }
+        assert recorded == _documented_storage_metrics()

@@ -6,6 +6,8 @@ import pytest
 
 from repro import FleXPath
 from repro.datasets import article_corpus
+from repro.obs.events import LISTENERS
+from repro.obs.metrics import REGISTRY
 from repro.xmark import generate_document
 from repro.xmltree import parse
 
@@ -30,6 +32,18 @@ LIBRARY_XML = """
  </article>
 </library>
 """
+
+
+@pytest.fixture()
+def clean_observability():
+    """A zeroed metrics registry and no ``query_end`` listener, before and
+    after the test.  Modules that count or listen opt in with
+    ``pytestmark = pytest.mark.usefixtures("clean_observability")``."""
+    REGISTRY.reset()
+    LISTENERS.clear()
+    yield
+    REGISTRY.reset()
+    LISTENERS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,22 +1,23 @@
-"""The event hub and its wiring into the query path."""
+"""The ``query_end`` listener seam and its wiring into the entry points."""
 
 import pytest
 
 from repro import FleXPath
-from repro.collection import Corpus
-from repro.errors import FleXPathError
-from repro.obs.events import EVENTS, EventHub, HUB, off, on
+from repro.errors import FleXPathError, QueryTimeoutError
+from repro.obs.events import LISTENERS, emit, off, on
 from tests.conftest import LIBRARY_XML
 
 ALL_ALGORITHMS = ("dpo", "sso", "hybrid", "naive", "ir-first")
 
+#: Every ``query_end`` payload carries exactly these keys.
+PAYLOAD_KEYS = {
+    "query", "k", "algorithm", "scheme", "seconds", "levels_evaluated",
+    "relaxations_used", "answers", "result", "trace", "cached", "version",
+    "deadline_ms", "outcome",
+}
 
-@pytest.fixture(autouse=True)
-def clean_hub():
-    """Every test starts and ends with an idle hub."""
-    HUB.clear()
-    yield
-    HUB.clear()
+
+pytestmark = pytest.mark.usefixtures("clean_observability")
 
 
 @pytest.fixture()
@@ -25,68 +26,58 @@ def engine():
 
 
 class TestEventHub:
+    """``on``/``off``/``emit`` over the module's one listener list."""
+
     def test_starts_inactive(self):
-        hub = EventHub()
-        assert hub.active is False
-        assert not any(hub.has(event) for event in EVENTS)
+        assert LISTENERS == []
 
     def test_on_activates_off_deactivates(self):
-        hub = EventHub()
-        listener = hub.on("query_end", lambda payload: None)
-        assert hub.active is True
-        assert hub.has("query_end")
-        hub.off("query_end", listener)
-        assert hub.active is False
+        listener = on("query_end", lambda payload: None)
+        assert LISTENERS == [listener]
+        off("query_end", listener)
+        assert LISTENERS == []
 
     def test_unknown_event_raises(self):
-        hub = EventHub()
-        with pytest.raises(FleXPathError, match="unknown event"):
-            hub.on("query_done", lambda payload: None)
-        with pytest.raises(FleXPathError, match="unknown event"):
-            hub.emit("query_done", {})
+        for name in ("query_start", "cache_hit", "wal_append", "query_done"):
+            with pytest.raises(FleXPathError, match="unknown event"):
+                on(name, lambda payload: None)
+            with pytest.raises(FleXPathError, match="unknown event"):
+                off(name, lambda payload: None)
+        assert LISTENERS == []
 
     def test_non_callable_listener_raises(self):
-        hub = EventHub()
         with pytest.raises(FleXPathError, match="not callable"):
-            hub.on("query_end", "not a function")
+            on("query_end", "not a function")
 
     def test_off_unknown_listener_is_ignored(self):
-        hub = EventHub()
-        hub.off("query_end", lambda payload: None)
-        assert hub.active is False
+        off("query_end", lambda payload: None)
+        assert LISTENERS == []
 
-    def test_emit_delivers_in_subscription_order(self):
-        hub = EventHub()
+    def test_emit_delivers_in_subscription_order(self, engine):
         calls = []
-        hub.on("query_end", lambda payload: calls.append("first"))
-        hub.on("query_end", lambda payload: calls.append("second"))
-        hub.emit("query_end", {})
+        on("query_end", lambda payload: calls.append("first"))
+        on("query_end", lambda payload: calls.append("second"))
+        emit({})
         assert calls == ["first", "second"]
+        engine.query("//article", k=2)
+        assert calls == ["first", "second"] * 2
 
-    def test_listener_exceptions_propagate(self):
-        hub = EventHub()
-
+    def test_listener_exceptions_propagate(self, engine):
         def broken(payload):
             raise RuntimeError("boom")
 
-        hub.on("query_end", broken)
+        on("query_end", broken)
         with pytest.raises(RuntimeError, match="boom"):
-            hub.emit("query_end", {})
-
-    def test_clear_drops_everything(self):
-        hub = EventHub()
-        hub.on("query_end", lambda payload: None)
-        hub.on("cache_hit", lambda payload: None)
-        hub.clear()
-        assert hub.active is False
-        assert not hub.has("query_end")
+            engine.query("//article", k=2)
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.exact("//article")
 
 
 class TestQueryEvents:
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_exactly_one_query_end_per_query(self, engine, algorithm):
-        """The satellite contract: one ``query_end`` per ``FleXPath.query``
-        call, whatever the algorithm."""
+        """One ``query_end`` per ``FleXPath.query`` call, whatever the
+        algorithm."""
         events = []
         on("query_end", events.append)
         result = engine.query(
@@ -94,17 +85,12 @@ class TestQueryEvents:
         )
         assert len(events) == 1
         payload = events[0]
+        assert set(payload) == PAYLOAD_KEYS
         assert payload["algorithm"] == result.algorithm
         assert payload["answers"] == len(result.answers)
         assert payload["seconds"] >= 0.0
         assert payload["result"] is result
-
-    def test_query_start_precedes_query_end(self, engine):
-        order = []
-        on("query_start", lambda payload: order.append("start"))
-        on("query_end", lambda payload: order.append("end"))
-        engine.query("//article", k=2)
-        assert order == ["start", "end"]
+        assert payload["outcome"] == "ok"
 
     def test_off_stops_delivery(self, engine):
         events = []
@@ -119,6 +105,7 @@ class TestQueryEvents:
         on("query_end", events.append)
         nodes = engine.exact("//section")
         assert len(events) == 1
+        assert set(events[0]) == PAYLOAD_KEYS
         assert events[0]["algorithm"] == "exact"
         assert events[0]["answers"] == len(nodes)
 
@@ -128,28 +115,21 @@ class TestQueryEvents:
         trace = engine.query("//article", k=2, trace=True)
         assert events[0]["trace"] is trace
 
-    def test_level_executed_fires_per_plan_run(self, engine):
-        levels = []
-        on("level_executed", levels.append)
-        result = engine.query("//article[./section/paragraph]", k=3)
-        assert len(levels) >= result.levels_evaluated
-        assert all("stats" in payload for payload in levels)
-
-    def test_cache_events_fire_for_contains_queries(self, engine):
-        hits, misses = [], []
-        on("cache_hit", hits.append)
-        on("cache_miss", misses.append)
-        engine.query('//article[./section[.contains("XML")]]', k=3)
-        engine.query('//article[./section[.contains("XML")]]', k=3)
-        assert misses  # first evaluation populates the caches
-        assert hits  # second one reuses them
-
-    def test_doc_ingested_fires_on_corpus_add(self):
+    def test_a_timed_out_query_ends_once(self, engine):
         events = []
-        on("doc_ingested", events.append)
-        corpus = Corpus()
-        corpus.add_text("<doc><a>one</a></doc>", name="d0")
-        assert len(events) == 1
-        assert events[0]["name"] == "d0"
-        assert events[0]["nodes"] >= 2
-        assert events[0]["documents"] == 1
+        on("query_end", events.append)
+        with pytest.raises(QueryTimeoutError):
+            engine.query("//article[./section]", k=2, deadline_ms=1e-6)
+        (payload,) = events
+        assert set(payload) == PAYLOAD_KEYS
+        assert payload["outcome"] == "timeout"
+        assert payload["result"] is None
+        assert payload["answers"] is None
+        assert payload["deadline_ms"] == 1e-6
+
+    def test_a_query_that_fails_to_parse_never_ends(self, engine):
+        events = []
+        on("query_end", events.append)
+        with pytest.raises(FleXPathError):
+            engine.query("//article[", k=2)
+        assert events == []

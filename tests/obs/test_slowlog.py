@@ -5,7 +5,8 @@ import logging
 import pytest
 
 from repro import FleXPath
-from repro.obs.events import HUB
+from repro.obs import slowlog as slowlog_module
+from repro.obs.events import LISTENERS
 from repro.obs.slowlog import (
     SlowQueryLog,
     disable_slow_query_log,
@@ -14,11 +15,7 @@ from repro.obs.slowlog import (
 from tests.conftest import LIBRARY_XML
 
 
-@pytest.fixture(autouse=True)
-def clean_hub():
-    HUB.clear()
-    yield
-    HUB.clear()
+pytestmark = pytest.mark.usefixtures("clean_observability")
 
 
 @pytest.fixture()
@@ -61,7 +58,7 @@ class TestSlowQueryLog:
             engine.query("//article", k=2)
         assert caplog.records == []
         assert not slowlog.installed
-        assert not HUB.active
+        assert not LISTENERS
 
     def test_install_is_idempotent(self, engine, caplog):
         slowlog = SlowQueryLog(slow_ms=0.0)
@@ -91,7 +88,7 @@ class TestSlowQueryLog:
         finally:
             disable_slow_query_log()
         assert len(caplog.records) == 1
-        assert not HUB.active
+        assert not LISTENERS
 
 
 class TestPayloadSchema:
@@ -154,8 +151,10 @@ class TestPayloadSchema:
         assert detail["deadline_ms"] == 0.0001
         assert detail["seconds"] > 0
 
-    def test_recent_ring_buffer_retains_details(self, engine, caplog):
-        slowlog = SlowQueryLog(slow_ms=0.0, recent_capacity=2).install()
+    def test_recent_ring_buffer_retains_details(self, engine, caplog,
+                                                monkeypatch):
+        monkeypatch.setattr(slowlog_module, "RECENT_CAPACITY", 2)
+        slowlog = SlowQueryLog(slow_ms=0.0).install()
         try:
             with caplog.at_level(logging.WARNING, logger="repro.slowlog"):
                 for query in ("//article", "//section", "//paragraph"):

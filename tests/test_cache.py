@@ -6,7 +6,6 @@ from repro import PlanCache, ResultCache
 from repro.cache import BoundedLRU
 from repro.cache import ResultCache as ResultCacheFromModule
 from repro.compiled import PlanCache as PlanCacheFromModule
-from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 
 INFO_SCHEMA = {
@@ -14,13 +13,7 @@ INFO_SCHEMA = {
 }
 
 
-@pytest.fixture(autouse=True)
-def clean_observability():
-    REGISTRY.reset()
-    HUB.clear()
-    yield
-    REGISTRY.reset()
-    HUB.clear()
+pytestmark = pytest.mark.usefixtures("clean_observability")
 
 
 def _counter(name):
@@ -111,17 +104,6 @@ class TestBoundedLRU:
         assert len(cache) == 0
         assert _counter("%s_cache.invalidations" % name) == 1
         assert _gauge("%s_cache.size" % name) == 0
-
-    def test_event_payloads(self, cache_cls, name, default_bound):
-        events = []
-        HUB.on("cache_hit", lambda payload: events.append(("hit", payload)))
-        HUB.on("cache_miss", lambda payload: events.append(("miss", payload)))
-        cache = cache_cls()
-        cache.get("k", 0)
-        cache.put("k", 0, 1)
-        cache.get("k", 0)
-        payload = {"engine": name, "cache": name}
-        assert events == [("miss", payload), ("hit", payload)]
 
     def test_len_and_repr_hold_the_lock(self, cache_cls, name, default_bound):
         # Regression: __len__/__repr__ used to read _entries without the

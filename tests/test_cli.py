@@ -458,13 +458,13 @@ class TestMetrics:
         assert "flexpath_query_count 1" in output
 
     def test_slow_ms_uninstalls_after_the_run(self, xml_file):
-        from repro.obs.events import HUB
+        from repro.obs.events import LISTENERS
 
         code, output = run(
             ["metrics", xml_file, "--count", "2", "--slow-ms", "60000"]
         )
         assert code == 0
-        assert not HUB.active
+        assert not LISTENERS
 
 
 class TestServeMetrics:

@@ -4,7 +4,6 @@ import pytest
 
 from repro import CompiledQuery, FleXPath, compile_query
 from repro.collection import Corpus
-from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.query.parser import parse_query
 from repro.topk.base import QueryContext
@@ -14,13 +13,7 @@ from tests.conftest import LIBRARY_XML
 QUERY = '//article[./section[./paragraph and .contains("streaming")]]'
 
 
-@pytest.fixture(autouse=True)
-def clean_observability():
-    REGISTRY.reset()
-    HUB.clear()
-    yield
-    REGISTRY.reset()
-    HUB.clear()
+pytestmark = pytest.mark.usefixtures("clean_observability")
 
 
 def _counter(name):

@@ -7,8 +7,7 @@ import pytest
 
 from repro import FleXPath, RWLock
 from repro.collection import Corpus
-from repro.obs.events import HUB
-from repro.obs.metrics import REGISTRY
+from repro.obs import off, on
 from repro.query.parser import parse_query
 from repro.topk.base import QueryContext
 from repro.topk.dpo import DPO
@@ -30,13 +29,7 @@ EXTRA_DOC = (
 )
 
 
-@pytest.fixture(autouse=True)
-def clean_observability():
-    REGISTRY.reset()
-    HUB.clear()
-    yield
-    REGISTRY.reset()
-    HUB.clear()
+pytestmark = pytest.mark.usefixtures("clean_observability")
 
 
 class TestRWLock:
@@ -121,7 +114,7 @@ class TestThreadHammer:
         engine = FleXPath.from_corpus(corpus)
 
         query_ends = []
-        HUB.on("query_end", query_ends.append)
+        on("query_end", query_ends.append)
 
         errors = []
         issued = [0] * 6
@@ -164,7 +157,7 @@ class TestThreadHammer:
         assert errors == []
         # Exactly one query_end per issued query — cached or not.
         assert len(query_ends) == sum(issued) == 36
-        HUB.off("query_end", query_ends.append)
+        off("query_end", query_ends.append)
 
         # Cached answers must equal a cache-free engine's over the same
         # (final) corpus, per query and per algorithm.

@@ -176,6 +176,31 @@ class TestDetection:
         assert len(violations) == 3
         assert all("data layer" in violation for violation in violations)
 
+    def test_only_the_entry_points_import_the_events_module(self, tmp_path):
+        root = _fake_tree(tmp_path, "")
+        repro = root / "repro"
+        (repro / "obs").mkdir()
+        (repro / "obs" / "slowlog.py").write_text(
+            "from repro.obs.events import off, on\n", encoding="utf-8"
+        )
+        for emitter in check_layering.EVENT_EMITTERS:
+            (repro / emitter).write_text(
+                "from repro.obs import events\n", encoding="utf-8"
+            )
+        assert check_layering.check(root) == []
+        (repro / "cache.py").write_text(
+            "from repro.obs import events\n", encoding="utf-8"
+        )
+        (repro / "backend").mkdir()
+        (repro / "backend" / "disk.py").write_text(
+            "def append():\n"
+            "    import repro.obs.events\n",
+            encoding="utf-8",
+        )
+        violations = check_layering.check(root)
+        assert len(violations) == 2
+        assert all("repro.obs.events" in violation for violation in violations)
+
     def test_module_getattr_shim_is_exempt(self, tmp_path):
         root = _fake_tree(
             tmp_path,

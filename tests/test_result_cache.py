@@ -7,20 +7,14 @@ import pytest
 
 from repro import FleXPath, parse_query
 from repro.collection import Corpus
-from repro.obs.events import HUB
+from repro.obs import on
 from repro.obs.metrics import REGISTRY
 from tests.conftest import LIBRARY_XML
 
 QUERY = '//article[./section[./paragraph and .contains("streaming")]]'
 
 
-@pytest.fixture(autouse=True)
-def clean_observability():
-    REGISTRY.reset()
-    HUB.clear()
-    yield
-    REGISTRY.reset()
-    HUB.clear()
+pytestmark = pytest.mark.usefixtures("clean_observability")
 
 
 def _counter(name):
@@ -72,24 +66,10 @@ class TestFacade:
         assert _counter("result_cache.hits") == 0
         assert _counter("result_cache.misses") == 0
 
-    def test_cache_events_fire(self):
-        engine = FleXPath.from_xml(LIBRARY_XML)
-        seen = []
-        HUB.on("cache_miss", lambda payload: seen.append(("miss", payload)))
-        HUB.on("cache_hit", lambda payload: seen.append(("hit", payload)))
-        engine.query(QUERY, k=5)
-        engine.query(QUERY, k=5)
-        result_events = [
-            (kind, payload)
-            for kind, payload in seen
-            if payload.get("engine") == "result"
-        ]
-        assert [kind for kind, _payload in result_events] == ["miss", "hit"]
-
     def test_cached_query_end_event_marks_cached(self):
         engine = FleXPath.from_xml(LIBRARY_XML)
         ends = []
-        HUB.on("query_end", lambda payload: ends.append(payload))
+        on("query_end", ends.append)
         engine.query(QUERY, k=5)
         engine.query(QUERY, k=5)
         assert [payload["cached"] for payload in ends] == [False, True]

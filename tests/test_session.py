@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+import repro.session
 from repro.engine import Engine
 from repro.errors import (
     FleXPathError,
@@ -11,7 +12,6 @@ from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
 )
-from repro.obs.events import HUB
 from repro.obs.metrics import REGISTRY
 from repro.session import QueryControl
 from tests.conftest import LIBRARY_XML
@@ -19,13 +19,7 @@ from tests.conftest import LIBRARY_XML
 QUERY = '//article[./section[./paragraph and .contains("streaming")]]'
 
 
-@pytest.fixture(autouse=True)
-def clean_observability():
-    REGISTRY.reset()
-    HUB.clear()
-    yield
-    REGISTRY.reset()
-    HUB.clear()
+pytestmark = pytest.mark.usefixtures("clean_observability")
 
 
 def _counter(name):
@@ -137,30 +131,46 @@ class TestDeadline:
             assert isinstance(exc, QueryTimeoutError)
 
 
+def _cancel_at_first_check(monkeypatch, cancel):
+    """Make every query's control run ``cancel()`` at its first checkpoint,
+    before that checkpoint checks."""
+
+    class CancellingControl(QueryControl):
+        def check(self):
+            if not self.checks:
+                cancel()
+            super().check()
+
+    monkeypatch.setattr(repro.session, "QueryControl", CancellingControl)
+
+
 class TestCancellation:
-    def test_cancel_before_evaluation_aborts(self, engine):
+    def test_cancel_before_evaluation_aborts(self, engine, monkeypatch):
         session = engine.connect()
-        # query_start fires after the control is armed, so cancelling from
-        # the event listener aborts at the first checkpoint.
-        HUB.on("query_start", lambda payload: session.cancel())
+        _cancel_at_first_check(monkeypatch, session.cancel)
         with pytest.raises(QueryCancelledError):
             session.query(QUERY, deadline_ms=60_000)
         session.close()
         assert _counter("query.cancellations") == 1
         assert _counter("query.errors") == 1
 
-    def test_cancel_from_another_thread(self, engine):
+    def test_cancel_from_another_thread(self, engine, monkeypatch):
         session = engine.connect()
-        release = threading.Event()
+        cancelled = threading.Event()
 
-        def cancel_on_start(payload):
-            session.cancel()
-            release.set()
+        def cancel_from_a_thread():
+            def run():
+                session.cancel()
+                cancelled.set()
 
-        HUB.on("query_start", cancel_on_start)
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join()
+
+        _cancel_at_first_check(monkeypatch, cancel_from_a_thread)
         with pytest.raises(QueryCancelledError):
             session.query(QUERY, deadline_ms=60_000)
-        assert release.is_set()
+        assert cancelled.is_set()
         session.close()
 
     def test_cancel_without_inflight_query_is_a_noop(self, engine):

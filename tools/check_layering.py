@@ -35,7 +35,11 @@ fails (exit 1, one line per violation) on:
 - the data layer: modules under ``repro.xmltree`` (the node table and its
   codec, which ``repro.backend`` builds on) import only ``repro.xmltree.*``,
   ``repro.errors`` and the standard library — no observability plane, no
-  storage backend.
+  storage backend;
+- one listener seam: outside ``repro.obs``, only ``repro/session.py`` and
+  ``repro/engine.py`` (the entry points that emit ``query_end``) import
+  ``repro.obs.events`` — storage, cache and strategy seams report to the
+  metrics registry, so no second listener seam can grow back there.
 
 The one sanctioned escape hatch is a module-level ``__getattr__`` (PEP
 562): a lazy compatibility re-export may import a moved class inside that
@@ -107,6 +111,11 @@ BACKEND_BANNED_PREFIXES = (
     "repro.engine",
     "repro.session",
 )
+
+
+#: The modules outside ``repro.obs`` that may import ``repro.obs.events``,
+#: relative to ``repro/``.
+EVENT_EMITTERS = ("session.py", "engine.py")
 
 
 def _under(name, package):
@@ -230,6 +239,16 @@ def _eval_cache_violations(tree):
             yield lineno, "imports the evaluation cache (read each source's own)"
 
 
+def _events_violations(tree):
+    """Yield imports of the ``query_end`` seam in one non-emitting module."""
+    for lineno, names in _import_statements(tree):
+        if any(_under(name, "repro.obs.events") for name in names):
+            yield lineno, (
+                "imports repro.obs.events (only %s emit query_end)"
+                % " and ".join(EVENT_EMITTERS)
+            )
+
+
 def _data_layer_violations(tree):
     """Yield imports from outside the data layer in one ``repro.xmltree`` module."""
     for node in _walk_guarded(tree):
@@ -291,6 +310,13 @@ def check(src_root):
         if name == "sharding.py":
             found.extend(_sharding_violations(tree))
         for lineno, message in found:
+            violations.append("%s:%d: %s" % (path, lineno, message))
+    for path in sorted((src_root / "repro").rglob("*.py")):
+        relative = path.relative_to(src_root / "repro").as_posix()
+        if relative.startswith("obs/") or relative in EVENT_EMITTERS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for lineno, message in _events_violations(tree):
             violations.append("%s:%d: %s" % (path, lineno, message))
     return violations
 
