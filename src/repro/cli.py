@@ -26,7 +26,7 @@ Examples::
     python -m repro generate --size-kb 200 --seed 7 -o auctions.xml
     python -m repro query auctions.xml '//item[./description/parlist]' -k 5
     python -m repro explain auctions.xml '//item[./mailbox/mail/text]'
-    python -m repro explain --analyze --json auctions.xml '//item[./description]'
+    python -m repro explain --json auctions.xml '//item[./description]'
     python -m repro search auctions.xml '"gold" and "vintage"' -k 3
     python -m repro metrics auctions.xml --count 20 --json
 """
@@ -112,20 +112,20 @@ def build_parser():
     )
     explain.add_argument(
         "--json", action="store_true",
-        help="with --analyze, print the trace as JSON"
-        " (QueryTrace.as_dict()) instead of the human rendering",
+        help="run the query traced and print the trace as JSON"
+        " (QueryTrace.as_dict()); implies --analyze",
     )
     explain.add_argument(
         "--algorithm",
         choices=("dpo", "sso", "hybrid", "naive", "ir-first"),
         default="hybrid",
-        help="algorithm to analyze (only with --analyze)",
+        help="algorithm to analyze (only with --analyze or --json)",
     )
     explain.add_argument(
         "--scheme",
         choices=("structure-first", "keyword-first", "combined"),
         default="structure-first",
-        help="ranking scheme to analyze (only with --analyze)",
+        help="ranking scheme to analyze (only with --analyze or --json)",
     )
 
     search = commands.add_parser("search", help="content-only keyword search")
@@ -457,34 +457,29 @@ def _cmd_query_batch(engine, args, out):
 
 
 def _cmd_explain(engine, args, out):
-    if args.analyze and args.json:
-        trace = engine.query(
-            args.query,
-            k=args.k,
-            scheme=args.scheme,
-            algorithm=args.algorithm,
-            trace=True,
-        )
+    if not args.json:
+        print(engine.explain(args.query, k=args.k, scheme=args.scheme), file=out)
+        if not args.analyze:
+            return 0
+    trace = engine.query(
+        args.query,
+        k=args.k,
+        scheme=args.scheme,
+        algorithm=args.algorithm,
+        trace=True,
+    )
+    if args.json:
         print(json.dumps(trace.as_dict(), indent=2), file=out)
         return 0
-    print(engine.explain(args.query, k=args.k, scheme=args.scheme), file=out)
-    if args.analyze:
-        trace = engine.query(
-            args.query,
-            k=args.k,
-            scheme=args.scheme,
-            algorithm=args.algorithm,
-            trace=True,
-        )
-        print("", file=out)
-        compile_ms = trace.spans.get("compile", {}).get("seconds", 0.0) * 1e3
-        execute_ms = trace.spans.get("execute", {}).get("seconds", 0.0) * 1e3
-        print(
-            "compile: %.3f ms   execute: %.3f ms" % (compile_ms, execute_ms),
-            file=out,
-        )
-        print("", file=out)
-        print(trace.format(), file=out)
+    print("", file=out)
+    compile_ms = trace.spans.get("compile", {}).get("seconds", 0.0) * 1e3
+    execute_ms = trace.spans.get("execute", {}).get("seconds", 0.0) * 1e3
+    print(
+        "compile: %.3f ms   execute: %.3f ms" % (compile_ms, execute_ms),
+        file=out,
+    )
+    print("", file=out)
+    print(trace.format(), file=out)
     return 0
 
 

@@ -88,8 +88,9 @@ class Engine:
         algorithms: name → shared stateless strategy instance.
         result_cache: the tier-2 :class:`~repro.cache.ResultCache`, or
             None when caching is off.
-        trace_sink, trace_sampler: the :class:`~repro.obs.export.TraceSink`
-            set by :meth:`configure_tracing` and its sampler, or None.
+        trace_sink, trace_sample_rate: the sink set by
+            :meth:`configure_tracing` and the share of queries it samples,
+            or None.
         observability_server: the server :meth:`serve_metrics` started,
             or None.
     """
@@ -121,7 +122,7 @@ class Engine:
             self.result_cache = None
         self.metrics = REGISTRY
         self.trace_sink = None
-        self.trace_sampler = None
+        self.trace_sample_rate = None
         self.observability_server = None
 
     def _on_backend_growth(self, backend, start_id, end_id):
@@ -266,23 +267,22 @@ class Engine:
     # -- observability -----------------------------------------------------------
 
     def configure_tracing(self, sink, sample_rate=1.0):
-        """Attach a span-export sink with probabilistic per-query sampling.
+        """Attach a trace sink with probabilistic per-query sampling.
 
-        With a sink attached, each ``session.query`` call rolls against
-        ``sample_rate``; sampled queries run traced (write lock, result
-        cache bypassed) and export their span tree to the sink, while the
-        caller still receives the bare result.  Explicit ``trace=True``
-        queries always export when a sink is configured.
+        ``sink`` is any object with an ``export(record)`` method.  With a
+        sink attached, each ``session.query`` call rolls against
+        ``sample_rate``; a sampled query runs traced (write lock, result
+        cache bypassed) and exports its finished trace to the sink as one
+        record, while the caller still receives the bare result.  Explicit
+        ``trace=True`` queries always export when a sink is configured.
 
         ``configure_tracing(None)`` detaches the sink (and stops
         sampling).  The sink's lifecycle stays with the caller — the
         engine never closes it.
         """
-        from repro.obs.export import TraceSampler
-
-        self.trace_sampler = (
-            TraceSampler(sample_rate) if sink is not None else None
-        )
+        if not 0.0 <= sample_rate <= 1.0:
+            raise FleXPathError("sample_rate must be in [0, 1]")
+        self.trace_sample_rate = sample_rate if sink is not None else None
         self.trace_sink = sink
         return sink
 

@@ -7,7 +7,10 @@ overhead when nothing is watching:
   timings and counters for one traced query or ingest;
   :class:`QueryTrace` is the structured result surfaced by
   ``FleXPath.query(..., trace=True)``, the CLI's ``explain --analyze``,
-  and the benchmark harness' per-phase JSON aggregates.
+  and the benchmark harness' per-phase JSON aggregates.  A query sampled
+  at ``engine.trace_sample_rate`` (see ``Engine.configure_tracing``)
+  exports its finished trace, ``QueryTrace.as_dict()`` as one record, to
+  the engine's sink: any object with an ``export(record)`` method.
 - **Process-lifetime metrics** (always-on): the :class:`MetricsRegistry`
   aggregates counters/gauges/latency histograms across every query,
   ingest, cache probe and storage operation the process serves.  One
@@ -17,7 +20,6 @@ overhead when nothing is watching:
 """
 
 from repro.obs.events import off, on
-from repro.obs.export import TraceSink
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.slowlog import (
     SlowQueryLog,
@@ -34,7 +36,6 @@ __all__ = [
     "PHASES",
     "QueryTrace",
     "SlowQueryLog",
-    "TraceSink",
     "Tracer",
     "disable_slow_query_log",
     "enable_slow_query_log",

@@ -155,7 +155,6 @@ class ObservabilityServer:
     def status(self):
         """The ``/statusz`` snapshot (JSON-safe)."""
         engine = self._engine
-        sampler = engine.trace_sampler
         status = {
             "backend": engine.backend.describe(),
             "version": engine.backend.version,
@@ -167,7 +166,7 @@ class ObservabilityServer:
                     if engine.trace_sink is not None
                     else None
                 ),
-                "sample_rate": sampler.rate if sampler is not None else None,
+                "sample_rate": engine.trace_sample_rate,
             },
             "slow_queries": recent_slow_queries(),
             "metrics_enabled": REGISTRY.enabled,

@@ -55,7 +55,7 @@ class QueryTrace:
     spans: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
     levels: list = field(default_factory=list)  # LevelTrace per plan run
-    trace_id: str = None  # set when the run exported spans to a sink
+    trace_id: str = None  # set when the run was exported to a sink
 
     # -- convenience passthroughs -------------------------------------------
 
@@ -94,7 +94,11 @@ class QueryTrace:
         return totals
 
     def as_dict(self):
-        """JSON-safe dict mirror of the whole trace."""
+        """JSON-safe dict mirror of the whole trace.
+
+        ``phases`` holds the executor phases in pipeline order; ``spans``
+        holds every span (``compile``, ``execute``, ``shard N`` too).
+        """
         return {
             "trace_id": self.trace_id,
             "algorithm": self.result.algorithm,
@@ -103,6 +107,7 @@ class QueryTrace:
             "answers": len(self.result.answers),
             "total_seconds": self.total_seconds,
             "phases": self.phase_aggregates(),
+            "spans": self.spans,
             "counters": self.counter_totals(),
             "levels": [level.as_dict() for level in self.levels],
         }
@@ -198,5 +203,4 @@ def build_query_trace(result, tracer, total_seconds):
         spans=snapshot["spans"],
         counters=snapshot["counters"],
         levels=list(result.traces),
-        trace_id=tracer.trace_id,
     )

@@ -19,18 +19,11 @@ Design constraints:
   the per-level breakdown.
 - **JSON-friendly** — :meth:`Tracer.snapshot` returns plain dicts, which
   is what the benchmark harness embeds in its ``--benchmark-json`` output.
-- **exportable** — a tracer built with a ``sink``
-  (:class:`~repro.obs.export.TraceSink`) additionally emits one structured
-  record per completed span: ``trace_id`` / ``span_id`` / ``parent_id``
-  linkage (spans nest via the with-stack) plus wall-clock ``start`` /
-  ``end`` timestamps.  Without a sink the only added cost is one
-  attribute check per span boundary.
 """
 
 from __future__ import annotations
 
-from time import perf_counter, time
-from uuid import uuid4
+from time import perf_counter
 
 
 class _NullSpan:
@@ -54,7 +47,6 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
-    sink = None
 
     def span(self, name):
         return _NULL_SPAN
@@ -76,48 +68,20 @@ NULL_TRACER = NullTracer()
 
 
 class _Span:
-    """One running span; accumulates into the owning tracer on exit.
+    """One running span; accumulates into the owning tracer on exit."""
 
-    When the tracer has a sink, the span also captures wall-clock
-    timestamps and its position in the span stack, and exports one
-    structured record on exit.
-    """
-
-    __slots__ = ("_tracer", "_name", "_start", "_wall", "_span_id",
-                 "_parent_id")
+    __slots__ = ("_tracer", "_name", "_start")
 
     def __init__(self, tracer, name):
         self._tracer = tracer
         self._name = name
 
     def __enter__(self):
-        tracer = self._tracer
-        if tracer.sink is not None:
-            self._wall = time()
-            self._span_id = tracer._next_span_id()
-            stack = tracer._stack
-            self._parent_id = stack[-1] if stack else tracer.root_span_id
-            stack.append(self._span_id)
         self._start = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        seconds = perf_counter() - self._start
-        tracer = self._tracer
-        tracer._record(self._name, seconds)
-        if tracer.sink is not None:
-            tracer._stack.pop()
-            tracer.sink.export(
-                {
-                    "trace_id": tracer.trace_id,
-                    "span_id": self._span_id,
-                    "parent_id": self._parent_id,
-                    "name": self._name,
-                    "start": self._wall,
-                    "end": self._wall + seconds,
-                    "seconds": seconds,
-                }
-            )
+        self._tracer._record(self._name, perf_counter() - self._start)
         return False
 
 
@@ -126,67 +90,24 @@ class Tracer:
 
     ``spans`` maps a span name to ``[total_seconds, calls]``; ``counters``
     maps a counter name to an integer.  Spans nest and repeat freely — the
-    same name accumulates.
-
-    Built with a ``sink``, the tracer also assigns itself a ``trace_id``
-    and a root span id, and every completed span exports one structured
-    record (see :mod:`repro.obs.export`).  Top-level spans parent to the
-    root span, which :meth:`finish_root` emits last, covering the whole
-    traced activity.
+    same name accumulates.  Export is not the tracer's job: a finished
+    query's :class:`~repro.obs.QueryTrace` serializes whole (see
+    :meth:`~repro.session.Session.query`).
     """
 
-    __slots__ = ("spans", "counters", "sink", "trace_id", "root_span_id",
-                 "_stack", "_spans_issued", "_created_wall")
+    __slots__ = ("spans", "counters")
 
     enabled = True
 
-    def __init__(self, sink=None, trace_id=None):
+    def __init__(self):
         self.spans = {}
         self.counters = {}
-        self.sink = sink
-        if sink is not None:
-            self.trace_id = trace_id if trace_id is not None else uuid4().hex
-            self.root_span_id = "0001"
-            self._stack = []
-            self._spans_issued = 1
-            self._created_wall = time()
-        else:
-            self.trace_id = trace_id
-            self.root_span_id = None
 
     # -- recording -----------------------------------------------------------
 
     def span(self, name):
         """Context manager timing one occurrence of the named span."""
         return _Span(self, name)
-
-    def _next_span_id(self):
-        self._spans_issued += 1
-        return "%04x" % self._spans_issued
-
-    def finish_root(self, name, attributes=None):
-        """Export the root span record, closing out an exported trace.
-
-        Covers the wall-clock interval from tracer construction to now; all
-        top-level spans exported so far name it as their parent.  ``attributes``
-        (a JSON-safe dict — query text, algorithm, answer count) rides on the
-        record under ``"attributes"``.  No-op without a sink.
-        """
-        if self.sink is None:
-            return
-        end = time()
-        record = {
-            "trace_id": self.trace_id,
-            "span_id": self.root_span_id,
-            "parent_id": None,
-            "name": name,
-            "start": self._created_wall,
-            "end": end,
-            "seconds": end - self._created_wall,
-        }
-        if attributes:
-            record["attributes"] = dict(attributes)
-        self.sink.export(record)
 
     def _record(self, name, seconds):
         entry = self.spans.get(name)
@@ -213,16 +134,6 @@ class Tracer:
             self.counters[name] = self.counters.get(name, 0) + value
 
     # -- reading -------------------------------------------------------------
-
-    def seconds(self, name):
-        """Total seconds recorded under a span name (0.0 if never seen)."""
-        entry = self.spans.get(name)
-        return entry[0] if entry else 0.0
-
-    def calls(self, name):
-        """Number of completed spans under a name (0 if never seen)."""
-        entry = self.spans.get(name)
-        return entry[1] if entry else 0
 
     def snapshot(self):
         """Plain-dict view: ``{"spans": {name: {"seconds", "calls"}},

@@ -22,7 +22,9 @@ mechanism from another thread.
 from __future__ import annotations
 
 from functools import lru_cache
+from random import random
 from time import monotonic, perf_counter
+from uuid import uuid4
 
 from repro.errors import (
     FleXPathError,
@@ -187,10 +189,15 @@ class Session:
 
         When the engine has a trace sink configured
         (``Engine.configure_tracing``), a per-query sampling decision may
-        additionally promote this call to a traced run whose spans export
-        to the sink; the caller still gets the bare result.  Sampled
-        queries pay the traced query's costs (write lock, result-cache
-        bypass) — size ``sample_rate`` accordingly.
+        additionally promote this call to a traced run; the caller still
+        gets the bare result.  A traced run with a sink exports its
+        finished :class:`~repro.obs.QueryTrace` once, after the lock is
+        released: ``sink.export(record)`` on this thread, where ``record``
+        is ``QueryTrace.as_dict()`` plus the ``query`` text and whether it
+        was ``sampled``.  A query that raises exports nothing, and an
+        exception from ``export`` reaches the caller.  Sampled queries pay
+        the traced query's costs (write lock, result-cache bypass) — size
+        ``sample_rate`` accordingly.
         """
         if self.closed:
             raise FleXPathError("session is closed; connect a new one")
@@ -210,12 +217,12 @@ class Session:
         self.queries += 1
         query_text = query if isinstance(query, str) else tpq.to_xpath()
         # The sampling decision happens before the cache probe: a sampled
-        # query must actually evaluate for its spans to mean anything.
+        # query must actually evaluate for its trace to mean anything.
         sink = engine.trace_sink
         sampled = (
             not trace
             and sink is not None
-            and engine.trace_sampler.sample()
+            and random() < engine.trace_sample_rate
         )
         traced_run = trace or sampled
         started = perf_counter()
@@ -250,29 +257,23 @@ class Session:
                 # counters over the query, exact only while no other
                 # query moves them.
                 with context.rwlock.write_locked():
-                    tracer = Tracer(sink=sink)
+                    tracer = Tracer()
                     result = strategy.top_k(
                         tpq, k, scheme=scheme,
                         max_relaxations=max_relaxations,
                         tracer=tracer, control=control,
                     )
+                query_trace = build_query_trace(
+                    result, tracer, perf_counter() - started
+                )
                 if sink is not None:
+                    query_trace.trace_id = uuid4().hex
+                    record = query_trace.as_dict()
+                    record["query"] = query_text
+                    record["sampled"] = sampled
+                    sink.export(record)
                     if REGISTRY.enabled:
                         REGISTRY.inc("trace.exported")
-                    tracer.finish_root(
-                        "query",
-                        attributes={
-                            "query": query_text,
-                            "algorithm": result.algorithm,
-                            "k": k,
-                            "answers": len(result.answers),
-                            "sampled": sampled,
-                        },
-                    )
-                if trace:
-                    query_trace = build_query_trace(
-                        result, tracer, perf_counter() - started
-                    )
             outcome = "ok"
         except Exception as error:
             REGISTRY.inc("query.errors")
@@ -297,7 +298,7 @@ class Session:
                     events.emit(query_end_payload(
                         query_text, k, strategy.name, scheme.name, seconds,
                         engine.backend.version, result=result,
-                        trace=query_trace, cached=cached,
+                        trace=query_trace if trace else None, cached=cached,
                         deadline_ms=deadline_ms, outcome=outcome,
                     ))
         return query_trace if trace else result

@@ -1,211 +1,209 @@
-"""Structured span export: sinks, sampling, and tracer linkage."""
+"""Trace export: a traced query with a sink ships its finished
+``QueryTrace`` as one record, after the lock is released."""
 
-import json
 import random
 import threading
 
 import pytest
 
+import repro.session
 from repro import FleXPath
+from repro.backend.sharded import RoundRobinRouter
 from repro.engine import Engine
-from repro.errors import FleXPathError
-from repro.obs.export import (
-    InMemoryTraceSink,
-    JsonlTraceSink,
-    TraceSampler,
-    TraceSink,
-)
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.errors import FleXPathError, QueryCancelledError
+from repro.obs import QueryTrace
+from repro.obs.metrics import REGISTRY
+from repro.xmltree import parse
 from tests.conftest import LIBRARY_XML
 
+pytestmark = pytest.mark.usefixtures("clean_observability")
 
-class TestInMemoryTraceSink:
-    def test_records_oldest_first(self):
-        sink = InMemoryTraceSink()
-        sink.export({"name": "a"})
-        sink.export({"name": "b"})
-        assert [r["name"] for r in sink.records()] == ["a", "b"]
-
-    def test_capacity_bounds_retention(self):
-        sink = InMemoryTraceSink(capacity=2)
-        for name in "abc":
-            sink.export({"name": name})
-        assert [r["name"] for r in sink.records()] == ["b", "c"]
-        assert len(sink) == 2
-        assert sink.capacity == 2
-
-    def test_capacity_below_one_raises(self):
-        with pytest.raises(FleXPathError):
-            InMemoryTraceSink(capacity=0)
-
-    def test_clear_empties(self):
-        sink = InMemoryTraceSink()
-        sink.export({"name": "a"})
-        sink.clear()
-        assert sink.records() == []
-
-    def test_concurrent_exports_lose_nothing(self):
-        sink = InMemoryTraceSink(capacity=10_000)
-        threads = [
-            threading.Thread(
-                target=lambda: [sink.export({"i": i}) for i in range(500)]
-            )
-            for _ in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(sink) == 2000
+QUERY = '//article[./section[./paragraph and .contains("streaming")]]'
 
 
-class TestJsonlTraceSink:
-    def test_writes_one_json_line_per_record(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        with JsonlTraceSink(path) as sink:
-            sink.export({"name": "a", "seconds": 0.5})
-            sink.export({"name": "b", "seconds": 0.25})
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["name"] for line in lines] == ["a", "b"]
+class ListSink:
+    """The smallest sink: keeps every record it is handed."""
 
-    def test_export_after_close_is_ignored(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        sink = JsonlTraceSink(path)
-        sink.close()
-        sink.export({"name": "late"})
-        assert path.read_text() == ""
+    def __init__(self):
+        self.records = []
 
-    def test_appends_across_reopens(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        for name in ("a", "b"):
-            with JsonlTraceSink(path) as sink:
-                sink.export({"name": name})
-        assert len(path.read_text().splitlines()) == 2
+    def export(self, record):
+        self.records.append(record)
+
+
+def _engine(kind):
+    if kind == "memory":
+        return Engine.from_xml(LIBRARY_XML)
+    engine = Engine.sharded(2, router=RoundRobinRouter())
+    for index in range(2):
+        engine.backend.add_document(parse(LIBRARY_XML), name="doc%d" % index)
+    return engine
+
+
+def _exported():
+    return REGISTRY.as_dict()["counters"].get("trace.exported", 0)
 
 
 class TestTraceSampler:
+    """The per-query sampling decision: one ``random() < rate``."""
+
     def test_rate_extremes_short_circuit(self):
-        assert TraceSampler(0.0).sample() is False
-        assert TraceSampler(1.0).sample() is True
+        engine = Engine.from_xml(LIBRARY_XML)
+        never, always = ListSink(), ListSink()
+        engine.configure_tracing(never, sample_rate=0.0)
+        for _ in range(5):
+            engine.query(QUERY, k=3)
+        engine.configure_tracing(always, sample_rate=1.0)
+        for _ in range(5):
+            engine.query(QUERY, k=3)
+        assert never.records == []
+        assert len(always.records) == 5
 
     def test_rate_out_of_range_raises(self):
-        with pytest.raises(FleXPathError):
-            TraceSampler(-0.1)
-        with pytest.raises(FleXPathError):
-            TraceSampler(1.5)
+        engine = Engine.from_xml(LIBRARY_XML)
+        for rate in (-0.1, 1.5):
+            with pytest.raises(FleXPathError):
+                engine.configure_tracing(ListSink(), sample_rate=rate)
+        assert engine.trace_sink is None
 
-    def test_mid_rate_uses_the_rng(self):
-        sampler = TraceSampler(0.5, rng=random.Random(7))
-        decisions = [sampler.sample() for _ in range(200)]
-        assert any(decisions) and not all(decisions)
-
-    def test_base_sink_export_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            TraceSink().export({})
-
-
-class TestTracerExport:
-    def test_without_sink_no_records_and_no_trace_id(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        assert tracer.sink is None
-        assert tracer.trace_id is None
-        tracer.finish_root("query")  # no-op, must not raise
-
-    def test_null_tracer_has_no_sink(self):
-        assert NULL_TRACER.sink is None
-
-    def test_span_records_link_to_the_root(self):
-        sink = InMemoryTraceSink()
-        tracer = Tracer(sink=sink)
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        tracer.finish_root("query", attributes={"k": 5})
-        records = {r["name"]: r for r in sink.records()}
-        assert set(records) == {"outer", "inner", "query"}
-        root = records["query"]
-        assert root["parent_id"] is None
-        assert root["attributes"] == {"k": 5}
-        assert records["outer"]["parent_id"] == root["span_id"]
-        assert records["inner"]["parent_id"] == records["outer"]["span_id"]
-        assert len({r["span_id"] for r in sink.records()}) == 3
-        assert {r["trace_id"] for r in sink.records()} == {tracer.trace_id}
-
-    def test_records_carry_wall_clock_interval(self):
-        sink = InMemoryTraceSink()
-        tracer = Tracer(sink=sink)
-        with tracer.span("a"):
-            pass
-        (record,) = sink.records()
-        assert record["end"] >= record["start"]
-        assert record["seconds"] >= 0.0
-        assert record["end"] == pytest.approx(
-            record["start"] + record["seconds"], abs=1e-6
-        )
-
-    def test_explicit_trace_id_is_honored(self):
-        sink = InMemoryTraceSink()
-        tracer = Tracer(sink=sink, trace_id="abc123")
-        with tracer.span("a"):
-            pass
-        assert sink.records()[0]["trace_id"] == "abc123"
+    def test_mid_rate_uses_the_rng(self, monkeypatch):
+        monkeypatch.setattr(repro.session, "random", random.Random(7).random)
+        engine = Engine.from_xml(LIBRARY_XML)
+        sink = ListSink()
+        engine.configure_tracing(sink, sample_rate=0.5)
+        for _ in range(40):
+            engine.query(QUERY, k=3)
+        assert 0 < len(sink.records) < 40
 
 
 class TestEngineTracing:
     def test_configure_and_detach(self):
         engine = Engine.from_xml(LIBRARY_XML)
-        sink = InMemoryTraceSink()
+        sink = ListSink()
         engine.configure_tracing(sink, sample_rate=0.25)
         assert engine.trace_sink is sink
-        assert engine.trace_sampler.rate == 0.25
+        assert engine.trace_sample_rate == 0.25
         engine.configure_tracing(None)
         assert engine.trace_sink is None
-        assert engine.trace_sampler is None
+        assert engine.trace_sample_rate is None
 
     def test_sampled_query_exports_and_returns_bare_result(self):
         engine = Engine.from_xml(LIBRARY_XML)
-        sink = InMemoryTraceSink()
+        sink = ListSink()
         engine.configure_tracing(sink, sample_rate=1.0)
-        from repro.obs import QueryTrace
-
-        result = engine.query("//article[./title]", k=3)
+        result = engine.query(QUERY, k=3)
         assert not isinstance(result, QueryTrace)  # caller gets the bare result
-        names = [r["name"] for r in sink.records()]
-        assert "query" in names
-        root = next(r for r in sink.records() if r["name"] == "query")
-        assert root["attributes"]["sampled"] is True
-        assert root["attributes"]["answers"] == len(result.answers)
+        (record,) = sink.records
+        assert record["query"] == QUERY
+        assert record["sampled"] is True
+        assert record["answers"] == len(result.answers)
+        assert record["algorithm"] == result.algorithm
+        assert _exported() == 1
 
     def test_zero_rate_never_exports(self):
         engine = Engine.from_xml(LIBRARY_XML)
-        sink = InMemoryTraceSink()
+        sink = ListSink()
         engine.configure_tracing(sink, sample_rate=0.0)
-        engine.query("//article[./title]", k=3)
-        assert sink.records() == []
+        engine.query(QUERY, k=3)
+        assert sink.records == []
+        assert _exported() == 0
 
     def test_explicit_trace_also_exports_when_sink_configured(self):
         engine = FleXPath.from_xml(LIBRARY_XML)
-        sink = InMemoryTraceSink()
+        sink = ListSink()
         engine.configure_tracing(sink, sample_rate=0.0)
-        trace = engine.query("//article[./title]", k=3, trace=True)
-        root = next(r for r in sink.records() if r["name"] == "query")
-        assert root["attributes"]["sampled"] is False
-        assert trace.trace_id == root["trace_id"]
+        trace = engine.query(QUERY, k=3, trace=True)
+        (record,) = sink.records
+        assert record["sampled"] is False
+        assert trace.trace_id == record["trace_id"]
+        shipped = {
+            key: value for key, value in record.items()
+            if key not in ("query", "sampled")
+        }
+        assert shipped == trace.as_dict()
 
     def test_untraced_query_trace_id_is_none(self):
         engine = FleXPath.from_xml(LIBRARY_XML)
-        trace = engine.query("//article[./title]", k=3, trace=True)
+        trace = engine.query(QUERY, k=3, trace=True)
         assert trace.trace_id is None
         assert trace.as_dict()["trace_id"] is None
 
     def test_each_sampled_query_gets_its_own_trace_id(self):
         engine = Engine.from_xml(LIBRARY_XML)
-        sink = InMemoryTraceSink()
+        sink = ListSink()
         engine.configure_tracing(sink, sample_rate=1.0)
         engine.query("//article[./title]", k=3)
         engine.query("//article[./abstract]", k=3)
-        roots = [r for r in sink.records() if r["name"] == "query"]
-        assert len(roots) == 2
-        assert roots[0]["trace_id"] != roots[1]["trace_id"]
+        assert len(sink.records) == 2
+        assert sink.records[0]["trace_id"] != sink.records[1]["trace_id"]
+
+
+class TestOneRecordPerQuery:
+    @pytest.mark.parametrize("algorithm", ["dpo", "hybrid"])
+    @pytest.mark.parametrize("kind", ["memory", "sharded"])
+    def test_record_names_every_span_of_the_trace(self, kind, algorithm):
+        sampled = _engine(kind)
+        sink = ListSink()
+        sampled.configure_tracing(sink, sample_rate=1.0)
+        sampled.query(QUERY, k=3, algorithm=algorithm)
+        (record,) = sink.records
+        trace = _engine(kind).query(QUERY, k=3, algorithm=algorithm, trace=True)
+        spans = set(record["spans"])
+        assert spans == set(trace.as_dict()["spans"])
+        assert {"compile", "execute"} <= spans
+        if kind == "sharded":
+            assert {"shard 0", "shard 1"} <= spans
+        if algorithm == "dpo":
+            assert "twig" in spans
+        else:
+            assert {"seed", "extend", "checks", "collect"} <= spans
+        assert record["phases"] == {
+            name: entry for name, entry in record["spans"].items()
+            if name in record["phases"]
+        }
+
+
+class TestExportContract:
+    def test_aborted_sampled_query_exports_nothing(self, monkeypatch):
+        class AbortAtFirstCheck(repro.session.QueryControl):
+            def check(self):
+                raise QueryCancelledError("query cancelled")
+
+        monkeypatch.setattr(repro.session, "QueryControl", AbortAtFirstCheck)
+        engine = Engine.from_xml(LIBRARY_XML)
+        sink = ListSink()
+        engine.configure_tracing(sink, sample_rate=1.0)
+        with pytest.raises(QueryCancelledError):
+            engine.query(QUERY, k=3, deadline_ms=60_000)
+        assert sink.records == []
+        assert _exported() == 0
+
+    def test_export_runs_with_the_lock_free(self):
+        engine = Engine.from_xml(LIBRARY_XML)
+        blocked = []
+
+        class ProbingSink:
+            def export(self, record):
+                def read():
+                    with engine.lock.read_locked():
+                        pass
+
+                reader = threading.Thread(target=read, daemon=True)
+                reader.start()
+                reader.join(timeout=2)
+                blocked.append(reader.is_alive())
+
+        engine.configure_tracing(ProbingSink(), sample_rate=1.0)
+        engine.query(QUERY, k=3)
+        assert blocked == [False]
+
+    def test_sink_exception_reaches_the_caller(self):
+        class BrokenSink:
+            def export(self, record):
+                raise RuntimeError("collector down")
+
+        engine = Engine.from_xml(LIBRARY_XML)
+        engine.configure_tracing(BrokenSink(), sample_rate=1.0)
+        with pytest.raises(RuntimeError, match="collector down"):
+            engine.query(QUERY, k=3)
+        assert _exported() == 0

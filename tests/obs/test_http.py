@@ -3,11 +3,11 @@
 import json
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro.engine import Engine
-from repro.obs.export import InMemoryTraceSink
 from repro.obs.http import ObservabilityServer
 from repro.obs.metrics import REGISTRY
 from tests.conftest import LIBRARY_XML
@@ -54,7 +54,7 @@ class TestRoutes:
         assert payload["counters"]["query.count"] >= 1
 
     def test_statusz_snapshot(self, engine, server):
-        sink = InMemoryTraceSink()
+        sink = SimpleNamespace(export=[].append)
         engine.configure_tracing(sink, sample_rate=0.5)
         engine.query("//article[./title]", k=3)
         _, _, body = _get(server, "/statusz")

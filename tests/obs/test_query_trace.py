@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro import FleXPath
+from repro import Engine, FleXPath
+from repro.backend.sharded import RoundRobinRouter
 from repro.cli import main
 from repro.obs import PHASES, QueryTrace, Tracer
 from repro.query import parse_query
@@ -70,6 +71,14 @@ class TestQueryTrace:
         assert payload["algorithm"] == trace.algorithm
         assert payload["phases"]
         assert payload["levels"]
+        assert {"compile", "execute"} <= set(payload["spans"])
+
+    def test_as_dict_spans_carry_the_shard_spans(self, doc):
+        sharded = Engine.sharded(2, router=RoundRobinRouter())
+        for index in range(2):
+            sharded.backend.add_document(doc, name="doc%d" % index)
+        trace = sharded.query(QUERY, k=5, algorithm="dpo", trace=True)
+        assert {"shard 0", "shard 1"} <= set(trace.as_dict()["spans"])
 
     def test_format_mentions_phases_and_counters(self, engine):
         trace = engine.query(QUERY, k=5, algorithm="dpo", trace=True)

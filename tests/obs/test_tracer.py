@@ -31,13 +31,13 @@ class TestTracer:
         for _ in range(3):
             with tracer.span("work"):
                 time.sleep(0.001)
-        assert tracer.calls("work") == 3
-        assert tracer.seconds("work") >= 0.003
+        work = tracer.snapshot()["spans"]["work"]
+        assert work["calls"] == 3
+        assert work["seconds"] >= 0.003
 
     def test_unknown_span_reads_zero(self):
         tracer = Tracer()
-        assert tracer.seconds("never") == 0.0
-        assert tracer.calls("never") == 0
+        assert "never" not in tracer.snapshot()["spans"]
 
     def test_span_records_on_exception(self):
         tracer = Tracer()
@@ -46,7 +46,7 @@ class TestTracer:
                 raise ValueError("boom")
         except ValueError:
             pass
-        assert tracer.calls("explodes") == 1
+        assert tracer.snapshot()["spans"]["explodes"]["calls"] == 1
 
     def test_counters(self):
         tracer = Tracer()
@@ -68,8 +68,9 @@ class TestTracer:
         right.count("hits", 3)
         right.count("misses", 1)
         left.merge(right)
-        assert left.calls("seed") == 2
-        assert left.calls("extend") == 1
+        spans = left.snapshot()["spans"]
+        assert spans["seed"]["calls"] == 2
+        assert spans["extend"]["calls"] == 1
         assert left.counters == {"hits": 5, "misses": 1}
 
     def test_snapshot_shape(self):

@@ -277,12 +277,16 @@ class TestExplainJson:
         assert payload["phases"]
         assert "total_seconds" in payload
 
-    def test_json_without_analyze_keeps_human_rendering(self, xml_file):
+    def test_json_implies_analyze(self, xml_file):
+        import json
+
         code, output = run(
             ["explain", xml_file, "//article[./section/paragraph]", "--json"]
         )
         assert code == 0
-        assert "level 0" in output
+        payload = json.loads(output)
+        assert {"compile", "execute"} <= set(payload["spans"])
+        assert payload["levels"]
 
     def test_analyze_reports_compile_and_execute_timings(self, xml_file):
         code, output = run(

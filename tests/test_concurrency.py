@@ -2,6 +2,7 @@
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -190,6 +191,30 @@ class TestThreadHammer:
             thread.join(timeout=10)
         assert len(results) == len(batch)
         assert all(result.answers is not None for result in results)
+
+    def test_query_many_exports_one_record_per_sampled_query(self):
+        engine = FleXPath.from_xml(LIBRARY_XML)
+        records = []
+        engine.configure_tracing(
+            SimpleNamespace(export=records.append), sample_rate=1.0
+        )
+        batch = [
+            "//article[./title]",
+            "//article[./abstract]",
+            "//article[./section]",
+            "//article[.//paragraph]",
+            "//book[./chapter]",
+            "//section[./paragraph]",
+            "//section[./title]",
+            '//article[.contains("streaming")]',
+        ]
+        results = engine.query_many(batch, k=5, workers=4)
+        assert len(records) == len(batch)
+        assert len({record["trace_id"] for record in records}) == len(batch)
+        by_query = {record["query"]: record for record in records}
+        assert sorted(by_query) == sorted(batch)
+        for text, result in zip(batch, results):
+            assert by_query[text]["answers"] == len(result.answers)
 
 
 class TestStrategySharing:

@@ -91,6 +91,33 @@ def test_the_eval_cache_example_in_extending_runs():
     assert cache.info() == before
 
 
+def test_the_trace_sink_example_in_extending_runs():
+    """``docs/EXTENDING.md``'s JSON-lines sink, executed as written: one
+    line per sampled query, carrying the whole trace."""
+    import io
+    import json
+
+    from repro.engine import Engine
+
+    text = (ROOT / "docs/EXTENDING.md").read_text(encoding="utf-8")
+    section = text.split("## Exporting traces")[1]
+    block, = re.findall(r"```python\n(.*?)```", section.split("\n## ")[0], flags=re.S)
+    namespace = {}
+    exec(compile(block, "docs/EXTENDING.md[trace sink]", "exec"), namespace)
+
+    engine = Engine.from_xml("<library><article><title>x</title></article></library>")
+    stream = io.StringIO()
+    engine.configure_tracing(namespace["JsonLinesSink"](stream), sample_rate=1.0)
+    engine.query("//article[./title]", k=3)
+    engine.query("//article[./abstract]", k=3)
+    records = [json.loads(line) for line in stream.getvalue().splitlines()]
+    assert [record["query"] for record in records] == [
+        "//article[./title]", "//article[./abstract]"
+    ]
+    assert all(record["sampled"] for record in records)
+    assert {"compile", "execute"} <= set(records[0]["spans"])
+
+
 def test_eval_cache_tier_lists_match_the_code():
     """The ``eval_cache.py`` docstring and DESIGN's tier table name exactly
     the tiers :class:`EvaluationCache` has, in the same order."""
