@@ -155,8 +155,15 @@ class DiskBackend(InMemoryBackend):
 
     @classmethod
     def create(cls, path):
-        """Initialize an empty on-disk corpus at ``path`` and open it."""
+        """Initialize an empty on-disk corpus at ``path`` and open it.
+
+        Refuses a directory that already holds a corpus, single or sharded.
+        """
+        from repro.backend.sharded import ShardedBackend
+
         path = str(path)
+        if os.path.isdir(path) and ShardedBackend.shard_count_at(path):
+            raise FleXPathError("a sharded corpus exists at %s" % path)
         os.makedirs(path, exist_ok=True)
         if os.path.exists(os.path.join(path, diskfmt.MANIFEST_NAME)):
             raise FleXPathError("corpus already exists at %s" % path)

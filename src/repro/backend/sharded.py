@@ -250,10 +250,15 @@ class ShardedBackend(StorageBackend):
         directory count on disk when ``shard_count`` is None; a new corpus
         gets :attr:`DEFAULT_SHARD_COUNT` shards.  An explicit count that
         contradicts the directories on disk is an error — resharding is
-        not implicit.
+        not implicit — and so is a single-disk corpus at ``path``.
         """
         from repro.backend.disk import DiskBackend
+        from repro.backend.diskfmt import MANIFEST_NAME
 
+        if os.path.exists(os.path.join(path, MANIFEST_NAME)):
+            raise FleXPathError(
+                "a single-disk corpus exists at %s; it has no shards" % path
+            )
         os.makedirs(path, exist_ok=True)
         existing = cls.shard_count_at(path)
         if shard_count is None:
@@ -269,7 +274,7 @@ class ShardedBackend(StorageBackend):
             shard_dir = os.path.join(
                 path, "%s%04d" % (cls.SHARD_DIR_PREFIX, index)
             )
-            if os.path.exists(os.path.join(shard_dir, "MANIFEST.json")):
+            if os.path.exists(os.path.join(shard_dir, MANIFEST_NAME)):
                 shards.append(DiskBackend.open(shard_dir))
             else:
                 shards.append(DiskBackend.create(shard_dir))

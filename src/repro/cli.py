@@ -2,24 +2,30 @@
 
 Commands:
 
-- ``query FILE QUERY``    top-K flexible evaluation
-- ``exact FILE QUERY``    strict XPath-fragment semantics, no relaxation
-- ``explain FILE QUERY``  show the relaxation schedule and plan choice
-- ``search FILE FTEXPR``  content-only keyword search (no structure)
+- ``query PATH QUERY``    top-K flexible evaluation
+- ``exact PATH QUERY``    strict XPath-fragment semantics, no relaxation
+- ``explain PATH QUERY``  show the relaxation schedule and plan choice
+- ``search PATH FTEXPR``  content-only keyword search (no structure)
 - ``generate``            emit an XMark-like document to stdout or a file
-- ``stats FILE``          document and tag statistics
+- ``stats PATH``          a corpus directory's status line; document and
+                          tag statistics
 - ``dump FILE OUT``       convert a document to a binary dump file
-- ``metrics FILE``        run a workload and dump the metrics registry
-- ``serve-metrics FILE``  serve /metrics, /healthz, /statusz over HTTP
-- ``ingest DIR FILE...``  append documents to an on-disk corpus (WAL-durable)
-- ``compact DIR``         fold an on-disk corpus' WAL into a sealed segment
-                          (every shard's, for a sharded corpus)
-- ``open --path DIR``     open an on-disk corpus; show status or run a query
+- ``metrics PATH``        run a workload and dump the metrics registry
+- ``serve-metrics PATH``  serve /metrics, /healthz, /statusz over HTTP
+- ``ingest DIR FILE...``  append documents to a corpus directory
+                          (WAL-durable; created if missing)
+- ``compact DIR``         fold a corpus directory's WAL into a sealed segment
 
-``FILE`` may be either an XML file or a dump written by ``dump`` (sniffed
-by its magic bytes) — dumps skip the XML parser entirely on load.  For
-the query-style commands it may also be an on-disk corpus *directory*
-(created with ``ingest``), which opens via mmap with no parsing at all.
+A ``PATH`` opens through :meth:`repro.engine.Engine.open`, the one rule for
+what a path holds: a file is one document — XML, or a dump written by
+``dump`` (told apart by its magic bytes), which skips the XML parser — and
+a directory is a corpus written by ``ingest`` (or ``Engine.sharded``),
+sharded when it holds ``shard-*`` directories, served off mmap'd segments
+with no parsing at all.  ``ingest`` and ``compact`` work on the shards of a
+sharded directory.  A read command refuses a path that does not exist, so
+it creates nothing.  ``query --shards N`` scatters a file over N in-memory
+shards, and opens a directory as N disk shards, which a single-disk corpus
+refuses.
 
 Examples::
 
@@ -29,19 +35,34 @@ Examples::
     python -m repro explain --json auctions.xml '//item[./description]'
     python -m repro search auctions.xml '"gold" and "vintage"' -k 3
     python -m repro metrics auctions.xml --count 20 --json
+    python -m repro ingest ./corpus auctions.xml
+    python -m repro query ./corpus '//item[./description/parlist]' -k 5
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from repro.engine import Engine
+from repro.engine import ALGORITHMS, DEFAULT_ALGORITHM, Engine
 from repro.errors import FleXPathError
+from repro.rank.schemes import SCHEMES, STRUCTURE_FIRST
 from repro.xmark import generate_document
 from repro.xmltree.serialize import to_xml
-from repro.xmltree.storage import DUMP_MAGIC, dump_document, load_document
+from repro.xmltree.storage import dump_document, read_document
+
+
+def _ranking_flags(parser):
+    """``--algorithm`` and ``--scheme``, named from the engine's and the
+    ranking module's tables."""
+    parser.add_argument(
+        "--algorithm", choices=tuple(ALGORITHMS), default=DEFAULT_ALGORITHM
+    )
+    parser.add_argument(
+        "--scheme", choices=tuple(SCHEMES), default=STRUCTURE_FIRST.name
+    )
 
 
 def build_parser():
@@ -52,19 +73,10 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     query = commands.add_parser("query", help="top-K flexible evaluation")
-    query.add_argument("file", help="XML document")
+    query.add_argument("file", help="XML document, dump, or corpus directory")
     query.add_argument("query", help="XPath-fragment query")
     query.add_argument("-k", type=int, default=10, help="answers to return")
-    query.add_argument(
-        "--algorithm",
-        choices=("dpo", "sso", "hybrid", "naive", "ir-first"),
-        default="hybrid",
-    )
-    query.add_argument(
-        "--scheme",
-        choices=("structure-first", "keyword-first", "combined"),
-        default="structure-first",
-    )
+    _ranking_flags(query)
     query.add_argument(
         "--max-relaxations", type=int, default=None, metavar="N",
         help="cap the relaxation schedule",
@@ -93,8 +105,8 @@ def build_parser():
     )
     query.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="partition the corpus across N in-process shards and evaluate"
-        " scatter-gather (answers and scores identical to unsharded)",
+        help="scatter a file over N in-process shards, or open a directory"
+        " as N disk shards; answers and scores equal unsharded ones",
     )
 
     exact = commands.add_parser("exact", help="strict evaluation, no relaxation")
@@ -107,26 +119,15 @@ def build_parser():
     explain.add_argument("-k", type=int, default=10)
     explain.add_argument(
         "--analyze", action="store_true",
-        help="actually run the query with tracing and print the per-phase"
-        " time and counter breakdown",
+        help="actually run the query (--algorithm, --scheme) with tracing"
+        " and print the per-phase time and counter breakdown",
     )
     explain.add_argument(
         "--json", action="store_true",
         help="run the query traced and print the trace as JSON"
         " (QueryTrace.as_dict()); implies --analyze",
     )
-    explain.add_argument(
-        "--algorithm",
-        choices=("dpo", "sso", "hybrid", "naive", "ir-first"),
-        default="hybrid",
-        help="algorithm to analyze (only with --analyze or --json)",
-    )
-    explain.add_argument(
-        "--scheme",
-        choices=("structure-first", "keyword-first", "combined"),
-        default="structure-first",
-        help="ranking scheme to analyze (only with --analyze or --json)",
-    )
+    _ranking_flags(explain)
 
     search = commands.add_parser("search", help="content-only keyword search")
     search.add_argument("file")
@@ -138,7 +139,9 @@ def build_parser():
     generate.add_argument("--seed", type=int, default=42)
     generate.add_argument("-o", "--output", default=None, help="file (default stdout)")
 
-    stats = commands.add_parser("stats", help="document statistics")
+    stats = commands.add_parser(
+        "stats", help="corpus status line and document statistics"
+    )
     stats.add_argument("file")
     stats.add_argument(
         "--tags", type=int, default=15, metavar="N",
@@ -166,16 +169,7 @@ def build_parser():
         help="queries to auto-generate when no workload file is given",
     )
     metrics.add_argument("-k", type=int, default=10, help="answers per query")
-    metrics.add_argument(
-        "--algorithm",
-        choices=("dpo", "sso", "hybrid", "naive", "ir-first"),
-        default="hybrid",
-    )
-    metrics.add_argument(
-        "--scheme",
-        choices=("structure-first", "keyword-first", "combined"),
-        default="structure-first",
-    )
+    _ranking_flags(metrics)
     metrics.add_argument(
         "--seed", type=int, default=0,
         help="seed for the auto-generated workload",
@@ -243,29 +237,7 @@ def build_parser():
         " (every shard's, for a sharded corpus directory)",
     )
     compact.add_argument("corpus", help="corpus directory")
-
-    opencmd = commands.add_parser(
-        "open",
-        help="open an on-disk corpus: show status, or run one query",
-    )
-    opencmd.add_argument(
-        "--path", required=True, metavar="DIR", help="corpus directory"
-    )
-    opencmd.add_argument(
-        "--query", default=None, metavar="Q",
-        help="XPath-fragment query to evaluate (default: just show status)",
-    )
-    opencmd.add_argument("-k", type=int, default=10, help="answers to return")
-    opencmd.add_argument(
-        "--algorithm",
-        choices=("dpo", "sso", "hybrid", "naive", "ir-first"),
-        default="hybrid",
-    )
-    opencmd.add_argument(
-        "--scheme",
-        choices=("structure-first", "keyword-first", "combined"),
-        default="structure-first",
-    )
+    compact.set_defaults(files=[], compact=True)
 
     return parser
 
@@ -277,30 +249,9 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     try:
         return _dispatch(args, out)
-    except FleXPathError as error:
+    except (FleXPathError, OSError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 1
-    except OSError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 1
-
-
-def _is_dump(path):
-    """True if ``path`` starts with the dump file magic."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(DUMP_MAGIC)) == DUMP_MAGIC
-    except OSError:
-        return False
-
-
-def _load_document(path):
-    """Parse an XML file, or load it directly when it is a dump."""
-    if _is_dump(path):
-        return load_document(path)
-    from repro.xmltree.parser import parse_file
-
-    return parse_file(path)
 
 
 def _dispatch(args, out):
@@ -308,75 +259,75 @@ def _dispatch(args, out):
         return _cmd_generate(args, out)
     if args.command == "dump":
         return _cmd_dump(args, out)
-    if args.command == "ingest":
+    if args.command in ("ingest", "compact"):
         return _cmd_ingest(args, out)
-    if args.command == "compact":
-        return _cmd_compact(args, out)
-    if args.command == "open":
-        return _cmd_open(args, out)
-    import os
+    return _READ_COMMANDS[args.command](_open_engine(args), args, out)
 
+
+def _open_engine(args):
+    """The engine a read command serves, over ``Engine.open(args.file)``.
+
+    A missing path is refused, so no read command creates a corpus.
+    ``--shards N`` opens a directory as N disk shards and scatters a file
+    over N in-memory shards.
+    """
+    if not os.path.exists(args.file):
+        raise FleXPathError("no such file or directory: %s" % args.file)
+    options = {"cache": not getattr(args, "no_cache", False)}
     shards = getattr(args, "shards", None)
-    if shards is not None and shards < 1:
+    if shards is None:
+        return Engine.open(args.file, **options)
+    if shards < 1:
         raise FleXPathError("--shards must be >= 1")
     if os.path.isdir(args.file):
-        # A corpus directory: serve it straight off the mmap'd segments.
-        # A sharded layout (shard-0000/ ...) opens as a ShardedBackend,
-        # anything else as a single DiskBackend.
-        from repro.backend.sharded import ShardedBackend
-
-        if ShardedBackend.shard_count_at(args.file):
-            source = ShardedBackend.open(args.file, shard_count=shards)
-        else:
-            from repro.backend.disk import DiskBackend
-
-            source = DiskBackend.open(args.file)
-    elif shards is not None:
-        # One parsed document still exercises the full scatter-gather
-        # path; multi-document corpora route across shards via ingest.
-        from repro.backend.sharded import ShardedBackend
-
-        source = ShardedBackend.in_memory(shards)
-        source.add_document(
-            _load_document(args.file), name=os.path.basename(args.file)
-        )
-    else:
-        source = _load_document(args.file)
-    engine = Engine(
-        source,
-        cache=not getattr(args, "no_cache", False),
+        return Engine.sharded(shards, path=args.file, **options)
+    # One document still runs the full scatter-gather path; multi-document
+    # corpora route across shards via ingest.
+    engine = Engine.sharded(shards, **options)
+    engine.backend.add_document(
+        read_document(args.file), name=os.path.basename(args.file)
     )
-    if args.command == "query":
-        return _cmd_query(engine, args, out)
-    if args.command == "exact":
-        return _cmd_exact(engine, args, out)
-    if args.command == "explain":
-        return _cmd_explain(engine, args, out)
-    if args.command == "search":
-        return _cmd_search(engine, args, out)
-    if args.command == "stats":
-        return _cmd_stats(engine, args, out)
-    if args.command == "metrics":
-        return _cmd_metrics(engine, args, out)
-    if args.command == "serve-metrics":
-        return _cmd_serve_metrics(engine, args, out)
-    raise FleXPathError("unknown command %r" % args.command)
+    return engine
 
 
-def _snippet(source, node, width=60):
-    text = source.full_text(node)
-    if len(text) > width:
-        text = text[: width - 3] + "..."
-    return text
+def _status_line(path, backend):
+    """A corpus directory's one-line status, disk or sharded."""
+    info = backend.describe()
+    line = "corpus %s: %d document(s), %d nodes, version %d" % (
+        path, info["documents"], info["nodes"], info["version"],
+    )
+    if "shards" in info:
+        return line + ", %d shard(s)" % info["shards"]
+    return line + ", generation %d, %d in WAL" % (
+        info["generation"], info["wal_documents"],
+    )
 
 
-def _text_source(engine):
-    """Whatever renders answer snippets: the unified document, or — when
-    serving a sharded corpus (no unified node table) — the backend itself,
-    whose ``full_text`` resolves a GlobalNode through its owning shard."""
-    if engine.document is not None:
-        return engine.document
-    return engine.backend
+def _read_queries(path):
+    """The queries in ``path``, one per line; blanks and ``#`` lines skipped."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [line.strip() for line in handle]
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def _print_answers(engine, result, show_text, out):
+    # A sharded engine has no unified document; its backend renders text.
+    source = engine.document if engine.document is not None else engine.backend
+    for rank, answer in enumerate(result.answers, start=1):
+        line = "%3d. node %-6d <%s>  ss=%.3f ks=%.3f level=%d" % (
+            rank,
+            answer.node_id,
+            answer.node.tag,
+            answer.score.structural,
+            answer.score.keyword,
+            answer.relaxation_level,
+        )
+        if show_text:
+            text = source.full_text(answer.node)
+            if len(text) > 60:
+                text = text[:57] + "..."
+            line += "  | %s" % text
+        print(line, file=out)
 
 
 def _cmd_query(engine, args, out):
@@ -397,27 +348,14 @@ def _cmd_query(engine, args, out):
         % (result.algorithm, result.scheme.name, args.k, result.relaxations_used),
         file=out,
     )
-    for rank, answer in enumerate(result.answers, start=1):
-        line = "%3d. node %-6d <%s>  ss=%.3f ks=%.3f level=%d" % (
-            rank,
-            answer.node_id,
-            answer.node.tag,
-            answer.score.structural,
-            answer.score.keyword,
-            answer.relaxation_level,
-        )
-        if args.show_text:
-            line += "  | %s" % _snippet(_text_source(engine), answer.node)
-        print(line, file=out)
+    _print_answers(engine, result, args.show_text, out)
     return 0
 
 
 def _cmd_query_batch(engine, args, out):
     if args.workers < 1:
         raise FleXPathError("--workers must be >= 1")
-    with open(args.query, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle]
-    queries = [line for line in lines if line and not line.startswith("#")]
+    queries = _read_queries(args.query)
     if not queries:
         raise FleXPathError("batch file %r contains no queries" % args.query)
     results = engine.query_many(
@@ -441,18 +379,7 @@ def _cmd_query_batch(engine, args, out):
             % (text, len(result.answers), result.relaxations_used),
             file=out,
         )
-        for rank, answer in enumerate(result.answers, start=1):
-            line = "%3d. node %-6d <%s>  ss=%.3f ks=%.3f level=%d" % (
-                rank,
-                answer.node_id,
-                answer.node.tag,
-                answer.score.structural,
-                answer.score.keyword,
-                answer.relaxation_level,
-            )
-            if args.show_text:
-                line += "  | %s" % _snippet(_text_source(engine), answer.node)
-            print(line, file=out)
+        _print_answers(engine, result, args.show_text, out)
     return 0
 
 
@@ -537,18 +464,18 @@ def _cmd_generate(args, out):
 
 
 def _cmd_dump(args, out):
-    document = _load_document(args.file)
+    document = read_document(args.file)
     dump_document(document, args.output)
     print("wrote %d nodes to %s" % (len(document), args.output), file=out)
     return 0
 
 
 def _cmd_stats(engine, args, out):
+    if os.path.isdir(args.file):
+        print(_status_line(args.file, engine.backend), file=out)
     document = engine.document
     if document is None:
-        raise FleXPathError(
-            "`stats` needs a unified node table; run it per shard directory"
-        )
+        return 0  # a sharded corpus has no unified node table to summarize
     summary = document.stats_summary()
     print(
         "elements: %(nodes)d   distinct tags: %(tags)d   depth: %(depth)d"
@@ -570,9 +497,7 @@ def _cmd_metrics(engine, args, out):
     from repro.workload import generate_workload
 
     if args.workload:
-        with open(args.workload, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        queries = [line for line in lines if line and not line.startswith("#")]
+        queries = _read_queries(args.workload)
     elif engine.document is None:
         raise FleXPathError(
             "`metrics` needs a unified node table to generate a workload;"
@@ -645,122 +570,42 @@ def _cmd_serve_metrics(engine, args, out):
     return 0
 
 
-def _open_disk_backend(path, create=False):
-    import os
-
-    from repro.backend.disk import DiskBackend
-
-    if os.path.exists(os.path.join(path, "MANIFEST.json")):
-        return DiskBackend.open(path)
-    if create:
-        return DiskBackend.create(path)
-    raise FleXPathError("no on-disk corpus at %s (run `ingest` first)" % path)
-
-
 def _cmd_ingest(args, out):
-    import os
-
-    backend = _open_disk_backend(args.corpus, create=True)
+    """``ingest DIR FILE...`` and ``compact DIR``: append each file to the
+    corpus directory (a sharded one routes it to its shard), seal the WAL
+    tail when asked, and print the directory's status line."""
+    if os.path.isfile(args.corpus) or not (
+        args.files or os.path.isdir(args.corpus)
+    ):
+        raise FleXPathError("no corpus directory at %s" % args.corpus)
+    backend = Engine.open(args.corpus).backend
     try:
         for path in args.files:
-            document = _load_document(path)
+            document = read_document(path)
             backend.add_document(document, name=os.path.basename(path))
-            print(
-                "ingested %s (%d nodes)" % (path, len(document)), file=out
-            )
+            print("ingested %s (%d nodes)" % (path, len(document)), file=out)
         if args.compact:
-            generation = backend.compact()
-            print("compacted to generation %d" % generation, file=out)
-        info = backend.describe()
-        print(
-            "corpus %s: %d document(s), %d nodes, version %d,"
-            " generation %d, %d in WAL"
-            % (
-                info["path"],
-                info["documents"],
-                info["nodes"],
-                info["version"],
-                info["generation"],
-                info["wal_documents"],
-            ),
-            file=out,
-        )
-    finally:
-        backend.close()
-    return 0
-
-
-def _cmd_compact(args, out):
-    import os
-
-    from repro.backend.sharded import ShardedBackend
-
-    if os.path.isdir(args.corpus) and ShardedBackend.shard_count_at(args.corpus):
-        backend = ShardedBackend.open(args.corpus)
-    else:
-        backend = _open_disk_backend(args.corpus)
-    try:
-        # One generation for a disk corpus, one per shard for a sharded one.
-        generation = backend.compact()
-        info = backend.describe()
-        print(
-            "compacted %s to generation %s (%d document(s), %d nodes)"
-            % (args.corpus, generation, info["documents"], info["nodes"]),
-            file=out,
-        )
-    finally:
-        backend.close()
-    return 0
-
-
-def _cmd_open(args, out):
-    backend = _open_disk_backend(args.path)
-    try:
-        info = backend.describe()
-        print(
-            "corpus %s: %d document(s), %d nodes, version %d,"
-            " generation %d, %d in WAL"
-            % (
-                info["path"],
-                info["documents"],
-                info["nodes"],
-                info["version"],
-                info["generation"],
-                info["wal_documents"],
-            ),
-            file=out,
-        )
-        if args.query is None:
-            return 0
-        engine = Engine(backend)
-        result = engine.query(
-            args.query, k=args.k, scheme=args.scheme, algorithm=args.algorithm
-        )
-        print(
-            "# %s, %s, K=%d, relaxations used: %d"
-            % (
-                result.algorithm,
-                result.scheme.name,
-                args.k,
-                result.relaxations_used,
-            ),
-            file=out,
-        )
-        for rank, answer in enumerate(result.answers, start=1):
+            # One generation for a disk corpus, one per shard for a sharded one.
             print(
-                "%3d. node %-6d <%s>  ss=%.3f ks=%.3f level=%d" % (
-                    rank,
-                    answer.node_id,
-                    answer.node.tag,
-                    answer.score.structural,
-                    answer.score.keyword,
-                    answer.relaxation_level,
-                ),
+                "compacted %s to generation %s"
+                % (args.corpus, backend.compact()),
                 file=out,
             )
+        print(_status_line(args.corpus, backend), file=out)
     finally:
         backend.close()
     return 0
+
+
+_READ_COMMANDS = {
+    "query": _cmd_query,
+    "exact": _cmd_exact,
+    "explain": _cmd_explain,
+    "search": _cmd_search,
+    "stats": _cmd_stats,
+    "metrics": _cmd_metrics,
+    "serve-metrics": _cmd_serve_metrics,
+}
 
 
 if __name__ == "__main__":

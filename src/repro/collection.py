@@ -23,6 +23,7 @@ from repro.errors import FleXPathError
 from repro.obs.metrics import REGISTRY
 from repro.xmltree.builder import TreeBuilder
 from repro.xmltree.parser import parse
+from repro.xmltree.storage import read_document
 
 
 class Corpus:
@@ -116,10 +117,10 @@ class Corpus:
         return self.add_document(parse(text), name=name)
 
     def add_file(self, path, name=None):
-        """Parse an XML file and add it; returns its root node."""
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        return self.add_document(parse(text), name=str(path) if name is None else name)
+        """Read an XML or dump file and add it; returns its root node."""
+        return self.add_document(
+            read_document(path), name=str(path) if name is None else name
+        )
 
     def subscribe(self, callback):
         """Register ``callback(corpus, start_id, end_id)`` for appends."""

@@ -55,9 +55,10 @@ from repro.topk.ir_first import IRFirstDPO
 from repro.topk.naive import NaiveRewriting
 from repro.topk.sso import SSO
 from repro.xmltree.parser import parse as parse_xml
-from repro.xmltree.parser import parse_file as parse_xml_file
+from repro.xmltree.storage import read_document
 
-_ALGORITHMS = {
+#: Strategy name → class; the names ``query(algorithm=...)`` accepts.
+ALGORITHMS = {
     "dpo": DPO,
     "sso": SSO,
     "hybrid": Hybrid,
@@ -111,7 +112,7 @@ class Engine:
             self.backend, weights=weights, plan_cache_size=plan_cache_size
         )
         self.algorithms = {
-            name: cls(self.context) for name, cls in _ALGORITHMS.items()
+            name: cls(self.context) for name, cls in ALGORITHMS.items()
         }
         if cache:
             self.result_cache = ResultCache(result_cache_size)
@@ -138,22 +139,6 @@ class Engine:
         return cls(parse_xml(text), **kwargs)
 
     @classmethod
-    def from_file(cls, path, **kwargs):
-        """Build an engine from an XML file."""
-        return cls(parse_xml_file(path), **kwargs)
-
-    @classmethod
-    def from_corpus(cls, corpus, **kwargs):
-        """Build an engine over a live :class:`~repro.collection.Corpus`.
-
-        The engine stays subscribed: documents added to the corpus after
-        construction become queryable immediately, with index and
-        statistics extended over just the new nodes (and every cache
-        tier invalidated).
-        """
-        return cls(corpus, **kwargs)
-
-    @classmethod
     def from_files(cls, paths, **kwargs):
         """Build an engine over a collection parsed from XML files."""
         from repro.collection import DocumentCollection
@@ -161,29 +146,41 @@ class Engine:
         return cls(DocumentCollection.from_files(paths), **kwargs)
 
     @classmethod
-    def from_dump(cls, path, **kwargs):
-        """Build an engine from a file written by ``dump_document``."""
-        from repro.xmltree.storage import load_document
-
-        return cls(load_document(path), **kwargs)
-
-    @classmethod
     def open(cls, path, **kwargs):
-        """Open (or initialize) a persistent on-disk corpus directory.
+        """Serve whatever ``path`` holds; the one place that decides what.
 
-        Cold start costs mmap + WAL replay — no XML parse, no index
-        rebuild.  The returned engine serves a
-        :class:`~repro.backend.disk.DiskBackend`; ingest through it is
-        write-ahead durable, and ``engine.backend.compact()`` seals the
-        WAL tail into the next segment generation.
+        - a file: one document, XML or a dump
+          (:func:`~repro.xmltree.storage.read_document`);
+        - a directory of ``shard-*`` directories: a
+          :class:`~repro.backend.sharded.ShardedBackend` with the shard
+          count on disk;
+        - a directory with a ``MANIFEST.json``: a
+          :class:`~repro.backend.disk.DiskBackend`, cold-started by mmap +
+          WAL replay (no XML parse, no index rebuild);
+        - a missing or empty directory: a new, empty ``DiskBackend``.
+
+        Any other directory is refused.  Ingest through a directory's
+        ``engine.backend`` is write-ahead durable, and
+        ``engine.backend.compact()`` seals the WAL tail (every shard's).
         """
         import os
 
         from repro.backend.disk import DiskBackend
+        from repro.backend.diskfmt import MANIFEST_NAME
+        from repro.backend.sharded import ShardedBackend
 
-        if os.path.exists(os.path.join(path, "MANIFEST.json")):
+        if os.path.isfile(path):
+            return cls(read_document(path), **kwargs)
+        if not os.path.isdir(path) or not os.listdir(path):
+            return cls(DiskBackend.create(path), **kwargs)
+        if ShardedBackend.shard_count_at(path):
+            return cls(ShardedBackend.open(path), **kwargs)
+        if os.path.exists(os.path.join(path, MANIFEST_NAME)):
             return cls(DiskBackend.open(path), **kwargs)
-        return cls(DiskBackend.create(path), **kwargs)
+        raise FleXPathError(
+            "%s is not empty and holds no corpus (no %s, no shard-*"
+            " directories)" % (path, MANIFEST_NAME)
+        )
 
     @classmethod
     def sharded(cls, shard_count=None, router=None, path=None, **kwargs):
@@ -240,7 +237,7 @@ class Engine:
         except (KeyError, AttributeError):
             raise FleXPathError(
                 "unknown algorithm %r (choose from %s)"
-                % (algorithm, ", ".join(sorted(_ALGORITHMS)))
+                % (algorithm, ", ".join(sorted(ALGORITHMS)))
             ) from None
 
     def cache_info(self):

@@ -95,7 +95,8 @@ STRUCTURE_FIRST = StructureFirst()
 KEYWORD_FIRST = KeywordFirst()
 COMBINED = Combined()
 
-_SCHEMES = {
+#: Scheme name → built-in scheme; the names ``scheme_by_name`` accepts.
+SCHEMES = {
     STRUCTURE_FIRST.name: STRUCTURE_FIRST,
     KEYWORD_FIRST.name: KEYWORD_FIRST,
     COMBINED.name: COMBINED,
@@ -106,11 +107,11 @@ def scheme_by_name(name):
     """Look up a built-in scheme ("structure-first", "keyword-first",
     "combined")."""
     try:
-        return _SCHEMES[name]
+        return SCHEMES[name]
     except KeyError:
         raise ValueError(
             "unknown ranking scheme %r (choose from %s)"
-            % (name, ", ".join(sorted(_SCHEMES)))
+            % (name, ", ".join(sorted(SCHEMES)))
         ) from None
 
 

@@ -19,7 +19,9 @@ table goes through this module:
   length plus UTF-8;
 - :func:`dump_document` / :func:`load_document` — a dump file is the
   fragment payload in the envelope sealed segments use: 8-byte magic,
-  payload, trailing CRC32 of both (:func:`check_envelope`).
+  payload, trailing CRC32 of both (:func:`check_envelope`);
+- :func:`read_document` — the one reader of a document file: a dump when
+  it starts with the magic, XML otherwise.
 
 Decoders trust nothing: :func:`validate_node_table` refuses any table whose
 region encoding contradicts its parent column, and every failure raises
@@ -38,6 +40,7 @@ from itertools import islice
 
 from repro.errors import CorruptStorageError
 from repro.xmltree.document import ColumnarStore, Document, TagDictionary
+from repro.xmltree.parser import parse_file
 
 DUMP_MAGIC = b"FXDOC001"
 
@@ -356,3 +359,11 @@ def load_document(path):
     payload_end = check_envelope(data, DUMP_MAGIC, name)
     payload = memoryview(data)[len(DUMP_MAGIC) : payload_end]
     return decode_fragment(payload, name)[0]
+
+
+def read_document(path):
+    """Read one document file: a dump if it starts with :data:`DUMP_MAGIC`,
+    XML otherwise."""
+    with open(path, "rb") as handle:
+        is_dump = handle.read(len(DUMP_MAGIC)) == DUMP_MAGIC
+    return load_document(path) if is_dump else parse_file(path)

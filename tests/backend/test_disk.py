@@ -159,6 +159,14 @@ class TestQueryParity:
         assert len(engine.backend.corpus) == 0
         engine.backend.close()
 
+    def test_engine_open_refuses_a_directory_that_holds_no_corpus(
+        self, tmp_path
+    ):
+        (tmp_path / "notes.txt").write_text("not a corpus")
+        with pytest.raises(FleXPathError, match="holds no corpus"):
+            Engine.open(str(tmp_path))
+        assert os.listdir(tmp_path) == ["notes.txt"]
+
 
 class TestCacheFencing:
     def test_ingest_bumps_version_and_invalidates(self, seeded):

@@ -8,6 +8,7 @@ gauges/topology — plus the engine-facade seams (traced scatter, virtual
 roots, a failing scatter round, concurrent ingest).
 """
 
+import os
 import threading
 
 import pytest
@@ -224,6 +225,50 @@ class TestDiskShards:
             reopened.backend.close()
         with pytest.raises(FleXPathError, match="resharding"):
             Engine.sharded(shard_count=3, path=path)
+
+    def test_engine_sharded_refuses_a_disk_corpus(self, tmp_path):
+        path = str(tmp_path / "corpus")
+        disk = DiskBackend.create(path)
+        disk.add_document(parse(DOCS[0]), name="doc0")
+        disk.close()
+        listing = sorted(os.listdir(path))
+        with pytest.raises(FleXPathError, match="single-disk corpus"):
+            Engine.sharded(shard_count=2, path=path)
+        assert sorted(os.listdir(path)) == listing
+
+    def test_disk_create_refuses_a_sharded_directory(self, tmp_path):
+        path = str(tmp_path / "corpus")
+        ShardedBackend.open(path, shard_count=2).close()
+        listing = sorted(os.listdir(path))
+        with pytest.raises(FleXPathError, match="sharded corpus"):
+            DiskBackend.create(path)
+        assert sorted(os.listdir(path)) == listing
+
+    def test_engine_open_serves_a_sharded_directory(self, tmp_path):
+        path = str(tmp_path / "corpus")
+        engine = Engine.sharded(
+            shard_count=2, router=RoundRobinRouter(), path=path
+        )
+        for index, text in enumerate(DOCS[:4]):
+            engine.backend.add_document(parse(text), name="doc%d" % index)
+        engine.backend.close()
+        # Reopened global ids follow (shard, local id), not ingest order.
+        reference = Engine.sharded(path=path)
+        before = reference.query(QUERY, k=5)
+        reference.backend.close()
+        listing = sorted(os.listdir(path))
+        opened = Engine.open(path)
+        try:
+            assert isinstance(opened.backend, ShardedBackend)
+            assert opened.backend.shard_count == 2
+            after = opened.query(QUERY, k=5)
+            assert after.node_ids() == before.node_ids()
+            assert [a.score for a in after.answers] == [
+                a.score for a in before.answers
+            ]
+        finally:
+            opened.backend.close()
+        assert sorted(os.listdir(path)) == listing
 
     def test_a_new_corpus_gets_the_default_shard_count(self, tmp_path):
         engine = Engine.sharded(path=str(tmp_path / "corpus"))

@@ -1,6 +1,8 @@
 """The command-line interface."""
 
 import io
+import os
+import re
 
 import pytest
 
@@ -120,7 +122,8 @@ class TestQuery:
         engine.backend.close()
         code, output = run(["compact", path])
         assert code == 0
-        assert "to generation [2, 2] (4 document(s)" in output
+        assert "to generation [2, 2]\n" in output
+        assert ": 4 document(s), 9 nodes, version 4, 2 shard(s)" in output
         backend = ShardedBackend.open(path)
         try:
             assert [shard.wal_documents for shard in backend.shards] == [0, 0]
@@ -131,9 +134,11 @@ class TestQuery:
         code, _output = run(["query", xml_file, "not a query"])
         assert code == 1
 
-    def test_missing_file_is_an_error(self):
-        code, _output = run(["query", "/nonexistent.xml", "//a"])
+    def test_missing_file_is_an_error(self, tmp_path):
+        missing = tmp_path / "nonexistent.xml"
+        code, _output = run(["query", str(missing), "//a"])
         assert code == 1
+        assert not missing.exists()
 
     def test_generous_deadline_succeeds(self, xml_file):
         code, output = run(
@@ -380,12 +385,12 @@ class TestExplainAnalyzeWarm:
         code, cold_json = run(argv + ["--json"])
         assert code == 0
 
-        def warmed(source, **options):
-            engine = Engine(source, **options)
-            engine.query(query, k=3, algorithm="dpo")
-            return engine
+        class Warmed(Engine):
+            def __init__(self, source, **options):
+                super().__init__(source, **options)
+                self.query(query, k=3, algorithm="dpo")
 
-        monkeypatch.setattr(cli, "Engine", warmed)
+        monkeypatch.setattr(cli, "Engine", Warmed)
         code, warm = run(argv)
         assert code == 0
         code, warm_json = run(argv + ["--json"])
@@ -544,3 +549,177 @@ class TestServeMetrics:
     def test_rejects_non_positive_duration(self, xml_file):
         code, _ = run(["serve-metrics", xml_file, "--duration", "0"])
         assert code == 1
+
+
+PATH_QUERY = '//article[./section[./paragraph and .contains("XML")]]'
+SECOND_DOCUMENT = (
+    "<library><article><title>XML notes</title><section><paragraph>"
+    "XML streaming</paragraph></section></article></library>"
+)
+ANSWER_LINE = re.compile(
+    r"node (\d+)\s+<([\w-]+)>\s+ss=([\d.]+) ks=([\d.]+) level=(\d+)"
+)
+
+
+def _corpus_path(kind, tmp_path):
+    """One corpus in each form a path can hold."""
+    from repro import Engine
+    from repro.xmltree import dump_document, parse
+
+    xml = tmp_path / "library.xml"
+    xml.write_text(LIBRARY_XML)
+    if kind == "xml":
+        return str(xml)
+    if kind == "dump":
+        path = str(tmp_path / "library.fxd")
+        dump_document(parse(LIBRARY_XML), path)
+        return path
+    path = str(tmp_path / "corpus")
+    if kind == "sharded":
+        Engine.sharded(shard_count=2, path=path).backend.close()
+    second = tmp_path / "second.xml"
+    second.write_text(SECOND_DOCUMENT)
+    code, _ = run(["ingest", path, str(xml), str(second)])
+    assert code == 0
+    return path
+
+
+def _engine_answers(path):
+    from repro import Engine
+
+    engine = Engine.open(path)
+    try:
+        return [
+            (a.node_id, a.node.tag, "%.3f" % a.score.structural,
+             "%.3f" % a.score.keyword, a.relaxation_level)
+            for a in engine.query(PATH_QUERY, k=3).answers
+        ]
+    finally:
+        getattr(engine.backend, "close", lambda: None)()
+
+
+def _printed_answers(output):
+    return [
+        (int(node), tag, ss, ks, int(level))
+        for node, tag, ss, ks, level in ANSWER_LINE.findall(output)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["xml", "dump", "disk", "sharded"])
+class TestPathKinds:
+    """Every command that takes a path opens it the way ``Engine.open`` does."""
+
+    def test_query(self, kind, tmp_path):
+        path = _corpus_path(kind, tmp_path)
+        code, output = run(["query", path, PATH_QUERY, "-k", "3"])
+        assert code == 0
+        assert _printed_answers(output) == _engine_answers(path)
+        assert _printed_answers(output)
+
+    def test_exact(self, kind, tmp_path):
+        from repro import Engine
+
+        path = _corpus_path(kind, tmp_path)
+        code, output = run(["exact", path, "//article[./title]"])
+        assert code == 0
+        expected = [node.node_id for node in
+                    Engine.open(path).exact("//article[./title]")]
+        assert expected
+        assert [
+            int(line.split()[1])
+            for line in output.splitlines() if line.startswith("node ")
+        ] == expected
+
+    def test_explain(self, kind, tmp_path):
+        from repro import Engine
+
+        path = _corpus_path(kind, tmp_path)
+        code, output = run(["explain", path, PATH_QUERY])
+        assert code == 0
+        assert output == Engine.open(path).explain(PATH_QUERY) + "\n"
+
+    def test_compact(self, kind, tmp_path):
+        path = _corpus_path(kind, tmp_path)
+        listing = sorted(os.listdir(tmp_path))
+        before = None if kind in ("xml", "dump") else _engine_answers(path)
+        code, output = run(["compact", path])
+        if before is None:
+            assert code == 1  # a file is not a corpus directory
+            assert sorted(os.listdir(tmp_path)) == listing
+            return
+        assert code == 0
+        assert output.startswith("compacted %s to generation " % path)
+        assert "0 in WAL" in output or "2 shard(s)" in output
+        code, output = run(["query", path, PATH_QUERY, "-k", "3"])
+        assert code == 0
+        assert _printed_answers(output) == before
+
+
+class TestCorpusDirectories:
+    def test_stats_prints_the_disk_status_line(self, tmp_path):
+        path = _corpus_path("disk", tmp_path)
+        code, output = run(["stats", path])
+        assert code == 0
+        first, second = output.splitlines()[:2]
+        assert re.fullmatch(
+            r"corpus %s: 2 document\(s\), \d+ nodes, version 2,"
+            r" generation 1, 2 in WAL" % re.escape(path), first
+        )
+        assert second.startswith("elements: ")
+
+    def test_stats_prints_the_sharded_status_line(self, tmp_path):
+        path = _corpus_path("sharded", tmp_path)
+        code, output = run(["stats", path])
+        assert code == 0
+        assert re.fullmatch(
+            r"corpus %s: 2 document\(s\), \d+ nodes, version 2, 2 shard\(s\)\n"
+            % re.escape(path), output
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "{}", "//a"],
+        ["exact", "{}", "//a"],
+        ["explain", "{}", "//a"],
+        ["search", "{}", '"a"'],
+        ["stats", "{}"],
+        ["metrics", "{}"],
+        ["serve-metrics", "{}", "--duration", "1"],
+        ["compact", "{}"],
+        ["query", "{}", "//a", "--shards", "2"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[3:]))
+    def test_a_missing_path_exits_1_and_creates_nothing(self, argv, tmp_path):
+        missing = str(tmp_path / "missing")
+        code, _ = run([missing if arg == "{}" else arg for arg in argv])
+        assert code == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_ingest_into_a_sharded_directory_routes_to_a_shard(self, tmp_path):
+        from repro import Engine
+
+        path = str(tmp_path / "corpus")
+        Engine.sharded(shard_count=2, path=path).backend.close()
+        xml = tmp_path / "x.xml"
+        xml.write_text("<doc><tag>needle</tag></doc>")
+        code, _ = run(["ingest", path, str(xml)])
+        assert code == 0
+        assert not os.path.exists(os.path.join(path, "MANIFEST.json"))
+        engine = Engine.sharded(path=path)
+        try:
+            assert engine.backend.shard_count == 2
+            found = engine.exact('//tag[.contains("needle")]')
+            assert [node.tag for node in found] == ["tag"]
+        finally:
+            engine.backend.close()
+
+    def test_shards_on_a_disk_corpus_is_refused(self, tmp_path, capsys):
+        path = _corpus_path("disk", tmp_path)
+        listing = sorted(os.listdir(path))
+        code, _ = run(["query", path, "//article", "--shards", "2"])
+        assert code == 1
+        assert "single-disk corpus" in capsys.readouterr().err
+        assert sorted(os.listdir(path)) == listing
+
+    def test_ingest_refuses_a_file(self, xml_file, capsys):
+        code, _ = run(["ingest", xml_file, xml_file])
+        assert code == 1
+        assert "no corpus directory" in capsys.readouterr().err

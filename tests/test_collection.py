@@ -126,7 +126,7 @@ class TestIncrementalIngest:
 
     def test_engine_sees_documents_added_after_construction(self):
         corpus = DocumentCollection.from_texts(TEXTS, names=["a", "b", "c"])
-        engine = FleXPath.from_corpus(corpus)
+        engine = FleXPath(corpus)
         assert engine.keyword_search('"delta"') == []
         corpus.add_text(
             "<article><title>delta xml</title></article>", name="d"
@@ -141,7 +141,7 @@ class TestIncrementalIngest:
         from repro.ir import InvertedIndex
 
         corpus = Corpus()
-        engine = FleXPath.from_corpus(corpus)
+        engine = FleXPath(corpus)
         for text in TEXTS:
             corpus.add_text(text)
         fresh = InvertedIndex(corpus.document)
@@ -157,7 +157,7 @@ class TestIncrementalIngest:
         from repro.backend.stats import DocumentStatistics
 
         corpus = Corpus()
-        engine = FleXPath.from_corpus(corpus)
+        engine = FleXPath(corpus)
         for text in TEXTS:
             corpus.add_text(text)
         # The context excludes the virtual collection root (node 0) from its
@@ -196,7 +196,7 @@ class TestIncrementalIngest:
 
     def test_query_results_stable_across_adds(self):
         corpus = Corpus()
-        engine = FleXPath.from_corpus(corpus)
+        engine = FleXPath(corpus)
         corpus.add_text(TEXTS[0], name="a")
         first = engine.query('//article[.contains("xml")]', k=5)
         assert first.answers
@@ -240,7 +240,7 @@ class TestVirtualRootExclusion:
         single = FleXPath.from_xml(self.XML)
         corpus = Corpus()
         corpus.add_text(self.XML, name="only")
-        return single, FleXPath.from_corpus(corpus)
+        return single, FleXPath(corpus)
 
     def test_count_satisfying_excludes_collection_root(self):
         from repro.ir import parse_ftexpr

@@ -112,7 +112,7 @@ class TestThreadHammer:
     def test_mixed_queries_interleaved_with_ingest(self):
         corpus = Corpus()
         corpus.add_text(LIBRARY_XML)
-        engine = FleXPath.from_corpus(corpus)
+        engine = FleXPath(corpus)
 
         query_ends = []
         on("query_end", query_ends.append)
@@ -162,7 +162,7 @@ class TestThreadHammer:
 
         # Cached answers must equal a cache-free engine's over the same
         # (final) corpus, per query and per algorithm.
-        uncached = FleXPath.from_corpus(corpus, cache=False)
+        uncached = FleXPath(corpus, cache=False)
         for text in QUERIES:
             for algorithm in ALGORITHMS:
                 hot = engine.query(text, k=5, algorithm=algorithm)
@@ -172,7 +172,7 @@ class TestThreadHammer:
     def test_query_many_interleaved_with_ingest(self):
         corpus = Corpus()
         corpus.add_text(LIBRARY_XML)
-        engine = FleXPath.from_corpus(corpus)
+        engine = FleXPath(corpus)
         batch = [QUERIES[index % len(QUERIES)] for index in range(12)]
 
         stop = threading.Event()

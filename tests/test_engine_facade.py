@@ -28,7 +28,7 @@ def _from_xml(cls, tmp_path, **kwargs):
 def _from_file(cls, tmp_path, **kwargs):
     path = tmp_path / "library.xml"
     path.write_text(LIBRARY_XML, encoding="utf-8")
-    return cls.from_file(str(path), **kwargs)
+    return cls.open(str(path), **kwargs)
 
 
 def _from_files(cls, tmp_path, **kwargs):
@@ -40,13 +40,13 @@ def _from_files(cls, tmp_path, **kwargs):
 def _from_corpus(cls, tmp_path, **kwargs):
     corpus = Corpus()
     corpus.add_text(LIBRARY_XML)
-    return cls.from_corpus(corpus, **kwargs)
+    return cls(corpus, **kwargs)
 
 
 def _from_dump(cls, tmp_path, **kwargs):
     path = tmp_path / "library.fxd"
     dump_document(parse(LIBRARY_XML), path)
-    return cls.from_dump(path, **kwargs)
+    return cls.open(path, **kwargs)
 
 
 def _direct(cls, tmp_path, **kwargs):

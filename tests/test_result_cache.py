@@ -88,7 +88,7 @@ class TestInvalidation:
     def test_add_document_empties_the_cache(self):
         corpus = Corpus()
         corpus.add_text(LIBRARY_XML)
-        engine = FleXPath.from_corpus(corpus)
+        engine = FleXPath(corpus)
         stale = engine.query(QUERY, k=5)
         assert len(engine.result_cache) == 1
         corpus.add_text(
@@ -105,7 +105,7 @@ class TestInvalidation:
         corpus = Corpus()
         corpus.add_text(LIBRARY_XML)
         assert corpus.version == 1
-        engine = FleXPath.from_corpus(corpus)
+        engine = FleXPath(corpus)
         engine.query(QUERY, k=5)
         corpus.add_text("<article/>")
         assert corpus.version == 2

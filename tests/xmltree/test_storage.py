@@ -105,7 +105,7 @@ class TestRoundTrip:
         xml = to_xml(generate_document(target_bytes=20_000, seed=8))
         path = str(tmp_path / "auctions.fxd")
         dump_document(parse(xml), path)
-        engines = [Engine.from_xml(xml), Engine.from_dump(path)]
+        engines = [Engine.from_xml(xml), Engine.open(path)]
         for name in ("Q1", "Q2", "Q3"):
             answers = [
                 [
