@@ -6,7 +6,7 @@ classes stay private to the package.  See DESIGN §11 for the layering and
 docs/EXTENDING.md for writing a custom backend.
 """
 
-from repro.backend.base import StorageBackend, as_backend
+from repro.backend.base import StorageBackend, as_backend, open_path
 from repro.backend.memory import InMemoryBackend
 
-__all__ = ["StorageBackend", "InMemoryBackend", "as_backend"]
+__all__ = ["StorageBackend", "InMemoryBackend", "as_backend", "open_path"]

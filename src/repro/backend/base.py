@@ -242,3 +242,35 @@ def as_backend(source, ir_engine=None):
     from repro.backend.memory import InMemoryBackend
 
     return InMemoryBackend(source, ir_engine=ir_engine)
+
+
+def open_path(path):
+    """Open whatever ``path`` holds; the one place that decides what.
+
+    A file is one document, XML or a dump, in memory; a directory of
+    ``shard-*`` directories a :class:`~repro.backend.sharded.ShardedBackend`;
+    one with a ``MANIFEST.json`` a :class:`~repro.backend.disk.DiskBackend`.
+    Anything else is refused, so opening never creates a corpus
+    (``DiskBackend.create`` and ``ShardedBackend.open`` start new ones).
+    """
+    import os
+
+    from repro.backend.disk import DiskBackend
+    from repro.backend.diskfmt import MANIFEST_NAME
+    from repro.backend.sharded import ShardedBackend
+    from repro.errors import FleXPathError
+    from repro.xmltree.storage import read_document
+
+    path = str(path)
+    if os.path.isfile(path):
+        return as_backend(read_document(path))
+    if not os.path.isdir(path):
+        raise FleXPathError("no such file or directory: %s" % path)
+    if ShardedBackend.shard_count_at(path):
+        return ShardedBackend.open(path)
+    if os.path.exists(os.path.join(path, MANIFEST_NAME)):
+        return DiskBackend.open(path)
+    raise FleXPathError(
+        "%s holds no corpus (no %s, no shard-* directories)"
+        % (path, MANIFEST_NAME)
+    )

@@ -250,7 +250,8 @@ class ShardedBackend(StorageBackend):
         directory count on disk when ``shard_count`` is None; a new corpus
         gets :attr:`DEFAULT_SHARD_COUNT` shards.  An explicit count that
         contradicts the directories on disk is an error — resharding is
-        not implicit — and so is a single-disk corpus at ``path``.
+        not implicit — and so is a single-disk corpus, or any other
+        non-empty directory without shards, at ``path``.
         """
         from repro.backend.disk import DiskBackend
         from repro.backend.diskfmt import MANIFEST_NAME
@@ -261,6 +262,10 @@ class ShardedBackend(StorageBackend):
             )
         os.makedirs(path, exist_ok=True)
         existing = cls.shard_count_at(path)
+        if not existing and os.listdir(path):
+            raise FleXPathError(
+                "%s is not empty and holds no shard-* directories" % path
+            )
         if shard_count is None:
             shard_count = existing or cls.DEFAULT_SHARD_COUNT
         elif existing and existing != shard_count:

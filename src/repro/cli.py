@@ -13,19 +13,17 @@ Commands:
 - ``metrics PATH``        run a workload and dump the metrics registry
 - ``serve-metrics PATH``  serve /metrics, /healthz, /statusz over HTTP
 - ``ingest DIR FILE...``  append documents to a corpus directory
-                          (WAL-durable; created if missing)
+                          (WAL-durable; created if missing or empty)
 - ``compact DIR``         fold a corpus directory's WAL into a sealed segment
 
-A ``PATH`` opens through :meth:`repro.engine.Engine.open`, the one rule for
+A ``PATH`` opens through :func:`repro.backend.open_path`, the one rule for
 what a path holds: a file is one document — XML, or a dump written by
-``dump`` (told apart by its magic bytes), which skips the XML parser — and
-a directory is a corpus written by ``ingest`` (or ``Engine.sharded``),
-sharded when it holds ``shard-*`` directories, served off mmap'd segments
-with no parsing at all.  ``ingest`` and ``compact`` work on the shards of a
-sharded directory.  A read command refuses a path that does not exist, so
-it creates nothing.  ``query --shards N`` scatters a file over N in-memory
-shards, and opens a directory as N disk shards, which a single-disk corpus
-refuses.
+``dump``, which skips the XML parser — and a directory a corpus written by
+``ingest`` (or ``Engine.sharded``), sharded when it holds ``shard-*``
+directories, served off mmap'd segments.  Anything else is refused, so only
+``ingest`` creates a corpus, in a missing or empty directory; it and
+``compact`` work on every shard of a sharded one.  ``query --shards N``
+scatters a file over N in-memory shards; a directory must hold N shards.
 
 Examples::
 
@@ -46,6 +44,8 @@ import json
 import os
 import sys
 
+from repro.backend import open_path
+from repro.backend.disk import DiskBackend
 from repro.engine import ALGORITHMS, DEFAULT_ALGORITHM, Engine
 from repro.errors import FleXPathError
 from repro.rank.schemes import SCHEMES, STRUCTURE_FIRST
@@ -105,8 +105,8 @@ def build_parser():
     )
     query.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="scatter a file over N in-process shards, or open a directory"
-        " as N disk shards; answers and scores equal unsharded ones",
+        help="scatter a file over N in-process shards (a directory must"
+        " hold N shards); answers and scores equal unsharded ones",
     )
 
     exact = commands.add_parser("exact", help="strict evaluation, no relaxation")
@@ -220,7 +220,8 @@ def build_parser():
 
     ingest = commands.add_parser(
         "ingest",
-        help="append documents to an on-disk corpus (created if missing)",
+        help="append documents to an on-disk corpus (created if missing"
+        " or empty)",
     )
     ingest.add_argument("corpus", help="corpus directory")
     ingest.add_argument(
@@ -265,29 +266,28 @@ def _dispatch(args, out):
 
 
 def _open_engine(args):
-    """The engine a read command serves, over ``Engine.open(args.file)``.
+    """The engine a read command serves, over what ``open_path`` opens.
 
-    A missing path is refused, so no read command creates a corpus.
-    ``--shards N`` opens a directory as N disk shards and scatters a file
-    over N in-memory shards.
+    ``--shards N`` scatters a file over N in-memory shards; on a directory
+    it only checks that the corpus there has N shards.
     """
-    if not os.path.exists(args.file):
-        raise FleXPathError("no such file or directory: %s" % args.file)
     options = {"cache": not getattr(args, "no_cache", False)}
     shards = getattr(args, "shards", None)
-    if shards is None:
-        return Engine.open(args.file, **options)
-    if shards < 1:
+    if shards is not None and shards < 1:
         raise FleXPathError("--shards must be >= 1")
-    if os.path.isdir(args.file):
-        return Engine.sharded(shards, path=args.file, **options)
-    # One document still runs the full scatter-gather path; multi-document
-    # corpora route across shards via ingest.
-    engine = Engine.sharded(shards, **options)
-    engine.backend.add_document(
-        read_document(args.file), name=os.path.basename(args.file)
-    )
-    return engine
+    if shards is not None and os.path.isfile(args.file):
+        # One document still runs the full scatter-gather path; multi-document
+        # corpora route across shards via ingest.
+        engine = Engine.sharded(shards, **options)
+        engine.backend.add_document(
+            read_document(args.file), name=os.path.basename(args.file)
+        )
+        return engine
+    backend = open_path(args.file)
+    if shards is not None and getattr(backend, "shard_count", None) != shards:
+        backend.close()
+        raise FleXPathError("%s does not hold %d shards" % (args.file, shards))
+    return Engine(backend, **options)
 
 
 def _status_line(path, backend):
@@ -574,11 +574,15 @@ def _cmd_ingest(args, out):
     """``ingest DIR FILE...`` and ``compact DIR``: append each file to the
     corpus directory (a sharded one routes it to its shard), seal the WAL
     tail when asked, and print the directory's status line."""
-    if os.path.isfile(args.corpus) or not (
-        args.files or os.path.isdir(args.corpus)
+    if os.path.isfile(args.corpus):
+        raise FleXPathError("no corpus directory at %s: a file" % args.corpus)
+    if args.command == "ingest" and not (
+        os.path.isdir(args.corpus) and os.listdir(args.corpus)
     ):
-        raise FleXPathError("no corpus directory at %s" % args.corpus)
-    backend = Engine.open(args.corpus).backend
+        # Only ingest starts a corpus, in a missing or empty directory.
+        backend = DiskBackend.create(args.corpus)
+    else:
+        backend = open_path(args.corpus)
     try:
         for path in args.files:
             document = read_document(path)

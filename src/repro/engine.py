@@ -39,7 +39,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
-from repro.backend import as_backend
+from repro.backend import as_backend, open_path
 from repro.cache import ResultCache
 from repro.errors import FleXPathError, QueryBatchError
 from repro.obs import events
@@ -55,7 +55,6 @@ from repro.topk.ir_first import IRFirstDPO
 from repro.topk.naive import NaiveRewriting
 from repro.topk.sso import SSO
 from repro.xmltree.parser import parse as parse_xml
-from repro.xmltree.storage import read_document
 
 #: Strategy name → class; the names ``query(algorithm=...)`` accepts.
 ALGORITHMS = {
@@ -147,40 +146,10 @@ class Engine:
 
     @classmethod
     def open(cls, path, **kwargs):
-        """Serve whatever ``path`` holds; the one place that decides what.
-
-        - a file: one document, XML or a dump
-          (:func:`~repro.xmltree.storage.read_document`);
-        - a directory of ``shard-*`` directories: a
-          :class:`~repro.backend.sharded.ShardedBackend` with the shard
-          count on disk;
-        - a directory with a ``MANIFEST.json``: a
-          :class:`~repro.backend.disk.DiskBackend`, cold-started by mmap +
-          WAL replay (no XML parse, no index rebuild);
-        - a missing or empty directory: a new, empty ``DiskBackend``.
-
-        Any other directory is refused.  Ingest through a directory's
-        ``engine.backend`` is write-ahead durable, and
-        ``engine.backend.compact()`` seals the WAL tail (every shard's).
-        """
-        import os
-
-        from repro.backend.disk import DiskBackend
-        from repro.backend.diskfmt import MANIFEST_NAME
-        from repro.backend.sharded import ShardedBackend
-
-        if os.path.isfile(path):
-            return cls(read_document(path), **kwargs)
-        if not os.path.isdir(path) or not os.listdir(path):
-            return cls(DiskBackend.create(path), **kwargs)
-        if ShardedBackend.shard_count_at(path):
-            return cls(ShardedBackend.open(path), **kwargs)
-        if os.path.exists(os.path.join(path, MANIFEST_NAME)):
-            return cls(DiskBackend.open(path), **kwargs)
-        raise FleXPathError(
-            "%s is not empty and holds no corpus (no %s, no shard-*"
-            " directories)" % (path, MANIFEST_NAME)
-        )
+        """Serve whatever ``path`` holds, as
+        :func:`~repro.backend.base.open_path` decides; a missing path or a
+        directory without a corpus is refused."""
+        return cls(open_path(path), **kwargs)
 
     @classmethod
     def sharded(cls, shard_count=None, router=None, path=None, **kwargs):

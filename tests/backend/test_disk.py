@@ -153,19 +153,20 @@ class TestQueryParity:
         assert engine.query(QUERY, k=5).answers
         engine.backend.close()
 
-    def test_engine_open_creates_missing_corpus(self, tmp_path):
-        engine = Engine.open(str(tmp_path / "fresh"))
-        assert isinstance(engine.backend, DiskBackend)
-        assert len(engine.backend.corpus) == 0
-        engine.backend.close()
+    def test_engine_open_refuses_a_missing_path(self, tmp_path):
+        with pytest.raises(FleXPathError, match="no such file or directory"):
+            Engine.open(str(tmp_path / "auctions.xml"))
+        assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("entries", [[], ["notes.txt"]])
     def test_engine_open_refuses_a_directory_that_holds_no_corpus(
-        self, tmp_path
+        self, tmp_path, entries
     ):
-        (tmp_path / "notes.txt").write_text("not a corpus")
+        for name in entries:
+            (tmp_path / name).write_text("not a corpus")
         with pytest.raises(FleXPathError, match="holds no corpus"):
             Engine.open(str(tmp_path))
-        assert os.listdir(tmp_path) == ["notes.txt"]
+        assert os.listdir(tmp_path) == entries
 
 
 class TestCacheFencing:

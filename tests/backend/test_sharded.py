@@ -236,6 +236,12 @@ class TestDiskShards:
             Engine.sharded(shard_count=2, path=path)
         assert sorted(os.listdir(path)) == listing
 
+    def test_engine_sharded_refuses_a_directory_without_shards(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a corpus")
+        with pytest.raises(FleXPathError, match="no shard-\\* directories"):
+            Engine.sharded(shard_count=2, path=str(tmp_path))
+        assert os.listdir(tmp_path) == ["notes.txt"]
+
     def test_disk_create_refuses_a_sharded_directory(self, tmp_path):
         path = str(tmp_path / "corpus")
         ShardedBackend.open(path, shard_count=2).close()

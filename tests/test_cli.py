@@ -584,6 +584,15 @@ def _corpus_path(kind, tmp_path):
     return path
 
 
+def _tree(root):
+    """Every path under ``root``, relative to it."""
+    return sorted(
+        os.path.relpath(os.path.join(folder, name), root)
+        for folder, dirs, files in os.walk(root)
+        for name in dirs + files
+    )
+
+
 def _engine_answers(path):
     from repro import Engine
 
@@ -676,6 +685,7 @@ class TestCorpusDirectories:
             % re.escape(path), output
         )
 
+    @pytest.mark.parametrize("where", ["missing", "empty", "no-corpus"])
     @pytest.mark.parametrize("argv", [
         ["query", "{}", "//a"],
         ["exact", "{}", "//a"],
@@ -687,11 +697,44 @@ class TestCorpusDirectories:
         ["compact", "{}"],
         ["query", "{}", "//a", "--shards", "2"],
     ], ids=lambda argv: "-".join(argv[:1] + argv[3:]))
-    def test_a_missing_path_exits_1_and_creates_nothing(self, argv, tmp_path):
-        missing = str(tmp_path / "missing")
-        code, _ = run([missing if arg == "{}" else arg for arg in argv])
+    def test_a_path_without_a_corpus_exits_1_and_creates_nothing(
+        self, argv, where, tmp_path
+    ):
+        path = tmp_path / "corpus"
+        if where != "missing":
+            path.mkdir()
+        if where == "no-corpus":
+            (path / "notes.txt").write_text("not a corpus")
+        before = _tree(tmp_path)
+        code, _ = run([str(path) if arg == "{}" else arg for arg in argv])
         assert code == 1
-        assert os.listdir(tmp_path) == []
+        assert _tree(tmp_path) == before
+
+    def test_ingest_starts_a_corpus_in_an_empty_directory(self, tmp_path):
+        from repro import Engine
+
+        path = tmp_path / "corpus"
+        path.mkdir()
+        xml = tmp_path / "x.xml"
+        xml.write_text("<doc><tag>needle</tag></doc>")
+        code, _ = run(["ingest", str(path), str(xml)])
+        assert code == 0
+        engine = Engine.open(str(path))
+        try:
+            assert len(engine.exact('//tag[.contains("needle")]')) == 1
+        finally:
+            engine.backend.close()
+
+    def test_ingest_refuses_a_directory_that_holds_no_corpus(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "notes.txt").write_text("not a corpus")
+        xml = tmp_path / "x.xml"
+        xml.write_text("<doc/>")
+        code, _ = run(["ingest", str(tmp_path), str(xml)])
+        assert code == 1
+        assert "holds no corpus" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["notes.txt", "x.xml"]
 
     def test_ingest_into_a_sharded_directory_routes_to_a_shard(self, tmp_path):
         from repro import Engine
@@ -716,7 +759,7 @@ class TestCorpusDirectories:
         listing = sorted(os.listdir(path))
         code, _ = run(["query", path, "//article", "--shards", "2"])
         assert code == 1
-        assert "single-disk corpus" in capsys.readouterr().err
+        assert "does not hold 2 shards" in capsys.readouterr().err
         assert sorted(os.listdir(path)) == listing
 
     def test_ingest_refuses_a_file(self, xml_file, capsys):
