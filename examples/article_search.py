@@ -1,16 +1,36 @@
 """The paper's §1 scenario: searching a bibliographic collection.
 
-Generates the archetype article corpus (exact matches, keywords only in a
-section title, algorithm split from the keyword section, abstract-only,
-off-topic), then shows how each query of Figure 1 — and FleXPath's
-automatic relaxation — recovers progressively more of the relevant
-articles while never surfacing the off-topic ones above them.
+Opens ``articles.xml`` beside this script: 25 articles cycling over five
+archetypes (exact matches, keywords only in a section title, algorithm
+split from the keyword section, abstract-only, off-topic).  It then shows
+how each query of Figure 1 — and FleXPath's automatic relaxation —
+recovers progressively more of the relevant articles while never
+surfacing the off-topic ones above them.
 
 Run:  python examples/article_search.py
 """
 
+from pathlib import Path
+
 from repro import FleXPath
-from repro.datasets import FIGURE1_QUERIES, article_corpus
+
+ARTICLES = Path(__file__).with_name("articles.xml")
+
+#: The Figure 1 queries: Q1 is the user query, Q2-Q6 the relaxations the
+#: paper's introduction writes by hand.
+FIGURE1_QUERIES = {
+    "Q1": '//article[./section[./algorithm and ./paragraph['
+          '.contains("XML" and "streaming")]]]',
+    "Q2": '//article[./section[./algorithm and ./paragraph and '
+          '.contains("XML" and "streaming")]]',
+    "Q3": '//article[.//algorithm and ./section[./paragraph['
+          '.contains("XML" and "streaming")]]]',
+    "Q4": '//article[.//algorithm and ./section[./paragraph and '
+          '.contains("XML" and "streaming")]]',
+    "Q5": '//article[./section[./paragraph and '
+          '.contains("XML" and "streaming")]]',
+    "Q6": '//article[.contains("XML" and "streaming")]',
+}
 
 
 def archetype(node):
@@ -18,10 +38,9 @@ def archetype(node):
 
 
 def main():
-    corpus = article_corpus(articles=25, seed=11)
-    engine = FleXPath(corpus)
+    engine = FleXPath.open(ARTICLES)
 
-    print("corpus: %d articles, 5 archetypes\n" % corpus.count("article"))
+    print("corpus: %d articles, 5 archetypes\n" % len(engine.exact("//article")))
 
     print("=== Figure 1: what each hand-written query catches ===")
     for name in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6"):

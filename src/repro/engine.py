@@ -44,11 +44,11 @@ from repro.cache import ResultCache
 from repro.errors import FleXPathError, QueryBatchError
 from repro.obs import events
 from repro.obs.metrics import REGISTRY
-from repro.query.evaluate import evaluate
+from repro.plans.executor import STRICT
 from repro.rank.schemes import STRUCTURE_FIRST, scheme_by_name
 from repro.relax.penalties import UNIFORM_WEIGHTS
 from repro.session import Session, coerce_query, query_end_payload
-from repro.topk.base import QueryContext, summed
+from repro.topk.base import QueryContext, Scatter, summed
 from repro.topk.dpo import DPO
 from repro.topk.hybrid import Hybrid
 from repro.topk.ir_first import IRFirstDPO
@@ -355,22 +355,29 @@ class Engine:
         """Evaluate with strict XPath semantics — no relaxation.
 
         Returns the list of matching nodes in document order (the baseline
-        the paper's "strict interpretation" discussion refers to).  As in
-        :meth:`query`, a corpus' virtual root binds no variable.
+        the paper's "strict interpretation" discussion refers to).  Strict
+        evaluation is level 0 of every relaxation schedule, so this runs
+        the compiled level-0 plan on the twig operator over every source
+        and orders the answers by (global) node id.  As in :meth:`query`,
+        a corpus' virtual root binds no variable.
         """
         tpq = coerce_query(query)
         query_text = query if isinstance(query, str) else tpq.to_xpath()
         started = perf_counter()
         try:
             with self.lock.read_locked():
-                if self.document is None:
-                    nodes = self._exact_sharded(tpq)
-                else:
-                    nodes = evaluate(
-                        tpq, self.document,
-                        contains_oracle=self.context.ir.satisfies,
-                        virtual_root_id=self.backend.virtual_root_id,
+                compiled = self.context.compile(tpq, max_relaxations=0)
+                scatter = Scatter(self.context, compiled)
+                readdress = scatter.readdress
+                nodes = [
+                    answer.node if readdress is None
+                    else readdress(index, answer.node)
+                    for index, result in scatter.run(
+                        compiled.strict_plan(0), "level 0", mode=STRICT
                     )
+                    for answer in result.answers
+                ]
+                nodes.sort(key=lambda node: node.node_id)
         except Exception:
             REGISTRY.inc("query.errors")
             raise
@@ -383,31 +390,6 @@ class Engine:
                 query_text, None, "exact", None, seconds,
                 self.backend.version, result=nodes,
             ))
-        return nodes
-
-    def _exact_sharded(self, tpq):
-        """Strict evaluation over a sharded backend: per shard, merged.
-
-        Every document lives whole inside one shard and no variable binds
-        a virtual root, so the union of per-shard strict answer sets
-        (re-addressed to global ids) is the unsharded answer set; sorting
-        by global id restores document order.  Caller holds the read lock.
-        """
-        from repro.backend.sharded import GlobalNode
-
-        backend = self.backend
-        nodes = [
-            GlobalNode(
-                node, backend.translate_id(shard_index, node.node_id),
-                shard_index,
-            )
-            for shard_index, shard in enumerate(backend.shards)
-            for node in evaluate(
-                tpq, shard.document, contains_oracle=shard.ir.satisfies,
-                virtual_root_id=shard.virtual_root_id,
-            )
-        ]
-        nodes.sort(key=lambda node: node.node_id)
         return nodes
 
     def keyword_search(self, ftexpr_text, k=10):

@@ -1,26 +1,5 @@
-"""Tree pattern queries: model, parser, closure, core, containment."""
+"""Tree pattern queries: model, parser, predicates."""
 
-from repro.query.closure import (
-    closure,
-    closure_set,
-    derives,
-    equivalent_sets,
-    is_redundant,
-)
-from repro.query.containment import (
-    are_equivalent,
-    find_homomorphism,
-    is_contained_in,
-    is_strictly_contained_in,
-)
-from repro.query.evaluate import evaluate, find_matches
-from repro.query.minimize import (
-    NotATreePattern,
-    core,
-    core_of_set,
-    minimize,
-    reconstruct_tpq,
-)
 from repro.query.parser import parse_query
 from repro.query.predicates import Ad, AttrCompare, Contains, Pc, Tag, is_structural
 from repro.query.tpq import AD, PC, TPQ
@@ -30,26 +9,10 @@ __all__ = [
     "Ad",
     "AttrCompare",
     "Contains",
-    "NotATreePattern",
     "PC",
     "Pc",
     "TPQ",
     "Tag",
-    "are_equivalent",
-    "closure",
-    "closure_set",
-    "core",
-    "core_of_set",
-    "derives",
-    "equivalent_sets",
-    "evaluate",
-    "find_homomorphism",
-    "find_matches",
-    "is_contained_in",
-    "is_redundant",
-    "is_strictly_contained_in",
     "is_structural",
-    "minimize",
     "parse_query",
-    "reconstruct_tpq",
 ]

@@ -1,4 +1,4 @@
-"""Query relaxation: operators, penalties, schedules, and the full space."""
+"""Query relaxation: operators, penalties and schedules."""
 
 from repro.relax.operators import (
     axis_generalization,
@@ -7,11 +7,6 @@ from repro.relax.operators import (
     subtree_promotion,
 )
 from repro.relax.penalties import UNIFORM_WEIGHTS, PenaltyModel, WeightAssignment
-from repro.relax.space import (
-    applicable_relaxations,
-    enumerate_relaxations,
-    relaxation_distance,
-)
 from repro.relax.steps import (
     GAMMA,
     KAPPA,
@@ -30,12 +25,9 @@ __all__ = [
     "SIGMA",
     "UNIFORM_WEIGHTS",
     "WeightAssignment",
-    "applicable_relaxations",
     "axis_generalization",
     "candidate_steps",
     "contains_promotion",
-    "enumerate_relaxations",
     "leaf_deletion",
-    "relaxation_distance",
     "subtree_promotion",
 ]

@@ -4,8 +4,9 @@ The scatter-gather *scoring* equivalence lives in
 ``tests/properties/test_property_sharded.py``; this module covers the
 storage plane — document→shard routing, global-id translation, exact
 statistics aggregation, the on-disk per-shard layout, the published
-gauges/topology — plus the engine-facade seams (traced scatter, virtual
-roots, a failing scatter round, concurrent ingest).
+gauges/topology — plus the engine-facade seams (``exact`` against the
+reference evaluator, traced scatter, virtual roots, a failing scatter
+round, concurrent ingest).
 """
 
 import os
@@ -13,7 +14,7 @@ import threading
 
 import pytest
 
-from repro import Engine, FleXPath
+from repro import Engine
 from repro.backend.disk import DiskBackend
 from repro.backend.memory import InMemoryBackend
 from repro.backend.sharded import (
@@ -28,7 +29,11 @@ from repro.ir.scoring import idf
 from repro.obs.metrics import REGISTRY
 from repro.plans.executor import PlanExecutor
 from repro.xmark import PAPER_Q1, PAPER_Q2, PAPER_Q3, generate_document
+from repro.query import parse_query
 from repro.xmltree import parse
+from repro.xmltree.serialize import to_xml
+from tests.spec.datasets import FIGURE1_QUERIES, article_corpus
+from tests.spec.evaluate import evaluate
 
 DOCS = (
     "<root><a>gold ring</a><b><c>vintage coin</c></b></root>",
@@ -515,14 +520,6 @@ class TestEngineIntegration:
                     for a in right.answers
                 ], (algorithm, scheme)
 
-    def test_exact_matches_unsharded(self):
-        sharded = FleXPath(_sharded(3))
-        flat = FleXPath(_flat())
-        query = "//b[./a]"
-        assert [n.node_id for n in sharded.exact(query)] == [
-            n.node_id for n in flat.exact(query)
-        ]
-
 
     def test_traced_query_has_shard_spans(self, monkeypatch):
         """A traced query scatters like an untraced one: every source plan
@@ -564,6 +561,65 @@ class TestEngineIntegration:
                 assert traced.counter_totals()["ir.satisfies_calls"] > 0
         finally:
             engine.context.close()
+
+
+EXACT_QUERIES = (
+    *FIGURE1_QUERIES.values(), PAPER_Q1, PAPER_Q2, PAPER_Q3,
+    "//*", "//*[./title]", '//*[.contains("streaming")]',
+)
+
+
+class TestExactAgainstReference:
+    """``Engine.exact`` is level 0 on the twig operator; the §2.1
+    reference evaluator, with its own subtree-text ``contains`` oracle,
+    must return the same ids in the same order on every backend: memory,
+    disk with WAL documents, the same disk corpus sealed by ``compact``,
+    and two shards (sharded ≡ unsharded)."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        docs = [parse(to_xml(article_corpus(articles=25, seed=11)))] + [
+            generate_document(target_bytes=30_000, seed=seed)
+            for seed in (4, 5, 6)
+        ]
+        corpus = Corpus()
+        sharded = Engine.sharded(2, router=RoundRobinRouter())
+        path = str(tmp_path_factory.mktemp("exact") / "corpus")
+        disk = DiskBackend.create(path)
+        for index, doc in enumerate(docs):
+            for backend in (corpus, sharded.backend, disk):
+                backend.add_document(doc, name="doc%d" % index)
+        memory = Engine(corpus)
+        reference = {
+            query: [
+                node.node_id for node in evaluate(
+                    parse_query(query), corpus.document,
+                    virtual_root_id=memory.backend.virtual_root_id,
+                )
+            ]
+            for query in EXACT_QUERIES
+        }
+        wal = {query: Engine(disk).exact(query) for query in EXACT_QUERIES}
+        assert disk.wal_documents == len(docs)
+        disk.compact()
+        disk.close()
+        sealed = DiskBackend.open(path)
+        engines = {"memory": memory, "sharded": sharded, "sealed": Engine(sealed)}
+        yield reference, engines, wal
+        sealed.close()
+        sharded.context.close()
+
+    @pytest.mark.parametrize("query", EXACT_QUERIES)
+    def test_exact_ids_equal_the_reference(self, setup, query):
+        reference, engines, wal = setup
+        assert reference[query]
+        assert [node.node_id for node in wal[query]] == reference[query]
+        for name, engine in engines.items():
+            nodes = engine.exact(query)
+            assert [node.node_id for node in nodes] == reference[query], name
+        assert all(
+            isinstance(node, GlobalNode) for node in engines["sharded"].exact(query)
+        )
 
 
 class TestVirtualRoot:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro import FleXPath
-from repro.datasets import article_corpus
 from repro.obs.events import LISTENERS
 from repro.obs.metrics import REGISTRY
 from repro.xmark import generate_document
 from repro.xmltree import parse
+from tests.spec.datasets import article_corpus
 
 LIBRARY_XML = """
 <library>
@@ -59,7 +59,7 @@ def library_engine(library_doc):
 
 @pytest.fixture(scope="session")
 def article_doc():
-    """The archetype article corpus of repro.datasets (25 articles)."""
+    """The archetype article corpus of tests.spec.datasets (25 articles)."""
     return article_corpus(articles=25, seed=11)
 
 

@@ -189,6 +189,18 @@ class TestGlobalRegistry:
             name.startswith("topk.hybrid.") for name in snapshot["counters"]
         )
 
+    def test_exact_records_no_top_k_metric(self):
+        """``exact`` runs the level-0 plan, but it is not a top-K query."""
+        engine = FleXPath.from_xml(LIBRARY_XML)
+        REGISTRY.reset()
+        engine.exact('//section[.contains("XML")]')
+        snapshot = REGISTRY.as_dict()
+        assert snapshot["counters"]["exact.count"] == 1
+        names = set(snapshot["counters"]) | set(snapshot["histograms"])
+        assert not [
+            name for name in names if name.startswith(("topk.", "query."))
+        ]
+
     def test_ir_counters_fold_per_query(self):
         engine = FleXPath.from_xml(LIBRARY_XML)
         REGISTRY.reset()

@@ -129,7 +129,7 @@ class TestPayloadSchema:
         assert detail["outcome"] == "ok"
 
     def test_timeout_outcome_is_logged(self, caplog):
-        from repro.datasets import article_corpus
+        from tests.spec.datasets import article_corpus
         from repro.errors import QueryTimeoutError
 
         engine = FleXPath(article_corpus(articles=40, seed=5), cache=False)

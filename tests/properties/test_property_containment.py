@@ -2,9 +2,9 @@
 
 from hypothesis import given, settings
 
-from repro.query import evaluate, is_contained_in
-
 from tests.properties.strategies import documents, tree_patterns
+from tests.spec.containment import is_contained_in
+from tests.spec.evaluate import evaluate
 
 
 @given(tree_patterns(with_contains=False), tree_patterns(with_contains=False),

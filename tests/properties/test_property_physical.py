@@ -9,7 +9,7 @@ to the last ulp only in real arithmetic.)
 
 Against any warm cache, the twig operator's subtree tables are keyed by
 everything they depend on: every strict plan of a schedule returns what the
-§2.1 specification evaluator (:func:`repro.query.evaluate.find_matches`)
+§2.1 specification evaluator (:func:`tests.spec.evaluate.find_matches`)
 says, scored with the context's IR engine, and what the binary pipeline
 returns — with the cache off, cold, and warmed by the *other* levels of the
 same schedule, with and without IR-first pool restrictions.
@@ -34,7 +34,6 @@ from repro.plans import (
     lower_plan,
     twig_eligible,
 )
-from repro.query.evaluate import find_matches
 from repro.query.predicates import Contains
 from repro.query.tpq import TPQ
 from repro.rank import COMBINED, KEYWORD_FIRST, STRUCTURE_FIRST
@@ -44,6 +43,7 @@ from repro.topk import QueryContext
 from repro.topk.ir_first import _restrictions_for
 
 from tests.properties.strategies import WORDS, documents, tree_patterns
+from tests.spec.evaluate import find_matches
 
 SCHEMES = (STRUCTURE_FIRST, KEYWORD_FIRST, COMBINED)
 

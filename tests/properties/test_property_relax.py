@@ -2,11 +2,13 @@
 
 from hypothesis import given, settings
 
-from repro.query import evaluate, is_contained_in
-from repro.relax import PenaltyModel, RelaxationSchedule, applicable_relaxations
+from repro.relax import PenaltyModel, RelaxationSchedule
 from repro.backend.stats import DocumentStatistics
 
 from tests.properties.strategies import documents, tree_patterns
+from tests.spec.containment import is_contained_in
+from tests.spec.evaluate import evaluate
+from tests.spec.space import applicable_relaxations
 
 
 @given(tree_patterns())

@@ -10,11 +10,11 @@ only within tied scores).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query import evaluate
 from repro.rank import STRUCTURE_FIRST
 from repro.topk import DPO, Hybrid, SSO, QueryContext
 
 from tests.properties.strategies import documents, tree_patterns
+from tests.spec.evaluate import evaluate
 
 
 def specification_scores(context, query, k):

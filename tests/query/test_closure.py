@@ -1,17 +1,13 @@
 """Closure computation and the inference rules of Figure 3."""
 
 from repro.ir import And, Term
-from repro.query import (
-    Ad,
-    Contains,
-    Pc,
-    Tag,
+from repro.query import Ad, Contains, Pc, Tag, parse_query
+from tests.spec.closure import (
     closure,
     closure_set,
     derives,
     equivalent_sets,
     is_redundant,
-    parse_query,
 )
 
 XML_STREAMING = And((Term("xml"), Term("streaming")))

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.datasets import FIGURE1_QUERIES
-from repro.query import (
+from repro.query import parse_query
+from tests.spec.containment import (
     are_equivalent,
     find_homomorphism,
     is_contained_in,
     is_strictly_contained_in,
-    parse_query,
 )
+from tests.spec.datasets import FIGURE1_QUERIES
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ class TestAgainstEvaluation:
     """Containment claims must hold extensionally on sample documents."""
 
     def test_containment_respected_on_documents(self, figure1, article_doc):
-        from repro.query import evaluate
+        from tests.spec.evaluate import evaluate
 
         answers = {
             name: {n.node_id for n in evaluate(query, article_doc)}

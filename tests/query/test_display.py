@@ -1,6 +1,7 @@
 """Rendering of queries: to_xpath and pretty."""
 
-from repro.query import are_equivalent, parse_query
+from repro.query import parse_query
+from tests.spec.containment import are_equivalent
 
 
 class TestToXPath:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.query import evaluate, find_matches, parse_query
+from repro.query import parse_query
 from repro.xmltree import parse
+from tests.spec.evaluate import evaluate, find_matches
 
 
 @pytest.fixture()

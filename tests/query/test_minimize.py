@@ -3,17 +3,13 @@
 import pytest
 
 from repro.ir import And, Term
-from repro.query import (
-    Ad,
-    Contains,
+from repro.query import Ad, Contains, Pc, Tag, parse_query
+from tests.spec.closure import closure
+from tests.spec.minimize import (
     NotATreePattern,
-    Pc,
-    Tag,
-    closure,
     core,
     core_of_set,
     minimize,
-    parse_query,
     reconstruct_tpq,
 )
 

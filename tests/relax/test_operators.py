@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.datasets import FIGURE1_QUERIES
 from repro.errors import InvalidRelaxationError
-from repro.query import AD, is_strictly_contained_in, parse_query
+from repro.query import AD, parse_query
 from repro.relax import (
     axis_generalization,
     contains_promotion,
     leaf_deletion,
     subtree_promotion,
 )
+from tests.spec.containment import is_strictly_contained_in
+from tests.spec.datasets import FIGURE1_QUERIES
 
 
 @pytest.fixture()
@@ -50,7 +51,7 @@ class TestLeafDeletion:
         relaxed = leaf_deletion(q2, "$3")
         # Same shape as Q5 up to variable names: compare via mutual
         # containment.
-        from repro.query import are_equivalent
+        from tests.spec.containment import are_equivalent
 
         assert are_equivalent(relaxed, q5) or (
             is_strictly_contained_in(q2, relaxed)
@@ -82,7 +83,7 @@ class TestSubtreePromotion:
         q1 = parse_query(FIGURE1_QUERIES["Q1"])
         q3 = parse_query(FIGURE1_QUERIES["Q3"])
         relaxed = subtree_promotion(q1, "$3")
-        from repro.query import are_equivalent
+        from tests.spec.containment import are_equivalent
 
         assert are_equivalent(relaxed, q3)
 
@@ -115,7 +116,7 @@ class TestContainsPromotion:
         q1 = parse_query(FIGURE1_QUERIES["Q1"])
         q2 = parse_query(FIGURE1_QUERIES["Q2"])
         relaxed = contains_promotion(q1, q1.contains[0])
-        from repro.query import are_equivalent
+        from tests.spec.containment import are_equivalent
 
         assert are_equivalent(relaxed, q2)
 
@@ -147,14 +148,14 @@ class TestComposition:
         current = leaf_deletion(current, "$3")
         current = leaf_deletion(current, "$4")
         current = leaf_deletion(current, "$2")
-        from repro.query import are_equivalent
+        from tests.spec.containment import are_equivalent
 
         assert are_equivalent(current, q6)
 
     def test_every_single_application_is_sound(self):
         """Theorem 2 soundness: each operator output strictly contains
         its input."""
-        from repro.relax import applicable_relaxations
+        from tests.spec.space import applicable_relaxations
 
         q1 = parse_query(FIGURE1_QUERIES["Q1"])
         count = 0

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.datasets import FIGURE1_QUERIES
 from repro.errors import FleXPathError
-from repro.query import are_equivalent, is_strictly_contained_in, parse_query
-from repro.relax import enumerate_relaxations, relaxation_distance
+from repro.query import parse_query
+from tests.spec.containment import are_equivalent, is_strictly_contained_in
+from tests.spec.datasets import FIGURE1_QUERIES
+from tests.spec.space import enumerate_relaxations, relaxation_distance
 
 
 @pytest.fixture(scope="module")

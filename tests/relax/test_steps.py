@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import IREngine
-from repro.query import is_contained_in, parse_query
+from repro.query import parse_query
 from repro.relax import (
     GAMMA,
     KAPPA,
@@ -15,6 +15,7 @@ from repro.relax import (
 )
 from repro.backend.stats import DocumentStatistics
 from repro.xmltree import parse
+from tests.spec.containment import is_contained_in
 
 
 @pytest.fixture(scope="module")

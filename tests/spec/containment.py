@@ -21,8 +21,8 @@ exercises it against brute-force evaluation on sample documents.
 
 from __future__ import annotations
 
-from repro.query.closure import closure
 from repro.query.predicates import Ad, AttrCompare, Contains, Pc, Tag
+from tests.spec.closure import closure
 
 
 def find_homomorphism(superset_query, subset_query):

@@ -4,8 +4,8 @@ This is the *specification* evaluator: a direct implementation of the match
 definition (a function from pattern variables to data nodes preserving all
 predicates). It is exponential in pattern size in the worst case and exists
 to serve as ground truth for the join-plan engine, the relaxation operators
-(containment soundness), and the top-K algorithms in tests. Production
-evaluation goes through :mod:`repro.plans`.
+(containment soundness), the top-K algorithms and ``Engine.exact``, which
+evaluates the same semantics as level 0 on the twig operator.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ used by Definition 1 ("the core of C − S is a tree pattern query").
 from __future__ import annotations
 
 from repro.errors import InvalidQueryError
-from repro.query.closure import closure_set, derives
 from repro.query.predicates import Ad, AttrCompare, Contains, Pc, Tag
 from repro.query.tpq import AD, PC, TPQ
+from tests.spec.closure import closure_set, derives
 
 
 def minimize(predicates):

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.ir import IREngine
-from repro.query import evaluate, parse_query
+from repro.query import parse_query
 from repro.backend.stats import DocumentStatistics
 from repro.stats import SelectivityEstimator
 from repro.xmark import generate_document
+from tests.spec.evaluate import evaluate
 
 
 @pytest.fixture(scope="module")

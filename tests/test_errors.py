@@ -48,6 +48,6 @@ class TestHierarchy:
         assert str(error) == "boom"
 
     def test_not_a_tree_pattern_is_invalid_query(self):
-        from repro.query import NotATreePattern
+        from tests.spec.minimize import NotATreePattern
 
         assert issubclass(NotATreePattern, InvalidQueryError)

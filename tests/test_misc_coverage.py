@@ -50,8 +50,9 @@ class TestExplainVariants:
 
 class TestDatasetQ4:
     def test_q4_combines_q2_and_q3(self, article_doc, article_engine):
-        from repro.datasets import FIGURE1_QUERIES
-        from repro.query import evaluate, parse_query
+        from tests.spec.datasets import FIGURE1_QUERIES
+        from repro.query import parse_query
+        from tests.spec.evaluate import evaluate
 
         oracle = lambda node, expr: article_engine.context.ir.satisfies(
             node, expr

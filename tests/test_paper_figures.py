@@ -10,20 +10,14 @@
 import pytest
 
 from repro import FleXPath
-from repro.datasets import FIGURE1_QUERIES, article_corpus
 from repro.ir import And, Term
-from repro.query import (
-    Ad,
-    Contains,
-    Pc,
-    Tag,
-    are_equivalent,
-    closure,
-    core_of_set,
-    evaluate,
-    parse_query,
-)
+from repro.query import Ad, Contains, Pc, Tag, parse_query
 from repro.relax import contains_promotion, leaf_deletion, subtree_promotion
+from tests.spec.closure import closure
+from tests.spec.containment import are_equivalent
+from tests.spec.datasets import FIGURE1_QUERIES, article_corpus
+from tests.spec.evaluate import evaluate
+from tests.spec.minimize import core_of_set
 
 XML_STREAMING = And((Term("xml"), Term("streaming")))
 

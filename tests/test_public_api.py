@@ -54,7 +54,6 @@ class TestSubpackages:
             "repro.backend.memory",
             "repro.cli",
             "repro.collection",
-            "repro.datasets",
             "repro.engine",
             "repro.errors",
             "repro.session",

@@ -45,13 +45,8 @@ FILES = {
 }
 
 
-def test_the_tree_passes_with_exactly_the_five_allowlisted_modules():
+def test_the_tree_passes_with_no_exceptions():
     assert check_reach.check(REPO_ROOT / "src", REPO_ROOT / "benchmarks") == []
-    assert sorted(check_reach.ALLOWLIST) == [
-        "datasets", "query.closure", "query.containment", "query.minimize",
-        "relax.space",
-    ]
-    assert all(reason for reason in check_reach.ALLOWLIST.values())
 
 
 def test_imports_anywhere_reach_through_package_inits(tmp_path):
@@ -65,17 +60,7 @@ def test_imports_anywhere_reach_through_package_inits(tmp_path):
 
 def test_unreached_and_reexport_only_modules_are_flagged(tmp_path):
     src, benchmarks = _tree(tmp_path, FILES)
-    assert check_reach.check(src, benchmarks, allowlist={}) == [
+    assert check_reach.check(src, benchmarks) == [
         "%s: repro.pkg.b is reached by no entry point" % (src / "repro/pkg/b.py"),
         "%s: repro.pkg.c is reached by no entry point" % (src / "repro/pkg/c.py"),
-    ]
-
-
-def test_stale_allowlist_entries_are_flagged(tmp_path):
-    src, benchmarks = _tree(tmp_path, FILES)
-    allowlist = {"pkg.b": "kept", "pkg.c": "kept", "pkg.a": "now used",
-                 "gone": "deleted"}
-    assert check_reach.check(src, benchmarks, allowlist) == [
-        "allowlist: repro.gone no longer exists",
-        "allowlist: repro.pkg.a is reached now",
     ]

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.query import evaluate
 from repro.topk import DPO, Hybrid, QueryContext, SSO
 from repro.workload import generate_workload
 from repro.xmark import generate_document
+from tests.spec.evaluate import evaluate
 
 
 @pytest.fixture(scope="module")

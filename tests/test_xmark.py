@@ -10,7 +10,8 @@ from repro.xmark import (
     XMarkGenerator,
     generate_document,
 )
-from repro.query import evaluate, parse_query
+from repro.query import parse_query
+from tests.spec.evaluate import evaluate
 
 
 class TestDeterminism:

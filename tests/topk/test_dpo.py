@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.query import evaluate, parse_query
+from repro.query import parse_query
 from repro.rank import COMBINED, KEYWORD_FIRST, STRUCTURE_FIRST
 from repro.topk import DPO, QueryContext
 from repro.xmark import generate_document
+from tests.spec.evaluate import evaluate
 
 
 @pytest.fixture(scope="module")

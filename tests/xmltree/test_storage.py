@@ -86,7 +86,8 @@ class TestRoundTrip:
             )
 
     def test_queries_agree_after_reload(self, tmp_path):
-        from repro.query import evaluate, parse_query
+        from repro.query import parse_query
+        from tests.spec.evaluate import evaluate
 
         doc = generate_document(target_bytes=20_000, seed=8)
         path = str(tmp_path / "auctions.fxd")

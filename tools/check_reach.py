@@ -4,7 +4,9 @@
 Deleting a feature tends to leave its modules behind, still imported by a
 package ``__init__``, a test or an example, but by nothing that runs in
 production.  This walks the AST from the entry points and fails on every
-module it never reaches, unless :data:`ALLOWLIST` names it with a reason.
+module it never reaches.  There are no exceptions: a module only tests use
+belongs under ``tests/`` (the paper's reference semantics live in
+``tests/spec/``).
 
 - **Roots:** ``repro.cli``, ``repro.__main__``, ``repro.engine`` (which
   covers ``Engine``'s public methods) and every ``repro`` module a file
@@ -14,8 +16,7 @@ module it never reaches, unless :data:`ALLOWLIST` names it with a reason.
   the module that defines ``name``; so does ``pkg.name`` after
   ``import repro.pkg``.  A package ``__init__`` is never walked on its
   own: a re-export reaches nothing until someone imports the name.
-- **Failures:** an unreached module not in the allowlist, and an allowlist
-  entry whose module is reached or gone, so the allowlist only shrinks.
+- **Failures:** every unreached module.
 
 Run ``python tools/check_reach.py [REPO_ROOT]``; it exits 1 with one line
 per problem.  ``tests/test_reach.py`` runs it on this repository.
@@ -29,20 +30,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ROOT_MODULES = ("repro.cli", "repro.__main__", "repro.engine")
-
-#: Unreached modules that stay, relative to ``repro``, each with its reason.
-ALLOWLIST = {
-    "query.closure": "Thm 1 reference (closure), compared against by the"
-    " paper-figure tests and the closure properties",
-    "query.minimize": "Thm 1 reference (core), compared against by the"
-    " paper-figure tests and the closure properties",
-    "query.containment": "Thm 1 reference (containment), compared against"
-    " by the paper-figure tests and the containment properties",
-    "relax.space": "Thm 2 reference (relaxation-space enumeration),"
-    " compared against by the paper-figure tests",
-    "datasets": "the Figure 1 corpus that examples/article_search.py and"
-    " the paper-figure tests build from",
-}
 
 
 def _modules(src_root):
@@ -165,24 +152,15 @@ def reached(src_root, benchmark_root):
     return reach, seen
 
 
-def check(src_root, benchmark_root, allowlist=ALLOWLIST):
-    """Every unreached module and stale allowlist entry, as printable strings."""
+def check(src_root, benchmark_root):
+    """Every unreached module, as printable strings."""
     reach, seen = reached(src_root, benchmark_root)
-    problems = []
-    for name, path in sorted(reach.modules.items()):
-        short = name.partition(".")[2]
-        if name in seen or reach.is_package(name) or short in allowlist:
-            continue
-        problems.append(
-            "%s: repro.%s is reached by no entry point" % (path, short)
-        )
-    for short in sorted(allowlist):
-        name = "repro." + short
-        if name not in reach.modules:
-            problems.append("allowlist: repro.%s no longer exists" % short)
-        elif name in seen:
-            problems.append("allowlist: repro.%s is reached now" % short)
-    return problems
+    return [
+        "%s: repro.%s is reached by no entry point"
+        % (path, name.partition(".")[2])
+        for name, path in sorted(reach.modules.items())
+        if name not in seen and not reach.is_package(name)
+    ]
 
 
 def main(argv=None):
@@ -194,10 +172,7 @@ def main(argv=None):
     if problems:
         print("reach gate: %d problem(s)" % len(problems), file=sys.stderr)
         return 1
-    print(
-        "reach gate: ok (every src module is reached or allowlisted,"
-        " %d allowlisted)" % len(ALLOWLIST)
-    )
+    print("reach gate: ok (every src module is reached from an entry point)")
     return 0
 
 
