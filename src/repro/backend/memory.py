@@ -132,18 +132,57 @@ class InMemoryBackend(StorageBackend):
             )
         return self._statistics
 
+    # ``#(t)`` comes off the tag index, and a pair count of two named tags
+    # off the parent column until the full pass has run: lowering a plan
+    # reads nothing else, so a strict (level-0) compile never pays for the
+    # distinct-parent sets and wildcard marginals only penalties need.
+
     @property
     def total_elements(self):
-        return self.statistics.total_elements
+        total = len(self._document)
+        return total if self._virtual_root_id is None else total - 1
 
     def tag_count(self, tag):
-        return self.statistics.tag_count(tag)
+        if tag is None:
+            return self.total_elements
+        store = self._document.store
+        count = len(store.node_ids_with_tag(tag))
+        root = self._virtual_root_id
+        if root is not None and count and store.tag_of(root) == tag:
+            count -= 1
+        return count
 
     def pc_count(self, parent_tag, child_tag):
+        if self._statistics is None and None not in (parent_tag, child_tag):
+            return self._pair_count(parent_tag, child_tag, ancestors=False)
         return self.statistics.pc_count(parent_tag, child_tag)
 
     def ad_count(self, ancestor_tag, descendant_tag):
+        if self._statistics is None and None not in (ancestor_tag, descendant_tag):
+            return self._pair_count(ancestor_tag, descendant_tag, ancestors=True)
         return self.statistics.ad_count(ancestor_tag, descendant_tag)
+
+    def _pair_count(self, upper_tag, lower_tag, ancestors):
+        """Pairs of an ``upper_tag`` parent (or any ancestor, with
+        ``ancestors``) over a ``lower_tag`` node, walking up the parent
+        column from each ``lower_tag`` node.  The walk stops below the
+        virtual root (node 0), which pairs with nothing."""
+        store = self._document.store
+        upper = store.tags.id_of(upper_tag)
+        if upper < 0:
+            return 0
+        tag_ids, parent_ids = store.tag_ids, store.parent_ids
+        stop = -1 if self._virtual_root_id is None else self._virtual_root_id
+        pairs = 0
+        for node_id in store.node_ids_with_tag(lower_tag):
+            parent = parent_ids[node_id]
+            while parent > stop:
+                if tag_ids[parent] == upper:
+                    pairs += 1
+                if not ancestors:
+                    break
+                parent = parent_ids[parent]
+        return pairs
 
     def pc_parent_count(self, parent_tag, child_tag):
         return self.statistics.pc_parent_count(parent_tag, child_tag)

@@ -385,6 +385,12 @@ class Engine:
         if REGISTRY.enabled:
             REGISTRY.inc("exact.count")
             REGISTRY.observe("exact.seconds", seconds)
+        # What the plan counted on each source is this call's, not the next
+        # top-K query's: fold it here, as Strategy.top_k does.
+        REGISTRY.fold_lifetime(
+            part for source in self.context.sources
+            for part in (source.ir, source.eval_cache)
+        )
         if events.LISTENERS:
             events.emit(query_end_payload(
                 query_text, None, "exact", None, seconds,

@@ -350,6 +350,54 @@ class TestStatistics:
                 parent, child
             ) == fresh.ad_descendant_fraction(parent, child)
 
+    def test_strict_evaluation_skips_the_full_pass(self, backend):
+        """``exact`` lowers its plan from ``#(t)`` and pair counts of named
+        tags, served without the full statistics pass — and equal to it."""
+        Engine(backend, cache=False).exact(
+            '//article[./section/paragraph and .//algorithm]'
+        )
+        tags = sorted(backend.document.tags)
+        counts = {
+            (upper, lower): (
+                backend.tag_count(upper),
+                backend.pc_count(upper, lower),
+                backend.ad_count(upper, lower),
+            )
+            for upper in tags for lower in tags
+        }
+        assert not backend.describe()["statistics_materialized"]
+        fresh = DocumentStatistics(
+            backend.document, virtual_root_id=backend.virtual_root_id
+        )
+        assert counts == {
+            (upper, lower): (
+                fresh.tag_count(upper),
+                fresh.pc_count(upper, lower),
+                fresh.ad_count(upper, lower),
+            )
+            for upper, lower in counts
+        }
+
+    def test_virtual_root_tag_is_not_counted(self):
+        """A corpus element may share its virtual root's tag; only the
+        virtual root itself is left out of the counts."""
+        corpus = Corpus()
+        corpus.add_text(
+            "<collection><a><collection><b/></collection></a></collection>"
+        )
+        backend = InMemoryBackend(corpus)
+        fresh = DocumentStatistics(corpus.document, virtual_root_id=0)
+        for upper in ("collection", "a", "b"):
+            assert backend.tag_count(upper) == fresh.tag_count(upper)
+            for lower in ("collection", "a", "b"):
+                assert backend.pc_count(upper, lower) == fresh.pc_count(
+                    upper, lower
+                )
+                assert backend.ad_count(upper, lower) == fresh.ad_count(
+                    upper, lower
+                )
+        assert backend.tag_count("collection") == 2
+
 
 class TestIngest:
     def test_growable_backends_ingest_and_bump_version(self, backend):

@@ -200,6 +200,24 @@ class TestGlobalRegistry:
         assert not [
             name for name in names if name.startswith(("topk.", "query."))
         ]
+        # exact folded what its plan counted: a following query reports
+        # only its own lifetime deltas.
+        REGISTRY.reset()
+        components = (engine.context.ir, engine.context.eval_cache)
+        before = [part.metrics_snapshot() for part in components]
+        engine.query('//article[./section[.contains("XML")]]', k=3)
+        expected = {}
+        for part, mark in zip(components, before):
+            for name, value in part.metrics_snapshot().items():
+                if value != mark.get(name, 0):
+                    expected[name] = value - mark.get(name, 0)
+        counters = REGISTRY.as_dict()["counters"]
+        assert expected
+        assert {name: counters.get(name) for name in expected} == expected
+        assert not [
+            name for name in counters
+            if name.startswith(("ir.", "eval_cache.")) and name not in expected
+        ]
 
     def test_ir_counters_fold_per_query(self):
         engine = FleXPath.from_xml(LIBRARY_XML)

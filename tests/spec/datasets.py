@@ -22,6 +22,8 @@ assert which relaxation level recovers which article.
 from __future__ import annotations
 
 import random
+import runpy
+from pathlib import Path
 
 from repro.collection import Corpus
 from repro.xmltree.builder import TreeBuilder
@@ -159,27 +161,8 @@ def _section(builder, title, algorithm, paragraphs):
 
 #: The Figure 1 queries, verbatim in this library's concrete syntax.
 #: Q1 is the user query; Q2-Q6 are the relaxations the introduction walks
-#: through (Q1 ⊂ Q2, Q1 ⊂ Q3, Q2 ⊂ Q4, Q3 ⊂ Q4, Q4 ⊂ Q5 ⊂ Q6).
-FIGURE1_QUERIES = {
-    "Q1": (
-        '//article[./section[./algorithm and ./paragraph['
-        '.contains("XML" and "streaming")]]]'
-    ),
-    "Q2": (
-        '//article[./section[./algorithm and ./paragraph and '
-        '.contains("XML" and "streaming")]]'
-    ),
-    "Q3": (
-        '//article[.//algorithm and ./section[./paragraph['
-        '.contains("XML" and "streaming")]]]'
-    ),
-    "Q4": (
-        '//article[.//algorithm and ./section[./paragraph and '
-        '.contains("XML" and "streaming")]]'
-    ),
-    "Q5": (
-        '//article[./section[./paragraph and '
-        '.contains("XML" and "streaming")]]'
-    ),
-    "Q6": '//article[.contains("XML" and "streaming")]',
-}
+#: through (Q1 ⊂ Q2, Q1 ⊂ Q3, Q2 ⊂ Q4, Q3 ⊂ Q4, Q4 ⊂ Q5 ⊂ Q6).  Their one
+#: copy is in the example that runs them.
+FIGURE1_QUERIES = runpy.run_path(
+    str(Path(__file__).resolve().parents[2] / "examples" / "article_search.py")
+)["FIGURE1_QUERIES"]
