@@ -322,6 +322,18 @@ class TestFullText:
         assert backend.ir.index.posting("zzz-not-a-term") is None
 
 
+def _named_counts(statistics, tags):
+    """``#(t)``, ``#pc`` and ``#ad`` for every pair of the named tags."""
+    return {
+        (upper, lower): (
+            statistics.tag_count(upper),
+            statistics.pc_count(upper, lower),
+            statistics.ad_count(upper, lower),
+        )
+        for upper in tags for lower in tags
+    }
+
+
 class TestStatistics:
     def test_counts_match_fresh_collector(self, backend):
         fresh = DocumentStatistics(
@@ -357,26 +369,12 @@ class TestStatistics:
             '//article[./section/paragraph and .//algorithm]'
         )
         tags = sorted(backend.document.tags)
-        counts = {
-            (upper, lower): (
-                backend.tag_count(upper),
-                backend.pc_count(upper, lower),
-                backend.ad_count(upper, lower),
-            )
-            for upper in tags for lower in tags
-        }
+        counts = _named_counts(backend, tags)
         assert not backend.describe()["statistics_materialized"]
         fresh = DocumentStatistics(
             backend.document, virtual_root_id=backend.virtual_root_id
         )
-        assert counts == {
-            (upper, lower): (
-                fresh.tag_count(upper),
-                fresh.pc_count(upper, lower),
-                fresh.ad_count(upper, lower),
-            )
-            for upper, lower in counts
-        }
+        assert counts == _named_counts(fresh, tags)
 
     def test_virtual_root_tag_is_not_counted(self):
         """A corpus element may share its virtual root's tag; only the
@@ -385,18 +383,12 @@ class TestStatistics:
         corpus.add_text(
             "<collection><a><collection><b/></collection></a></collection>"
         )
-        backend = InMemoryBackend(corpus)
         fresh = DocumentStatistics(corpus.document, virtual_root_id=0)
-        for upper in ("collection", "a", "b"):
-            assert backend.tag_count(upper) == fresh.tag_count(upper)
-            for lower in ("collection", "a", "b"):
-                assert backend.pc_count(upper, lower) == fresh.pc_count(
-                    upper, lower
-                )
-                assert backend.ad_count(upper, lower) == fresh.ad_count(
-                    upper, lower
-                )
-        assert backend.tag_count("collection") == 2
+        tags = ("collection", "a", "b")
+        assert _named_counts(InMemoryBackend(corpus), tags) == _named_counts(
+            fresh, tags
+        )
+        assert fresh.tag_count("collection") == 2
 
 
 class TestIngest:
