@@ -1,246 +1,76 @@
-"""A small, dependency-free XML parser.
+"""XML parsing with the stdlib's expat, as the paper's system parsed XMark.
 
-Handles the XML subset needed for this reproduction: elements with
-attributes, character data, entity references (the five predefined ones plus
-numeric references), comments, CDATA sections, processing instructions, and
-an optional XML declaration / doctype. It does not handle namespaces as
-anything other than literal tag text, which matches how the paper treats
-tags.
+Expat events drive a :class:`~repro.xmltree.builder.TreeBuilder`, so each
+element appends one row to the document's columnar store — no intermediate
+node objects, and no recursion, so depth is bounded by memory.  Tags are
+literal text (no namespace processing), which matches how the paper treats
+them.
 
-The parser drives a :class:`~repro.xmltree.builder.TreeBuilder`, so element
-events append rows straight to the document's columnar store — no
-intermediate node objects.  Element nesting is tracked with an explicit
-stack (not call recursion), so document depth is bounded by memory, not by
-Python's recursion limit.
+Character data is collected per text run and handed to the builder at every
+tag, comment, processing instruction and CDATA boundary, so ``ab<!--c-->cd``
+is the text ``ab cd``.  A DOCTYPE is read past, never followed: entity
+declarations and references to undeclared entities are refused, attribute
+defaults are not applied, and no external entity or DTD is ever opened.
+Every malformed input raises :class:`~repro.errors.XMLParseError`.
 """
 
 from __future__ import annotations
 
+from xml.parsers import expat
+
 from repro.errors import XMLParseError
 from repro.xmltree.builder import TreeBuilder
-
-_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
-
-_NAME_START = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:"
-)
-_NAME_CHARS = _NAME_START | set("0123456789.-")
 
 
 def parse(text):
     """Parse an XML string into a :class:`Document`."""
-    return _Parser(text).parse()
+    return _drive(lambda parser: parser.Parse(text, True))
 
 
-def parse_file(path, encoding="utf-8"):
-    """Parse an XML file into a :class:`Document`."""
-    with open(path, "r", encoding=encoding) as handle:
-        return parse(handle.read())
+def parse_file(path):
+    """Parse an XML file into a :class:`Document`; its XML declaration (or
+    byte-order mark) decides the encoding, UTF-8 by default."""
+    with open(path, "rb") as handle:
+        return _drive(lambda parser: parser.ParseFile(handle))
 
 
-class _Parser:
-    def __init__(self, text):
-        self._text = text
-        self._pos = 0
-        self._length = len(text)
-        self._builder = TreeBuilder()
+def _drive(feed):
+    builder = TreeBuilder()
+    chunks = []
+    parser = expat.ParserCreate()
+    parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_NEVER)
+    parser.specified_attributes = True  # no attribute defaults from a DTD
 
-    def parse(self):
-        self._skip_prolog()
-        if self._pos >= self._length or self._text[self._pos] != "<":
-            raise XMLParseError("expected root element", self._pos)
-        self._parse_element()
-        self._skip_misc()
-        if self._pos != self._length:
-            raise XMLParseError("trailing content after root element", self._pos)
-        return self._builder.finish()
+    def flush(*_event):
+        if chunks:
+            builder.add_text("".join(chunks))
+            chunks.clear()
 
-    # -- prolog / misc -----------------------------------------------------
+    def start(tag, attributes):
+        flush()
+        builder.start(tag, attributes)
 
-    def _skip_prolog(self):
-        while True:
-            self._skip_whitespace()
-            if self._text.startswith("<?", self._pos):
-                self._skip_until("?>")
-            elif self._text.startswith("<!--", self._pos):
-                self._skip_until("-->")
-            elif self._text.startswith("<!DOCTYPE", self._pos):
-                self._skip_doctype()
-            else:
-                return
+    def end(_tag):
+        flush()
+        builder.end()  # expat has already matched the tags
 
-    def _skip_misc(self):
-        while True:
-            self._skip_whitespace()
-            if self._text.startswith("<!--", self._pos):
-                self._skip_until("-->")
-            elif self._text.startswith("<?", self._pos):
-                self._skip_until("?>")
-            else:
-                return
+    def refuse(what):
+        def handler(name, *_rest):
+            raise XMLParseError("%s %r" % (what, name), parser.CurrentByteIndex)
+        return handler
 
-    def _skip_doctype(self):
-        depth = 0
-        start = self._pos
-        while self._pos < self._length:
-            char = self._text[self._pos]
-            self._pos += 1
-            if char == "<":
-                depth += 1
-            elif char == ">":
-                depth -= 1
-                if depth == 0:
-                    return
-        raise XMLParseError("unterminated DOCTYPE", start)
-
-    # -- elements ----------------------------------------------------------
-
-    def _parse_element(self):
-        """Parse one complete element (with all nested content).
-
-        Iterative: ``open_elements`` holds ``(tag, start_pos)`` for every
-        element whose end tag is still pending.
-        """
-        text = self._text
-        builder = self._builder
-        open_elements = []
-        while True:
-            # Positioned at the "<" of a start tag.
-            element_start = self._pos
-            self._expect("<")
-            tag = self._parse_name()
-            attributes = self._parse_attributes()
-            self._skip_whitespace()
-            if text.startswith("/>", self._pos):
-                self._pos += 2
-                builder.start(tag, attributes)
-                builder.end(tag)
-                if not open_elements:
-                    return
-            else:
-                self._expect(">")
-                builder.start(tag, attributes)
-                open_elements.append((tag, element_start))
-
-            # Consume content until a nested start tag (back to the outer
-            # loop) or until every open element is closed.
-            while open_elements:
-                lt = text.find("<", self._pos)
-                if lt < 0:
-                    tag, element_start = open_elements[-1]
-                    raise XMLParseError(
-                        "unterminated element <%s>" % tag, element_start
-                    )
-                if lt > self._pos:
-                    builder.add_text(self._decode(text[self._pos:lt]))
-                self._pos = lt
-                if text.startswith("</", self._pos):
-                    self._pos += 2
-                    end_tag = self._parse_name()
-                    self._skip_whitespace()
-                    self._expect(">")
-                    tag, _start = open_elements.pop()
-                    if end_tag != tag:
-                        raise XMLParseError(
-                            "mismatched end tag </%s> for <%s>" % (end_tag, tag),
-                            lt,
-                        )
-                    builder.end(tag)
-                    if not open_elements:
-                        return
-                elif text.startswith("<!--", self._pos):
-                    self._skip_until("-->")
-                elif text.startswith("<![CDATA[", self._pos):
-                    end = text.find("]]>", self._pos)
-                    if end < 0:
-                        raise XMLParseError(
-                            "unterminated CDATA section", self._pos
-                        )
-                    builder.add_text(text[self._pos + 9:end])
-                    self._pos = end + 3
-                elif text.startswith("<?", self._pos):
-                    self._skip_until("?>")
-                else:
-                    break  # a nested element starts here
-
-    def _parse_attributes(self):
-        attributes = None
-        while True:
-            self._skip_whitespace()
-            if self._pos >= self._length:
-                raise XMLParseError("unterminated start tag", self._pos)
-            char = self._text[self._pos]
-            if char in (">", "/"):
-                return attributes
-            name = self._parse_name()
-            self._skip_whitespace()
-            self._expect("=")
-            self._skip_whitespace()
-            quote = self._text[self._pos:self._pos + 1]
-            if quote not in ("'", '"'):
-                raise XMLParseError("attribute value must be quoted", self._pos)
-            self._pos += 1
-            end = self._text.find(quote, self._pos)
-            if end < 0:
-                raise XMLParseError("unterminated attribute value", self._pos)
-            value = self._decode(self._text[self._pos:end])
-            self._pos = end + 1
-            if attributes is None:
-                attributes = {}
-            attributes[name] = value
-
-    # -- lexical helpers ---------------------------------------------------
-
-    def _parse_name(self):
-        start = self._pos
-        if start >= self._length or self._text[start] not in _NAME_START:
-            raise XMLParseError("expected a name", start)
-        pos = start + 1
-        text = self._text
-        while pos < self._length and text[pos] in _NAME_CHARS:
-            pos += 1
-        self._pos = pos
-        return text[start:pos]
-
-    def _decode(self, raw):
-        if "&" not in raw:
-            return raw
-        parts = []
-        pos = 0
-        while True:
-            amp = raw.find("&", pos)
-            if amp < 0:
-                parts.append(raw[pos:])
-                return "".join(parts)
-            parts.append(raw[pos:amp])
-            semi = raw.find(";", amp)
-            if semi < 0:
-                raise XMLParseError("unterminated entity reference")
-            entity = raw[amp + 1:semi]
-            if entity.startswith("#x") or entity.startswith("#X"):
-                parts.append(chr(int(entity[2:], 16)))
-            elif entity.startswith("#"):
-                parts.append(chr(int(entity[1:])))
-            elif entity in _ENTITIES:
-                parts.append(_ENTITIES[entity])
-            else:
-                raise XMLParseError("unknown entity &%s;" % entity)
-            pos = semi + 1
-
-    def _skip_whitespace(self):
-        text = self._text
-        pos = self._pos
-        while pos < self._length and text[pos] in " \t\r\n":
-            pos += 1
-        self._pos = pos
-
-    def _skip_until(self, marker):
-        end = self._text.find(marker, self._pos)
-        if end < 0:
-            raise XMLParseError("unterminated %r construct" % marker, self._pos)
-        self._pos = end + len(marker)
-
-    def _expect(self, literal):
-        if not self._text.startswith(literal, self._pos):
-            raise XMLParseError("expected %r" % literal, self._pos)
-        self._pos += len(literal)
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chunks.append
+    parser.CommentHandler = parser.ProcessingInstructionHandler = flush
+    parser.StartCdataSectionHandler = parser.EndCdataSectionHandler = flush
+    parser.EntityDeclHandler = refuse("refused entity declaration")
+    parser.SkippedEntityHandler = refuse("undefined entity")
+    try:
+        feed(parser)
+    except expat.ExpatError as error:
+        position = max(parser.ErrorByteIndex, 0)  # -1 on empty input
+        raise XMLParseError(expat.ErrorString(error.code), position) from None
+    except UnicodeEncodeError as error:  # a lone surrogate in a str
+        raise XMLParseError(error.reason, error.start) from None
+    return builder.finish()

@@ -13,7 +13,15 @@ def _escape_text(text):
 
 
 def _escape_attr(text):
-    return _escape_text(text).replace('"', "&quot;")
+    # A parser normalizes literal tabs and line breaks in attribute values
+    # to spaces (XML 1.0 §3.3.3); character references survive.
+    return (
+        _escape_text(text)
+        .replace('"', "&quot;")
+        .replace("\t", "&#9;")
+        .replace("\n", "&#10;")
+        .replace("\r", "&#13;")
+    )
 
 
 def to_xml(document, indent="  "):

@@ -36,7 +36,6 @@ import struct
 import sys
 import zlib
 from array import array
-from itertools import islice
 
 from repro.errors import CorruptStorageError
 from repro.xmltree.document import ColumnarStore, Document, TagDictionary
@@ -261,46 +260,42 @@ def validate_node_table(store, reader):
     count = len(store)
     if not count:
         reader.fail("empty node table")
-    tag_ids = store.tag_ids
-    parent_ids = store.parent_ids
-    levels = store.levels
-    ends = store.ends
+    # Plain-list copies: indexing a list hands back its ints, an array's
+    # indexing boxes a new one each time.
+    tag_ids, parent_ids, levels, ends = (
+        column.tolist()
+        for column in (store.tag_ids, store.parent_ids, store.levels, store.ends)
+    )
     if parent_ids[0] != -1 or levels[0] or ends[0] != count:
         reader.fail("node 0 is not the root of the table")
-    index = [array("i") for _ in range(len(store.tags))]
+    index = [[] for _ in range(len(store.tags))]
     # Keyed by tag id, so an unknown (even negative) id is a KeyError.
-    appends = {tag_id: ids.append for tag_id, ids in enumerate(index)}
-    rows = zip(
-        range(1, count),
-        islice(tag_ids, 1, None),
-        islice(parent_ids, 1, None),
-        islice(levels, 1, None),
-        islice(ends, 1, None),
-    )
+    appends = dict(enumerate(ids.append for ids in index))
     try:
         appends[tag_ids[0]](0)
-        for node_id, tag_id, parent_id, level, end in rows:
+        for node_id in range(1, count):
+            parent_id = parent_ids[node_id]
             if not (
                 0 <= parent_id < node_id
-                and level == levels[parent_id] + 1
-                and node_id < end <= ends[parent_id]
+                and levels[node_id] == levels[parent_id] + 1
+                and node_id < ends[node_id] <= ends[parent_id]
             ):
                 if not 0 <= parent_id < node_id:
                     problem = "impossible parent %d" % parent_id
-                elif level != levels[parent_id] + 1:
+                elif levels[node_id] != levels[parent_id] + 1:
                     problem = "level %d under a level-%d parent" % (
-                        level,
+                        levels[node_id],
                         levels[parent_id],
                     )
                 else:
-                    problem = "region end %d outside its parent's" % end
+                    problem = "region end %d outside its parent's" % ends[node_id]
                 reader.fail("node %d has %s" % (node_id, problem))
-            appends[tag_id](node_id)
+            appends[tag_ids[node_id]](node_id)
     except KeyError as error:
         reader.fail("unknown tag id %s" % error)
     if sum(ends) - count * (count - 1) // 2 != sum(levels) + count:
         reader.fail("region ends disagree with the parent column")
-    return {tag_id: ids for tag_id, ids in enumerate(index) if ids}
+    return {tag_id: array("i", ids) for tag_id, ids in enumerate(index) if ids}
 
 
 # -- fragments and dump files -------------------------------------------------

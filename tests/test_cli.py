@@ -766,3 +766,18 @@ class TestCorpusDirectories:
         code, _ = run(["ingest", xml_file, xml_file])
         assert code == 1
         assert "no corpus directory" in capsys.readouterr().err
+
+    def test_ingest_of_an_unencodable_character_leaves_the_corpus_as_it_was(
+        self, tmp_path, capsys
+    ):
+        path = _corpus_path("disk", tmp_path)
+        probes = (["stats", path], ["search", path, '"gold"'],
+                  ["query", path, PATH_QUERY, "-k", "3"])
+        before = [run(argv) for argv in probes]
+        bad = tmp_path / "surrogate.xml"
+        bad.write_text('<a v="&#xD800;">gold</a>')
+        capsys.readouterr()
+        code, _ = run(["ingest", path, str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [run(argv) for argv in probes] == before

@@ -1,9 +1,9 @@
-"""The dependency-free XML parser."""
+"""The XML parser: stdlib expat driving the columnar tree builder."""
 
 import pytest
 
 from repro.errors import XMLParseError
-from repro.xmltree import parse
+from repro.xmltree import parse, parse_file, to_xml
 
 
 class TestBasicParsing:
@@ -20,6 +20,14 @@ class TestBasicParsing:
         doc = parse("<a>hello <b>world</b> again</a>")
         assert doc.root.text == "hello again"
         assert doc.node(1).text == "world"
+
+    def test_text_runs_split_at_every_markup_boundary(self):
+        doc = parse("<a>ab<!--c-->cd<?pi x?>e<![CDATA[f]]>g&amp;h</a>")
+        assert doc.root.text == "ab cd e f g&h"
+
+    def test_long_text_is_not_cut(self):
+        word = "x" * 20_000
+        assert parse("<a>%s %s</a>" % (word, word)).root.text == word + " " + word
 
     def test_attributes(self):
         doc = parse('<a x="1" y=\'two\'/>')
@@ -77,11 +85,21 @@ class TestParserErrors:
             "<a>&unknown;</a>",
             "<a><!-- unterminated </a>",
             "<a><![CDATA[open</a>",
+            "<a>&#xZZ;</a>",
+            "<a>&#;</a>",
+            "<a>&#99999999;</a>",
+            "<a>&#0;</a>",
+            '<a v="&#xD800;">gold</a>',
+            '<a x="1" x="2"/>',
+            "<a>]]></a>",
+            '<a v="<"/>',
+            "<a>\ud800</a>",
         ],
     )
     def test_malformed_inputs_raise(self, text):
-        with pytest.raises(XMLParseError):
+        with pytest.raises(XMLParseError) as caught:
             parse(text)
+        assert caught.value.position >= 0
 
     def test_error_carries_position(self):
         try:
@@ -92,18 +110,87 @@ class TestParserErrors:
             raise AssertionError("expected XMLParseError")
 
 
+class TestDoctype:
+    """A DOCTYPE is read past: no entity is declared or expanded, no DTD or
+    external entity is opened, and no attribute default is applied."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>',
+            '<!DOCTYPE a [<!ENTITY e "x">]><a/>',
+            '<!DOCTYPE a [<!ENTITY lol "lol"><!ENTITY lol1 "&lol;&lol;&lol;">'
+            '<!ENTITY lol2 "&lol1;&lol1;&lol1;">]><a>&lol2;</a>',
+            '<!DOCTYPE a [<!ENTITY % p "<!ENTITY e \'x\'>"> %p;]><a>&e;</a>',
+            '<!DOCTYPE a [<!ENTITY % p "x">]><a/>',
+        ],
+    )
+    def test_entity_declarations_are_refused(self, text):
+        with pytest.raises(XMLParseError, match="entity declaration"):
+            parse(text)
+
+    def test_system_entity_is_never_read(self, tmp_path):
+        secret = tmp_path / "secret.txt"
+        secret.write_text("top-secret-content")
+        text = '<!DOCTYPE a [<!ENTITY e SYSTEM "%s">]><a>&e;</a>' % secret.as_uri()
+        with pytest.raises(XMLParseError) as caught:
+            parse(text)
+        assert "top-secret-content" not in str(caught.value)
+
+    def test_external_dtd_is_not_opened(self, tmp_path):
+        assert parse('<!DOCTYPE a SYSTEM "missing.dtd"><a/>').root.tag == "a"
+        # Were this DTD read, its entity declaration would be refused.
+        dtd = tmp_path / "defaults.dtd"
+        dtd.write_text('<!ATTLIST a v CDATA "from-dtd"><!ENTITY e "from-dtd">')
+        path = tmp_path / "doc.xml"
+        path.write_text('<!DOCTYPE a SYSTEM "%s"><a/>' % dtd.as_uri())
+        assert parse_file(str(path)).root.attributes == {}
+
+    def test_undefined_entity_under_an_external_dtd_is_refused(self):
+        with pytest.raises(XMLParseError, match="undefined entity"):
+            parse('<!DOCTYPE a SYSTEM "missing.dtd"><a>&e;</a>')
+
+    def test_attribute_defaults_are_not_applied(self):
+        doc = parse('<!DOCTYPE a [<!ATTLIST b v CDATA "d">]><a><b/><b v="x"/></a>')
+        assert [n.attributes for n in doc.nodes()] == [{}, {}, {"v": "x"}]
+
+
+class TestParseFile:
+    def test_declared_latin1_encoding(self, tmp_path):
+        path = tmp_path / "latin1.xml"
+        path.write_bytes(
+            b'<?xml version="1.0" encoding="ISO-8859-1"?><a v="caf\xe9">na\xefve</a>'
+        )
+        doc = parse_file(str(path))
+        assert doc.root.text == "na\u00efve"
+        assert doc.root.attributes == {"v": "caf\u00e9"}
+
+    def test_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.xml"
+        path.write_bytes(b"\xef\xbb\xbf<a>caf\xc3\xa9</a>")
+        assert parse_file(str(path)).root.text == "caf\u00e9"
+
+    def test_undecodable_bytes_raise(self, tmp_path):
+        path = tmp_path / "bad.xml"
+        path.write_bytes(b"<a>\xff\xfe</a>")
+        with pytest.raises(XMLParseError) as caught:
+            parse_file(str(path))
+        assert caught.value.position == 3
+
+
 class TestRoundTrip:
     def test_serialize_reparse(self):
-        from repro.xmltree import to_xml
-
         doc = parse('<a k="v"><b>text one</b><c><d/>tail</c></a>')
         again = parse(to_xml(doc))
         assert [n.tag for n in again.nodes()] == [n.tag for n in doc.nodes()]
         assert again.root.attributes == doc.root.attributes
 
-    def test_parse_file(self, tmp_path):
-        from repro.xmltree import parse_file
+    def test_attribute_whitespace_survives(self):
+        doc = parse('<a v="a&#9;b&#10;c&#13;d"/>')
+        assert doc.root.attributes == {"v": "a\tb\nc\rd"}
+        assert parse(to_xml(doc)).root.attributes == {"v": "a\tb\nc\rd"}
 
+    def test_parse_file(self, tmp_path):
         path = tmp_path / "doc.xml"
         path.write_text("<a><b>x</b></a>")
         doc = parse_file(str(path))
