@@ -72,5 +72,8 @@ def _drive(feed):
         position = max(parser.ErrorByteIndex, 0)  # -1 on empty input
         raise XMLParseError(expat.ErrorString(error.code), position) from None
     except UnicodeEncodeError as error:  # a lone surrogate in a str
-        raise XMLParseError(error.reason, error.start) from None
+        position = len(error.object[:error.start].encode("utf-8"))
+        raise XMLParseError(error.reason, position) from None
+    except (LookupError, ValueError) as error:  # a declared encoding expat lacks
+        raise XMLParseError(str(error), 0) from None
     return builder.finish()

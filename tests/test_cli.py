@@ -781,3 +781,15 @@ class TestCorpusDirectories:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert [run(argv) for argv in probes] == before
+
+    @pytest.mark.parametrize("encoding", ["bogus", "Shift_JIS"])
+    def test_query_of_an_undecodable_declared_encoding_is_an_error(
+        self, tmp_path, capsys, encoding
+    ):
+        bad = tmp_path / "encoding.xml"
+        bad.write_bytes(
+            b'<?xml version="1.0" encoding="%s"?><a>gold</a>' % encoding.encode()
+        )
+        code, _ = run(["query", str(bad), "//a"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")

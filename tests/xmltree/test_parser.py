@@ -69,6 +69,12 @@ class TestBasicParsing:
         doc = parse("<a>\n  <b/>\n</a>")
         assert doc.root.text == ""
 
+    def test_literal_attribute_whitespace_is_normalised(self):
+        # XML 1.0 attribute-value normalisation: a literal tab or LF becomes
+        # a space, and so does a CRLF pair (line-end handling makes it LF).
+        doc = parse('<a v="x\ny\tz\r\nw"/>')
+        assert doc.root.attributes == {"v": "x y z w"}
+
 
 class TestParserErrors:
     @pytest.mark.parametrize(
@@ -108,6 +114,11 @@ class TestParserErrors:
             assert error.position is not None
         else:
             raise AssertionError("expected XMLParseError")
+
+    def test_lone_surrogate_position_is_a_byte_offset(self):
+        with pytest.raises(XMLParseError) as caught:
+            parse("<a>\u00e9\ud800</a>")
+        assert caught.value.position == len("<a>\u00e9".encode("utf-8"))
 
 
 class TestDoctype:
@@ -176,6 +187,18 @@ class TestParseFile:
         with pytest.raises(XMLParseError) as caught:
             parse_file(str(path))
         assert caught.value.position == 3
+
+    @pytest.mark.parametrize("encoding", ["bogus", "Shift_JIS", "UTF-32"])
+    def test_encoding_expat_lacks_raises(self, tmp_path, encoding):
+        # expat hands an encoding it does not know to a Python codec, which
+        # raises LookupError (unknown name) or ValueError (multi-byte).
+        path = tmp_path / "enc.xml"
+        path.write_bytes(
+            b'<?xml version="1.0" encoding="%s"?><a>x</a>' % encoding.encode()
+        )
+        with pytest.raises(XMLParseError) as caught:
+            parse_file(str(path))
+        assert caught.value.position == 0
 
 
 class TestRoundTrip:
