@@ -40,9 +40,10 @@ from repro.backend.kernels import (
     semi_join_ancestor_ids,
     structural_join_ids,
 )
+from repro.backend.stats import CountFractions
 
 
-class StorageBackend(ABC):
+class StorageBackend(CountFractions, ABC):
     """Abstract physical layer: node table, postings, statistics.
 
     A backend is long-lived and shared across threads; implementations must
@@ -204,20 +205,6 @@ class StorageBackend(ABC):
     @abstractmethod
     def ad_ancestor_count(self, ancestor_tag, descendant_tag):
         """Distinct ancestors with ≥1 ``descendant_tag`` descendant."""
-
-    def pc_child_fraction(self, parent_tag, child_tag):
-        """Fraction of ``parent_tag`` elements with a ``child_tag`` child."""
-        total = self.tag_count(parent_tag)
-        if total == 0:
-            return 0.0
-        return self.pc_parent_count(parent_tag, child_tag) / total
-
-    def ad_descendant_fraction(self, ancestor_tag, descendant_tag):
-        """Fraction of ancestors with a ``descendant_tag`` descendant."""
-        total = self.tag_count(ancestor_tag)
-        if total == 0:
-            return 0.0
-        return self.ad_ancestor_count(ancestor_tag, descendant_tag) / total
 
     def __repr__(self):
         return "%s(nodes=%d, version=%d)" % (

@@ -7,7 +7,7 @@ The on-disk corpus is a directory::
       seg-00000001/
         columns.bin        # sealed node table (mmap'd)
         postings.bin       # sealed inverted index (mmap'd, lazy per term)
-        stats.bin          # sealed penalty statistics
+        stats.bin          # sealed penalty statistics (pair counters)
       wal.log              # fsync'd append log of post-segment ingests
 
 Cold start is ``open()`` = read manifest → mmap segments → replay the WAL
@@ -127,6 +127,7 @@ class DiskBackend(InMemoryBackend):
         stats_buffer,
         stats_name,
         sealed_count,
+        sealed_tags,
         mmaps,
     ):
         super().__init__(corpus)
@@ -144,6 +145,7 @@ class DiskBackend(InMemoryBackend):
         self._stats_buffer = stats_buffer
         self._stats_name = stats_name
         self._sealed_count = sealed_count
+        self._sealed_tags = sealed_tags
         self._materialize_mutex = threading.Lock()
         # Serializes add_document/compact against each other.  Distinct
         # from the corpus RWLock: this one also covers the WAL file and
@@ -239,6 +241,7 @@ class DiskBackend(InMemoryBackend):
             stats_buffer=stats_buffer,
             stats_name=stats_path,
             sealed_count=len(document),
+            sealed_tags=len(store.tags),
             mmaps=mmaps,
         )
         backend._replay_wal(manifest["generation"])
@@ -329,24 +332,25 @@ class DiskBackend(InMemoryBackend):
     def statistics(self):
         """Penalty statistics, hydrated from the sealed stats segment.
 
-        First touch decodes the sealed snapshot and folds in any WAL-tail
-        nodes spliced before the touch (same locking argument as
-        :attr:`ir`).
+        First touch decodes the sealed counts and folds in any WAL-tail
+        documents spliced before the touch (same locking argument as
+        :attr:`ir`); the sealed nodes are never recounted.
         """
         if self._statistics is None:
             with self._materialize_mutex:
                 if self._statistics is None:
                     started = perf_counter()
                     state = diskfmt.parse_stats(
-                        self._stats_buffer, self._stats_name
+                        self._stats_buffer,
+                        self._sealed_count,
+                        self._sealed_tags,
+                        self._stats_name,
                     )
                     statistics = DocumentStatistics.from_state(
                         self._document, state, virtual_root_id=0
                     )
-                    if len(self._document) > state["counted_upto"]:
-                        statistics.extend(
-                            state["counted_upto"], len(self._document)
-                        )
+                    if len(self._document) > self._sealed_count:
+                        statistics.extend(self._sealed_count)
                     self._statistics = statistics
                     self._observe_hydration("statistics", started)
         return self._statistics

@@ -19,9 +19,13 @@ fixed-width (``struct``), and CRC-protected:
   directory (term, offset, entry count) plus per-term posting blobs.  Only
   the directory is decoded at open; posting blobs decode on first probe,
   straight out of the mapping (see ``DiskInvertedIndex``).
-- **Statistics segment** (``stats.bin``): the §4.3.1/§6 counts —
-  tag/pair counters and the distinct parent/ancestor id sets that keep the
-  statistics incrementally extendable after reopen.
+- **Statistics segment** (``stats.bin``): the §4.3.1/§6 pair counters of
+  :class:`~repro.backend.stats.DocumentStatistics`, integers only — a few
+  rows per tag pair, whatever the node count.  No node-id set is kept: the
+  counts of later (WAL-tail) documents simply add, because every document
+  is spliced under the excluded virtual root, so none of its pairs or
+  distinct parents/ancestors involve a sealed node.  ``#(t)`` is not
+  stored; it is the column segment's tag index.
 
 Plus the **write-ahead log** (``wal.log``): a 16-byte header (magic +
 generation) followed by self-delimiting records ``FXR1 | u32 length |
@@ -56,6 +60,7 @@ import struct
 import zlib
 from time import perf_counter
 
+from repro.backend.stats import COUNTERS
 from repro.errors import CorruptStorageError
 from repro.ir.index import Posting
 from repro.obs.metrics import REGISTRY
@@ -78,7 +83,7 @@ STATS_MAGIC = b"FXSTA001"
 WAL_MAGIC = b"FXWAL001"
 RECORD_MAGIC = b"FXR1"
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "MANIFEST.json"
 
 WAL_HEADER_LEN = 16  # 8-byte magic + u64 generation
@@ -86,10 +91,6 @@ _RECORD_HEADER = struct.Struct("<4sII")  # magic, payload length, payload crc
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-
-#: ``None`` tag sentinel in statistics keys (a u32 length that no real
-#: tag name can have).
-_NONE_TAG = 0xFFFFFFFF
 
 
 def _observe_segment_load(kind, size, seconds):
@@ -410,73 +411,63 @@ def decode_posting(mm, offset, entries, node_count, name="postings segment"):
 
 # -- statistics segment --------------------------------------------------------
 
-
-def _write_tag_ref(writer, tag):
-    if tag is None:
-        writer.u32(_NONE_TAG)
-    else:
-        writer.text(tag)
-
-
-def _read_tag_ref(reader):
-    if _U32.unpack_from(reader.buffer, reader.offset)[0] == _NONE_TAG:
-        reader.take(4)
-        return None
-    return reader.text()
+#: The ``None`` (any tag) side of a statistics row.
+_ANY = -1
 
 
 def write_stats(path, state):
-    """Seal a :meth:`DocumentStatistics.state` export into ``stats.bin``."""
+    """Seal a :meth:`DocumentStatistics.state` export into ``stats.bin``.
+
+    Counts only: ``counted_upto``, then per section ``u32 rows`` of ``i32
+    upper tag id | i32 lower tag id | u64 count`` (-1 for any tag).  The
+    size follows the tag pairs, never the node count.
+    """
     writer = ByteWriter()
     writer.raw(STATS_MAGIC)
     writer.u32(FORMAT_VERSION)
     writer.u64(state["counted_upto"])
-    writer.u32(len(state["tag_counts"]))
-    for tag in sorted(state["tag_counts"]):
-        writer.text(tag)
-        writer.u64(state["tag_counts"][tag])
-    for section in ("pc_pairs", "ad_pairs"):
-        pairs = state[section]
-        writer.u32(len(pairs))
-        for key in sorted(pairs, key=lambda k: (k[0] or "", k[1] or "")):
-            _write_tag_ref(writer, key[0])
-            _write_tag_ref(writer, key[1])
-            writer.u64(pairs[key])
-    for section in ("pc_parent_sets", "ad_ancestor_sets"):
-        sets = state[section]
-        writer.u32(len(sets))
-        for key in sorted(sets, key=lambda k: (k[0] or "", k[1] or "")):
-            _write_tag_ref(writer, key[0])
-            _write_tag_ref(writer, key[1])
-            ids = sorted(sets[key])
-            writer.u64(len(ids))
-            writer.int_array(ids)
+    for section in COUNTERS:
+        rows = sorted(
+            (_ANY if upper is None else upper, _ANY if lower is None else lower, count)
+            for (upper, lower), count in state[section].items()
+        )
+        writer.u32(len(rows))
+        for upper, lower, count in rows:
+            writer.i32(upper)
+            writer.i32(lower)
+            writer.u64(count)
     _seal(writer, path)
 
 
-def parse_stats(buffer, name="statistics segment"):
-    """Decode a (CRC-checked) statistics segment into a state export."""
+def parse_stats(buffer, node_count, tag_count, name="statistics segment"):
+    """Decode a (CRC-checked) statistics segment into a state export.
+
+    The snapshot must count exactly the ``node_count`` sealed nodes, and
+    every row must name one of the segment's ``tag_count`` tags.
+    """
     try:
         reader = ByteReader(buffer, name, offset=len(STATS_MAGIC))
         version = reader.u32()
         if version != FORMAT_VERSION:
             reader.fail("unsupported statistics format version %d" % version)
-        state = {"counted_upto": reader.u64()}
-        state["tag_counts"] = {
-            reader.text(): reader.u64() for _ in range(reader.u32())
-        }
-        for section in ("pc_pairs", "ad_pairs"):
-            pairs = {}
+        counted_upto = reader.u64()
+        if counted_upto != node_count:
+            reader.fail(
+                "statistics count %d nodes, the segment holds %d"
+                % (counted_upto, node_count)
+            )
+        state = {"counted_upto": counted_upto}
+        for section in COUNTERS:
+            counts = {}
             for _ in range(reader.u32()):
-                key = (_read_tag_ref(reader), _read_tag_ref(reader))
-                pairs[key] = reader.u64()
-            state[section] = pairs
-        for section in ("pc_parent_sets", "ad_ancestor_sets"):
-            sets = {}
-            for _ in range(reader.u32()):
-                key = (_read_tag_ref(reader), _read_tag_ref(reader))
-                sets[key] = set(reader.int_array(reader.u64()))
-            state[section] = sets
+                key = (reader.i32(), reader.i32())
+                if not all(_ANY <= tag_id < tag_count for tag_id in key):
+                    reader.fail("statistics row names an unknown tag: %r" % (key,))
+                key = tuple(None if tag_id == _ANY else tag_id for tag_id in key)
+                counts[key] = reader.u64()
+            state[section] = counts
+        if reader.offset != len(buffer) - 4:
+            reader.fail("trailing bytes after the statistics")
         return state
     except CorruptStorageError:
         raise

@@ -19,7 +19,7 @@ materialized (and only that) incrementally.
 from __future__ import annotations
 
 from repro.backend.base import StorageBackend
-from repro.backend.stats import DocumentStatistics
+from repro.backend.stats import DocumentStatistics, count_tag
 from repro.concurrency import RWLock
 from repro.ir.engine import IREngine
 
@@ -135,22 +135,14 @@ class InMemoryBackend(StorageBackend):
     # ``#(t)`` comes off the tag index, and a pair count of two named tags
     # off the parent column until the full pass has run: lowering a plan
     # reads nothing else, so a strict (level-0) compile never pays for the
-    # distinct-parent sets and wildcard marginals only penalties need.
+    # distinct counts and wildcard marginals only penalties need.
 
     @property
     def total_elements(self):
-        total = len(self._document)
-        return total if self._virtual_root_id is None else total - 1
+        return self.tag_count(None)
 
     def tag_count(self, tag):
-        if tag is None:
-            return self.total_elements
-        store = self._document.store
-        count = len(store.node_ids_with_tag(tag))
-        root = self._virtual_root_id
-        if root is not None and count and store.tag_of(root) == tag:
-            count -= 1
-        return count
+        return count_tag(self._document, tag, self._virtual_root_id)
 
     def pc_count(self, parent_tag, child_tag):
         if self._statistics is None and None not in (parent_tag, child_tag):

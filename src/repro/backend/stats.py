@@ -1,7 +1,6 @@
 """Corpus statistics for penalties and selectivity (§4.3.1, §6).
 
-One pass over the document (plus one ancestor walk per node, cheap because
-XML depth is small) collects every count the paper's formulas need:
+The paper's formulas read a handful of integers per tag pair:
 
 - ``#(t)``              — elements per tag,
 - ``#pc(t1, t2)``       — parent-child pairs per tag pair,
@@ -9,6 +8,24 @@ XML depth is small) collects every count the paper's formulas need:
 - distinct-parent / distinct-ancestor variants of the above, which drive
   the uniform-independence selectivity estimator ("suppose 60% of A's in
   the document have a B as a child ...", §6).
+
+``#(t)`` is the length of the tag index's id list.  The pair counts are
+integer counters keyed by tag-id pairs, from one preorder walk over the
+store's ``tag_ids`` and ``levels`` columns — no node view is built.  The
+walk counts nodes per root-to-node tag path, and ``#pc``/``#ad`` follow
+from those few hundred paths.  For the distinct counts each open ancestor
+keeps the tags seen below it and the tags of its children, dropped when
+the walk leaves its subtree; a new ``t`` node walks up only until an
+ancestor that has already seen ``t``.  No node-id set is kept.  ``None``
+(any tag) marginals are sums of the named counters, except "has at least
+one child", counted at each node's first child.
+
+**Why the counts add up across** :meth:`DocumentStatistics.extend` **calls.**
+Every pair is attributed to its lower endpoint, and a corpus splices every
+document under its excluded virtual root, so no node of a new range has a
+counted ancestor: the new range's pairs, and its distinct parents and
+ancestors, are disjoint from everything counted before.  ``extend`` refuses
+a range that does not start at such a root.
 
 ``#contains`` statistics live in the IR engine (they depend on the query's
 full-text expression); :class:`~repro.relax.penalties.PenaltyModel` combines
@@ -21,161 +38,34 @@ methods, never by importing :class:`DocumentStatistics` directly.
 
 from __future__ import annotations
 
+from collections import Counter
 
-class DocumentStatistics:
-    """Tag and tag-pair counts for one document.
+#: The counters of :meth:`DocumentStatistics.state`, each keyed by
+#: ``(upper tag id | None, lower tag id | None)``.
+COUNTERS = ("pc", "ad", "pc_parents", "ad_ancestors")
 
-    ``virtual_root_id`` marks a corpus' synthetic collection root.  That
-    node is excluded from every count — it is not an element of any source
-    document, it forms an ancestor-descendant pair with *every* node, and
-    counting it inflates exactly the wildcard marginals and promotion
-    denominators the penalty model divides by (§4.3.1).  With the exclusion
-    a one-document corpus yields the same statistics (hence the same
-    penalties) as the document queried stand-alone.
-    """
 
-    def __init__(self, document, virtual_root_id=None):
-        self._document = document
-        self._virtual_root_id = virtual_root_id
-        self._tag_counts = {}
-        self._pc_pairs = {}
-        self._ad_pairs = {}
-        # Distinct parents/ancestors with at least one (tag) child/descendant:
-        # sets of node ids per (t1, t2), kept as state so corpus appends can
-        # extend the counts incrementally. Wildcard (None) marginals are
-        # accumulated alongside so untagged query variables still get
-        # meaningful pair counts.
-        self._pc_parent_sets = {}
-        self._ad_ancestor_sets = {}
-        self._counted_upto = 0
-        self.extend(0)
+def count_tag(document, tag, virtual_root_id):
+    """``#(t)`` off the tag index (None: every element), leaving out the
+    virtual root."""
+    store = document.store
+    count = len(store) if tag is None else len(store.node_ids_with_tag(tag))
+    if count and virtual_root_id is not None:
+        if tag is None or store.tag_of(virtual_root_id) == tag:
+            count -= 1
+    return count
 
-    def extend(self, start_id, end_id=None):
-        """Fold nodes ``[start_id, end_id)`` into the statistics.
 
-        All counts are additive over nodes (each pc/ad pair is attributed
-        to its descendant endpoint), so appending a spliced fragment only
-        walks the new nodes — their ancestor chains reach back into the old
-        tree exactly where new pairs with old ancestors arise.
-        """
-        document = self._document
-        end_id = len(document) if end_id is None else end_id
-        if start_id < self._counted_upto:
-            raise ValueError(
-                "cannot extend statistics backwards (counted to %d, asked for %d)"
-                % (self._counted_upto, start_id)
-            )
-        virtual_root = self._virtual_root_id
-        for node_id in range(start_id, end_id):
-            if node_id == virtual_root:
-                continue
-            node = document.node(node_id)
-            self._tag_counts[node.tag] = self._tag_counts.get(node.tag, 0) + 1
-            parent = document.parent(node)
-            if parent is not None and parent.node_id != virtual_root:
-                for key in (
-                    (parent.tag, node.tag),
-                    (parent.tag, None),
-                    (None, node.tag),
-                    (None, None),
-                ):
-                    self._pc_pairs[key] = self._pc_pairs.get(key, 0) + 1
-                    self._pc_parent_sets.setdefault(key, set()).add(parent.node_id)
-            for ancestor in document.ancestors(node):
-                if ancestor.node_id == virtual_root:
-                    continue
-                for key in (
-                    (ancestor.tag, node.tag),
-                    (ancestor.tag, None),
-                    (None, node.tag),
-                    (None, None),
-                ):
-                    self._ad_pairs[key] = self._ad_pairs.get(key, 0) + 1
-                    self._ad_ancestor_sets.setdefault(key, set()).add(
-                        ancestor.node_id
-                    )
-        if end_id > self._counted_upto:
-            self._counted_upto = end_id
+def _add(counts, upper, lower, count):
+    """Add to a named pair and its three any-tag marginals."""
+    counts[upper, lower] += count
+    counts[upper, None] += count
+    counts[None, lower] += count
+    counts[None, None] += count
 
-    def state(self):
-        """Export every count as plain dicts/sets for persistence.
 
-        The export is complete: :meth:`from_state` on the same document
-        yields statistics that answer identically *and* keep extending
-        incrementally from ``counted_upto``, so a reopened corpus never
-        rescans sealed nodes.
-        """
-        return {
-            "counted_upto": self._counted_upto,
-            "tag_counts": dict(self._tag_counts),
-            "pc_pairs": dict(self._pc_pairs),
-            "ad_pairs": dict(self._ad_pairs),
-            "pc_parent_sets": {
-                key: set(ids) for key, ids in self._pc_parent_sets.items()
-            },
-            "ad_ancestor_sets": {
-                key: set(ids) for key, ids in self._ad_ancestor_sets.items()
-            },
-        }
-
-    @classmethod
-    def from_state(cls, document, state, virtual_root_id=None):
-        """Rebuild statistics from a :meth:`state` export without a scan."""
-        self = cls.__new__(cls)
-        self._document = document
-        self._virtual_root_id = virtual_root_id
-        self._tag_counts = dict(state["tag_counts"])
-        self._pc_pairs = dict(state["pc_pairs"])
-        self._ad_pairs = dict(state["ad_pairs"])
-        self._pc_parent_sets = {
-            key: set(ids) for key, ids in state["pc_parent_sets"].items()
-        }
-        self._ad_ancestor_sets = {
-            key: set(ids) for key, ids in state["ad_ancestor_sets"].items()
-        }
-        self._counted_upto = state["counted_upto"]
-        return self
-
-    @property
-    def document(self):
-        return self._document
-
-    @property
-    def virtual_root_id(self):
-        """Node id excluded from the counts, or None."""
-        return self._virtual_root_id
-
-    @property
-    def total_elements(self):
-        total = len(self._document)
-        if self._virtual_root_id is not None:
-            total -= 1
-        return total
-
-    def tag_count(self, tag):
-        """``#(t)``: number of elements with the tag (None counts all)."""
-        if tag is None:
-            return self.total_elements
-        return self._tag_counts.get(tag, 0)
-
-    def pc_count(self, parent_tag, child_tag):
-        """``#pc(t1, t2)``: number of parent-child pairs."""
-        return self._pc_pairs.get((parent_tag, child_tag), 0)
-
-    def ad_count(self, ancestor_tag, descendant_tag):
-        """``#ad(t1, t2)``: number of ancestor-descendant pairs."""
-        return self._ad_pairs.get((ancestor_tag, descendant_tag), 0)
-
-    def pc_parent_count(self, parent_tag, child_tag):
-        """Distinct ``parent_tag`` elements with ≥1 ``child_tag`` child."""
-        return len(self._pc_parent_sets.get((parent_tag, child_tag), ()))
-
-    def ad_ancestor_count(self, ancestor_tag, descendant_tag):
-        """Distinct ``ancestor_tag`` elements with ≥1 ``descendant_tag``
-        descendant."""
-        return len(self._ad_ancestor_sets.get((ancestor_tag, descendant_tag), ()))
-
-    # -- fractions used by the estimator ------------------------------------
+class CountFractions:
+    """The estimator's existence fractions (§6): distinct counts over ``#(t)``."""
 
     def pc_child_fraction(self, parent_tag, child_tag):
         """Fraction of ``parent_tag`` elements with a ``child_tag`` child."""
@@ -191,3 +81,147 @@ class DocumentStatistics:
         if total == 0:
             return 0.0
         return self.ad_ancestor_count(ancestor_tag, descendant_tag) / total
+
+
+class DocumentStatistics(CountFractions):
+    """Tag and tag-pair counts for one document.
+
+    ``virtual_root_id`` marks a corpus' synthetic collection root.  That
+    node is excluded from every count — it is not an element of any source
+    document, it forms an ancestor-descendant pair with *every* node, and
+    counting it inflates exactly the wildcard marginals and promotion
+    denominators the penalty model divides by (§4.3.1).  With the exclusion
+    a one-document corpus yields the same statistics (hence the same
+    penalties) as the document queried stand-alone.
+    """
+
+    def __init__(self, document, virtual_root_id=None):
+        self._document = document
+        self._virtual_root_id = virtual_root_id
+        self._counts = {name: Counter() for name in COUNTERS}
+        self._counted_upto = 0
+        self.extend(0)
+
+    def extend(self, start_id, end_id=None):
+        """Fold nodes ``[start_id, end_id)`` into the statistics.
+
+        ``start_id`` must be a root: the document's, or a child of the
+        excluded virtual root (a spliced corpus document).  Below any other
+        node the new pairs would meet ancestors this call cannot see, and
+        its distinct counts would count them again.
+        """
+        store = self._document.store
+        end_id = len(store) if end_id is None else end_id
+        if start_id < self._counted_upto:
+            raise ValueError(
+                "cannot extend statistics backwards (counted to %d, asked for %d)"
+                % (self._counted_upto, start_id)
+            )
+        root = self._virtual_root_id
+        tag_ids, parent_ids, levels = store.tag_ids, store.parent_ids, store.levels
+        if start_id == root:
+            start_id += 1
+        if start_id < end_id and parent_ids[start_id] not in (-1, root):
+            raise ValueError(
+                "statistics extend from a document root; node %d's parent %d "
+                "is not one" % (start_id, parent_ids[start_id])
+            )
+        counts = self._counts
+        pc_parents, ad_ancestors = counts["pc_parents"], counts["ad_ancestors"]
+        paths = Counter()  # nodes per root-to-node tag path
+        # One frame per counted ancestor of the current node: its tag path,
+        # the tags seen below it, and the tags of its children.
+        frames = []
+        base_level = levels[start_id] if start_id < end_id else 0
+        for node_id in range(start_id, end_id):
+            depth = levels[node_id] - base_level
+            del frames[depth:]
+            tag = tag_ids[node_id]
+            if depth:
+                path, below, children = frames[-1]
+                parent_tag = path[-1]
+                path += (tag,)
+                if tag not in children:
+                    if not children:  # the first child: "has a child"
+                        for distinct in (pc_parents, ad_ancestors):
+                            distinct[parent_tag, None] += 1
+                            distinct[None, None] += 1
+                    children.add(tag)
+                    pc_parents[parent_tag, tag] += 1
+                    pc_parents[None, tag] += 1
+                    # An ancestor that has seen ``tag`` below it has had
+                    # its own ancestors see it too: the walk stops there.
+                    while depth and tag not in frames[depth - 1][1]:
+                        depth -= 1
+                        frames[depth][1].add(tag)
+                        ad_ancestors[path[depth], tag] += 1
+                        ad_ancestors[None, tag] += 1
+            else:
+                path = (tag,)
+            paths[path] += 1
+            frames.append((path, set(), set()))
+        for path, count in paths.items():
+            if len(path) > 1:
+                tag = path[-1]
+                _add(counts["pc"], path[-2], tag, count)
+                for upper, pairs in Counter(path[:-1]).items():
+                    _add(counts["ad"], upper, tag, pairs * count)
+        if end_id > self._counted_upto:
+            self._counted_upto = end_id
+
+    def state(self):
+        """Export ``counted_upto`` and the :data:`COUNTERS` as plain dicts.
+
+        :meth:`from_state` over the same document answers identically and
+        keeps extending from ``counted_upto``, so a reopened corpus never
+        recounts sealed nodes.
+        """
+        state = {name: dict(counts) for name, counts in self._counts.items()}
+        state["counted_upto"] = self._counted_upto
+        return state
+
+    @classmethod
+    def from_state(cls, document, state, virtual_root_id=None):
+        """Rebuild statistics from a :meth:`state` export without a scan."""
+        self = cls.__new__(cls)
+        self._document = document
+        self._virtual_root_id = virtual_root_id
+        self._counts = {name: Counter(state[name]) for name in COUNTERS}
+        self._counted_upto = state["counted_upto"]
+        return self
+
+    @property
+    def total_elements(self):
+        return self.tag_count(None)
+
+    def tag_count(self, tag):
+        """``#(t)``: number of elements with the tag (None counts all)."""
+        return count_tag(self._document, tag, self._virtual_root_id)
+
+    def _get(self, name, upper, lower):
+        # An unknown name's id is -1, which no key carries.
+        id_of = self._document.store.tags.id_of
+        return self._counts[name].get(
+            (
+                None if upper is None else id_of(upper),
+                None if lower is None else id_of(lower),
+            ),
+            0,
+        )
+
+    def pc_count(self, parent_tag, child_tag):
+        """``#pc(t1, t2)``: number of parent-child pairs."""
+        return self._get("pc", parent_tag, child_tag)
+
+    def ad_count(self, ancestor_tag, descendant_tag):
+        """``#ad(t1, t2)``: number of ancestor-descendant pairs."""
+        return self._get("ad", ancestor_tag, descendant_tag)
+
+    def pc_parent_count(self, parent_tag, child_tag):
+        """Distinct ``parent_tag`` elements with ≥1 ``child_tag`` child."""
+        return self._get("pc_parents", parent_tag, child_tag)
+
+    def ad_ancestor_count(self, ancestor_tag, descendant_tag):
+        """Distinct ``ancestor_tag`` elements with ≥1 ``descendant_tag``
+        descendant."""
+        return self._get("ad_ancestors", ancestor_tag, descendant_tag)

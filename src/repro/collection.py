@@ -94,7 +94,7 @@ class Corpus:
             if name is None:
                 name = "doc%d" % len(self._names)
             self._version += 1
-            start_id = self._document.append_fragment(document, parent_id=0)
+            start_id = self._document.append_fragment(document)
             end_id = start_id + len(document)
             self._starts.append(start_id)
             self._ends.append(end_id)

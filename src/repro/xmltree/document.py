@@ -18,7 +18,7 @@ The storage layer is split in two:
 Documents built by the parser/builder are immutable; a document owned by a
 :class:`~repro.collection.Corpus` grows in place through
 :meth:`Document.append_fragment`, which splices another document's columns
-under a chosen parent in O(new nodes).
+as the root's last subtree in O(new nodes).
 """
 
 from __future__ import annotations
@@ -161,27 +161,23 @@ class ColumnarStore:
 
     # -- the append operation ------------------------------------------------
 
-    def extend_from(self, other, parent_id=-1):
-        """Splice all of ``other``'s nodes in as a subtree under ``parent_id``.
+    def extend_from(self, other):
+        """Splice all of ``other``'s nodes in as a last subtree of the root.
 
         Runs in O(len(other)): every column is an offset-shifted bulk
         extend, tag ids are remapped through the interned dictionary, and
-        region ends along the parent chain grow to cover the new subtree.
-        Returns the new id of ``other``'s root.
+        the root's region end grows to cover the new subtree.  Returns the
+        new id of ``other``'s root.
         """
         if other is self:
             raise FleXPathError("cannot splice a store into itself")
         base = len(self)
-        level_shift = self.levels[parent_id] + 1 if parent_id >= 0 else 0
         tag_map = [self.tags.intern(name) for name in other.tags.names()]
         self.tag_ids.extend(tag_map[tag_id] for tag_id in other.tag_ids)
         self.parent_ids.extend(
-            (pid + base if pid >= 0 else parent_id) for pid in other.parent_ids
+            (pid + base if pid >= 0 else 0) for pid in other.parent_ids
         )
-        if level_shift:
-            self.levels.extend(level + level_shift for level in other.levels)
-        else:
-            self.levels.extend(other.levels)
+        self.levels.extend(level + 1 for level in other.levels)
         self.ends.extend(end + base for end in other.ends)
         self.texts.extend(other.texts)
         for node_id, attrs in other.attribute_table.items():
@@ -189,12 +185,7 @@ class ColumnarStore:
         for tag_id, ids in other.tag_node_ids.items():
             target = self.tag_node_ids.setdefault(tag_map[tag_id], array("i"))
             target.extend(node_id + base for node_id in ids)
-        new_length = len(self.tag_ids)
-        ancestor = parent_id
-        while ancestor >= 0:
-            if self.ends[ancestor] < new_length:
-                self.ends[ancestor] = new_length
-            ancestor = self.parent_ids[ancestor]
+        self.ends[0] = len(self.tag_ids)
         return base
 
     # -- introspection -------------------------------------------------------
@@ -433,25 +424,20 @@ class Document:
 
     # -- growth (the Corpus append path) -------------------------------------
 
-    def append_fragment(self, fragment, parent_id=0):
-        """Splice another document's columns in as a subtree of ``parent_id``.
+    def append_fragment(self, fragment):
+        """Splice another document's columns in as the root's last subtree.
 
-        O(len(fragment)); no re-parse, no node copying.  Region ends along
-        the parent chain (and any already-materialized views of those
-        ancestors) are updated in place, and cached tag lists are extended
-        incrementally (new ids exceed all old ids, so they stay id-sorted).
-        Returns the new node id of the fragment root.
+        O(len(fragment)); no re-parse, no node copying.  The root's region
+        end (and its view, if materialized) grows in place, and cached tag
+        lists are extended incrementally (new ids exceed all old ids, so
+        they stay id-sorted).  Returns the new node id of the fragment root.
         """
         if fragment is self:
             raise FleXPathError("cannot append a document to itself")
-        base = self._store.extend_from(fragment._store, parent_id)
+        base = self._store.extend_from(fragment._store)
         self._views.extend([None] * (len(self._store) - base))
-        ancestor = parent_id
-        while ancestor >= 0:
-            view = self._views[ancestor]
-            if view is not None:
-                view.end = self._store.ends[ancestor]
-            ancestor = self._store.parent_ids[ancestor]
+        if self._views[0] is not None:
+            self._views[0].end = self._store.ends[0]
         for tag, views in self._tag_views.items():
             ids = self._store.node_ids_with_tag(tag)
             for node_id in ids[len(views):]:

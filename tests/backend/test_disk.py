@@ -328,6 +328,32 @@ class TestSegmentCorruption:
         with pytest.raises(CorruptStorageError, match="magic"):
             DiskBackend.open(corpus_dir)
 
+    def test_format_1_corpus_is_refused(self, seeded, corpus_dir):
+        """Format 1 sealed node-id sets into ``stats.bin``; such a corpus
+        is refused, never read as counts."""
+        seeded.close()
+        manifest = diskfmt.read_manifest(corpus_dir)
+        manifest["format"] = 1
+        diskfmt.write_manifest(corpus_dir, manifest)
+        with pytest.raises(CorruptStorageError, match="unsupported corpus format 1"):
+            DiskBackend.open(corpus_dir)
+
+    @pytest.mark.parametrize("key", [(99, None), (None, 99), (-2, 0)])
+    def test_stats_row_naming_an_unknown_tag_is_corrupt(
+        self, seeded, corpus_dir, key
+    ):
+        seeded.compact()
+        state = seeded.statistics.state()
+        seeded.close()
+        state["ad"][key] = 1
+        diskfmt.write_stats(self._segment_file(corpus_dir, "stats.bin"), state)
+        backend = DiskBackend.open(corpus_dir)
+        try:
+            with pytest.raises(CorruptStorageError, match="unknown tag"):
+                backend.pc_parent_count("article", None)
+        finally:
+            backend.close()
+
     def test_invalid_manifest_json_is_corrupt(self, seeded, corpus_dir):
         seeded.close()
         with open(os.path.join(corpus_dir, "MANIFEST.json"), "w") as handle:

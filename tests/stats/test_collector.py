@@ -66,3 +66,41 @@ class TestFractions:
     def test_zero_population(self, stats):
         assert stats.pc_child_fraction("missing", "b") == 0.0
         assert stats.ad_descendant_fraction("missing", "b") == 0.0
+
+
+class TestColumnsOnly:
+    def test_counting_builds_no_node_view(self, monkeypatch):
+        """The counts come off the columns: no ``XMLNode`` is built, for a
+        document or for a corpus growing one document at a time."""
+        from repro.backend.memory import InMemoryBackend
+        from repro.collection import Corpus
+        from repro.xmltree.node import XMLNode
+
+        doc = parse("<r><a><b/><b/></a><a><c><b/></c></a><a/></r>")
+        corpus = Corpus()
+
+        def refuse(*args):
+            raise AssertionError("statistics built a node view")
+
+        monkeypatch.setattr(XMLNode, "__init__", refuse)
+        stats = DocumentStatistics(doc)
+        assert stats.ad_ancestor_count("a", "b") == 2
+        backend = InMemoryBackend(corpus)
+        backend.statistics
+        corpus.document.append_fragment(doc)  # the splice half of add_document
+        backend.statistics.extend(1)
+        assert backend.pc_parent_count("a", None) == 2
+        assert backend.ad_count(None, "b") == 7
+
+    def test_no_node_id_set_outlives_extend(self):
+        stats = DocumentStatistics(parse("<r><a><b/></a><a><b/><c/></a></r>"))
+
+        def sets(value):
+            if isinstance(value, (set, frozenset)):
+                yield value
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from sets(item)
+
+        assert not list(sets(vars(stats)))
+        assert all(isinstance(v, int) for v in stats.state()["ad"].values())

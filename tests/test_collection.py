@@ -194,6 +194,23 @@ class TestIncrementalIngest:
         with pytest.raises(ValueError):
             DocumentStatistics(doc).extend(0)
 
+    def test_extension_must_start_at_a_spliced_root(self):
+        """Counts add up only over whole documents spliced under the
+        virtual root: a range starting inside one is refused."""
+        from repro.backend.stats import DocumentStatistics
+
+        corpus = Corpus()
+        corpus.add_text(TEXTS[0])
+        statistics = DocumentStatistics(corpus.document, virtual_root_id=0)
+        start = len(corpus.document)
+        corpus.add_text(TEXTS[1])  # grown outside the collector
+        with pytest.raises(ValueError, match="document root"):
+            statistics.extend(start + 1)
+        statistics.extend(start)
+        assert statistics.pc_count(None, None) == DocumentStatistics(
+            corpus.document, virtual_root_id=0
+        ).pc_count(None, None)
+
     def test_query_results_stable_across_adds(self):
         corpus = Corpus()
         engine = FleXPath(corpus)

@@ -82,7 +82,7 @@ class TestExtendFrom:
     def test_splice_shifts_all_columns(self):
         host = parse('<collection/>').store
         fragment = parse('<article x="1"><title>t</title></article>').store
-        base = host.extend_from(fragment, parent_id=0)
+        base = host.extend_from(fragment)
         assert base == 1
         assert list(host.parent_ids) == [-1, 0, 1]
         assert list(host.levels) == [0, 1, 2]
@@ -93,14 +93,14 @@ class TestExtendFrom:
     def test_splice_remaps_tag_ids(self):
         host = parse("<collection><b/></collection>").store
         fragment = parse("<a><b/></a>").store
-        host.extend_from(fragment, parent_id=0)
+        host.extend_from(fragment)
         assert host.tag_of(2) == "a"
         assert host.tag_of(3) == "b"
         assert list(host.node_ids_with_tag("b")) == [1, 3]
 
     def test_splice_grows_ancestor_regions(self):
         host = parse("<collection><old/></collection>").store
-        host.extend_from(parse("<new/>").store, parent_id=0)
+        host.extend_from(parse("<new/>").store)
         assert host.ends[0] == 3
         assert host.ends[1] == 2  # sibling untouched
 
@@ -112,7 +112,7 @@ class TestExtendFrom:
     def test_repeated_splices_stay_sorted(self):
         host = parse("<collection/>").store
         for _ in range(3):
-            host.extend_from(parse("<doc><leaf/></doc>").store, parent_id=0)
+            host.extend_from(parse("<doc><leaf/></doc>").store)
         ids = list(host.node_ids_with_tag("doc"))
         assert ids == sorted(ids) == [1, 3, 5]
 
@@ -144,7 +144,7 @@ class TestAppendFragment:
         host = parse("<collection/>")
         root = host.root  # materialize before the append
         assert root.end == 1
-        host.append_fragment(parse("<doc/>"), parent_id=0)
+        host.append_fragment(parse("<doc/>"))
         assert root.end == 2
         assert root is host.root
 
@@ -152,7 +152,7 @@ class TestAppendFragment:
         host = parse("<collection><doc/></collection>")
         before = host.nodes_with_tag("doc")
         assert len(before) == 1
-        host.append_fragment(parse("<doc/>"), parent_id=0)
+        host.append_fragment(parse("<doc/>"))
         after = host.nodes_with_tag("doc")
         assert after is before  # extended in place, not rebuilt
         assert [n.node_id for n in after] == [1, 2]
@@ -164,8 +164,8 @@ class TestAppendFragment:
 
     def test_navigation_spans_fragments(self):
         host = parse("<collection/>")
-        host.append_fragment(parse("<a><b>one</b></a>"), parent_id=0)
-        host.append_fragment(parse("<a><b>two</b></a>"), parent_id=0)
+        host.append_fragment(parse("<a><b>one</b></a>"))
+        host.append_fragment(parse("<a><b>two</b></a>"))
         assert [n.tag for n in host.children(host.root)] == ["a", "a"]
         assert host.full_text(host.root) == "one two"
         b_nodes = host.nodes_with_tag("b")
