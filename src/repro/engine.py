@@ -369,15 +369,15 @@ class Engine:
                 compiled = self.context.compile(tpq, max_relaxations=0)
                 scatter = Scatter(self.context, compiled)
                 readdress = scatter.readdress
-                nodes = [
-                    answer.node if readdress is None
-                    else readdress(index, answer.node)
+                node_ids = sorted(
+                    answer.node_id if readdress is None
+                    else readdress(index, answer.node_id)
                     for index, result in scatter.run(
                         compiled.strict_plan(0), "level 0", mode=STRICT
                     )
                     for answer in result.answers
-                ]
-                nodes.sort(key=lambda node: node.node_id)
+                )
+                nodes = [self.context.backend.node(node_id) for node_id in node_ids]
         except Exception:
             REGISTRY.inc("query.errors")
             raise

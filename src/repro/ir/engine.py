@@ -19,7 +19,7 @@ from repro.errors import FleXPathError
 from repro.ir.ftexpr import And, Not, Or, Phrase, Term, Window
 from repro.ir.index import InvertedIndex
 from repro.ir.matching import _phrase_matches, _window_matches, ftexpr_matches
-from repro.ir.scoring import positive_terms, score_region
+from repro.ir.scoring import positive_terms, region_scorer
 from repro.ir.tokenizer import normalize_term, tokenize_and_stem
 
 
@@ -133,17 +133,47 @@ class IREngine:
 
     # -- point queries ---------------------------------------------------------
 
+    def contains_scores(self, expression, node_ids):
+        """``{id: score or None}``: each node's keyword score for the
+        expression, ``None`` where its subtree does not satisfy it.
+
+        The engine's one door for the question joins ask (§5.1): the probe
+        and the bound terms are resolved once per call, the ``idf``
+        weights read once per call (safe: a call runs under the read lock
+        its query holds), each id is probed on its region ``(id,
+        ends[id])`` and only the satisfiers are scored.  The counters stay
+        per node: ``ir.satisfies_calls`` counts the ids probed,
+        ``ir.score_calls`` the satisfiers scored.
+        """
+        probe = self._resolve(expression)
+        ends = self._document.store.ends
+        scores = dict.fromkeys(node_ids)
+        satisfied = [
+            node_id for node_id in scores if probe(node_id, ends[node_id])
+        ]
+        if satisfied:
+            score = region_scorer(self._idf_index, self._bound_terms(expression))
+            for node_id in satisfied:
+                scores[node_id] = score(node_id, ends[node_id])
+        self._m_satisfies_calls += len(scores)
+        self._m_score_calls += len(satisfied)
+        return scores
+
     def satisfies(self, node, expression):
         """True if the subtree of ``node`` satisfies the expression."""
-        self._m_satisfies_calls += 1
-        return self._resolve(expression)(node.start, node.end)
+        return self.contains_scores(expression, (node.start,))[node.start] is not None
 
     def score(self, node, expression):
-        """Keyword score of ``node`` for the expression, in [0, 1]."""
+        """Keyword score of ``node`` for the expression, in [0, 1].
+
+        Defined whether or not the node satisfies the expression (a
+        negated or unmatched branch scores its positive terms all the
+        same); :meth:`contains_scores` scores satisfiers only, with the
+        same scorer.
+        """
         self._m_score_calls += 1
-        return score_region(
-            self._idf_index, self._bound_terms(expression), node.start, node.end
-        )
+        scorer = region_scorer(self._idf_index, self._bound_terms(expression))
+        return scorer(node.start, node.end)
 
     # -- ranked retrieval --------------------------------------------------------
 
@@ -173,16 +203,17 @@ class IREngine:
             for node_id in self._candidate_ids(expression)
             if probe(node_id, ends[node_id])
         )
-        matches = []
-        for index, node_id in enumerate(satisfying):
-            next_index = index + 1
-            if (
-                next_index < len(satisfying)
-                and satisfying[next_index] < ends[node_id]
-            ):
-                continue  # the next satisfying node is a descendant
-            node = self._document.node(node_id)
-            matches.append(IRMatch(node, self.score(node, expression)))
+        minimal = [
+            node_id
+            for node_id, following in zip(satisfying, satisfying[1:] + [None])
+            # a following satisfier inside the region is a descendant
+            if following is None or following >= ends[node_id]
+        ]
+        node_of = self._document.node
+        matches = [
+            IRMatch(node_of(node_id), score)
+            for node_id, score in self.contains_scores(expression, minimal).items()
+        ]
         matches.sort(key=lambda m: (-m.score, m.node.node_id))
         self._most_specific_cache[expression] = (fence, matches)
         return matches

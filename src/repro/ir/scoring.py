@@ -74,29 +74,39 @@ def score_subtree(index, node, stemmed_terms, idf_index=None):
     the unsharded engine's.
     """
     bound = [(term, index.posting(term)) for term in stemmed_terms]
-    return score_region(
-        index if idf_index is None else idf_index, bound, node.start, node.end
-    )
+    score = region_scorer(index if idf_index is None else idf_index, bound)
+    return score(node.start, node.end)
 
 
-def score_region(idf_index, bound_terms, start, end):
-    """Score the region ``[start, end)`` for ``(term, posting)`` pairs.
+def region_scorer(idf_index, bound_terms):
+    """``score(start, end)``: the region ``[start, end)``'s score for
+    ``(term, posting)`` pairs.
 
-    The one implementation of the formula in the module docstring: the IR
+    The one implementation of the formula in the module docstring.  The IR
     engine binds each term to its posting (``None`` for a term the index
-    has never seen) once per expression and calls this per probe; ``idf``
-    weights are read from ``idf_index`` on every call because a sharded
-    corpus' aggregate moves whenever any shard ingests.
+    has never seen) once per expression and builds a scorer per call of
+    its ``contains`` door.  The ``idf`` weights are read here, once per
+    scorer: a sharded corpus' aggregate moves whenever any shard ingests,
+    so a scorer lives no longer than the read-locked call that built it.
+    Sums run in term order, so every score is bit-equal to the per-term
+    accumulation ``Σ idf · sat / Σ idf``.
     """
-    numerator = 0.0
+    weighted = []
     denominator = 0.0
     for term, posting in bound_terms:
         weight = idf(idf_index, term)
         denominator += weight
         if posting is not None:
+            weighted.append((weight, posting))
+
+    def score(start, end):
+        if denominator == 0.0:
+            return 0.0
+        numerator = 0.0
+        for weight, posting in weighted:
             numerator += weight * tf_saturation(
                 posting.subtree_occurrences(start, end)
             )
-    if denominator == 0.0:
-        return 0.0
-    return numerator / denominator
+        return numerator / denominator
+
+    return score

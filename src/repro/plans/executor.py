@@ -35,9 +35,11 @@ whose binding nobody reads (:meth:`~repro.plans.plan.Plan.existential`) is
 a semi-join instead, and a ``contains`` check a filter: both run as
 *rounds* (:meth:`PlanExecutor._rounds`) — one tuple out per surviving
 tuple in, decided by the first alternative or check level whose table maps
-the tuple's id to a gain.  ``backend.node(id)`` is called for an answer,
-for a node a ``contains`` table lacks, and for an attribute predicate
-while a pool is filtered; nowhere else.
+the tuple's id to a gain.  A ``contains`` table is filled through the IR
+engine's id door (``ir.contains_scores``), and an answer carries its id
+and the backend, which builds its view when a caller reads
+``answer.node``: ``backend.node(id)`` is called only for an attribute
+predicate while a pool is filtered.
 """
 
 from __future__ import annotations
@@ -452,9 +454,8 @@ class PlanExecutor:
         whose ``bindings`` are the node ids of the variables somebody reads,
         in plan order (``None`` where an optional join found nothing or a
         dead variable was projected away; an existential join binds
-        nothing); a node view is made only for a winning answer in
-        :meth:`_collect`, for a node a ``contains`` table lacks, and for
-        attribute predicates while a pool is filtered.
+        nothing); a node view is made only for attribute predicates while
+        a pool is filtered.
         """
         actuals = {}
         existential = self._existential(plan)
@@ -614,14 +615,14 @@ class PlanExecutor:
         satisfied = frozenset(signature)
 
         with tracer.span("collect"):
-            node_of = self._backend.node
+            backend = self._backend
             excluded = run.excluded
             answers = [
                 ScoredAnswer(
-                    node=node_of(node_id),
                     score=AnswerScore(ss, ks),
-                    relaxation_level=0,
                     satisfied=satisfied,
+                    node_id=node_id,
+                    source=backend,
                 )
                 for node_id, ks in matches.items()
                 if node_id not in excluded
@@ -799,23 +800,20 @@ class PlanExecutor:
     def _contains_table(self, ftexpr, node_ids, probes, checkpoint=None):
         """``node id → keyword score`` for ``ftexpr``, ``None`` where unsatisfied.
 
-        One node view per node the table lacks: ``ir.satisfies``, then
-        ``ir.score`` for the satisfiers only, with a ``checkpoint`` every
-        :data:`CHECKPOINT_STRIDE` nodes.
+        The ids the table lacks go to ``ir.contains_scores`` one
+        :data:`CHECKPOINT_STRIDE` slice per call, with a ``checkpoint``
+        between slices; no node view is made.
         """
-        ir = self._ir
-        node_of = self._backend.node
+        contains_scores = self._ir.contains_scores
 
         def resolve(missing):
             filled = {}
             for done in range(0, len(missing), CHECKPOINT_STRIDE):
                 if done and checkpoint is not None:
                     checkpoint()
-                for node_id in missing[done:done + CHECKPOINT_STRIDE]:
-                    node = node_of(node_id)
-                    filled[node_id] = (
-                        ir.score(node, ftexpr) if ir.satisfies(node, ftexpr) else None
-                    )
+                filled.update(contains_scores(
+                    ftexpr, missing[done:done + CHECKPOINT_STRIDE]
+                ))
             return filled
 
         return self._eval_cache.table("contains", ftexpr, node_ids, resolve, probes)
@@ -998,10 +996,9 @@ class PlanExecutor:
                         return node_id
                 return None
 
-        # Only the tuple that won its answer node pays for a node view, and
-        # each distinct signature for one relaxation level and one frozen
-        # predicate set, shared by the answers that carry it.
-        node_of = self._backend.node
+        # Each distinct signature pays for one relaxation level and one
+        # frozen predicate set, shared by the answers that carry it.
+        backend = self._backend
         signatures = run.signatures.values
         described = {}
         answers = []
@@ -1019,10 +1016,11 @@ class PlanExecutor:
                 found = described[signature] = (level, frozenset(parts))
             answers.append(
                 ScoredAnswer(
-                    node=node_of(node_id),
                     score=AnswerScore(ss, ks),
                     relaxation_level=found[0],
                     satisfied=found[1],
+                    node_id=node_id,
+                    source=backend,
                 )
             )
         return answers

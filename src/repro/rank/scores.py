@@ -45,27 +45,58 @@ def keyword_score(ir_scores, weights=None):
     return sum(w * s for w, s in zip(weights, ir_scores))
 
 
-@dataclass
 class ScoredAnswer:
     """A query answer: the matched distinguished node plus its scores.
 
     ``relaxation_level`` records the schedule level at which the answer
     first qualified (0 = exact match); ``satisfied`` optionally carries the
     set of satisfied closure predicates for introspection.
+
+    Given a ``node`` the answer holds that view.  The executor instead
+    hands out ``node_id`` and the ``source`` whose ``node(id)`` makes the
+    view, and ``node`` builds it on first read: ranking, merging and
+    deduplication read ids and scores only, so a query pays for the views
+    its caller reads and no others.  Equality compares ``node``,
+    ``score``, ``relaxation_level`` and ``satisfied``, as the fields of a
+    dataclass would.
     """
 
-    node: object
-    score: AnswerScore
-    relaxation_level: int = 0
-    satisfied: frozenset = frozenset()
+    __slots__ = (
+        "node_id", "score", "relaxation_level", "satisfied", "_node", "_source",
+    )
+    __hash__ = None
+
+    def __init__(self, node=None, score=None, relaxation_level=0,
+                 satisfied=frozenset(), node_id=None, source=None):
+        self._node = node
+        self._source = source
+        self.node_id = node_id if node is None else node.node_id
+        self.score = score
+        self.relaxation_level = relaxation_level
+        self.satisfied = satisfied
 
     @property
-    def node_id(self):
-        return self.node.node_id
+    def node(self):
+        node = self._node
+        if node is None:
+            node = self._node = self._source.node(self.node_id)
+        return node
+
+    @node.setter
+    def node(self, node):
+        self._node = node
+        self.node_id = node.node_id
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.node, self.score, self.relaxation_level, self.satisfied
+        ) == (other.node, other.score, other.relaxation_level, other.satisfied)
 
     def __repr__(self):
         return "ScoredAnswer(node=%d, %s, level=%d)" % (
-            self.node.node_id,
+            self.node_id,
             self.score,
             self.relaxation_level,
         )

@@ -20,9 +20,11 @@ lives here:
   Ingest into any shard also moves the corpus-wide idf every shard scores
   with, so the same ingest clears every source's evaluation cache (one
   rule, in ``_on_backend_growth``).
-- ``readdress`` wraps a shard-local answer node with the global id the
+- ``readdress`` maps a shard-local answer id to the global id the
   unsharded corpus would have assigned, so merged answers rank and
-  tie-break exactly like unsharded ones.
+  tie-break exactly like unsharded ones; the answer's
+  :class:`~repro.backend.sharded.GlobalNode` view is built by the sharded
+  backend when a caller first reads it.
 - ``keyword_ceilings`` feeds the scatter's **early termination** (the
   §5.2.1 ``maxScoreGrowth`` bound turned per-shard ceiling): every shard's
   best possible future answer is bounded by the next level's structural
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.backend.sharded import GlobalNode
 from repro.ir.scoring import idf
 from repro.topk.base import QueryContext
 
@@ -92,13 +93,13 @@ class ShardedQueryContext(QueryContext):
         for source in self.sources:
             source.eval_cache.clear()
 
-    def readdress(self, source_index, node):
-        """The shard-local answer ``node`` under its global node id."""
-        return GlobalNode(
-            node,
-            self.backend.translate_id(source_index, node.node_id),
-            source_index,
-        )
+    def readdress(self, source_index, node_id):
+        """The global node id of shard ``source_index``'s answer ``node_id``.
+
+        The :class:`~repro.backend.sharded.GlobalNode` view is left to the
+        answer's first reader: the sharded backend's ``node`` builds it.
+        """
+        return self.backend.translate_id(source_index, node_id)
 
     def keyword_ceilings(self, compiled):
         """Per-shard upper bound on any answer's keyword score.

@@ -64,9 +64,10 @@ class QueryContext:
     mutates, so its private lock is uncontended.
 
     ``sources`` lists the contexts a query's plans execute on — here the
-    context itself.  ``readdress(source_index, node)`` maps a source-local
-    answer node to the id space callers see; None because a plain
-    context's ids already are that space.
+    context itself.  ``readdress(source_index, node_id)`` maps a
+    source-local answer id to the id space callers see; None because a
+    plain context's ids already are that space.  Either way the context's
+    ``backend.node`` builds an answer's view when a caller reads it.
     """
 
     readdress = None
@@ -208,8 +209,8 @@ class Scatter:
       hands each source a private :class:`Tracer`, which records its
       ``shard N`` span, and merges them into the query's afterwards;
     - **addressing** — ``readdress`` is the context's hook taking a
-      source-local answer node to the ids callers see (None for a plain
-      context: no wrapper, no translation);
+      source-local answer id to the id callers see (None for a plain
+      context: no translation);
     - **retirement** — :meth:`retire` is the §5.2.1 ``maxScoreGrowth``
       bound lifted from tuples to sources: a source whose best possible
       next-level answer sorts strictly below the current K-th is never

@@ -74,6 +74,7 @@ class DPO(Strategy):
         remembers = self._remembers_answers
         sessions = scatter.sessions
         readdress = scatter.readdress
+        backend = scatter.context.backend
         sort_key = scheme.sort_key
 
         collected = []  # first appearance wins (answer memory on)
@@ -100,25 +101,26 @@ class DPO(Strategy):
                 # The executor already left out the ids in ``seen``.
                 seen = sessions[index].seen
                 for answer in result.answers:
+                    node_id = answer.node_id
                     if remembers:
-                        seen.add(answer.node_id)
-                    node = answer.node
+                        seen.add(node_id)
                     if readdress is not None:
-                        node = readdress(index, node)
+                        node_id = readdress(index, node_id)
                     scored = ScoredAnswer(
-                        node=node,
                         score=AnswerScore(level_score, answer.score.keyword),
                         relaxation_level=level,
                         satisfied=answer.satisfied,
+                        node_id=node_id,
+                        source=backend,
                     )
                     if remembers:
                         collected.append(scored)
                     else:
-                        current = best.get(node.node_id)
+                        current = best.get(node_id)
                         if current is None or (
                             sort_key(scored.score) > sort_key(current.score)
                         ):
-                            best[node.node_id] = scored
+                            best[node_id] = scored
 
             if remembers and len(answers) >= k and reached_level is None:
                 reached_level = level

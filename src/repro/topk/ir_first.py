@@ -53,15 +53,15 @@ def _satisfiers(context, ftexpr, tag):
     """
 
     def compute():
-        ir = context.ir
         backend = context.backend
         if tag is None:
             ids = range(len(backend))
         else:
             ids = backend.node_ids_with_tag(tag)
         return frozenset(
-            node_id for node_id in ids
-            if ir.satisfies(backend.node(node_id), ftexpr)
+            node_id
+            for node_id, score in context.ir.contains_scores(ftexpr, ids).items()
+            if score is not None
         )
 
     return context.eval_cache.value("satisfiers", (ftexpr, tag), compute)

@@ -94,12 +94,14 @@ class SSO(Strategy):
                 answer for _, result in results for answer in result.answers
             ]
         else:
+            backend = scatter.context.backend
             answers = [
                 ScoredAnswer(
-                    node=readdress(index, answer.node),
                     score=answer.score,
                     relaxation_level=answer.relaxation_level,
                     satisfied=answer.satisfied,
+                    node_id=readdress(index, answer.node_id),
+                    source=backend,
                 )
                 for index, result in results
                 for answer in result.answers

@@ -326,6 +326,31 @@ class TestLifetimeFolds:
         assert delta > 0
         assert REGISTRY.counter("ir.satisfies_calls") == delta
 
+    def test_ir_counters_count_nodes_not_door_calls(self, monkeypatch):
+        """A ``contains`` query asks the IR engine through its id door:
+        ``ir.satisfies_calls`` grows by the ids filled, ``ir.score_calls``
+        by the satisfiers scored — per node, however the ids are batched."""
+        engine = FleXPath(generate_document(target_bytes=40_000, seed=5),
+                          cache=False)
+        ir = engine.context.ir
+        engine.query(CONTAINS_QUERIES[0], k=5)  # the engine's first fold
+        filled = []
+        scored = []
+        door = ir.contains_scores
+
+        def counting(expression, node_ids):
+            scores = door(expression, node_ids)
+            filled.extend(scores)
+            scored.extend(s for s in scores.values() if s is not None)
+            return scores
+
+        monkeypatch.setattr(ir, "contains_scores", counting)
+        REGISTRY.reset()
+        engine.query(CONTAINS_QUERIES[1], k=5)
+        assert len(filled) > len(scored) > 0
+        assert REGISTRY.counter("ir.satisfies_calls") == len(filled)
+        assert REGISTRY.counter("ir.score_calls") == len(scored)
+
 
 class TestQuantiles:
     def test_empty_histogram_has_no_quantiles(self):

@@ -7,12 +7,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro import Engine
 from repro.backend import as_backend
 from repro.errors import QueryTimeoutError
 from repro.ir import IREngine
 from repro.plans import (
     HYBRID_MODE,
     SSO_MODE,
+    STRICT,
     Alternative,
     PlanExecutor,
     build_encoded_plan,
@@ -20,10 +22,10 @@ from repro.plans import (
 )
 from repro.plans import executor as executor_module
 from repro.query import parse_query
-from repro.rank import STRUCTURE_FIRST
+from repro.rank import STRUCTURE_FIRST, rank_answers
 from repro.relax import UNIFORM_WEIGHTS, RelaxationSchedule
 from repro.topk.base import QueryContext
-from repro.xmark import PAPER_Q1, PAPER_Q2, generate_document
+from repro.xmark import PAPER_Q1, PAPER_Q2, PAPER_Q3, generate_document
 from repro.xmltree import parse
 
 #: The two kernels a join step may call on the backend, and the document's
@@ -66,14 +68,40 @@ def encoded_q2(context):
 
 
 class TestViewsOnlyForAnswers:
-    @pytest.mark.parametrize("mode", [SSO_MODE, HYBRID_MODE])
-    def test_node_called_at_most_once_per_answer(self, doc, monkeypatch, mode):
+    """A run makes no node view; reading ``answer.node`` makes one, once."""
+
+    K = 3
+
+    @pytest.mark.parametrize("mode", [SSO_MODE, HYBRID_MODE, STRICT])
+    def test_run_makes_none_and_each_read_answer_one(self, doc, monkeypatch, mode):
         context = QueryContext(doc)
-        plan = encoded_q2(context)
-        calls = count_calls(monkeypatch, context.backend, ["node"])
-        result = context.executor.run(plan, k=10, mode=mode)
+        if mode == STRICT:
+            plan = build_strict_plan(parse_query(PAPER_Q2), UNIFORM_WEIGHTS)
+        else:
+            plan = encoded_q2(context)
+        views = count_calls(monkeypatch, context.backend, ["node"])
+        made = count_calls(monkeypatch, context.document, ["node"])
+        result = context.executor.run(plan, k=self.K, mode=mode)
         assert result.stats.tuples_produced > 10 * len(result.answers)
-        assert 0 < calls["node"] <= len(result.answers)
+        assert len(result.answers) > self.K
+        assert views["node"] == made["node"] == 0
+        top = rank_answers(result.answers, STRUCTURE_FIRST, self.K)
+        read = [answer.node for answer in top] + [answer.node for answer in top]
+        assert views["node"] == made["node"] == self.K
+        assert [node.node_id for node in read[:self.K]] == [
+            answer.node_id for answer in top
+        ]
+
+    @pytest.mark.parametrize("algorithm", ["dpo", "sso", "hybrid", "naive", "ir-first"])
+    def test_a_query_makes_views_for_the_answers_read(self, doc, monkeypatch, algorithm):
+        engine = Engine(doc, cache=False)
+        views = count_calls(monkeypatch, engine.backend, ["node"])
+        made = count_calls(monkeypatch, engine.document, ["node"])
+        result = engine.query(PAPER_Q3, k=self.K, algorithm=algorithm)
+        assert len(result.answers) == self.K
+        assert views["node"] == made["node"] == 0
+        assert [node.node_id for node in result.nodes()] == result.node_ids()
+        assert views["node"] == made["node"] == self.K
 
 
 class TestOneResolutionPerAlternative:
@@ -250,12 +278,14 @@ class TestDeadlineInsideAJoin:
         assert len(calls) == 2 + rounds * (-(-self.FAN // self.STRIDE) - 1)
 
     def test_checks_overshoot_is_at_most_one_stride(self, backend, stats_seen):
+        """The deadline passes as the first ids reach the ``contains``
+        door: no more than one stride of ids ever does."""
         probes_after_deadline = []
 
         class ExpiringIR(IREngine):
-            def satisfies(self, node, expression):
-                probes_after_deadline.append(node.node_id)
-                return super().satisfies(node, expression)
+            def contains_scores(self, expression, node_ids):
+                probes_after_deadline.extend(node_ids)
+                return super().contains_scores(expression, node_ids)
 
         def checkpoint():
             if probes_after_deadline:

@@ -153,31 +153,40 @@ class TestUnit:
     def test_contains_table_holds_scores_and_none(self, context, monkeypatch):
         """One ``node id → score`` table per expression, ``None`` where the
         node does not satisfy it, filled through the executor's resolver:
-        one node view per missing node, ``ir.score`` for satisfiers only."""
+        no node view, one ``ir.contains_scores`` call per stride of
+        missing ids."""
         from repro.ir import parse_ftexpr
+        from repro.plans import executor as executor_module
 
         ir = context.ir
         expr = parse_ftexpr('"gold"')
         executor = PlanExecutor(context.backend, ir, eval_cache=EvaluationCache())
         nodes = list(context.document.nodes())
         ids = {node.node_id for node in nodes}
-        views = []
-        node_of = context.backend.node
+        stride = 3
+        monkeypatch.setattr(executor_module, "CHECKPOINT_STRIDE", stride)
+        views = count_calls(monkeypatch, context.backend, ["node"])
+        made = count_calls(monkeypatch, context.document, ["node"])
+        door_calls = []
+        door = ir.contains_scores
 
-        def counting(node_id):
-            views.append(node_id)
-            return node_of(node_id)
+        def counting(expression, node_ids):
+            door_calls.append(list(node_ids))
+            return door(expression, node_ids)
 
-        monkeypatch.setattr(context.backend, "node", counting)
+        monkeypatch.setattr(ir, "contains_scores", counting)
         table = executor._contains_table(expr, ids, len(ids))
-        assert sorted(views) == sorted(ids)
+        assert views["node"] == made["node"] == 0
+        assert len(door_calls) == -(-len(ids) // stride) > 1
+        assert [i for call in door_calls for i in call] == sorted(ids)
+        assert max(len(call) for call in door_calls) == stride
         for node in nodes:
             expected = ir.score(node, expr) if ir.satisfies(node, expr) else None
             assert table[node.node_id] == expected
         assert {value is None for value in table.values()} == {True, False}
-        del views[:]
+        del door_calls[:]
         assert executor._contains_table(expr, ids, 2 * len(ids)) is table
-        assert views == []  # a warm table makes no node view
+        assert door_calls == []  # a warm table asks the door nothing
         snapshot = executor._eval_cache.metrics_snapshot()
         assert snapshot["eval_cache.contains.misses"] == len(ids)
         assert snapshot["eval_cache.contains.hits"] == 2 * len(ids)

@@ -426,18 +426,19 @@ class TestTwigDeadline:
     )
 
     def test_overshoot_is_bounded_by_one_pool(self, doc):
-        """The deadline passes during the first ``contains`` probe.  Work done
-        after that (probes are the unit — no wall clock, so no flakiness) must
-        stay within the pool being filtered; checking on entry only, the run
-        probed every pool and finished as if there were no deadline."""
+        """The deadline passes as the first ids reach the ``contains`` door.
+        Work done after that (ids probed are the unit — no wall clock, so no
+        flakiness) must stay within the pool being filtered; checking on
+        entry only, the run probed every pool and finished as if there were
+        no deadline."""
         from repro.errors import QueryTimeoutError
 
         probes_after_deadline = []
 
         class ExpiringIR(IREngine):
-            def satisfies(self, node, expression):
-                probes_after_deadline.append(node.node_id)
-                return super().satisfies(node, expression)
+            def contains_scores(self, expression, node_ids):
+                probes_after_deadline.extend(node_ids)
+                return super().contains_scores(expression, node_ids)
 
         def checkpoint():
             if probes_after_deadline:

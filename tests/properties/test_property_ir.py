@@ -133,16 +133,30 @@ def _expressions(expr):
         Or((expr, Term(NEW))),
         And((Not(Term(NEW)), expr)),
         Phrase((NEW, "gold")),
+        Window(3, ("ring", NEW)),
+        Or((Term("the"), expr)),  # a stop word: in no posting, weighs nothing
+        Phrase(("the", "ring")),
     )
 
 
+def _agreeing(ir, expr, node, found):
+    """``satisfies`` and ``score`` of one node, asserting that ``found``
+    (what ``contains_scores`` said of it) agrees: ``None`` exactly where
+    the node does not satisfy, else the very float ``score`` returns."""
+    satisfied = ir.satisfies(node, expr)
+    score = ir.score(node, expr).hex()  # bit-equal, not approx
+    assert (found is not None) == satisfied, (node.start, expr)
+    assert found is None or found.hex() == score, (node.start, expr)
+    return satisfied, score
+
+
 def _observe(ir, document, expressions):
-    """Everything the four probe doors say about every node."""
+    """Everything the five probe doors say about every node."""
     seen = []
     for expr in expressions:
+        scores = ir.contains_scores(expr, range(len(document)))
         for node in document.nodes():
-            seen.append(ir.satisfies(node, expr))
-            seen.append(ir.score(node, expr).hex())  # bit-equal, not approx
+            seen.extend(_agreeing(ir, expr, node, scores[node.node_id]))
         seen.append(ir.count_satisfying(expr))
         seen.extend(ir.count_satisfying(expr, tag) for tag in TAGS)
         seen.append(
@@ -217,6 +231,16 @@ def test_resolved_probes_survive_other_shards_ingest(docs, extra, expr):
     sharded = ShardedBackend.in_memory(2, router=RoundRobinRouter())
 
     def observe_both():
+        tables = {}
+
+        def door(engine, e):
+            # Asked once per engine and expression, for all of its ids.
+            if (engine, e) not in tables:
+                tables[engine, e] = engine.contains_scores(
+                    e, range(len(engine.document))
+                )
+            return tables[engine, e]
+
         seen = []
         for backend in (flat, sharded):
             ir = backend.ir
@@ -232,7 +256,7 @@ def test_resolved_probes_survive_other_shards_ingest(docs, extra, expr):
                     engine = ir
                 probes.append((engine, node))
             seen.append([
-                [(engine.satisfies(n, e), engine.score(n, e).hex())
+                [_agreeing(engine, e, n, door(engine, e)[n.start])
                  for engine, n in probes]
                 + [ir.count_satisfying(e)]
                 + [ir.count_satisfying(e, tag) for tag in TAGS]

@@ -129,6 +129,13 @@ class TestThreadHammer:
                     algorithm = ALGORITHMS[(slot + round_index) % len(ALGORITHMS)]
                     result = engine.query(text, k=5, algorithm=algorithm)
                     assert result.answers is not None
+                    # Answer views are built on first read, here outside
+                    # the read lock and racing the ingester: an appended
+                    # document never moves an id the answer already holds.
+                    tag = text[2:].partition("[")[0]
+                    for answer in result.answers:
+                        assert answer.node.node_id == answer.node_id
+                        assert answer.node.tag == tag
                     # Regression: len/repr take the cache lock, so probing
                     # them mid-put/mid-invalidate reads a consistent size.
                     size = len(engine.result_cache)

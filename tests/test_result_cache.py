@@ -5,7 +5,7 @@ The LRU itself is covered in tests/test_cache.py.
 
 import pytest
 
-from repro import FleXPath, parse_query
+from repro import FleXPath, parse, parse_query
 from repro.collection import Corpus
 from repro.obs import on
 from repro.obs.metrics import REGISTRY
@@ -114,3 +114,84 @@ class TestInvalidation:
         engine.query(QUERY, k=5)
         assert _counter("result_cache.hits") == 0
         assert _counter("result_cache.misses") == 2
+
+
+def _read(engine, nodes):
+    """What a caller reads off answer nodes: id, tag and subtree text."""
+    # A sharded engine has no unified document; its backend renders text.
+    source = engine.document if engine.document is not None else engine.backend
+    return [(node.node_id, node.tag, source.full_text(node)) for node in nodes]
+
+
+class TestLazyAnswerViews:
+    """An answer carries its id and builds its node view on first read.
+    Answers taken out of the result cache and read only after the engine
+    moved on read what a view built at query time read."""
+
+    MORE = (
+        "<article><section><paragraph>more streaming"
+        "</paragraph></section></article>"
+    )
+
+    def _cached(self, engine):
+        """A result served by the cache, and its answers read at query time."""
+        computed = engine.query(QUERY, k=5)
+        reference = _read(engine, [
+            engine.backend.node(answer.node_id) for answer in computed.answers
+        ])
+        assert reference
+        cached = engine.query(QUERY, k=5)
+        assert cached is computed
+        return cached.answers, reference
+
+    def test_after_a_later_ingest(self):
+        corpus = Corpus()
+        corpus.add_text(LIBRARY_XML)
+        engine = FleXPath(corpus)
+        answers, reference = self._cached(engine)
+        corpus.add_text(self.MORE)
+        assert len(engine.result_cache) == 0
+        assert _read(engine, [answer.node for answer in answers]) == reference
+
+    def test_after_compaction(self, tmp_path):
+        engine = FleXPath.open(self._disk_corpus(tmp_path))
+        try:
+            answers, reference = self._cached(engine)
+            engine.backend.add_document(parse(self.MORE), name="more")
+            engine.backend.compact()
+            assert _read(engine, [answer.node for answer in answers]) == reference
+        finally:
+            engine.backend.close()
+
+    def test_on_two_shards(self):
+        from repro.backend.sharded import RoundRobinRouter
+
+        engine = FleXPath.sharded(2, router=RoundRobinRouter())
+        try:
+            for index in range(3):
+                engine.backend.add_document(
+                    parse(LIBRARY_XML), name="doc%d" % index
+                )
+            answers, reference = self._cached(engine)
+            assert {node.shard_index for node in (
+                engine.backend.node(answer.node_id) for answer in answers
+            )} == {0, 1}
+            engine.backend.add_document(parse(self.MORE), name="more")
+            nodes = [answer.node for answer in answers]
+            assert _read(engine, nodes) == reference
+            assert [node.local_node.node_id for node in nodes] == [
+                engine.backend.node(answer.node_id).local_node.node_id
+                for answer in answers
+            ]
+        finally:
+            engine.context.close()
+
+    @staticmethod
+    def _disk_corpus(tmp_path):
+        from repro.backend.disk import DiskBackend
+
+        path = str(tmp_path / "corpus")
+        backend = DiskBackend.create(path)
+        backend.add_document(parse(LIBRARY_XML), name="library")
+        backend.close()
+        return path
