@@ -12,7 +12,7 @@ a name; the name picks the registry prefix (``result_cache.*`` /
 Correctness relies on two facts:
 
 - cached values are immutable in practice (frozen scores, tuples of
-  answers, eagerly built plans), so handing the same object back twice —
+  answers, plans kept once lowered), so handing the same object back twice —
   to any thread — is safe;
 - a backend only changes through ingest, which bumps its ``version``.
   Every entry remembers the version it was stored at and a probe at any

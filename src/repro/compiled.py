@@ -9,9 +9,11 @@ top-K request evaluates* — which levels actually run, which tuples
 survive, what lands in the answer heap — depends on ``k``, the ranking
 scheme, and the live caches.  This module owns the first half:
 
-- :class:`CompiledQuery` is the immutable compile artifact.  Every field
-  is computed eagerly at construction and never mutated afterwards, so one
-  instance may be shared freely between threads and across queries;
+- :class:`CompiledQuery` is the compile artifact: the schedule at
+  construction, each level's plan the first time a strategy asks for it
+  (lowered against the statistics of the artifact's corpus version, kept
+  thereafter), so one instance may be shared freely between threads and
+  across queries;
 - :func:`compile_query` is the pure producer — same inputs, same artifact,
   no side effects on the context;
 - :class:`PlanCache` is the bounded, backend-version-fenced LRU (a named
@@ -25,9 +27,10 @@ policies that walk a :class:`CompiledQuery` with a per-query
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.cache import BoundedLRU
+from repro.errors import EvaluationError
 from repro.plans.lowering import lower_plan
 from repro.plans.plan import build_encoded_plan, build_strict_plan
 from repro.relax.steps import RelaxationSchedule
@@ -37,13 +40,22 @@ from repro.relax.steps import RelaxationSchedule
 class CompiledQuery:
     """Everything knowable about a query before execution begins.
 
-    Immutable by construction: the schedule and both lowered plan
-    families (per-level strict plans for DPO-style walks, per-level
-    encoded plans for SSO/Hybrid single-pass evaluation) are built eagerly
-    and stored in tuples.  A warm :class:`PlanCache` hit therefore skips
-    schedule construction and *all* plan building — what the
-    ``compiled.plan_cache_hit_ratio`` layer of the ``mix_zipf`` end-to-end
-    workload measures.
+    The schedule is built at construction; a level's plan — the strict plan
+    DPO-style walks run, or the encoded plan SSO/Hybrid's single pass runs
+    (Figure 8) — is built and lowered the first time :meth:`strict_plan` or
+    :meth:`encoded_plan` asks for it, and kept: SSO encodes the one level
+    its estimates choose (§5.1.2) and DPO stops at the first level that
+    yields K (§5.1.1), so the levels no strategy reaches are never lowered.
+    A warm :class:`PlanCache` hit skips schedule construction and every
+    plan already lowered — what the ``compiled.plan_cache_hit_ratio``
+    layer of the ``mix_zipf`` end-to-end workload measures.
+
+    A plan is a function of the query and ``corpus_version`` alone: it is
+    lowered against ``statistics`` only while their version still is
+    ``corpus_version``, and asking for an unlowered level after the corpus
+    grew raises :class:`~repro.errors.EvaluationError`.  (The serving path
+    never sees that: the plan cache fences versions, and a query holds the
+    corpus read lock.)  Two threads lowering one level keep one winner.
 
     Instances hash and compare by identity; the cache key lives in
     :func:`cached_compile`, not on the artifact.
@@ -55,8 +67,8 @@ class CompiledQuery:
     skip_useless_gamma: bool
     weights: object
     corpus_version: int
-    strict_plans: tuple
-    encoded_plans: tuple
+    statistics: object
+    _plans: dict = field(default_factory=dict, init=False)
 
     # -- level accessors -----------------------------------------------------
 
@@ -70,11 +82,30 @@ class CompiledQuery:
 
     def strict_plan(self, level):
         """The lowered plan evaluating exactly schedule level ``level``."""
-        return self.strict_plans[level]
+        return self._plan(level, True)
 
     def encoded_plan(self, level):
         """The lowered single-pass plan encoding schedule levels 0..``level``."""
-        return self.encoded_plans[level]
+        return self._plan(level, False)
+
+    def _plan(self, level, strict):
+        key = (level, strict)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        if self.statistics.version != self.corpus_version:
+            raise EvaluationError(
+                "the corpus changed since %r was compiled; compile the query "
+                "again" % self
+            )
+        if strict:
+            built = build_strict_plan(self.schedule.level(level).query,
+                                      self.weights)
+        else:
+            built = build_encoded_plan(self.schedule, level)
+        return self._plans.setdefault(
+            key, lower_plan(built, self.statistics, strict=strict)
+        )
 
     def structural_score(self, level):
         """Compile-time structural score of answers first seen at ``level``."""
@@ -94,37 +125,24 @@ class CompiledQuery:
 
 def compile_query(context, tpq, weights=None, max_relaxations=None,
                   skip_useless_gamma=True):
-    """Produce the immutable :class:`CompiledQuery` for one request shape.
+    """Produce the :class:`CompiledQuery` for one request shape.
 
     Pure with respect to the context: reads the penalty model, the corpus
-    counts and the backend version, writes nothing.  The artifact captures,
-    in order:
-
-    1. the **relaxation schedule** with per-level cumulative penalties
-       (cheapest valid drop first, §4);
-    2. one **strict plan per level** (what DPO and the naive baseline
-       execute, on the holistic twig join) and one **encoded plan per
-       level** (what SSO/Hybrid execute, Figure 8, on the binary
-       pipeline), each lowered from the context's corpus counts
-       (:func:`~repro.plans.lowering.lower_plan`: join order and the
-       estimates of its family's operator) at compile time, so the execute
-       phase never builds a plan.
+    counts and the backend version, writes nothing.  It builds the
+    **relaxation schedule** with per-level cumulative penalties (cheapest
+    valid drop first, §4) and lowers no plan: the artifact lowers a
+    level's strict plan (DPO and the naive baseline, on the holistic twig
+    join) or encoded plan (SSO/Hybrid, Figure 8, on the binary pipeline)
+    from these corpus counts when a strategy first asks for it
+    (:func:`~repro.plans.lowering.lower_plan`: join order and the
+    estimates of its family's operator).
     """
     weights = weights if weights is not None else context.weights
-    statistics = context.statistics
     schedule = RelaxationSchedule(
         tpq,
         context.penalties,
         max_steps=max_relaxations,
         skip_useless_gamma=skip_useless_gamma,
-    )
-    strict_plans = tuple(
-        lower_plan(build_strict_plan(entry.query, weights), statistics, strict=True)
-        for entry in schedule.entries
-    )
-    encoded_plans = tuple(
-        lower_plan(build_encoded_plan(schedule, level), statistics, strict=False)
-        for level in range(len(schedule) + 1)
     )
     return CompiledQuery(
         tpq=tpq,
@@ -133,8 +151,7 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
         skip_useless_gamma=skip_useless_gamma,
         weights=weights,
         corpus_version=context.backend.version,
-        strict_plans=strict_plans,
-        encoded_plans=encoded_plans,
+        statistics=context.statistics,
     )
 
 

@@ -391,8 +391,11 @@ class PlanExecutor:
             tracer=NULL_TRACER, checkpoint=None):
         """Execute ``plan`` and return deduplicated scored answers.
 
-        ``k`` enables threshold pruning (sso/hybrid modes); answers are NOT
-        truncated here — top-K selection is the algorithms' job.
+        ``k`` enables threshold pruning in the sso/hybrid modes, and there
+        the run builds answers for the K best distinct answers only, in the
+        order of :func:`~repro.rank.schemes.rank_answers` (score, then the
+        lower node id): whatever K cannot read is never made.  Strict mode
+        returns every match — DPO, IR-first and naive rank them.
 
         ``pool_restrictions`` optionally maps variables to sets of node ids
         their bindings must come from — the hook the IR-first strategy uses
@@ -570,7 +573,7 @@ class PlanExecutor:
 
         with tracer.span("collect"):
             answers = self._collect(
-                run, plan, tuples, var_positions, scheme, stats
+                run, plan, tuples, var_positions, k, scheme, stats
             )
         return answers, actuals
 
@@ -982,7 +985,7 @@ class PlanExecutor:
             out = [item for item in out if item is not None]
         return out
 
-    def _collect(self, run, plan, tuples, var_positions, scheme, stats):
+    def _collect(self, run, plan, tuples, var_positions, k, scheme, stats):
         stats.answers_before_dedup = len(tuples)
         positions = [var_positions[plan.distinguished]]
         positions.extend(var_positions[var] for var in plan.fallback_chain)
@@ -996,14 +999,25 @@ class PlanExecutor:
                         return node_id
                 return None
 
+        winners = _best_per_key(tuples, answer_of, scheme).items()
+        if k is not None and len(winners) > k:
+            sort_key = scheme.sort_key
+            score = _Score()
+
+            def rank(winner):
+                score.structural = winner[1][1]
+                score.keyword = winner[1][2]
+                return sort_key(score), -winner[0]
+
+            winners = heapq.nlargest(k, winners, key=rank)
+
         # Each distinct signature pays for one relaxation level and one
         # frozen predicate set, shared by the answers that carry it.
         backend = self._backend
         signatures = run.signatures.values
         described = {}
         answers = []
-        for node_id, (_bindings, ss, ks, signature) in _best_per_key(
-                tuples, answer_of, scheme).items():
+        for node_id, (_bindings, ss, ks, signature) in winners:
             found = described.get(signature)
             if found is None:
                 parts = signatures[signature]

@@ -55,8 +55,9 @@ class OperatorEstimate:
     """One operator of a lowered plan with its predicted output cardinality.
 
     ``estimate`` is None for an operator the lowering does not estimate (a
-    ``contains-filter``: its selectivity needs IR probes, and every level's
-    plans are lowered eagerly at compile time).  The executor reports the
+    ``contains-filter``: its selectivity needs IR probes, and a level's
+    plan is lowered, from corpus counts alone, when a strategy first asks
+    for it).  The executor reports the
     matching actual per run (``ExecutionResult.operators``) so
     ``explain --analyze`` can print the two side by side.
     """

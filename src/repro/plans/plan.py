@@ -153,8 +153,8 @@ class Plan:
         first level is the variable it is attached to) and no answer can
         come from it — a pattern leaf that is not the distinguished node.
         That is "not in :meth:`live_after` at its own join, and no check of
-        its own", in one pass: every plan of every level is lowered at
-        compile time.  Such a join only asks *whether* a match exists
+        its own", in one pass: every plan a strategy runs is lowered on
+        the query path.  Such a join only asks *whether* a match exists
         (Figure 8's "``c(section, algorithm)`` or if not … then
         ``d(article, algorithm)``"), so the executor runs it as a semi-join
         and the lowering names it one.

@@ -3,10 +3,11 @@ encoded-plan loop.
 
 SSO never evaluates intermediate relaxation levels: it uses the selectivity
 estimator to decide statically how many of the cheapest relaxations must be
-encoded to yield at least K answers, fetches the prebuilt plan encoding
-exactly those (Figure 8 style) from the compiled artifact, and evaluates it
-once with threshold / ``maxScoreGrowth`` pruning. Intermediate results are
-kept **sorted on score** — the re-sorting cost that motivates Hybrid.
+encoded to yield at least K answers, asks the compiled artifact for the
+plan encoding exactly those (Figure 8 style; lowered on that first ask),
+and evaluates it once with threshold / ``maxScoreGrowth`` pruning.
+Intermediate results are kept **sorted on score** — the re-sorting cost
+that motivates Hybrid.
 
 When the estimate was optimistic and fewer than K answers come back,
 SSO restarts with more relaxations encoded (Algorithm 1, lines 11-13).
@@ -15,15 +16,18 @@ SSO restarts with more relaxations encoded (Algorithm 1, lines 11-13).
 is this class with the executor's bucket mode).  It runs the plan on every
 source of the context through a :class:`~repro.topk.base.Scatter` and
 restarts all of them together while the merged count stays under K: the
-executor's threshold pruning never returns fewer than ``min(K, true
-count)`` answers per source, so the sum over sources reaches K exactly
-when one unsharded run would.  There is no round after the count reaches
-K, hence no K-th score to bound against — retiring sources is a property
-of the level walk.
+executor returns exactly ``min(K, true count)`` answers per source (its
+threshold pruning keeps every potential top-K answer, and it makes
+records for the K best alone), so the sum over sources reaches K exactly
+when one unsharded run would.  Keeping a source's K best under its local
+ids keeps its K best under global ids, because the sharded backend's
+``translate_id`` is increasing within a shard.  There is no round after
+the count reaches K, hence no K-th score to bound against — retiring
+sources is a property of the level walk.
 
 Like every strategy, SSO is stateless: per-query state lives in the
 scatter's per-source :class:`~repro.topk.base.ExecutionSession`, plans in
-the immutable :class:`~repro.compiled.CompiledQuery`.
+the shared :class:`~repro.compiled.CompiledQuery`.
 """
 
 from __future__ import annotations

@@ -82,8 +82,13 @@ class TestViewsOnlyForAnswers:
         views = count_calls(monkeypatch, context.backend, ["node"])
         made = count_calls(monkeypatch, context.document, ["node"])
         result = context.executor.run(plan, k=self.K, mode=mode)
-        assert result.stats.tuples_produced > 10 * len(result.answers)
-        assert len(result.answers) > self.K
+        assert result.stats.tuples_produced > 10 * result.stats.answers_before_dedup
+        if mode == STRICT:
+            assert len(result.answers) > self.K
+        else:
+            # The pipeline makes answer records for the K best alone.
+            assert result.stats.answers_before_dedup > self.K
+            assert len(result.answers) == self.K
         assert views["node"] == made["node"] == 0
         top = rank_answers(result.answers, STRUCTURE_FIRST, self.K)
         read = [answer.node for answer in top] + [answer.node for answer in top]

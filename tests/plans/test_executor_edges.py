@@ -219,7 +219,8 @@ class TestPruneEpsilonTieSlack:
     def test_answers_survive_their_own_guarantee(self, tied, mode):
         executor, plan = tied
         result = executor.run(plan, k=3, mode=mode)
-        assert len(result.answers) == 5
+        assert len(result.answers) == 3
+        assert result.stats.answers_before_dedup == 5
         assert {a.score.structural for a in result.answers} == {0.6}
         assert result.stats.tuples_pruned == 0
 

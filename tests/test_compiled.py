@@ -1,12 +1,20 @@
 """The compile phase: CompiledQuery artifacts, the PlanCache, query_many."""
 
+import threading
+import time
+
 import pytest
 
 from repro import CompiledQuery, FleXPath, compile_query
+from repro import compiled as compiled_module
 from repro.collection import Corpus
+from repro.errors import FleXPathError
 from repro.obs.metrics import REGISTRY
+from repro.plans import build_encoded_plan, build_strict_plan, lower_plan
 from repro.query.parser import parse_query
+from repro.topk import DPO, SSO
 from repro.topk.base import QueryContext
+from repro.xmark import generate_document
 from repro.xmltree.parser import parse
 from tests.conftest import LIBRARY_XML
 
@@ -25,6 +33,19 @@ def context():
     return QueryContext(parse(LIBRARY_XML))
 
 
+@pytest.fixture()
+def lowerings(monkeypatch):
+    """The family (``strict``) of every plan the compile module lowers."""
+    families = []
+
+    def counted(plan, statistics, strict):
+        families.append(strict)
+        return lower_plan(plan, statistics, strict=strict)
+
+    monkeypatch.setattr(compiled_module, "lower_plan", counted)
+    return families
+
+
 class TestCompiledQuery:
     def test_immutable(self, context):
         compiled = compile_query(context, parse_query(QUERY))
@@ -35,19 +56,27 @@ class TestCompiledQuery:
         with pytest.raises(AttributeError):
             del compiled.tpq
 
-    def test_eager_plans_cover_every_level(self, context):
+    def test_plans_are_lowered_on_first_ask_and_kept(self, context, lowerings):
         compiled = compile_query(context, parse_query(QUERY))
+        assert lowerings == []
         levels = len(compiled.schedule) + 1
         assert compiled.level_count() == levels
-        assert len(compiled.strict_plans) == levels
-        assert len(compiled.encoded_plans) == levels
         for level in range(levels):
             strict = compiled.strict_plan(level)
-            assert strict is compiled.strict_plans[level]
-            assert strict.distinguished
+            assert strict is compiled.strict_plan(level)
+            assert strict == lower_plan(
+                build_strict_plan(compiled.schedule.level(level).query,
+                                  compiled.weights),
+                context.statistics, strict=True,
+            )
             encoded = compiled.encoded_plan(level)
-            assert encoded is compiled.encoded_plans[level]
-            assert encoded.distinguished
+            assert encoded is compiled.encoded_plan(level)
+            assert encoded == lower_plan(
+                build_encoded_plan(compiled.schedule, level),
+                context.statistics, strict=False,
+            )
+        assert lowerings.count(True) == lowerings.count(False) == levels
+        assert len(lowerings) == 2 * levels
 
     def test_captures_the_query(self, context):
         tpq = parse_query(QUERY)
@@ -68,6 +97,69 @@ class TestCompiledQuery:
     def test_repr(self, context):
         compiled = compile_query(context, parse_query("//article"))
         assert "CompiledQuery" in repr(compiled)
+
+
+class TestLazyLowering:
+    """A level's plan is lowered when a strategy first asks for it, once,
+    against the statistics of the artifact's corpus version only."""
+
+    def test_dpo_lowers_the_strict_plans_of_the_levels_it_walks(
+            self, context, lowerings):
+        result = DPO(context).top_k(parse_query(QUERY), 3)
+        assert 0 < result.relaxations_used < len(context.schedule(parse_query(QUERY)))
+        assert lowerings == [True] * (result.relaxations_used + 1)
+
+    def test_sso_lowers_one_encoded_plan_per_run(self, lowerings):
+        context = QueryContext(generate_document(target_bytes=40_000, seed=21))
+
+        class Optimist:
+            def estimate(self, query):
+                return 10_000.0  # always claims plenty: every level restarts
+
+        context.estimator = Optimist()
+        result = SSO(context).top_k(
+            parse_query("//item[./description/parlist and ./mailbox/mail/text]"),
+            30,
+        )
+        assert result.restarts > 0
+        assert lowerings == [False] * (result.restarts + 1)
+
+    def test_racing_threads_share_one_plan(self, context, monkeypatch):
+        def slow(plan, statistics, strict):
+            time.sleep(0.05)
+            return lower_plan(plan, statistics, strict=strict)
+
+        monkeypatch.setattr(compiled_module, "lower_plan", slow)
+        compiled = compile_query(context, parse_query(QUERY))
+        barrier = threading.Barrier(2)
+        got = []
+
+        def ask():
+            barrier.wait()
+            got.append(compiled.encoded_plan(1))
+
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(got) == 2
+        assert got[0] is got[1] is compiled.encoded_plan(1)
+
+    def test_a_grown_corpus_fails_closed(self, lowerings):
+        corpus = Corpus()
+        corpus.add_text(LIBRARY_XML)
+        context = QueryContext(corpus)
+        compiled = compile_query(context, parse_query(QUERY))
+        kept = compiled.strict_plan(0)
+        corpus.add_text("<article><section><paragraph>streaming"
+                        "</paragraph></section></article>")
+        with pytest.raises(FleXPathError, match="changed since"):
+            compiled.strict_plan(1)
+        with pytest.raises(FleXPathError, match="changed since"):
+            compiled.encoded_plan(0)
+        assert lowerings == [True]
+        assert compiled.strict_plan(0) is kept
 
 
 class TestContextCompile:
@@ -146,7 +238,9 @@ class TestPlanCacheSurvivesFeedback:
             compiled = compile_query(context, parse_query(QUERY))
             return [
                 ([join.var for join in plan.joins], plan.estimates)
-                for plan in compiled.strict_plans + compiled.encoded_plans
+                for level in range(compiled.level_count())
+                for plan in (compiled.strict_plan(level),
+                             compiled.encoded_plan(level))
             ]
 
         cold = QueryContext(parse(LIBRARY_XML))
