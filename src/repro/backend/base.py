@@ -147,20 +147,22 @@ class StorageBackend(CountFractions, ABC):
     def structural_join_ids(self, ancestor_ids, descendant_ids, axis="ad"):
         """All joining ``(ancestor_id, descendant_id)`` pairs."""
         return structural_join_ids(
-            self.ends, self.levels, ancestor_ids, descendant_ids, axis=axis
+            self.ends, self.parent_ids, ancestor_ids, descendant_ids,
+            axis=axis,
         )
 
     def semi_join_ancestor_ids(self, ancestor_ids, descendant_ids, axis="ad"):
         """Ids from ``ancestor_ids`` with at least one joining descendant."""
         return semi_join_ancestor_ids(
-            self.ends, self.levels, ancestor_ids, descendant_ids, axis=axis
+            self.ends, self.parent_ids, ancestor_ids, descendant_ids,
+            axis=axis,
         )
 
     def max_value_per_ancestor(self, ancestor_ids, descendant_ids,
                                descendant_values, axis="ad"):
         """Per ancestor, the max value over its joining descendants."""
         return max_value_per_ancestor(
-            self.ends, self.levels, ancestor_ids, descendant_ids,
+            self.ends, self.parent_ids, ancestor_ids, descendant_ids,
             descendant_values, axis=axis,
         )
 
@@ -168,7 +170,7 @@ class StorageBackend(CountFractions, ABC):
                                  descendant_ids, axis="ad"):
         """Per descendant, the max value over its joining ancestors."""
         return max_value_per_descendant(
-            self.ends, self.levels, ancestor_ids, ancestor_values,
+            self.ends, self.parent_ids, ancestor_ids, ancestor_values,
             descendant_ids, axis=axis,
         )
 

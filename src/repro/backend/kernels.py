@@ -2,18 +2,27 @@
 
 The physical-layer primitive every join plan is built from (§5.2.1): given
 two id-sorted id sequences, produce all (ancestor, descendant) or
-(parent, child) matches in a single merge pass using a stack of open
-ancestors.  The kernels merge directly over the node table's
-``ends``/``levels`` int columns — in the region encoding a node's id
+(parent, child) matches.  The kernels work directly over the node table's
+``ends``/``parent_ids`` int columns — in the region encoding a node's id
 equals its region start, so the id sequences double as the start-sorted
-inputs and no node views are touched at all.  When one side runs dry
-between matches the merge skips ahead with :func:`bisect.bisect_left`
-instead of stepping descendant by descendant.
+inputs and no node views are touched at all.
 
-The parent-child axis exploits the stack invariant: open ancestors form a
-nested chain, so the *top* of the stack is the deepest open ancestor and is
-the only possible parent (``level == descendant.level - 1``) — no per-pair
-stack scan is needed.
+The ancestor-descendant axis is a single merge pass using a stack of open
+ancestors.  When one side runs dry between matches the merge skips ahead
+with :func:`bisect.bisect_left` instead of stepping descendant by
+descendant.
+
+The parent-child axis reads the parent column: a descendant's only
+possible match is ``parent_ids[d]``, so one set of the ancestors and one
+lookup per descendant answer it.  That visits every descendant, which the
+merge avoids when a few ancestors face a big pool (it skips the gaps
+between their regions), so the two join kernels read the parent column
+only while the descendants number at most :data:`RATIO` times the
+ancestors and merge (or probe) above it.  In the merge the top of the stack
+is the deepest open ancestor and the only possible parent, so it checks
+``parent_ids[d]`` against that one entry.  The two max-value kernels
+always read the parent column for ``pc``: their merges visit every
+descendant anyway.
 
 One kernel is not a merge: :func:`semi_join_ancestor_ids` asks only *whether*
 each ancestor has a match, which the region encoding answers with a binary
@@ -28,7 +37,7 @@ bottom-up pass also uses the probe, and its keyword-score passes are
 :func:`max_value_per_ancestor` / :func:`max_value_per_descendant`.  They
 are part of the :class:`~repro.backend.base.StorageBackend` seam: backends
 may override the protocol's join methods with storage-native
-implementations, and these pure-Python merges are both the reference
+implementations, and these pure-Python kernels are both the reference
 semantics and the default implementation.
 """
 
@@ -36,27 +45,50 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
+#: A ``pc`` join or probe reads the parent column while
+#: ``len(descendant_ids) <= RATIO * len(ancestor_ids)``; above that the
+#: merge's (or the probe's) skipping over the pool costs less than a lookup
+#: per descendant.  On ``pc`` inputs captured from the paper's queries and
+#: from a cold query mix, ratios 4 to 16 gave the lowest summed kernel time;
+#: no ratio (the parent column always) and 1 were slower (DESIGN §9).
+RATIO = 4
+
 
 def _check_axis(axis):
     if axis not in ("ad", "pc"):
         raise ValueError("axis must be 'ad' or 'pc'")
 
 
-def structural_join_ids(ends, levels, ancestor_ids, descendant_ids, axis="ad"):
+def _by_parent_column(ancestor_ids, descendant_ids):
+    """True when a ``pc`` join should read the parent column (see :data:`RATIO`)."""
+    return len(descendant_ids) <= RATIO * len(ancestor_ids)
+
+
+def structural_join_ids(ends, parent_ids, ancestor_ids, descendant_ids,
+                        axis="ad"):
     """Columnar join: id-sorted id sequences in, ``(aid, did)`` pairs out.
 
-    ``ends`` and ``levels`` are the node table's columns (indexable by node
-    id); node ids equal region starts, so the sorted id sequences are the
-    start-sorted join inputs.  Pairs come out sorted by descendant id.
+    ``ends`` and ``parent_ids`` are the node table's columns (indexable by
+    node id); node ids equal region starts, so the sorted id sequences are
+    the start-sorted join inputs.  Pairs come out sorted by descendant id.
     """
     _check_axis(axis)
+    parent_only = axis == "pc"
+    if parent_only and _by_parent_column(ancestor_ids, descendant_ids):
+        wanted = set(ancestor_ids)
+        return [
+            (parent, descendant)
+            for parent, descendant in zip(
+                map(parent_ids.__getitem__, descendant_ids), descendant_ids
+            )
+            if parent in wanted
+        ]
     results = []
     stack = []
     a_index = 0
     d_index = 0
     a_len = len(ancestor_ids)
     d_len = len(descendant_ids)
-    parent_only = axis == "pc"
 
     while d_index < d_len:
         descendant = descendant_ids[d_index]
@@ -82,10 +114,8 @@ def structural_join_ids(ends, levels, ancestor_ids, descendant_ids, axis="ad"):
         while stack and ends[stack[-1]] <= descendant:
             stack.pop()
         if parent_only:
-            if stack:
-                top = stack[-1]
-                if levels[top] + 1 == levels[descendant]:
-                    results.append((top, descendant))
+            if stack and parent_ids[descendant] == stack[-1]:
+                results.append((stack[-1], descendant))
         else:
             for ancestor in stack:
                 results.append((ancestor, descendant))
@@ -93,7 +123,7 @@ def structural_join_ids(ends, levels, ancestor_ids, descendant_ids, axis="ad"):
     return results
 
 
-def semi_join_ancestor_ids(ends, levels, ancestor_ids, descendant_ids,
+def semi_join_ancestor_ids(ends, parent_ids, ancestor_ids, descendant_ids,
                            axis="ad"):
     """Ids from ``ancestor_ids`` with at least one joining descendant.
 
@@ -105,16 +135,21 @@ def semi_join_ancestor_ids(ends, levels, ancestor_ids, descendant_ids,
     where the previous one ended, and an ancestor that starts before the
     descendant already found there needs no search at all.  The
     Python-level work is per *ancestor*, whatever the size of
-    ``descendant_ids``; ``ancestor_ids`` may come in any order and the
-    output keeps it.
+    ``descendant_ids`` — except for a ``pc`` probe against a pool at most
+    :data:`RATIO` times the ancestors, which keeps the ancestors found
+    among the pool's parents instead.  ``ancestor_ids`` may come in any
+    order and the output keeps it.
     """
     _check_axis(axis)
+    parent_only = axis == "pc"
+    if parent_only and _by_parent_column(ancestor_ids, descendant_ids):
+        parents = set(map(parent_ids.__getitem__, descendant_ids))
+        return [ancestor for ancestor in ancestor_ids if ancestor in parents]
     kept = []
     d_len = len(descendant_ids)
     if not d_len:
         return kept
     last = descendant_ids[d_len - 1]
-    parent_only = axis == "pc"
     index = 0  # the first descendant past ``previous``
     previous = -1
     for ancestor in ancestor_ids:
@@ -131,10 +166,9 @@ def semi_join_ancestor_ids(ends, levels, ancestor_ids, descendant_ids,
             if descendant < end:
                 kept.append(ancestor)
             continue
-        child_level = levels[ancestor] + 1
         probe = index
         while descendant < end:
-            if levels[descendant] == child_level:
+            if parent_ids[descendant] == ancestor:
                 kept.append(ancestor)
                 break
             probe = bisect_left(descendant_ids, ends[descendant], probe + 1)
@@ -144,7 +178,7 @@ def semi_join_ancestor_ids(ends, levels, ancestor_ids, descendant_ids,
     return kept
 
 
-def max_value_per_ancestor(ends, levels, ancestor_ids, descendant_ids,
+def max_value_per_ancestor(ends, parent_ids, ancestor_ids, descendant_ids,
                            descendant_values, axis="ad"):
     """Per ancestor, the max value over its joining descendants.
 
@@ -152,21 +186,30 @@ def max_value_per_ancestor(ends, levels, ancestor_ids, descendant_ids,
     ``{ancestor_id: max}`` containing only ancestors with at least one
     match — the max-aggregation half of the twig keyword-score pass.
 
-    The ancestor-descendant axis exploits nesting instead of scanning the
-    stack per match: a descendant's value lands on the *top* open ancestor
-    only, and a popped ancestor folds its accumulated max into the new top
-    (every descendant inside the popped region is inside the region below
-    it too).  The parent-child axis needs no folding — only the top of the
-    stack can be the parent.
+    The parent-child axis folds each descendant's value into its parent's,
+    read off the parent column.  The ancestor-descendant axis exploits
+    nesting instead of scanning the stack per match: a descendant's value
+    lands on the *top* open ancestor only, and a popped ancestor folds its
+    accumulated max into the new top (every descendant inside the popped
+    region is inside the region below it too).
     """
     _check_axis(axis)
     best = {}
+    if axis == "pc":
+        wanted = set(ancestor_ids)
+        for descendant in descendant_ids:
+            parent = parent_ids[descendant]
+            if parent in wanted:
+                value = descendant_values[descendant]
+                current = best.get(parent)
+                if current is None or value > current:
+                    best[parent] = value
+        return best
     stack = []  # [ancestor_id, accumulated_max or None]
     a_index = 0
     d_index = 0
     a_len = len(ancestor_ids)
     d_len = len(descendant_ids)
-    parent_only = axis == "pc"
 
     def close_top():
         ancestor, accumulated = stack.pop()
@@ -175,7 +218,7 @@ def max_value_per_ancestor(ends, levels, ancestor_ids, descendant_ids,
         current = best.get(ancestor)
         if current is None or accumulated > current:
             best[ancestor] = accumulated
-        if not parent_only and stack:
+        if stack:
             below = stack[-1][1]
             if below is None or accumulated > below:
                 stack[-1][1] = accumulated
@@ -197,22 +240,16 @@ def max_value_per_ancestor(ends, levels, ancestor_ids, descendant_ids,
             close_top()
         if stack:
             top = stack[-1]
-            if not parent_only:
-                value = descendant_values[descendant]
-                if top[1] is None or value > top[1]:
-                    top[1] = value
-            elif levels[top[0]] + 1 == levels[descendant]:
-                value = descendant_values[descendant]
-                current = best.get(top[0])
-                if current is None or value > current:
-                    best[top[0]] = value
+            value = descendant_values[descendant]
+            if top[1] is None or value > top[1]:
+                top[1] = value
         d_index += 1
     while stack:
         close_top()
     return best
 
 
-def max_value_per_descendant(ends, levels, ancestor_ids, ancestor_values,
+def max_value_per_descendant(ends, parent_ids, ancestor_ids, ancestor_values,
                              descendant_ids, axis="ad"):
     """Per descendant, the max value over its joining ancestors.
 
@@ -220,18 +257,28 @@ def max_value_per_descendant(ends, levels, ancestor_ids, ancestor_values,
     ``{descendant_id: max}`` containing only descendants with at least one
     match — the top-down half of the twig keyword-score pass.
 
-    Each stack entry carries the running max of the values at and below it
-    (computed when pushed — entries pushed later pop earlier, so the
-    prefix max of the survivors is always the top entry's).
+    The parent-child axis reads each descendant's parent off the parent
+    column.  For the ancestor-descendant axis each stack entry carries the
+    running max of the values at and below it (computed when pushed —
+    entries pushed later pop earlier, so the prefix max of the survivors is
+    always the top entry's).
     """
     _check_axis(axis)
+    if axis == "pc":
+        wanted = set(ancestor_ids)
+        return {
+            descendant: ancestor_values[parent]
+            for parent, descendant in zip(
+                map(parent_ids.__getitem__, descendant_ids), descendant_ids
+            )
+            if parent in wanted
+        }
     result = {}
     stack = []  # (ancestor_id, prefix_max including entries below)
     a_index = 0
     d_index = 0
     a_len = len(ancestor_ids)
     d_len = len(descendant_ids)
-    parent_only = axis == "pc"
 
     while d_index < d_len:
         descendant = descendant_ids[d_index]
@@ -252,10 +299,6 @@ def max_value_per_descendant(ends, levels, ancestor_ids, ancestor_values,
         while stack and ends[stack[-1][0]] <= descendant:
             stack.pop()
         if stack:
-            top = stack[-1]
-            if not parent_only:
-                result[descendant] = top[1]
-            elif levels[top[0]] + 1 == levels[descendant]:
-                result[descendant] = ancestor_values[top[0]]
+            result[descendant] = stack[-1][1]
         d_index += 1
     return result

@@ -45,7 +45,7 @@ predicate while a pool is filtered.
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from operator import itemgetter
@@ -113,7 +113,7 @@ class ExecutionStats:
 
     def as_dict(self):
         """Plain-dict view (JSON-safe; used by traces and benchmarks)."""
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass

@@ -3,8 +3,9 @@
 The builders in :mod:`repro.plans.plan` emit a plan's joins in pattern
 pre-order.  :func:`lower_plan` returns the same
 :class:`~repro.plans.plan.Plan` record with the two corpus-dependent
-decisions made — join order (:func:`order_joins`) and per-operator
-cardinality estimates — each a pure function of the plan and the backend's
+decisions made — join order (:func:`order_joins`: required joins before
+optional ones, cheapest first within each) and per-operator cardinality
+estimates — each a pure function of the plan and the backend's
 counts surface (``tag_count`` / ``pc_count`` / ``ad_count`` /
 ``total_elements``) under §6's uniform-independence assumption.  The
 operators estimated are those of the plan's family, which the caller
@@ -86,30 +87,35 @@ class OperatorEstimate:
 def join_cost_key(cardinality, join, original_rank):
     """The greedy ordering key of one join.
 
-    Cheapest (smallest estimated candidate pool) first; required joins
-    before optional among equals (required joins only shrink the
-    intermediate, optional ones only grow it).  A tag absent from the
-    corpus estimates to zero everywhere, so zero-cardinality joins
-    tie-break *deterministically by variable name* instead of falling back
-    to plan position — without this, two absent tags rank by accident of
-    pre-order and the "cheapest" choice is unstable across equivalent
-    plans.
+    Required joins before optional ones: a required join can only shrink
+    the intermediate and an optional one never does, and a tuple whose
+    remaining joins are all optional already feeds the pipeline's pruning
+    threshold, so putting them last starts the guarantees sooner.
+    Within each group, cheapest (smallest estimated candidate pool) first.
+    A tag absent from the corpus estimates to zero everywhere, so
+    zero-cardinality joins tie-break *deterministically by variable name*
+    instead of falling back to plan position — without this, two absent
+    tags rank by accident of pre-order and the "cheapest" choice is
+    unstable across equivalent plans.  Other ties keep plan position.
     """
     return (
-        cardinality,
         join.optional,
+        cardinality,
         join.var if cardinality == 0 else "",
         original_rank[join.var],
     )
 
 
 def order_joins(plan, statistics):
-    """Greedily reorder ``plan.joins`` cheapest-first, dependencies permitting.
+    """Greedily reorder ``plan.joins``, dependencies permitting.
 
     Every alternative's connect variable and every contains-chain variable
-    must be bound before a join runs; within that constraint the join whose
-    tag has the smallest ``tag_count`` goes first.  Returns the joins as a
-    tuple — the caller rebuilds the plan (plans are shared, never mutated).
+    must be bound before a join runs; within that constraint the ready join
+    with the least :func:`join_cost_key` goes next: a required join before
+    any optional one, then the smallest ``tag_count``.  A strict plan has
+    required joins only, so its order is cheapest-first.  Returns the joins
+    as a tuple — the caller rebuilds the plan (plans are shared, never
+    mutated).
     """
     joins_by_var = {join.var: join for join in plan.joins}
     original_rank = {join.var: index for index, join in enumerate(plan.joins)}

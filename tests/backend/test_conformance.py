@@ -285,7 +285,7 @@ class TestKernels:
         )
         expected = structural_join_ids(
             backend.document.store.ends,
-            backend.document.store.levels,
+            backend.document.store.parent_ids,
             articles,
             sections,
             axis=axis,
@@ -299,7 +299,7 @@ class TestKernels:
             assert backend.semi_join_ancestor_ids(
                 articles, paragraphs, axis=axis
             ) == semi_join_ancestor_ids(
-                store.ends, store.levels, articles, paragraphs, axis=axis
+                store.ends, store.parent_ids, articles, paragraphs, axis=axis
             )
 
 

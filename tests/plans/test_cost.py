@@ -102,6 +102,21 @@ class TestOrderJoins:
             j.var for j in order_joins(backward, stats)
         ]
 
+    def test_required_joins_run_before_optional_ones(self, stats):
+        # An optional join never shrinks the intermediate: it goes last
+        # though its tag is the rarest.
+        (rare, rare_tag), (_, middle_tag), (common, common_tag) = sorted(
+            (stats.tag_count(tag), tag) for tag in ("name", "description", "mail")
+        )
+        assert 0 < rare < common
+        plan = _plan([
+            _join("v1", rare_tag, "v0", optional=True),
+            _join("v2", common_tag, "v0"),
+            _join("v3", middle_tag, "v0"),
+        ])
+        ordered = [join.var for join in order_joins(plan, stats)]
+        assert ordered == ["v3", "v2", "v1"]
+
     def test_dependencies_respected(self, stats):
         query = parse_query(
             "//item[./description/parlist/listitem and ./mailbox/mail]"

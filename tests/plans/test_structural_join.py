@@ -1,7 +1,9 @@
 """The structural-join id kernels against a brute-force reference.
 
-The reference walks parent pointers, so it shares nothing with the
-``ends``/``levels`` region encoding the kernels merge and probe over.
+The reference walks parent pointers.  The ``ad`` kernels share nothing with
+it: they merge and probe over the ``ends`` region column.  A ``pc`` kernel
+reads the same parent column, but above :data:`RATIO` it still finds its
+candidates through ``ends``.
 """
 
 import random
@@ -10,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from repro.backend.kernels import RATIO
 from repro.plans import semi_join_ancestor_ids, structural_join_ids
 from repro.xmltree import parse
 
@@ -45,12 +48,33 @@ def ids(doc, tag):
 
 def kernel(function, doc, ancestor_ids, descendant_ids, axis="ad"):
     store = doc.store
-    return function(store.ends, store.levels, ancestor_ids, descendant_ids,
-                    axis=axis)
+    return function(store.ends, store.parent_ids, ancestor_ids,
+                    descendant_ids, axis=axis)
+
+
+def ratio_sides(ancestor_ids, descendant_ids):
+    """``pc`` inputs cut from these on either side of :data:`RATIO`.
+
+    First at most ``RATIO`` descendants per ancestor (the kernels read the
+    parent column), then more (they merge and probe).
+    """
+    within = descendant_ids[:RATIO * len(ancestor_ids)]
+    beyond = ancestor_ids[:(len(descendant_ids) - 1) // RATIO]
+    assert len(within) <= RATIO * len(ancestor_ids)
+    assert len(descendant_ids) > RATIO * len(beyond)
+    return [(ancestor_ids, within), (beyond, descendant_ids)]
 
 
 def check_both(doc, ancestor_ids, descendant_ids, axis, note=None):
-    """Both kernels against the reference on one pair of inputs."""
+    """Both kernels against the reference on one pair of inputs, and for
+    ``pc`` on inputs cut from it on either side of :data:`RATIO`."""
+    check_kernels(doc, ancestor_ids, descendant_ids, axis, note)
+    if axis == "pc" and len(descendant_ids):
+        for ancestors, descendants in ratio_sides(ancestor_ids, descendant_ids):
+            check_kernels(doc, ancestors, descendants, axis, note)
+
+
+def check_kernels(doc, ancestor_ids, descendant_ids, axis, note):
     expected = brute_force(doc, ancestor_ids, descendant_ids, axis)
     assert kernel(
         structural_join_ids, doc, ancestor_ids, descendant_ids, axis

@@ -23,7 +23,7 @@ def _inputs(doc, ancestor_tag, descendant_tag):
     store = doc.store
     return (
         store.ends,
-        store.levels,
+        store.parent_ids,
         list(store.node_ids_with_tag(ancestor_tag)),
         list(store.node_ids_with_tag(descendant_tag)),
     )
@@ -73,10 +73,10 @@ def _random_tree_xml(rng, max_depth):
 class TestMaxValuePerAncestor:
     @pytest.mark.parametrize("axis", ["ad", "pc"])
     def test_matches_brute_force(self, doc, axis):
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
         values = {d: float(d) * 0.5 for d in descendants}
         got = max_value_per_ancestor(
-            ends, levels, ancestors, descendants, values, axis=axis
+            ends, parents, ancestors, descendants, values, axis=axis
         )
         assert got == _brute_max_per_ancestor(
             doc, ancestors, descendants, values, axis
@@ -86,53 +86,53 @@ class TestMaxValuePerAncestor:
         # The b deep inside the inner a must raise the outer a's max too:
         # a popped region folds its accumulated max into the region below.
         doc = parse("<r><a><a><a><b/></a></a></a></r>")
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
         values = {descendants[0]: 7.0}
         got = max_value_per_ancestor(
-            ends, levels, ancestors, descendants, values, axis="ad"
+            ends, parents, ancestors, descendants, values, axis="ad"
         )
         assert got == {1: 7.0, 2: 7.0, 3: 7.0}
 
     def test_pc_only_parent_scores(self):
         doc = parse("<r><a><a><b/></a></a></r>")
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
         values = {descendants[0]: 3.0}
         got = max_value_per_ancestor(
-            ends, levels, ancestors, descendants, values, axis="pc"
+            ends, parents, ancestors, descendants, values, axis="pc"
         )
         assert got == {2: 3.0}  # the inner a only
 
     def test_max_not_sum(self, doc):
         # Two sibling bs under the nested a: the ancestor takes the larger
         # value, never their sum.
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
         values = {d: 1.0 for d in descendants}
         got = max_value_per_ancestor(
-            ends, levels, ancestors, descendants, values, axis="ad"
+            ends, parents, ancestors, descendants, values, axis="ad"
         )
         assert all(value == 1.0 for value in got.values())
 
     def test_empty_inputs(self, doc):
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
-        assert max_value_per_ancestor(ends, levels, [], descendants,
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
+        assert max_value_per_ancestor(ends, parents, [], descendants,
                                       {d: 1.0 for d in descendants}) == {}
-        assert max_value_per_ancestor(ends, levels, ancestors, [], {}) == {}
+        assert max_value_per_ancestor(ends, parents, ancestors, [], {}) == {}
 
     def test_invalid_axis(self, doc):
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
         with pytest.raises(ValueError):
             max_value_per_ancestor(
-                ends, levels, ancestors, descendants, {}, axis="sideways"
+                ends, parents, ancestors, descendants, {}, axis="sideways"
             )
 
 
 class TestMaxValuePerDescendant:
     @pytest.mark.parametrize("axis", ["ad", "pc"])
     def test_matches_brute_force(self, doc, axis):
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
         values = {a: float(a) * 0.25 for a in ancestors}
         got = max_value_per_descendant(
-            ends, levels, ancestors, values, descendants, axis=axis
+            ends, parents, ancestors, values, descendants, axis=axis
         )
         assert got == _brute_max_per_descendant(
             doc, ancestors, values, descendants, axis
@@ -142,27 +142,27 @@ class TestMaxValuePerDescendant:
         # The outer a carries the larger value; a descendant under the
         # inner a must still see it on the ad axis (prefix max at push).
         doc = parse("<r><a><a><b/></a></a></r>")
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
         values = {1: 9.0, 2: 1.0}
         got = max_value_per_descendant(
-            ends, levels, ancestors, values, descendants, axis="ad"
+            ends, parents, ancestors, values, descendants, axis="ad"
         )
         assert got == {3: 9.0}
 
     def test_pc_uses_parent_value_only(self):
         doc = parse("<r><a><a><b/></a></a></r>")
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
         values = {1: 9.0, 2: 1.0}
         got = max_value_per_descendant(
-            ends, levels, ancestors, values, descendants, axis="pc"
+            ends, parents, ancestors, values, descendants, axis="pc"
         )
         assert got == {3: 1.0}  # the parent's value, not the grandparent's
 
     def test_empty_inputs(self, doc):
-        ends, levels, ancestors, descendants = _inputs(doc, "a", "b")
-        assert max_value_per_descendant(ends, levels, [], {}, descendants) == {}
+        ends, parents, ancestors, descendants = _inputs(doc, "a", "b")
+        assert max_value_per_descendant(ends, parents, [], {}, descendants) == {}
         assert max_value_per_descendant(
-            ends, levels, ancestors, {a: 1.0 for a in ancestors}, []
+            ends, parents, ancestors, {a: 1.0 for a in ancestors}, []
         ) == {}
 
 
@@ -171,17 +171,17 @@ class TestRandomizedAggregation:
         rng = random.Random(41)
         for trial in range(12):
             doc = parse(_random_tree_xml(rng, max_depth=5))
-            ends, levels, xs, ys = _inputs(doc, "x", "y")
+            ends, parents, xs, ys = _inputs(doc, "x", "y")
             d_values = {y: rng.uniform(0.0, 5.0) for y in ys}
             a_values = {x: rng.uniform(0.0, 5.0) for x in xs}
             for axis in ("ad", "pc"):
                 assert max_value_per_ancestor(
-                    ends, levels, xs, ys, d_values, axis=axis
+                    ends, parents, xs, ys, d_values, axis=axis
                 ) == _brute_max_per_ancestor(doc, xs, ys, d_values, axis), (
                     trial, axis,
                 )
                 assert max_value_per_descendant(
-                    ends, levels, xs, a_values, ys, axis=axis
+                    ends, parents, xs, a_values, ys, axis=axis
                 ) == _brute_max_per_descendant(doc, xs, a_values, ys, axis), (
                     trial, axis,
                 )
