@@ -1,6 +1,6 @@
 """The StorageBackend seam between query processing and physical storage.
 
-Everything physical — columnar node-table access (starts/ends/levels/tag-id
+Everything physical — columnar node-table access (ends/parent/tag-id
 columns and the id-level join kernels), inverted-index postings, and corpus
 statistics — sits behind :class:`StorageBackend`.  The query layers
 (``topk/*``, ``plans/*``, ``stats/*``) execute exclusively through this
@@ -20,8 +20,8 @@ The seam is exactly what the query layers call (DESIGN §11), in three
 groups:
 
 - **abstract physical primitives** every backend must provide: the
-  flyweight :attr:`document` view, the columnar :attr:`ends` /
-  :attr:`levels` / :attr:`parent_ids` / :attr:`tag_ids` columns, the
+  node-view :attr:`document`, the columnar :attr:`ends` /
+  :attr:`parent_ids` / :attr:`tag_ids` columns, the
   :attr:`ir` engine (full-text postings), and the statistics counts.
 - **id access** — :meth:`node_ids_with_tag` seeds candidate pools and
   :meth:`node` makes the one view an answer needs; all other navigation
@@ -56,7 +56,7 @@ class StorageBackend(CountFractions, ABC):
     @property
     @abstractmethod
     def document(self):
-        """The flyweight node-view facade over the node table."""
+        """The node-view facade over the node table."""
 
     @property
     def corpus(self):
@@ -113,11 +113,6 @@ class StorageBackend(CountFractions, ABC):
     @abstractmethod
     def ends(self):
         """Region-end column, indexable by node id (id == region start)."""
-
-    @property
-    @abstractmethod
-    def levels(self):
-        """Depth column, indexable by node id."""
 
     @property
     @abstractmethod

@@ -7,9 +7,10 @@ fixed-width (``struct``), and CRC-protected:
 - **Column segment** (``columns.bin``): the whole node table of a sealed
   corpus generation — interned tag dictionary, then the node table exactly
   as :func:`repro.xmltree.storage.write_node_table` lays it out for a WAL
-  fragment (four ``int32`` columns, text table, attribute table), then the
-  per-tag id index and the fragment table (which source document owns
-  which id range).  Readers
+  fragment (three ``int32`` columns, text table, attribute table), then the
+  fragment table (each source document's root id and name; its region end
+  is read off the ``ends`` column).  The tag index is rebuilt from the tag
+  column at open, never stored.  Readers
   ``mmap`` the file: the structural columns hydrate into ``array('i')``
   with one ``frombytes`` memcpy each (they must stay mutable for WAL-tail
   growth), while the text payload — usually the bulk of the bytes — is
@@ -25,7 +26,7 @@ fixed-width (``struct``), and CRC-protected:
   counts of later (WAL-tail) documents simply add, because every document
   is spliced under the excluded virtual root, so none of its pairs or
   distinct parents/ancestors involve a sealed node.  ``#(t)`` is not
-  stored; it is the column segment's tag index.
+  stored; it is the length of a tag's list in the rebuilt tag index.
 
 Plus the **write-ahead log** (``wal.log``): a 16-byte header (magic +
 generation) followed by self-delimiting records ``FXR1 | u32 length |
@@ -83,7 +84,7 @@ STATS_MAGIC = b"FXSTA001"
 WAL_MAGIC = b"FXWAL001"
 RECORD_MAGIC = b"FXR1"
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "MANIFEST.json"
 
 WAL_HEADER_LEN = 16  # 8-byte magic + u64 generation
@@ -149,13 +150,8 @@ def write_columns(path, store, fragments):
     for tag in tags:
         writer.text(tag)
     write_node_table(writer, store)
-    for tag_id in range(len(tags)):
-        ids = store.tag_node_ids.get(tag_id, ())
-        writer.u64(len(ids))
-        writer.int_array(ids)
-    for start, end, name in fragments:
+    for start, _end, name in fragments:
         writer.i32(start)
-        writer.i32(end)
         writer.text(name)
     _seal(writer, path)
 
@@ -166,9 +162,10 @@ def read_columns(path):
     Returns ``(store, fragments, mm)`` — a :class:`ColumnarStore` whose
     structural columns are hydrated ``array('i')`` copies and whose text
     column reads lazily out of the returned ``mmap`` (keep it open for the
-    store's lifetime).  The table passes :func:`validate_node_table`, the
-    stored tag index must equal the one the tag column implies, and the
-    fragment table must list exactly the virtual root's children.
+    store's lifetime), and the ``(start, end, name)`` fragment table.  The
+    table passes :func:`validate_node_table`, which rebuilds the tag
+    index, and the fragment table must list exactly the virtual root's
+    children.
     """
     name = str(path)
     started = perf_counter()
@@ -188,31 +185,17 @@ def read_columns(path):
         _offsets, offsets_at, blob_at = read_text_table(reader, count)
         store.texts = LazyTextColumn(mm, offsets_at, blob_at, count, name)
         store.attribute_table = read_attributes(reader, count)
-        stored_index = {}
-        for tag_id in range(tag_count):
-            ids = reader.int_array(reader.u64())
-            if ids:
-                stored_index[tag_id] = ids
-        fragments = []
-        for _ in range(fragment_count):
-            start = reader.i32()
-            end = reader.i32()
-            fragments.append((start, end, reader.text()))
+        roots = [(reader.i32(), reader.text()) for _ in range(fragment_count)]
         if reader.offset != payload_end:
             reader.fail("trailing bytes after the fragment table")
         store.tag_node_ids = validate_node_table(store, reader)
-        if stored_index != store.tag_node_ids:
-            reader.fail("tag index disagrees with the tag column")
+        fragments = []
         child = 1  # fragments are the root's children, in id order
-        for start, end, _ in fragments:
-            if (
-                start != child
-                or start >= count
-                or store.parent_ids[start]
-                or store.ends[start] != end
-            ):
+        for start, name in roots:
+            if start != child or start >= count or store.parent_ids[start]:
                 reader.fail("fragment %d is not a child of the root" % start)
-            child = end
+            child = store.ends[start]
+            fragments.append((start, child, name))
         if child != count:
             reader.fail("fragment table does not cover the corpus")
         if REGISTRY.enabled:

@@ -3,8 +3,8 @@
 Wraps a :class:`~repro.xmltree.document.Document` or a growable corpus
 (:class:`~repro.collection.Corpus` / ``DocumentCollection``) and serves the
 whole :class:`~repro.backend.base.StorageBackend` surface out of the
-columnar store: tag-index ids and node views through the flyweight
-document, columns by reference, postings through a lazily built
+columnar store: tag-index ids and node views through the document,
+columns by reference, postings through a lazily built
 :class:`~repro.ir.engine.IREngine`, and statistics through a lazily built
 :class:`~repro.backend.stats.DocumentStatistics`.
 
@@ -99,10 +99,6 @@ class InMemoryBackend(StorageBackend):
     @property
     def ends(self):
         return self._document.store.ends
-
-    @property
-    def levels(self):
-        return self._document.store.levels
 
     @property
     def parent_ids(self):

@@ -211,10 +211,6 @@ class ShardedBackend(StorageBackend):
         self._router = router if router is not None else HashRouter()
         self._lock = RWLock()
         self._listeners = []
-        # Per routed document: where it landed and which global-id range
-        # the unsharded corpus would have given it.
-        self._doc_names = []
-        self._doc_shards = []
         # Per shard: (local_start, local_end, global_start), ascending.
         self._id_maps = [[] for _ in self._shards]
         # Global: (global_start, global_end, shard_index, local_start).
@@ -305,20 +301,14 @@ class ShardedBackend(StorageBackend):
         built and reopened through :meth:`open` with a stable router gets
         stable global ids for any single-writer ingest order per shard.
         """
-        fragments = []
         for shard_index, shard in enumerate(self._shards):
-            for start, end, name in shard.corpus.fragments():
-                fragments.append((shard_index, start, end, name))
-        fragments.sort(key=lambda item: (item[0], item[1]))
-        for shard_index, start, end, name in fragments:
-            self._record_fragment(shard_index, start, end, name)
+            for start, end, _name in shard.corpus.fragments():
+                self._record_fragment(shard_index, start, end)
         self._publish_gauges()
 
-    def _record_fragment(self, shard_index, local_start, local_end, name):
+    def _record_fragment(self, shard_index, local_start, local_end):
         global_start = self._next_global
         length = local_end - local_start
-        self._doc_names.append(name)
-        self._doc_shards.append(shard_index)
         self._id_maps[shard_index].append(
             (local_start, local_end, global_start)
         )
@@ -398,7 +388,7 @@ class ShardedBackend(StorageBackend):
         transaction with respect to queries.
         """
         with self._lock.write_locked():
-            doc_index = len(self._doc_names)
+            doc_index = len(self._global_map)
             if name is None:
                 name = "doc%d" % doc_index
             shard_index = self._router.route(
@@ -412,7 +402,7 @@ class ShardedBackend(StorageBackend):
             node = self._shards[shard_index].add_document(document, name=name)
             local_start = node.node_id
             global_start = self._record_fragment(
-                shard_index, local_start, local_start + len(document), name
+                shard_index, local_start, local_start + len(document)
             )
             self._publish_gauges()
             global_end = global_start + len(document)
@@ -424,10 +414,11 @@ class ShardedBackend(StorageBackend):
         if not REGISTRY.enabled:
             return
         REGISTRY.set_gauge("shards.count", len(self._shards))
-        REGISTRY.set_gauge("shards.documents", len(self._doc_names))
+        REGISTRY.set_gauge("shards.documents", len(self._global_map))
         for index, shard in enumerate(self._shards):
-            documents = sum(1 for s in self._doc_shards if s == index)
-            REGISTRY.set_gauge("shards.shard%d.documents" % index, documents)
+            REGISTRY.set_gauge(
+                "shards.shard%d.documents" % index, len(self._id_maps[index])
+            )
             REGISTRY.set_gauge("shards.shard%d.version" % index, shard.version)
             generation = getattr(shard, "generation", None)
             if generation is not None:
@@ -492,7 +483,7 @@ class ShardedBackend(StorageBackend):
         return {
             "kind": type(self).__name__,
             "shards": len(self._shards),
-            "documents": len(self._doc_names),
+            "documents": len(self._global_map),
             "nodes": len(self),
             "version": self.version,
             "corpus_backed": True,
@@ -504,11 +495,10 @@ class ShardedBackend(StorageBackend):
         """Per-shard operational summary for ``/statusz``."""
         topology = []
         for index, shard in enumerate(self._shards):
-            documents = sum(1 for s in self._doc_shards if s == index)
             entry = {
                 "index": index,
                 "kind": type(shard).__name__,
-                "documents": documents,
+                "documents": len(self._id_maps[index]),
                 "nodes": len(shard.document),
                 "version": shard.version,
             }
@@ -522,10 +512,6 @@ class ShardedBackend(StorageBackend):
 
     @property
     def ends(self):
-        raise TypeError("a ShardedBackend has no unified node table")
-
-    @property
-    def levels(self):
         raise TypeError("a ShardedBackend has no unified node table")
 
     @property
@@ -576,5 +562,5 @@ class ShardedBackend(StorageBackend):
 
     def __repr__(self):
         return "ShardedBackend(shards=%d, documents=%d, version=%d)" % (
-            len(self._shards), len(self._doc_names), self.version
+            len(self._shards), len(self._global_map), self.version
         )

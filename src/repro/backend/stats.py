@@ -11,7 +11,7 @@ The paper's formulas read a handful of integers per tag pair:
 
 ``#(t)`` is the length of the tag index's id list.  The pair counts are
 integer counters keyed by tag-id pairs, from one preorder walk over the
-store's ``tag_ids`` and ``levels`` columns — no node view is built.  The
+store's ``tag_ids`` and ``parent_ids`` columns — no node view is built.  The
 walk counts nodes per root-to-node tag path, and ``#pc``/``#ad`` follow
 from those few hundred paths.  For the distinct counts each open ancestor
 keeps the tags seen below it and the tags of its children, dropped when
@@ -118,7 +118,7 @@ class DocumentStatistics(CountFractions):
                 % (self._counted_upto, start_id)
             )
         root = self._virtual_root_id
-        tag_ids, parent_ids, levels = store.tag_ids, store.parent_ids, store.levels
+        tag_ids, parent_ids = store.tag_ids, store.parent_ids
         if start_id == root:
             start_id += 1
         if start_id < end_id and parent_ids[start_id] not in (-1, root):
@@ -129,16 +129,19 @@ class DocumentStatistics(CountFractions):
         counts = self._counts
         pc_parents, ad_ancestors = counts["pc_parents"], counts["ad_ancestors"]
         paths = Counter()  # nodes per root-to-node tag path
-        # One frame per counted ancestor of the current node: its tag path,
-        # the tags seen below it, and the tags of its children.
+        # One frame per counted ancestor of the current node: its id, its
+        # tag path, the tags seen below it, and the tags of its children.
+        # Pre-order puts the parent on the stack; a range root's parent is
+        # not counted, so it empties the stack.
         frames = []
-        base_level = levels[start_id] if start_id < end_id else 0
         for node_id in range(start_id, end_id):
-            depth = levels[node_id] - base_level
-            del frames[depth:]
+            parent = parent_ids[node_id]
+            while frames and frames[-1][0] != parent:
+                frames.pop()
+            depth = len(frames)
             tag = tag_ids[node_id]
             if depth:
-                path, below, children = frames[-1]
+                _, path, _, children = frames[-1]
                 parent_tag = path[-1]
                 path += (tag,)
                 if tag not in children:
@@ -151,15 +154,15 @@ class DocumentStatistics(CountFractions):
                     pc_parents[None, tag] += 1
                     # An ancestor that has seen ``tag`` below it has had
                     # its own ancestors see it too: the walk stops there.
-                    while depth and tag not in frames[depth - 1][1]:
+                    while depth and tag not in frames[depth - 1][2]:
                         depth -= 1
-                        frames[depth][1].add(tag)
+                        frames[depth][2].add(tag)
                         ad_ancestors[path[depth], tag] += 1
                         ad_ancestors[None, tag] += 1
             else:
                 path = (tag,)
             paths[path] += 1
-            frames.append((path, set(), set()))
+            frames.append((node_id, path, set(), set()))
         for path, count in paths.items():
             if len(path) > 1:
                 tag = path[-1]

@@ -41,7 +41,6 @@ class Corpus:
         builder.end()
         self._document = builder.finish()
         self._starts = []  # fragment root ids, ascending
-        self._ends = []  # fragment region ends, aligned with _starts
         self._names = []
         self._listeners = []
         self._version = 0
@@ -56,8 +55,9 @@ class Corpus:
         """Wrap an already-built collection document (disk hydration path).
 
         ``document`` must be a region-encoded collection tree whose node 0
-        is the virtual root; ``fragments`` is the ``(start, end, name)``
-        fragment table persisted alongside it.  ``version`` restores the
+        is the virtual root; ``fragments`` is its ``(start, end, name)``
+        fragment table (the ends are read off the ``ends`` column, not
+        kept).  ``version`` restores the
         mutation counter so result/plan cache fencing survives a reopen —
         a corpus reopened at version ``v`` and then grown is
         indistinguishable from one that was never closed.
@@ -65,7 +65,6 @@ class Corpus:
         self = cls.__new__(cls)
         self._document = document
         self._starts = [start for start, _, _ in fragments]
-        self._ends = [end for _, end, _ in fragments]
         self._names = [name for _, _, name in fragments]
         self._listeners = []
         self._version = version
@@ -74,7 +73,11 @@ class Corpus:
 
     def fragments(self):
         """The ``(start, end, name)`` fragment table, ascending by start."""
-        return list(zip(self._starts, self._ends, self._names))
+        ends = self._document.store.ends
+        return [
+            (start, ends[start], name)
+            for start, name in zip(self._starts, self._names)
+        ]
 
     # -- ingest --------------------------------------------------------------
 
@@ -97,7 +100,6 @@ class Corpus:
             start_id = self._document.append_fragment(document)
             end_id = start_id + len(document)
             self._starts.append(start_id)
-            self._ends.append(end_id)
             self._names.append(name)
             for callback in self._listeners:
                 callback(self, start_id, end_id)
@@ -154,8 +156,10 @@ class Corpus:
 
         The virtual root itself belongs to no source and returns None.
         """
-        index = bisect.bisect_right(self._starts, node.start) - 1
-        if index >= 0 and node.start < self._ends[index]:
+        start = node.start
+        index = bisect.bisect_right(self._starts, start) - 1
+        ends = self._document.store.ends
+        if index >= 0 and start < ends[self._starts[index]]:
             return self._names[index]
         return None
 

@@ -64,7 +64,6 @@ class CompiledQuery:
     tpq: object
     schedule: RelaxationSchedule
     max_relaxations: object
-    skip_useless_gamma: bool
     weights: object
     corpus_version: int
     statistics: object
@@ -123,8 +122,7 @@ class CompiledQuery:
         )
 
 
-def compile_query(context, tpq, weights=None, max_relaxations=None,
-                  skip_useless_gamma=True):
+def compile_query(context, tpq, weights=None, max_relaxations=None):
     """Produce the :class:`CompiledQuery` for one request shape.
 
     Pure with respect to the context: reads the penalty model, the corpus
@@ -139,16 +137,12 @@ def compile_query(context, tpq, weights=None, max_relaxations=None,
     """
     weights = weights if weights is not None else context.weights
     schedule = RelaxationSchedule(
-        tpq,
-        context.penalties,
-        max_steps=max_relaxations,
-        skip_useless_gamma=skip_useless_gamma,
+        tpq, context.penalties, max_steps=max_relaxations
     )
     return CompiledQuery(
         tpq=tpq,
         schedule=schedule,
         max_relaxations=max_relaxations,
-        skip_useless_gamma=skip_useless_gamma,
         weights=weights,
         corpus_version=context.backend.version,
         statistics=context.statistics,
@@ -166,8 +160,7 @@ class PlanCache(BoundedLRU):
     default_max_entries = 256
 
 
-def cached_compile(context, producer, query, max_relaxations,
-                   skip_useless_gamma):
+def cached_compile(context, producer, query, max_relaxations):
     """Probe ``context.plan_cache``; on a miss run ``producer`` and store.
 
     The one probe-compile-store path behind ``QueryContext.compile`` (which
@@ -180,15 +173,10 @@ def cached_compile(context, producer, query, max_relaxations,
     a tracer that wraps that module-level name (benchmarks/e2e/spans.py)
     still sees the compile.
     """
-    key = (query, max_relaxations, skip_useless_gamma)
+    key = (query, max_relaxations)
     version = context.backend.version
     compiled = context.plan_cache.get(key, version)
     if compiled is None:
-        compiled = producer(
-            context,
-            query,
-            max_relaxations=max_relaxations,
-            skip_useless_gamma=skip_useless_gamma,
-        )
+        compiled = producer(context, query, max_relaxations=max_relaxations)
         context.plan_cache.put(key, version, compiled)
     return compiled

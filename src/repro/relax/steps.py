@@ -99,27 +99,23 @@ def _deletable(query, var):
     )
 
 
-def candidate_steps(query, penalty_model, skip_useless_gamma=True):
+def candidate_steps(query, penalty_model):
     """Enumerate the valid single drops on ``query`` with their penalties.
 
-    With ``skip_useless_gamma`` (the default), γ steps whose tag pair has no
-    ancestor-descendant pairs beyond the parent-child ones are omitted: on
-    this document the relaxation cannot admit any new answer (this is how
-    "edge generalization is enabled by recursive nodes in the DTD" — §6 —
-    shows up in the statistics).
+    γ steps whose tag pair has no ancestor-descendant pairs beyond the
+    parent-child ones are omitted: on this document the relaxation cannot
+    admit any new answer (this is how "edge generalization is enabled by
+    recursive nodes in the DTD" — §6 — shows up in the statistics).
     """
     steps = []
     for parent, child, axis in query.edges():
         if axis == PC:
             predicate = Pc(parent, child)
-            gamma_useful = True
-            if skip_useless_gamma:
-                parent_tag = query.tag_of(parent)
-                child_tag = query.tag_of(child)
-                ad_pairs = penalty_model.statistics.ad_count(parent_tag, child_tag)
-                pc_pairs = penalty_model.statistics.pc_count(parent_tag, child_tag)
-                gamma_useful = ad_pairs > pc_pairs
-            if gamma_useful:
+            parent_tag = query.tag_of(parent)
+            child_tag = query.tag_of(child)
+            ad_pairs = penalty_model.statistics.ad_count(parent_tag, child_tag)
+            pc_pairs = penalty_model.statistics.pc_count(parent_tag, child_tag)
+            if ad_pairs > pc_pairs:
                 steps.append(
                     RelaxationStep(
                         GAMMA,
@@ -193,8 +189,7 @@ class RelaxationSchedule:
     time and what SSO prefixes to encode into a single plan.
     """
 
-    def __init__(self, query, penalty_model, max_steps=None,
-                 skip_useless_gamma=True):
+    def __init__(self, query, penalty_model, max_steps=None):
         self.query = query
         self.penalty_model = penalty_model
         self.base_score = sum(
@@ -204,9 +199,7 @@ class RelaxationSchedule:
         current = query
         cumulative = 0.0
         while max_steps is None or len(self.entries) - 1 < max_steps:
-            steps = candidate_steps(
-                current, penalty_model, skip_useless_gamma=skip_useless_gamma
-            )
+            steps = candidate_steps(current, penalty_model)
             if not steps:
                 break
             step = min(steps, key=lambda s: (s.penalty, str(s.dropped)))

@@ -106,24 +106,18 @@ class QueryContext:
         self.plan_cache.invalidate()
         self.eval_cache.clear()
 
-    def compile(self, query, max_relaxations=None, skip_useless_gamma=True):
+    def compile(self, query, max_relaxations=None):
         """Return the :class:`~repro.compiled.CompiledQuery` for a request.
 
         Fronted by the bounded, backend-version-fenced plan cache: a warm
         hit returns the shared immutable artifact without touching the
         schedule or plan builders.
         """
-        return cached_compile(
-            self, compile_query, query, max_relaxations, skip_useless_gamma
-        )
+        return cached_compile(self, compile_query, query, max_relaxations)
 
-    def schedule(self, query, max_steps=None, skip_useless_gamma=True):
+    def schedule(self, query, max_steps=None):
         """Return (and cache) the relaxation schedule for a query."""
-        return self.compile(
-            query,
-            max_relaxations=max_steps,
-            skip_useless_gamma=skip_useless_gamma,
-        ).schedule
+        return self.compile(query, max_relaxations=max_steps).schedule
 
 
 class ExecutionSession:

@@ -1,10 +1,10 @@
 """Region-encoded XML document model.
 
 The substrate every other subsystem builds on: a columnar pre-order node
-store (:class:`ColumnarStore`) with ``(start, end, level)`` region
-encoding, flyweight node views, a tag index for structural joins, a small
-XML parser, programmatic builders, a serializer, and a two-version compact
-dump format.
+store (:class:`ColumnarStore`) with ``(start, end)`` region encoding and
+a parent column, node views, a tag index for structural joins, a small
+XML parser, programmatic builders, a serializer, and a compact dump
+format.
 """
 
 from repro.xmltree.builder import TreeBuilder, build_document, element

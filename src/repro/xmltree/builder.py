@@ -43,7 +43,7 @@ class TreeBuilder:
             raise FleXPathError("document already has a complete root")
         stack = self._stack
         parent_id = stack[-1] if stack else -1
-        node_id = self._store.append(tag, parent_id, len(stack), attributes)
+        node_id = self._store.append(tag, parent_id, attributes)
         stack.append(node_id)
         return node_id
 

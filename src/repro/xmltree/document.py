@@ -3,17 +3,18 @@
 The storage layer is split in two:
 
 - :class:`ColumnarStore` holds the whole node table as parallel columns
-  (typed arrays for the structural fields, a list for direct text, a sparse
+  (three typed arrays for the structure, a list for direct text, a sparse
   attribute table, and an interned tag dictionary).  This is the flattened
   node-table layout of the structural-join literature: per-node memory is a
   handful of machine integers instead of a Python object, and appending a
-  whole parsed fragment is a column splice, not a re-parse.
+  whole parsed fragment is a column splice, not a re-parse.  Depth is not
+  stored: it is the length of a node's parent chain.
 - :class:`Document` is the navigation facade over one store.  It hands out
-  :class:`~repro.xmltree.node.XMLNode` *flyweight views* (created lazily,
-  cached per node id so identity semantics hold) plus the inverted *tag
-  index* mapping each tag to the id-sorted list of nodes carrying it.  Tag
-  lists are the inputs to structural joins; being naturally sorted by
-  region start is what makes the stack-based join a single merge pass.
+  :class:`~repro.xmltree.node.XMLNode` views (made on request, equal when
+  they name the same row) plus the inverted *tag index* mapping each tag
+  to the id-sorted nodes carrying it.  Tag lists are the inputs to
+  structural joins; being naturally sorted by region start is what makes
+  the stack-based join a single merge pass.
 
 Documents built by the parser/builder are immutable; a document owned by a
 :class:`~repro.collection.Corpus` grows in place through
@@ -86,22 +87,22 @@ class ColumnarStore:
 
     - ``tag_ids``    interned tag id (:class:`TagDictionary` ``tags``),
     - ``parent_ids`` parent node id, -1 for a root,
-    - ``levels``     depth (root is 0),
     - ``ends``       region end (exclusive; ``end - id`` is subtree size),
     - ``texts``      direct text (whitespace-normalized, often ``""``),
     - ``attribute_table``  sparse ``node_id -> dict`` (most nodes bare),
     - ``tag_node_ids``     ``tag_id -> array of node ids`` (the tag index,
       id-sorted by construction).
 
-    The structural columns are ``array('i')`` — 16 bytes per node total
-    versus a few hundred for an object-per-node model.
+    The structural columns are ``array('i')`` — 12 bytes per node total
+    versus a few hundred for an object-per-node model.  The tag index is
+    the one derived structure kept: it is rebuilt from ``tag_ids`` on every
+    load, never stored.
     """
 
     __slots__ = (
         "tags",
         "tag_ids",
         "parent_ids",
-        "levels",
         "ends",
         "texts",
         "attribute_table",
@@ -112,7 +113,6 @@ class ColumnarStore:
         self.tags = TagDictionary()
         self.tag_ids = array("i")
         self.parent_ids = array("i")
-        self.levels = array("i")
         self.ends = array("i")
         self.texts = []
         self.attribute_table = {}
@@ -123,13 +123,12 @@ class ColumnarStore:
 
     # -- row construction ----------------------------------------------------
 
-    def append(self, tag, parent_id, level, attributes=None):
+    def append(self, tag, parent_id, attributes=None):
         """Append one node; returns its id. ``end`` starts as a leaf's."""
         node_id = len(self.tag_ids)
         tag_id = self.tags.intern(tag)
         self.tag_ids.append(tag_id)
         self.parent_ids.append(parent_id)
-        self.levels.append(level)
         self.ends.append(node_id + 1)
         self.texts.append("")
         if attributes:
@@ -177,7 +176,6 @@ class ColumnarStore:
         self.parent_ids.extend(
             (pid + base if pid >= 0 else 0) for pid in other.parent_ids
         )
-        self.levels.extend(level + 1 for level in other.levels)
         self.ends.extend(end + base for end in other.ends)
         self.texts.extend(other.texts)
         for node_id, attrs in other.attribute_table.items():
@@ -201,7 +199,7 @@ class ColumnarStore:
 
         total = sum(
             array_.buffer_info()[1] * array_.itemsize
-            for array_ in (self.tag_ids, self.parent_ids, self.levels, self.ends)
+            for array_ in (self.tag_ids, self.parent_ids, self.ends)
         )
         total += sys.getsizeof(self.texts)
         total += sys.getsizeof(self.attribute_table)
@@ -218,43 +216,24 @@ class ColumnarStore:
         return total
 
 
-def _store_from_nodes(nodes):
-    """Build a store from node-like objects (legacy construction path)."""
-    store = ColumnarStore()
-    for node in nodes:
-        node_id = store.append(
-            node.tag,
-            node.parent_id,
-            node.level,
-            getattr(node, "attributes", None) or None,
-        )
-        store.set_text(node_id, node.text)
-        store.close(node_id, node.end)
-    return store
-
-
 class Document:
     """An ordered, region-encoded XML document over a :class:`ColumnarStore`.
 
     Instances are built by :class:`~repro.xmltree.builder.TreeBuilder`, by
     :func:`~repro.xmltree.parser.parse`, or by
     :func:`~repro.xmltree.storage.load_document`; direct construction is
-    internal.  Node views are lazy and cached, so ``doc.node(i)`` always
-    returns the same object for the same id.
+    internal.  The document keeps nothing per node beside its store: each
+    ``doc.node(i)`` is a new view, equal to (and hashing like) every other
+    view of row ``i``.
     """
 
-    def __init__(self, store, tag_index=None):
-        if not isinstance(store, ColumnarStore):
-            # Legacy signature: a list of node-like objects (+ ignored index).
-            store = _store_from_nodes(store)
+    def __init__(self, store):
         self._store = store
-        self._views = [None] * len(store)
-        self._tag_views = {}
 
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self):
-        return len(self._views)
+        return len(self._store)
 
     @property
     def store(self):
@@ -262,24 +241,24 @@ class Document:
         return self._store
 
     def node(self, node_id):
-        """Return the (cached flyweight) node with the given id."""
+        """Return a view of the node with the given id."""
+        count = len(self._store)
         if node_id < 0:
-            node_id += len(self._views)
-        view = self._views[node_id]
-        if view is None:
-            view = self._views[node_id] = XMLNode(self._store, node_id)
-        return view
+            node_id += count
+        if not 0 <= node_id < count:
+            raise IndexError("node id out of range")
+        return XMLNode(self._store, node_id)
 
     @property
     def root(self):
         """Return the root node."""
-        if not self._views:
+        if not len(self._store):
             raise FleXPathError("document is empty")
         return self.node(0)
 
     def nodes(self):
         """Iterate over all nodes in document (pre-)order."""
-        return (self.node(node_id) for node_id in range(len(self._views)))
+        return (self.node(node_id) for node_id in range(len(self._store)))
 
     @property
     def tags(self):
@@ -287,16 +266,8 @@ class Document:
         return set(self._store.tags)
 
     def nodes_with_tag(self, tag):
-        """Return the id-sorted list of nodes with the given tag.
-
-        The returned list is shared with the index; callers must not
-        mutate it.
-        """
-        views = self._tag_views.get(tag)
-        if views is None:
-            views = [self.node(i) for i in self._store.node_ids_with_tag(tag)]
-            self._tag_views[tag] = views
-        return views
+        """Return the id-sorted list of nodes with the given tag."""
+        return [self.node(i) for i in self._store.node_ids_with_tag(tag)]
 
     def count(self, tag):
         """Return the number of elements with the given tag."""
@@ -428,31 +399,26 @@ class Document:
         """Splice another document's columns in as the root's last subtree.
 
         O(len(fragment)); no re-parse, no node copying.  The root's region
-        end (and its view, if materialized) grows in place, and cached tag
-        lists are extended incrementally (new ids exceed all old ids, so
-        they stay id-sorted).  Returns the new node id of the fragment root.
+        end grows in place, so every view of the root reads the new end.
+        Returns the new node id of the fragment root.
         """
         if fragment is self:
             raise FleXPathError("cannot append a document to itself")
-        base = self._store.extend_from(fragment._store)
-        self._views.extend([None] * (len(self._store) - base))
-        if self._views[0] is not None:
-            self._views[0].end = self._store.ends[0]
-        for tag, views in self._tag_views.items():
-            ids = self._store.node_ids_with_tag(tag)
-            for node_id in ids[len(views):]:
-                views.append(self.node(node_id))
-        return base
+        return self._store.extend_from(fragment._store)
 
     # -- introspection -----------------------------------------------------
 
     def stats_summary(self):
         """Return a small dict describing the document (for logging/tests)."""
         store = self._store
+        depths = [0] * len(store)
+        parent_ids = store.parent_ids
+        for node_id in range(1, len(store)):
+            depths[node_id] = depths[parent_ids[node_id]] + 1
         return {
             "nodes": len(store),
             "tags": len(store.tags),
-            "depth": max(store.levels, default=0),
+            "depth": max(depths, default=0),
             "text_bytes": sum(len(text) for text in store.texts),
         }
 

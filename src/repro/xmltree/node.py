@@ -15,15 +15,16 @@ O(1) to test:
 - ``pc(a, d)``  iff  ``ad(a, d) and d.level == a.level + 1``
 
 This is the encoding used by the stack-based structural join of
-Al-Khalifa et al. (ICDE 2002), which the FleXPath paper builds on.
+Al-Khalifa et al. (ICDE 2002), which the FleXPath paper builds on.  The
+store keeps ``start`` (the id) and ``end``, and a parent column instead of
+``level``: ``pc(a, d)`` is ``d.parent_id == a.start``, and ``level`` is
+the length of the parent chain, walked when asked for.
 
-Since the columnar refactor an ``XMLNode`` is a *flyweight view* over one
-row of a :class:`~repro.xmltree.document.ColumnarStore`: the hot structural
-fields (``start``, ``end``, ``level``, ``tag``, ``parent_id``) are copied
-into slots at view creation so joins pay plain attribute access, while the
-cold fields (``text``, ``attributes``, ``child_ids``) read through to the
-columns on demand.  Views are created lazily and cached by the owning
-document, so object identity per node id is preserved.
+An ``XMLNode`` is a *view* of one row of a
+:class:`~repro.xmltree.document.ColumnarStore`: it holds only the store and
+the node id and reads every field from the columns, so a view taken before
+a corpus grows reads the grown root region after it.  Two views are equal,
+and hash alike, when they name the same row of the same store.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _EMPTY_ATTRIBUTES = {}
 
 
 class XMLNode:
-    """A flyweight view of a single element node.
+    """A view of a single element node.
 
     Attributes:
         node_id: pre-order rank; equal to ``start``.
@@ -49,26 +50,39 @@ class XMLNode:
             from the pre-order layout, not stored).
     """
 
-    __slots__ = (
-        "_store",
-        "node_id",
-        "start",
-        "end",
-        "level",
-        "tag",
-        "parent_id",
-    )
+    __slots__ = ("_store", "node_id")
 
     def __init__(self, store, node_id):
         self._store = store
         self.node_id = node_id
-        self.start = node_id
-        self.end = store.ends[node_id]
-        self.level = store.levels[node_id]
-        self.tag = store.tags.name_of(store.tag_ids[node_id])
-        self.parent_id = store.parent_ids[node_id]
 
     # -- column-backed fields ----------------------------------------------
+
+    @property
+    def start(self):
+        return self.node_id
+
+    @property
+    def end(self):
+        return self._store.ends[self.node_id]
+
+    @property
+    def parent_id(self):
+        return self._store.parent_ids[self.node_id]
+
+    @property
+    def level(self):
+        parent_ids = self._store.parent_ids
+        level = 0
+        parent_id = parent_ids[self.node_id]
+        while parent_id >= 0:
+            level += 1
+            parent_id = parent_ids[parent_id]
+        return level
+
+    @property
+    def tag(self):
+        return self._store.tag_of(self.node_id)
 
     @property
     def text(self):
@@ -103,7 +117,17 @@ class XMLNode:
 
     def is_parent_of(self, other):
         """Return True if this node is the parent of ``other``."""
-        return self.contains_region(other) and other.level == self.level + 1
+        return other.parent_id == self.node_id
+
+    # -- identity ------------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, XMLNode):
+            return NotImplemented
+        return self.node_id == other.node_id and self._store is other._store
+
+    def __hash__(self):
+        return hash((self._store, self.node_id))
 
     def __repr__(self):
         return "XMLNode(id=%d, tag=%r, start=%d, end=%d, level=%d)" % (

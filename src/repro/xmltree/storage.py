@@ -1,9 +1,10 @@
 """The node-table codec: the one place a document becomes bytes and back.
 
 A document is a pre-order node table (DESIGN §5): an interned tag
-dictionary, four ``int32`` columns (tag id, parent id, level, region end),
-a text column and a sparse attribute table.  Every persistent form of that
-table goes through this module:
+dictionary, three ``int32`` columns (tag id, parent id, region end), a
+text column and a sparse attribute table.  Nothing the columns imply is
+stored: depth and the tag index are derived on load.  Every persistent
+form of that table goes through this module:
 
 - :func:`encode_fragment` / :func:`decode_fragment` — the *fragment*
   payload, which is also the write-ahead log's record payload::
@@ -12,7 +13,7 @@ table goes through this module:
       node table
 
 - :func:`write_node_table` — the part a sealed column segment shares with
-  the fragment: the four columns as raw little-endian ``int32`` arrays, the
+  the fragment: the three columns as raw little-endian ``int32`` arrays, the
   text table (``u64`` offset count, ``u64`` offsets, ``u64`` blob length,
   one UTF-8 blob) and the attribute table (``u32`` rows of ``i32`` node id,
   ``u32`` pair count, key/value texts), where *text* is a ``u32`` byte
@@ -41,7 +42,7 @@ from repro.errors import CorruptStorageError
 from repro.xmltree.document import ColumnarStore, Document, TagDictionary
 from repro.xmltree.parser import parse_file
 
-DUMP_MAGIC = b"FXDOC001"
+DUMP_MAGIC = b"FXDOC002"
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -168,11 +169,10 @@ def check_envelope(buffer, magic, name):
 
 
 def write_node_table(writer, store):
-    """The four columns, the text table and the attribute table."""
+    """The three columns, the text table and the attribute table."""
     count = len(store)
     writer.int_array(store.tag_ids)
     writer.int_array(store.parent_ids)
-    writer.int_array(store.levels)
     writer.int_array(store.ends)
     blobs = [text.encode("utf-8") for text in store.texts]
     writer.u64(count + 1)
@@ -204,10 +204,9 @@ def read_tags(reader, tag_count):
 
 
 def read_columns_into(store, reader, count):
-    """Read the four ``int32`` columns into ``store``."""
+    """Read the three ``int32`` columns into ``store``."""
     store.tag_ids = reader.int_array(count)
     store.parent_ids = reader.int_array(count)
-    store.levels = reader.int_array(count)
     store.ends = reader.int_array(count)
 
 
@@ -250,24 +249,24 @@ def read_attributes(reader, count):
 def validate_node_table(store, reader):
     """Refuse a table that is not one pre-order region-encoded tree.
 
-    Checks that node 0 is the only root (parent -1, level 0, end = count),
-    every other parent is an earlier node, every level is its parent's + 1,
-    every end lies in ``(id, parent's end]``, and every tag id is known.
-    Nesting puts each subtree inside its region, so ``Σ(end - id) ==
-    Σ(level + 1)`` holds only when every region is exactly its subtree.
-    Returns the tag index rebuilt from the tag column.
+    Checks that node 0 is the only root (parent -1, end = count), every
+    other parent is an earlier node, every end lies in ``(id, parent's
+    end]``, and every tag id is known.  Nesting puts each subtree inside
+    its region, so ``Σ(end - id) == Σ(depth + 1)``, with each depth one
+    more than its parent's, holds only when every region is exactly its
+    subtree.  Returns the tag index rebuilt from the tag column.
     """
     count = len(store)
     if not count:
         reader.fail("empty node table")
     # Plain-list copies: indexing a list hands back its ints, an array's
     # indexing boxes a new one each time.
-    tag_ids, parent_ids, levels, ends = (
-        column.tolist()
-        for column in (store.tag_ids, store.parent_ids, store.levels, store.ends)
+    tag_ids, parent_ids, ends = (
+        column.tolist() for column in (store.tag_ids, store.parent_ids, store.ends)
     )
-    if parent_ids[0] != -1 or levels[0] or ends[0] != count:
+    if parent_ids[0] != -1 or ends[0] != count:
         reader.fail("node 0 is not the root of the table")
+    depths = [0] * count
     index = [[] for _ in range(len(store.tags))]
     # Keyed by tag id, so an unknown (even negative) id is a KeyError.
     appends = dict(enumerate(ids.append for ids in index))
@@ -275,25 +274,18 @@ def validate_node_table(store, reader):
         appends[tag_ids[0]](0)
         for node_id in range(1, count):
             parent_id = parent_ids[node_id]
-            if not (
-                0 <= parent_id < node_id
-                and levels[node_id] == levels[parent_id] + 1
-                and node_id < ends[node_id] <= ends[parent_id]
-            ):
-                if not 0 <= parent_id < node_id:
-                    problem = "impossible parent %d" % parent_id
-                elif levels[node_id] != levels[parent_id] + 1:
-                    problem = "level %d under a level-%d parent" % (
-                        levels[node_id],
-                        levels[parent_id],
-                    )
-                else:
-                    problem = "region end %d outside its parent's" % ends[node_id]
-                reader.fail("node %d has %s" % (node_id, problem))
+            if not 0 <= parent_id < node_id:
+                reader.fail("node %d has impossible parent %d" % (node_id, parent_id))
+            if not node_id < ends[node_id] <= ends[parent_id]:
+                reader.fail(
+                    "node %d has region end %d outside its parent's"
+                    % (node_id, ends[node_id])
+                )
+            depths[node_id] = depths[parent_id] + 1
             appends[tag_ids[node_id]](node_id)
     except KeyError as error:
         reader.fail("unknown tag id %s" % error)
-    if sum(ends) - count * (count - 1) // 2 != sum(levels) + count:
+    if sum(ends) - count * (count - 1) // 2 != sum(depths) + count:
         reader.fail("region ends disagree with the parent column")
     return {tag_id: array("i", ids) for tag_id, ids in enumerate(index) if ids}
 

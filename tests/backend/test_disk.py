@@ -3,10 +3,11 @@
 import os
 import shutil
 import struct
+import zlib
 
 import pytest
 
-from repro.backend import diskfmt
+from repro.backend import diskfmt, open_path
 from repro.backend.disk import DiskBackend
 from repro.engine import Engine
 from repro.errors import CorruptStorageError, FleXPathError
@@ -29,7 +30,6 @@ def _fingerprint(backend):
         "columns": (
             bytes(store.tag_ids),
             bytes(store.parent_ids),
-            bytes(store.levels),
             bytes(store.ends),
         ),
         "tags": store.tags.names(),
@@ -337,6 +337,28 @@ class TestSegmentCorruption:
         diskfmt.write_manifest(corpus_dir, manifest)
         with pytest.raises(CorruptStorageError, match="unsupported corpus format 1"):
             DiskBackend.open(corpus_dir)
+
+    def test_format_2_corpus_is_refused(self, seeded, corpus_dir):
+        """Format 2 stored a depth column, the tag index and fragment ends:
+        its manifest, and its segment under a current manifest, are refused
+        before a column is read."""
+        seeded.compact()
+        seeded.close()
+        path = self._segment_file(corpus_dir, "columns.bin")
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        struct.pack_into("<I", data, len(diskfmt.SEGMENT_MAGIC), 2)
+        struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[:-4]))
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with pytest.raises(CorruptStorageError, match="format version 2"):
+            DiskBackend.open(corpus_dir)
+        manifest = diskfmt.read_manifest(corpus_dir)
+        manifest["format"] = 2
+        diskfmt.write_manifest(corpus_dir, manifest)
+        for opener in (DiskBackend.open, open_path, Engine.open):
+            with pytest.raises(FleXPathError, match="unsupported corpus format 2"):
+                opener(corpus_dir)
 
     @pytest.mark.parametrize("key", [(99, None), (None, 99), (-2, 0)])
     def test_stats_row_naming_an_unknown_tag_is_corrupt(

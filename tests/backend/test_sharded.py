@@ -65,7 +65,8 @@ def _flat(docs=DOCS):
 class TestRouting:
     def test_round_robin_interleaves(self):
         backend = _sharded(3)
-        assert backend._doc_shards == [0, 1, 2, 0, 1]
+        shards = [shard for _, _, shard, _ in backend._global_map]
+        assert shards == [0, 1, 2, 0, 1]
 
     def test_hash_router_is_stable_across_instances(self):
         names = ["doc%d" % index for index in range(20)]
@@ -147,7 +148,7 @@ class TestIdTranslation:
         backend = _sharded(2)
         assert backend.document is None
         assert backend.corpus is None
-        for attribute in ("ends", "levels", "parent_ids", "tag_ids"):
+        for attribute in ("ends", "parent_ids", "tag_ids"):
             with pytest.raises(TypeError):
                 getattr(backend, attribute)
 
@@ -463,7 +464,7 @@ class TestShardEvalCaches:
         assert contains.data
         before = idf(warm.backend.ir.index, "gold")
         warm.backend.add_document(parse(late), name="doc3")
-        assert warm.backend._doc_shards[-1] == 1
+        assert warm.backend._global_map[-1][2] == 1
         assert idf(warm.backend.ir.index, "gold") != before
         assert not contains.data
         fresh = build(docs + (late,))

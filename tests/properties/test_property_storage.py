@@ -3,6 +3,7 @@
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,3 +139,107 @@ def test_index_dump_round_trips(doc):
             mm.close()
     finally:
         os.unlink(path)
+
+
+@st.composite
+def documents_with_depths(draw, max_children=2, max_depth=3):
+    """A random small document and, per node id, the depth it was opened at."""
+    from repro.xmltree.builder import TreeBuilder
+
+    builder = TreeBuilder()
+    depths = []
+
+    def emit(depth):
+        builder.start(draw(st.sampled_from(("a", "b", "c"))))
+        depths.append(depth)
+        if depth < max_depth:
+            for _ in range(draw(st.integers(0, max_children))):
+                emit(depth + 1)
+        builder.end()
+
+    emit(0)
+    return builder.finish(), depths
+
+
+def _is_tree(parent_ids, ends, tag_ids, tag_count):
+    """Whether the columns are one pre-order region-encoded tree: node 0
+    the only root, earlier parents, known tags, and each region exactly
+    the node and the nodes whose parent chain reaches it."""
+    count = len(parent_ids)
+    if parent_ids[0] != -1 or not all(0 <= tag < tag_count for tag in tag_ids):
+        return False
+    if not all(0 <= parent_ids[node] < node for node in range(1, count)):
+        return False
+    subtrees = [{node} for node in range(count)]
+    for node in range(1, count):
+        ancestor = parent_ids[node]
+        while ancestor >= 0:
+            subtrees[ancestor].add(node)
+            ancestor = parent_ids[ancestor]
+    return all(
+        subtrees[node] == set(range(node, ends[node])) for node in range(count)
+    )
+
+
+@given(documents_with_depths())
+@settings(max_examples=25, deadline=None)
+def test_levels_are_derived_and_every_broken_cell_is_refused(case):
+    """Dump, WAL record and column segment round trips keep the builder's
+    nesting depth as the derived ``level``, and a single edited parent,
+    end or tag cell is refused exactly when the table stops being a tree."""
+    from repro.backend import diskfmt
+    from repro.collection import Corpus
+    from repro.errors import CorruptStorageError
+    from repro.xmltree.document import Document
+    from repro.xmltree.storage import decode_fragment, encode_fragment
+
+    doc, depths = case
+    handle, path = tempfile.mkstemp(suffix=".fxd")
+    os.close(handle)
+    try:
+        dump_document(doc, path)
+        dumped = load_document(path)
+        corpus = Corpus()
+        corpus.add_document(doc, name="doc")
+        diskfmt.write_columns(path, corpus.document.store, corpus.fragments())
+        store, fragments, mm = diskfmt.read_columns(path)
+        try:
+            assert fragments == [(1, len(doc) + 1, "doc")]
+            sealed = [store.parent_ids, store.ends]
+            segment_levels = [node.level for node in Document(store).nodes()]
+        finally:
+            mm.close()
+    finally:
+        os.unlink(path)
+    logged = decode_fragment(encode_fragment(doc, "doc"))[0]
+    for copy in (doc, dumped, logged):
+        assert [node.level for node in copy.nodes()] == depths
+    assert segment_levels == [0] + [depth + 1 for depth in depths]
+    assert sealed == [corpus.document.store.parent_ids, corpus.document.store.ends]
+
+    store = doc.store
+    count, tag_count = len(store), len(store.tags)
+    edits = [
+        (store.parent_ids, range(-2, count + 1)),
+        (store.ends, range(0, count + 2)),
+        (store.tag_ids, range(-1, tag_count + 1)),
+    ]
+    for column, values in edits:
+        for node_id in range(count):
+            original = column[node_id]
+            for value in values:
+                if value == original:
+                    continue
+                column[node_id] = value
+                payload = encode_fragment(doc, "doc")
+                columns = (store.parent_ids, store.ends, store.tag_ids)
+                tree = _is_tree(*columns, tag_count)
+                expected = tuple(bytes(edited) for edited in columns)
+                column[node_id] = original
+                if tree:
+                    decoded = decode_fragment(payload)[0].store
+                    columns = (decoded.parent_ids, decoded.ends, decoded.tag_ids)
+                    assert tuple(bytes(column) for column in columns) == expected
+                else:
+                    with pytest.raises(CorruptStorageError):
+                        decode_fragment(payload)

@@ -56,11 +56,6 @@ class TestCandidateSteps:
         steps = candidate_steps(query, model)
         assert any(step.operator == LAMBDA for step in steps)
 
-    def test_gamma_kept_without_skip_flag(self, model):
-        query = parse_query("//article/section")
-        steps = candidate_steps(query, model, skip_useless_gamma=False)
-        assert any(step.operator == GAMMA for step in steps)
-
     def test_kappa_for_non_root_contains(self, model):
         query = parse_query('//article[./section[.contains("xml")]]')
         steps = candidate_steps(query, model)

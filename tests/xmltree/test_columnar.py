@@ -1,7 +1,8 @@
-"""The columnar store: tag interning, column splicing, flyweight views."""
+"""The columnar store: tag interning, column splicing, node views."""
 
 import pytest
 
+from repro.collection import Corpus
 from repro.errors import FleXPathError
 from repro.xmltree import parse
 from repro.xmltree.document import ColumnarStore, Document, TagDictionary
@@ -43,32 +44,31 @@ class TestTagDictionary:
 class TestColumnarStore:
     def test_append_assigns_preorder_ids(self):
         store = ColumnarStore()
-        root = store.append("root", -1, 0)
-        child = store.append("child", root, 1)
+        root = store.append("root", -1)
+        child = store.append("child", root)
         assert (root, child) == (0, 1)
         assert store.parent_ids[child] == root
-        assert store.levels[child] == 1
 
     def test_close_records_region_end(self):
         store = ColumnarStore()
-        root = store.append("root", -1, 0)
-        store.append("child", root, 1)
+        root = store.append("root", -1)
+        store.append("child", root)
         store.close(1, 2)
         store.close(root, 2)
         assert list(store.ends) == [2, 2]
 
     def test_tag_index_is_id_sorted(self):
         store = ColumnarStore()
-        store.append("a", -1, 0)
-        store.append("b", 0, 1)
-        store.append("a", 0, 1)
+        store.append("a", -1)
+        store.append("b", 0)
+        store.append("a", 0)
         assert list(store.node_ids_with_tag("a")) == [0, 2]
         assert list(store.node_ids_with_tag("missing")) == []
 
     def test_attributes_are_copied(self):
         store = ColumnarStore()
         attrs = {"k": "v"}
-        store.append("a", -1, 0, attrs)
+        store.append("a", -1, attrs)
         attrs["k"] = "mutated"
         assert store.attribute_table[0] == {"k": "v"}
 
@@ -85,7 +85,7 @@ class TestExtendFrom:
         base = host.extend_from(fragment)
         assert base == 1
         assert list(host.parent_ids) == [-1, 0, 1]
-        assert list(host.levels) == [0, 1, 2]
+        assert [Document(host).node(i).level for i in range(3)] == [0, 1, 2]
         assert list(host.ends) == [3, 3, 3]
         assert host.attribute_table[1] == {"x": "1"}
         assert host.texts[2] == "t"
@@ -117,11 +117,15 @@ class TestExtendFrom:
         assert ids == sorted(ids) == [1, 3, 5]
 
 
-class TestFlyweightViews:
-    def test_views_are_cached(self):
+class TestNodeViews:
+    def test_views_of_one_row_are_equal(self):
         doc = parse("<a><b/><b/></a>")
-        assert doc.node(1) is doc.node(1)
-        assert doc.nodes_with_tag("b")[0] is doc.node(1)
+        assert doc.node(1) == doc.node(1)
+        assert hash(doc.node(1)) == hash(doc.node(1))
+        assert doc.nodes_with_tag("b")[0] == doc.node(1)
+        assert doc.node(1) != doc.node(2)
+        assert parse("<a><b/><b/></a>").node(1) != doc.node(1)
+        assert len({doc.node(1), doc.node(1), doc.node(2)}) == 2
 
     def test_view_exposes_columns(self):
         doc = parse('<a k="v"><b>hello</b></a>')
@@ -134,8 +138,8 @@ class TestFlyweightViews:
         doc = parse("<a><b/></a>")
         assert doc.node(1).attributes == {}
 
-    def test_legacy_empty_construction(self):
-        doc = Document([], {})
+    def test_empty_construction(self):
+        doc = Document(ColumnarStore())
         assert len(doc) == 0
 
 
@@ -146,16 +150,22 @@ class TestAppendFragment:
         assert root.end == 1
         host.append_fragment(parse("<doc/>"))
         assert root.end == 2
-        assert root is host.root
+        assert root == host.root
 
-    def test_cached_tag_lists_extend(self):
+    def test_root_view_reads_the_end_an_ingest_grew(self):
+        corpus = Corpus()
+        corpus.add_text("<doc><a/></doc>")
+        root = corpus.document.root
+        assert root.end == 3
+        corpus.add_text("<doc/>")
+        assert root.end == 4
+        assert [child.start for child in corpus.document.children(root)] == [1, 3]
+
+    def test_tag_lists_see_appended_nodes(self):
         host = parse("<collection><doc/></collection>")
-        before = host.nodes_with_tag("doc")
-        assert len(before) == 1
+        assert len(host.nodes_with_tag("doc")) == 1
         host.append_fragment(parse("<doc/>"))
-        after = host.nodes_with_tag("doc")
-        assert after is before  # extended in place, not rebuilt
-        assert [n.node_id for n in after] == [1, 2]
+        assert [n.node_id for n in host.nodes_with_tag("doc")] == [1, 2]
 
     def test_self_append_rejected(self):
         doc = parse("<a/>")
@@ -170,4 +180,4 @@ class TestAppendFragment:
         assert host.full_text(host.root) == "one two"
         b_nodes = host.nodes_with_tag("b")
         lca = host.lowest_common_ancestor(b_nodes[0], b_nodes[1])
-        assert lca is host.root
+        assert lca == host.root

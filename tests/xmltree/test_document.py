@@ -97,7 +97,7 @@ class TestText:
         assert summary["depth"] == 3
 
     def test_empty_document_root_raises(self):
-        from repro.xmltree.document import Document
+        from repro.xmltree.document import ColumnarStore, Document
 
         with pytest.raises(FleXPathError):
-            Document([], {}).root
+            Document(ColumnarStore()).root

@@ -7,7 +7,12 @@ import pytest
 
 from repro.errors import CorruptStorageError, FleXPathError
 from repro.xmltree import dump_document, load_document, parse
-from repro.xmltree.storage import DUMP_MAGIC, encode_fragment
+from repro.xmltree.storage import (
+    DUMP_MAGIC,
+    decode_fragment,
+    encode_fragment,
+    read_document,
+)
 from repro.xmark import generate_document
 
 
@@ -135,10 +140,31 @@ class TestFormatVersions:
 
     def test_unknown_version_rejected(self, sample, tmp_path):
         path = _write_dump(
-            tmp_path / "doc.fxd", encode_fragment(sample, ""), magic=b"FXDOC002"
+            tmp_path / "doc.fxd", encode_fragment(sample, ""), magic=b"FXDOC003"
         )
         with pytest.raises(CorruptStorageError, match="bad magic"):
             load_document(path)
+
+    def test_fxdoc001_dump_fails_closed(self, tmp_path):
+        """An ``FXDOC001`` dump stored a depth column: refused by its magic,
+        and its payload is not misread as the current three columns."""
+        # dump_document(parse("<a><b>gold</b><c/></a>")) written while the
+        # node table stored four columns (tag, parent, level, end).
+        data = bytes.fromhex(
+            "4658444f43303031000000000300000001000000610100000062010000006303"
+            "000000000000000100000002000000ffffffff00000000000000000000000001"
+            "0000000100000003000000020000000300000004000000000000000000000000"
+            "0000000000000000000000000400000000000000040000000000000004000000"
+            "00000000676f6c6400000000724644fc"
+        )
+        path = tmp_path / "old.fxd"
+        path.write_bytes(data)
+        with pytest.raises(CorruptStorageError, match="bad magic"):
+            load_document(str(path))
+        with pytest.raises(FleXPathError):
+            read_document(str(path))
+        with pytest.raises(CorruptStorageError):
+            decode_fragment(data[len(DUMP_MAGIC) : -4])
 
     def test_v2_round_trip_is_byte_exact(self, sample, tmp_path):
         first = tmp_path / "one.fxd"
