@@ -70,7 +70,11 @@ class StorageBackend(CountFractions, ABC):
 
     @property
     def version(self):
-        """Monotonic content version; bumps on every ingest."""
+        """Monotonic content version; bumps on every ingest.
+
+        Every cache above the backend fences on it (DESIGN §9); nothing
+        above the backend is told of an ingest.
+        """
         corpus = self.corpus
         return corpus.version if corpus is not None else 0
 
@@ -78,15 +82,6 @@ class StorageBackend(CountFractions, ABC):
     def virtual_root_id(self):
         """Synthetic collection-root node id excluded from statistics."""
         return None
-
-    @abstractmethod
-    def subscribe(self, listener):
-        """Register ``listener(backend, start_id, end_id)`` for ingests.
-
-        Fired after the backend has folded the appended id range into its
-        own index and statistics, so subscribers observe a consistent
-        backend.  Ingest and notification happen under the write lock.
-        """
 
     def add_document(self, document, name=None):
         """Splice a parsed document into the backend's corpus."""

@@ -49,7 +49,6 @@ class InMemoryBackend(StorageBackend):
         self._lock = corpus.lock if corpus is not None else RWLock()
         self._ir = ir_engine
         self._statistics = None
-        self._listeners = []
         if corpus is not None:
             corpus.subscribe(self._on_corpus_growth)
 
@@ -71,9 +70,6 @@ class InMemoryBackend(StorageBackend):
     def virtual_root_id(self):
         return self._virtual_root_id
 
-    def subscribe(self, listener):
-        self._listeners.append(listener)
-
     def _on_corpus_growth(self, corpus, start_id, end_id):
         """Fold an appended id range into whatever is materialized.
 
@@ -85,8 +81,6 @@ class InMemoryBackend(StorageBackend):
             self._ir.extend(start_id, end_id)
         if self._statistics is not None:
             self._statistics.extend(start_id, end_id)
-        for listener in list(self._listeners):
-            listener(self, start_id, end_id)
 
     def describe(self):
         info = super().describe()

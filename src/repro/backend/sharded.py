@@ -210,7 +210,6 @@ class ShardedBackend(StorageBackend):
                 )
         self._router = router if router is not None else HashRouter()
         self._lock = RWLock()
-        self._listeners = []
         # Per shard: (local_start, local_end, global_start), ascending.
         self._id_maps = [[] for _ in self._shards]
         # Global: (global_start, global_end, shard_index, local_start).
@@ -347,9 +346,6 @@ class ShardedBackend(StorageBackend):
         """Monotonic across the whole topology: the sum of child versions."""
         return sum(shard.version for shard in self._shards)
 
-    def subscribe(self, listener):
-        self._listeners.append(listener)
-
     def __len__(self):
         # What the unsharded corpus would hold: one virtual root plus every
         # real node (each child's length minus its own virtual root).
@@ -383,9 +379,9 @@ class ShardedBackend(StorageBackend):
         """Route a parsed document to its shard; returns its global root node.
 
         Runs under the backend write lock: the route decision, the child
-        splice (which extends the shard's index and statistics), the
-        global-id bookkeeping, and the listener cascade are one atomic
-        transaction with respect to queries.
+        splice (which extends the shard's index and statistics and bumps
+        the version every coordinator cache fences on) and the global-id
+        bookkeeping are one atomic transaction with respect to queries.
         """
         with self._lock.write_locked():
             doc_index = len(self._global_map)
@@ -405,9 +401,6 @@ class ShardedBackend(StorageBackend):
                 shard_index, local_start, local_start + len(document)
             )
             self._publish_gauges()
-            global_end = global_start + len(document)
-            for listener in list(self._listeners):
-                listener(self, global_start, global_end)
         return GlobalNode(node, global_start, shard_index)
 
     def _publish_gauges(self):

@@ -15,10 +15,10 @@ Correctness relies on two facts:
   answers, plans kept once lowered), so handing the same object back twice —
   to any thread — is safe;
 - a backend only changes through ingest, which bumps its ``version``.
-  Every entry remembers the version it was stored at and a probe at any
-  other version misses, so a stale read is impossible even before the
-  owner's ingest subscription calls :meth:`BoundedLRU.invalidate` (which
-  is what frees the memory the stale entries pin).
+  A cache keeps the one version its entries were stored at: a probe or
+  store at a newer version first drops every entry, one at an older
+  version (a session reads it before taking the read lock) misses and
+  stores nothing.  That fence is the only invalidation (DESIGN §9).
 
 Thread-safety: a single mutex serializes every probe — even ``get``
 mutates (LRU ``move_to_end``).  Probes are one per query or compile, not
@@ -50,7 +50,8 @@ class BoundedLRU:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._entries = OrderedDict()  # key -> (version, value)
+        self._entries = OrderedDict()  # key -> value, stored at _version
+        self._version = None
         self._lock = threading.Lock()
         self._prefix = self.name + "_cache."
         self.hits = 0
@@ -58,47 +59,70 @@ class BoundedLRU:
         self.evictions = 0
         self.invalidations = 0
 
+    def _fence(self, version):
+        """Under the lock: ``(version is current, entries dropped)``."""
+        if version == self._version:
+            return True, False
+        if self._version is not None and version < self._version:
+            return False, False
+        self._version = version
+        return True, self._drop()
+
+    def _drop(self):
+        """Under the lock: drop every entry; True (and counted) if any."""
+        if not self._entries:
+            return False
+        self._entries.clear()
+        self.invalidations += 1
+        return True
+
+    def _report_drop(self):
+        REGISTRY.inc(self._prefix + "invalidations")
+        REGISTRY.set_gauge(self._prefix + "size", 0)
+
     def get(self, key, version):
         """The value stored for ``key`` at ``version``, or None; refreshes LRU order."""
         with self._lock:
-            entry = self._entries.get(key)
-            hit = entry is not None and entry[0] == version
-            if hit:
+            current, dropped = self._fence(version)
+            value = self._entries.get(key) if current else None
+            if value is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
             else:
                 self.misses += 1
         if REGISTRY.enabled:
-            REGISTRY.inc(self._prefix + ("hits" if hit else "misses"))
-        return entry[1] if hit else None
+            if dropped:
+                self._report_drop()
+            REGISTRY.inc(self._prefix + ("misses" if value is None else "hits"))
+        return value
 
     def put(self, key, version, value):
         """Store ``value``, evicting the least-recently-used entry past the bound."""
         with self._lock:
+            current, dropped = self._fence(version)
             entries = self._entries
-            entries[key] = (version, value)
-            entries.move_to_end(key)
-            evicted = len(entries) > self.max_entries
-            if evicted:
-                entries.popitem(last=False)
-                self.evictions += 1
+            evicted = False
+            if current:
+                entries[key] = value
+                entries.move_to_end(key)
+                evicted = len(entries) > self.max_entries
+                if evicted:
+                    entries.popitem(last=False)
+                    self.evictions += 1
             size = len(entries)
         if REGISTRY.enabled:
+            if dropped:
+                REGISTRY.inc(self._prefix + "invalidations")
             if evicted:
                 REGISTRY.inc(self._prefix + "evictions")
             REGISTRY.set_gauge(self._prefix + "size", size)
 
     def invalidate(self):
-        """Drop every entry (the backend grew)."""
+        """Drop every entry now, at the current version."""
         with self._lock:
-            dropped = bool(self._entries)
-            if dropped:
-                self._entries.clear()
-                self.invalidations += 1
-        if REGISTRY.enabled:
-            if dropped:
-                REGISTRY.inc(self._prefix + "invalidations")
-            REGISTRY.set_gauge(self._prefix + "size", 0)
+            dropped = self._drop()
+        if REGISTRY.enabled and dropped:
+            self._report_drop()
 
     def info(self):
         """Instance-level counters (independent of the process registry)."""

@@ -1,9 +1,10 @@
 """Read/write locking for the concurrent query engine.
 
 FleXPath's mutable state has one writer seam — :meth:`Corpus.add_document`
-splices new columns into the shared document and fans out to every
-subscribed cache — and many reader seams (queries walking the node table,
-the inverted index, the statistics).  A single mutex would serialize
+splices new columns into the shared document and extends the backend's
+inverted index and statistics, then bumps the version every cache above
+the backend fences on — and many reader seams (queries walking the node
+table, the inverted index, the statistics).  A single mutex would serialize
 queries that never conflict; :class:`RWLock` lets any number of queries
 proceed in parallel while an ingest drains them, mutates exclusively, and
 hands the engine back.

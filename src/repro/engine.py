@@ -115,7 +115,6 @@ class Engine:
         }
         if cache:
             self.result_cache = ResultCache(result_cache_size)
-            self.backend.subscribe(self._on_backend_growth)
         else:
             for source in self.context.sources:
                 source.eval_cache.enabled = False
@@ -124,11 +123,6 @@ class Engine:
         self.trace_sink = None
         self.trace_sample_rate = None
         self.observability_server = None
-
-    def _on_backend_growth(self, backend, start_id, end_id):
-        # The backend version in the key already fences stale entries; the
-        # eager clear also frees the memory their answers pin.
-        self.result_cache.invalidate()
 
     # -- constructors ------------------------------------------------------------
 

@@ -51,7 +51,6 @@ class IREngine:
         self._index = index if index is not None else InvertedIndex(document)
         self._virtual_root_id = virtual_root_id
         self._idf_index = self._index
-        self._most_specific_cache = {}
         self._terms_cache = {}
         self._count_cache = {}
         # Expressions resolved against the current postings: a probe
@@ -128,7 +127,6 @@ class IREngine:
         self._index.extend(start_id, end_id)
         self._probe_cache.clear()
         self._bound_terms_cache.clear()
-        self._most_specific_cache.clear()
         self._count_cache.clear()
 
     # -- point queries ---------------------------------------------------------
@@ -182,20 +180,11 @@ class IREngine:
 
         An element qualifies when its subtree satisfies the expression and
         no proper descendant's does; results are sorted by descending score,
-        ties broken by document order.
-
-        The cached list carries scores, and scores carry ``idf`` weights a
-        sharded corpus reads from an aggregate that moves when *another*
-        shard ingests (this engine's ``extend`` never runs).  ``idf`` only
-        changes when a text element is indexed, so the source's
-        ``text_element_count`` at scoring time fences each entry.
+        ties broken by document order.  Computed on every call: keyword
+        search is not on the query path, and the scores carry ``idf``
+        weights that a sharded corpus reads from an aggregate another
+        shard's ingest moves.
         """
-        fence = self._idf_index.text_element_count
-        cached = self._most_specific_cache.get(expression)
-        if cached is not None and cached[0] == fence:
-            self._m_cache_hits += 1
-            return cached[1]
-        self._m_cache_misses += 1
         probe = self._resolve(expression)
         ends = self._document.store.ends
         satisfying = sorted(
@@ -215,7 +204,6 @@ class IREngine:
             for node_id, score in self.contains_scores(expression, minimal).items()
         ]
         matches.sort(key=lambda m: (-m.score, m.node.node_id))
-        self._most_specific_cache[expression] = (fence, matches)
         return matches
 
     def count_satisfying(self, expression, tag=None):

@@ -28,10 +28,12 @@ keeps one ``id → value`` table per key (``join``, ``contains``,
 filling the ids the table lacks with one resolver call (a ``subtree``
 table is filled whole, from the variable's pool).
 
-The cache is owned by the query context and survives across queries — a
-document only changes through :meth:`~repro.collection.Corpus.add_document`,
-which clears it via the context's subscription.  ``enabled = False`` is the
-kill switch: both shapes then compute directly and record nothing.
+The cache is owned by the query context and survives across queries.  It
+fences on the backend version like the keyed tiers (DESIGN §9): every
+query's :class:`~repro.topk.base.Scatter` calls :meth:`EvaluationCache.fence`
+with the version of the context the query came in through, and a newer
+version drops every entry before the query probes.  ``enabled = False`` is
+the kill switch: both shapes then compute directly and record nothing.
 
 Observability: each tier keeps plain int hit/miss counters, read, like the
 IR engine's, by :meth:`~repro.topk.base.Strategy.top_k` at the end of a
@@ -86,12 +88,17 @@ class _Tier:
 class EvaluationCache:
     """Memoizes pools, joins, contains checks, satisfier sets, subtree tables."""
 
-    __slots__ = ("enabled", "_tiers", "_invalidations", "__weakref__")
+    __slots__ = (
+        "enabled", "_tiers", "_invalidations", "_version", "_fence_lock",
+        "__weakref__",
+    )
 
     def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
         self.enabled = True
         self._tiers = {name: _Tier(name, max_entries) for name in TIERS}
         self._invalidations = 0
+        self._version = None
+        self._fence_lock = threading.Lock()
 
     @property
     def max_entries(self):
@@ -167,8 +174,22 @@ class EvaluationCache:
         tier.misses += len(missing)
         return table if table is not None else {}
 
+    def fence(self, version):
+        """Drop every entry if ``version`` is newer than the entries'.
+
+        The scatter calls it under the read lock, so an older version never
+        arrives.  The version moves after the clear: a concurrent query
+        that reads it current finds no stale entry.
+        """
+        if version == self._version:
+            return
+        with self._fence_lock:
+            if self._version is None or version > self._version:
+                self.clear()
+                self._version = version
+
     def clear(self):
-        """Drop every entry (corpus growth / test isolation); counters stay."""
+        """Drop every entry (a newer version / test isolation); counters stay."""
         dropped = False
         for tier in self._tiers.values():
             with tier.lock:
@@ -183,7 +204,7 @@ class EvaluationCache:
 
         Sums over the tiers: ``max_entries`` is the sum of their budgets
         (so ``entries <= max_entries``), ``evictions`` the budget flushes,
-        ``invalidations`` the growth/clear count; the per-tier split is in
+        ``invalidations`` the fence/clear count; the per-tier split is in
         :meth:`metrics_snapshot`.
         """
         tiers = self._tiers.values()

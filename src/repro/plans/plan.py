@@ -242,49 +242,11 @@ def _edge_weight(query, weights, var):
 
 
 def build_strict_plan(query, weights):
-    """Plan evaluating ``query`` exactly: single alternatives, all required."""
-    joins = []
-    base = 0.0
-    for var in query.variables:
-        if var == query.root:
-            continue
-        weight = _edge_weight(query, weights, var)
-        base += weight
-        joins.append(
-            PlanJoin(
-                var=var,
-                tag=query.tag_of(var),
-                alternatives=(
-                    Alternative(
-                        connect_var=query.parent_of(var),
-                        axis=query.axis_of(var),
-                        delta=weight,
-                        label="strict",
-                    ),
-                ),
-                attr_predicates=_attr_predicates_for(query, var),
-            )
-        )
-    checks_by_var = {}
-    for predicate in query.contains:
-        checks_by_var.setdefault(predicate.var, []).append(
-            ContainsCheck(
-                ftexpr=predicate.ftexpr,
-                levels=(ContainsLevel(predicate.var, 0.0),),
-                attach_var=predicate.var,
-            )
-        )
-    fallback = tuple(query.ancestors_of(query.distinguished))
-    return Plan(
-        root_var=query.root,
-        root_tag=query.tag_of(query.root),
-        root_attr_predicates=_attr_predicates_for(query, query.root),
-        joins=tuple(joins),
-        checks_by_var=checks_by_var,
-        distinguished=query.distinguished,
-        fallback_chain=fallback,
-        base_score=base,
-    )
+    """Plan evaluating ``query`` exactly: single alternatives, all required.
+
+    The encoded plan of no relaxation step.
+    """
+    return _build_plan(query, weights, ())
 
 
 def build_encoded_plan(schedule, level):
@@ -299,9 +261,21 @@ def build_encoded_plan(schedule, level):
         raise EvaluationError(
             "schedule has %d levels; asked for %d" % (len(schedule), level)
         )
-    query = schedule.query
-    weights = schedule.penalty_model.weights
+    entries = schedule.entries
+    return _build_plan(
+        schedule.query,
+        schedule.penalty_model.weights,
+        [
+            (entry.step, entries[entry.index - 1].query)
+            for entry in entries[1 : level + 1]
+        ],
+    )
 
+
+def _build_plan(query, weights, steps):
+    """The plan of ``query`` with every ``(step, query before it)`` of
+    ``steps`` encoded as an alternative, an optional join or a contains
+    level."""
     # Per-variable alternative chains, seeded with the strict edge.
     alternatives = {}
     optional_delta = {}
@@ -318,9 +292,7 @@ def build_encoded_plan(schedule, level):
     for position, predicate in enumerate(query.contains):
         chains[position] = [ContainsLevel(predicate.var, 0.0)]
 
-    for entry in schedule.entries[1 : level + 1]:
-        step = entry.step
-        before = schedule.entries[entry.index - 1].query
+    for step, before in steps:
         # Every derivation scores at most what it was derived from, so each
         # chain below comes out best-first with non-increasing deltas — the
         # executor's semi-join step takes the first alternative that matches

@@ -18,8 +18,9 @@ lives here:
   The plan cache fences on the backend version (the sum of child
   versions), so ingest into *any* shard fences every cached artifact.
   Ingest into any shard also moves the corpus-wide idf every shard scores
-  with, so the same ingest clears every source's evaluation cache (one
-  rule, in ``_on_backend_growth``).
+  with, so every source's evaluation cache fences on that same version:
+  the query's :class:`~repro.topk.base.Scatter` applies it (one rule,
+  DESIGN §9).
 - ``readdress`` maps a shard-local answer id to the global id the
   unsharded corpus would have assigned, so merged answers rank and
   tie-break exactly like unsharded ones; the answer's
@@ -72,8 +73,8 @@ class ShardedQueryContext(QueryContext):
     each source memoizes in its own evaluation cache (keys are shard-local
     node ids, which must never mix).  A source
     is a plain ``QueryContext`` over its child backend; the only thing it
-    cannot see for itself is an ingest into *another* shard, which is what
-    :meth:`_on_backend_growth` covers.
+    cannot see for itself is an ingest into *another* shard, which the
+    scatter's fence on the coordinator's version covers.
     """
 
     def _bind_execution(self):
@@ -84,14 +85,6 @@ class ShardedQueryContext(QueryContext):
         self.eval_cache = None
         self.executor = None
         self._thread_pool = None
-
-    def _on_backend_growth(self, backend, start_id, end_id):
-        # Penalties come from aggregate statistics and every shard scores
-        # with the aggregate idf, so an ingest into any one shard stales
-        # the plan cache and every source's memoized contains scores.
-        self.plan_cache.invalidate()
-        for source in self.sources:
-            source.eval_cache.clear()
 
     def readdress(self, source_index, node_id):
         """The global node id of shard ``source_index``'s answer ``node_id``.

@@ -52,10 +52,11 @@ class QueryContext:
     ids, joins, postings, statistics — is reached through the backend
     seam: the context's ``statistics`` attribute *is* the backend, which
     serves the full counts surface.  Bound to a growable backend, the context
-    subscribes to ingests and drops its derived caches: the backend folds
-    the new nodes into its own index and statistics before notifying, so
-    only the plan cache (whose schedules' penalties depend on corpus
-    counts) and the evaluation cache need invalidation here.
+    needs no ingest hook: the backend folds an ingest into its own index
+    and statistics, and the two caches derived from them here — the plan
+    cache (whose schedules' penalties depend on corpus counts) and the
+    evaluation cache — fence on ``backend.version`` at their next probe
+    (:func:`~repro.compiled.cached_compile`, :class:`Scatter`).
 
     ``rwlock`` is the context's read/write discipline: queries hold the
     read side, ingest holds the write side for the whole splice-and-extend
@@ -86,7 +87,6 @@ class QueryContext:
         self.estimator = SelectivityEstimator(self.statistics, self.ir)
         self.plan_cache = PlanCache(plan_cache_size)
         self._bind_execution()
-        backend.subscribe(self._on_backend_growth)
 
     def _bind_execution(self):
         """Build what runs plans: evaluation cache, executor, sources."""
@@ -94,17 +94,6 @@ class QueryContext:
         self.executor = PlanExecutor(self.backend, self.ir,
                                      eval_cache=self.eval_cache)
         self.sources = (self,)
-
-    def _on_backend_growth(self, backend, start_id, end_id):
-        """Drop derived caches after the backend absorbed an append.
-
-        The backend has already extended its index and statistics over the
-        new id range; what remains stale here are the compiled plans and
-        the memoized pools / join candidates / contains probes, all keyed
-        by node id and document content.
-        """
-        self.plan_cache.invalidate()
-        self.eval_cache.clear()
 
     def compile(self, query, max_relaxations=None):
         """Return the :class:`~repro.compiled.CompiledQuery` for a request.
@@ -215,6 +204,11 @@ class Scatter:
     ``coordinated`` is "two or more sources"; ``rounds`` / ``pruned`` count
     coordinated rounds and retired sources (both stay 0 for a single
     source: nothing was coordinated).
+
+    Creating a scatter fences every source's evaluation cache on the
+    version of the context the query came in through: for a sharded
+    coordinator the sum of the shard versions, since an ingest into any
+    shard moves the corpus-wide idf every shard's ``contains`` scores use.
     """
 
     __slots__ = (
@@ -232,6 +226,9 @@ class Scatter:
 
     def __init__(self, context, compiled, tracer=NULL_TRACER, control=None):
         sources = context.sources
+        version = context.backend.version
+        for source in sources:
+            source.eval_cache.fence(version)
         self.context = context
         self.compiled = compiled
         self.tracer = tracer

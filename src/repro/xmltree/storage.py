@@ -43,6 +43,8 @@ from repro.xmltree.document import ColumnarStore, Document, TagDictionary
 from repro.xmltree.parser import parse_file
 
 DUMP_MAGIC = b"FXDOC002"
+#: What every dump's magic starts with, whatever its version.
+_DUMP_FAMILY = b"FXDOC"
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -350,7 +352,15 @@ def load_document(path):
 
 def read_document(path):
     """Read one document file: a dump if it starts with :data:`DUMP_MAGIC`,
-    XML otherwise."""
+    XML otherwise.  A dump of a retired format (``FXDOC`` and another
+    version) is refused, not handed to the XML parser."""
     with open(path, "rb") as handle:
-        is_dump = handle.read(len(DUMP_MAGIC)) == DUMP_MAGIC
-    return load_document(path) if is_dump else parse_file(path)
+        magic = handle.read(len(DUMP_MAGIC))
+    if magic == DUMP_MAGIC:
+        return load_document(path)
+    if magic.startswith(_DUMP_FAMILY):
+        raise CorruptStorageError(
+            "%s is a dump in the retired format %r (this build reads %r);"
+            " re-dump from the XML" % (path, magic, DUMP_MAGIC)
+        )
+    return parse_file(path)

@@ -437,7 +437,8 @@ class TestShardEvalCaches:
     def test_an_ingest_into_one_shard_clears_every_shards_contains_tier(self):
         """Any shard's ingest moves the corpus-wide idf every shard scores
         with, so the shard that did not grow must drop its memoized
-        keyword scores too."""
+        keyword scores too — at the next query, whose scatter fences
+        every source on the coordinator's version."""
         docs = (
             "<root><a>gold coin</a><a>silver</a></root>",
             "<root><a>silver spoon</a></root>",
@@ -463,10 +464,17 @@ class TestShardEvalCaches:
         contains = warm.context.sources[0].eval_cache._tiers["contains"]
         assert contains.data
         before = idf(warm.backend.ir.index, "gold")
+        stale = list(contains.data.values())
         warm.backend.add_document(parse(late), name="doc3")
         assert warm.backend._global_map[-1][2] == 1
         assert idf(warm.backend.ir.index, "gold") != before
-        assert not contains.data
+        assert contains.data  # nothing is told of the ingest
+        answers(warm, "sso")
+        assert contains.data
+        assert not any(
+            table is old for table in contains.data.values() for old in stale
+        )
+        assert warm.context.sources[0].eval_cache.info()["invalidations"] == 1
         fresh = build(docs + (late,))
         for algorithm in ("sso", "hybrid", "dpo", "ir-first", "naive"):
             assert answers(warm, algorithm) == answers(fresh, algorithm), (

@@ -103,11 +103,14 @@ class TestMostSpecific:
     def test_no_matches(self, engine):
         assert engine.most_specific_matches(parse_ftexpr('"absent"')) == []
 
-    def test_cached(self, engine):
+    def test_recomputed_on_every_call(self, engine):
         expr = parse_ftexpr('"gold"')
-        assert engine.most_specific_matches(expr) is engine.most_specific_matches(
-            expr
-        )
+        first = engine.most_specific_matches(expr)
+        second = engine.most_specific_matches(expr)
+        assert first is not second
+        assert [(m.node.node_id, m.score) for m in first] == [
+            (m.node.node_id, m.score) for m in second
+        ]
 
 
 class TestCounts:

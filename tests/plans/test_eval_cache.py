@@ -6,6 +6,7 @@ from repro.plans import SSO_MODE, EvaluationCache, PlanExecutor, build_strict_pl
 from repro.plans.eval_cache import TIERS, restriction_key
 from repro.query import parse_query
 from repro.topk import QueryContext
+from repro.topk.base import Scatter
 from repro.xmltree import parse
 from tests.plans.test_binary_ids import KERNELS, count_calls
 
@@ -434,17 +435,27 @@ class TestExecutorIntegration:
 
 
 class TestContextLifecycle:
-    def test_corpus_growth_clears_eval_cache(self):
+    def test_the_next_scatter_after_corpus_growth_clears_eval_cache(self):
         from repro.collection import Corpus
 
         corpus = Corpus()
         corpus.add_text(XML)
         context = QueryContext(corpus)
-        plan = build_strict_plan(parse_query(QUERY), context.weights)
+        tpq = parse_query(QUERY)
+        plan = build_strict_plan(tpq, context.weights)
+        Scatter(context, context.compile(tpq))
         context.executor.run(plan)
-        assert context.eval_cache.info()["entries"] > 0
+        entries = context.eval_cache.info()["entries"]
+        assert entries > 0
+        # Fencing at the version the entries were filled at keeps them.
+        Scatter(context, context.compile(tpq))
+        assert context.eval_cache.info()["entries"] == entries
         corpus.add_text("<article><section><paragraph>gold</paragraph></section></article>")
+        assert context.eval_cache.info()["entries"] == entries
+        # A query's scatter fences on the grown version before any probe.
+        Scatter(context, context.compile(tpq))
         assert context.eval_cache.info()["entries"] == 0
+        assert context.eval_cache.info()["invalidations"] == 1
         # The fresh document must be visible through the caches.
         result = context.executor.run(plan)
         assert len(result.answers) == 2

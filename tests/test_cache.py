@@ -70,13 +70,53 @@ class TestBoundedLRU:
     def test_version_fence(self, cache_cls, name, default_bound):
         cache = cache_cls()
         cache.put("a", 1, "stale")
-        assert cache.get("a", 2) is None  # another version never reads it
+        cache.put("b", 1, "stale")
         assert cache.get("a", 1) == "stale"
-        cache.put("a", 2, "fresh")  # replaces in place: no dead entry kept
-        assert len(cache) == 1
-        assert cache.get("a", 1) is None
+        # A newer version drops every entry before it probes, once.
+        assert cache.get("a", 2) is None
+        assert len(cache) == 0
+        assert cache.invalidations == 1
+        assert _counter("%s_cache.invalidations" % name) == 1
+        assert _gauge("%s_cache.size" % name) == 0
+        cache.put("a", 2, "fresh")
         assert cache.get("a", 2) == "fresh"
+        assert cache.get("b", 2) is None
         assert (cache.hits, cache.misses) == (2, 2)
+        assert cache.invalidations == 1
+
+    def test_a_newer_store_drops_every_entry_first(
+            self, cache_cls, name, default_bound):
+        cache = cache_cls()
+        cache.put("a", 1, "stale")
+        cache.put("b", 2, "fresh")
+        assert len(cache) == 1
+        assert cache.invalidations == 1
+        assert _counter("%s_cache.invalidations" % name) == 1
+        assert cache.get("b", 2) == "fresh"
+
+    def test_older_version_misses_and_stores_nothing(
+            self, cache_cls, name, default_bound):
+        """A session reads the version before it takes the read lock, so a
+        probe or store can arrive at a version older than the cache's."""
+        cache = cache_cls()
+        cache.put("a", 2, "fresh")
+        assert cache.get("a", 1) is None
+        cache.put("b", 1, "late")
+        cache.put("a", 1, "late")
+        assert len(cache) == 1
+        assert cache.get("b", 1) is None
+        assert cache.get("b", 2) is None
+        assert cache.get("a", 2) == "fresh"  # neither probe nor store dropped it
+        assert cache.invalidations == 0
+        assert (cache.hits, cache.misses) == (1, 3)
+        assert _gauge("%s_cache.size" % name) == 1
+
+    def test_invalidate_keeps_the_version(self, cache_cls, name, default_bound):
+        cache = cache_cls()
+        cache.put("a", 2, "fresh")
+        cache.invalidate()
+        cache.put("a", 1, "late")  # still older than the cache's version
+        assert len(cache) == 0
 
     def test_counters_info_and_registry(self, cache_cls, name, default_bound):
         cache = cache_cls()

@@ -189,14 +189,21 @@ class TestContextCompile:
         corpus.add_text(LIBRARY_XML)
         context = QueryContext(corpus)
         tpq = parse_query(QUERY)
+        other = parse_query("//article[./title]")
         before = context.compile(tpq)
+        context.compile(other)
         assert before.corpus_version == corpus.version
         corpus.add_text("<article><section><paragraph>streaming"
                         "</paragraph></section></article>")
+        # Nothing tells the plan cache of the ingest; its next probe does.
+        assert len(context.plan_cache) == 2
+        assert context.plan_cache.invalidations == 0
         after = context.compile(tpq)
         assert after is not before
         assert after.corpus_version == corpus.version
-        assert context.plan_cache.invalidations >= 1
+        assert context.plan_cache.invalidations == 1
+        assert len(context.plan_cache) == 1  # ``other``'s plan went too
+        assert context.compile(tpq) is after
 
 
 class TestPlanCacheSurvivesFeedback:

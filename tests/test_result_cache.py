@@ -85,21 +85,27 @@ class TestFacade:
 
 
 class TestInvalidation:
-    def test_add_document_empties_the_cache(self):
+    def test_the_next_probe_after_add_document_empties_the_cache(self):
         corpus = Corpus()
         corpus.add_text(LIBRARY_XML)
         engine = FleXPath(corpus)
         stale = engine.query(QUERY, k=5)
-        assert len(engine.result_cache) == 1
+        engine.query(QUERY, k=3)
+        assert len(engine.result_cache) == 2
         corpus.add_text(
             "<article><section><paragraph>more streaming"
             "</paragraph></section></article>"
         )
-        assert len(engine.result_cache) == 0
-        assert _counter("result_cache.invalidations") == 1
+        # Nothing tells the cache of the ingest: the next probe's version
+        # fence drops every entry, the k=3 one it does not ask for too.
+        assert len(engine.result_cache) == 2
+        assert _counter("result_cache.invalidations") == 0
         fresh = engine.query(QUERY, k=5)
         assert fresh is not stale
         assert len(fresh.answers) == len(stale.answers) + 1
+        assert _counter("result_cache.invalidations") == 1
+        assert len(engine.result_cache) == 1
+        assert engine.query(QUERY, k=5) is fresh
 
     def test_version_in_key_fences_stale_entries(self):
         corpus = Corpus()
@@ -150,7 +156,9 @@ class TestLazyAnswerViews:
         engine = FleXPath(corpus)
         answers, reference = self._cached(engine)
         corpus.add_text(self.MORE)
-        assert len(engine.result_cache) == 0
+        # The next query drops the cached result; its answers still read.
+        assert engine.query(QUERY, k=5).answers is not answers
+        assert len(engine.result_cache) == 1
         assert _read(engine, [answer.node for answer in answers]) == reference
 
     def test_after_compaction(self, tmp_path):

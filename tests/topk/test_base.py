@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.collection import Corpus
+from repro.engine import ALGORITHMS
 from repro.query import parse_query
 from repro.relax import WeightAssignment
 from repro.topk import QueryContext, combined_level_cutoff
@@ -53,6 +55,26 @@ class TestQueryContext:
         engine = IREngine(doc)
         context = QueryContext(doc, ir_engine=engine)
         assert context.ir is engine
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_ingest_then_top_k_answers_like_a_fresh_context(self, algorithm):
+        """No engine: the context's own caches fence on the backend version."""
+        corpus = Corpus()
+        corpus.add_text("<r><a><b><c>gold</c></b></a><a><b>gold</b></a></r>")
+        strategy = ALGORITHMS[algorithm]
+        query = parse_query('//a[./b/c and .contains("gold")]')
+        warm = QueryContext(corpus)
+        strategy(warm).top_k(query, k=10)
+        corpus.add_text("<r><a><c>gold gold</c></a><a><b><c>tin</c></b></a></r>")
+        fresh = QueryContext(corpus)
+
+        def answers(context):
+            return [
+                (answer.node_id, answer.score)
+                for answer in strategy(context).top_k(query, k=10).answers
+            ]
+
+        assert answers(warm) == answers(fresh)
 
 
 class TestTopKResult:

@@ -147,6 +147,7 @@ class TestFormatVersions:
 
     def test_fxdoc001_dump_fails_closed(self, tmp_path):
         """An ``FXDOC001`` dump stored a depth column: refused by its magic,
+        named as a retired format to re-dump rather than parsed as XML,
         and its payload is not misread as the current three columns."""
         # dump_document(parse("<a><b>gold</b><c/></a>")) written while the
         # node table stored four columns (tag, parent, level, end).
@@ -161,7 +162,9 @@ class TestFormatVersions:
         path.write_bytes(data)
         with pytest.raises(CorruptStorageError, match="bad magic"):
             load_document(str(path))
-        with pytest.raises(FleXPathError):
+        with pytest.raises(
+            CorruptStorageError, match="FXDOC001.*re-dump from the XML"
+        ):
             read_document(str(path))
         with pytest.raises(CorruptStorageError):
             decode_fragment(data[len(DUMP_MAGIC) : -4])
