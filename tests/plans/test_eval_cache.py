@@ -1,5 +1,8 @@
 """The tier-1 EvaluationCache: memo behavior, instrumentation, wiring."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.plans import SSO_MODE, EvaluationCache, PlanExecutor, build_strict_plan
@@ -459,6 +462,36 @@ class TestContextLifecycle:
         # The fresh document must be visible through the caches.
         result = context.executor.run(plan)
         assert len(result.answers) == 2
+
+    def test_no_query_reads_a_stale_entry_while_others_fence(self):
+        """Queries at a new version fence concurrently; each must see the
+        version current only once the stale entries are gone."""
+        cache = EvaluationCache()
+        workers = 8
+        for round_index in range(100):
+            cache.fence(2 * round_index)
+            for key in range(200):
+                cache.value("satisfiers", key, lambda: "stale")
+            start = threading.Barrier(workers, timeout=10)
+            seen = []
+
+            def query():
+                start.wait()
+                cache.fence(2 * round_index + 1)
+                seen.append(cache.value("satisfiers", 199, lambda: "fresh"))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=query) for _ in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == ["fresh"] * workers
 
 
 class TestSubtreeTier:
