@@ -23,6 +23,9 @@ groups:
   node-view :attr:`document`, the columnar :attr:`ends` /
   :attr:`parent_ids` / :attr:`tag_ids` columns, the
   :attr:`ir` engine (full-text postings), and the statistics counts.
+- **topology** — :attr:`shards` names the backends plans run on, each
+  with its own executor: ``(self,)`` here; a sharded backend lists its
+  children and adds ``translate_id`` and ``keyword_ceilings``.
 - **id access** — :meth:`node_ids_with_tag` seeds candidate pools and
   :meth:`node` makes the one view an answer needs; all other navigation
   lives on the :class:`~repro.xmltree.document.Document` itself.
@@ -77,6 +80,11 @@ class StorageBackend(CountFractions, ABC):
         """
         corpus = self.corpus
         return corpus.version if corpus is not None else 0
+
+    @property
+    def shards(self):
+        """The backends a query's plans run on: this one, unsharded."""
+        return (self,)
 
     @property
     def virtual_root_id(self):

@@ -1,8 +1,8 @@
 """ShardedBackend: one corpus partitioned by document across N children.
 
 The sharding design (DESIGN §14) keeps per-shard execution *identical* to
-single-shard execution so the scatter-gather merge in :mod:`repro.sharding`
-is purely score-level:
+single-shard execution so the scatter-gather merge in
+:class:`~repro.topk.base.Scatter` is purely score-level:
 
 - **Routing** — :meth:`ShardedBackend.add_document` assigns each document
   to a child backend through a stable :class:`ShardRouter` policy (default:
@@ -23,13 +23,33 @@ is purely score-level:
   (:meth:`~repro.ir.engine.IREngine.set_idf_source`), making shard-local
   keyword scores byte-identical to unsharded ones.
 
-Query execution runs on the children themselves:
-:class:`repro.sharding.ShardedQueryContext` compiles once against this
-backend's aggregate statistics and gives each shard an ordinary
-:class:`~repro.topk.base.QueryContext` over its child backend, so a
-shard's plans read only that shard's columns and postings (scored with
-the corpus-wide idf above) and memoize in that shard's own evaluation
-cache.
+Query execution runs on the children themselves.  The one
+:class:`~repro.topk.base.QueryContext` compiles once against this
+backend's aggregate statistics and builds one plan executor per child in
+:attr:`ShardedBackend.shards`, so a shard's plans read only that shard's
+columns and postings (scored with the corpus-wide idf above) and memoize
+in that shard's own evaluation cache.  What the scatter needs beyond the
+children is here, next to the data it reads:
+
+- :meth:`ShardedBackend.translate_id` maps a shard-local answer id to the
+  global id the unsharded corpus would have assigned, so merged answers
+  rank and tie-break exactly like unsharded ones; the answer's
+  :class:`GlobalNode` view is built by :meth:`ShardedBackend.node` when a
+  caller first reads it.
+- :meth:`ShardedBackend.keyword_ceilings` feeds the scatter's **early
+  termination** (the §5.2.1 ``maxScoreGrowth`` bound turned per-shard
+  ceiling): every shard's best possible future answer is bounded by the
+  next level's structural score (identical across shards) plus a
+  shard-local keyword ceiling (terms the shard has never indexed can never
+  contribute).  A shard whose ceiling sorts strictly below the current
+  global K-th answer is never asked for its next round — ``shards.pruned``
+  counts these, ``shards.rounds`` the coordinated rounds.  Pruning never
+  changes answers: every answer a pruned shard could still produce sorts
+  strictly below the final K-th.
+
+No variable binds a shard's virtual collection root (the executor keeps
+it out of every pool, as it does the unsharded corpus' root), so answers
+are byte-identical to the unsharded engine's for wildcard patterns too.
 """
 
 from __future__ import annotations
@@ -41,7 +61,14 @@ from repro.backend.base import StorageBackend, as_backend
 from repro.concurrency import RWLock
 from repro.errors import FleXPathError
 from repro.ir.engine import IRMatch
+from repro.ir.scoring import idf
 from repro.obs.metrics import REGISTRY
+
+#: Safety pad on the per-shard keyword ceiling: the ceiling is provably an
+#: upper bound in real arithmetic; the pad absorbs any float-summation
+#: reordering between the bound and the executor's accumulation, trading an
+#: immeasurable amount of pruning for certainty.
+_CEILING_EPSILON = 1e-9
 
 
 class ShardRouter:
@@ -145,9 +172,9 @@ class _AggregateIndexStats:
 
 
 class _AggregateIR:
-    """The coordinator's IR surface: global counts and keyword search.
+    """The sharded backend's IR surface: global counts and keyword search.
 
-    Serves exactly what coordinator-side consumers need —
+    Serves exactly what the context itself needs —
     ``count_satisfying`` for the :class:`~repro.relax.penalties.PenaltyModel`
     and the selectivity estimator, ``most_specific_matches`` for keyword
     search — by summing or merging over the shard-local engines.  Point
@@ -191,8 +218,8 @@ class ShardedBackend(StorageBackend):
     Children may be any mix of corpus-backed backends; build convenience
     topologies with :meth:`in_memory` (N in-process shards) or :meth:`open`
     (per-shard on-disk directories, WAL-durable).  Ingest routes through
-    the :class:`ShardRouter`; queries scatter through
-    :class:`repro.sharding.ShardedQueryContext`.
+    the :class:`ShardRouter`; a query's plans run on every child in
+    :attr:`shards` (:class:`~repro.topk.base.Scatter`).
     """
 
     SHARD_DIR_PREFIX = "shard-"
@@ -321,7 +348,7 @@ class ShardedBackend(StorageBackend):
 
     @property
     def shards(self):
-        """The child backends, by shard index."""
+        """The child backends, by shard index: where plans run."""
         return self._shards
 
     @property
@@ -380,7 +407,7 @@ class ShardedBackend(StorageBackend):
 
         Runs under the backend write lock: the route decision, the child
         splice (which extends the shard's index and statistics and bumps
-        the version every coordinator cache fences on) and the global-id
+        the version every cache above fences on) and the global-id
         bookkeeping are one atomic transaction with respect to queries.
         """
         with self._lock.write_locked():
@@ -439,6 +466,35 @@ class ShardedBackend(StorageBackend):
             "local id %d is not in any fragment of shard %d"
             % (local_id, shard_index)
         )
+
+    def keyword_ceilings(self, predicates):
+        """Per shard, an upper bound on any answer's keyword score.
+
+        An answer's keyword score sums, over the query's ``contains``
+        ``predicates``, idf-weighted averages of saturating term
+        frequencies (:mod:`repro.ir.scoring`); relaxation only ever drops
+        predicates.  Per shard and predicate the score is therefore at most
+        the idf mass of the terms the shard has indexed at all, over the
+        total idf mass — with corpus-wide idf weights, so the bound (like
+        the scores themselves) is shard-comparable.
+        """
+        if not predicates:
+            return [0.0] * len(self._shards)
+        ceilings = []
+        for shard in self._shards:
+            total = 0.0
+            for predicate in predicates:
+                numerator = 0.0
+                denominator = 0.0
+                for term in shard.ir._positive_terms(predicate.ftexpr):
+                    weight = idf(self._index_stats, term)
+                    denominator += weight
+                    if shard.ir.index.posting(term) is not None:
+                        numerator += weight
+                if denominator > 0.0:
+                    total += numerator / denominator
+            ceilings.append(total + _CEILING_EPSILON)
+        return ceilings
 
     def node(self, global_id):
         """The :class:`GlobalNode` for a global id (0 is unaddressable)."""

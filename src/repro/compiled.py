@@ -163,8 +163,8 @@ class PlanCache(BoundedLRU):
 def cached_compile(context, producer, query, max_relaxations):
     """Probe ``context.plan_cache``; on a miss run ``producer`` and store.
 
-    The one probe-compile-store path behind ``QueryContext.compile`` (which
-    the sharded coordinator inherits).  The key is the compile request,
+    The one probe-compile-store path behind ``QueryContext.compile``,
+    whatever the backend's topology.  The key is the compile request,
     fenced by the backend version: a grown corpus can never be answered
     with plans whose penalties, join order or estimates were derived from
     stale statistics.

@@ -9,7 +9,9 @@ The top of the Engine/Session/Backend split (DESIGN §11):
   strategies, the RWLock discipline (the backend's lock) and the process
   metrics registry handle.  Every historical entry point lives here once:
   ``query``, ``query_many``, ``exact``, ``keyword_search``,
-  ``relaxations``, ``explain`` and the constructors.
+  ``relaxations``, ``explain`` and the constructors.  The engine never
+  asks what topology it serves: the one context class runs plans on
+  whatever shards the backend reports, one for a plain backend.
 - ``Engine.connect()`` returns a :class:`~repro.session.Session`: the
   handle that runs queries with per-query deadline/cancellation hooks.
   ``Engine.query`` is ``connect().query``.
@@ -98,16 +100,7 @@ class Engine:
     def __init__(self, source, weights=UNIFORM_WEIGHTS, cache=True,
                  result_cache_size=None, plan_cache_size=None):
         self.backend = as_backend(source)
-        if self.backend.document is None:
-            # A sharded backend has no unified node table: the coordinator
-            # context lists one source per shard, and the same strategies
-            # scatter their plans over them.
-            from repro.sharding import ShardedQueryContext
-
-            context_cls = ShardedQueryContext
-        else:
-            context_cls = QueryContext
-        self.context = context_cls(
+        self.context = QueryContext(
             self.backend, weights=weights, plan_cache_size=plan_cache_size
         )
         self.algorithms = {
@@ -116,8 +109,8 @@ class Engine:
         if cache:
             self.result_cache = ResultCache(result_cache_size)
         else:
-            for source in self.context.sources:
-                source.eval_cache.enabled = False
+            for cache in self.context.eval_caches:
+                cache.enabled = False
             self.result_cache = None
         self.metrics = REGISTRY
         self.trace_sink = None
@@ -215,7 +208,7 @@ class Engine:
             "enabled": self.result_cache is not None,
             "plan_cache": self.context.plan_cache.info(),
             "eval_cache": summed(
-                source.eval_cache.info() for source in self.context.sources
+                cache.info() for cache in self.context.eval_caches
             ),
             "result_cache": (
                 self.result_cache.info()
@@ -362,14 +355,12 @@ class Engine:
             with self.lock.read_locked():
                 compiled = self.context.compile(tpq, max_relaxations=0)
                 scatter = Scatter(self.context, compiled)
-                readdress = scatter.readdress
                 node_ids = sorted(
-                    answer.node_id if readdress is None
-                    else readdress(index, answer.node_id)
+                    answer.node_id
                     for index, result in scatter.run(
                         compiled.strict_plan(0), "level 0", mode=STRICT
                     )
-                    for answer in result.answers
+                    for answer in scatter.addressed(index, result.answers)
                 )
                 nodes = [self.context.backend.node(node_id) for node_id in node_ids]
         except Exception:
@@ -381,10 +372,7 @@ class Engine:
             REGISTRY.observe("exact.seconds", seconds)
         # What the plan counted on each source is this call's, not the next
         # top-K query's: fold it here, as Strategy.top_k does.
-        REGISTRY.fold_lifetime(
-            part for source in self.context.sources
-            for part in (source.ir, source.eval_cache)
-        )
+        REGISTRY.fold_lifetime(self.context.components)
         if events.LISTENERS:
             events.emit(query_end_payload(
                 query_text, None, "exact", None, seconds,

@@ -377,12 +377,14 @@ class PlanExecutor:
     ``source`` may be a :class:`~repro.backend.base.StorageBackend` or
     anything :func:`~repro.backend.as_backend` coerces (a bare document, a
     corpus); all candidate access goes through the backend seam.
+    ``backend``, ``ir`` and ``eval_cache`` are public: a query context's
+    sources are executors, and a strategy's per-source hook reads them.
     """
 
     def __init__(self, source, ir_engine=None, eval_cache=None):
-        self._backend = as_backend(source, ir_engine=ir_engine)
-        self._ir = ir_engine if ir_engine is not None else self._backend.ir
-        self._eval_cache = eval_cache or _disabled_cache()
+        self.backend = as_backend(source, ir_engine=ir_engine)
+        self.ir = ir_engine if ir_engine is not None else self.backend.ir
+        self.eval_cache = eval_cache or _disabled_cache()
 
     # -- public entry ---------------------------------------------------------
 
@@ -618,7 +620,7 @@ class PlanExecutor:
         satisfied = frozenset(signature)
 
         with tracer.span("collect"):
-            backend = self._backend
+            backend = self.backend
             excluded = run.excluded
             answers = [
                 ScoredAnswer(
@@ -661,7 +663,7 @@ class PlanExecutor:
         order; it checkpoints on entry and every :data:`CHECKPOINT_STRIDE`
         ids of its fill, and enters the cache only whole.
         """
-        backend = self._backend
+        backend = self.backend
         tag, attrs, allowed, checks = twig.nodes[var]
         full = kids is twig.children[var]
         key = twig.signatures[var] if full else twig.signature(var, kids)
@@ -698,7 +700,7 @@ class PlanExecutor:
             stats.tuples_produced += len(ids)
             return scores
 
-        table = self._eval_cache.table("subtree", key, pool, resolve, len(pool))
+        table = self.eval_cache.table("subtree", key, pool, resolve, len(pool))
         if full:
             tables[var] = table
         return table
@@ -722,7 +724,7 @@ class PlanExecutor:
                 kids = [edge for edge in kids if edge[0] != below]
             table = self._subtree(twig, var, kids, stats, checkpoint, tables)
             if best is not None:
-                table = _plus(table, self._backend.max_value_per_descendant(
+                table = _plus(table, self.backend.max_value_per_descendant(
                     list(best), best, list(table), axis=twig.parents[var][1]
                 ))
             best = table
@@ -742,7 +744,7 @@ class PlanExecutor:
         """
 
         def compute():
-            backend = self._backend
+            backend = self.backend
             if tag is not None:
                 ids = backend.node_ids_with_tag(tag)
             else:
@@ -762,7 +764,7 @@ class PlanExecutor:
             return ids
 
         key = (tag, attr_predicates, restriction_key(allowed))
-        return self._eval_cache.value("pool", key, compute)
+        return self.eval_cache.value("pool", key, compute)
 
     def _seed(self, run, plan, stats):
         ids = self._pool(
@@ -789,7 +791,7 @@ class PlanExecutor:
 
         def resolve(missing):
             pool = self._pool(join.tag, join.attr_predicates, allowed)
-            return fill(self._backend, missing, pool, axis)
+            return fill(self.backend, missing, pool, axis)
 
         # The candidate set per base depends only on the navigation and the
         # surviving filters — the canonical join signature shared across
@@ -798,7 +800,7 @@ class PlanExecutor:
             axis, join.tag, join.attr_predicates, restriction_key(allowed),
             exists,
         )
-        return self._eval_cache.table("join", signature, bases, resolve, probes)
+        return self.eval_cache.table("join", signature, bases, resolve, probes)
 
     def _contains_table(self, ftexpr, node_ids, probes, checkpoint=None):
         """``node id → keyword score`` for ``ftexpr``, ``None`` where unsatisfied.
@@ -807,7 +809,7 @@ class PlanExecutor:
         :data:`CHECKPOINT_STRIDE` slice per call, with a ``checkpoint``
         between slices; no node view is made.
         """
-        contains_scores = self._ir.contains_scores
+        contains_scores = self.ir.contains_scores
 
         def resolve(missing):
             filled = {}
@@ -819,7 +821,7 @@ class PlanExecutor:
                 ))
             return filled
 
-        return self._eval_cache.table("contains", ftexpr, node_ids, resolve, probes)
+        return self.eval_cache.table("contains", ftexpr, node_ids, resolve, probes)
 
     def _extend(self, run, join, tuples, var_positions, stats, checkpoint):
         steps = []
@@ -1013,7 +1015,7 @@ class PlanExecutor:
 
         # Each distinct signature pays for one relaxation level and one
         # frozen predicate set, shared by the answers that carry it.
-        backend = self._backend
+        backend = self.backend
         signatures = run.signatures.values
         described = {}
         answers = []

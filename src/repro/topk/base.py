@@ -1,31 +1,33 @@
 """Shared machinery for the top-K algorithms (Fig. 7 architecture).
 
 A :class:`QueryContext` bundles everything the algorithms share per
-document: the IR engine, corpus statistics, the penalty model, the
-selectivity estimator, the plan executor, and the bounded
-:class:`~repro.compiled.PlanCache` of compiled queries.  A
-:class:`Strategy` is a *stateless* policy over a context: the one
-:meth:`Strategy.top_k` body compiles (or fetches) an immutable
-:class:`~repro.compiled.CompiledQuery` and hands the strategy's loop a
-:class:`Scatter` carrying every piece of per-query mutable state, so one
-strategy instance is safely shareable across threads.
+backend: the IR engine, corpus statistics, the penalty model, the
+selectivity estimator, the bounded :class:`~repro.compiled.PlanCache` of
+compiled queries, and the plan executors.  A :class:`Strategy` is a
+*stateless* policy over a context: the one :meth:`Strategy.top_k` body
+compiles (or fetches) an immutable :class:`~repro.compiled.CompiledQuery`
+and hands the strategy's loop a :class:`Scatter` carrying every piece of
+per-query mutable state, so one strategy instance is safely shareable
+across threads.
 
-Strategies are written against *sources* (DESIGN §14.2): the contexts
-whose executors run a query's plans.  A plain context is its own single
-source; the sharded coordinator (:mod:`repro.sharding`) lists one per
-shard.  The :class:`Scatter` owns everything that differs with the number
-of sources — an :class:`ExecutionSession` each, where a level's plan runs
-(the calling thread for one source, the coordinator's thread pool for
-several), re-addressing answers to the ids callers see, and the §5.2.1
-ceiling rule that retires a source which can no longer reach the top K —
-so each loop (the level walk in :mod:`repro.topk.dpo`, the encoded-plan
-loop in :mod:`repro.topk.sso`) is written once and is sharded for free.
+Strategies are written against *sources* (DESIGN §14.2): the
+:class:`~repro.plans.executor.PlanExecutor` objects a query's plans run
+on, one per shard the backend reports (``backend.shards``; a plain
+backend is its own one shard).  There is one context class whatever the
+topology: it compiles once, against the backend's statistics, and the
+:class:`Scatter` owns everything that differs with the number of sources
+— an :class:`ExecutionSession` each, where a level's plan runs (the
+calling thread for one source, the context's thread pool for several),
+re-addressing answers to the ids callers see, and the §5.2.1 ceiling rule
+that retires a source which can no longer reach the top K — so each loop
+(the level walk in :mod:`repro.topk.dpo`, the encoded-plan loop in
+:mod:`repro.topk.sso`) is written once and is sharded for free.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -37,7 +39,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.plans.eval_cache import EvaluationCache
 from repro.plans.executor import STRICT, PlanExecutor
 from repro.rank.schemes import STRUCTURE_FIRST
-from repro.rank.scores import AnswerScore
+from repro.rank.scores import AnswerScore, ScoredAnswer
 from repro.relax.penalties import UNIFORM_WEIGHTS, PenaltyModel
 from repro.stats.selectivity import SelectivityEstimator
 
@@ -55,7 +57,7 @@ class QueryContext:
     needs no ingest hook: the backend folds an ingest into its own index
     and statistics, and the two caches derived from them here — the plan
     cache (whose schedules' penalties depend on corpus counts) and the
-    evaluation cache — fence on ``backend.version`` at their next probe
+    evaluation caches — fence on ``backend.version`` at their next probe
     (:func:`~repro.compiled.cached_compile`, :class:`Scatter`).
 
     ``rwlock`` is the context's read/write discipline: queries hold the
@@ -64,14 +66,20 @@ class QueryContext:
     one backend shares a single discipline; a plain document never
     mutates, so its private lock is uncontended.
 
-    ``sources`` lists the contexts a query's plans execute on — here the
-    context itself.  ``readdress(source_index, node_id)`` maps a
-    source-local answer id to the id space callers see; None because a
-    plain context's ids already are that space.  Either way the context's
-    ``backend.node`` builds an answer's view when a caller reads it.
+    The compile half — penalties, estimator, plan cache — is built once,
+    over the backend's (for a sharded backend: aggregate) statistics.
+    ``sources`` holds one :class:`~repro.plans.executor.PlanExecutor` per
+    shard in ``backend.shards``, each with its own
+    :class:`~repro.plans.eval_cache.EvaluationCache` (keys are that
+    shard's node ids, which must never mix).  A plain backend is its own
+    one shard: its executor is the context's ``executor``, its cache the
+    context's ``eval_cache``, and its answers already carry the ids callers
+    see.  Over shards both are None, plans only ever run on the sources,
+    and :meth:`Scatter.addressed` re-addresses answers through
+    ``backend.translate_id``.  ``eval_caches`` and ``components`` (every
+    source's IR engine, then every source's evaluation cache) are the
+    per-source parts the engine and :meth:`Strategy.top_k` read.
     """
-
-    readdress = None
 
     def __init__(self, document, ir_engine=None, weights=UNIFORM_WEIGHTS,
                  plan_cache_size=None):
@@ -86,14 +94,18 @@ class QueryContext:
         self.penalties = PenaltyModel(self.statistics, self.ir, weights)
         self.estimator = SelectivityEstimator(self.statistics, self.ir)
         self.plan_cache = PlanCache(plan_cache_size)
-        self._bind_execution()
-
-    def _bind_execution(self):
-        """Build what runs plans: evaluation cache, executor, sources."""
-        self.eval_cache = EvaluationCache()
-        self.executor = PlanExecutor(self.backend, self.ir,
-                                     eval_cache=self.eval_cache)
-        self.sources = (self,)
+        self.sources = tuple(
+            PlanExecutor(shard, eval_cache=EvaluationCache())
+            for shard in backend.shards
+        )
+        own = self.sources[0] if self.sources[0].backend is backend else None
+        self.executor = own
+        self.eval_cache = own.eval_cache if own is not None else None
+        self.eval_caches = tuple(source.eval_cache for source in self.sources)
+        self.components = (
+            tuple(source.ir for source in self.sources) + self.eval_caches
+        )
+        self._thread_pool = None
 
     def compile(self, query, max_relaxations=None):
         """Return the :class:`~repro.compiled.CompiledQuery` for a request.
@@ -108,15 +120,30 @@ class QueryContext:
         """Return (and cache) the relaxation schedule for a query."""
         return self.compile(query, max_relaxations=max_steps).schedule
 
+    def thread_pool(self):
+        """The lazily built pool a coordinated scatter runs its sources on."""
+        if self._thread_pool is None:
+            self._thread_pool = ThreadPoolExecutor(
+                max_workers=len(self.sources),
+                thread_name_prefix="shard-scatter",
+            )
+        return self._thread_pool
+
+    def close(self):
+        """Shut down the scatter thread pool, if one was built (idempotent)."""
+        if self._thread_pool is not None:
+            self._thread_pool.shutdown(wait=True)
+            self._thread_pool = None
+
 
 class ExecutionSession:
     """The mutable state of one top-K evaluation on one source.
 
     The :class:`Scatter` creates one per source, so nothing about the
     query ever lands on the shared strategy object or the shared context.
-    The fields are a tracer, the cross-level answer-id dedup set (in the
-    source's own ids), and the per-plan stats, traces and counter the
-    :class:`TopKResult` reports.
+    The fields are the source executor, a tracer, the cross-level
+    answer-id dedup set (in the source's own ids), and the per-plan stats,
+    traces and counter the :class:`TopKResult` reports.
 
     ``control`` is the per-query deadline/cancellation hook (an object with
     a ``check()`` method raising to abort, e.g.
@@ -127,7 +154,7 @@ class ExecutionSession:
     """
 
     __slots__ = (
-        "context",
+        "source",
         "tracer",
         "control",
         "seen",
@@ -136,8 +163,8 @@ class ExecutionSession:
         "levels_evaluated",
     )
 
-    def __init__(self, context, tracer=NULL_TRACER, control=None):
-        self.context = context
+    def __init__(self, source, tracer=NULL_TRACER, control=None):
+        self.source = source
         self.tracer = tracer
         self.control = control
         self.seen = set()
@@ -157,7 +184,7 @@ class ExecutionSession:
         if control is not None:
             control.check()
             kwargs.setdefault("checkpoint", control.check)
-        executor = self.context.executor
+        executor = self.source
         tracer = self.tracer
         if not tracer.enabled:
             result = executor.run(plan, **kwargs)
@@ -191,9 +218,9 @@ class Scatter:
       for several.  Traced or not, the path is the same: a traced round
       hands each source a private :class:`Tracer`, which records its
       ``shard N`` span, and merges them into the query's afterwards;
-    - **addressing** — ``readdress`` is the context's hook taking a
-      source-local answer id to the id callers see (None for a plain
-      context: no translation);
+    - **addressing** — :meth:`addressed` maps a source's answers to the
+      ids callers see: as they are for a context's own executor, through
+      the backend's ``translate_id`` for a shard;
     - **retirement** — :meth:`retire` is the §5.2.1 ``maxScoreGrowth``
       bound lifted from tuples to sources: a source whose best possible
       next-level answer sorts strictly below the current K-th is never
@@ -206,9 +233,9 @@ class Scatter:
     source: nothing was coordinated).
 
     Creating a scatter fences every source's evaluation cache on the
-    version of the context the query came in through: for a sharded
-    coordinator the sum of the shard versions, since an ingest into any
-    shard moves the corpus-wide idf every shard's ``contains`` scores use.
+    context's backend version: for a sharded backend the sum of the shard
+    versions, since an ingest into any shard moves the corpus-wide idf
+    every shard's ``contains`` scores use.
     """
 
     __slots__ = (
@@ -217,18 +244,18 @@ class Scatter:
         "tracer",
         "coordinated",
         "sessions",
-        "readdress",
         "runnable",
         "rounds",
         "pruned",
+        "_translate",
         "_ceilings",
     )
 
     def __init__(self, context, compiled, tracer=NULL_TRACER, control=None):
         sources = context.sources
         version = context.backend.version
-        for source in sources:
-            source.eval_cache.fence(version)
+        for cache in context.eval_caches:
+            cache.fence(version)
         self.context = context
         self.compiled = compiled
         self.tracer = tracer
@@ -240,10 +267,13 @@ class Scatter:
             ExecutionSession(source, tracer=session_tracer, control=control)
             for source in sources
         ]
-        self.readdress = context.readdress
         self.runnable = list(range(len(sources)))
         self.rounds = 0
         self.pruned = 0
+        self._translate = (
+            None if context.executor is not None
+            else context.backend.translate_id
+        )
         self._ceilings = None
 
     def run(self, plan, label, per_source=None, **kwargs):
@@ -301,21 +331,47 @@ class Scatter:
                 kwargs = {**kwargs, **per_source(session)}
             return session.run_plan(plan, label, **kwargs)
 
+    def addressed(self, index, answers):
+        """Source ``index``'s ``answers`` in the ids callers see.
+
+        The context's own executor answers in those ids already, so its
+        list comes back as it is.  A shard's answers are rebuilt with the
+        backend's ``translate_id`` as their id (increasing within a shard,
+        so a shard's ranking holds) and the backend as the source of their
+        views.
+        """
+        translate = self._translate
+        if translate is None:
+            return answers
+        backend = self.context.backend
+        return [
+            ScoredAnswer(
+                score=answer.score,
+                relaxation_level=answer.relaxation_level,
+                satisfied=answer.satisfied,
+                node_id=translate(index, answer.node_id),
+                source=backend,
+            )
+            for answer in answers
+        ]
+
     def retire(self, answers, k, scheme, next_structural):
         """Retire sources that can no longer place an answer in the top K.
 
         ``answers`` holds at least K scored answers; ``next_structural`` is
         the next level's structural score (identical across sources).  A
         source's best possible future answer is that score plus its
-        keyword ceiling (``context.keyword_ceilings``); the source is done
-        when that sorts strictly below the current K-th.  Ties are kept —
-        a tied future answer can still win on node id — so retiring never
-        changes answers.
+        keyword ceiling (the backend's ``keyword_ceilings``); the source
+        is done when that sorts strictly below the current K-th.  Ties are
+        kept — a tied future answer can still win on node id — so retiring
+        never changes answers.
         """
         if not self.coordinated:
             return
         if self._ceilings is None:
-            self._ceilings = self.context.keyword_ceilings(self.compiled)
+            self._ceilings = self.context.backend.keyword_ceilings(
+                self.compiled.tpq.contains
+            )
         kth_key = heapq.nlargest(
             k, (scheme.sort_key(answer.score) for answer in answers)
         )[-1]
@@ -381,10 +437,7 @@ class Strategy:
         """
         context = self._context
         started = perf_counter()
-        components = [
-            part for source in context.sources
-            for part in (source.ir, source.eval_cache)
-        ]
+        components = context.components
         before = None
         if tracer.enabled:
             before = summed(part.metrics_snapshot() for part in components)

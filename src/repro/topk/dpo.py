@@ -20,9 +20,9 @@ scheme the §5.1 cutoff limits how far past the K-th answer DPO walks.
 
 :meth:`DPO.execute` is the only level walk in the package.  It runs each
 level on every source of the context through a
-:class:`~repro.topk.base.Scatter` — one source for a plain context, one
-per shard under the coordinator — and merges what comes back, so the walk
-is the same loop in both topologies.  The IR-first variant
+:class:`~repro.topk.base.Scatter` — one source for a plain backend, one
+per shard of a sharded one — and merges what comes back, so the walk is
+the same loop in both topologies.  The IR-first variant
 (:mod:`repro.topk.ir_first`) adds per-source pool restrictions through
 :meth:`DPO._source_arguments`; the naive baseline
 (:mod:`repro.topk.naive`) switches off the answer memory and with it the
@@ -73,7 +73,6 @@ class DPO(Strategy):
         contains_count = compiled.contains_count()
         remembers = self._remembers_answers
         sessions = scatter.sessions
-        readdress = scatter.readdress
         backend = scatter.context.backend
         sort_key = scheme.sort_key
 
@@ -98,14 +97,13 @@ class DPO(Strategy):
 
             level_score = schedule.structural_score(level)
             for index, result in results:
-                # The executor already left out the ids in ``seen``.
-                seen = sessions[index].seen
-                for answer in result.answers:
+                if remembers:
+                    # The executor already left out the ids in ``seen``.
+                    sessions[index].seen.update(
+                        answer.node_id for answer in result.answers
+                    )
+                for answer in scatter.addressed(index, result.answers):
                     node_id = answer.node_id
-                    if remembers:
-                        seen.add(node_id)
-                    if readdress is not None:
-                        node_id = readdress(index, node_id)
                     scored = ScoredAnswer(
                         score=AnswerScore(level_score, answer.score.keyword),
                         relaxation_level=level,

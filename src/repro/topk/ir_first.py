@@ -38,41 +38,41 @@ class IRFirstDPO(DPO):
         arguments = super()._source_arguments(session, query)
         with session.tracer.span("ir_filter"):
             arguments["pool_restrictions"] = _restrictions_for(
-                session.context, query
+                session.source, query
             )
         return arguments
 
 
-def _satisfiers(context, ftexpr, tag):
+def _satisfiers(source, ftexpr, tag):
     """Node ids (with the given tag) whose subtree satisfies ``ftexpr``.
 
-    The set lives in the source context's shared :class:`EvaluationCache`
+    The set lives in the source executor's shared :class:`EvaluationCache`
     (``satisfiers`` tier), so it survives across queries, is shared
     with any other strategy asking the same question, and is invalidated
     when the corpus grows.
     """
 
     def compute():
-        backend = context.backend
+        backend = source.backend
         if tag is None:
             ids = range(len(backend))
         else:
             ids = backend.node_ids_with_tag(tag)
         return frozenset(
             node_id
-            for node_id, score in context.ir.contains_scores(ftexpr, ids).items()
+            for node_id, score in source.ir.contains_scores(ftexpr, ids).items()
             if score is not None
         )
 
-    return context.eval_cache.value("satisfiers", (ftexpr, tag), compute)
+    return source.eval_cache.value("satisfiers", (ftexpr, tag), compute)
 
 
-def _restrictions_for(context, query):
+def _restrictions_for(source, query):
     """Per-variable satisfier sets for one level's query on one source."""
     restrictions = {}
     for predicate in query.contains:
         satisfiers = _satisfiers(
-            context, predicate.ftexpr, query.tag_of(predicate.var)
+            source, predicate.ftexpr, query.tag_of(predicate.var)
         )
         current = restrictions.get(predicate.var)
         if current is None:

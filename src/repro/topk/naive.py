@@ -17,7 +17,7 @@ what DPO's bookkeeping and SSO's single-plan encoding buy:
 
 It is :meth:`repro.topk.dpo.DPO.execute` with the answer memory switched
 off.  (Over several sources the scatter's ceiling rule still retires a
-source that can no longer reach the top K — that is the coordinator's
+source that can no longer reach the top K — that is the scatter's
 saving, not the strategy's.)
 """
 

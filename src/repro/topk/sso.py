@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from repro.plans.executor import SSO_MODE
 from repro.rank.schemes import STRUCTURE_FIRST, rank_answers
-from repro.rank.scores import ScoredAnswer
 from repro.topk.base import Strategy, combined_level_cutoff
 
 
@@ -53,8 +52,8 @@ class SSO(Strategy):
         Walks the schedule accumulating estimated result sizes until K is
         reached (Algorithm 1, lines 3-7), then applies the scheme's policy:
         keyword-first encodes everything; combined extends to the §5.1
-        cutoff.  The estimator is the context's, so under the sharded
-        coordinator the choice is made once, from corpus-wide statistics.
+        cutoff.  The estimator is the context's, so over a sharded backend
+        the choice is made once, from corpus-wide statistics.
         """
         estimator = self._context.estimator
         level = 0
@@ -72,7 +71,6 @@ class SSO(Strategy):
     def execute(self, compiled, scatter, k, scheme=STRUCTURE_FIRST):
         """Run the encoded-plan evaluation (with restarts) — stateless."""
         schedule = compiled.schedule
-        readdress = scatter.readdress
 
         level = self.choose_level(
             schedule, k, scheme, compiled.contains_count()
@@ -93,23 +91,10 @@ class SSO(Strategy):
             level += 1
             restarts += 1
 
-        if readdress is None:
-            answers = [
-                answer for _, result in results for answer in result.answers
-            ]
-        else:
-            backend = scatter.context.backend
-            answers = [
-                ScoredAnswer(
-                    score=answer.score,
-                    relaxation_level=answer.relaxation_level,
-                    satisfied=answer.satisfied,
-                    node_id=readdress(index, answer.node_id),
-                    source=backend,
-                )
-                for index, result in results
-                for answer in result.answers
-            ]
+        answers = [
+            answer for index, result in results
+            for answer in scatter.addressed(index, result.answers)
+        ]
         return scatter.result(
             self.name, k, scheme, rank_answers(answers, scheme, k),
             relaxations_used=level, restarts=restarts,

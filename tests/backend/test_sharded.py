@@ -24,12 +24,17 @@ from repro.backend.sharded import (
     ShardedBackend,
 )
 from repro.collection import Corpus
+from repro.compiled import PlanCache
+from repro.engine import ALGORITHMS as ALGORITHM_CLASSES
 from repro.errors import FleXPathError, QueryTimeoutError
 from repro.ir.scoring import idf
 from repro.obs.metrics import REGISTRY
-from repro.plans.executor import PlanExecutor
+from repro.plans.executor import STRICT, PlanExecutor
 from repro.xmark import PAPER_Q1, PAPER_Q2, PAPER_Q3, generate_document
 from repro.query import parse_query
+from repro.relax.penalties import PenaltyModel
+from repro.stats.selectivity import SelectivityEstimator
+from repro.topk.base import QueryContext, Scatter
 from repro.xmltree import parse
 from repro.xmltree.serialize import to_xml
 from tests.spec.datasets import FIGURE1_QUERIES, article_corpus
@@ -405,8 +410,8 @@ class TestObservability:
 
 
 class TestShardEvalCaches:
-    """The coordinator holds no evaluation cache: every view of one is a
-    sum over the per-source caches."""
+    """A sharded context holds no evaluation cache of its own: every view
+    of one is a sum over the per-source caches."""
 
     @staticmethod
     def _engine(**kwargs):
@@ -438,7 +443,7 @@ class TestShardEvalCaches:
         """Any shard's ingest moves the corpus-wide idf every shard scores
         with, so the shard that did not grow must drop its memoized
         keyword scores too — at the next query, whose scatter fences
-        every source on the coordinator's version."""
+        every source on the sharded backend's version."""
         docs = (
             "<root><a>gold coin</a><a>silver</a></root>",
             "<root><a>silver spoon</a></root>",
@@ -503,6 +508,110 @@ class TestShardEvalCaches:
         assert {
             key: counters.get(key, 0) for key in deltas
         } == deltas
+
+
+ALGORITHMS = ("dpo", "sso", "hybrid", "naive", "ir-first")
+
+
+class TestOneContext:
+    """Any backend gets the one ``QueryContext``: over shards its sources
+    are plan executors, and it compiles once."""
+
+    CONTEXT_QUERY = '//root[./a and ./b/c and .contains("gold")]'
+
+    @staticmethod
+    def _ranked(result):
+        return [(a.node_id, repr(a.score)) for a in result.answers]
+
+    @staticmethod
+    def _strict_ids(context, query):
+        compiled = context.compile(parse_query(query), max_relaxations=0)
+        scatter = Scatter(context, compiled)
+        return sorted(
+            answer.node_id
+            for index, result in scatter.run(
+                compiled.strict_plan(0), "level 0", mode=STRICT
+            )
+            for answer in scatter.addressed(index, result.answers)
+        )
+
+    @pytest.mark.parametrize("shard_count", [1, 2, 3])
+    def test_query_context_over_shards_answers_like_the_engines(
+            self, shard_count):
+        context = QueryContext(_sharded(shard_count))
+        sharded = Engine.sharded(
+            shard_count, router=RoundRobinRouter(), cache=False
+        )
+        for index, text in enumerate(DOCS):
+            sharded.backend.add_document(parse(text), name="doc%d" % index)
+        flat = Engine(_flat(), cache=False)
+        try:
+            for algorithm in ALGORITHMS:
+                for query in (QUERY, self.CONTEXT_QUERY):
+                    got = ALGORITHM_CLASSES[algorithm](context).top_k(
+                        parse_query(query), 4
+                    )
+                    engine = sharded.query(query, k=4, algorithm=algorithm)
+                    unsharded = flat.query(query, k=4, algorithm=algorithm)
+                    label = (algorithm, query)
+                    assert got.answers, label
+                    assert self._ranked(got) == self._ranked(engine), label
+                    assert self._ranked(got) == self._ranked(unsharded), label
+                    assert got.levels_evaluated == engine.levels_evaluated
+                    if shard_count == 1:
+                        assert (
+                            got.levels_evaluated == unsharded.levels_evaluated
+                        ), label
+            for query in (QUERY, self.CONTEXT_QUERY, "//a", "//*[./c]"):
+                ids = self._strict_ids(context, query)
+                assert ids == [n.node_id for n in sharded.exact(query)]
+                assert ids == [n.node_id for n in flat.exact(query)]
+            assert context.executor is context.eval_cache is None
+            assert len(context.sources) == shard_count
+            assert all(isinstance(s, PlanExecutor) for s in context.sources)
+        finally:
+            context.close()
+            sharded.context.close()
+
+    @pytest.mark.parametrize("shard_count", [1, 2, 4])
+    def test_a_sharded_engine_compiles_with_one_set_of_parts(
+            self, monkeypatch, shard_count):
+        built = {}
+        for cls in (PlanCache, PenaltyModel, SelectivityEstimator):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _name=cls.__name__,
+                         **kwargs):
+                built[_name] = built.get(_name, 0) + 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        engine = Engine.sharded(shard_count, router=RoundRobinRouter())
+        for index, text in enumerate(DOCS):
+            engine.backend.add_document(parse(text), name="doc%d" % index)
+        for algorithm in ALGORITHMS:
+            engine.query(QUERY, k=3, algorithm=algorithm)
+        engine.exact(QUERY)
+        engine.context.close()
+        assert built == {
+            "PlanCache": 1, "PenaltyModel": 1, "SelectivityEstimator": 1
+        }
+        assert len(engine.context.sources) == shard_count
+        assert engine.context.plan_cache.info()["misses"] == 2
+
+    def test_a_plain_context_passes_answers_through(self):
+        context = QueryContext(_flat())
+        (source,) = context.sources
+        assert source is context.executor
+        assert source.backend is context.backend
+        assert source.eval_cache is context.eval_cache
+        compiled = context.compile(parse_query(QUERY), max_relaxations=0)
+        scatter = Scatter(context, compiled)
+        ((index, result),) = scatter.run(
+            compiled.strict_plan(0), "level 0", mode=STRICT
+        )
+        assert result.answers
+        assert scatter.addressed(index, result.answers) is result.answers
 
 
 class TestEngineIntegration:
@@ -678,7 +787,7 @@ class TestScatterRound:
         slow_started = threading.Event()
         release = threading.Event()
         slow_returned = threading.Event()
-        run_slow = slow.executor.run
+        run_slow = slow.run
 
         def fail(plan, **kwargs):
             assert slow_started.wait(timeout=5)
@@ -692,8 +801,8 @@ class TestScatterRound:
             finally:
                 slow_returned.set()
 
-        monkeypatch.setattr(failing.executor, "run", fail)
-        monkeypatch.setattr(slow.executor, "run", block)
+        monkeypatch.setattr(failing, "run", fail)
+        monkeypatch.setattr(slow, "run", block)
         timer = threading.Timer(0.2, release.set)
         timer.start()
         try:

@@ -191,7 +191,7 @@ class TestUnit:
         del door_calls[:]
         assert executor._contains_table(expr, ids, 2 * len(ids)) is table
         assert door_calls == []  # a warm table asks the door nothing
-        snapshot = executor._eval_cache.metrics_snapshot()
+        snapshot = executor.eval_cache.metrics_snapshot()
         assert snapshot["eval_cache.contains.misses"] == len(ids)
         assert snapshot["eval_cache.contains.hits"] == 2 * len(ids)
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.backend.sharded import RoundRobinRouter, ShardedBackend
 from repro.collection import Corpus
 from repro.rank import COMBINED, KEYWORD_FIRST, STRUCTURE_FIRST
-from repro.sharding import ShardedQueryContext
 from repro.topk import (
     DPO,
     SSO,
@@ -42,7 +41,7 @@ def _build_pair(docs, shard_count):
     backend = ShardedBackend.in_memory(shard_count, router=RoundRobinRouter())
     for index, doc in enumerate(docs):
         backend.add_document(doc, name="doc%d" % index)
-    return flat, ShardedQueryContext(backend)
+    return flat, QueryContext(backend)
 
 
 def _ranked(result):
@@ -127,7 +126,7 @@ def test_pruned_rounds_never_drop_answers(docs, query):
 def test_one_shard_is_the_plain_loop(docs, query, k):
     """One source is one source, whichever context lists it.
 
-    A 1-shard coordinator and a plain context run the *same* loop, so they
+    A 1-shard backend and a plain one run the *same* loop, so they
     agree not only on the ranked answers but on the work: plans executed,
     relaxations used, restarts — and a plain context coordinates nothing.
     """

@@ -72,7 +72,7 @@ def test_the_eval_cache_example_in_extending_runs():
     arguments_of = namespace["my_source_arguments"]
 
     context = QueryContext(generate_document(target_bytes=30_000, seed=3))
-    session = ExecutionSession(context)
+    session = ExecutionSession(context.executor)
     cache = context.eval_cache
     cold = arguments_of(session)
     chosen = cold["pool_restrictions"]["$1"]

@@ -17,11 +17,11 @@ SPANS_PATH = (
     Path(__file__).resolve().parent.parent / "benchmarks" / "e2e" / "spans.py"
 )
 
-#: Points whose owners no longer exist.  The top-K strategies run over the
-#: sharded coordinator's sources directly (no ``ShardedStrategy``, so no
-#: sharding-side ``rank_answers`` either) and the coordinator inherits
-#: ``QueryContext.compile``; their time is recorded under the ``topk`` /
-#: ``rank`` / ``compiled`` points that do resolve.  The next ``benchmark``
+#: Points whose owners no longer exist.  ``repro.sharding`` is deleted:
+#: one ``QueryContext`` serves every backend and its sources are plan
+#: executors, so a sharded query compiles in ``QueryContext.compile`` and
+#: its time is recorded under the ``topk`` / ``rank`` / ``compiled``
+#: points that do resolve.  The next ``benchmark``
 #: PR re-points ``spans.py``; until then ``sharding.coordinator_self_ms``
 #: reads 0.  The two ``StorageBackend`` kernels are deleted and were never
 #: called by the executor before that, so dropping their wrappers moves no

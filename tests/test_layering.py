@@ -94,41 +94,68 @@ class TestDetection:
         assert len(violations) == 1
         assert "query-side" in violations[0]
 
-    def test_strategy_code_cannot_import_the_coordinator(self, tmp_path):
+    def test_strategy_code_cannot_reach_the_shards(self, tmp_path):
         root = _fake_tree(
-            tmp_path, "from repro.sharding import ShardedQueryContext\n"
+            tmp_path,
+            "from repro.sharding import ShardedQueryContext\n"
+            "def execute(scatter, backend):\n"
+            "    pool = scatter.context.thread_pool()\n"
+            "    return backend.translate_id(0, 1), backend.shards\n",
         )
         violations = check_layering.check(root)
-        assert len(violations) == 1
-        assert "coordinator" in violations[0]
+        assert len(violations) == 4
+        assert sum("coordinator" in violation for violation in violations) == 1
+        assert sum("shard hook" in violation for violation in violations) == 3
         # Only repro.topk is held to it: plans/stats never could wrap one.
-        assert check_layering.check(
-            _fake_tree(tmp_path / "other", "import repro.sharding\n", "plans")
-        ) == []
+        assert check_layering.check(_fake_tree(
+            tmp_path / "other",
+            "import repro.sharding\nshards = backend.shards\n",
+            "plans",
+        )) == []
 
-    def test_coordinator_cannot_import_a_strategy(self, tmp_path):
+    def test_the_scatter_module_may_read_shard_hooks(self, tmp_path):
         root = _fake_tree(tmp_path, "")
-        sharding = root / "repro" / "sharding.py"
-        sharding.write_text(
-            "from repro.topk.base import QueryContext\n", encoding="utf-8"
+        (root / "repro" / "topk" / "base.py").write_text(
+            "def sources(backend):\n"
+            "    return backend.shards, backend.keyword_ceilings([])\n",
+            encoding="utf-8",
         )
         assert check_layering.check(root) == []
-        sharding.write_text(
-            "from repro.topk.base import QueryContext\n"
+
+    def test_the_scatter_module_cannot_import_a_strategy(self, tmp_path):
+        root = _fake_tree(tmp_path, "")
+        base = root / "repro" / "topk" / "base.py"
+        base.write_text(
             "from repro.topk.dpo import DPO\n"
-            "from repro.topk import SSO\n",
+            "from repro.topk import SSO\n"
+            "import repro.topk.base\n",
             encoding="utf-8",
         )
         violations = check_layering.check(root)
         assert len(violations) == 2
         assert all("strategy" in violation for violation in violations)
 
-    @pytest.mark.parametrize("module", ["sharding.py", "engine.py"])
-    def test_coordinator_and_engine_cannot_import_the_eval_cache(
+    def test_missing_scatter_module_is_flagged(self, tmp_path):
+        root = _fake_tree(tmp_path, "")
+        (root / "repro" / "topk" / "base.py").unlink()
+        violations = check_layering.check(root)
+        assert len(violations) == 1
+        assert "topk/base.py" in violations[0]
+
+    @pytest.mark.parametrize(
+        "module", ["engine.py", "session.py", "cli.py", "topk/dpo.py"]
+    )
+    def test_only_the_context_and_plans_import_the_eval_cache(
             self, tmp_path, module):
         root = _fake_tree(tmp_path, "")
         path = root / "repro" / module
-        path.write_text("from repro.topk.base import QueryContext\n", encoding="utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("import heapq\n", encoding="utf-8")
+        for owner in check_layering.EVAL_CACHE_OWNERS + ("plans/executor.py",):
+            (root / "repro" / owner).write_text(
+                "from repro.plans.eval_cache import EvaluationCache\n",
+                encoding="utf-8",
+            )
         assert check_layering.check(root) == []
         path.write_text(
             "from repro.plans.eval_cache import EvaluationCache\n"

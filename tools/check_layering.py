@@ -20,18 +20,21 @@ fails (exit 1, one line per violation) on:
   ``Posting``, ``ShardedBackend``);
 - the reverse direction: modules under ``repro.backend`` (including the
   sharded topology in ``backend/sharded.py``) importing query-side
-  packages (``repro.topk``, ``repro.plans``, ``repro.sharding``, the
-  engine/session facades, ...) — storage must not reach back up;
+  packages (``repro.topk``, ``repro.plans``, the engine/session facades,
+  ...) — storage must not reach back up;
 - the two directions a second copy of the strategies would live in: no
-  module under ``repro.topk`` imports ``repro.sharding`` (strategies are
-  written against a context's sources, never against the coordinator),
-  and ``repro/sharding.py`` imports no concrete strategy module
-  (``repro.topk.{dpo,sso,hybrid,naive,ir_first}``) — the coordinator
-  supplies sources, it does not wrap or re-implement a strategy;
-- one evaluation cache per source: ``repro/sharding.py`` and
-  ``repro/engine.py`` do not import ``repro.plans.eval_cache`` (nor its
-  ``EvaluationCache`` re-exports) — they read each source's own cache, so
-  no second cache view over the shards can grow back;
+  strategy module (``repro/topk/*.py`` but ``base.py``) reads a shard hook
+  (:data:`SHARD_HOOKS`: ``shards``, ``translate_id``, ``keyword_ceilings``
+  ...) or imports ``repro.sharding`` — strategies are written against
+  the scatter's sessions, never against the topology — and
+  ``repro/topk/base.py``, where the context and the scatter live, imports
+  nothing else from ``repro.topk``: it supplies sources, it does not wrap
+  or re-implement a strategy.  ``topk/base.py`` is a required module;
+- one evaluation cache per source: outside ``repro.plans`` only
+  :data:`EVAL_CACHE_OWNERS` (the context, which builds one per source,
+  and the package's public re-export) import ``repro.plans.eval_cache``
+  or an ``EvaluationCache`` re-export — everyone else reads the context's
+  ``eval_caches``, so no second cache view over the shards can grow back;
 - the data layer: modules under ``repro.xmltree`` (the node table and its
   codec, which ``repro.backend`` builds on) import only ``repro.xmltree.*``,
   ``repro.errors`` and the standard library — no observability plane, no
@@ -61,10 +64,24 @@ GUARDED_PACKAGES = ("topk", "plans", "stats")
 
 #: Modules the gate must actually have walked, relative to ``repro/``.
 #: The plan lowering sits on the guarded side of the seam on purpose (it
-#: sees only the statistics protocol, never a storage class); if the file
-#: is moved out of a guarded package the bidirectional guarantee silently
-#: lapses, so its absence is itself a violation.
-REQUIRED_GUARDED_MODULES = ("plans/lowering.py",)
+#: sees only the statistics protocol, never a storage class), and the
+#: scatter's module is the one place the strategy rules exempt; if either
+#: file is moved out of a guarded package a guarantee silently lapses, so
+#: its absence is itself a violation.
+REQUIRED_GUARDED_MODULES = ("plans/lowering.py", "topk/base.py")
+
+#: The one ``repro.topk`` module that may touch the topology.
+SCATTER_MODULE = "topk/base.py"
+
+#: Attributes only the scatter may read: the backend's shard list and the
+#: sharded backend's hooks, and the context's pool that runs them.
+SHARD_HOOKS = frozenset({
+    "shards",
+    "shard_count",
+    "translate_id",
+    "keyword_ceilings",
+    "thread_pool",
+})
 
 #: Modules whose import from guarded code pierces the seam.
 BANNED_MODULES = {
@@ -116,6 +133,10 @@ BACKEND_BANNED_PREFIXES = (
 #: The modules outside ``repro.obs`` that may import ``repro.obs.events``,
 #: relative to ``repro/``.
 EVENT_EMITTERS = ("session.py", "engine.py")
+
+#: The modules outside ``repro.plans`` that may import the evaluation
+#: cache, relative to ``repro/``.
+EVAL_CACHE_OWNERS = (SCATTER_MODULE, "__init__.py")
 
 
 def _under(name, package):
@@ -206,17 +227,33 @@ def _import_statements(tree):
             ]
 
 
-def _topk_violations(tree):
-    """Yield imports of the sharded coordinator in one ``repro.topk`` module."""
+def _strategy_violations(tree):
+    """Yield topology reads in one strategy module (``repro/topk`` but base).
+
+    A strategy that names a shard hook, or the deleted coordinator module,
+    is how a second, sharded copy of its loop would start.
+    """
     for lineno, names in _import_statements(tree):
         if any(_under(name, "repro.sharding") for name in names):
             yield lineno, "strategy code imports the sharded coordinator"
+    for node in _walk_guarded(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name in SHARD_HOOKS:
+            yield node.lineno, (
+                "strategy code reads shard hook %r (only %s may)"
+                % (name, SCATTER_MODULE)
+            )
 
 
-def _sharding_violations(tree):
-    """Yield imports from ``repro.topk`` other than its shared base module.
+def _scatter_violations(tree):
+    """Yield imports of another ``repro.topk`` module in the scatter's module.
 
-    ``repro/sharding.py`` supplies sources to the strategies; naming one
+    ``repro/topk/base.py`` supplies sources to the strategies; naming one
     (``repro.topk.dpo`` ..., or a re-export from the package root) is how a
     second copy of its loop would start.
     """
@@ -225,11 +262,11 @@ def _sharding_violations(tree):
             _under(name, "repro.topk") and not _under(name, "repro.topk.base")
             for name in names
         ):
-            yield lineno, "coordinator imports a strategy (only repro.topk.base)"
+            yield lineno, "scatter module imports a strategy (nothing from repro.topk)"
 
 
 def _eval_cache_violations(tree):
-    """Yield imports of the evaluation cache in the coordinator or engine."""
+    """Yield imports of the evaluation cache in one module outside its owners."""
     for lineno, names in _import_statements(tree):
         if any(
             _under(name, "repro.plans.eval_cache")
@@ -281,8 +318,11 @@ def check(src_root):
             walked.add(path.relative_to(src_root / "repro").as_posix())
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             found = list(_module_violations(path, tree))
-            if package == "topk":
-                found.extend(_topk_violations(tree))
+            relative = path.relative_to(src_root / "repro").as_posix()
+            if relative == SCATTER_MODULE:
+                found.extend(_scatter_violations(tree))
+            elif package == "topk":
+                found.extend(_strategy_violations(tree))
             for lineno, message in found:
                 violations.append("%s:%d: %s" % (path, lineno, message))
     for required in REQUIRED_GUARDED_MODULES:
@@ -301,22 +341,15 @@ def check(src_root):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for lineno, message in _data_layer_violations(tree):
             violations.append("%s:%d: %s" % (path, lineno, message))
-    for name in ("sharding.py", "engine.py"):
-        path = src_root / "repro" / name
-        if not path.is_file():
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found = list(_eval_cache_violations(tree))
-        if name == "sharding.py":
-            found.extend(_sharding_violations(tree))
-        for lineno, message in found:
-            violations.append("%s:%d: %s" % (path, lineno, message))
     for path in sorted((src_root / "repro").rglob("*.py")):
         relative = path.relative_to(src_root / "repro").as_posix()
-        if relative.startswith("obs/") or relative in EVENT_EMITTERS:
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for lineno, message in _events_violations(tree):
+        found = []
+        if not (relative.startswith("obs/") or relative in EVENT_EMITTERS):
+            found.extend(_events_violations(tree))
+        if not (relative.startswith("plans/") or relative in EVAL_CACHE_OWNERS):
+            found.extend(_eval_cache_violations(tree))
+        for lineno, message in found:
             violations.append("%s:%d: %s" % (path, lineno, message))
     return violations
 
