@@ -356,11 +356,11 @@ class Engine:
                 compiled = self.context.compile(tpq, max_relaxations=0)
                 scatter = Scatter(self.context, compiled)
                 node_ids = sorted(
-                    answer.node_id
+                    node_id
                     for index, result in scatter.run(
                         compiled.strict_plan(0), "level 0", mode=STRICT
                     )
-                    for answer in scatter.addressed(index, result.answers)
+                    for node_id in scatter.node_ids(index, result.answers)
                 )
                 nodes = [self.context.backend.node(node_id) for node_id in node_ids]
         except Exception:

@@ -29,6 +29,8 @@ from __future__ import annotations
 import heapq
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from time import perf_counter
 
 from repro.backend import as_backend
@@ -75,7 +77,7 @@ class QueryContext:
     one shard: its executor is the context's ``executor``, its cache the
     context's ``eval_cache``, and its answers already carry the ids callers
     see.  Over shards both are None, plans only ever run on the sources,
-    and :meth:`Scatter.addressed` re-addresses answers through
+    and :meth:`Scatter.node_ids` maps answer ids through
     ``backend.translate_id``.  ``eval_caches`` and ``components`` (every
     source's IR engine, then every source's evaluation cache) are the
     per-source parts the engine and :meth:`Strategy.top_k` read.
@@ -205,6 +207,9 @@ class ExecutionSession:
         return result
 
 
+_NODE_ID = attrgetter("node_id")
+
+
 class Scatter:
     """One top-K evaluation's plan runs over its context's 1..N sources.
 
@@ -218,9 +223,10 @@ class Scatter:
       for several.  Traced or not, the path is the same: a traced round
       hands each source a private :class:`Tracer`, which records its
       ``shard N`` span, and merges them into the query's afterwards;
-    - **addressing** — :meth:`addressed` maps a source's answers to the
+    - **addressing** — :meth:`node_ids` maps a source's answers to the
       ids callers see: as they are for a context's own executor, through
-      the backend's ``translate_id`` for a shard;
+      the backend's ``translate_id`` for a shard; :meth:`addressed`
+      rebuilds a shard's answers around those ids;
     - **retirement** — :meth:`retire` is the §5.2.1 ``maxScoreGrowth``
       bound lifted from tuples to sources: a source whose best possible
       next-level answer sorts strictly below the current K-th is never
@@ -331,17 +337,28 @@ class Scatter:
                 kwargs = {**kwargs, **per_source(session)}
             return session.run_plan(plan, label, **kwargs)
 
+    def node_ids(self, index, answers):
+        """Source ``index``'s answer ids as callers see them, in order.
+
+        The context's own executor answers in those ids already.  A
+        shard's local ids go through the backend's ``translate_id``
+        (increasing within a shard, so a shard's ranking holds).  Returns
+        an iterator: a caller that builds its own records reads the ids
+        off it, and no answer is copied.
+        """
+        ids = map(_NODE_ID, answers)
+        if self._translate is None:
+            return ids
+        return map(partial(self._translate, index), ids)
+
     def addressed(self, index, answers):
         """Source ``index``'s ``answers`` in the ids callers see.
 
-        The context's own executor answers in those ids already, so its
-        list comes back as it is.  A shard's answers are rebuilt with the
-        backend's ``translate_id`` as their id (increasing within a shard,
-        so a shard's ranking holds) and the backend as the source of their
-        views.
+        The context's own executor's list comes back as it is.  A shard's
+        answers are rebuilt around :meth:`node_ids`, with the backend as
+        the source of their views.
         """
-        translate = self._translate
-        if translate is None:
+        if self._translate is None:
             return answers
         backend = self.context.backend
         return [
@@ -349,10 +366,10 @@ class Scatter:
                 score=answer.score,
                 relaxation_level=answer.relaxation_level,
                 satisfied=answer.satisfied,
-                node_id=translate(index, answer.node_id),
+                node_id=node_id,
                 source=backend,
             )
-            for answer in answers
+            for answer, node_id in zip(answers, self.node_ids(index, answers))
         ]
 
     def retire(self, answers, k, scheme, next_structural):

@@ -97,13 +97,14 @@ class DPO(Strategy):
 
             level_score = schedule.structural_score(level)
             for index, result in results:
-                if remembers:
-                    # The executor already left out the ids in ``seen``.
-                    sessions[index].seen.update(
-                        answer.node_id for answer in result.answers
-                    )
-                for answer in scatter.addressed(index, result.answers):
-                    node_id = answer.node_id
+                # The executor already left out the ids in ``seen``.
+                seen = sessions[index].seen
+                source_answers = result.answers
+                for answer, node_id in zip(
+                    source_answers, scatter.node_ids(index, source_answers)
+                ):
+                    if remembers:
+                        seen.add(answer.node_id)
                     scored = ScoredAnswer(
                         score=AnswerScore(level_score, answer.score.keyword),
                         relaxation_level=level,

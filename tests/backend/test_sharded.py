@@ -528,11 +528,11 @@ class TestOneContext:
         compiled = context.compile(parse_query(query), max_relaxations=0)
         scatter = Scatter(context, compiled)
         return sorted(
-            answer.node_id
+            node_id
             for index, result in scatter.run(
                 compiled.strict_plan(0), "level 0", mode=STRICT
             )
-            for answer in scatter.addressed(index, result.answers)
+            for node_id in scatter.node_ids(index, result.answers)
         )
 
     @pytest.mark.parametrize("shard_count", [1, 2, 3])
@@ -612,6 +612,42 @@ class TestOneContext:
         )
         assert result.answers
         assert scatter.addressed(index, result.answers) is result.answers
+        assert list(scatter.node_ids(index, result.answers)) == [
+            answer.node_id for answer in result.answers
+        ]
+
+    def test_shard_answers_are_addressed_without_copies(self, monkeypatch):
+        # DPO and exact read a shard's global ids off ``node_ids``; only
+        # SSO, which keeps the executor's scores, has ``addressed`` rebuild
+        # its answers.
+        context = QueryContext(_sharded(2))
+        flat = Engine(_flat(), cache=False)
+        compiled = context.compile(parse_query(QUERY), max_relaxations=0)
+        scatter = Scatter(context, compiled)
+        for index, result in scatter.run(
+                compiled.strict_plan(0), "level 0", mode=STRICT):
+            addressed = scatter.addressed(index, result.answers)
+            assert [a.node_id for a in addressed] == list(
+                scatter.node_ids(index, result.answers)
+            )
+            assert all(a.node.node_id == a.node_id for a in addressed)
+
+        def no_copy(**kwargs):
+            raise AssertionError("the scatter copied an answer")
+
+        monkeypatch.setattr("repro.topk.base.ScoredAnswer", no_copy)
+        try:
+            for algorithm in ("dpo", "naive", "ir-first"):
+                got = ALGORITHM_CLASSES[algorithm](context).top_k(
+                    parse_query(QUERY), 4
+                )
+                unsharded = flat.query(QUERY, k=4, algorithm=algorithm)
+                assert self._ranked(got) == self._ranked(unsharded)
+            assert self._strict_ids(context, QUERY) == [
+                n.node_id for n in flat.exact(QUERY)
+            ]
+        finally:
+            context.close()
 
 
 class TestEngineIntegration:

@@ -24,9 +24,10 @@ fails (exit 1, one line per violation) on:
   ...) — storage must not reach back up;
 - the two directions a second copy of the strategies would live in: no
   strategy module (``repro/topk/*.py`` but ``base.py``) reads a shard hook
-  (:data:`SHARD_HOOKS`: ``shards``, ``translate_id``, ``keyword_ceilings``
-  ...) or imports ``repro.sharding`` — strategies are written against
-  the scatter's sessions, never against the topology — and
+  (an attribute in :data:`SHARD_HOOKS`: ``x.shards``,
+  ``backend.translate_id(...)``, ``backend.keyword_ceilings(...)`` ...)
+  — strategies are written against the scatter's sessions, never against
+  the topology — and
   ``repro/topk/base.py``, where the context and the scatter live, imports
   nothing else from ``repro.topk``: it supplies sources, it does not wrap
   or re-implement a strategy.  ``topk/base.py`` is a required module;
@@ -123,7 +124,6 @@ BACKEND_BANNED_PREFIXES = (
     "repro.stats",
     "repro.relax",
     "repro.rank",
-    "repro.sharding",
     "repro.compiled",
     "repro.engine",
     "repro.session",
@@ -230,23 +230,15 @@ def _import_statements(tree):
 def _strategy_violations(tree):
     """Yield topology reads in one strategy module (``repro/topk`` but base).
 
-    A strategy that names a shard hook, or the deleted coordinator module,
-    is how a second, sharded copy of its loop would start.
+    A strategy that reads a shard hook off an object is how a second,
+    sharded copy of its loop would start.  Only attribute reads count: a
+    local or parameter that happens to be called ``shards`` reads nothing.
     """
-    for lineno, names in _import_statements(tree):
-        if any(_under(name, "repro.sharding") for name in names):
-            yield lineno, "strategy code imports the sharded coordinator"
     for node in _walk_guarded(tree):
-        if isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Name):
-            name = node.id
-        else:
-            continue
-        if name in SHARD_HOOKS:
+        if isinstance(node, ast.Attribute) and node.attr in SHARD_HOOKS:
             yield node.lineno, (
                 "strategy code reads shard hook %r (only %s may)"
-                % (name, SCATTER_MODULE)
+                % (node.attr, SCATTER_MODULE)
             )
 
 
