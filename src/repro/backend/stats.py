@@ -12,13 +12,15 @@ The paper's formulas read a handful of integers per tag pair:
 ``#(t)`` is the length of the tag index's id list.  The pair counts are
 integer counters keyed by tag-id pairs, from one preorder walk over the
 store's ``tag_ids`` and ``parent_ids`` columns — no node view is built.  The
-walk counts nodes per root-to-node tag path, and ``#pc``/``#ad`` follow
-from those few hundred paths.  For the distinct counts each open ancestor
-keeps the tags seen below it and the tags of its children, dropped when
-the walk leaves its subtree; a new ``t`` node walks up only until an
-ancestor that has already seen ``t``.  No node-id set is kept.  ``None``
-(any tag) marginals are sums of the named counters, except "has at least
-one child", counted at each node's first child.
+walk counts nodes per root-to-node tag path, each path interned as a small
+int found under its parent path's id and its last tag (no per-node tuple),
+and ``#pc``/``#ad`` follow from those few hundred paths.  For the distinct
+counts each open ancestor with a child keeps the tags seen below it and
+the tags of its children, dropped when the walk leaves its subtree; a new
+``t`` node walks up only until an ancestor that has already seen ``t``.
+No node-id set is kept.  ``None`` (any tag) marginals are sums of the named
+counters, folded in once per walk, except "has at least one child",
+counted at each node's first child.
 
 **Why the counts add up across** :meth:`DocumentStatistics.extend` **calls.**
 Every pair is attributed to its lower endpoint, and a corpus splices every
@@ -126,49 +128,68 @@ class DocumentStatistics(CountFractions):
                 "statistics extend from a document root; node %d's parent %d "
                 "is not one" % (start_id, parent_ids[start_id])
             )
-        counts = self._counts
-        pc_parents, ad_ancestors = counts["pc_parents"], counts["ad_ancestors"]
-        paths = Counter()  # nodes per root-to-node tag path
-        # One frame per counted ancestor of the current node: its id, its
-        # tag path, the tags seen below it, and the tags of its children.
-        # Pre-order puts the parent on the stack; a range root's parent is
-        # not counted, so it empties the stack.
+        # This range's named distinct counts, "has a child" keyed
+        # ``(tag, None)``; their any-tag marginals are folded in after the
+        # walk.
+        pc_parents, ad_ancestors = Counter(), Counter()
+        # Root-to-node tag paths, interned as small ints: a path's id is
+        # found under its parent path's id and its last tag.  Path 0 is the
+        # empty path, a range root's parent.
+        path_tags = [()]  # path id -> its tuple of tag ids
+        path_counts = [0]  # path id -> nodes on it
+        path_children = [{}]  # path id -> {tag id: child path id}
+        # One frame per counted ancestor of the current node: its id, tag
+        # and path id, then -- from its first child on -- the tags seen
+        # below it and the tags of its children.  Pre-order puts the parent
+        # on the stack; a range root's parent is not counted, so it empties
+        # the stack.
         frames = []
         for node_id in range(start_id, end_id):
             parent = parent_ids[node_id]
             while frames and frames[-1][0] != parent:
                 frames.pop()
-            depth = len(frames)
             tag = tag_ids[node_id]
-            if depth:
-                _, path, _, children = frames[-1]
-                parent_tag = path[-1]
-                path += (tag,)
+            parent_path = 0
+            if frames:
+                _, parent_tag, parent_path, _, children = frames[-1]
+                if children is None:  # the first child: "has a child"
+                    pc_parents[parent_tag, None] += 1
+                    ad_ancestors[parent_tag, None] += 1
+                    children = set()
+                    frames[-1] = (parent, parent_tag, parent_path, set(),
+                                  children)
                 if tag not in children:
-                    if not children:  # the first child: "has a child"
-                        for distinct in (pc_parents, ad_ancestors):
-                            distinct[parent_tag, None] += 1
-                            distinct[None, None] += 1
                     children.add(tag)
                     pc_parents[parent_tag, tag] += 1
-                    pc_parents[None, tag] += 1
                     # An ancestor that has seen ``tag`` below it has had
                     # its own ancestors see it too: the walk stops there.
-                    while depth and tag not in frames[depth - 1][2]:
+                    depth = len(frames)
+                    while depth and tag not in frames[depth - 1][3]:
                         depth -= 1
-                        frames[depth][2].add(tag)
-                        ad_ancestors[path[depth], tag] += 1
-                        ad_ancestors[None, tag] += 1
-            else:
-                path = (tag,)
-            paths[path] += 1
-            frames.append((node_id, path, set(), set()))
-        for path, count in paths.items():
+                        frames[depth][3].add(tag)
+                        ad_ancestors[frames[depth][1], tag] += 1
+            siblings = path_children[parent_path]
+            path = siblings.get(tag)
+            if path is None:
+                path = siblings[tag] = len(path_tags)
+                path_tags.append(path_tags[parent_path] + (tag,))
+                path_counts.append(0)
+                path_children.append({})
+            path_counts[path] += 1
+            frames.append((node_id, tag, path, None, None))
+        counts = self._counts
+        for path, count in zip(path_tags, path_counts):
             if len(path) > 1:
                 tag = path[-1]
                 _add(counts["pc"], path[-2], tag, count)
                 for upper, pairs in Counter(path[:-1]).items():
                     _add(counts["ad"], upper, tag, pairs * count)
+        for name, pairs in (("pc_parents", pc_parents),
+                            ("ad_ancestors", ad_ancestors)):
+            distinct = counts[name]
+            for (upper, lower), count in pairs.items():
+                distinct[upper, lower] += count
+                distinct[None, lower] += count
         if end_id > self._counted_upto:
             self._counted_upto = end_id
 

@@ -11,6 +11,7 @@ tf scores, and the ``#contains`` statistics used by predicate penalties.
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate
 
 from repro.ir.tokenizer import tokenize_and_stem
 
@@ -82,7 +83,9 @@ class InvertedIndex:
         The incremental half of corpus ingest: appended node ids exceed
         every indexed id (fragments splice at the end of the node table),
         so each posting's id-sorted invariant survives a plain append and
-        no existing posting entry is ever touched.
+        no existing posting entry is ever touched.  The range's occurrences
+        are grouped by term first, so each term's posting is appended to
+        once per call.
         """
         document = self._document
         end_id = len(document) if end_id is None else end_id
@@ -92,6 +95,9 @@ class InvertedIndex:
                 % (self._indexed_upto, start_id)
             )
         texts = document.store.texts
+        # term -> (node ids, position tuples), in first-occurrence order
+        pending = {}
+        text_elements = 0
         for node_id in range(start_id, end_id):
             text = texts[node_id]
             if not text:
@@ -99,12 +105,24 @@ class InvertedIndex:
             tokens = tokenize_and_stem(text)
             if not tokens:
                 continue
-            self._text_elements += 1
+            text_elements += 1
             per_term = {}
-            for position, token in enumerate(tokens):
-                per_term.setdefault(token, []).append(position)
+            for position, term in enumerate(tokens):
+                per_term.setdefault(term, []).append(position)
             for term, positions in per_term.items():
-                self._posting_for_append(term).add(node_id, positions)
+                entry = pending.get(term)
+                if entry is None:
+                    pending[term] = ([node_id], [tuple(positions)])
+                else:
+                    entry[0].append(node_id)
+                    entry[1].append(tuple(positions))
+        for term, (node_ids, position_lists) in pending.items():
+            posting = self._posting_for_append(term)
+            posting.node_ids += node_ids
+            posting.position_lists += position_lists
+            counts = posting.count_prefix
+            counts += accumulate(map(len, position_lists), initial=counts.pop())
+        self._text_elements += text_elements
         if end_id > self._indexed_upto:
             self._indexed_upto = end_id
 

@@ -1,15 +1,16 @@
 """Tokenization for the IR engine.
 
 Lower-cases, splits on non-alphanumeric characters, drops a small stop-word
-list, and (optionally) stems with the Porter stemmer. The same pipeline is
+list, and stems with the Porter stemmer. The same pipeline is
 used at indexing time and at query time so that terms line up.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
-from repro.ir.stemmer import stem
+from repro.ir.stemmer import STEM_MEMO_SIZE, stem
 
 # Maximal runs of ``str.isalnum()`` characters: ``\w`` is exactly "alnum or
 # underscore" for str patterns, so take the underscore back out.
@@ -24,22 +25,39 @@ STOP_WORDS = frozenset(
 )
 
 
-def tokenize(text):
-    """Split text into lower-case word tokens (no stemming, no stop list).
+def _lower(word):
+    """Lower-case a word character by character.
 
-    Tokens are lower-cased character by character.  ``str.lower()`` on a
-    whole token agrees with that except for capital sigma, whose lower case
-    depends on its position in the word, so text containing one takes the
-    per-character route.
+    ``str.lower()`` on a whole word agrees with that except for capital
+    sigma, whose lower case depends on its position in the word, so a word
+    containing one takes the per-character route.
     """
-    if "\u03a3" in text:
-        return ["".join(map(str.lower, word)) for word in _WORD.findall(text)]
-    return [word.lower() for word in _WORD.findall(text)]
+    if "\u03a3" in word:
+        return "".join(map(str.lower, word))
+    return word.lower()
 
 
-def tokenize_and_stem(text, stop_words=STOP_WORDS):
+def tokenize(text):
+    """Split text into lower-case word tokens (no stemming, no stop list)."""
+    return [_lower(word) for word in _WORD.findall(text)]
+
+
+@lru_cache(maxsize=STEM_MEMO_SIZE)
+def index_term(word):
+    """The index term of one surface word, or None for a stop word.
+
+    Memoized in front of :func:`~repro.ir.stemmer.stem`'s own memo and
+    bounded like it, so a repeated surface word costs one lookup instead of
+    a lower-casing, a stop-list probe and a stem lookup.
+    """
+    word = _lower(word)
+    return None if word in STOP_WORDS else stem(word)
+
+
+def tokenize_and_stem(text):
     """Full pipeline: tokenize, drop stop words, stem."""
-    return [stem(token) for token in tokenize(text) if token not in stop_words]
+    return [term for term in map(index_term, _WORD.findall(text))
+            if term is not None]
 
 
 def normalize_term(term, stop_words=STOP_WORDS):

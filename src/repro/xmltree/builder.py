@@ -14,7 +14,9 @@ Two styles are supported:
 
 The builder emits directly into a :class:`ColumnarStore` — no intermediate
 node objects are created; ``start`` appends one row to each column and
-``end`` back-patches the region end.
+``end`` back-patches the region end.  The expat driver writes those rows
+itself, through the builder's public ``store`` and ``stack``, and hands
+its text to :meth:`TreeBuilder.add_text`.
 """
 
 from __future__ import annotations
@@ -25,68 +27,68 @@ from repro.xmltree.document import ColumnarStore, Document
 _WHITESPACE = " \t\r\n"
 
 
-def _normalize(text):
-    return " ".join(text.split())
-
-
 class TreeBuilder:
-    """Incremental document builder driven by start/text/end events."""
+    """Incremental document builder driven by start/text/end events.
+
+    ``store`` is the :class:`ColumnarStore` being filled and ``stack`` the
+    ids of the open elements, innermost last.
+    """
 
     def __init__(self):
-        self._store = ColumnarStore()
-        self._stack = []
+        self.store = ColumnarStore()
+        self.stack = []
         self._finished = False
 
     def start(self, tag, attributes=None):
         """Open an element; returns its node id."""
         if self._finished:
             raise FleXPathError("document already has a complete root")
-        stack = self._stack
+        stack = self.stack
         parent_id = stack[-1] if stack else -1
-        node_id = self._store.append(tag, parent_id, attributes)
+        node_id = self.store.append(tag, parent_id, attributes)
         stack.append(node_id)
         return node_id
 
     def add_text(self, text):
         """Append text to the currently open element."""
-        if not self._stack:
+        if not self.stack:
             stripped = text.strip(_WHITESPACE)
             if stripped:
                 raise FleXPathError("text outside of root element: %r" % stripped)
             return
-        normalized = _normalize(text)
+        normalized = " ".join(text.split())
         if not normalized:
             return
-        node_id = self._stack[-1]
-        texts = self._store.texts
+        node_id = self.stack[-1]
+        texts = self.store.texts
         current = texts[node_id]
         texts[node_id] = normalized if not current else current + " " + normalized
 
     def end(self, tag=None):
         """Close the current element, checking the tag when given."""
-        if not self._stack:
+        if not self.stack:
             raise FleXPathError("end() with no open element")
-        node_id = self._stack.pop()
+        node_id = self.stack.pop()
         if tag is not None:
-            open_tag = self._store.tag_of(node_id)
+            open_tag = self.store.tag_of(node_id)
             if open_tag != tag:
                 raise FleXPathError(
                     "mismatched end tag: expected </%s>, got </%s>" % (open_tag, tag)
                 )
-        self._store.close(node_id, len(self._store))
-        if not self._stack:
+        self.store.close(node_id, len(self.store))
+        if not self.stack:
             self._finished = True
         return node_id
 
     def finish(self):
         """Return the completed document."""
-        if self._stack:
+        if self.stack:
             raise FleXPathError(
-                "unclosed element <%s>" % self._store.tag_of(self._stack[-1])
+                "unclosed element <%s>" % self.store.tag_of(self.stack[-1])
             )
-        if not len(self._store):
+        if not len(self.store):
             raise FleXPathError("document is empty")
-        return Document(self._store)
+        return Document(self.store)
 
 
 def element(tag, *children, text=None, attributes=None):

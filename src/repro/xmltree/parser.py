@@ -1,14 +1,16 @@
 """XML parsing with the stdlib's expat, as the paper's system parsed XMark.
 
-Expat events drive a :class:`~repro.xmltree.builder.TreeBuilder`, so each
-element appends one row to the document's columnar store — no intermediate
-node objects, and no recursion, so depth is bounded by memory.  Tags are
-literal text (no namespace processing), which matches how the paper treats
-them.
+Expat events fill a :class:`~repro.xmltree.builder.TreeBuilder`'s store:
+each start tag is one :meth:`~repro.xmltree.document.ColumnarStore.append`
+and each end tag one write of the region end — no intermediate node
+objects, and no recursion, so depth is bounded by memory.  Tags are literal
+text (no namespace processing), which matches how the paper treats them.
 
-Character data is collected per text run and handed to the builder at every
-tag, comment, processing instruction and CDATA boundary, so ``ab<!--c-->cd``
-is the text ``ab cd``.  A DOCTYPE is read past, never followed: entity
+Expat buffers character data, so a text run arrives as one event (several
+only past its ``buffer_size``).  Each run goes to
+:meth:`~repro.xmltree.builder.TreeBuilder.add_text` at the next tag,
+comment, processing instruction or CDATA boundary, so ``ab<!--c-->cd`` is
+the text ``ab cd``.  A DOCTYPE is read past, never followed: entity
 declarations and references to undeclared entities are refused, attribute
 defaults are not applied, and no external entity or DTD is ever opened.
 Every malformed input raises :class:`~repro.errors.XMLParseError`.
@@ -36,10 +38,12 @@ def parse_file(path):
 
 def _drive(feed):
     builder = TreeBuilder()
-    chunks = []
+    append, ends, stack = builder.store.append, builder.store.ends, builder.stack
+    chunks = []  # the pending text run
     parser = expat.ParserCreate()
     parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_NEVER)
     parser.specified_attributes = True  # no attribute defaults from a DTD
+    parser.buffer_text = True
 
     def flush(*_event):
         if chunks:
@@ -47,12 +51,14 @@ def _drive(feed):
             chunks.clear()
 
     def start(tag, attributes):
-        flush()
-        builder.start(tag, attributes)
+        if chunks:
+            flush()
+        stack.append(append(tag, stack[-1] if stack else -1, attributes))
 
     def end(_tag):
-        flush()
-        builder.end()  # expat has already matched the tags
+        if chunks:
+            flush()
+        ends[stack.pop()] = len(ends)  # expat has already matched the tags
 
     def refuse(what):
         def handler(name, *_rest):

@@ -180,10 +180,11 @@ class TestLinguisticsHappenOnce:
 
     @pytest.fixture()
     def stems(self, monkeypatch):
-        """Counts calls of the uncached stemmer, starting from a cold memo."""
+        """Counts calls of the uncached stemmer, starting from cold memos
+        (the stem memo and the surface-word memo in front of it)."""
         from collections import Counter
 
-        from repro.ir import stemmer
+        from repro.ir import stemmer, tokenizer
 
         calls = Counter()
         uncached = stemmer._porter_stem
@@ -194,8 +195,10 @@ class TestLinguisticsHappenOnce:
 
         monkeypatch.setattr(stemmer, "_porter_stem", counting)
         stemmer.stem.cache_clear()
+        tokenizer.index_term.cache_clear()
         yield calls
         stemmer.stem.cache_clear()
+        tokenizer.index_term.cache_clear()
 
     def test_probes_normalize_once_per_extend_generation(
         self, stems, monkeypatch

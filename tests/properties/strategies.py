@@ -14,18 +14,19 @@ WORDS = ("gold", "ring", "vintage", "chair", "stamp", "coin")
 
 
 @st.composite
-def documents(draw, max_children=3, max_depth=4):
-    """A random small document over a 4-tag alphabet with word texts."""
+def documents(draw, max_children=3, max_depth=4, words=WORDS):
+    """A random small document over a 4-tag alphabet with texts drawn from
+    ``words``."""
     builder = TreeBuilder()
 
     def emit(depth):
         tag = draw(st.sampled_from(TAGS))
         builder.start(tag)
         if draw(st.booleans()):
-            words = draw(
-                st.lists(st.sampled_from(WORDS), min_size=1, max_size=4)
+            text = draw(
+                st.lists(st.sampled_from(words), min_size=1, max_size=4)
             )
-            builder.add_text(" ".join(words))
+            builder.add_text(" ".join(text))
         if depth < max_depth:
             for _ in range(draw(st.integers(0, max_children))):
                 emit(depth + 1)

@@ -13,6 +13,7 @@ from repro.backend.disk import DiskBackend
 from repro.backend.sharded import RoundRobinRouter, ShardedBackend
 from repro.collection import Corpus
 from repro.ir import (
+    STOP_WORDS,
     And,
     IREngine,
     Not,
@@ -21,8 +22,11 @@ from repro.ir import (
     Term,
     Window,
     ftexpr_matches,
+    stem,
+    tokenize,
     tokenize_and_stem,
 )
+from repro.ir.index import InvertedIndex
 
 from repro.xmltree import parse
 
@@ -280,3 +284,98 @@ def test_resolved_probes_survive_other_shards_ingest(docs, extra, expr):
             assert got == expected
     finally:
         sharded.close()
+
+
+# -- one index build equals an extended one -------------------------------------
+
+#: Texts with capital sigmas (lower-cased by position in a whole string,
+#: per character by the tokenizer) and mixed-case stop words.
+POSTING_WORDS = WORDS + ("The", "AND", "oF", "Gold", "ΟΔΟΣ", "ΣΑΣ", "σας", "Rings")
+
+
+def _reference_postings(document):
+    """Postings and text-element count from a plain per-node loop."""
+    occurrences = {}  # term -> {node id: positions}
+    text_elements = 0
+    for node_id, text in enumerate(document.store.texts):
+        tokens = tokenize_and_stem(text)
+        assert tokens == [
+            stem(word) for word in tokenize(text) if word not in STOP_WORDS
+        ]
+        text_elements += bool(tokens)
+        for position, term in enumerate(tokens):
+            occurrences.setdefault(term, {}).setdefault(node_id, []).append(
+                position
+            )
+    postings = {}
+    for term, by_node in occurrences.items():
+        counts = [0]
+        for positions in by_node.values():
+            counts.append(counts[-1] + len(positions))
+        postings[term] = (
+            list(by_node), [tuple(p) for p in by_node.values()], counts
+        )
+    return postings, text_elements
+
+
+def _postings_of(index, terms):
+    """Every posting of ``index``, probed through the lookup seam."""
+    assert index.vocabulary_size == len(terms)
+    found = {}
+    for term in terms:
+        posting = index.posting(term)
+        found[term] = (
+            list(posting.node_ids),
+            list(posting.position_lists),
+            list(posting.count_prefix),
+        )
+    return found, index.text_element_count
+
+
+@given(st.lists(documents(words=POSTING_WORDS), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_extended_index_equals_one_build_and_reference(docs):
+    backend = InMemoryBackend(Corpus())
+    extended = backend.ir.index  # built on the empty corpus, then extended
+    for doc in docs:
+        backend.add_document(doc)
+    document = backend.document
+    reference = _reference_postings(document)
+    assert _postings_of(extended, reference[0]) == reference
+    assert _postings_of(InvertedIndex(document), reference[0]) == reference
+
+
+@given(
+    st.lists(documents(words=POSTING_WORDS), min_size=1, max_size=2),
+    documents(words=POSTING_WORDS),
+)
+@settings(max_examples=15, deadline=None)
+def test_disk_index_grows_sealed_terms_like_one_build(docs, extra):
+    """A sealed segment, then a WAL tail that grows every sealed term (at
+    least ``gold``) and adds a new one, live and replayed."""
+    sealed = [parse("<root><a>Gold ring</a></root>")] + docs
+    tail = parse(
+        "<root><a>%s %s</a><b>the %s</b></root>"
+        % (NEW, " ".join(POSTING_WORDS), NEW)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus")
+        backend = DiskBackend.create(path)
+        for doc in sealed:
+            backend.add_document(doc)
+        backend.compact()
+        backend.close()
+        backend = DiskBackend.open(path)
+        try:
+            backend.add_document(extra)
+            backend.add_document(tail)
+            reference = _reference_postings(backend.document)
+            assert _postings_of(backend.ir.index, reference[0]) == reference
+        finally:
+            backend.close()
+        backend = DiskBackend.open(path)  # the tail again, from the WAL
+        try:
+            assert backend.wal_documents == 2
+            assert _postings_of(backend.ir.index, reference[0]) == reference
+        finally:
+            backend.close()

@@ -1,8 +1,11 @@
 """The XML parser: stdlib expat driving the columnar tree builder."""
 
+from xml.parsers import expat
+
 import pytest
 
 from repro.errors import XMLParseError
+from repro.xmark import generate_document
 from repro.xmltree import parse, parse_file, to_xml
 
 
@@ -76,6 +79,43 @@ class TestBasicParsing:
         assert doc.root.attributes == {"v": "x y z w"}
 
 
+class TestBufferedText:
+    """Expat buffers character data; a run still becomes text whole, and
+    markup other than an entity reference still separates two runs."""
+
+    @pytest.mark.parametrize(
+        "body, text",
+        [
+            ("ab<![CDATA[]]>cd", "ab cd"),
+            ("ab&#65;cd", "abAcd"),
+            ("ab\ncd", "ab cd"),
+        ],
+    )
+    def test_boundaries_beyond_the_markup_test(self, body, text):
+        # test_text_runs_split_at_every_markup_boundary has the rest.
+        assert parse("<a>%s</a>" % body).root.text == text
+
+    def test_word_across_the_buffer_end_stays_one_word(self):
+        # The run before the entity fills expat's text buffer exactly, so
+        # "ab" and "&cd" reach the handler as two events.
+        head = "x" * (expat.ParserCreate().buffer_size - 2) + "ab"
+        assert parse("<a>%s&amp;cd tail</a>" % head).root.text == (
+            head + "&cd tail"
+        )
+
+    def test_file_run_longer_than_the_buffer_stays_one_word(self, tmp_path):
+        # ParseFile feeds expat in blocks: a run several buffers long
+        # arrives in several events, split mid-word.
+        word = "w" * (3 * expat.ParserCreate().buffer_size + 5)
+        path = tmp_path / "long.xml"
+        path.write_text("<a><b>x %s y</b></a>" % word)
+        assert parse_file(str(path)).node(1).text == "x %s y" % word
+
+    def test_whitespace_outside_the_root_is_not_text(self):
+        doc = parse("\n <a>x</a>\n <!-- c --> \n")
+        assert [n.text for n in doc.nodes()] == ["x"]
+
+
 class TestParserErrors:
     @pytest.mark.parametrize(
         "text",
@@ -100,6 +140,10 @@ class TestParserErrors:
             "<a>]]></a>",
             '<a v="<"/>',
             "<a>\ud800</a>",
+            "<a/>junk",
+            "<a>x</a>tail",
+            "text<a/>",
+            "<a/><!-- after -->junk",
         ],
     )
     def test_malformed_inputs_raise(self, text):
@@ -218,3 +262,14 @@ class TestRoundTrip:
         path.write_text("<a><b>x</b></a>")
         doc = parse_file(str(path))
         assert doc.node(1).text == "x"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_xmark_columns_survive_a_round_trip(self, seed):
+        built = generate_document(target_bytes=60_000, seed=seed)
+        a, b = built.store, parse(to_xml(built)).store
+        assert b.tags.names() == a.tags.names()
+        assert b.tag_ids == a.tag_ids
+        assert b.parent_ids == a.parent_ids
+        assert b.ends == a.ends
+        assert b.texts == a.texts
+        assert b.attribute_table == a.attribute_table
