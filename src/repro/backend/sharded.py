@@ -486,10 +486,10 @@ class ShardedBackend(StorageBackend):
             for predicate in predicates:
                 numerator = 0.0
                 denominator = 0.0
-                for term in shard.ir._positive_terms(predicate.ftexpr):
+                for term, posting in shard.ir.bound_terms(predicate.ftexpr):
                     weight = idf(self._index_stats, term)
                     denominator += weight
-                    if shard.ir.index.posting(term) is not None:
+                    if posting is not None:
                         numerator += weight
                 if denominator > 0.0:
                     total += numerator / denominator

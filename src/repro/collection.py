@@ -5,8 +5,10 @@ The paper's data model is "a data tree (i.e., an XML document collection)"
 first-class form of that idea: a growable collection document whose
 :meth:`Corpus.add_document` splices a parsed fragment's columns under the
 virtual root in O(new nodes) — no re-parse, no node copying — and notifies
-subscribers (the per-document caches: inverted index, statistics, query
-context) so they can extend themselves incrementally instead of rebuilding.
+its subscribers (the one in the tree is
+:meth:`~repro.backend.memory.InMemoryBackend._on_corpus_growth`, which
+extends the IR engine and the statistics it has built) so they extend
+incrementally instead of rebuilding.
 
 :class:`DocumentCollection` keeps the original batch-construction API
 (``from_texts`` / ``from_files``) as a thin layer over :class:`Corpus`,
@@ -87,7 +89,8 @@ class Corpus:
         O(len(document)): the fragment's columns are appended to the corpus
         store with offsets applied — existing documents are never touched,
         re-parsed, or copied.  Subscribers are notified with the appended
-        id range so indexes and statistics can extend incrementally.  The
+        id range (the in-memory backend's growth hook extends its IR
+        engine and statistics).  The
         ingest is observed through the process registry
         (``corpus.documents_added``, ``corpus.nodes_added``,
         ``corpus.ingest_seconds``); a corpus holds no tracer.

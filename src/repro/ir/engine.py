@@ -51,14 +51,13 @@ class IREngine:
         self._index = index if index is not None else InvertedIndex(document)
         self._virtual_root_id = virtual_root_id
         self._idf_index = self._index
-        self._terms_cache = {}
         self._count_cache = {}
         # Expressions resolved against the current postings: a probe
         # ``(start, end) -> bool`` per (sub-)expression, and the
-        # ``(term, posting)`` pairs ``score`` weighs.  Both hold postings,
-        # so ``extend`` drops them.
+        # ``(term, posting)`` pairs ``score`` weighs (:meth:`bound_terms`).
+        # Both hold postings, so ``extend`` drops them.
         self._probe_cache = {}
-        self._bound_terms_cache = {}
+        self._bound_cache = {}
         # Always-on lifetime counters: plain unsynchronized ints, read by
         # the top-K layer once per query (see metrics_snapshot).
         self._m_cache_hits = 0
@@ -121,12 +120,11 @@ class IREngine:
         sorted); the per-expression caches are document-dependent, so they
         are dropped — a resolved probe may hold "no posting" for a term
         that has one now, or a sealed posting a disk index has since
-        swapped for a hydrated copy.  ``_terms_cache`` is a pure expression
-        transform and survives.
+        swapped for a hydrated copy.
         """
         self._index.extend(start_id, end_id)
         self._probe_cache.clear()
-        self._bound_terms_cache.clear()
+        self._bound_cache.clear()
         self._count_cache.clear()
 
     # -- point queries ---------------------------------------------------------
@@ -150,7 +148,7 @@ class IREngine:
             node_id for node_id in scores if probe(node_id, ends[node_id])
         ]
         if satisfied:
-            score = region_scorer(self._idf_index, self._bound_terms(expression))
+            score = region_scorer(self._idf_index, self.bound_terms(expression))
             for node_id in satisfied:
                 scores[node_id] = score(node_id, ends[node_id])
         self._m_satisfies_calls += len(scores)
@@ -170,7 +168,7 @@ class IREngine:
         same scorer.
         """
         self._m_score_calls += 1
-        scorer = region_scorer(self._idf_index, self._bound_terms(expression))
+        scorer = region_scorer(self._idf_index, self.bound_terms(expression))
         return scorer(node.start, node.end)
 
     # -- ranked retrieval --------------------------------------------------------
@@ -234,29 +232,19 @@ class IREngine:
         self._count_cache[key] = count
         return count
 
-    # -- internals ------------------------------------------------------------
-
-    def _positive_terms(self, expression):
-        """Positive terms of the expression, normalized like indexed text."""
-        if expression not in self._terms_cache:
-            normalized = []
-            for term in positive_terms(expression):
-                stemmed = normalize_term(term)
-                if stemmed is not None and stemmed not in normalized:
-                    normalized.append(stemmed)
-            self._terms_cache[expression] = normalized
-        return self._terms_cache[expression]
-
-    def _bound_terms(self, expression):
-        """``(term, posting-or-None)`` per positive term of the expression."""
-        bound = self._bound_terms_cache.get(expression)
+    def bound_terms(self, expression):
+        """``(term, posting-or-None)`` per distinct normalized positive term
+        of the expression, resolved once per ``extend`` generation."""
+        bound = self._bound_cache.get(expression)
         if bound is None:
+            terms = dict.fromkeys(map(normalize_term, positive_terms(expression)))
+            terms.pop(None, None)
             posting = self._index.posting
-            bound = [
-                (term, posting(term)) for term in self._positive_terms(expression)
-            ]
-            self._bound_terms_cache[expression] = bound
+            bound = [(term, posting(term)) for term in terms]
+            self._bound_cache[expression] = bound
         return bound
+
+    # -- internals ------------------------------------------------------------
 
     def _resolve(self, expression):
         """The expression's probe: ``probe(start, end)`` is True when the
@@ -378,7 +366,7 @@ class IREngine:
         ancestor-or-self of a direct occurrence of a positive term."""
         parent_ids = self._document.store.parent_ids
         seen = set()
-        for _term, posting in self._bound_terms(expression):
+        for _term, posting in self.bound_terms(expression):
             if posting is None:
                 continue
             for node_id in posting.node_ids:

@@ -5,7 +5,8 @@ The paper leaves FTExp open-ended ("as complex as an IR engine can handle
 TeXQuery [2]. We implement the core of that space:
 
 - keywords (stemmed at evaluation time),
-- phrases (``"xml streaming"`` with more than one word),
+- phrases (``"xml streaming"`` with more than one word; a quoted string
+  splits into words like indexed text, so ``"e-mail"`` is ``e mail``),
 - Boolean combinations ``and`` / ``or`` / ``not``,
 - proximity: ``window(5, "xml", "streaming")`` — all terms within a window
   of the given size (in tokens).
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import FTExprParseError
+from repro.ir.tokenizer import tokenize
 
 
 def _hash_once(cls):
@@ -237,18 +239,14 @@ class _FTParser:
                 raise FTExprParseError("expected ')'")
             return expr
         kind, value = self._next()
-        if kind == "string":
-            words = tuple(value.lower().split())
-            if not words:
-                raise FTExprParseError("empty quoted string")
-            if len(words) == 1:
-                return Term(words[0])
-            return Phrase(words)
         if kind == "word" and value == "window":
             return self._parse_window()
-        if kind == "word":
-            return Term(value.lower())
-        raise FTExprParseError("unexpected token %r" % value)
+        if kind not in ("string", "word"):
+            raise FTExprParseError("unexpected token %r" % value)
+        words = _words(value)
+        if len(words) == 1:
+            return Term(words[0])
+        return Phrase(words)
 
     def _parse_window(self):
         if self._next() != ("lparen", "("):
@@ -263,17 +261,24 @@ class _FTParser:
         while self._peek() == ("comma", ","):
             self._next()
             kind, value = self._next()
-            if kind == "string":
-                words.extend(value.lower().split())
-            elif kind == "word":
-                words.append(value.lower())
-            else:
+            if kind not in ("string", "word"):
                 raise FTExprParseError("expected a term inside window(...)")
+            words.extend(_words(value))
         if self._next() != ("rparen", ")"):
             raise FTExprParseError("expected ')' closing window(...)")
         if not words:
             raise FTExprParseError("window(...) needs at least one term")
         return Window(size, tuple(words))
+
+
+def _words(value):
+    """The words of a quoted string or a bare word, split and lower-cased
+    like indexed text (:func:`~repro.ir.tokenizer.tokenize`), so a query
+    word matches its own text: ``"e-mail"`` is the phrase ``e mail``."""
+    words = tuple(tokenize(value))
+    if not words:
+        raise FTExprParseError("no word to match in %r" % value)
+    return words
 
 
 def _tokenize(text):

@@ -9,30 +9,23 @@ all).
 from __future__ import annotations
 
 from repro.ir.scoring import positive_terms
-from repro.ir.stemmer import stem
-from repro.ir.tokenizer import STOP_WORDS
+from repro.ir.tokenizer import _WORD, normalize_term
 
 
-def _match_positions(text, stemmed_terms):
-    """Character spans of words in ``text`` whose stem is a query term."""
-    spans = []
-    start = None
-    for index, char in enumerate(text + " "):
-        if char.isalnum():
-            if start is None:
-                start = index
-        elif start is not None:
-            word = text[start:index].lower()
-            if word not in STOP_WORDS and stem(word) in stemmed_terms:
-                spans.append((start, index))
-            start = None
-    return spans
+def _match_positions(text, expression):
+    """Character spans of words in ``text`` whose term is a positive term
+    of ``expression``."""
+    terms = set(map(normalize_term, positive_terms(expression)))
+    terms.discard(None)
+    return [
+        match.span() for match in _WORD.finditer(text)
+        if normalize_term(match.group()) in terms
+    ]
 
 
 def highlight(text, expression, marker=("**", "**")):
     """Wrap every positive-term occurrence in ``text`` with markers."""
-    stemmed = {stem(term.lower()) for term in positive_terms(expression)}
-    spans = _match_positions(text, stemmed)
+    spans = _match_positions(text, expression)
     if not spans:
         return text
     open_mark, close_mark = marker
@@ -53,8 +46,7 @@ def snippet(text, expression, width=80, marker=("**", "**")):
 
     Falls back to the (truncated) prefix when nothing matches.
     """
-    stemmed = {stem(term.lower()) for term in positive_terms(expression)}
-    spans = _match_positions(text, stemmed)
+    spans = _match_positions(text, expression)
     if not spans:
         return text[:width] + ("..." if len(text) > width else "")
     first_start, first_end = spans[0]

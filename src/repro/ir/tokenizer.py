@@ -10,11 +10,17 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from repro.ir.stemmer import STEM_MEMO_SIZE, stem
+from repro.ir.stemmer import stem
 
 # Maximal runs of ``str.isalnum()`` characters: ``\w`` is exactly "alnum or
 # underscore" for str patterns, so take the underscore back out.
 _WORD = re.compile(r"[^\W_]+")
+
+#: Bound on the surface word -> term memo behind :func:`normalize_term`.  A
+#: corpus' vocabulary is tiny next to its token count (Zipf), so nearly
+#: every call is a hit; a full memo of words up to 10 letters is about
+#: 13 MB (the word, its term, an LRU link, a dict slot per entry).
+TERM_MEMO_SIZE = 1 << 16
 
 # The classic short stop list; enough to keep the index focused without
 # changing which documents satisfy conjunctive queries in practice.
@@ -42,13 +48,17 @@ def tokenize(text):
     return [_lower(word) for word in _WORD.findall(text)]
 
 
-@lru_cache(maxsize=STEM_MEMO_SIZE)
-def index_term(word):
+@lru_cache(maxsize=TERM_MEMO_SIZE)
+def normalize_term(word):
     """The index term of one surface word, or None for a stop word.
 
-    Memoized in front of :func:`~repro.ir.stemmer.stem`'s own memo and
-    bounded like it, so a repeated surface word costs one lookup instead of
-    a lower-casing, a stop-list probe and a stem lookup.
+    The one word normaliser: indexed text and every query word (the FTExp
+    parser's words, the IR engine's probes, the reference matcher,
+    highlighting) come through here, so a query word matches its own text.
+    Memoized and bounded by :data:`TERM_MEMO_SIZE`, so a repeated surface
+    word costs one lookup instead of a lower-casing, a stop-list probe and
+    a stem.  A query made only of stop words matches nothing rather than
+    everything.
     """
     word = _lower(word)
     return None if word in STOP_WORDS else stem(word)
@@ -56,17 +66,5 @@ def index_term(word):
 
 def tokenize_and_stem(text):
     """Full pipeline: tokenize, drop stop words, stem."""
-    return [term for term in map(index_term, _WORD.findall(text))
+    return [term for term in map(normalize_term, _WORD.findall(text))
             if term is not None]
-
-
-def normalize_term(term, stop_words=STOP_WORDS):
-    """Normalize a single query term the same way document text is.
-
-    Returns None for stop words (a query made only of stop words matches
-    nothing rather than everything).
-    """
-    term = term.lower()
-    if term in stop_words:
-        return None
-    return stem(term)

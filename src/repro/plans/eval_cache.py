@@ -5,7 +5,7 @@ walks the relaxation schedule one level at a time, SSO/Hybrid restart with
 more relaxations encoded — and adjacent levels share almost all of their
 leaf scans, joins and ``contains`` checks.  :class:`EvaluationCache`
 memoizes exactly that shared work inside one
-:class:`~repro.topk.base.QueryContext`, in five tiers of one class:
+:class:`~repro.topk.base.QueryContext`, in four tiers of one class:
 
 - **pool** — seeded tag pools per variable: the filtered candidate list for
   a plan root, keyed by ``(tag, attr-predicate set, pool restriction)``;
@@ -13,16 +13,15 @@ memoizes exactly that shared work inside one
   ``(axis, tag, surviving attr-predicate set, pool restriction, exists)``;
   a semi-join step keeps ``base id → 0.0`` (has a candidate) or ``None``;
 - **contains** — one ``node id → keyword score`` table per expression,
-  ``None`` where the node does not satisfy it;
-- **satisfiers** — whole contains-satisfier id sets per ``(expression,
-  tag)``, the IR-first strategy's seeds;
+  ``None`` where the node does not satisfy it; the plans' checks and the
+  IR-first strategy's pre-filter read the same table;
 - **subtree** — the twig operator's ``node id → best keyword score`` of a
   full embedding of one variable's subtree, for the pool nodes that have
   one, per subtree signature ``(tag, attr-predicate set, pool
   restriction, check expressions, ((axis, child signature), ...))``.
 
 Two access shapes, nothing else: :meth:`EvaluationCache.value` keeps one
-entry per key (``pool``, ``satisfiers``); :meth:`EvaluationCache.table`
+entry per key (``pool``); :meth:`EvaluationCache.table`
 keeps one ``id → value`` table per key (``join``, ``contains``,
 ``subtree``) and is probed set-at-a-time — one call per pipeline step,
 filling the ids the table lacks with one resolver call (a ``subtree``
@@ -59,7 +58,7 @@ import threading
 DEFAULT_MAX_ENTRIES = 200_000
 
 #: The tier names, in the order ``metrics_snapshot`` reports them.
-TIERS = ("pool", "join", "contains", "satisfiers", "subtree")
+TIERS = ("pool", "join", "contains", "subtree")
 
 
 class _Tier:
@@ -86,7 +85,7 @@ class _Tier:
 
 
 class EvaluationCache:
-    """Memoizes pools, joins, contains checks, satisfier sets, subtree tables."""
+    """Memoizes pools, joins, contains checks and subtree tables."""
 
     __slots__ = (
         "enabled", "_tiers", "_invalidations", "_version", "_fence_lock",

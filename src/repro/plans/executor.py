@@ -450,6 +450,30 @@ class PlanExecutor:
         return ExecutionResult(answers=answers, stats=stats,
                                estimates=plan.estimates, actuals=actuals)
 
+    def contains_table(self, ftexpr, node_ids, probes, checkpoint=None):
+        """``node id → keyword score`` for ``ftexpr``, ``None`` where unsatisfied.
+
+        The one ``contains`` table per expression in the ``contains`` tier,
+        read by the plans' checks and by IR-first's pre-filter alike.  The
+        ids of ``node_ids`` (a set) that the table lacks go to
+        ``ir.contains_scores`` one :data:`CHECKPOINT_STRIDE` slice per
+        call, with a ``checkpoint`` between slices; no node view is made.
+        ``probes`` is how many reads the caller makes (the tier's counters).
+        """
+        contains_scores = self.ir.contains_scores
+
+        def resolve(missing):
+            filled = {}
+            for done in range(0, len(missing), CHECKPOINT_STRIDE):
+                if done and checkpoint is not None:
+                    checkpoint()
+                filled.update(contains_scores(
+                    ftexpr, missing[done:done + CHECKPOINT_STRIDE]
+                ))
+            return filled
+
+        return self.eval_cache.table("contains", ftexpr, node_ids, resolve, probes)
+
     def _run_binary(self, plan, k, scheme, mode, run, stats, tracer,
                     checkpoint):
         """The classic pipeline of the pruning modes: seed, then extend join
@@ -694,7 +718,7 @@ class PlanExecutor:
                     list(scores), list(below), below, axis=axis
                 ))
             for check in checks:
-                scores = _plus(scores, self._contains_table(
+                scores = _plus(scores, self.contains_table(
                     check.ftexpr, set(scores), len(scores), checkpoint
                 ))
             stats.tuples_produced += len(ids)
@@ -802,27 +826,6 @@ class PlanExecutor:
         )
         return self.eval_cache.table("join", signature, bases, resolve, probes)
 
-    def _contains_table(self, ftexpr, node_ids, probes, checkpoint=None):
-        """``node id → keyword score`` for ``ftexpr``, ``None`` where unsatisfied.
-
-        The ids the table lacks go to ``ir.contains_scores`` one
-        :data:`CHECKPOINT_STRIDE` slice per call, with a ``checkpoint``
-        between slices; no node view is made.
-        """
-        contains_scores = self.ir.contains_scores
-
-        def resolve(missing):
-            filled = {}
-            for done in range(0, len(missing), CHECKPOINT_STRIDE):
-                if done and checkpoint is not None:
-                    checkpoint()
-                filled.update(contains_scores(
-                    ftexpr, missing[done:done + CHECKPOINT_STRIDE]
-                ))
-            return filled
-
-        return self.eval_cache.table("contains", ftexpr, node_ids, resolve, probes)
-
     def _extend(self, run, join, tuples, var_positions, stats, checkpoint):
         steps = []
         extension = partial(_Extension, run.signatures)
@@ -927,7 +930,7 @@ class PlanExecutor:
         """
         extension = partial(_Extension, run.signatures)
         for check_index, check in enumerate(plan.checks_by_var.get(var, ())):
-            fetch = partial(self._contains_table, check.ftexpr, checkpoint=checkpoint)
+            fetch = partial(self.contains_table, check.ftexpr, checkpoint=checkpoint)
             tuples = self._rounds([
                 (
                     var_positions[level.var],

@@ -20,8 +20,8 @@ the trade-off the paper predicted, measurable with
 
 The walk itself is :meth:`repro.topk.dpo.DPO.execute`; this module only
 supplies the per-source restriction.  Satisfier sets are in the source's
-own node ids and live in that source's shared (locked)
-:class:`~repro.plans.eval_cache.EvaluationCache`.
+own node ids, read off that source's ``contains`` table
+(:meth:`~repro.plans.executor.PlanExecutor.contains_table`).
 """
 
 from __future__ import annotations
@@ -46,25 +46,14 @@ class IRFirstDPO(DPO):
 def _satisfiers(source, ftexpr, tag):
     """Node ids (with the given tag) whose subtree satisfies ``ftexpr``.
 
-    The set lives in the source executor's shared :class:`EvaluationCache`
-    (``satisfiers`` tier), so it survives across queries, is shared
-    with any other strategy asking the same question, and is invalidated
-    when the corpus grows.
+    Read off the source executor's ``contains`` table for the expression
+    over the tag's ids, so the pre-filter and the plans' later ``contains``
+    checks on the expression share one table, across levels and queries.
     """
-
-    def compute():
-        backend = source.backend
-        if tag is None:
-            ids = range(len(backend))
-        else:
-            ids = backend.node_ids_with_tag(tag)
-        return frozenset(
-            node_id
-            for node_id, score in source.ir.contains_scores(ftexpr, ids).items()
-            if score is not None
-        )
-
-    return source.eval_cache.value("satisfiers", (ftexpr, tag), compute)
+    backend = source.backend
+    ids = range(len(backend)) if tag is None else backend.node_ids_with_tag(tag)
+    table = source.contains_table(ftexpr, set(ids), len(ids))
+    return frozenset(node_id for node_id in ids if table[node_id] is not None)
 
 
 def _restrictions_for(source, query):

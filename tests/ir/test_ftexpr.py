@@ -63,6 +63,9 @@ class TestParsing:
             '"a" "b"',
             "and",
             '"a" ^ "b"',
+            '"--"',  # no word characters: nothing it could match
+            "'.'",
+            'window(3, "gold", "--")',
         ],
     )
     def test_malformed_raises(self, bad):

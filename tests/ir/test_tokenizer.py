@@ -32,7 +32,7 @@ class TestPipeline:
         assert tokenize_and_stem("streaming algorithms") == ["stream", "algorithm"]
 
     def test_normalize_term_matches_pipeline(self):
-        for word in ("Streaming", "ALGORITHMS", "queries"):
+        for word in ("Streaming", "ALGORITHMS", "queries", "ΟΔΟΣ"):
             assert [normalize_term(word)] == tokenize_and_stem(word)
 
     def test_normalize_stop_word_is_none(self):

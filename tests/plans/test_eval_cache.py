@@ -142,18 +142,6 @@ class TestUnit:
         assert snapshot["eval_cache.join.hits"] == 5 + 5
         assert snapshot["eval_cache.join.misses"] == 2 + 1
 
-    def test_satisfier_set_computes_once(self):
-        cache = EvaluationCache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return frozenset({7})
-
-        assert cache.value("satisfiers", "key", compute) == frozenset({7})
-        assert cache.value("satisfiers", "key", compute) == frozenset({7})
-        assert len(calls) == 1
-
     def test_contains_table_holds_scores_and_none(self, context, monkeypatch):
         """One ``node id → score`` table per expression, ``None`` where the
         node does not satisfy it, filled through the executor's resolver:
@@ -179,7 +167,7 @@ class TestUnit:
             return door(expression, node_ids)
 
         monkeypatch.setattr(ir, "contains_scores", counting)
-        table = executor._contains_table(expr, ids, len(ids))
+        table = executor.contains_table(expr, ids, len(ids))
         assert views["node"] == made["node"] == 0
         assert len(door_calls) == -(-len(ids) // stride) > 1
         assert [i for call in door_calls for i in call] == sorted(ids)
@@ -189,7 +177,7 @@ class TestUnit:
             assert table[node.node_id] == expected
         assert {value is None for value in table.values()} == {True, False}
         del door_calls[:]
-        assert executor._contains_table(expr, ids, 2 * len(ids)) is table
+        assert executor.contains_table(expr, ids, 2 * len(ids)) is table
         assert door_calls == []  # a warm table asks the door nothing
         snapshot = executor.eval_cache.metrics_snapshot()
         assert snapshot["eval_cache.contains.misses"] == len(ids)
@@ -215,34 +203,20 @@ class TestUnit:
         assert cache.metrics_snapshot()["eval_cache.contains.misses"] == misses + 1
 
     def test_every_tier_is_bounded(self):
-        """``pool`` and ``satisfiers`` keep a budget of their own too, and
-        ``info()`` reports the sum of the five budgets."""
+        """``pool`` keeps a budget of its own too, and ``info()`` reports
+        the sum of the four budgets."""
+        assert TIERS == ("pool", "join", "contains", "subtree")
         cache = EvaluationCache(max_entries=3)
         for key in range(10):
             cache.value("pool", key, lambda: (1,))
-            cache.value("satisfiers", key, frozenset)
         info = cache.info()
         assert info["max_entries"] == len(TIERS) * 3
         assert info["entries"] <= info["max_entries"]
-        assert info["entries"] == 1 + 1  # 10 inserts each, flushed at 4, 7 and 10
-        assert info["evictions"] == 3 + 3
+        assert info["entries"] == 1  # 10 inserts, flushed at 4, 7 and 10
+        assert info["evictions"] == 3
         assert cache.max_entries == 3
         cache.max_entries = 5
         assert cache.info()["max_entries"] == len(TIERS) * 5
-
-    def test_disabled_satisfier_set_computes_every_time(self):
-        cache = EvaluationCache()
-        cache.enabled = False
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return frozenset()
-
-        cache.value("satisfiers", "key", compute)
-        cache.value("satisfiers", "key", compute)
-        assert len(calls) == 2
-        assert cache.info()["entries"] == 0
 
     def test_disabled_cache_computes_every_time_and_records_nothing(self):
         cache = EvaluationCache()
@@ -471,14 +445,14 @@ class TestContextLifecycle:
         for round_index in range(100):
             cache.fence(2 * round_index)
             for key in range(200):
-                cache.value("satisfiers", key, lambda: "stale")
+                cache.value("pool", key, lambda: "stale")
             start = threading.Barrier(workers, timeout=10)
             seen = []
 
             def query():
                 start.wait()
                 cache.fence(2 * round_index + 1)
-                seen.append(cache.value("satisfiers", 199, lambda: "fresh"))
+                seen.append(cache.value("pool", 199, lambda: "fresh"))
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)

@@ -54,15 +54,31 @@ class TestWorkProfile:
         assert ir_tuples < baseline_tuples
 
     def test_satisfier_sets_cached(self, context):
+        """The satisfier sets are read off the ``contains`` tables."""
         strategy = IRFirstDPO(context)
         query = parse_query(SELECTIVE)
         strategy.top_k(query, 3)
         snapshot = context.eval_cache.metrics_snapshot()
-        misses = snapshot["eval_cache.satisfiers.misses"]
-        hits = snapshot["eval_cache.satisfiers.hits"]
+        misses = snapshot["eval_cache.contains.misses"]
+        hits = snapshot["eval_cache.contains.hits"]
         assert misses + hits > 0  # the satisfier sets went through the cache
         strategy.top_k(query, 3)
         after = context.eval_cache.metrics_snapshot()
-        # Repeating the query computes no new sets — only hits grow.
-        assert after["eval_cache.satisfiers.misses"] == misses
-        assert after["eval_cache.satisfiers.hits"] > hits
+        # Repeating the query computes nothing new — only hits grow.
+        assert after["eval_cache.contains.misses"] == misses
+        assert after["eval_cache.contains.hits"] > hits
+
+    @pytest.mark.parametrize("query_text", [SELECTIVE, UNSELECTIVE])
+    def test_pre_filter_and_checks_share_one_table(self, query_text):
+        """After an IR-first run, DPO on the same expression resolves no new
+        ``contains`` id: the pre-filter filled the table its checks read."""
+        context = QueryContext(generate_document(target_bytes=60_000, seed=4))
+        query = parse_query(query_text)
+        IRFirstDPO(context).top_k(query, 25)
+        counts = context.eval_cache.metrics_snapshot
+        misses = counts()["eval_cache.contains.misses"]
+        hits = counts()["eval_cache.contains.hits"]
+        assert misses > 0
+        DPO(context).top_k(query, 25)
+        assert counts()["eval_cache.contains.misses"] == misses
+        assert counts()["eval_cache.contains.hits"] > hits
