@@ -360,7 +360,7 @@ class Engine:
                     for index, result in scatter.run(
                         compiled.strict_plan(0), "level 0", mode=STRICT
                     )
-                    for node_id in scatter.node_ids(index, result.answers)
+                    for node_id in scatter.node_ids(index, result.matches)
                 )
                 nodes = [self.context.backend.node(node_id) for node_id in node_ids]
         except Exception:

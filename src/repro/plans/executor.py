@@ -56,7 +56,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.plans.eval_cache import EvaluationCache, restriction_key
 from repro.plans.lowering import twig_eligible
 from repro.rank.schemes import STRUCTURE_FIRST
-from repro.rank.scores import AnswerScore, ScoredAnswer
+from repro.rank.scores import AnswerScore, ScoredAnswer, ScratchScore
 
 STRICT = "strict"
 SSO_MODE = "sso"
@@ -118,7 +118,17 @@ class ExecutionStats:
 
 @dataclass
 class ExecutionResult:
-    """Deduplicated scored answers plus execution counters.
+    """One plan run's answers plus execution counters.
+
+    A binary run hands back ``records``: scored answers, cut to the K best
+    when the run had a ``k``.  A strict (twig) run hands back the table it
+    computed instead: ``matches``, ``{node id: keyword score}`` without the
+    excluded ids, plus the one ``structural`` score and the one
+    ``satisfied`` predicate set every match shares (the plan is
+    conjunctive).  The table may be the evaluation cache's own, so callers
+    only read it.  :attr:`answers` builds a strict run's records from
+    ``matches`` on first read, in table order; the level walk reads the
+    table and builds records for the K best only.
 
     ``estimates`` are the plan's :class:`~repro.plans.lowering.OperatorEstimate`
     records (empty for a plan that was never lowered) and ``actuals`` the
@@ -128,10 +138,32 @@ class ExecutionResult:
     into the metrics registry.
     """
 
-    answers: list
     stats: ExecutionStats
     estimates: tuple
     actuals: dict
+    records: list = None
+    matches: dict = None
+    structural: float = 0.0
+    satisfied: frozenset = frozenset()
+    source: object = None
+
+    @property
+    def answers(self):
+        """The run's :class:`~repro.rank.scores.ScoredAnswer` records."""
+        if self.records is None:
+            structural, satisfied, source = (
+                self.structural, self.satisfied, self.source
+            )
+            self.records = [
+                ScoredAnswer(
+                    score=AnswerScore(structural, ks),
+                    satisfied=satisfied,
+                    node_id=node_id,
+                    source=source,
+                )
+                for node_id, ks in self.matches.items()
+            ]
+        return self.records
 
     @property
     def operators(self):
@@ -146,22 +178,6 @@ class ExecutionResult:
             entry["actual"] = actuals.get((op.kind, op.var))
             operators.append(entry)
         return operators
-
-
-class _Score:
-    """A reusable ``(structural, keyword)`` pair to hand ``scheme.sort_key``.
-
-    The pipeline asks the scheme for a sort key per tuple when it prunes
-    and per collision when it projects; one scratch instance per phase,
-    overwritten before each call, stands in for the ``AnswerScore`` each of
-    those calls would otherwise allocate.  ``sort_key`` returns a fresh
-    tuple, so nothing aliases the scratch value.
-    """
-
-    __slots__ = ("structural", "keyword")
-
-    def combined(self):
-        return self.structural + self.keyword
 
 
 class _Signatures:
@@ -287,7 +303,7 @@ def _best_per_key(tuples, key_of, scheme):
     the winning tuple itself is held per key.
     """
     sort_key = scheme.sort_key
-    score = _Score()
+    score = ScratchScore()
     best = {}
     ranks = {}  # sort key of best[key], from that key's first collision on
     for item in tuples:
@@ -397,7 +413,8 @@ class PlanExecutor:
         the run builds answers for the K best distinct answers only, in the
         order of :func:`~repro.rank.schemes.rank_answers` (score, then the
         lower node id): whatever K cannot read is never made.  Strict mode
-        returns every match — DPO, IR-first and naive rank them.
+        returns every match as the ``matches`` table — DPO, IR-first and
+        naive rank them.
 
         ``pool_restrictions`` optionally maps variables to sets of node ids
         their bindings must come from — the hook the IR-first strategy uses
@@ -440,15 +457,11 @@ class PlanExecutor:
                     "the twig operator cannot evaluate this plan: it has "
                     "alternatives, optional joins or promoted contains levels"
                 )
-            answers, actuals = self._run_twig(
-                plan, run, stats, tracer, checkpoint
-            )
-        else:
-            answers, actuals = self._run_binary(
-                plan, k, scheme, mode, run, stats, tracer, checkpoint
-            )
-        return ExecutionResult(answers=answers, stats=stats,
-                               estimates=plan.estimates, actuals=actuals)
+            return self._run_twig(plan, run, stats, tracer, checkpoint)
+        answers, actuals = self._run_binary(
+            plan, k, scheme, mode, run, stats, tracer, checkpoint
+        )
+        return ExecutionResult(stats, plan.estimates, actuals, records=answers)
 
     def contains_table(self, ftexpr, node_ids, probes, checkpoint=None):
         """``node id → keyword score`` for ``ftexpr``, ``None`` where unsatisfied.
@@ -499,7 +512,7 @@ class PlanExecutor:
         distinguished_pos = var_positions[plan.distinguished]
         answer_bound = plan.distinguished == plan.root_var
         sort_key = scheme.sort_key
-        score = _Score()
+        score = ScratchScore()
 
         # Guarantees are tracked per prospective answer node: several tuples
         # guaranteeing the *same* answer must count once, or the threshold
@@ -614,9 +627,10 @@ class PlanExecutor:
         sum decomposes into independent per-child maxima.  Tables are cached
         under their subtree's signature (:class:`_Twig`), so a DPO level
         finds every subtree its relaxation step left alone and pays only
-        for the path from the changed node up.  The answers are the
-        distinguished variable's matches (:meth:`_spine`), all with one
-        structural score and signature, as the plan is conjunctive.
+        for the path from the changed node up.  The result's ``matches``
+        are the distinguished variable's (:meth:`_spine`) less the excluded
+        ids, all with one structural score and signature, as the plan is
+        conjunctive; no record is built per match.
 
         Stats: ``tuples_produced`` counts the pool ids of the tables this
         run resolved (nothing for a cache hit); ``answers_deduped`` the
@@ -644,21 +658,16 @@ class PlanExecutor:
         satisfied = frozenset(signature)
 
         with tracer.span("collect"):
-            backend = self.backend
+            # A cached table is handed out as it is, never mutated.
             excluded = run.excluded
-            answers = [
-                ScoredAnswer(
-                    score=AnswerScore(ss, ks),
-                    satisfied=satisfied,
-                    node_id=node_id,
-                    source=backend,
-                )
+            table = matches if not excluded else {
+                node_id: ks
                 for node_id, ks in matches.items()
                 if node_id not in excluded
-            ]
-        stats.answers_deduped += len(matches) - len(answers)
+            }
+        stats.answers_deduped += len(matches) - len(table)
         stats.note_intermediate(len(matches))
-        stats.answers_before_dedup = len(answers)
+        stats.answers_before_dedup = len(table)
 
         def actuals():
             # A table below a cached one is looked up only when asked for.
@@ -674,7 +683,10 @@ class PlanExecutor:
                     found[("contains-filter", var)] = len(table)
             return found
 
-        return answers, actuals
+        return ExecutionResult(
+            stats, plan.estimates, actuals, matches=table, structural=ss,
+            satisfied=satisfied, source=self.backend,
+        )
 
     def _subtree(self, twig, var, kids, stats, checkpoint, tables):
         """``node id → best keyword score`` of ``var``'s subtree, matches only.
@@ -1007,7 +1019,7 @@ class PlanExecutor:
         winners = _best_per_key(tuples, answer_of, scheme).items()
         if k is not None and len(winners) > k:
             sort_key = scheme.sort_key
-            score = _Score()
+            score = ScratchScore()
 
             def rank(winner):
                 score.structural = winner[1][1]

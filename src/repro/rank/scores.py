@@ -33,6 +33,23 @@ class AnswerScore:
         return "(ss=%.3f, ks=%.3f)" % (self.structural, self.keyword)
 
 
+class ScratchScore:
+    """A reusable ``(structural, keyword)`` pair to hand ``scheme.sort_key``.
+
+    The binary pipeline asks the scheme for a sort key per tuple when it
+    prunes and per collision when it projects, and DPO's level walk one per
+    match when it picks the K best; one scratch instance per phase,
+    overwritten before each call, stands in for the ``AnswerScore`` each of
+    those calls would otherwise allocate.  ``sort_key`` returns a fresh
+    tuple, so nothing aliases the scratch value.
+    """
+
+    __slots__ = ("structural", "keyword")
+
+    def combined(self):
+        return self.structural + self.keyword
+
+
 def structural_score(base_score, dropped_penalties):
     """``Σ w(p_i) − Σ π(p)`` over the dropped closure predicates."""
     return base_score - sum(dropped_penalties)

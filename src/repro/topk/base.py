@@ -144,7 +144,8 @@ class ExecutionSession:
     The :class:`Scatter` creates one per source, so nothing about the
     query ever lands on the shared strategy object or the shared context.
     The fields are the source executor, a tracer, the cross-level
-    answer-id dedup set (in the source's own ids), and the per-plan stats,
+    answer-id dedup set (in the source's own ids), IR-first's
+    ``(expression, tag) → satisfier set`` memo, and the per-plan stats,
     traces and counter the :class:`TopKResult` reports.
 
     ``control`` is the per-query deadline/cancellation hook (an object with
@@ -160,6 +161,7 @@ class ExecutionSession:
         "tracer",
         "control",
         "seen",
+        "satisfiers",
         "stats",
         "traces",
         "levels_evaluated",
@@ -170,6 +172,7 @@ class ExecutionSession:
         self.tracer = tracer
         self.control = control
         self.seen = set()
+        self.satisfiers = {}
         self.stats = []
         self.traces = []
         self.levels_evaluated = 0
@@ -223,7 +226,7 @@ class Scatter:
       for several.  Traced or not, the path is the same: a traced round
       hands each source a private :class:`Tracer`, which records its
       ``shard N`` span, and merges them into the query's afterwards;
-    - **addressing** — :meth:`node_ids` maps a source's answers to the
+    - **addressing** — :meth:`node_ids` maps a source's ids to the
       ids callers see: as they are for a context's own executor, through
       the backend's ``translate_id`` for a shard; :meth:`addressed`
       rebuilds a shard's answers around those ids;
@@ -337,19 +340,18 @@ class Scatter:
                 kwargs = {**kwargs, **per_source(session)}
             return session.run_plan(plan, label, **kwargs)
 
-    def node_ids(self, index, answers):
-        """Source ``index``'s answer ids as callers see them, in order.
+    def node_ids(self, index, ids):
+        """Source ``index``'s ``ids`` as callers see them, in order.
 
-        The context's own executor answers in those ids already.  A
-        shard's local ids go through the backend's ``translate_id``
-        (increasing within a shard, so a shard's ranking holds).  Returns
-        an iterator: a caller that builds its own records reads the ids
-        off it, and no answer is copied.
+        The context's own executor answers in those ids already, and
+        ``ids`` comes back as it is.  A shard's local ids go through the
+        backend's ``translate_id`` (increasing within a shard, so a shard's
+        ranking holds) into a list.  Either way the result can be iterated
+        again, and no answer is copied.
         """
-        ids = map(_NODE_ID, answers)
         if self._translate is None:
             return ids
-        return map(partial(self._translate, index), ids)
+        return list(map(partial(self._translate, index), ids))
 
     def addressed(self, index, answers):
         """Source ``index``'s ``answers`` in the ids callers see.
@@ -369,14 +371,17 @@ class Scatter:
                 node_id=node_id,
                 source=backend,
             )
-            for answer, node_id in zip(answers, self.node_ids(index, answers))
+            for answer, node_id in zip(
+                answers, self.node_ids(index, map(_NODE_ID, answers))
+            )
         ]
 
-    def retire(self, answers, k, scheme, next_structural):
+    def retire(self, sort_keys, k, scheme, next_structural):
         """Retire sources that can no longer place an answer in the top K.
 
-        ``answers`` holds at least K scored answers; ``next_structural`` is
-        the next level's structural score (identical across sources).  A
+        ``sort_keys`` yields the scheme's sort key of at least K answers
+        (read only with two or more sources); ``next_structural`` is the
+        next level's structural score (identical across sources).  A
         source's best possible future answer is that score plus its
         keyword ceiling (the backend's ``keyword_ceilings``); the source
         is done when that sorts strictly below the current K-th.  Ties are
@@ -389,9 +394,7 @@ class Scatter:
             self._ceilings = self.context.backend.keyword_ceilings(
                 self.compiled.tpq.contains
             )
-        kth_key = heapq.nlargest(
-            k, (scheme.sort_key(answer.score) for answer in answers)
-        )[-1]
+        kth_key = heapq.nlargest(k, sort_keys)[-1]
         still_runnable = []
         for index in self.runnable:
             ceiling = AnswerScore(next_structural, self._ceilings[index])

@@ -35,9 +35,11 @@ safely shared between threads.
 
 from __future__ import annotations
 
+import heapq
+
 from repro.plans.executor import STRICT
 from repro.rank.schemes import STRUCTURE_FIRST, rank_answers
-from repro.rank.scores import AnswerScore, ScoredAnswer
+from repro.rank.scores import AnswerScore, ScoredAnswer, ScratchScore
 from repro.topk.base import Strategy, combined_level_cutoff
 
 
@@ -68,20 +70,39 @@ class DPO(Strategy):
         return {}
 
     def execute(self, compiled, scatter, k, scheme=STRUCTURE_FIRST):
-        """Walk the schedule level by level over every source (stateless)."""
+        """Walk the schedule level by level over every source (stateless).
+
+        A level's strict run hands back its ``{node id: keyword score}``
+        table, and the walk keeps the tables: answer records are built at
+        the end, for the K best only.
+        """
         schedule = compiled.schedule
         contains_count = compiled.contains_count()
         remembers = self._remembers_answers
         sessions = scatter.sessions
-        backend = scatter.context.backend
         sort_key = scheme.sort_key
+        score = ScratchScore()
 
-        collected = []  # first appearance wins (answer memory on)
-        best = {}  # best-scoring appearance per node (answer memory off)
-        answers = collected if remembers else best.values()
+        # An answer's origin is (level, structural score, satisfied).
+        runs = []  # answer memory on: (origin, caller ids, table) per run
+        best = {}  # memory off: caller id → (sort key, ks, origin), the best
+        found = 0  # distinct answers so far
         cutoff = len(schedule)
         reached_level = None
         last_level = 0
+
+        def ranked():
+            """``(sort key, −caller id, ks, origin)`` per answer: the
+            ``rank_answers`` order, ties broken by the lower id."""
+            if not remembers:
+                for node_id, (key, ks, origin) in best.items():
+                    yield key, -node_id, ks, origin
+                return
+            for origin, ids, table in runs:
+                score.structural = origin[1]
+                for node_id, ks in zip(ids, table.values()):
+                    score.keyword = ks
+                    yield sort_key(score), -node_id, ks, origin
 
         for level in range(len(schedule) + 1):
             if level > cutoff or not scatter.runnable:
@@ -98,30 +119,25 @@ class DPO(Strategy):
             level_score = schedule.structural_score(level)
             for index, result in results:
                 # The executor already left out the ids in ``seen``.
-                seen = sessions[index].seen
-                source_answers = result.answers
-                for answer, node_id in zip(
-                    source_answers, scatter.node_ids(index, source_answers)
-                ):
-                    if remembers:
-                        seen.add(answer.node_id)
-                    scored = ScoredAnswer(
-                        score=AnswerScore(level_score, answer.score.keyword),
-                        relaxation_level=level,
-                        satisfied=answer.satisfied,
-                        node_id=node_id,
-                        source=backend,
-                    )
-                    if remembers:
-                        collected.append(scored)
-                    else:
-                        current = best.get(node_id)
-                        if current is None or (
-                            sort_key(scored.score) > sort_key(current.score)
-                        ):
-                            best[node_id] = scored
+                table = result.matches
+                ids = scatter.node_ids(index, table)
+                origin = (level, level_score, result.satisfied)
+                if remembers:
+                    sessions[index].seen.update(table)
+                    runs.append((origin, ids, table))
+                    found += len(table)
+                    continue
+                score.structural = level_score
+                for node_id, ks in zip(ids, table.values()):
+                    score.keyword = ks
+                    key = sort_key(score)
+                    current = best.get(node_id)
+                    if current is None or key > current[0]:
+                        best[node_id] = (key, ks, origin)
+            if not remembers:
+                found = len(best)
 
-            if remembers and len(answers) >= k and reached_level is None:
+            if remembers and found >= k and reached_level is None:
                 reached_level = level
                 if scheme.requires_all_relaxations:
                     cutoff = len(schedule)
@@ -131,12 +147,27 @@ class DPO(Strategy):
                     )
                 else:
                     cutoff = level  # structure-first: stop right here
-            if level < cutoff and len(answers) >= k:
+            if level < cutoff and found >= k:
                 scatter.retire(
-                    answers, k, scheme, schedule.structural_score(level + 1)
+                    (item[0] for item in ranked()), k, scheme,
+                    schedule.structural_score(level + 1),
                 )
 
+        backend = scatter.context.backend
+        answers = [
+            ScoredAnswer(
+                score=AnswerScore(origin[1], ks),
+                relaxation_level=origin[0],
+                satisfied=origin[2],
+                node_id=-negated_id,
+                source=backend,
+            )
+            for _key, negated_id, ks, origin in heapq.nlargest(k, ranked())
+        ]
+        # Already in rank order: ``rank_answers`` sorts the K records in
+        # one pass, and is the name a tracer wraps to time the rank layer
+        # (benchmarks/e2e/spans.py patches ``repro.topk.dpo.rank_answers``).
         return scatter.result(
-            self.name, k, scheme, rank_answers(answers, scheme, k),
+            self.name, k, scheme, rank_answers(answers, scheme),
             relaxations_used=last_level if remembers else len(schedule),
         )

@@ -38,7 +38,7 @@ class IRFirstDPO(DPO):
         arguments = super()._source_arguments(session, query)
         with session.tracer.span("ir_filter"):
             arguments["pool_restrictions"] = _restrictions_for(
-                session.source, query
+                session.source, query, session.satisfiers
             )
         return arguments
 
@@ -56,13 +56,19 @@ def _satisfiers(source, ftexpr, tag):
     return frozenset(node_id for node_id in ids if table[node_id] is not None)
 
 
-def _restrictions_for(source, query):
-    """Per-variable satisfier sets for one level's query on one source."""
+def _restrictions_for(source, query, memo):
+    """Per-variable satisfier sets for one level's query on one source.
+
+    ``memo`` maps ``(expression, tag)`` to its satisfier set for the rest
+    of the walk (the session's ``satisfiers``): successive levels often
+    keep a ``contains`` on the same tag, and a set is computed once.
+    """
     restrictions = {}
     for predicate in query.contains:
-        satisfiers = _satisfiers(
-            source, predicate.ftexpr, query.tag_of(predicate.var)
-        )
+        key = (predicate.ftexpr, query.tag_of(predicate.var))
+        satisfiers = memo.get(key)
+        if satisfiers is None:
+            satisfiers = memo[key] = _satisfiers(source, *key)
         current = restrictions.get(predicate.var)
         if current is None:
             restrictions[predicate.var] = satisfiers

@@ -532,7 +532,7 @@ class TestOneContext:
             for index, result in scatter.run(
                 compiled.strict_plan(0), "level 0", mode=STRICT
             )
-            for node_id in scatter.node_ids(index, result.answers)
+            for node_id in scatter.node_ids(index, result.matches)
         )
 
     @pytest.mark.parametrize("shard_count", [1, 2, 3])
@@ -612,7 +612,7 @@ class TestOneContext:
         )
         assert result.answers
         assert scatter.addressed(index, result.answers) is result.answers
-        assert list(scatter.node_ids(index, result.answers)) == [
+        assert list(scatter.node_ids(index, result.matches)) == [
             answer.node_id for answer in result.answers
         ]
 
@@ -628,7 +628,7 @@ class TestOneContext:
                 compiled.strict_plan(0), "level 0", mode=STRICT):
             addressed = scatter.addressed(index, result.answers)
             assert [a.node_id for a in addressed] == list(
-                scatter.node_ids(index, result.answers)
+                scatter.node_ids(index, result.matches)
             )
             assert all(a.node.node_id == a.node_id for a in addressed)
 

@@ -210,7 +210,7 @@ def test_twig_equals_binary_against_any_warm_cache(doc, query, word, rng):
         for plan, entry in zip(strict_plans(context, schedule), schedule.entries):
             plan = lower_plan(plan, context.statistics, strict=True)
             for restrictions in (
-                None, _restrictions_for(context.executor, entry.query),
+                None, _restrictions_for(context.executor, entry.query, {}),
                 {chosen: subset},
             ):
                 runs.append((plan, entry.query, restrictions))

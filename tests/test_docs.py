@@ -130,3 +130,42 @@ def test_eval_cache_tier_lists_match_the_code():
     in_design = re.findall(r"^\| `(\w+)` \| `(?:value|table)` \|", design, flags=re.M)
     assert in_docstring == tiers
     assert in_design == tiers
+
+
+def test_the_strategy_example_in_extending_runs():
+    """``docs/EXTENDING.md``'s stateless strategy, executed as written: it
+    reads the strict runs' ``matches`` tables and returns DPO's
+    structure-first answers, on one source and on two shards."""
+    from repro.backend.sharded import RoundRobinRouter
+    from repro.engine import Engine
+    from repro.query import parse_query
+    from repro.topk import DPO
+    from repro.xmark import PAPER_QUERIES, generate_document
+
+    text = (ROOT / "docs/EXTENDING.md").read_text(encoding="utf-8")
+    section = text.split("## Writing a stateless strategy (compile/execute)")[1]
+    block, = re.findall(r"```python\n(.*?)```", section.split("\n## ")[0], flags=re.S)
+    namespace = {}
+    exec(compile(block, "docs/EXTENDING.md[strategy]", "exec"), namespace)
+    strategy = namespace["MyStrategy"]
+
+    docs = [generate_document(target_bytes=30_000, seed=seed) for seed in (3, 4)]
+    sharded = Engine.sharded(2, router=RoundRobinRouter(), cache=False)
+    for index, doc in enumerate(docs):
+        sharded.backend.add_document(doc, name="doc%d" % index)
+    try:
+        for engine in (Engine(docs[0], cache=False), sharded):
+            for query in map(parse_query, PAPER_QUERIES.values()):
+                for k in (3, 40):
+                    got = strategy(engine.context).top_k(query, k)
+                    expected = DPO(engine.context).top_k(query, k)
+                    assert [
+                        (a.node_id, a.score, a.relaxation_level, a.satisfied)
+                        for a in got.answers
+                    ] == [
+                        (a.node_id, a.score, a.relaxation_level, a.satisfied)
+                        for a in expected.answers
+                    ], (query, k)
+                    assert got.answers
+    finally:
+        sharded.context.close()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.query import parse_query
-from repro.topk import DPO, IRFirstDPO, QueryContext
+from repro.topk import DPO, IRFirstDPO, QueryContext, ir_first
 from repro.xmark import generate_document
 
 
@@ -82,3 +82,24 @@ class TestWorkProfile:
         DPO(context).top_k(query, 25)
         assert counts()["eval_cache.contains.misses"] == misses
         assert counts()["eval_cache.contains.hits"] > hits
+
+    def test_each_satisfier_set_is_computed_once_per_walk(self, monkeypatch):
+        """Successive levels keep the ``contains`` on the same tag: the walk
+        computes one satisfier set per distinct ``(expression, tag)``."""
+        context = QueryContext(generate_document(target_bytes=60_000, seed=4))
+        query = parse_query(SELECTIVE)
+        expected = DPO(context).top_k(query, 3)
+        calls = []
+        satisfiers = ir_first._satisfiers
+
+        def counting(source, ftexpr, tag):
+            calls.append((ftexpr, tag))
+            return satisfiers(source, ftexpr, tag)
+
+        monkeypatch.setattr(ir_first, "_satisfiers", counting)
+        result = IRFirstDPO(context).top_k(query, 3)
+        assert result.levels_evaluated > len(set(calls)) == 4
+        assert len(calls) == len(set(calls))
+        assert [(a.node_id, a.score) for a in result.answers] == [
+            (a.node_id, a.score) for a in expected.answers
+        ]
